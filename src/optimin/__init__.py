@@ -83,11 +83,11 @@ from .noncoop import (
     nash_pure,
     optimin_grid_2p,
     optimin_pure,
-    pareto_filter,
     value_mixed_2p,
     value_pure,
     value_table,
 )
+from .pareto import pareto_filter
 from .zerosum import (
     MaximinSolution,
     StatisticalGame,

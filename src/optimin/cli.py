@@ -648,11 +648,16 @@ def _cmd_selftest(args, threads) -> int:
 def _selftest_checks():
     F = Fraction
 
+    def check(condition: bool, message: str) -> None:
+        # Not a bare assert: `python -O` strips those, and a golden check must hold.
+        if not condition:
+            raise AssertionError(message)
+
     def figure1_payoffs(threads):
         g = generators.gen_named("figure1")
-        assert g.payoff((0, 0)) == (100, 100), "payoff at (Top,Left)"
-        assert g.payoff((2, 1)) == (210, 0), "payoff at (Bottom,Center)"
-        assert not is_constant_sum(g).is_constant_sum, "cell sums differ"
+        check(g.payoff((0, 0)) == (100, 100), "payoff at (Top,Left)")
+        check(g.payoff((2, 1)) == (210, 0), "payoff at (Bottom,Center)")
+        check(not is_constant_sum(g).is_constant_sum, "cell sums differ")
 
     def figure1_values(threads):
         g = generators.gen_named("figure1")
@@ -663,80 +668,81 @@ def _selftest_checks():
         }
         table = noncoop.value_table(g, threads)
         for prof, vec in expected.items():
-            assert table[prof] == tuple(F(x) for x in vec), f"value at {prof}"
+            check(table[prof] == tuple(F(x) for x in vec), f"value at {prof}")
 
     def figure1_solutions(threads):
         g = generators.gen_named("figure1")
         opt = noncoop.optimin_pure(g, threads)
-        assert [e.profile for e in opt] == [(0, 0)], "unique optimin point (Top,Left)"
-        assert noncoop.nash_pure(g) == [(2, 2)], "unique Nash (Bottom,Right)"
+        check([e.profile for e in opt] == [(0, 0)], "unique optimin point (Top,Left)")
+        check(noncoop.nash_pure(g) == [(2, 2)], "unique Nash (Bottom,Right)")
         for pm in noncoop.maximin_profile(g):
-            assert pm.security == 0 and len(pm.strategies) == 3, "all strategies maximin at 0"
+            check(pm.security == 0 and len(pm.strategies) == 3, "all strategies maximin at 0")
         brs = noncoop.better_responses(g, (0, 0), 1)
-        assert brs.responses == (1,), "only profitable deviation from (Top,Left) is Center"
-        assert not noncoop.better_responses(g, (2, 2), 0), "no better response at the Nash cell"
+        check(brs.responses == (1,), "only profitable deviation from (Top,Left) is Center")
+        check(not noncoop.better_responses(g, (2, 2), 0), "no better response at the Nash cell")
 
     def motivating(threads):
         g = generators.gen_named("motivating")
         opt = [e.profile for e in noncoop.optimin_pure(g, threads)]
-        assert opt == [(0, 0)], "unique solution (U,L)"
-        assert noncoop.nash_pure(g) == [(0, 0)], "unique Nash (U,L)"
+        check(opt == [(0, 0)], "unique solution (U,L)")
+        check(noncoop.nash_pure(g) == [(0, 0)], "unique Nash (U,L)")
         row = noncoop.maximin_profile(g)[0]
-        assert row.strategies == (1,) and row.security == 1, "row maximin D guarantees 1"
+        check(row.strategies == (1,) and row.security == 1, "row maximin D guarantees 1")
 
     def footnote_games(threads):
         pd = generators.gen_named("prisoners_dilemma")
-        assert [e.profile for e in noncoop.optimin_pure(pd)] == [(1, 1)], "defect/defect"
+        check([e.profile for e in noncoop.optimin_pure(pd)] == [(1, 1)], "defect/defect")
         bos = generators.gen_named("battle_of_sexes")
-        assert [e.profile for e in noncoop.optimin_pure(bos)] == [(0, 0), (1, 1)], "both coordination cells"
+        check([e.profile for e in noncoop.optimin_pure(bos)] == [(0, 0), (1, 1)], "both coordination cells")
 
     def travelers_small_reward(threads):
         g = generators.gen_travelers(2, 100, 2)
-        assert g.payoff((98, 97)) == (97, 101), "claim pair (100,99)"
+        check(g.payoff((98, 97)) == (97, 101), "claim pair (100,99)")
         opt = [e.profile for e in noncoop.optimin_pure(g, threads)]
-        assert opt == [(98, 98)], "both claim 100 at r=2"
-        assert noncoop.nash_pure(g) == [(0, 0)], "Nash is lowest claim"
+        check(opt == [(98, 98)], "both claim 100 at r=2")
+        check(noncoop.nash_pure(g) == [(0, 0)], "Nash is lowest claim")
 
     def travelers_large_reward(threads):
         g = generators.gen_travelers(2, 100, 60)
         opt = [e.profile for e in noncoop.optimin_pure(g, threads)]
-        assert (0, 0) in opt, "lowest pair is a solution at r=60"
-        assert (98, 98) not in opt, "highest pair is no longer a solution at r=60"
-        assert noncoop.nash_pure(g) == [(0, 0)], "Nash is lowest claim"
+        check((0, 0) in opt, "lowest pair is a solution at r=60")
+        check((98, 98) not in opt, "highest pair is no longer a solution at r=60")
+        check(noncoop.nash_pure(g) == [(0, 0)], "Nash is lowest claim")
         low = noncoop.value_pure(g, (0, 0)).value
         high = noncoop.value_pure(g, (98, 98)).value
-        assert all(a >= b for a, b in zip(low, high)) and low != high, (
-            "worst case of the lowest pair dominates the highest pair"
+        check(
+            all(a >= b for a, b in zip(low, high)) and low != high,
+            "worst case of the lowest pair dominates the highest pair",
         )
 
     def empty_core_game(threads):
         g = generators.gen_named("coop_empty_core")
-        assert coop.core(g).empty, "core is empty"
-        assert coop.coop_value(g, (40, 30, 40)) == (F(40), F(30), F(25)), "value of (40,30,40)"
-        assert coop.shapley(g) == (F(265, 6), F(110, 3), F(175, 6)), "shapley"
-        assert coop.nucleolus(g) == (F(140, 3), F(110, 3), F(80, 3)), "nucleolus"
+        check(coop.core(g).empty, "core is empty")
+        check(coop.coop_value(g, (40, 30, 40)) == (F(40), F(30), F(25)), "value of (40,30,40)")
+        check(coop.shapley(g) == (F(265, 6), F(110, 3), F(175, 6)), "shapley")
+        check(coop.nucleolus(g) == (F(140, 3), F(110, 3), F(80, 3)), "nucleolus")
         grid = coop.optimin_coop(g, 1)
         expected = {(F(40), F(x2), F(70 - x2)) for x2 in range(30, 46)}
-        assert set(grid.allocations) == expected, "segment x1=40, x2+x3=70"
+        check(set(grid.allocations) == expected, "segment x1=40, x2+x3=70")
 
     def capped_core_game(threads):
         g = generators.gen_named("coop_120")
         result = coop.core(g)
-        assert not result.empty and result.witness == (F(50), F(40), F(30)), "core witness"
-        assert coop.nucleolus(g) == (F(50), F(40), F(30)), "nucleolus"
-        assert coop.shapley(g) == (F(95, 2), F(40), F(65, 2)), "shapley"
+        check(not result.empty and result.witness == (F(50), F(40), F(30)), "core witness")
+        check(coop.nucleolus(g) == (F(50), F(40), F(30)), "nucleolus")
+        check(coop.shapley(g) == (F(95, 2), F(40), F(65, 2)), "shapley")
         grid = coop.optimin_coop(g, 1)
-        assert grid.allocations == ((F(50), F(40), F(30)),), "unique grid point"
+        check(grid.allocations == ((F(50), F(40), F(30)),), "unique grid point")
 
     def coin_game(threads):
         sg = zerosum.bulmer_game()
         stat = zerosum.maximin_lp(sg, 0)
-        assert stat.mixture == (F(1, 5), F(0), F(0), F(4, 5)), "statistician mixture"
-        assert stat.value == F(3, 5), "guaranteed 3/5"
+        check(stat.mixture == (F(1, 5), F(0), F(0), F(4, 5)), "statistician mixture")
+        check(stat.value == F(3, 5), "guaranteed 3/5")
         nat = zerosum.maximin_lp(sg, 1)
-        assert nat.mixture == (F(2, 5), F(3, 5)), "nature mixture"
+        check(nat.mixture == (F(2, 5), F(3, 5)), "nature mixture")
         pair = (stat.mixture, nat.mixture)
-        assert zerosum.optimin_equals_maximin_check(sg, pair), "maximin pair passes the check"
+        check(zerosum.optimin_equals_maximin_check(sg, pair), "maximin pair passes the check")
 
     def stable_matching_membership(threads):
         problem = matching.MarriageProblem(
@@ -752,8 +758,8 @@ def _selftest_checks():
             },
         )
         da = matching.deferred_acceptance(problem, "A")
-        assert matching.is_stable(problem, da).stable, "proposer-optimal matching is stable"
-        assert da in matching.optimin_matchings(problem), "stable matching survives the filter"
+        check(matching.is_stable(problem, da).stable, "proposer-optimal matching is stable")
+        check(da in matching.optimin_matchings(problem), "stable matching survives the filter")
 
     return [
         ("figure1 payoffs and cell sums", figure1_payoffs),

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, ResourceLimitError
 from .games import ValueVector
 from .lp import LinearProgram, solve_lp
-from .noncoop import pareto_filter
+from .pareto import pareto_filter
 from .rational import to_fraction
 
 ZERO = Fraction(0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ConstraintError, DomainError
-from .noncoop import pareto_filter
+from .pareto import pareto_filter
 from .rational import to_fraction
 
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)

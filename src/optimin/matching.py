@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .noncoop import pareto_filter
+from .pareto import pareto_filter
 
 DEVIATION_MAX_SIZE = 6
 OPTIMIN_MAX_SIZE = 5

@@ -14,15 +14,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .errors import (
-    EmptyInputError,
-    ResourceLimitError,
-    UnsupportedArityError,
-)
+from .errors import ResourceLimitError, UnsupportedArityError
 from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
 from .lp import LinearProgram, solve_lp
+from .pareto import pareto_filter
 
 ZERO = Fraction(0)
 
@@ -178,53 +175,6 @@ def _line_minima(mine: list[Fraction], theirs: list[Fraction]) -> list[Fraction]
             best = gmin
         i = j - 1
     return out
-
-
-def pareto_filter(items: Sequence, key: Callable | None = None) -> list:
-    """Keep the items whose vectors no other vector dominates.
-
-    Domination is coordinatewise >= with at least one strict coordinate;
-    equal vectors never dominate each other, so ties are all retained.
-    Output preserves input order.
-    """
-    items = list(items)
-    if not items:
-        raise EmptyInputError("pareto_filter needs at least one item")
-    vectors = [tuple(key(it)) if key is not None else tuple(it) for it in items]
-    width = len(vectors[0])
-    if any(len(v) != width for v in vectors):
-        raise ValueError("all value vectors must have the same length")
-    distinct = list(dict.fromkeys(vectors))
-    if width == 2:
-        dominated = _dominated_2d(distinct)
-    else:
-        dominated = {
-            v
-            for v in distinct
-            for w in distinct
-            if w != v and all(x >= y for x, y in zip(w, v))
-        }
-    return [it for it, v in zip(items, vectors) if v not in dominated]
-
-
-def _dominated_2d(distinct: list[tuple]) -> set:
-    ordered = sorted(distinct, key=lambda v: (v[0], v[1]), reverse=True)
-    dominated = set()
-    best_second = None
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and ordered[j + 1][0] == ordered[i][0]:
-            j += 1
-        group = ordered[i : j + 1]  # equal first coordinate, second descending
-        group_best = group[0][1]
-        for v in group:
-            if (best_second is not None and best_second >= v[1]) or v[1] < group_best:
-                dominated.add(v)
-        if best_second is None or group_best > best_second:
-            best_second = group_best
-        i = j + 1
-    return dominated
 
 
 def optimin_pure(game: NormalFormGame, threads: int = 1) -> list[EvaluatedProfile]:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import optimin
 from optimin.cli import main
 from optimin.fileio import dump_marriage
 from optimin.matching import MarriageProblem
@@ -271,3 +277,30 @@ class TestErrorsAndDeterminism:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "FAIL figure1 payoffs" in out
+
+    def test_selftest_names_a_corrupted_golden_check_under_optimize(self):
+        # `python -O` strips assert statements, so the golden checks must not
+        # rely on them.  Same corruption as the in-process test above.
+        script = textwrap.dedent("""
+            import sys
+            from optimin import affine_transform, cli
+
+            real_gen_named = cli.generators.gen_named
+
+            def corrupted(tag):
+                obj = real_gen_named(tag)
+                return affine_transform(obj, 0, 1, 1) if tag == "figure1" else obj
+
+            cli.generators.gen_named = corrupted
+            print("optimize", sys.flags.optimize)
+            sys.exit(cli.main(["selftest"]))
+        """)
+        src = str(Path(optimin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert "optimize 1" in proc.stdout
+        assert "FAIL figure1 payoffs" in proc.stdout
+        assert proc.returncode == 1

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from optimin import (
-    EmptyInputError,
     NormalFormGame,
     ResourceLimitError,
     UnsupportedArityError,
@@ -165,34 +164,11 @@ class TestValueTable:
 
 
 class TestParetoFilter:
-    def test_simple(self):
-        assert pareto_filter([(1, 0), (0, 1), (1, 1)]) == [(1, 1)]
-
-    def test_ties_all_retained(self):
-        assert pareto_filter([(1, 1), (1, 1)]) == [(1, 1), (1, 1)]
-
+    # The kernel's own tests are in test_pareto.py; this one runs it on a table.
     def test_figure1_table_filters_to_top_left(self):
         table = value_table(gen_named("figure1"))
         kept = pareto_filter(list(table.items()), key=lambda kv: kv[1])
         assert [prof for prof, _ in kept] == [(0, 0)]
-
-    def test_empty_input_raises(self):
-        with pytest.raises(EmptyInputError):
-            pareto_filter([])
-
-    def test_order_preserved(self):
-        out = pareto_filter([(0, 5), (3, 3), (5, 0)])
-        assert out == [(0, 5), (3, 3), (5, 0)]
-
-    def test_matches_brute_force(self):
-        rng = random.Random(16)
-        for _ in range(300):
-            dim = rng.randint(1, 4)
-            vecs = [
-                tuple(F(rng.randint(0, 4)) for _ in range(dim))
-                for _ in range(rng.randint(1, 12))
-            ]
-            assert pareto_filter(vecs) == brute_pareto(vecs)
 
 
 class TestOptiminPure:
