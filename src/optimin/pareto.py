@@ -7,8 +7,7 @@ one place that filter lives.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import ge, itemgetter
+from operator import ge
 from typing import Callable, Sequence
 
 from .errors import EmptyInputError
@@ -66,13 +65,9 @@ def _dominated_skyline(distinct: list[tuple]) -> set:
     # descending order they come before it; by transitivity some vector already
     # on the front then dominates it too, and each vector is tested against the
     # front alone.  Float sums can round a dominator's larger sum down to a tie;
-    # a dominator is also lexicographically larger, so that tie-break restores
-    # the order.  Exact sums skip it, since it costs a tuple comparison per step.
-    keyed = [(sum(v), v) for v in distinct]
-    if all(type(s) is int or type(s) is Fraction for s, _ in keyed):
-        keyed.sort(key=itemgetter(0), reverse=True)
-    else:
-        keyed.sort(reverse=True)
+    # a dominator is also lexicographically larger, so the vector as tie-break
+    # keeps the order exact for every number type.
+    keyed = sorted(((sum(v), v) for v in distinct), reverse=True)
     front: list[tuple] = []
     dominated = set()
     for _, v in keyed:
