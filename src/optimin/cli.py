@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Reports are deterministic byte-for-byte for identical inputs: worker threads
-only ever change scheduling, never content or order.  Table mode prints exact
+Reports are deterministic byte-for-byte for identical inputs.  `--threads`
+and `OPTIMIN_THREADS` are accepted and validated, but the solvers run
+serially, so neither changes content or order.  Table mode prints exact
 rationals with a 3-place decimal hint for non-integers; JSON mode carries
 exact strings only.  Exit codes: 0 success, 1 domain/resource/format errors,
 2 usage errors.

@@ -1,14 +1,18 @@
 """Finite normal-form games with exact rational payoffs.
 
 A game is an immutable dense payoff tensor over labelled strategies.  All
-operations here are pure functions; every payoff is a `Fraction`, so results
-reproduce bit-exactly and comparisons never depend on floating tolerances.
+operations here are pure functions.  Payoffs are exact: inside, each player's
+payoffs are ints over one common denominator; at the API every payoff is a
+`Fraction`.  Results reproduce bit-exactly and comparisons never depend on
+floating tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -30,14 +34,59 @@ class NormalFormGame:
     """An n-player game: player labels, per-player strategy labels, payoff tensor.
 
     ``payoffs`` is a nested sequence indexed by strategy indices in player
-    order; the innermost sequence holds one payoff per player.  Cells are
-    stored flat in row-major order and the instance is immutable after
-    construction.
+    order; the innermost sequence holds one payoff per player.  The instance
+    is immutable after construction.
+
+    Payoffs are stored flat in row-major order, one exact integer
+    representation per player: player i's payoffs are the ints ``_num[i]``
+    over the common denominator ``_den[i]``, the lcm of that player's reduced
+    payoff denominators, so equal games have equal representations.  The
+    solvers work on these ints.  ``_cells``, the per-cell tuples of
+    `Fraction`s that the API returns, is built on first use and cached.
     """
 
-    __slots__ = ("players", "strategies", "shape", "_cells", "_strides")
+    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den", "_view")
 
     def __init__(self, players: Sequence[str], strategies: Sequence[Sequence[str]], payoffs) -> None:
+        size = self._set_labels(players, strategies)
+        cells: list[tuple[Fraction, ...]] = [None] * size  # type: ignore[list-item]
+        self._fill(payoffs, 0, (), cells)
+        num = []
+        den = []
+        for column in zip(*cells):
+            ratios = [u.as_integer_ratio() for u in column]
+            d = math.lcm(*(e for _, e in ratios))
+            num.append(tuple(n * (d // e) for n, e in ratios))
+            den.append(d)
+        self._num = tuple(num)
+        self._den = tuple(den)
+        # The parsed cells already are the view; keeping them saves
+        # rebuilding every Fraction when a loaded game is written or printed.
+        self._view = tuple(cells)
+
+    @classmethod
+    def _from_scaled(cls, players, strategies, num, den) -> NormalFormGame:
+        """Build from per-player int payoffs ``num[i]`` over positive ``den[i]``.
+
+        Each player's numerators and denominator are divided by their common
+        gcd, which leaves the lcm of the reduced denominators, the same
+        representation ``__init__`` builds.
+        """
+        game = cls.__new__(cls)
+        game._set_labels(players, strategies)
+        scaled = []
+        dens = []
+        for column, d in zip(num, den):
+            g = math.gcd(d, *column)
+            scaled.append(tuple(column) if g == 1 else tuple(u // g for u in column))
+            dens.append(d // g)
+        game._num = tuple(scaled)
+        game._den = tuple(dens)
+        game._view = None
+        return game
+
+    def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> int:
+        """Validate and set the labels, shape and strides; return the cell count."""
         self.players = tuple(str(p) for p in players)
         if not self.players:
             raise ValueError("a game needs at least one player")
@@ -54,17 +103,25 @@ class NormalFormGame:
             if len(set(strats)) != len(strats):
                 raise ValueError(f"duplicate strategy label for player {self.players[i]!r}")
         self.shape = tuple(len(s) for s in self.strategies)
-
         strides = []
         acc = 1
         for size in reversed(self.shape):
             strides.append(acc)
             acc *= size
         self._strides = tuple(reversed(strides))
+        return acc
 
-        cells: list[tuple[Fraction, ...]] = [None] * acc  # type: ignore[list-item]
-        self._fill(payoffs, 0, (), cells)
-        self._cells = tuple(cells)
+    @property
+    def _cells(self) -> tuple[ValueVector, ...]:
+        """Per-cell payoff tuples of `Fraction`s, in row-major order (cached)."""
+        view = self._view
+        if view is None:
+            columns = [
+                [Fraction(u, d) for u in column] if d != 1 else [Fraction(u) for u in column]
+                for column, d in zip(self._num, self._den)
+            ]
+            view = self._view = tuple(zip(*columns))
+        return view
 
     def _fill(self, node, depth: int, prefix: PureProfile, cells: list) -> None:
         n = len(self.players)
@@ -207,11 +264,12 @@ class NormalFormGame:
         return (
             self.players == other.players
             and self.strategies == other.strategies
-            and self._cells == other._cells
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.players, self.strategies, self._cells))
+        return hash((self.players, self.strategies, self._den, self._num))
 
     def __repr__(self) -> str:
         dims = "x".join(str(k) for k in self.shape)
@@ -245,14 +303,15 @@ def affine_transform(game: NormalFormGame, player: int, alpha, beta) -> NormalFo
         raise InvalidScaleError(f"scale factor must be positive, got {alpha}")
     if not 0 <= player < game.num_players:
         raise InvalidProfileError(f"no player with index {player}")
-    new = NormalFormGame.__new__(NormalFormGame)
-    for attr in ("players", "strategies", "shape", "_strides"):
-        setattr(new, attr, getattr(game, attr))
-    new._cells = tuple(
-        tuple(alpha * u + beta if i == player else u for i, u in enumerate(cell))
-        for cell in game._cells
-    )
-    return new
+    # alpha*u/d + beta over the common denominator d*alpha.den*beta.den.
+    d = game._den[player]
+    a = alpha.numerator * beta.denominator
+    b = beta.numerator * alpha.denominator * d
+    num = list(game._num)
+    den = list(game._den)
+    num[player] = [a * u + b for u in num[player]]
+    den[player] = d * alpha.denominator * beta.denominator
+    return NormalFormGame._from_scaled(game.players, game.strategies, num, den)
 
 
 def fictitious_extension(game: NormalFormGame, constant) -> NormalFormGame:
@@ -265,17 +324,13 @@ def fictitious_extension(game: NormalFormGame, constant) -> NormalFormGame:
     label = "fictitious"
     while label in game.players:
         label += "'"
-    new = NormalFormGame.__new__(NormalFormGame)
-    new.players = game.players + (label,)
-    new.strategies = game.strategies + (("only",),)
-    new.shape = game.shape + (1,)
-    strides = []
-    acc = 1
-    for size in reversed(new.shape):
-        strides.append(acc)
-        acc *= size
-    new._strides = tuple(reversed(strides))
-    new._cells = tuple(
-        cell + (constant - sum(cell, ZERO),) for cell in game._cells
+    common = math.lcm(constant.denominator, *game._den)
+    factors = [common // d for d in game._den]
+    target = constant.numerator * (common // constant.denominator)
+    residual = [target - sum(map(mul, cell, factors)) for cell in zip(*game._num)]
+    return NormalFormGame._from_scaled(
+        game.players + (label,),
+        game.strategies + (("only",),),
+        game._num + (residual,),
+        game._den + (common,),
     )
-    return new

@@ -14,10 +14,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coop import TUGame
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .games import NormalFormGame
 from .noncoop import nash_pure, optimin_pure
 from .rational import to_fraction
+
+# gen_travelers refuses claim games above this many cells (500 claims a
+# side); its value table holds one entry per cell.
+TRAVELERS_CELL_LIMIT = 250_000
 
 NAMED_TAGS = (
     "figure1",
@@ -37,20 +41,20 @@ def gen_travelers(low: int, high: int, r) -> NormalFormGame:
         raise ParameterError(f"claims need integers 2 <= low < high, got {low}, {high}")
     if r <= 1:
         raise ParameterError(f"reward must exceed 1, got {r}")
-    claims = list(range(low, high + 1))
+    cells = (high - low + 1) ** 2
+    if cells > TRAVELERS_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"claim game of {cells} cells exceeds the {TRAVELERS_CELL_LIMIT}-cell "
+            f"bound (TRAVELERS_CELL_LIMIT); lower --high"
+        )
+    claims = range(low, high + 1)
     labels = tuple(str(c) for c in claims)
-    payoffs = []
-    for a in claims:
-        row = []
-        for b in claims:
-            if a == b:
-                row.append((Fraction(a), Fraction(b)))
-            elif a < b:
-                row.append((a + r, a - r))
-            else:
-                row.append((b - r, b + r))
-        payoffs.append(row)
-    return NormalFormGame(("traveler1", "traveler2"), (labels, labels), payoffs)
+    # With r = p/q every payoff is an int over q: a*q for a tie, the lower
+    # claim times q, plus p for its owner and minus p for the other.
+    p, q = r.numerator, r.denominator
+    u1 = [a * q if a == b else a * q + p if a < b else b * q - p for a in claims for b in claims]
+    u2 = [a * q if a == b else a * q - p if a < b else b * q + p for a in claims for b in claims]
+    return NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
 
 
 def gen_centipede(nodes: int, variant: str = "increasing") -> NormalFormGame:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError, UnsupportedArityError
 from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
@@ -69,30 +69,64 @@ class EvaluatedProfile:
     witnesses: tuple
 
 
+def _options(game: NormalFormGame, idx: int, profile: PureProfile, player: int) -> tuple[int, ...]:
+    """`player`'s agreed strategy and strictly better replies at cell `idx`, ascending."""
+    u = game._num[player]
+    stride = game._strides[player]
+    base = u[idx]
+    start = idx - profile[player] * stride
+    return tuple(
+        s
+        for s in range(game.shape[player])
+        if s == profile[player] or u[start + s * stride] > base
+    )
+
+
 def better_responses(game: NormalFormGame, profile: PureProfile, player: int) -> BetterResponseSet:
     game.validate_profile(profile)
-    base = game.payoff_unchecked(profile)[player]
-    out = []
-    for s in range(game.shape[player]):
-        if s == profile[player]:
-            continue
-        alt = profile[:player] + (s,) + profile[player + 1 :]
-        if game.payoff_unchecked(alt)[player] > base:
-            out.append(s)
-    return BetterResponseSet(player, tuple(profile), tuple(out))
+    profile = tuple(profile)
+    options = _options(game, game._index(profile), profile, player)
+    return BetterResponseSet(player, profile, tuple(s for s in options if s != profile[player]))
 
 
 def deviation_space(game: NormalFormGame, profile: PureProfile, player: int) -> DeviationSpace:
     game.validate_profile(profile)
-    options = []
-    for j in range(game.num_players):
-        if j == player:
-            options.append((profile[j],))
-        else:
-            opts = set(better_responses(game, profile, j).responses)
-            opts.add(profile[j])
-            options.append(tuple(sorted(opts)))
-    return DeviationSpace(player, tuple(profile), tuple(options))
+    profile = tuple(profile)
+    idx = game._index(profile)
+    options = tuple(
+        (profile[j],) if j == player else _options(game, idx, profile, j)
+        for j in range(game.num_players)
+    )
+    return DeviationSpace(player, profile, options)
+
+
+def _scaled_value(game: NormalFormGame, profile: PureProfile) -> tuple[tuple[int, ...], tuple]:
+    """Per player, the deviation minimum over `_num` and its lexicographically
+    smallest minimizing profile."""
+    strides = game._strides
+    idx = game._index(profile)
+    # Every opponent's factor is the same for each evaluated player, as cell
+    # index offsets in ascending strategy order.
+    offsets = [
+        tuple(s * stride for s in _options(game, idx, profile, j))
+        for j, stride in enumerate(strides)
+    ]
+    values = []
+    witnesses = []
+    for i, u in enumerate(game._num):
+        factors = offsets[:i] + [(profile[i] * strides[i],)] + offsets[i + 1 :]
+        best = wit = None
+        for combo in itertools.product(*factors):
+            v = u[sum(combo)]
+            if best is None or v < best:
+                best, wit = v, combo
+        values.append(best)
+        witnesses.append(tuple(o // stride for o, stride in zip(wit, strides)))
+    return tuple(values), tuple(witnesses)
+
+
+def _rescale(game: NormalFormGame, values) -> ValueVector:
+    return tuple(Fraction(v, d) for v, d in zip(values, game._den))
 
 
 def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
@@ -102,85 +136,65 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     reproducible no matter how cells are scheduled.
     """
     game.validate_profile(profile)
-    values = []
-    witnesses = []
-    for i in range(game.num_players):
-        space = deviation_space(game, profile, i)
-        best = None
-        wit = None
-        for full in space.profiles():
-            u = game.payoff_unchecked(full)[i]
-            if best is None or u < best:
-                best, wit = u, full
-        values.append(best)
-        witnesses.append(wit)
-    return EvaluatedProfile(tuple(profile), tuple(values), tuple(witnesses))
+    profile = tuple(profile)
+    values, witnesses = _scaled_value(game, profile)
+    return EvaluatedProfile(profile, _rescale(game, values), witnesses)
 
 
 def value_table(game: NormalFormGame, threads: int = 1) -> dict[PureProfile, ValueVector]:
-    """The value vector of every cell, keyed in lexicographic profile order."""
+    """The value vector of every cell, keyed in lexicographic profile order.
+
+    `threads` is accepted for compatibility; evaluation is serial, so it
+    never changes results or their order.
+    """
+    return {prof: _rescale(game, vec) for prof, vec in _scaled_values(game)}
+
+
+def _scaled_values(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, ...]]]:
+    """`value_table` over `_num` as (profile, values) pairs, each player's
+    values times their `_den`."""
     if game.num_players == 2:
-        return _value_table_2p(game, threads)
-    table: dict[PureProfile, ValueVector] = {}
-    profiles = list(game.profiles())
-    rows = _map_ordered(lambda p: value_pure(game, p).value, profiles, threads)
-    for prof, vec in zip(profiles, rows):
-        table[prof] = vec
-    return table
+        return _values_2p(game)
+    return [(prof, _scaled_value(game, prof)[0]) for prof in game.profiles()]
 
 
-def _value_table_2p(game: NormalFormGame, threads: int = 1) -> dict[PureProfile, ValueVector]:
+def _values_2p(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, int]]]:
     # Per row (column), the deviation minimum over the opponent's strictly
     # better cells is a suffix minimum after sorting by the opponent's payoff,
     # which avoids the quadratic per-line scan on big matrices.
     nr, nc = game.shape
-    cells = game._cells
-    u1 = [[cells[a * nc + b][0] for b in range(nc)] for a in range(nr)]
-    u2 = [[cells[a * nc + b][1] for b in range(nc)] for a in range(nr)]
-
-    def row_values(a: int) -> list[Fraction]:
-        mine, theirs = u1[a], u2[a]
-        return _line_minima(mine, theirs)
-
-    def col_values(b: int) -> list[Fraction]:
-        mine = [u2[a][b] for a in range(nr)]
-        theirs = [u1[a][b] for a in range(nr)]
-        return _line_minima(mine, theirs)
-
-    v1 = _map_ordered(row_values, range(nr), threads)
-    v2 = _map_ordered(col_values, range(nc), threads)
-    table: dict[PureProfile, ValueVector] = {}
-    for a in range(nr):
-        row = v1[a]
-        for b in range(nc):
-            table[(a, b)] = (row[b], v2[b][a])
-    return table
+    u1, u2 = game._num
+    v1 = [_line_minima(u1[a * nc : (a + 1) * nc], u2[a * nc : (a + 1) * nc]) for a in range(nr)]
+    v2 = [_line_minima(u2[b::nc], u1[b::nc]) for b in range(nc)]
+    # v1 is row by row and v2 column by column; both flatten to row-major.
+    values = zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2)))
+    return list(zip(game.profiles(), values))
 
 
-def _line_minima(mine: list[Fraction], theirs: list[Fraction]) -> list[Fraction]:
+def _line_minima(mine: Sequence[int], theirs: Sequence[int]) -> list[int]:
     """For each index k: min of mine over {k} and all j with theirs[j] > theirs[k]."""
-    order = sorted(range(len(mine)), key=theirs.__getitem__)
-    out: list[Fraction] = [None] * len(mine)  # type: ignore[list-item]
-    best = None  # min of `mine` over the strictly-greater suffix
-    i = len(order) - 1
-    while i >= 0:
-        j = i
-        while j > 0 and theirs[order[j - 1]] == theirs[order[i]]:
-            j -= 1
-        group = order[j : i + 1]
-        for k in group:
-            out[k] = mine[k] if best is None or mine[k] < best else best
-        gmin = min(mine[k] for k in group)
-        if best is None or gmin < best:
-            best = gmin
-        i = j - 1
+    out = list(mine)
+    lower = None  # min of `mine` over the strictly-greater suffix
+    running = None  # min of `mine` over everything visited so far
+    prev = None
+    for k in sorted(range(len(mine)), key=theirs.__getitem__, reverse=True):
+        if theirs[k] != prev:
+            lower, prev = running, theirs[k]
+        m = mine[k]
+        if lower is not None and lower < m:
+            out[k] = lower
+        if running is None or m < running:
+            running = m
     return out
 
 
 def optimin_pure(game: NormalFormGame, threads: int = 1) -> list[EvaluatedProfile]:
-    """Pareto-optimal agreements of the pure value table (never empty)."""
-    table = value_table(game, threads)
-    kept = pareto_filter(list(table.items()), key=lambda kv: kv[1])
+    """Pareto-optimal agreements of the pure value table (never empty).
+
+    The filter runs on the scaled values: multiplying each player's values
+    by their positive `_den` changes no domination.
+    """
+    kept = pareto_filter(_scaled_values(game), key=itemgetter(1))
     return [value_pure(game, prof) for prof, _ in kept]
 
 
@@ -195,40 +209,41 @@ class PlayerMaximin:
 def maximin_profile(game: NormalFormGame) -> list[PlayerMaximin]:
     """Pure maximin strategies: worst case taken over all opponent cells."""
     results = []
-    for i in range(game.num_players):
-        others = [range(k) for j, k in enumerate(game.shape) if j != i]
-        guarantees = []
-        for s in range(game.shape[i]):
-            worst = None
-            for combo in itertools.product(*others):
-                full = combo[:i] + (s,) + combo[i:]
-                u = game.payoff_unchecked(full)[i]
-                if worst is None or u < worst:
-                    worst = u
-            guarantees.append(worst)
+    size = len(game._num[0])
+    for i, (u, stride, d) in enumerate(zip(game._num, game._strides, game._den)):
+        # With strategy s, player i's cells are the stride-long runs starting
+        # at s * stride within each block of shape[i] * stride cells.
+        block = stride * game.shape[i]
+        guarantees = [
+            min(min(u[start : start + stride]) for start in range(s * stride, size, block))
+            for s in range(game.shape[i])
+        ]
         security = max(guarantees)
         best = tuple(s for s, g in enumerate(guarantees) if g == security)
-        results.append(PlayerMaximin(i, best, security, tuple(guarantees)))
+        results.append(
+            PlayerMaximin(i, best, Fraction(security, d), tuple(Fraction(g, d) for g in guarantees))
+        )
     return results
 
 
 def nash_pure(game: NormalFormGame) -> list[PureProfile]:
     """Cells from which no player has a strictly better unilateral response."""
-    n = game.num_players
-    best: list[dict] = [dict() for _ in range(n)]
-    for prof in game.profiles():
-        cell = game.payoff_unchecked(prof)
-        for i in range(n):
-            line = prof[:i] + prof[i + 1 :]
-            cur = best[i].get(line)
-            if cur is None or cell[i] > cur:
-                best[i][line] = cell[i]
-    out = []
-    for prof in game.profiles():
-        cell = game.payoff_unchecked(prof)
-        if all(cell[i] == best[i][prof[:i] + prof[i + 1 :]] for i in range(n)):
-            out.append(prof)
-    return out
+    size = len(game._num[0])
+    cells: Iterable[int] = range(size)
+    for u, stride, count in zip(game._num, game._strides, game.shape):
+        # Line k along this player's axis starts at cell k // stride * block
+        # + k % stride; top[k] is the player's best payoff on it.
+        block = stride * count
+        top = [
+            max(u[start : start + block : stride])
+            for first in range(0, size, block)
+            for start in range(first, first + stride)
+        ]
+        cells = [c for c in cells if u[c] == top[c // block * stride + c % stride]]
+    return [
+        tuple(c // stride % count for stride, count in zip(game._strides, game.shape))
+        for c in cells
+    ]
 
 
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:
@@ -335,9 +350,12 @@ def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int, threads: int = 1) -> GridOptimin:
-    """Evaluate the mixed value on the 1/k grid and Pareto-filter it."""
+    """Evaluate the mixed value on the 1/k grid and Pareto-filter it.
+
+    `threads` is accepted for compatibility; evaluation is serial.
+    """
     profiles = grid_profiles_2p(game, k)
-    evaluated = _map_ordered(lambda p: value_mixed_2p(game, p), profiles, threads)
+    evaluated = [value_mixed_2p(game, p) for p in profiles]
     kept = pareto_filter(evaluated, key=lambda e: e.value)
     return GridOptimin(resolution=k, entries=tuple(kept))
 
@@ -345,26 +363,17 @@ def optimin_grid_2p(game: NormalFormGame, k: int, threads: int = 1) -> GridOptim
 def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
     """Agreement is optimin, or each strategy maximizes its own-deviation value."""
     game.validate_profile(profile)
+    profile = tuple(profile)
     consistent = True
     for i in range(game.num_players):
-        own_values = []
-        for s in range(game.shape[i]):
-            alt = profile[:i] + (s,) + profile[i + 1 :]
-            own_values.append(value_pure(game, alt).value[i])
+        own_values = [
+            _scaled_value(game, profile[:i] + (s,) + profile[i + 1 :])[0][i]
+            for s in range(game.shape[i])
+        ]
         if own_values[profile[i]] != max(own_values):
             consistent = False
             break
     if consistent:
         return True
-    table = value_table(game)
-    kept = pareto_filter(list(table.items()), key=lambda kv: kv[1])
-    return any(prof == tuple(profile) for prof, _ in kept)
-
-
-def _map_ordered(fn: Callable, items, threads: int) -> list:
-    """Apply fn preserving input order; thread count never changes results."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    kept = pareto_filter(_scaled_values(game), key=itemgetter(1))
+    return any(prof == profile for prof, _ in kept)

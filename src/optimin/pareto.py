@@ -33,7 +33,7 @@ def pareto_filter(items: Sequence, key: Callable | None = None) -> list:
         raise EmptyInputError("pareto_filter needs at least one item")
     vectors = [tuple(key(it)) if key is not None else tuple(it) for it in items]
     width = len(vectors[0])
-    if any(len(v) != width for v in vectors):
+    if len(set(map(len, vectors))) > 1:
         raise ValueError("all value vectors must have the same length")
     distinct = list(dict.fromkeys(vectors))
     dominated = _dominated_2d(distinct) if width == 2 else _dominated_skyline(distinct)

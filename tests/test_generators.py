@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -5,6 +7,7 @@ import pytest
 
 from optimin import (
     ParameterError,
+    ResourceLimitError,
     better_responses,
     gen_centipede,
     gen_named,
@@ -17,6 +20,7 @@ from optimin import (
     value_pure,
 )
 from optimin.fileio import dump_game, parse_game
+from optimin.generators import TRAVELERS_CELL_LIMIT
 
 
 def optimin_labels(game):
@@ -51,6 +55,23 @@ class TestTravelers:
             gen_travelers(2, 100, 1)
         with pytest.raises(ParameterError):
             gen_travelers(100, 2, 5)
+
+    def test_cell_bound(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                gen_travelers(2, 10**9, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the claim lists exist
+        message = str(info.value)
+        assert str(TRAVELERS_CELL_LIMIT) in message
+        assert str((10**9 - 1) ** 2) in message
+        assert "--high" in message
+        side = math.isqrt(TRAVELERS_CELL_LIMIT)
+        with pytest.raises(ResourceLimitError):
+            gen_travelers(2, side + 2, 2)
 
     def test_small_reward_rewards_high_claims(self):
         g = gen_travelers(2, 30, 2)

@@ -1,0 +1,240 @@
+"""The integer payoff kernel against the definitions, and its representation.
+
+`NormalFormGame` stores each player's payoffs as ints over one common
+denominator, and the pure solvers run on those ints.  The differential suite
+draws games whose players mix denominators, including all-integer players
+and large lcms, and requires exact equality with definition-direct oracles
+computed from the `Fraction` payoffs.
+"""
+
+import hashlib
+from fractions import Fraction as F
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optimin import (
+    NormalFormGame,
+    affine_transform,
+    fictitious_extension,
+    gen_named,
+    gen_travelers,
+    is_constant_sum,
+    is_maximin_equilibrium,
+    maximin_profile,
+    nash_pure,
+    optimin_pure,
+    value_pure,
+    value_table,
+)
+from optimin.fileio import dump_game, parse_game
+from conftest import brute_pareto, brute_value_pure
+
+# Per-player denominator pools: an all-integer player, small mixed ones, and
+# large primes whose lcm runs far past 64 bits.
+DENOMINATOR_POOLS = st.sampled_from(
+    [(1,), (1, 2), (2, 3, 4), (1, 6, 10, 15), (7, 1_000_000_007), (998_244_353, 2**61 - 1)]
+)
+
+
+@st.composite
+def games(draw):
+    n = draw(st.integers(min_value=2, max_value=3))
+    most = 4 if n == 2 else 3
+    shape = [draw(st.integers(min_value=1, max_value=most)) for _ in range(n)]
+    pools = [draw(DENOMINATOR_POOLS) for _ in range(n)]
+    # Few numerators, negatives among them, so that ties are common.
+    numerators = st.integers(min_value=-4, max_value=4)
+    cells = {}
+    for prof in product(*(range(k) for k in shape)):
+        cells[prof] = [
+            F(draw(numerators), draw(st.sampled_from(pools[i]))) for i in range(n)
+        ]
+
+    def nested(prefix):
+        if len(prefix) == n:
+            return cells[prefix]
+        return [nested(prefix + (k,)) for k in range(shape[len(prefix)])]
+
+    players = [f"p{i}" for i in range(n)]
+    strategies = [[f"s{k}" for k in range(m)] for m in shape]
+    return NormalFormGame(players, strategies, nested(()))
+
+
+def deviation_product(game, profile, player):
+    """Profiles the others can reach by staying or by a strictly better reply."""
+    factors = []
+    for j in range(game.num_players):
+        if j == player:
+            factors.append([profile[j]])
+            continue
+        base = game.payoff(profile)[j]
+        factors.append(
+            [
+                s
+                for s in range(game.shape[j])
+                if s == profile[j]
+                or game.payoff(profile[:j] + (s,) + profile[j + 1 :])[j] > base
+            ]
+        )
+    return list(product(*factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_value_table_matches_the_definition(game):
+    brute = {prof: brute_value_pure(game, prof) for prof in game.profiles()}
+    assert value_table(game) == brute
+    assert list(value_table(game)) == list(brute)
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_optimin_pure_matches_brute_pareto(game):
+    brute = [(prof, brute_value_pure(game, prof)) for prof in game.profiles()]
+    front = set(brute_pareto([vec for _, vec in brute]))
+    expected = [(prof, vec) for prof, vec in brute if vec in front]
+    assert [(e.profile, e.value) for e in optimin_pure(game)] == expected
+    for prof, _ in brute:
+        own_best = all(
+            brute_value_pure(game, prof)[i]
+            == max(
+                brute_value_pure(game, prof[:i] + (s,) + prof[i + 1 :])[i]
+                for s in range(game.shape[i])
+            )
+            for i in range(game.num_players)
+        )
+        in_front = any(prof == p for p, _ in expected)
+        assert is_maximin_equilibrium(game, prof) == (own_best or in_front)
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_nash_pure_matches_best_responses(game):
+    expected = [
+        prof
+        for prof in game.profiles()
+        if not any(
+            game.payoff(prof[:i] + (s,) + prof[i + 1 :])[i] > game.payoff(prof)[i]
+            for i in range(game.num_players)
+            for s in range(game.shape[i])
+        )
+    ]
+    assert nash_pure(game) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_maximin_profile_matches_the_definition(game):
+    for i, pm in enumerate(maximin_profile(game)):
+        guarantees = tuple(
+            min(game.payoff(prof)[i] for prof in game.profiles() if prof[i] == s)
+            for s in range(game.shape[i])
+        )
+        assert pm.guarantees == guarantees
+        assert pm.security == max(guarantees)
+        assert pm.strategies == tuple(
+            s for s, g in enumerate(guarantees) if g == max(guarantees)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_value_pure_witnesses_are_lexicographically_smallest(game):
+    for prof in game.profiles():
+        entry = value_pure(game, prof)
+        assert entry.value == brute_value_pure(game, prof)
+        for i, witness in enumerate(entry.witnesses):
+            space = deviation_product(game, prof, i)
+            assert witness == min(space, key=lambda full: (game.payoff(full)[i], full))
+
+
+@settings(max_examples=100, deadline=None)
+@given(games(), st.fractions(min_value=F(1, 7), max_value=5, max_denominator=13),
+       st.fractions(min_value=-3, max_value=3, max_denominator=11))
+def test_game_helpers_match_fraction_arithmetic(game, alpha, beta):
+    cells = [game.payoff(prof) for prof in game.profiles()]
+    scaled = affine_transform(game, 1, alpha, beta)
+    assert [scaled.payoff(prof) for prof in game.profiles()] == [
+        (u[0], alpha * u[1] + beta) + u[2:] for u in cells
+    ]
+    extended = fictitious_extension(game, beta)
+    assert [extended.payoff(prof + (0,))[-1] for prof in game.profiles()] == [
+        beta - sum(u) for u in cells
+    ]
+    sums = {sum(u) for u in cells}
+    expected = (True, sums.pop()) if len(sums) == 1 else (False, None)
+    assert tuple(is_constant_sum(game)) == expected
+
+
+def fraction_travelers(low, high, r):
+    """The claim game through the `Fraction` constructor, cell by cell."""
+    claims = range(low, high + 1)
+    payoffs = [
+        [
+            (F(a), F(b)) if a == b else (a + r, a - r) if a < b else (b - r, b + r)
+            for b in claims
+        ]
+        for a in claims
+    ]
+    labels = [str(c) for c in claims]
+    return NormalFormGame(("traveler1", "traveler2"), (labels, labels), payoffs)
+
+
+def digest(game):
+    return hashlib.sha256(dump_game(game).encode()).hexdigest()[:16]
+
+
+class TestRepresentation:
+    def test_travelers_equal_the_fraction_built_game(self):
+        for r in (F(2), F(5, 2), F(7, 3), F(60), F(201, 100)):
+            direct = gen_travelers(2, 30, r)
+            built = fraction_travelers(2, 30, r)
+            assert direct == built
+            assert hash(direct) == hash(built)
+            assert direct._cells == built._cells
+
+    def test_denominators_are_the_lcm(self):
+        assert gen_travelers(2, 10, F(5, 2))._den == (2, 2)
+        assert gen_travelers(2, 10, 3)._den == (1, 1)
+        g = NormalFormGame(("a", "b"), (("x", "y"), ("z",)), [[(F(1, 2), 4)], [(F(1, 3), "6/3")]])
+        assert g._den == (6, 1)
+        assert g._num == ((3, 2), (4, 2))
+
+    def test_equal_payoffs_give_equal_games(self):
+        one = NormalFormGame(("a",), (("x", "y"),), [("4/2",), ("1/2",)])
+        other = NormalFormGame(("a",), (("x", "y"),), [(2,), (F(2, 4),)])
+        assert one == other and hash(one) == hash(other)
+        assert affine_transform(one, 0, 2, 0) != one
+        assert affine_transform(affine_transform(one, 0, 3, F(1, 3)), 0, F(1, 3), F(-1, 9)) == one
+
+    def test_dumps_are_unchanged(self):
+        # Digests of the same games written by the Fraction-cell representation.
+        assert digest(affine_transform(gen_named("motivating"), 1, F(2, 3), F(-1, 2))) == "22db1edf1f9db1b5"
+        assert digest(fictitious_extension(gen_travelers(2, 4, F(5, 2)), F(7, 3))) == "4237d8671887c6be"
+        assert digest(gen_travelers(2, 100, F(7, 3))) == "dd99a9473a586295"
+        composed = fictitious_extension(
+            affine_transform(gen_travelers(2, 100, F(7, 3)), 0, F(5, 4), F(1, 6)), F(-1, 5)
+        )
+        assert digest(composed) == "122cbf79fbc400bf"
+        huge = affine_transform(gen_named("figure1"), 0, 3, F(-10**12, 7))
+        assert digest(huge) == "5475035c58080a9e"
+
+    def test_round_trip_and_nested_payoffs(self):
+        for game in (
+            gen_travelers(2, 12, F(7, 3)),
+            fictitious_extension(gen_travelers(2, 5, F(5, 2)), F(-1, 3)),
+            affine_transform(gen_named("figure1"), 1, F(3, 7), F(1, 2)),
+        ):
+            text = dump_game(game)
+            loaded = parse_game(text)
+            assert loaded == game and hash(loaded) == hash(game)
+            assert dump_game(loaded) == text
+            nested = game.nested_payoffs()
+            for prof in game.profiles():
+                node = nested
+                for s in prof:
+                    node = node[s]
+                assert node == list(game.payoff(prof))
+            assert NormalFormGame(game.players, game.strategies, nested) == game
