@@ -31,8 +31,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args)
-        return args.handler(args, threads)
+        _resolve_threads(args)
+        return args.handler(args)
     except OptiminError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -220,10 +220,10 @@ def _emit(args, table_lines, json_doc) -> int:
 # -- normal-form commands ----------------------------------------------------
 
 
-def _cmd_optimin(args, threads) -> int:
+def _cmd_optimin(args) -> int:
     game = _load_normal_form(args.game)
     if args.mixed_grid is not None:
-        result = noncoop.optimin_grid_2p(game, args.mixed_grid, threads)
+        result = noncoop.optimin_grid_2p(game, args.mixed_grid)
         mode = f"mixed-grid {result.resolution} (grid-approximate)"
         lines = [f"mode: {mode}", f"optimin points: {len(result.entries)}"]
         entries_json = []
@@ -237,7 +237,7 @@ def _cmd_optimin(args, threads) -> int:
                 }
             )
         return _emit(args, lines, {"mode": mode, "optimin": entries_json})
-    entries = noncoop.optimin_pure(game, threads)
+    entries = noncoop.optimin_pure(game)
     lines = ["mode: pure", f"optimin points: {len(entries)}"]
     entries_json = []
     for entry in entries:
@@ -249,7 +249,7 @@ def _cmd_optimin(args, threads) -> int:
     return _emit(args, lines, {"mode": "pure", "optimin": entries_json})
 
 
-def _cmd_value(args, threads) -> int:
+def _cmd_value(args) -> int:
     game = _load_normal_form(args.game)
     if args.profile:
         profile = game.profile_from_labels([s.strip() for s in args.profile.split(",")])
@@ -271,7 +271,7 @@ def _cmd_value(args, threads) -> int:
             "witnesses": witnesses_json,
         }
         return _emit(args, lines, doc)
-    table = noncoop.value_table(game, threads)
+    table = noncoop.value_table(game)
     lines = ["mode: pure", "value table:"]
     rows_json = []
     for prof, vec in table.items():
@@ -281,7 +281,7 @@ def _cmd_value(args, threads) -> int:
     return _emit(args, lines, {"mode": "pure", "values": rows_json})
 
 
-def _cmd_nash(args, threads) -> int:
+def _cmd_nash(args) -> int:
     game = _load_normal_form(args.game)
     cells = noncoop.nash_pure(game)
     lines = ["mode: pure", f"pure Nash equilibria: {len(cells)}"]
@@ -293,7 +293,7 @@ def _cmd_nash(args, threads) -> int:
     return _emit(args, lines, {"nash": cells_json})
 
 
-def _cmd_maximin(args, threads) -> int:
+def _cmd_maximin(args) -> int:
     game = _load_normal_form(args.game)
     lines = ["mode: pure security levels"]
     players_json = []
@@ -313,7 +313,7 @@ def _cmd_maximin(args, threads) -> int:
     return _emit(args, lines, {"mode": "pure", "maximin": players_json})
 
 
-def _cmd_zerosum_solve(args, threads) -> int:
+def _cmd_zerosum_solve(args) -> int:
     game = _load_normal_form(args.game)
     sg = zerosum.StatisticalGame(game)
     lines = ["mode: exact LP"]
@@ -339,7 +339,7 @@ def _cmd_zerosum_solve(args, threads) -> int:
 # -- cooperative commands ----------------------------------------------------
 
 
-def _cmd_coop_core(args, threads) -> int:
+def _cmd_coop_core(args) -> int:
     game = _load_tu(args.game)
     result = coop.core(game)
     if result.empty:
@@ -348,7 +348,7 @@ def _cmd_coop_core(args, threads) -> int:
     return _emit(args, lines, {"core": "nonempty", "witness": [json_number(v) for v in result.witness]})
 
 
-def _cmd_coop_shapley(args, threads) -> int:
+def _cmd_coop_shapley(args) -> int:
     game = _load_tu(args.game)
     value = coop.shapley(game)
     return _emit(
@@ -358,7 +358,7 @@ def _cmd_coop_shapley(args, threads) -> int:
     )
 
 
-def _cmd_coop_nucleolus(args, threads) -> int:
+def _cmd_coop_nucleolus(args) -> int:
     game = _load_tu(args.game)
     value = coop.nucleolus(game)
     return _emit(
@@ -368,7 +368,7 @@ def _cmd_coop_nucleolus(args, threads) -> int:
     )
 
 
-def _cmd_coop_optimin(args, threads) -> int:
+def _cmd_coop_optimin(args) -> int:
     game = _load_tu(args.game)
     step = to_fraction(args.step)
     floors = None
@@ -389,7 +389,7 @@ def _cmd_coop_optimin(args, threads) -> int:
     return _emit(args, lines, {"mode": mode, "optimin": entries_json})
 
 
-def _cmd_coop_value(args, threads) -> int:
+def _cmd_coop_value(args) -> int:
     game = _load_tu(args.game)
     alloc = tuple(to_fraction(tok.strip()) for tok in args.alloc.split(","))
     value = coop.coop_value(game, alloc)
@@ -428,7 +428,7 @@ def _matching_str(m: matching.Matching) -> str:
     return (inside or "(all single)") + extra
 
 
-def _cmd_match_da(args, threads) -> int:
+def _cmd_match_da(args) -> int:
     problem = fileio.load_marriage(args.game)
     result = matching.deferred_acceptance(problem, args.propose)
     lines = [f"proposing side: {args.propose}", f"matching: {_matching_str(result)}"]
@@ -440,7 +440,7 @@ def _cmd_match_da(args, threads) -> int:
     return _emit(args, lines, doc)
 
 
-def _cmd_match_stable(args, threads) -> int:
+def _cmd_match_stable(args) -> int:
     problem = fileio.load_marriage(args.game)
     m = _parse_matching(problem, args.matching)
     report = matching.is_stable(problem, m)
@@ -456,7 +456,7 @@ def _cmd_match_stable(args, threads) -> int:
     return _emit(args, [line], doc)
 
 
-def _cmd_match_optimin(args, threads) -> int:
+def _cmd_match_optimin(args) -> int:
     problem = fileio.load_marriage(args.game)
     results = matching.optimin_matchings(problem)
     lines = [f"optimin matchings: {len(results)}"]
@@ -467,7 +467,7 @@ def _cmd_match_optimin(args, threads) -> int:
     return _emit(args, lines, {"optimin": out})
 
 
-def _cmd_match_value(args, threads) -> int:
+def _cmd_match_value(args) -> int:
     problem = fileio.load_marriage(args.game)
     m = _parse_matching(problem, args.matching)
     value = matching.matching_value(problem, m)
@@ -480,7 +480,7 @@ def _cmd_match_value(args, threads) -> int:
     return _emit(args, lines, {"value": doc})
 
 
-def _cmd_match_deviations(args, threads) -> int:
+def _cmd_match_deviations(args) -> int:
     problem = fileio.load_marriage(args.game)
     m = _parse_matching(problem, args.matching)
     devs = matching.profitable_group_deviations(problem, m)
@@ -497,7 +497,7 @@ def _cmd_match_deviations(args, threads) -> int:
 # -- decision commands ---------------------------------------------------------
 
 
-def _cmd_decide_solve(args, threads) -> int:
+def _cmd_decide_solve(args) -> int:
     problem, oc = fileio.load_decision(args.game)
     result = decisions.optimin_acts(problem, oc)
     lines = [f"ranking: {result.ranking}", f"optimin agreements: {len(result.profiles)}"]
@@ -515,7 +515,7 @@ def _cmd_decide_solve(args, threads) -> int:
     return _emit(args, lines, {"ranking": result.ranking, "optimin": entries, "acts": list(result.acts)})
 
 
-def _cmd_decide_check(args, threads) -> int:
+def _cmd_decide_check(args) -> int:
     problem, oc = fileio.load_decision(args.game)
     report = decisions.gilboa_reduction_check(problem, oc)
     lines = [
@@ -542,7 +542,7 @@ def _cmd_decide_check(args, threads) -> int:
 # -- generation and sweeps -------------------------------------------------------
 
 
-def _cmd_gen(args, threads) -> int:
+def _cmd_gen(args) -> int:
     family = args.family
     if family == "travelers":
         obj = generators.gen_travelers(args.low, args.high, to_fraction(args.r))
@@ -567,7 +567,7 @@ def _cmd_gen(args, threads) -> int:
     return 0
 
 
-def _cmd_sweep(args, threads) -> int:
+def _cmd_sweep(args) -> int:
     start = to_fraction(args.start)
     stop = to_fraction(args.stop)
     step = to_fraction(args.step)
@@ -589,7 +589,7 @@ def _cmd_sweep(args, threads) -> int:
             "endowment": to_fraction(args.endowment),
             "levels": tuple(to_fraction(tok) for tok in args.levels.split(",")),
         }
-    result = generators.sweep(args.family, args.param, values, threads=threads, **fixed)
+    result = generators.sweep(args.family, args.param, values, **fixed)
 
     def profile_set(profiles) -> str:
         return "; ".join("(" + ",".join(p) + ")" for p in profiles)
@@ -632,12 +632,12 @@ def _cmd_sweep(args, threads) -> int:
 # -- selftest ----------------------------------------------------------------
 
 
-def _cmd_selftest(args, threads) -> int:
+def _cmd_selftest(args) -> int:
     checks = _selftest_checks()
     failures = 0
     for name, fn in checks:
         try:
-            fn(threads)
+            fn()
             print(f"PASS {name}")
         except AssertionError as exc:
             failures += 1
@@ -654,26 +654,26 @@ def _selftest_checks():
         if not condition:
             raise AssertionError(message)
 
-    def figure1_payoffs(threads):
+    def figure1_payoffs():
         g = generators.gen_named("figure1")
         check(g.payoff((0, 0)) == (100, 100), "payoff at (Top,Left)")
         check(g.payoff((2, 1)) == (210, 0), "payoff at (Bottom,Center)")
         check(not is_constant_sum(g).is_constant_sum, "cell sums differ")
 
-    def figure1_values(threads):
+    def figure1_values():
         g = generators.gen_named("figure1")
         expected = {
             (0, 0): (100, 100), (0, 1): (100, 0), (0, 2): (0, 0),
             (1, 0): (0, 100), (1, 1): (0, 0), (1, 2): (0, 5),
             (2, 0): (0, 0), (2, 1): (5, 0), (2, 2): (5, 5),
         }
-        table = noncoop.value_table(g, threads)
+        table = noncoop.value_table(g)
         for prof, vec in expected.items():
             check(table[prof] == tuple(F(x) for x in vec), f"value at {prof}")
 
-    def figure1_solutions(threads):
+    def figure1_solutions():
         g = generators.gen_named("figure1")
-        opt = noncoop.optimin_pure(g, threads)
+        opt = noncoop.optimin_pure(g)
         check([e.profile for e in opt] == [(0, 0)], "unique optimin point (Top,Left)")
         check(noncoop.nash_pure(g) == [(2, 2)], "unique Nash (Bottom,Right)")
         for pm in noncoop.maximin_profile(g):
@@ -682,30 +682,30 @@ def _selftest_checks():
         check(brs.responses == (1,), "only profitable deviation from (Top,Left) is Center")
         check(not noncoop.better_responses(g, (2, 2), 0), "no better response at the Nash cell")
 
-    def motivating(threads):
+    def motivating():
         g = generators.gen_named("motivating")
-        opt = [e.profile for e in noncoop.optimin_pure(g, threads)]
+        opt = [e.profile for e in noncoop.optimin_pure(g)]
         check(opt == [(0, 0)], "unique solution (U,L)")
         check(noncoop.nash_pure(g) == [(0, 0)], "unique Nash (U,L)")
         row = noncoop.maximin_profile(g)[0]
         check(row.strategies == (1,) and row.security == 1, "row maximin D guarantees 1")
 
-    def footnote_games(threads):
+    def footnote_games():
         pd = generators.gen_named("prisoners_dilemma")
         check([e.profile for e in noncoop.optimin_pure(pd)] == [(1, 1)], "defect/defect")
         bos = generators.gen_named("battle_of_sexes")
         check([e.profile for e in noncoop.optimin_pure(bos)] == [(0, 0), (1, 1)], "both coordination cells")
 
-    def travelers_small_reward(threads):
+    def travelers_small_reward():
         g = generators.gen_travelers(2, 100, 2)
         check(g.payoff((98, 97)) == (97, 101), "claim pair (100,99)")
-        opt = [e.profile for e in noncoop.optimin_pure(g, threads)]
+        opt = [e.profile for e in noncoop.optimin_pure(g)]
         check(opt == [(98, 98)], "both claim 100 at r=2")
         check(noncoop.nash_pure(g) == [(0, 0)], "Nash is lowest claim")
 
-    def travelers_large_reward(threads):
+    def travelers_large_reward():
         g = generators.gen_travelers(2, 100, 60)
-        opt = [e.profile for e in noncoop.optimin_pure(g, threads)]
+        opt = [e.profile for e in noncoop.optimin_pure(g)]
         check((0, 0) in opt, "lowest pair is a solution at r=60")
         check((98, 98) not in opt, "highest pair is no longer a solution at r=60")
         check(noncoop.nash_pure(g) == [(0, 0)], "Nash is lowest claim")
@@ -716,7 +716,7 @@ def _selftest_checks():
             "worst case of the lowest pair dominates the highest pair",
         )
 
-    def empty_core_game(threads):
+    def empty_core_game():
         g = generators.gen_named("coop_empty_core")
         check(coop.core(g).empty, "core is empty")
         check(coop.coop_value(g, (40, 30, 40)) == (F(40), F(30), F(25)), "value of (40,30,40)")
@@ -726,7 +726,7 @@ def _selftest_checks():
         expected = {(F(40), F(x2), F(70 - x2)) for x2 in range(30, 46)}
         check(set(grid.allocations) == expected, "segment x1=40, x2+x3=70")
 
-    def capped_core_game(threads):
+    def capped_core_game():
         g = generators.gen_named("coop_120")
         result = coop.core(g)
         check(not result.empty and result.witness == (F(50), F(40), F(30)), "core witness")
@@ -735,7 +735,7 @@ def _selftest_checks():
         grid = coop.optimin_coop(g, 1)
         check(grid.allocations == ((F(50), F(40), F(30)),), "unique grid point")
 
-    def coin_game(threads):
+    def coin_game():
         sg = zerosum.bulmer_game()
         stat = zerosum.maximin_lp(sg, 0)
         check(stat.mixture == (F(1, 5), F(0), F(0), F(4, 5)), "statistician mixture")
@@ -745,7 +745,7 @@ def _selftest_checks():
         pair = (stat.mixture, nat.mixture)
         check(zerosum.optimin_equals_maximin_check(sg, pair), "maximin pair passes the check")
 
-    def stable_matching_membership(threads):
+    def stable_matching_membership():
         problem = matching.MarriageProblem(
             ("a1", "a2", "a3"),
             ("b1", "b2", "b3"),

@@ -25,6 +25,7 @@ ZERO = Fraction(0)
 Allocation = tuple[Fraction, ...]
 
 SHAPLEY_MAX_PLAYERS = 12
+IMPUTATION_GRID_MAX_POINTS = 100_000
 NUCLEOLUS_MAX_PLAYERS = 8
 
 
@@ -204,6 +205,14 @@ def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[
     # Minimal multiples of `step` at or above each individual worth.
     min_units = [-((-low) // step) for low in lows]
     total_units = total / step
+    # The lattice holds every way to share the free units among n players.
+    free = total_units.numerator - sum(min_units)
+    count = math.comb(free + game.n - 1, game.n - 1) if free >= 0 else 0
+    if count > IMPUTATION_GRID_MAX_POINTS:
+        raise ResourceLimitError(
+            f"imputation grid of {count} points exceeds the {IMPUTATION_GRID_MAX_POINTS}-point "
+            f"bound (IMPUTATION_GRID_MAX_POINTS); raise --step"
+        )
     points: list[Allocation] = []
 
     def rec(i: int, remaining: Fraction, acc: list[Fraction]) -> None:

@@ -17,7 +17,7 @@ from .decisions import DecisionProblem, OptimismConstraint
 from .errors import FormatError
 from .games import NormalFormGame
 from .matching import MarriageProblem
-from .rational import json_number, to_fraction
+from .rational import json_number, json_ratio, to_fraction
 
 
 def _fail(path: str, message: str) -> FormatError:
@@ -80,17 +80,18 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
 
 
 def dump_game(game: NormalFormGame) -> str:
-    def encode(node):
-        if isinstance(node, list) and node and isinstance(node[0], Fraction):
-            return [json_number(v) for v in node]
-        if isinstance(node, list):
-            return [encode(child) for child in node]
-        return node
-
+    columns = [
+        column if d == 1 else [json_ratio(u, d) for u in column]
+        for column, d in zip(game._num, game._den)
+    ]
+    # Fold the row-major cells into the nested tensor, innermost axis first.
+    nodes = [list(cell) for cell in zip(*columns)]
+    for size in reversed(game.shape[1:]):
+        nodes = [nodes[k : k + size] for k in range(0, len(nodes), size)]
     doc = {
         "players": list(game.players),
         "strategies": [list(s) for s in game.strategies],
-        "payoffs": encode(game.nested_payoffs()),
+        "payoffs": nodes,
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -1,10 +1,11 @@
 """Finite normal-form games with exact rational payoffs.
 
 A game is an immutable dense payoff tensor over labelled strategies.  All
-operations here are pure functions.  Payoffs are exact: inside, each player's
-payoffs are ints over one common denominator; at the API every payoff is a
-`Fraction`.  Results reproduce bit-exactly and comparisons never depend on
-floating tolerances.
+operations here are pure functions.  Payoffs are exact and held in one form:
+each player's payoffs are ints over one common denominator.  Readers work on
+those ints and build a `Fraction` only for a value they return, so at the API
+every payoff is a `Fraction`.  Results reproduce bit-exactly and comparisons
+never depend on floating tolerances.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     InvalidProfileError,
     InvalidScaleError,
 )
-from .rational import to_fraction
+from .rational import over_common_denominator, to_fraction
 
 PureProfile = tuple[int, ...]
 MixedProfile = tuple[tuple[Fraction, ...], ...]
@@ -40,29 +41,17 @@ class NormalFormGame:
     Payoffs are stored flat in row-major order, one exact integer
     representation per player: player i's payoffs are the ints ``_num[i]``
     over the common denominator ``_den[i]``, the lcm of that player's reduced
-    payoff denominators, so equal games have equal representations.  The
-    solvers work on these ints.  ``_cells``, the per-cell tuples of
-    `Fraction`s that the API returns, is built on first use and cached.
+    payoff denominators, so equal games have equal representations.  These
+    ints are the game's only payoff state; no `Fraction` view is kept.
     """
 
-    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den", "_view")
+    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den")
 
     def __init__(self, players: Sequence[str], strategies: Sequence[Sequence[str]], payoffs) -> None:
         size = self._set_labels(players, strategies)
         cells: list[tuple[Fraction, ...]] = [None] * size  # type: ignore[list-item]
         self._fill(payoffs, 0, (), cells)
-        num = []
-        den = []
-        for column in zip(*cells):
-            ratios = [u.as_integer_ratio() for u in column]
-            d = math.lcm(*(e for _, e in ratios))
-            num.append(tuple(n * (d // e) for n, e in ratios))
-            den.append(d)
-        self._num = tuple(num)
-        self._den = tuple(den)
-        # The parsed cells already are the view; keeping them saves
-        # rebuilding every Fraction when a loaded game is written or printed.
-        self._view = tuple(cells)
+        self._num, self._den = zip(*map(over_common_denominator, zip(*cells)))
 
     @classmethod
     def _from_scaled(cls, players, strategies, num, den) -> NormalFormGame:
@@ -82,7 +71,6 @@ class NormalFormGame:
             dens.append(d // g)
         game._num = tuple(scaled)
         game._den = tuple(dens)
-        game._view = None
         return game
 
     def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> int:
@@ -110,18 +98,6 @@ class NormalFormGame:
             acc *= size
         self._strides = tuple(reversed(strides))
         return acc
-
-    @property
-    def _cells(self) -> tuple[ValueVector, ...]:
-        """Per-cell payoff tuples of `Fraction`s, in row-major order (cached)."""
-        view = self._view
-        if view is None:
-            columns = [
-                [Fraction(u, d) for u in column] if d != 1 else [Fraction(u) for u in column]
-                for column, d in zip(self._num, self._den)
-            ]
-            view = self._view = tuple(zip(*columns))
-        return view
 
     def _fill(self, node, depth: int, prefix: PureProfile, cells: list) -> None:
         n = len(self.players)
@@ -166,10 +142,8 @@ class NormalFormGame:
     def payoff(self, profile: PureProfile) -> ValueVector:
         """The tensor cell for a pure profile."""
         self.validate_profile(profile)
-        return self._cells[self._index(profile)]
-
-    def payoff_unchecked(self, profile: PureProfile) -> ValueVector:
-        return self._cells[self._index(profile)]
+        c = self._index(profile)
+        return tuple(Fraction(u[c], d) for u, d in zip(self._num, self._den))
 
     def validate_mixed(self, profile: MixedProfile) -> None:
         if len(profile) != len(self.shape):
@@ -206,18 +180,21 @@ class NormalFormGame:
         visited, so degenerate lookups stay cheap.
         """
         self.validate_mixed(profile)
-        supports = [
-            [(s, q) for s, q in enumerate(dist) if q != 0] for dist in profile
-        ]
-        totals = [ZERO] * len(self.players)
+        # Each distribution as int weights over its own denominator, so the
+        # sums are int sums over the product of those denominators.
+        scale = 1
+        supports = []
+        for dist, stride in zip(profile, self._strides):
+            weights, d = over_common_denominator(dist)
+            scale *= d
+            supports.append([(s * stride, w) for s, w in enumerate(weights) if w])
+        totals = [0] * len(self.players)
         for combo in itertools.product(*supports):
-            weight = ONE
-            for _, q in combo:
-                weight *= q
-            cell = self._cells[self._index(tuple(s for s, _ in combo))]
-            for i, u in enumerate(cell):
-                totals[i] += weight * u
-        return tuple(totals)
+            c = sum(offset for offset, _ in combo)
+            weight = math.prod(w for _, w in combo)
+            for i, u in enumerate(self._num):
+                totals[i] += weight * u[c]
+        return tuple(Fraction(t, scale * d) for t, d in zip(totals, self._den))
 
     # -- label helpers -----------------------------------------------------
 
@@ -248,16 +225,6 @@ class NormalFormGame:
             for i in range(len(self.shape))
         )
 
-    def nested_payoffs(self) -> list:
-        """Rebuild the nested tensor (used by the file writer)."""
-
-        def build(depth: int, prefix: PureProfile):
-            if depth == len(self.shape):
-                return list(self._cells[self._index(prefix)])
-            return [build(depth + 1, prefix + (k,)) for k in range(self.shape[depth])]
-
-        return build(0, ())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalFormGame):
             return NotImplemented
@@ -287,12 +254,13 @@ class ConstantSumCheck(NamedTuple):
 
 def is_constant_sum(game: NormalFormGame) -> ConstantSumCheck:
     """Whether every cell's payoffs sum to one and the same constant."""
-    cells = iter(game._cells)
-    constant = sum(next(cells), ZERO)
-    for cell in cells:
-        if sum(cell, ZERO) != constant:
-            return ConstantSumCheck(False, None)
-    return ConstantSumCheck(True, constant)
+    common = math.lcm(*game._den)
+    factors = [common // d for d in game._den]
+    sums = iter(sum(map(mul, cell, factors)) for cell in zip(*game._num))
+    constant = next(sums)
+    if any(total != constant for total in sums):
+        return ConstantSumCheck(False, None)
+    return ConstantSumCheck(True, Fraction(constant, common))
 
 
 def affine_transform(game: NormalFormGame, player: int, alpha, beta) -> NormalFormGame:

@@ -20,8 +20,8 @@ from .errors import ResourceLimitError, UnsupportedArityError
 from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
 from .lp import LinearProgram, solve_lp
 from .pareto import pareto_filter
+from .rational import over_common_denominator
 
-ZERO = Fraction(0)
 
 # optimin_grid_2p refuses grids above this many profiles; large strategy
 # spaces (e.g. 99-strategy games) stay in pure mode.
@@ -259,18 +259,20 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
     for i in (0, 1):
         j = 1 - i
         # Expected payoffs when j answers with each pure strategy.
+        num_i, num_j = game._num[i], game._num[j]
+        stride_j = game._strides[j]
+        weights, scale = over_common_denominator(profile[i])
+        support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
         mine = []
         theirs = []
         for t in range(game.shape[j]):
-            ui = uj = ZERO
-            for s, q in enumerate(profile[i]):
-                if q == 0:
-                    continue
-                cell = game.payoff_unchecked((s, t) if i == 0 else (t, s))
-                ui += q * cell[i]
-                uj += q * cell[j]
-            mine.append(ui)
-            theirs.append(uj)
+            ui = uj = 0
+            for offset, w in support:
+                c = offset + t * stride_j
+                ui += w * num_i[c]
+                uj += w * num_j[c]
+            mine.append(Fraction(ui, scale * game._den[i]))
+            theirs.append(Fraction(uj, scale * game._den[j]))
         if max(theirs) <= expected[j]:
             # A mixture's payoff is a convex combination of these pure
             # payoffs, so the opponent has no profitable deviation at all and

@@ -8,6 +8,7 @@ exact strings like ``"265/6"`` and plain integers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import FormatError
@@ -29,6 +30,13 @@ def to_fraction(value) -> Fraction:
     raise FormatError(f"expected a rational number, got {type(value).__name__}")
 
 
+def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Exact rationals as ints over the lcm ``d`` of their reduced denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(e for _, e in ratios))
+    return tuple(n * (d // e) for n, e in ratios), d
+
+
 def format_exact(value: Fraction) -> str:
     """Render a Fraction as "a" or "a/b" with no loss."""
     if value.denominator == 1:
@@ -48,3 +56,11 @@ def json_number(value: Fraction):
     if value.denominator == 1:
         return value.numerator
     return format_exact(value)
+
+
+def json_ratio(numerator: int, denominator: int):
+    """`json_number` of numerator/denominator (denominator > 0), with no `Fraction` built."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return numerator // g
+    return f"{numerator // g}/{denominator // g}"

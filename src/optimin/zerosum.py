@@ -14,8 +14,7 @@ from typing import Sequence
 from .errors import DomainError, UnsupportedFeatureError
 from .games import MixedProfile, NormalFormGame
 from .lp import LinearProgram, solve_lp
-
-ZERO = Fraction(0)
+from .rational import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -27,9 +26,10 @@ class StatisticalGame:
     def __post_init__(self) -> None:
         if self.game.num_players != 2:
             raise DomainError("a statistical game has exactly 2 players")
-        for prof in self.game.profiles():
-            u = self.game.payoff_unchecked(prof)
-            if u[0] + u[1] != 0:
+        (num0, num1), (den0, den1) = self.game._num, self.game._den
+        for prof, a, b in zip(self.game.profiles(), num0, num1):
+            if a * den1 + b * den0 != 0:
+                u = self.game.payoff(prof)
                 labels = self.game.profile_labels(prof)
                 raise DomainError(f"not zero-sum at cell {labels}: {u[0]} + {u[1]} != 0")
 
@@ -53,12 +53,11 @@ def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
     other = 1 - player
     k = game.shape[player]
     m = game.shape[other]
+    u, d = game._num[player], game._den[player]
+    mine, theirs = game._strides[player], game._strides[other]
     constraints = []
     for t in range(m):
-        coeffs = []
-        for s in range(k):
-            prof = (s, t) if player == 0 else (t, s)
-            coeffs.append(game.payoff_unchecked(prof)[player])
+        coeffs = [Fraction(u[s * mine + t * theirs], d) for s in range(k)]
         constraints.append((coeffs + [-1], ">=", 0))
     constraints.append(([1] * k + [0], "=", 1))
     lp = LinearProgram.build(
@@ -79,15 +78,14 @@ def guarantee(sg: StatisticalGame, player: int, mixture: Sequence[Fraction]) -> 
     other = 1 - player
     if len(mixture) != game.shape[player]:
         raise DomainError("mixture length does not match the strategy count")
-    worst = None
-    for t in range(game.shape[other]):
-        total = ZERO
-        for s, q in enumerate(mixture):
-            prof = (s, t) if player == 0 else (t, s)
-            total += q * game.payoff_unchecked(prof)[player]
-        if worst is None or total < worst:
-            worst = total
-    return worst
+    u = game._num[player]
+    mine, theirs = game._strides[player], game._strides[other]
+    weights, scale = over_common_denominator(mixture)
+    worst = min(
+        sum(w * u[s * mine + t * theirs] for s, w in enumerate(weights))
+        for t in range(game.shape[other])
+    )
+    return Fraction(worst, scale * game._den[player])
 
 
 def optimin_equals_maximin_check(sg: StatisticalGame, profile: MixedProfile) -> bool:

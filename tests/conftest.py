@@ -34,7 +34,7 @@ def random_constant_sum_game(rng: random.Random, constant: int | None = None,
     c = Fraction(constant if constant is not None else rng.randint(-5, 5))
     cells = [
         list(cell[:-1]) + [c - sum(cell[:-1], Fraction(0))]
-        for cell in base._cells
+        for cell in map(base.payoff, base.profiles())
     ]
     shape = base.shape
 

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +18,13 @@ from optimin import (
     optimin_coop,
     shapley,
 )
-from optimin.coop import coalition_sum, imputation_grid, is_imputation
+from optimin import coop
+from optimin.coop import (
+    IMPUTATION_GRID_MAX_POINTS,
+    coalition_sum,
+    imputation_grid,
+    is_imputation,
+)
 
 
 def additive_game(weights):
@@ -168,6 +176,29 @@ class TestImputationGrid:
         g = TUGame(2, {0b01: 5, 0b10: 5, 0b11: 7})
         with pytest.raises(DomainError):
             imputation_grid(g, 1)
+
+    def test_point_bound(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                imputation_grid(gen_named("coop_120"), F(1, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any point exists
+        message = str(info.value)
+        assert str(IMPUTATION_GRID_MAX_POINTS) in message
+        # 30 free units of 1/1000 shared among 3 players
+        assert str(math.comb(30_000 + 2, 2)) in message
+        assert "--step" in message
+        # A 2-player lattice with zero floors has worth/step + 1 points.
+        past = TUGame(2, {0b01: 0, 0b10: 0, 0b11: IMPUTATION_GRID_MAX_POINTS})
+        with pytest.raises(ResourceLimitError):
+            imputation_grid(past, 1)
+        monkeypatch.setattr(coop, "IMPUTATION_GRID_MAX_POINTS", 5)
+        assert len(imputation_grid(TUGame(2, {0b01: 0, 0b10: 0, 0b11: 4}), 1)) == 5
+        with pytest.raises(ResourceLimitError):
+            imputation_grid(TUGame(2, {0b01: 0, 0b10: 0, 0b11: 5}), 1)
 
 
 class TestOptiminCoop:

@@ -152,7 +152,7 @@ class TestConstantSum:
 class TestFictitiousExtension:
     def test_zero_sum_game_gets_zero(self):
         g = fictitious_extension(matching_pennies(), 0)
-        assert all(cell[2] == 0 for cell in g._cells)
+        assert all(g.payoff(prof)[2] == 0 for prof in g.profiles())
 
     def test_motivating_game_constant_4(self):
         g = fictitious_extension(gen_named("motivating"), 4)

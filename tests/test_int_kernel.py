@@ -1,21 +1,27 @@
 """The integer payoff kernel against the definitions, and its representation.
 
 `NormalFormGame` stores each player's payoffs as ints over one common
-denominator, and the pure solvers run on those ints.  The differential suite
-draws games whose players mix denominators, including all-integer players
-and large lcms, and requires exact equality with definition-direct oracles
-computed from the `Fraction` payoffs.
+denominator, and the solvers and readers run on those ints.  The differential
+suite draws games whose players mix denominators, including all-integer
+players and large lcms, and requires exact equality with definition-direct
+oracles computed from the `Fraction` payoffs.
 """
 
 import hashlib
+import json
+import math
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimin import (
+    DomainError,
+    LinearProgram,
     NormalFormGame,
+    StatisticalGame,
     affine_transform,
     fictitious_extension,
     gen_named,
@@ -25,10 +31,14 @@ from optimin import (
     maximin_profile,
     nash_pure,
     optimin_pure,
+    solve_lp,
+    value_mixed_2p,
     value_pure,
     value_table,
 )
 from optimin.fileio import dump_game, parse_game
+from optimin.rational import json_number
+from optimin.zerosum import MaximinSolution, guarantee, maximin_lp
 from conftest import brute_pareto, brute_value_pure
 
 # Per-player denominator pools: an all-integer player, small mixed ones, and
@@ -38,11 +48,28 @@ DENOMINATOR_POOLS = st.sampled_from(
 )
 
 
+def nest(cells, shape):
+    """The nested payoff tensor of a {profile: payoffs} table."""
+
+    def build(prefix):
+        if len(prefix) == len(shape):
+            return cells[prefix]
+        return [build(prefix + (k,)) for k in range(shape[len(prefix)])]
+
+    return build(())
+
+
+def rebuilt(game, cells):
+    """A game with `game`'s labels and the given {profile: payoffs} table."""
+    return NormalFormGame(game.players, game.strategies, nest(cells, game.shape))
+
+
 @st.composite
-def games(draw):
-    n = draw(st.integers(min_value=2, max_value=3))
+def built_games(draw, player_counts=st.integers(min_value=2, max_value=3)):
+    """A game and the `Fraction` payoffs it was built from, by profile."""
+    n = draw(player_counts)
     most = 4 if n == 2 else 3
-    shape = [draw(st.integers(min_value=1, max_value=most)) for _ in range(n)]
+    shape = tuple(draw(st.integers(min_value=1, max_value=most)) for _ in range(n))
     pools = [draw(DENOMINATOR_POOLS) for _ in range(n)]
     # Few numerators, negatives among them, so that ties are common.
     numerators = st.integers(min_value=-4, max_value=4)
@@ -51,15 +78,21 @@ def games(draw):
         cells[prof] = [
             F(draw(numerators), draw(st.sampled_from(pools[i]))) for i in range(n)
         ]
-
-    def nested(prefix):
-        if len(prefix) == n:
-            return cells[prefix]
-        return [nested(prefix + (k,)) for k in range(shape[len(prefix)])]
-
     players = [f"p{i}" for i in range(n)]
     strategies = [[f"s{k}" for k in range(m)] for m in shape]
-    return NormalFormGame(players, strategies, nested(()))
+    return NormalFormGame(players, strategies, nest(cells, shape)), cells
+
+
+def games():
+    return built_games().map(lambda built: built[0])
+
+
+@st.composite
+def grid_mixtures(draw, size):
+    """A distribution over `size` strategies on the grid of step 1/k, k <= 4."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    cuts = sorted(draw(st.lists(st.integers(0, k), min_size=size - 1, max_size=size - 1)))
+    return tuple(F(b - a, k) for a, b in zip([0] + cuts, cuts + [k]))
 
 
 def deviation_product(game, profile, player):
@@ -168,6 +201,127 @@ def test_game_helpers_match_fraction_arithmetic(game, alpha, beta):
     assert tuple(is_constant_sum(game)) == expected
 
 
+def mixed_expectation(cells, profile):
+    """Expected payoffs of a mixed profile, summed over every cell."""
+    totals = [F(0)] * len(profile)
+    for prof, payoffs in cells.items():
+        weight = math.prod(dist[s] for dist, s in zip(profile, prof))
+        for i, u in enumerate(payoffs):
+            totals[i] += weight * u
+    return tuple(totals)
+
+
+def constant_sum_check(cells):
+    sums = {sum(u) for u in cells.values()}
+    return (True, sums.pop()) if len(sums) == 1 else (False, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_expected_payoff_matches_the_cells(data):
+    game, cells = data.draw(built_games())
+    profile = tuple(data.draw(grid_mixtures(k)) for k in game.shape)
+    assert game.expected_payoff(profile) == mixed_expectation(cells, profile)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_value_mixed_2p_matches_the_fraction_lp(data):
+    game, cells = data.draw(built_games(st.just(2)))
+    profile = tuple(data.draw(grid_mixtures(k)) for k in game.shape)
+    expected = mixed_expectation(cells, profile)
+    entry = value_mixed_2p(game, profile)
+    for i in (0, 1):
+        j = 1 - i
+        m = game.shape[j]
+        answers = [
+            [cells[(s, t) if i == 0 else (t, s)] for s in range(game.shape[i])] for t in range(m)
+        ]
+        mine = [sum(q * u[i] for q, u in zip(profile[i], col)) for col in answers]
+        theirs = [sum(q * u[j] for q, u in zip(profile[i], col)) for col in answers]
+        if max(theirs) <= expected[j]:
+            assert entry.value[i] == expected[i]
+            assert entry.witnesses[i] == profile
+            continue
+        sol = solve_lp(
+            LinearProgram.build(
+                objective=mine,
+                maximize=False,
+                constraints=[(theirs, ">=", expected[j]), ([1] * m, "=", 1)],
+                bounds=[(0, None)] * m,
+            )
+        )
+        dev = tuple(sol.point)
+        assert entry.value[i] == sol.objective_value
+        assert entry.witnesses[i] == ((profile[0], dev) if j == 1 else (dev, profile[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.fractions(min_value=-3, max_value=3, max_denominator=12))
+def test_is_constant_sum_matches_the_cells(data, constant):
+    game, cells = data.draw(built_games())
+    assert tuple(is_constant_sum(game)) == constant_sum_check(cells)
+    balanced = {prof: u[:-1] + [constant - sum(u[:-1])] for prof, u in cells.items()}
+    assert tuple(is_constant_sum(rebuilt(game, balanced))) == (True, constant)
+    prof = data.draw(st.sampled_from(sorted(balanced)))
+    bumped = dict(balanced)
+    bumped[prof] = [u + F(1, 7) for u in balanced[prof]]
+    assert tuple(is_constant_sum(rebuilt(game, bumped))) == constant_sum_check(bumped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_zero_sum_readers_match_the_cells(data):
+    game, cells = data.draw(built_games(st.just(2)))
+    opposed = {prof: [u[0], -u[0]] for prof, u in cells.items()}
+    sg = StatisticalGame(rebuilt(game, opposed))
+    for player in (0, 1):
+        k, m = game.shape[player], game.shape[1 - player]
+        columns = [
+            [opposed[(s, t) if player == 0 else (t, s)][player] for s in range(k)]
+            for t in range(m)
+        ]
+        mixture = data.draw(grid_mixtures(k))
+        assert guarantee(sg, player, mixture) == min(
+            sum(q * u for q, u in zip(mixture, col)) for col in columns
+        )
+        sol = solve_lp(
+            LinearProgram.build(
+                objective=[0] * k + [1],
+                maximize=True,
+                constraints=[(col + [-1], ">=", 0) for col in columns] + [([1] * k + [0], "=", 1)],
+                bounds=[(0, None)] * k + [(None, None)],
+            )
+        )
+        assert maximin_lp(sg, player) == MaximinSolution(
+            player, tuple(sol.point[:k]), sol.objective_value
+        )
+    prof = data.draw(st.sampled_from(sorted(opposed)))
+    bumped = dict(opposed)
+    bumped[prof] = [opposed[prof][0], opposed[prof][1] + F(1, 7)]
+    with pytest.raises(DomainError):
+        StatisticalGame(rebuilt(game, bumped))
+    # Halving player 1's payoffs can leave the int numerators opposite while
+    # the payoffs are not.
+    halved = {prof: [u[0], u[1] / 2] for prof, u in opposed.items()}
+    if any(u[0] for u in opposed.values()):
+        with pytest.raises(DomainError):
+            StatisticalGame(rebuilt(game, halved))
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_games())
+def test_dump_game_matches_the_fraction_encoder(built):
+    game, cells = built
+    encoded = {prof: [json_number(u) for u in payoffs] for prof, payoffs in cells.items()}
+    doc = {
+        "players": list(game.players),
+        "strategies": [list(s) for s in game.strategies],
+        "payoffs": nest(encoded, game.shape),
+    }
+    assert dump_game(game) == json.dumps(doc, indent=2) + "\n"
+
+
 def fraction_travelers(low, high, r):
     """The claim game through the `Fraction` constructor, cell by cell."""
     claims = range(low, high + 1)
@@ -193,7 +347,8 @@ class TestRepresentation:
             built = fraction_travelers(2, 30, r)
             assert direct == built
             assert hash(direct) == hash(built)
-            assert direct._cells == built._cells
+            for prof in direct.profiles():
+                assert direct.payoff(prof) == built.payoff(prof)
 
     def test_denominators_are_the_lcm(self):
         assert gen_travelers(2, 10, F(5, 2))._den == (2, 2)
@@ -231,10 +386,10 @@ class TestRepresentation:
             loaded = parse_game(text)
             assert loaded == game and hash(loaded) == hash(game)
             assert dump_game(loaded) == text
-            nested = game.nested_payoffs()
+            nested = json.loads(text)["payoffs"]
             for prof in game.profiles():
                 node = nested
                 for s in prof:
                     node = node[s]
-                assert node == list(game.payoff(prof))
+                assert node == [json_number(u) for u in game.payoff(prof)]
             assert NormalFormGame(game.players, game.strategies, nested) == game
