@@ -303,7 +303,8 @@ def shapley(game: TUGame) -> Allocation:
     n = game.n
     if n > SHAPLEY_MAX_PLAYERS:
         raise ResourceLimitError(
-            f"shapley supports up to {SHAPLEY_MAX_PLAYERS} players, got {n}"
+            f"shapley of {n} players exceeds the {SHAPLEY_MAX_PLAYERS}-player bound "
+            "(SHAPLEY_MAX_PLAYERS)"
         )
     fact = [math.factorial(k) for k in range(n + 1)]
     denom = fact[n]
@@ -331,7 +332,8 @@ def nucleolus(game: TUGame) -> Allocation:
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
         raise ResourceLimitError(
-            f"nucleolus supports up to {NUCLEOLUS_MAX_PLAYERS} players, got {n}"
+            f"nucleolus of {n} players exceeds the {NUCLEOLUS_MAX_PLAYERS}-player bound "
+            "(NUCLEOLUS_MAX_PLAYERS)"
         )
     total = game.worth(game.grand_coalition)
     lows = game.singletons()

@@ -212,13 +212,13 @@ class SweepResult:
         raise KeyError(f"no sweep row at {value}")
 
 
-def sweep(family: str, parameter: str, values: Sequence, threads: int = 1, **fixed) -> SweepResult:
+def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult:
     """Run the solution set and the equilibrium set across a parameter range."""
     rows = []
     for raw in values:
         value = to_fraction(raw)
         game = _family_instance(family, parameter, value, fixed)
-        opt = tuple(game.profile_labels(e.profile) for e in optimin_pure(game, threads))
+        opt = tuple(game.profile_labels(e.profile) for e in optimin_pure(game))
         nash = tuple(game.profile_labels(p) for p in nash_pure(game))
         rows.append(SweepRow(value, opt, nash))
     threshold = None

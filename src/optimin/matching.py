@@ -200,7 +200,8 @@ def profitable_group_deviations(
     """Every group that can re-match internally so all members strictly improve."""
     if problem.size > DEVIATION_MAX_SIZE:
         raise ResourceLimitError(
-            f"group enumeration supports up to {DEVIATION_MAX_SIZE} per side"
+            f"group enumeration of {problem.size} per side exceeds the "
+            f"{DEVIATION_MAX_SIZE}-per-side bound (DEVIATION_MAX_SIZE)"
         )
     # Only individuals with someone (or self) strictly above their current
     # partner can ever join a deviating group.
@@ -324,7 +325,8 @@ def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
     """
     if problem.size > OPTIMIN_MAX_SIZE:
         raise ResourceLimitError(
-            f"matching enumeration supports up to {OPTIMIN_MAX_SIZE} per side"
+            f"matching enumeration of {problem.size} per side exceeds the "
+            f"{OPTIMIN_MAX_SIZE}-per-side bound (OPTIMIN_MAX_SIZE)"
         )
     everyone = problem.everyone()
     candidates = all_matchings(problem)

@@ -4,7 +4,8 @@ The pipeline: for an agreement (a strategy profile), each player's value is
 the minimum payoff over the agreement itself and all profitable unilateral
 deviations by the others; agreements whose value vectors are Pareto optimal
 form the solution set.  Pure mode restricts deviations to pure strategies;
-mixed mode (two players only) admits mixed deviations through an exact LP.
+mixed mode (two players only) admits mixed deviations and takes their worst
+case in closed form.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ResourceLimitError, UnsupportedArityError
+from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
 from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
-from .lp import LinearProgram, solve_lp
 from .pareto import pareto_filter
 from .rational import over_common_denominator
 
@@ -141,12 +141,8 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     return EvaluatedProfile(profile, _rescale(game, values), witnesses)
 
 
-def value_table(game: NormalFormGame, threads: int = 1) -> dict[PureProfile, ValueVector]:
-    """The value vector of every cell, keyed in lexicographic profile order.
-
-    `threads` is accepted for compatibility; evaluation is serial, so it
-    never changes results or their order.
-    """
+def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
+    """The value vector of every cell, keyed in lexicographic profile order."""
     return {prof: _rescale(game, vec) for prof, vec in _scaled_values(game)}
 
 
@@ -188,7 +184,7 @@ def _line_minima(mine: Sequence[int], theirs: Sequence[int]) -> list[int]:
     return out
 
 
-def optimin_pure(game: NormalFormGame, threads: int = 1) -> list[EvaluatedProfile]:
+def optimin_pure(game: NormalFormGame) -> list[EvaluatedProfile]:
     """Pareto-optimal agreements of the pure value table (never empty).
 
     The filter runs on the scaled values: multiplying each player's values
@@ -247,63 +243,64 @@ def nash_pure(game: NormalFormGame) -> list[PureProfile]:
 
 
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:
-    """Worst-case payoffs under mixed deviations, two-player games only."""
+    """Worst-case payoffs under mixed deviations, two-player games only.
+
+    Each witness swaps in a minimizing deviation for the opponent: the
+    lowest-index optimal pure reply, else the first optimal mixture of a
+    losing s and a gaining t in lexicographic (s, t) order.
+    """
     if game.num_players != 2:
         raise UnsupportedArityError(
             f"mixed values support exactly 2 players, game has {game.num_players}"
         )
     game.validate_mixed(profile)
-    expected = game.expected_payoff(profile)
     values = []
     witnesses = []
     for i in (0, 1):
         j = 1 - i
-        # Expected payoffs when j answers with each pure strategy.
+        # Payoffs, as ints over scale * _den, when j answers with each pure strategy.
         num_i, num_j = game._num[i], game._num[j]
         stride_j = game._strides[j]
         weights, scale = over_common_denominator(profile[i])
         support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
-        mine = []
-        theirs = []
-        for t in range(game.shape[j]):
-            ui = uj = 0
-            for offset, w in support:
-                c = offset + t * stride_j
-                ui += w * num_i[c]
-                uj += w * num_j[c]
-            mine.append(Fraction(ui, scale * game._den[i]))
-            theirs.append(Fraction(uj, scale * game._den[j]))
-        if max(theirs) <= expected[j]:
+        replies = range(game.shape[j])
+        mine = [sum(w * num_i[o + t * stride_j] for o, w in support) for t in replies]
+        theirs = [sum(w * num_j[o + t * stride_j] for o, w in support) for t in replies]
+        # j's gain from answering t instead of its agreed mixture, times qscale.
+        agreed, qscale = over_common_denominator(profile[j])
+        expected_j = sum(q * u for q, u in zip(agreed, theirs))
+        gain = [u * qscale - expected_j for u in theirs]
+        if max(gain) <= 0:
             # A mixture's payoff is a convex combination of these pure
             # payoffs, so the opponent has no profitable deviation at all and
             # the agreement's own payoff stands.
-            values.append(expected[i])
+            expected_i = sum(q * u for q, u in zip(agreed, mine))
+            values.append(Fraction(expected_i, qscale * scale * game._den[i]))
             witnesses.append(profile)
             continue
-        # The deviation set {q : u_j(q) > u_j(profile)} is open, but it is
-        # nonempty here, so every point of {q : u_j(q) >= u_j(profile)} is a
-        # limit of points inside it (slide toward any strictly better q).
-        # The infimum of the continuous objective over the open set therefore
-        # equals its minimum over that closure, which is the LP below.  The
-        # agreed strategy itself sits in the closure, so the optimum already
-        # accounts for the "no deviation" branch of the worst case.
-        m = game.shape[j]
-        lp = LinearProgram.build(
-            objective=mine,
-            maximize=False,
-            constraints=[
-                (theirs, ">=", expected[j]),
-                ([1] * m, "=", 1),
-            ],
-            bounds=[(0, None)] * m,
-        )
-        sol = solve_lp(lp)
-        if not sol.is_optimal:  # simplex over a nonempty compact set
-            raise AssertionError(f"deviation LP unexpectedly {sol.status}")
-        values.append(sol.objective_value)
-        dev = tuple(sol.point)
-        witness = (profile[0], dev) if j == 1 else (dev, profile[1])
-        witnesses.append(witness)
+        # The deviation set {q : gain·q > 0} is open, but it is nonempty here,
+        # so every point of {q : gain·q >= 0} is a limit of points inside it
+        # (slide toward any strictly better q), and the infimum of mine·q is
+        # its minimum over that closure, which holds the agreed mixture too.
+        # The closure is the simplex cut by one halfspace, so the minimum sits
+        # at a vertex: a pure reply with gain >= 0, or the point with
+        # gain·q = 0 on an edge from s to t.
+        best = min((t for t in replies if gain[t] >= 0), key=mine.__getitem__)
+        num, den, pair = mine[best], 1, None
+        for s, t in itertools.product(replies, repeat=2):
+            if gain[s] < 0 < gain[t]:
+                d = gain[t] - gain[s]
+                n = mine[s] * gain[t] - mine[t] * gain[s]
+                if n * den < num * d:
+                    num, den, pair = n, d, (s, t)
+        dev = [Fraction(0)] * len(replies)
+        if pair is None:
+            dev[best] = Fraction(1)
+        else:
+            s, t = pair
+            dev[s], dev[t] = Fraction(gain[t], den), Fraction(-gain[s], den)
+        values.append(Fraction(num, den * scale * game._den[i]))
+        witnesses.append((profile[0], tuple(dev)) if j == 1 else (tuple(dev), profile[1]))
     return EvaluatedProfile(tuple(profile), tuple(values), tuple(witnesses))
 
 
@@ -339,23 +336,20 @@ def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
     if game.num_players != 2:
         raise UnsupportedArityError("probability grids support exactly 2 players")
     if k < 1:
-        raise ValueError("grid resolution must be >= 1")
+        raise ParameterError(f"grid resolution must be >= 1, got {k} (--mixed-grid)")
     sizes = [math.comb(game.shape[i] + k - 1, game.shape[i] - 1) for i in (0, 1)]
     if sizes[0] * sizes[1] > GRID_PROFILE_LIMIT:
         raise ResourceLimitError(
-            f"grid of {sizes[0] * sizes[1]} profiles exceeds the "
-            f"{GRID_PROFILE_LIMIT}-profile bound; use pure mode"
+            f"grid of {sizes[0] * sizes[1]} profiles exceeds the {GRID_PROFILE_LIMIT}-profile "
+            "bound (GRID_PROFILE_LIMIT); lower --mixed-grid or use --pure"
         )
     g0 = _simplex_grid(game.shape[0], k)
     g1 = _simplex_grid(game.shape[1], k)
     return [(p, q) for p in g0 for q in g1]
 
 
-def optimin_grid_2p(game: NormalFormGame, k: int, threads: int = 1) -> GridOptimin:
-    """Evaluate the mixed value on the 1/k grid and Pareto-filter it.
-
-    `threads` is accepted for compatibility; evaluation is serial.
-    """
+def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
+    """Evaluate the mixed value on the 1/k grid and Pareto-filter it."""
     profiles = grid_profiles_2p(game, k)
     evaluated = [value_mixed_2p(game, p) for p in profiles]
     kept = pareto_filter(evaluated, key=lambda e: e.value)

@@ -236,6 +236,20 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "payoffs" in err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_mixed_grid_exits_1(self, k):
+        argv = ["optimin", "--game", "figure1", "--mixed-grid", k]
+        script = f"import sys; from optimin.cli import main; sys.exit(main({argv!r}))"
+        src = str(Path(optimin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "--mixed-grid" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -21,6 +21,8 @@ from optimin import (
 from optimin import coop
 from optimin.coop import (
     IMPUTATION_GRID_MAX_POINTS,
+    NUCLEOLUS_MAX_PLAYERS,
+    SHAPLEY_MAX_PLAYERS,
     coalition_sum,
     imputation_grid,
     is_imputation,
@@ -306,8 +308,12 @@ class TestShapley:
             assert shapley(g) == expected
 
     def test_player_bound(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             shapley(TUGame(13, {m: 0 for m in range(1, 1 << 13)}))
+        message = str(info.value)
+        assert str(SHAPLEY_MAX_PLAYERS) in message
+        assert "13 players" in message
+        assert "SHAPLEY_MAX_PLAYERS" in message
 
 
 class TestNucleolus:
@@ -339,8 +345,12 @@ class TestNucleolus:
                 assert base <= excesses(x)
 
     def test_player_bound(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             nucleolus(TUGame(9, {m: 0 for m in range(1, 1 << 9)}))
+        message = str(info.value)
+        assert str(NUCLEOLUS_MAX_PLAYERS) in message
+        assert "9 players" in message
+        assert "NUCLEOLUS_MAX_PLAYERS" in message
 
 
 class TestCoreEquivalences:

@@ -15,6 +15,7 @@ from optimin import (
     optimin_matchings,
     profitable_group_deviations,
 )
+from optimin.matching import DEVIATION_MAX_SIZE, OPTIMIN_MAX_SIZE
 
 
 def tiny_mutual():
@@ -181,8 +182,12 @@ class TestGroupDeviations:
         rng = random.Random(55)
         problem = random_problem(rng, 7)
         m = deferred_acceptance(problem, "A")
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             profitable_group_deviations(problem, m)
+        message = str(info.value)
+        assert str(DEVIATION_MAX_SIZE) in message
+        assert "7 per side" in message
+        assert "DEVIATION_MAX_SIZE" in message
 
     def test_exhaustive_enumeration_oracle(self):
         # From-scratch enumeration: every subset, every internal pairing.
@@ -290,8 +295,12 @@ class TestOptiminMatchings:
 
     def test_size_bound(self):
         rng = random.Random(61)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             optimin_matchings(random_problem(rng, 6))
+        message = str(info.value)
+        assert str(OPTIMIN_MAX_SIZE) in message
+        assert "6 per side" in message
+        assert "OPTIMIN_MAX_SIZE" in message
 
 
 class TestValidation:
