@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .games import ValueVector
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, fraction_free_pivot, solve_lp
 from .pareto import pareto_filter
 from .rational import to_fraction
 
@@ -325,9 +325,16 @@ def shapley(game: TUGame) -> Allocation:
 def nucleolus(game: TUGame) -> Allocation:
     """Lexicographically minimize sorted coalition excesses over imputations.
 
-    The usual sequential-LP scheme: minimize the maximum excess, pin the
-    coalitions whose excess is maximal in every optimum, and recurse until
-    the pinned equalities determine the allocation.
+    The sequential-LP scheme: each round solves one LP that minimizes the
+    maximum excess eps over the coalitions not yet pinned, then pins every
+    such coalition whose dual value is positive, at level eps, and the
+    rounds stop once the pinned equalities determine the allocation.  By
+    complementary slackness a coalition with a positive dual is tight at
+    every optimum, and since eps is free the duals of the excess rows sum
+    to 1, so each round pins at least one coalition and needs no probe LPs
+    (Benedek, Fliege & Nguyen, Math. Programming 2021).  A coalition tight
+    at every optimum may still have a zero dual; it is pinned in a later
+    round at the same level, and the point is unique either way.
     """
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
@@ -346,60 +353,28 @@ def nucleolus(game: TUGame) -> Allocation:
     pinned: list[tuple[int, Fraction]] = []  # (mask, excess held at)
     # Individual rationality lives in the variable bounds, which keeps the
     # tableaus small; eps is the only genuinely free variable.
-    x_bounds = [(lows[i], None) for i in range(n)]
+    bounds = [(lows[i], None) for i in range(n)] + [(None, None)]
 
-    def mask_coeffs(mask: int, extra: int = 0) -> list[Fraction]:
-        return [Fraction(1) if mask >> i & 1 else ZERO for i in range(n)] + [ZERO] * extra
-
-    def base_constraints(with_eps: bool, cap: Fraction | None = None):
-        extra = 1 if with_eps else 0
-        cons = [(mask_coeffs(game.grand_coalition, extra), "=", total)]
-        for mask, level in pinned:
-            cons.append((mask_coeffs(mask, extra), "=", game.worth(mask) - level))
-        for mask in free:
-            # excess u(S) - x(S) <= eps (or <= cap when eps is fixed)
-            coeffs = mask_coeffs(mask, extra)
-            if with_eps:
-                coeffs[n] = Fraction(1)
-                cons.append((coeffs, ">=", game.worth(mask)))
-            else:
-                cons.append((coeffs, ">=", game.worth(mask) - cap))
-        return cons
+    def mask_coeffs(mask: int) -> list[int]:
+        return [mask >> i & 1 for i in range(n)]
 
     while free:
-        lp = LinearProgram.build(
-            objective=[0] * n + [1],
-            maximize=False,
-            constraints=base_constraints(with_eps=True),
-            bounds=x_bounds + [(None, None)],
-        )
+        constraints = [(mask_coeffs(game.grand_coalition) + [0], "=", total)]
+        for mask, level in pinned:
+            constraints.append((mask_coeffs(mask) + [0], "=", game.worth(mask) - level))
+        for mask in free:
+            # excess u(S) - x(S) <= eps
+            constraints.append((mask_coeffs(mask) + [1], ">=", game.worth(mask)))
+        lp = LinearProgram.build([0] * n + [1], False, constraints, bounds)
         sol = solve_lp(lp)
         if not sol.is_optimal:
             raise AssertionError(f"nucleolus LP unexpectedly {sol.status}")
-        eps = sol.objective_value
-
-        at_optimum = tuple(sol.point[:n])
-        newly = []
-        for mask in free:
-            # Only coalitions tight at the found optimum can be tight at every
-            # optimum; for those, probe whether the excess can still drop.
-            if game.worth(mask) - coalition_sum(at_optimum, mask) < eps:
-                continue
-            probe = LinearProgram.build(
-                objective=mask_coeffs(mask),
-                maximize=True,
-                constraints=base_constraints(with_eps=False, cap=eps),
-                bounds=x_bounds,
-            )
-            best = solve_lp(probe)
-            if not best.is_optimal:
-                raise AssertionError(f"nucleolus probe unexpectedly {best.status}")
-            if game.worth(mask) - best.objective_value == eps:
-                newly.append(mask)
+        duals = sol.duals[1 + len(pinned) :]
+        newly = [mask for mask, dual in zip(free, duals) if dual > 0]
         if not newly:
-            raise AssertionError("no coalition tight at the optimum; solver bug")
+            raise AssertionError("no coalition has a positive dual; solver bug")
         for mask in newly:
-            pinned.append((mask, eps))
+            pinned.append((mask, sol.objective_value))
             free.remove(mask)
 
         point = _pinned_solution(game, pinned)
@@ -415,33 +390,22 @@ def nucleolus(game: TUGame) -> Allocation:
 def _pinned_solution(game: TUGame, pinned) -> Allocation | None:
     """Solve the pinned equality system; None while it is underdetermined."""
     n = game.n
-    rows = [[Fraction(1)] * n + [game.worth(game.grand_coalition)]]
-    for mask, level in pinned:
-        rows.append(
-            [Fraction(1) if mask >> i & 1 else ZERO for i in range(n)]
-            + [game.worth(mask) - level]
-        )
-    # Gauss-Jordan over exact rationals.
-    pivots: list[int] = []
+    system = [(game.grand_coalition, game.worth(game.grand_coalition))]
+    system += [(mask, game.worth(mask) - level) for mask, level in pinned]
+    # Fraction-free Gauss-Jordan, each row scaled to ints by its rhs's denominator.
+    rows = [
+        [(mask >> i & 1) * rhs.denominator for i in range(n)] + [rhs.numerator]
+        for mask, rhs in system
+    ]
+    d = 1
     r = 0
     for col in range(n):
         pivot = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
         if pivot is None:
-            continue
+            return None
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [v - factor * p for v, p in zip(rows[k], rows[r])]
-        pivots.append(col)
+        if rows[r][col] < 0:
+            rows[r] = [-v for v in rows[r]]
+        d = fraction_free_pivot(rows, r, col, d)
         r += 1
-        if r == len(rows):
-            break
-    if len(pivots) < n:
-        return None
-    solution = [ZERO] * n
-    for k, col in enumerate(pivots):
-        solution[col] = rows[k][-1]
-    return tuple(solution)
+    return tuple(Fraction(rows[k][-1], d) for k in range(n))

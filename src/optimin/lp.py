@@ -1,22 +1,26 @@
-"""Exact-rational linear programming via two-phase simplex with Bland's rule.
+"""Exact linear programming: a fraction-free two-phase simplex with Bland's rule.
 
-Everything is a `Fraction`; there is no epsilon anywhere.  Bland's rule
-(always pivot on the lowest eligible index) makes the method cycling-proof,
-and degenerate ratio ties are broken by the lowest basic-variable index, so
-the returned vertex is deterministic.  Problem sizes here are desk scale, so
-a dense tableau is plenty.
+The API speaks `Fraction`s; the solver works in ints.  Each constraint row,
+with its right-hand side, and the cost row are scaled to ints once, and the
+dense tableau then holds ints over one common denominator `D > 0` (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968): see `fraction_free_pivot`.  There is no
+epsilon anywhere.  Bland's rule (always pivot on the lowest eligible index)
+makes the method cycling-proof, and degenerate ratio ties are broken by the
+lowest basic-variable index, so the returned vertex is deterministic.
+Problem sizes here are desk scale, so a dense tableau is plenty.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import to_fraction
+from .rational import over_common_denominator, to_fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -83,9 +87,21 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """Status, and for an optimal LP its point, value and dual values.
+
+    `duals[k]` belongs to `constraints[k]`: the rate at which the optimal
+    value moves with that row's right-hand side, at the returned basis.  So
+    with reduced costs `r = objective - sum_k duals[k] * coefficients[k]`,
+    the optimal value is `sum_k duals[k] * rhs[k] + sum_j r[j] * bound[j]`,
+    where `bound[j]` is the lower bound of variable j when r[j] pushes it
+    down (r[j] > 0 when minimizing, r[j] < 0 when maximizing) and its upper
+    bound when r[j] pushes it up; r[j] is 0 for a free variable.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: tuple[Fraction, ...] | None = None
     objective_value: Fraction | None = None
+    duals: tuple[Fraction, ...] | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -103,14 +119,14 @@ class _Unbounded(Exception):
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly; the returned point is re-verified against every constraint."""
     try:
-        point = _solve(lp)
+        point, duals = _solve(lp)
     except _Infeasible:
         return LPSolution("infeasible")
     except _Unbounded:
         return LPSolution("unbounded")
     value = sum((c * x for c, x in zip(lp.objective, point)), ZERO)
     _verify(lp, point)
-    return LPSolution("optimal", tuple(point), value)
+    return LPSolution("optimal", tuple(point), value, duals)
 
 
 def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
@@ -124,204 +140,257 @@ def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
             raise AssertionError(f"solver bug: upper bound of variable {j} violated")
 
 
-def _solve(lp: LinearProgram) -> list[Fraction]:
-    n_orig = len(lp.objective)
-
+def _solve(lp: LinearProgram) -> tuple[list[Fraction], tuple[Fraction, ...]]:
     # Rewrite onto nonnegative internal variables:
     #   lb only      x = lb + y
     #   ub only      x = ub - y
     #   both         x = lb + y plus a row y <= ub - lb
     #   free         x = y+ - y-
-    # recover[j] = (sign, offset, column) with x_j = sign*y_col + offset, plus
-    # an optional negative column for the free split.
-    columns: list[tuple[int, Fraction, int, int | None]] = []
+    # columns[j] = (sign, offset, column, negative column or None) with
+    # x_j = sign*y_col + offset/scale; every offset is an int over `scale`.
+    bounds = [b for pair in lp.bounds for b in pair if b is not None]
+    scale = math.lcm(*(b.denominator for b in bounds))
+    columns: list[tuple[int, int, int, int | None]] = []
+    widths: list[tuple[int, int]] = []  # (column, (ub - lb) * scale)
     n_internal = 0
-    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for j, (lo, hi) in enumerate(lp.bounds):
+    for lo, hi in lp.bounds:
         if lo is not None and hi is not None and lo > hi:
             raise _Infeasible
         if lo is not None:
-            columns.append((1, lo, n_internal, None))
+            columns.append((1, int(lo * scale), n_internal, None))
             if hi is not None:
-                extra_rows.append(({n_internal: ONE}, LESS_EQUAL, hi - lo))
+                widths.append((n_internal, int((hi - lo) * scale)))
             n_internal += 1
         elif hi is not None:
-            columns.append((-1, hi, n_internal, None))
+            columns.append((-1, int(hi * scale), n_internal, None))
             n_internal += 1
         else:
-            columns.append((1, ZERO, n_internal, n_internal + 1))
+            columns.append((1, 0, n_internal, n_internal + 1))
             n_internal += 2
 
-    def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        """Rewrite sum c_j x_j as sum c'_k y_k + const."""
-        row = [ZERO] * n_internal
-        const = ZERO
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            sign, offset, col, neg = columns[j]
-            row[col] += c * sign
-            if neg is not None:
-                row[neg] -= c
-            const += c * offset
-        return row, const
-
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rels: list[str] = []
-    rhs: list[Fraction] = []
-    for con in lp.constraints:
-        coeffs, const = expand(con.coefficients)
-        rows.append(coeffs)
-        rels.append(con.relation)
-        rhs.append(con.rhs - const)
-    for sparse, rel, b in extra_rows:
-        row = [ZERO] * n_internal
-        for col, c in sparse.items():
-            row[col] = c
+    rhs: list[int] = []
+    # Each int row is a positive multiple num/den of the row it came from.
+    scales: list[tuple[int, int]] = []
+
+    def add_row(row: list[int], rel: str, b: int, num: int) -> None:
+        g = math.gcd(b, *row) or 1
+        if g > 1:
+            row = [v // g for v in row]
+            b //= g
+        g2 = math.gcd(num, g)
         rows.append(row)
         rels.append(rel)
         rhs.append(b)
+        scales.append((num // g2, g // g2))
 
-    obj_row, obj_const = expand(lp.objective)
+    for con in lp.constraints:
+        ints, den = over_common_denominator((*con.coefficients, con.rhs))
+        row = [0] * n_internal
+        b = ints[-1] * scale
+        for a, (sign, offset, col, neg) in zip(ints, columns):
+            if a:
+                row[col] += a * sign * scale
+                if neg is not None:
+                    row[neg] -= a * scale
+                b -= a * offset
+        add_row(row, con.relation, b, den * scale)
+    for col, width in widths:
+        row = [0] * n_internal
+        row[col] = scale
+        add_row(row, LESS_EQUAL, width, scale)
+
+    ints, den = over_common_denominator(lp.objective)
+    cost = [0] * n_internal
+    for a, (sign, _, col, neg) in zip(ints, columns):
+        cost[col] += a * sign
+        if neg is not None:
+            cost[neg] -= a
     if lp.maximize:
-        obj_row = [-c for c in obj_row]
+        cost = [-c for c in cost]
 
-    y = _simplex(rows, rels, rhs, obj_row)
+    y, prices, d = _simplex(rows, rels, rhs, scales, cost)
 
     point = []
     for sign, offset, col, neg in columns:
         val = y[col] if neg is None else y[col] - y[neg]
-        point.append(sign * val + offset)
-    return point
+        point.append(sign * val + Fraction(offset, scale))
+    # prices/d are the duals of the int rows for the int cost row; undo both
+    # scalings, and the sign flip of a maximum.
+    sense = -1 if lp.maximize else 1
+    duals = tuple(
+        Fraction(sense * num * price, den_k * den * d)
+        for price, (num, den_k) in zip(prices, scales[: len(lp.constraints)])
+    )
+    return point, duals
 
 
-def _simplex(rows, rels, rhs, cost) -> list[Fraction]:
-    """Two-phase tableau simplex over y >= 0; returns an optimal y or raises."""
+def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free Gauss-Jordan step on `rows[r][c] > 0`; returns the new `d`.
+
+    `rows` holds D * t as ints, where t is the exact rational tableau and
+    `d` = D > 0 is its common denominator.  Pivoting on p = rows[r][c] keeps
+    row r and replaces each other entry v by (p*v - f*q) // d, f being that
+    row's entry in column c and q the pivot row's entry in v's column; the
+    new common denominator is p.  By Sylvester's identity every result is,
+    up to sign, a determinant of the starting int matrix, so the division is
+    exact and no entry outgrows those determinants.  Negating a row before
+    pivoting on it keeps all of this true.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * v - f * q) // d for v, q in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * v // d for v in row]
+    return p
+
+
+def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[Fraction], list[int], int]:
+    """Two-phase tableau simplex over y >= 0 on int data.
+
+    Returns an optimal y, each row's dual value (for the int rows and the
+    int cost) as an int over the returned common denominator, and that
+    denominator; or raises.  `scales[k] = (num, den)` says row k is num/den
+    times the row the caller started from; phase 1 weighs each artificial
+    by den/num, so it minimizes the sum of the unscaled artificials and
+    takes the same pivots as on the unscaled rows.
+    """
     m = len(rows)
     n = len(cost)
 
-    # Equality form with slacks, rhs made nonnegative.  A <= row that kept its
-    # sign provides its slack as a ready-made basic variable; only the other
-    # rows need artificials in phase 1.
-    tableau: list[list[Fraction]] = []
+    # Equality form with slacks, rhs made nonnegative.  Slack and artificial
+    # coefficients stay +-1 whatever the row's scale, which only rescales
+    # those variables and changes no sign that Bland's rule reads.  A <= row
+    # that kept its sign provides its slack as a ready-made basic variable;
+    # only the other rows need artificials in phase 1.
+    tableau: list[list[int]] = []
     n_slack = sum(1 for r in rels if r != EQUAL)
     total = n + n_slack
     basis: list[int] = []
     needs_artificial: list[int] = []
-    slack_at = 0
+    slack_of: list[int | None] = []
+    flipped: list[bool] = []
+    slack_at = n
     for r in range(m):
-        row = list(rows[r]) + [ZERO] * n_slack + [rhs[r]]
+        row = rows[r] + [0] * n_slack + [rhs[r]]
         slack_col = None
-        if rels[r] == LESS_EQUAL:
-            slack_col = n + slack_at
-            row[slack_col] = ONE
+        if rels[r] != EQUAL:
+            slack_col = slack_at
+            row[slack_col] = 1 if rels[r] == LESS_EQUAL else -1
             slack_at += 1
-        elif rels[r] == GREATER_EQUAL:
-            slack_col = n + slack_at
-            row[slack_col] = -ONE
-            slack_at += 1
-        if row[-1] < 0:
+        slack_of.append(slack_col)
+        flipped.append(rhs[r] < 0)
+        if flipped[r]:
             row = [-c for c in row]
-        if slack_col is not None and row[slack_col] == ONE:
+        if slack_col is not None and row[slack_col] == 1:
             basis.append(slack_col)
         else:
             basis.append(-1)  # placeholder, resolved below
             needs_artificial.append(r)
         tableau.append(row)
 
-    art_start = total
+    # Artificials come after the slacks in Bland's order, and none ever
+    # enters.  Only an equality row's artificial gets a column, which holds
+    # the row's dual value at the end; the others are never read, so they
+    # are basis ids past the stored columns.  The phase-2 cost row rides
+    # along as one more row from the start, so every pivot keeps it over the
+    # same denominator; the starting basis costs nothing, so it needs no
+    # elimination.
+    d = 1
+    equalities = [r for r in needs_artificial if rels[r] == EQUAL]
+    art_of = {r: total + k for k, r in enumerate(equalities)}
+    width = total + len(art_of)
+    for r in range(m):
+        tableau[r][-1:-1] = [0] * len(art_of)
+    for k, r in enumerate(needs_artificial):
+        basis[r] = total + k
+        if r in art_of:
+            tableau[r][art_of[r]] = 1
+    tableau.append(cost + [0] * (width - n + 1))
     if needs_artificial:
-        for r in range(m):
-            pad = [ZERO] * len(needs_artificial)
-            tableau[r] = tableau[r][:-1] + pad + [tableau[r][-1]]
-        for k, r in enumerate(needs_artificial):
-            tableau[r][art_start + k] = ONE
-            basis[r] = art_start + k
-        width = art_start + len(needs_artificial)
-
-        # Reduced costs of min(sum of artificials); the last entry tracks
-        # minus the current objective value.
-        phase1 = [ZERO] * (width + 1)
+        # Reduced costs of min(sum of artificials, each weighed by the
+        # inverse of its row's scale); the last entry tracks minus the
+        # current objective value.
+        lcm = math.lcm(*(scales[r][0] for r in needs_artificial))
+        phase1 = [0] * (width + 1)
         for r in needs_artificial:
-            for k in range(width + 1):
-                phase1[k] -= tableau[r][k]
-        for k in range(art_start, width):
-            phase1[k] = ZERO
+            weight = lcm // scales[r][0] * scales[r][1]
+            for k, v in enumerate(tableau[r]):
+                if v:
+                    phase1[k] -= weight * v
+        phase1[total:width] = [0] * len(art_of)
+        tableau.append(phase1)
 
-        _pivot_until_optimal(tableau, basis, phase1, limit=art_start)
-        if phase1[-1] != 0:
+        d = _pivot_until_optimal(tableau, basis, m + 1, total, d)
+        if tableau.pop()[-1] != 0:
             raise _Infeasible
 
         # Drive leftover artificials out of the basis; a zero row is redundant.
         drop_rows = []
         for r in range(m):
-            if basis[r] >= art_start:
-                col = next(
-                    (k for k in range(art_start) if tableau[r][k] != 0), None
-                )
+            if basis[r] >= total:
+                col = next((k for k in range(total) if tableau[r][k] != 0), None)
                 if col is None:
                     drop_rows.append(r)
-                else:
-                    _pivot(tableau, basis, r, col)
+                    continue
+                if tableau[r][col] < 0:
+                    tableau[r] = [-v for v in tableau[r]]
+                d = fraction_free_pivot(tableau, r, col, d)
+                basis[r] = col
         for r in sorted(drop_rows, reverse=True):
             del tableau[r]
             del basis[r]
-        for row in tableau:
-            del row[art_start:-1]
 
     # Phase 2 on the original cost.
-    cost_row = list(cost) + [ZERO] * (total - n) + [ZERO]
+    d = _pivot_until_optimal(tableau, basis, len(basis), total, d)
+
+    y = [ZERO] * n
     for r, b in enumerate(basis):
-        if cost_row[b] != 0:
-            factor = cost_row[b]
-            for k in range(total + 1):
-                cost_row[k] -= factor * tableau[r][k]
-    _pivot_until_optimal(tableau, basis, cost_row, limit=total)
+        if b < n:
+            y[b] = Fraction(tableau[r][-1], d)
+    # The cost row is D*(c - pi*A) over the rows as given: a slack column
+    # reads -pi_r times its +-1 coefficient, an equality row's artificial
+    # column -pi_r times the sign that made its rhs nonnegative.
+    cost_row = tableau[-1]
+    prices = []
+    for r in range(m):
+        if slack_of[r] is not None:
+            sign = 1 if rels[r] == LESS_EQUAL else -1
+            col = slack_of[r]
+        else:
+            sign = -1 if flipped[r] else 1
+            col = art_of[r]
+        prices.append(-sign * cost_row[col])
+    return y, prices, d
 
-    y = [ZERO] * total
-    for r, b in enumerate(basis):
-        y[b] = tableau[r][-1]
-    return y[:n]
 
-
-def _pivot_until_optimal(tableau, basis, cost_row, limit) -> None:
+def _pivot_until_optimal(tableau, basis, cost, limit, d) -> int:
+    """Bland's rule on the cost row `tableau[cost]`; returns the new denominator."""
     while True:
-        # Bland: entering column = lowest index with a negative reduced cost.
+        # Entering column: lowest index with a negative reduced cost.
+        cost_row = tableau[cost]
         enter = next((k for k in range(limit) if cost_row[k] < 0), None)
         if enter is None:
-            return
+            return d
+        # Leaving row: least rhs/a over a > 0, compared by cross-multiplying.
         leave = None
-        best = None
-        for r, row in enumerate(tableau):
+        for r, b in enumerate(basis):
+            row = tableau[r]
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave])
-                ):
-                    best = ratio
-                    leave = r
+                if leave is None:
+                    leave, top, bottom = r, row[-1], a
+                    continue
+                new, best = row[-1] * bottom, top * a
+                if new < best or (new == best and b < basis[leave]):
+                    leave, top, bottom = r, row[-1], a
         if leave is None:
             raise _Unbounded
-        _pivot(tableau, basis, leave, enter)
-        factor = cost_row[enter]
-        if factor != 0:
-            pivot_row = tableau[leave]
-            for k in range(len(cost_row)):
-                cost_row[k] -= factor * pivot_row[k]
-
-
-def _pivot(tableau, basis, r, c) -> None:
-    pivot_row = tableau[r]
-    inv = ONE / pivot_row[c]
-    if inv != 1:
-        tableau[r] = pivot_row = [v * inv for v in pivot_row]
-    for rr, row in enumerate(tableau):
-        if rr == r:
-            continue
-        factor = row[c]
-        if factor != 0:
-            tableau[rr] = [v - factor * p for v, p in zip(row, pivot_row)]
-    basis[r] = c
+        d = fraction_free_pivot(tableau, leave, enter, d)
+        basis[leave] = enter

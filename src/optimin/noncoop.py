@@ -254,20 +254,38 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
             f"mixed values support exactly 2 players, game has {game.num_players}"
         )
     game.validate_mixed(profile)
+    return _evaluate_2p(game, profile, [_side(game, i, profile[i]) for i in (0, 1)])
+
+
+def _side(
+    game: NormalFormGame, i: int, mixture
+) -> tuple[list[int], list[int], tuple[int, ...], int]:
+    """(mine, theirs, weights, scale) for player i playing `mixture`.
+
+    `mixture` is weights/scale in ints; mine[t] and theirs[t] are i's and j's
+    payoffs, as ints over scale * _den, when j answers with pure strategy t.
+    """
+    j = 1 - i
+    num_i, num_j = game._num[i], game._num[j]
+    stride_j = game._strides[j]
+    weights, scale = over_common_denominator(mixture)
+    support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
+    replies = range(game.shape[j])
+    mine = [sum(w * num_i[o + t * stride_j] for o, w in support) for t in replies]
+    theirs = [sum(w * num_j[o + t * stride_j] for o, w in support) for t in replies]
+    return mine, theirs, weights, scale
+
+
+def _evaluate_2p(game: NormalFormGame, profile: MixedProfile, sides) -> EvaluatedProfile:
+    """`value_mixed_2p` of a valid profile, from each player's `_side`."""
     values = []
     witnesses = []
     for i in (0, 1):
         j = 1 - i
-        # Payoffs, as ints over scale * _den, when j answers with each pure strategy.
-        num_i, num_j = game._num[i], game._num[j]
-        stride_j = game._strides[j]
-        weights, scale = over_common_denominator(profile[i])
-        support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
-        replies = range(game.shape[j])
-        mine = [sum(w * num_i[o + t * stride_j] for o, w in support) for t in replies]
-        theirs = [sum(w * num_j[o + t * stride_j] for o, w in support) for t in replies]
+        mine, theirs, _, scale = sides[i]
+        replies = range(len(mine))
         # j's gain from answering t instead of its agreed mixture, times qscale.
-        agreed, qscale = over_common_denominator(profile[j])
+        _, _, agreed, qscale = sides[j]
         expected_j = sum(q * u for q, u in zip(agreed, theirs))
         gain = [u * qscale - expected_j for u in theirs]
         if max(gain) <= 0:
@@ -333,6 +351,12 @@ def _simplex_grid(size: int, k: int) -> list[tuple[Fraction, ...]]:
 
 
 def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
+    g0, g1 = _grids_2p(game, k)
+    return [(p, q) for p in g0 for q in g1]
+
+
+def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
+    """Each player's mixtures on the 1/k grid, once the grid's size is checked."""
     if game.num_players != 2:
         raise UnsupportedArityError("probability grids support exactly 2 players")
     if k < 1:
@@ -343,15 +367,20 @@ def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
             f"grid of {sizes[0] * sizes[1]} profiles exceeds the {GRID_PROFILE_LIMIT}-profile "
             "bound (GRID_PROFILE_LIMIT); lower --mixed-grid or use --pure"
         )
-    g0 = _simplex_grid(game.shape[0], k)
-    g1 = _simplex_grid(game.shape[1], k)
-    return [(p, q) for p in g0 for q in g1]
+    return _simplex_grid(game.shape[0], k), _simplex_grid(game.shape[1], k)
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     """Evaluate the mixed value on the 1/k grid and Pareto-filter it."""
-    profiles = grid_profiles_2p(game, k)
-    evaluated = [value_mixed_2p(game, p) for p in profiles]
+    g0, g1 = _grids_2p(game, k)
+    # Each grid point's payoff vectors serve every profile it is part of.
+    sides0 = [_side(game, 0, p) for p in g0]
+    sides1 = [_side(game, 1, q) for q in g1]
+    evaluated = [
+        _evaluate_2p(game, (p, q), (s0, s1))
+        for p, s0 in zip(g0, sides0)
+        for q, s1 in zip(g1, sides1)
+    ]
     kept = pareto_filter(evaluated, key=lambda e: e.value)
     return GridOptimin(resolution=k, entries=tuple(kept))
 

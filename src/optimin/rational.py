@@ -3,7 +3,9 @@
 All payoff magnitudes in the library are `fractions.Fraction`, which already
 guarantees lowest terms and a positive denominator.  These helpers only cover
 coercion and the two text encodings used by the file formats and the CLI:
-exact strings like ``"265/6"`` and plain integers.
+exact strings like ``"265/6"`` and plain integers.  A string is refused
+before it is parsed when its digits or its decimal exponent pass the bounds
+below, because ``"1e1000000"`` alone would build a 3.3-million-bit integer.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, ResourceLimitError
+
+# Most digits a rational literal may hold, numerator, denominator, decimals
+# and exponent together, and the largest exponent magnitude of "1.5e3" style.
+RATIONAL_MAX_DIGITS = 1000
+RATIONAL_MAX_EXPONENT = 1000
 
 
 def to_fraction(value) -> Fraction:
@@ -23,11 +30,35 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_literal_size(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational number: {value!r}") from exc
     raise FormatError(f"expected a rational number, got {type(value).__name__}")
+
+
+def _check_literal_size(text: str) -> None:
+    # A literal no longer than the digit bound cannot pass it, and only an
+    # "e" or "E" marks an exponent; both tests run at C speed.
+    if len(text) > RATIONAL_MAX_DIGITS:
+        digits = sum(map(str.isdigit, text))
+        if digits > RATIONAL_MAX_DIGITS:
+            raise ResourceLimitError(
+                f"rational literal of {digits} digits exceeds the {RATIONAL_MAX_DIGITS}-digit "
+                "bound (RATIONAL_MAX_DIGITS)"
+            )
+    if "e" not in text and "E" not in text:
+        return
+    try:
+        power = int(text.lower().partition("e")[2])  # at most RATIONAL_MAX_DIGITS digits
+    except ValueError:
+        return  # not a literal Fraction accepts; it reports the format error
+    if abs(power) > RATIONAL_MAX_EXPONENT:
+        raise ResourceLimitError(
+            f"rational literal with exponent {power} exceeds the {RATIONAL_MAX_EXPONENT} "
+            "exponent bound (RATIONAL_MAX_EXPONENT)"
+        )
 
 
 def over_common_denominator(values) -> tuple[tuple[int, ...], int]:

@@ -4,9 +4,12 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optimin import (
     DomainError,
+    LinearProgram,
     ResourceLimitError,
     TUGame,
     coop_value,
@@ -17,6 +20,7 @@ from optimin import (
     nucleolus,
     optimin_coop,
     shapley,
+    solve_lp,
 )
 from optimin import coop
 from optimin.coop import (
@@ -380,3 +384,139 @@ class TestCoreEquivalences:
 
             kept = pareto_filter(entries, key=lambda e: e[1])
             assert any(x == nuc for x, _ in kept)
+
+
+# -- the dual-pinned nucleolus against the probe-LP scheme -------------------------
+
+
+def probe_nucleolus(game):
+    """Reference: the sequential-LP nucleolus that probes each tight coalition.
+
+    Each round minimizes the maximum excess eps, then, for every free
+    coalition tight at the optimum found, solves one more LP that maximizes
+    its sum with eps held; the coalition is pinned when even that leaves its
+    excess at eps.  The pinned equalities are solved by Fraction Gauss-Jordan.
+    """
+    n = game.n
+    total = game.worth(game.grand_coalition)
+    lows = game.singletons()
+    free = game.proper_coalitions()
+    pinned = []
+    x_bounds = [(lows[i], None) for i in range(n)]
+
+    def mask_coeffs(mask, extra=0):
+        return [F(mask >> i & 1) for i in range(n)] + [F(0)] * extra
+
+    def base_constraints(with_eps, cap=None):
+        extra = 1 if with_eps else 0
+        cons = [(mask_coeffs(game.grand_coalition, extra), "=", total)]
+        for mask, level in pinned:
+            cons.append((mask_coeffs(mask, extra), "=", game.worth(mask) - level))
+        for mask in free:
+            coeffs = mask_coeffs(mask, extra)
+            if with_eps:
+                coeffs[n] = F(1)
+                cons.append((coeffs, ">=", game.worth(mask)))
+            else:
+                cons.append((coeffs, ">=", game.worth(mask) - cap))
+        return cons
+
+    def solve_pinned():
+        rows = [[F(1)] * n + [total]]
+        rows += [mask_coeffs(mask) + [game.worth(mask) - level] for mask, level in pinned]
+        r = 0
+        for col in range(n):
+            pivot = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+            if pivot is None:
+                return None
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            rows[r] = [v / rows[r][col] for v in rows[r]]
+            for k in range(len(rows)):
+                if k != r and rows[k][col] != 0:
+                    rows[k] = [v - rows[k][col] * p for v, p in zip(rows[k], rows[r])]
+            r += 1
+        return tuple(rows[k][-1] for k in range(n))
+
+    while free:
+        lp = LinearProgram.build([0] * n + [1], False, base_constraints(True), x_bounds + [(None, None)])
+        sol = solve_lp(lp)
+        eps = sol.objective_value
+        at_optimum = sol.point[:n]
+        newly = []
+        for mask in free:
+            if game.worth(mask) - coalition_sum(at_optimum, mask) < eps:
+                continue
+            probe = LinearProgram.build(mask_coeffs(mask), True, base_constraints(False, eps), x_bounds)
+            if game.worth(mask) - solve_lp(probe).objective_value == eps:
+                newly.append(mask)
+        assert newly
+        for mask in newly:
+            pinned.append((mask, eps))
+            free.remove(mask)
+        point = solve_pinned()
+        if point is not None:
+            return point
+    raise AssertionError("pinned system never became determined")
+
+
+@st.composite
+def tu_games(draw):
+    """3 to 5 players, worths with denominators up to 6; a coalition's bonus
+    over its members' singletons may exceed the grand coalition's, which
+    empties the core, but the imputation set is never empty."""
+    n = draw(st.integers(3, 5))
+    worth_value = st.fractions(min_value=-6, max_value=12, max_denominator=6)
+    singles = [draw(worth_value) for _ in range(n)]
+    surplus = draw(st.fractions(min_value=0, max_value=20, max_denominator=6))
+    worth = {}
+    for mask in range(1, 1 << n):
+        base = sum((singles[i] for i in range(n) if mask >> i & 1), F(0))
+        if mask == (1 << n) - 1:
+            worth[mask] = base + surplus
+        elif mask & (mask - 1):
+            worth[mask] = base + draw(st.fractions(min_value=-4, max_value=24, max_denominator=6))
+        else:
+            worth[mask] = base
+    return TUGame(n, worth)
+
+
+class TestDualPinnedNucleolus:
+    @settings(max_examples=100, deadline=None)
+    @given(tu_games())
+    def test_matches_the_probe_scheme(self, game):
+        assert nucleolus(game) == probe_nucleolus(game)
+
+    def test_empty_cores_are_drawn(self):
+        # The strategy above reaches empty cores; this fixed 4-player game has
+        # one (every 3-player coalition is worth more than 3/4 of u(N)).
+        worth = {m: (10 if bin(m).count("1") == 3 else 0) for m in range(1, 16)}
+        worth[15] = 12
+        game = TUGame(4, worth)
+        assert core(game).empty
+        assert nucleolus(game) == probe_nucleolus(game) == (F(3),) * 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(tu_games())
+    def test_one_lp_per_round(self, game):
+        lps = []
+        rounds = []
+        solve, pinned_solution = coop.solve_lp, coop._pinned_solution
+
+        def counting_solve(lp):
+            lps.append(lp)
+            return solve(lp)
+
+        def counting_rounds(g, pinned):
+            rounds.append(len(pinned))
+            return pinned_solution(g, pinned)
+
+        coop.solve_lp, coop._pinned_solution = counting_solve, counting_rounds
+        try:
+            nucleolus(game)
+        finally:
+            coop.solve_lp, coop._pinned_solution = solve, pinned_solution
+        assert len(lps) == len(rounds) >= 1
+        # every LP is a round's eps-minimizing LP: no probes
+        assert all(lp.objective == (F(0),) * game.n + (F(1),) for lp in lps)
+        # and every round pins at least one more coalition
+        assert all(a < b for a, b in zip([0] + rounds, rounds))

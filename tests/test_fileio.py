@@ -147,3 +147,40 @@ class TestDecisionFormat:
         del doc["utility"]["rent"]["fired"]
         with pytest.raises(FormatError, match="rent"):
             parse_decision(json.dumps(doc))
+
+
+class TestRationalLiteralBound:
+    def test_literal_bound(self):
+        import tracemalloc
+
+        from optimin import ResourceLimitError
+        from optimin.rational import RATIONAL_MAX_DIGITS, RATIONAL_MAX_EXPONENT, to_fraction
+
+        doc = dict(GAME_DOC, payoffs=[[[1, "1e1000000000"], [0, 3]], [[2, 2], [0, 1]]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                parse_game(json.dumps(doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the integer exists
+        message = str(info.value)
+        assert str(RATIONAL_MAX_EXPONENT) in message
+        assert "1000000000" in message
+        assert "RATIONAL_MAX_EXPONENT" in message
+        # the exponent bound, from either side
+        assert to_fraction(f"1e{RATIONAL_MAX_EXPONENT}") == 10**RATIONAL_MAX_EXPONENT
+        assert to_fraction(f"1e-{RATIONAL_MAX_EXPONENT}") == F(1, 10**RATIONAL_MAX_EXPONENT)
+        for past in (f"1e{RATIONAL_MAX_EXPONENT + 1}", f"-2.5E-{RATIONAL_MAX_EXPONENT + 1}"):
+            with pytest.raises(ResourceLimitError):
+                to_fraction(past)
+        # the digit bound, counted over numerator and denominator together
+        at = "7" * (RATIONAL_MAX_DIGITS // 2) + "/" + "3" * (RATIONAL_MAX_DIGITS // 2)
+        assert to_fraction(at) == F(int(at.split("/")[0]), int(at.split("/")[1]))
+        with pytest.raises(ResourceLimitError) as info:
+            to_fraction(at + "3")
+        message = str(info.value)
+        assert f"{RATIONAL_MAX_DIGITS + 1} digits" in message
+        assert str(RATIONAL_MAX_DIGITS) in message
+        assert "RATIONAL_MAX_DIGITS" in message

@@ -2,6 +2,9 @@ import itertools
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from optimin import LinearProgram, solve_lp
 
 
@@ -229,3 +232,167 @@ class TestAgainstEnumeration:
                 continue
             for row in lp.constraints:
                 assert row.holds_at(sol.point)  # exact, no epsilon anywhere
+
+
+# -- differential suite: hypothesis-drawn programs against the enumeration ----------
+
+# Far beyond every basic point of the drawn systems (Cramer's rule and
+# Hadamard's bound keep their coordinates below 10**7), so boxing each
+# variable into [-BIG, BIG] keeps every feasible system feasible and every
+# finite optimum in place, while an unbounded program gains by doubling
+# the box.
+BIG = 10**9
+
+coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def programs(draw, relations=("<=", ">=", "=")):
+    nvars = draw(st.integers(1, 3))
+    constraints = [
+        (
+            [draw(coefficient) for _ in range(nvars)],
+            draw(st.sampled_from(relations)),
+            draw(st.fractions(min_value=-8, max_value=12, max_denominator=3)),
+        )
+        for _ in range(draw(st.integers(0 if "=" not in relations else 1, 5)))
+    ]
+    bounds = []
+    for _ in range(nvars):
+        lo = draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
+        hi = lo + draw(st.fractions(min_value=0, max_value=8, max_denominator=2))
+        bounds.append(draw(st.sampled_from([(0, None), (None, None), (lo, None), (None, hi), (lo, hi)])))
+    objective = [draw(coefficient) for _ in range(nvars)]
+    return objective, draw(st.booleans()), constraints, bounds
+
+
+def boxed_optimum(objective, maximize, constraints, bounds, big):
+    """`enumerate_optimum` over the program with each missing bound set to +-big.
+
+    Shifting x = low + z puts every variable in [0, high - low]; the widest
+    such range is the enumeration's box and the others become rows.
+    """
+    lows = [F(-big) if lo is None else F(lo) for lo, _ in bounds]
+    highs = [F(big) if hi is None else F(hi) for _, hi in bounds]
+    nvars = len(objective)
+    shifted = [
+        (coeffs, rel, F(rhs) - sum(F(c) * low for c, low in zip(coeffs, lows)))
+        for coeffs, rel, rhs in constraints
+    ]
+    box = max(high - low for low, high in zip(lows, highs))
+    for j in range(nvars):
+        unit = [1 if k == j else 0 for k in range(nvars)]
+        shifted.append((unit, "<=", highs[j] - lows[j]))
+    best = enumerate_optimum(objective, maximize, shifted, box)
+    if best is None:
+        return None
+    return best + sum(F(c) * low for c, low in zip(objective, lows))
+
+
+def check_duals(lp, sol):
+    """Dual feasibility, complementary slackness and strong duality, exactly."""
+    sense = -1 if lp.maximize else 1  # turns a maximum's duals into a minimum's
+    duals = sol.duals
+    assert len(duals) == len(lp.constraints)
+    total = F(0)
+    for dual, row in zip(duals, lp.constraints):
+        if row.relation == ">=":
+            assert sense * dual >= 0
+        elif row.relation == "<=":
+            assert sense * dual <= 0
+        if dual != 0:
+            lhs = sum(c * x for c, x in zip(row.coefficients, sol.point))
+            assert lhs == row.rhs
+        total += dual * row.rhs
+    for j, (lo, hi) in enumerate(lp.bounds):
+        reduced = lp.objective[j] - sum(d * row.coefficients[j] for d, row in zip(duals, lp.constraints))
+        if sense * reduced > 0:
+            assert lo is not None and sol.point[j] == lo
+            total += reduced * lo
+        elif sense * reduced < 0:
+            assert hi is not None and sol.point[j] == hi
+            total += reduced * hi
+    assert total == sol.objective_value
+
+
+def check_against_enumeration(objective, maximize, constraints, bounds):
+    lp = build(objective, maximize, constraints, bounds)
+    sol = solve_lp(lp)
+    near = boxed_optimum(objective, maximize, constraints, bounds, BIG)
+    far = boxed_optimum(objective, maximize, constraints, bounds, 2 * BIG)
+    if near is None:
+        assert far is None
+        assert sol.status == "infeasible"
+        assert sol.point is None and sol.duals is None
+    elif near != far:
+        assert sol.status == "unbounded"
+        assert sol.point is None and sol.duals is None
+    else:
+        assert sol.status == "optimal"
+        assert sol.objective_value == near
+        check_duals(lp, sol)
+    return sol
+
+
+class TestDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(programs())
+    def test_mixed_programs(self, program):
+        check_against_enumeration(*program)
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(relations=("=",)))
+    def test_equality_only_programs(self, program):
+        check_against_enumeration(*program)
+
+    def test_every_status_and_bound_kind_occurs(self):
+        # The drawn programs above are random; these fixed ones pin each case.
+        cases = [
+            ([1, -1], True, [([1, 1], "<=", F(7, 2))], [(0, None), (None, None)]),  # unbounded
+            ([1], False, [([F(1, 2)], ">=", 3), ([1], "<=", 5)], [(None, None)]),  # infeasible
+            ([1, -1], False, [([1, 2], "=", F(5, 3)), ([3, -1], "=", 1)], [(None, None)] * 2),
+            ([2, 3], True, [([1, 1], "<=", 4)], [(F(-1, 2), F(5, 2)), (None, F(1, 3))]),
+        ]
+        statuses = [check_against_enumeration(*case).status for case in cases]
+        assert statuses == ["unbounded", "infeasible", "optimal", "optimal"]
+
+    def test_duals_of_a_known_program(self):
+        # max 3x + 2y st x + y <= 4, x + 3y <= 9, x <= 3: optimum (3, 1) = 11,
+        # with shadow prices 2 on the first row and 1 on the last.
+        sol = solve_lp(
+            build([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
+                  bounds=[(0, None), (0, None)])
+        )
+        assert sol.point == (F(3), F(1))
+        assert sol.duals == (F(2), F(0), F(1))
+
+
+class TestVertexChoice:
+    """Where several vertices are optimal, pivoting picks one deterministically,
+    and reports print it (core witnesses, maximin mixtures).  These pin the
+    vertex on two such programs: one decided by how phase 1 weighs the
+    artificials of rows with fractional data, one by the ratio-test tie-break
+    on the lowest basic index."""
+
+    def test_core_witness_with_fractional_worths(self):
+        from optimin import TUGame, core
+
+        worth = {
+            0b0001: 4, 0b0010: F(9, 4), 0b0011: F(37, 4), 0b0100: -15,
+            0b0101: -7, 0b0110: F(-73, 4), 0b0111: F(-7, 4), 0b1000: F(37, 4),
+            0b1001: F(93, 4), 0b1010: F(75, 2), 0b1011: F(52, 3), 0b1100: F(-59, 12),
+            0b1101: F(33, 4), 0b1110: F(-5, 2), 0b1111: F(89, 2),
+        }
+        result = core(TUGame(4, worth))
+        assert result.witness == (F(79, 6), F(145, 4), F(-15), F(121, 12))
+
+    def test_maximin_mixture_among_tied_optima(self):
+        from optimin import NormalFormGame, maximin_lp
+        from optimin.zerosum import StatisticalGame
+
+        rows = [[F(1, 4), 5, -1, F(7, 3)], [F(7, 3), F(-3, 2), -1, 1]]
+        payoffs = [[(u, -u) for u in row] for row in rows]
+        game = NormalFormGame(("row", "column"), (("a", "b"), ("w", "x", "y", "z")), payoffs)
+        solution = maximin_lp(StatisticalGame(game), 0)
+        assert solution.value == -1  # column y holds every mixture to -1
+        assert solution.mixture == (F(1), F(0))

@@ -405,6 +405,21 @@ class TestGridOptimin:
         survivors = brute_pareto([v for _, v in entries])
         assert set(survivors) == {(F(0), F(0))}
 
+    def test_equals_the_filter_over_every_grid_profile(self):
+        # The grid search shares each grid point's payoff vectors between
+        # profiles; it must give exactly the per-profile values and witnesses.
+        from optimin.noncoop import grid_profiles_2p
+
+        rng = random.Random(61)
+        games = [gen_named("figure1"), matching_pennies()]
+        games += [random_game(rng, max_players=2, max_strats=3) for _ in range(12)]
+        games += [random_game(rng, max_players=2, max_strats=3, lo=0, hi=2) for _ in range(6)]
+        for g in games:
+            for k in (1, 2, 3):
+                evaluated = [value_mixed_2p(g, p) for p in grid_profiles_2p(g, k)]
+                expected = pareto_filter(evaluated, key=lambda e: e.value)
+                assert optimin_grid_2p(g, k).entries == tuple(expected)
+
 
 class TestMaximinEquilibrium:
     def test_figure1_top_left(self):
