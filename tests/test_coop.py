@@ -486,9 +486,9 @@ class TestDualPinnedNucleolus:
     def test_matches_the_probe_scheme(self, game):
         assert nucleolus(game) == probe_nucleolus(game)
 
-    def test_empty_cores_are_drawn(self):
-        # The strategy above reaches empty cores; this fixed 4-player game has
-        # one (every 3-player coalition is worth more than 3/4 of u(N)).
+    def test_symmetric_empty_core_game(self):
+        # Every 3-player coalition is worth more than 3/4 of u(N), so the core
+        # is empty; symmetry puts the nucleolus at the equal split.
         worth = {m: (10 if bin(m).count("1") == 3 else 0) for m in range(1, 16)}
         worth[15] = 12
         game = TUGame(4, worth)
