@@ -11,6 +11,7 @@ exact strings only.  Exit codes: 0 success, 1 domain/resource/format errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,10 @@ def _resolve_threads(args) -> int:
     return max(1, getattr(args, "threads", 1) or 1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building it costs about as much as a small solve.
     parser = argparse.ArgumentParser(
         prog="optimin",
         description="Worst-case-optimal agreements in games, markets, and decisions.",

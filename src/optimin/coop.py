@@ -5,6 +5,11 @@ allocation charges the complement of any profitably deviating coalition an
 equal share of the shortfall it is left with; allocations whose value vectors
 are Pareto optimal form the solution set, searched on an integer lattice of
 imputations.  Core membership, the Shapley value, and the nucleolus are exact.
+
+Worths are held as ints over one common denominator, and the worst-case
+values, deviation tests and lattice search run on ints: an allocation is
+brought to the worths' denominator once, and a `Fraction` is built only for
+an allocation or value that is returned.
 """
 
 from __future__ import annotations
@@ -12,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .games import ValueVector
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
 from .pareto import pareto_filter
-from .rational import to_fraction
+from .rational import over_common_denominator, to_fraction
 
 ZERO = Fraction(0)
 
@@ -35,54 +41,63 @@ class TUGame:
     `worth[mask]` is the coalition's transferable worth; the empty coalition
     is implicitly 0.  Construction verifies completeness and flags (but does
     not reject) games whose grand coalition fails to cover some partition.
+
+    The worths are stored as the ints ``_num[mask]`` over the common
+    denominator ``_den``, the lcm of their reduced denominators, so equal
+    games have equal representations; ``_num[0]`` is the empty coalition's 0.
+    These ints are the game's only worth state.  Readers scale an allocation
+    to the same denominator; `coop_value` further multiplies every value by
+    ``L = lcm(1..n)``, so that a shortfall shared equally among the |R|
+    members of any remaining coalition R is the int multiple ``L/|R|``.
     """
 
-    __slots__ = ("n", "_worth", "cohesive")
+    __slots__ = ("n", "_num", "_den", "cohesive")
 
     def __init__(self, n: int, worth: dict[int, object]) -> None:
         if n < 1:
             raise ValueError("a TU game needs at least one player")
         self.n = n
         full = (1 << n) - 1
-        table: list[Fraction] = [ZERO] * (full + 1)
-        seen = set()
+        values: dict[int, Fraction] = {}
         for mask, value in worth.items():
             if not isinstance(mask, int) or not 1 <= mask <= full:
                 raise ValueError(f"coalition mask {mask!r} out of range")
-            table[mask] = to_fraction(value)
-            seen.add(mask)
-        missing = [m for m in range(1, full + 1) if m not in seen]
-        if missing:
+            values[mask] = to_fraction(value)
+        # The masks are distinct and in range, so the count decides
+        # completeness, and some mask up to len(values) + 1 is missing.
+        if len(values) < full:
+            first = next(m for m in range(1, len(values) + 2) if m not in values)
             raise ValueError(
-                f"worth missing for {len(missing)} coalitions, e.g. mask {missing[0]}"
+                f"worth missing for {full - len(values)} coalitions, e.g. mask {first}"
             )
-        self._worth = tuple(table)
+        num, self._den = over_common_denominator(values[m] for m in range(1, full + 1))
+        self._num = (0,) + num
         self.cohesive = self._check_cohesive()
 
     def _check_cohesive(self) -> bool:
         # Best partition value at each coalition via subset DP; cohesive iff
         # no partition of the grand coalition beats its worth.
         full = (1 << self.n) - 1
-        best = list(self._worth)
+        best = list(self._num)
         for mask in range(1, full + 1):
             sub = (mask - 1) & mask
             while sub:
                 if best[sub] + best[mask ^ sub] > best[mask]:
                     best[mask] = best[sub] + best[mask ^ sub]
                 sub = (sub - 1) & mask
-        return best[full] == self._worth[full]
+        return best[full] == self._num[full]
 
     def worth(self, mask: int) -> Fraction:
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"coalition mask {mask!r} out of range")
-        return self._worth[mask]
+        return Fraction(self._num[mask], self._den)
 
     @property
     def grand_coalition(self) -> int:
         return (1 << self.n) - 1
 
     def singletons(self) -> list[Fraction]:
-        return [self._worth[1 << i] for i in range(self.n)]
+        return [Fraction(self._num[1 << i], self._den) for i in range(self.n)]
 
     def proper_coalitions(self) -> list[int]:
         return list(range(1, self.grand_coalition))
@@ -90,10 +105,10 @@ class TUGame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TUGame):
             return NotImplemented
-        return self.n == other.n and self._worth == other._worth
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __repr__(self) -> str:
-        return f"TUGame(n={self.n}, u(N)={self._worth[-1]})"
+        return f"TUGame(n={self.n}, u(N)={self.worth(self.grand_coalition)})"
 
 
 def coalition_members(mask: int, n: int) -> tuple[int, ...]:
@@ -118,14 +133,61 @@ def as_allocation(game: TUGame, x: Sequence) -> Allocation:
     return vec
 
 
+def _scaled(game: TUGame, x: Sequence) -> tuple[list[int], Sequence[int], int]:
+    """The allocation and the worths as ints over one common denominator d."""
+    alloc, d = over_common_denominator(x)
+    common = math.lcm(d, game._den)
+    k = common // game._den
+    worth = game._num if k == 1 else [w * k for w in game._num]
+    return [v * (common // d) for v in alloc], worth, common
+
+
+def _coalition_sums(alloc: Sequence[int]) -> list[int]:
+    """Every coalition's total, indexed by mask, in O(2^n) additions.
+
+    Each player doubles the table: the masks holding player i are the masks
+    below 1 << i with i added.
+    """
+    sums = [0]
+    for xi in alloc:
+        sums += [s + xi for s in sums]
+    return sums
+
+
+def _worst_case(worth: Sequence[int], alloc: Sequence[int], lcm: int) -> tuple[int, ...]:
+    """`coop_value` in ints: the values times `lcm` = lcm(1..n).
+
+    `alloc` and `worth` are ints over one denominator.  A coalition S with
+    x(S) < u(S) leaves its complement R a shortfall x(R) - u(R), and each
+    member of R loses an equal share, which times `lcm` is the int
+    shortfall · (lcm / |R|).  A player's value is its allocation less the
+    largest such loss over the coalitions without it, or none if no loss is
+    positive.
+    """
+    sums = _coalition_sums(alloc)
+    full = len(sums) - 1
+    n = len(alloc)
+    loss = [0] * n
+    for mask in range(1, full):
+        if sums[mask] < worth[mask]:
+            rest = full ^ mask
+            cut = (sums[rest] - worth[rest]) * (lcm // rest.bit_count())
+            for i in range(n):
+                if rest >> i & 1 and cut > loss[i]:
+                    loss[i] = cut
+    return tuple(xi * lcm - c for xi, c in zip(alloc, loss))
+
+
 def is_feasible(game: TUGame, x: Sequence[Fraction]) -> bool:
-    return coalition_sum(x, game.grand_coalition) <= game.worth(game.grand_coalition)
+    alloc, worth, _ = _scaled(game, x)
+    return sum(alloc) <= worth[game.grand_coalition]
 
 
 def is_imputation(game: TUGame, x: Sequence[Fraction]) -> bool:
-    if coalition_sum(x, game.grand_coalition) != game.worth(game.grand_coalition):
+    alloc, worth, _ = _scaled(game, x)
+    if sum(alloc) != worth[game.grand_coalition]:
         return False
-    return all(x[i] >= game.worth(1 << i) for i in range(game.n))
+    return all(alloc[i] >= worth[1 << i] for i in range(game.n))
 
 
 @dataclass(frozen=True)
@@ -152,13 +214,12 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
         raise DomainError(f"allocation {x} exceeds the grand coalition worth")
     if not 0 <= excluding < game.n:
         raise DomainError(f"no player {excluding} in a {game.n}-player game")
-    found = []
-    for mask in game.proper_coalitions():
-        if mask >> excluding & 1:
-            continue
-        if coalition_sum(x, mask) < game.worth(mask):
-            found.append(mask)
-    return DeviationSet(excluding, x, tuple(found))
+    alloc, worth, _ = _scaled(game, x)
+    sums = _coalition_sums(alloc)
+    full = game.grand_coalition
+    bit = 1 << excluding
+    found = tuple(m for m in range(1, full) if not m & bit and sums[m] < worth[m])
+    return DeviationSet(excluding, x, found)
 
 
 def coop_value(game: TUGame, x: Sequence) -> ValueVector:
@@ -166,18 +227,9 @@ def coop_value(game: TUGame, x: Sequence) -> ValueVector:
     x = as_allocation(game, x)
     if not is_feasible(game, x):
         raise DomainError(f"allocation {x} exceeds the grand coalition worth")
-    full = game.grand_coalition
-    values = []
-    for i in range(game.n):
-        best = x[i]
-        for mask in dominating_coalitions(game, x, i).coalitions:
-            rest = full ^ mask
-            shortfall = coalition_sum(x, rest) - game.worth(rest)
-            candidate = x[i] - Fraction(shortfall, bin(rest).count("1"))
-            if candidate < best:
-                best = candidate
-        values.append(best)
-    return tuple(values)
+    alloc, worth, d = _scaled(game, x)
+    lcm = math.lcm(*range(1, game.n + 1))
+    return tuple(Fraction(v, lcm * d) for v in _worst_case(worth, alloc, lcm))
 
 
 def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[Allocation]:
@@ -187,6 +239,12 @@ def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[
     lower floors widens the search domain below individual rationality.
     """
     step = to_fraction(step)
+    p, q = step.numerator, step.denominator
+    return [tuple(Fraction(u * p, q) for u in point) for point in _lattice(game, step, floors)]
+
+
+def _lattice(game: TUGame, step: Fraction, floors: Sequence | None) -> list[tuple[int, ...]]:
+    """`imputation_grid`'s points as int multiples of `step`, in the same order."""
     if step <= 0:
         raise DomainError(f"grid step must be positive, got {step}")
     total = game.worth(game.grand_coalition)
@@ -200,11 +258,11 @@ def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[
         raise DomainError(
             "imputation set is empty: individual worths exceed the grand coalition"
         )
-    if (total / step).denominator != 1:
+    total_units = total / step
+    if total_units.denominator != 1:
         return []
     # Minimal multiples of `step` at or above each individual worth.
     min_units = [-((-low) // step) for low in lows]
-    total_units = total / step
     # The lattice holds every way to share the free units among n players.
     free = total_units.numerator - sum(min_units)
     count = math.comb(free + game.n - 1, game.n - 1) if free >= 0 else 0
@@ -213,21 +271,16 @@ def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[
             f"imputation grid of {count} points exceeds the {IMPUTATION_GRID_MAX_POINTS}-point "
             f"bound (IMPUTATION_GRID_MAX_POINTS); raise --step"
         )
-    points: list[Allocation] = []
+    return _shares(min_units, free) if free >= 0 else []
 
-    def rec(i: int, remaining: Fraction, acc: list[Fraction]) -> None:
-        if i == game.n - 1:
-            if remaining >= min_units[i]:
-                points.append(tuple((u * step) for u in acc + [remaining]))
-            return
-        tail_min = sum(min_units[i + 1 :])
-        u = min_units[i]
-        while u <= remaining - tail_min:
-            rec(i + 1, remaining - u, acc + [u])
-            u += 1
 
-    rec(0, total_units, [])
-    return points
+def _shares(lows: list[int], free: int) -> list[tuple[int, ...]]:
+    """Every way to give player i lows[i] plus a share of `free`, lexicographically."""
+    if len(lows) == 1:
+        return [(lows[0] + free,)]
+    return [
+        (lows[0] + k,) + rest for k in range(free + 1) for rest in _shares(lows[1:], free - k)
+    ]
 
 
 @dataclass(frozen=True)
@@ -244,14 +297,31 @@ class CoopOptimin:
 
 
 def optimin_coop(game: TUGame, step, floors: Sequence | None = None) -> CoopOptimin:
-    """Pareto-filter the worst-case values over the imputation lattice."""
+    """Pareto-filter the worst-case values over the imputation lattice.
+
+    With step p/q, a lattice point's units u are the allocation u·p·den over
+    the denominator q·den, and the worths are num·q over it.  Every value
+    vector then shares the one positive scale lcm(1..n)·q·den, so the filter
+    compares ints and keeps the same entries it would keep as `Fraction`s.
+    """
     step = to_fraction(step)
-    points = imputation_grid(game, step, floors)
+    points = _lattice(game, step, floors)
     if not points:
         return CoopOptimin(step, ())
-    entries = [(x, coop_value(game, x)) for x in points]
-    kept = pareto_filter(entries, key=lambda e: e[1])
-    return CoopOptimin(step, tuple(kept))
+    p, q = step.numerator, step.denominator
+    unit = p * game._den
+    worth = [w * q for w in game._num]
+    lcm = math.lcm(*range(1, game.n + 1))
+    entries = [(u, _worst_case(worth, [k * unit for k in u], lcm)) for u in points]
+    kept = pareto_filter(entries, key=itemgetter(1))
+    scale = lcm * q * game._den
+    return CoopOptimin(
+        step,
+        tuple(
+            (tuple(Fraction(k * p, q) for k in u), tuple(Fraction(v, scale) for v in values))
+            for u, values in kept
+        ),
+    )
 
 
 def matches_characterization(

@@ -17,7 +17,7 @@ from .decisions import DecisionProblem, OptimismConstraint
 from .errors import FormatError
 from .games import NormalFormGame
 from .matching import MarriageProblem
-from .rational import json_number, json_ratio, to_fraction
+from .rational import json_ratio, to_fraction
 
 
 def _fail(path: str, message: str) -> FormatError:
@@ -125,13 +125,16 @@ def parse_tu_game(text: str, source: str = "game") -> TUGame:
         mask = sum(1 << (p - 1) for p in members)
         by_mask[mask] = _rational_at(value, path)
     full = (1 << n) - 1
-    missing = [m for m in range(1, full + 1) if m not in by_mask]
+    # Every mask in by_mask lies in 1..full, so the count decides
+    # completeness, and some mask up to len(by_mask) + 1 is missing.
+    missing = full - len(by_mask)
     if missing:
+        first = next(m for m in range(1, len(by_mask) + 2) if m not in by_mask)
         raise _fail(
             f"{source}.worth",
             f"all {full} coalitions are mandatory; missing "
-            f"{_coalition_key(missing[0], n)!r}"
-            + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""),
+            f"{_coalition_key(first, n)!r}"
+            + (f" and {missing - 1} more" if missing > 1 else ""),
         )
     return TUGame(n, by_mask)
 
@@ -140,7 +143,7 @@ def dump_tu_game(game: TUGame) -> str:
     masks = sorted(range(1, game.grand_coalition + 1), key=lambda m: (bin(m).count("1"), m))
     doc = {
         "n": game.n,
-        "worth": {_coalition_key(m, game.n): json_number(game.worth(m)) for m in masks},
+        "worth": {_coalition_key(m, game.n): json_ratio(game._num[m], game._den) for m in masks},
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -6,11 +6,18 @@ same instances.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from optimin import NormalFormGame
+
+# Tests that start `python -m optimin.cli` import the package from this
+# checkout, whether or not it is installed.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_game(rng: random.Random, max_players: int = 3, max_strats: int = 3,

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -31,6 +33,8 @@ from optimin.coop import (
     imputation_grid,
     is_imputation,
 )
+from optimin.fileio import dump_tu_game, parse_tu_game
+from optimin.rational import json_number
 
 
 def additive_game(weights):
@@ -80,6 +84,19 @@ class TestTUGame:
     def test_construction_requires_all_coalitions(self):
         with pytest.raises(ValueError):
             TUGame(2, {0b01: 1, 0b11: 3})
+
+    def test_completeness_bound(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                TUGame(40, {1: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any per-coalition table exists
+        assert str(info.value) == f"worth missing for {2**40 - 2} coalitions, e.g. mask 2"
+        with pytest.raises(ValueError, match="worth missing for 1 coalitions, e.g. mask 5$"):
+            TUGame(3, {m: 1 for m in range(1, 8) if m != 5})
 
     def test_empty_core_instance_is_not_cohesive(self):
         # u({1,2}) + u({3}) = 115 > 110: one partition beats the grand coalition.
@@ -520,3 +537,168 @@ class TestDualPinnedNucleolus:
         assert all(lp.objective == (F(0),) * game.n + (F(1),) for lp in lps)
         # and every round pins at least one more coalition
         assert all(a < b for a, b in zip([0] + rounds, rounds))
+
+
+# -- the integer kernel against definition-direct Fraction oracles ----------------
+
+GRID_STEPS = (F(1), F(1, 2), F(1, 3))
+
+
+@st.composite
+def lattice_games(draw):
+    """2 to 4 players, worths with denominators up to 6, a grid step of 1,
+    1/2 or 1/3, and floors at the singletons (None) or up to a step below
+    them.  u(N) lies a few steps above the singletons' sum, on the step
+    lattice or, now and then, 1/6 off it, so every lattice stays small."""
+    n = draw(st.integers(2, 4))
+    step = draw(st.sampled_from(GRID_STEPS))
+    singles = [draw(st.fractions(min_value=-6, max_value=12, max_denominator=6)) for _ in range(n)]
+    units = -(-sum(singles, F(0)) // step) + draw(st.integers(0, 6 if n < 4 else 3))
+    total = units * step + draw(st.sampled_from((F(0), F(0), F(0), F(1, 6))))
+    worth = {}
+    for mask in range(1, 1 << n):
+        base = sum((singles[i] for i in range(n) if mask >> i & 1), F(0))
+        if mask == (1 << n) - 1:
+            worth[mask] = total
+        elif mask & (mask - 1):
+            worth[mask] = base + draw(st.fractions(min_value=-4, max_value=8, max_denominator=6))
+        else:
+            worth[mask] = base
+    below = draw(
+        st.none() | st.lists(st.sampled_from((F(0), F(1, 6), step)), min_size=n, max_size=n)
+    )
+    floors = None if below is None else [s - b for s, b in zip(singles, below)]
+    return TUGame(n, worth), step, floors
+
+
+@st.composite
+def games_and_allocations(draw):
+    """A lattice game and an allocation with denominators up to 6 that
+    overshoots u(N) about one time in six."""
+    game, _, _ = draw(lattice_games())
+    head = [draw(st.fractions(min_value=-8, max_value=16, max_denominator=6)) for _ in range(game.n - 1)]
+    slack = draw(st.fractions(min_value=-1, max_value=5, max_denominator=6))
+    x = tuple(head) + (game.worth(game.grand_coalition) - sum(head, F(0)) - slack,)
+    return game, x
+
+
+def brute_lattice(game, step, floors):
+    """Every efficient multiple-of-step allocation at or above the floors, in
+    lexicographic order, by filtering a product of ranges."""
+    lows = game.singletons() if floors is None else floors
+    units = game.worth(game.grand_coalition) / step
+    mins = [math.ceil(low / step) for low in lows]
+    ranges = [range(m, math.floor(units) - sum(mins) + m + 1) for m in mins]
+    return [
+        tuple(u * step for u in point)
+        for point in itertools.product(*ranges)
+        if sum(point) == units
+    ]
+
+
+def brute_cohesive(game):
+    """No partition of the grand coalition is worth more than it, checked
+    over every partition."""
+
+    def partitions(mask):
+        if not mask:
+            yield []
+            return
+        low = mask & -mask
+        rest = mask ^ low
+        sub = rest
+        while True:
+            for tail in partitions(rest ^ sub):
+                yield [sub | low] + tail
+            if not sub:
+                return
+            sub = (sub - 1) & rest
+
+    full = game.grand_coalition
+    return all(
+        sum((game.worth(block) for block in blocks), F(0)) <= game.worth(full)
+        for blocks in partitions(full)
+    )
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_allocations())
+    def test_value_and_deviations_match_the_definitions(self, case):
+        game, x = case
+        if coalition_sum(x, game.grand_coalition) > game.worth(game.grand_coalition):
+            with pytest.raises(DomainError):
+                coop_value(game, x)
+            with pytest.raises(DomainError):
+                dominating_coalitions(game, x, 0)
+            assert not coop.is_feasible(game, x)
+            return
+        assert coop.is_feasible(game, x)
+        assert coop_value(game, x) == _direct_value(game, x)
+        for i in range(game.n):
+            expected = tuple(
+                m
+                for m in game.proper_coalitions()
+                if not m >> i & 1 and coalition_sum(x, m) < game.worth(m)
+            )
+            assert dominating_coalitions(game, x, i).coalitions == expected
+        assert is_imputation(game, x) == (
+            coalition_sum(x, game.grand_coalition) == game.worth(game.grand_coalition)
+            and all(x[i] >= game.worth(1 << i) for i in range(game.n))
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_games())
+    def test_optimin_matches_the_quadratic_scan(self, case):
+        game, step, floors = case
+        points = brute_lattice(game, step, floors)
+        assert imputation_grid(game, step, floors) == points
+        values = [_direct_value(game, x) for x in points]
+        expected = tuple(
+            (x, v)
+            for x, v in zip(points, values)
+            if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in values)
+        )
+        result = optimin_coop(game, step, floors)
+        assert result.step == step
+        assert result.entries == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_games())
+    def test_cohesion_matches_every_partition(self, case):
+        game, _, _ = case
+        assert game.cohesive == brute_cohesive(game)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_games())
+    def test_dump_round_trips_bytes(self, case):
+        game, _, _ = case
+        text = dump_tu_game(game)
+        assert parse_tu_game(text) == game
+        assert dump_tu_game(parse_tu_game(text)) == text
+        # the bytes of a writer that reads every worth as a Fraction
+        masks = sorted(game.proper_coalitions() + [game.grand_coalition], key=lambda m: (bin(m).count("1"), m))
+        doc = {
+            "n": game.n,
+            "worth": {
+                ",".join(str(i + 1) for i in range(game.n) if m >> i & 1): json_number(game.worth(m))
+                for m in masks
+            },
+        }
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    def test_oracles_on_known_games(self):
+        # Convex games are superadditive, so every one is cohesive.
+        rng = random.Random(47)
+        for _ in range(30):
+            g = random_convex_game(rng)
+            assert g.cohesive and brute_cohesive(g)
+        assert brute_cohesive(gen_named("coop_120"))
+        assert not brute_cohesive(gen_named("coop_empty_core"))
+        # A partition that beats u(N) by the smallest unit of the worths.
+        barely = TUGame(3, {1: F(1, 6), 2: 0, 3: F(1, 6), 4: F(1, 3), 5: F(1, 2), 6: F(1, 3), 7: F(1, 3)})
+        assert not barely.cohesive and not brute_cohesive(barely)
+        # u(N) off the step lattice leaves no lattice point at all.
+        off = TUGame(2, {0b01: 0, 0b10: 0, 0b11: F(7, 6)})
+        assert brute_lattice(off, F(1, 2), None) == imputation_grid(off, F(1, 2)) == []
+        assert optimin_coop(off, F(1, 2)).entries == ()

@@ -81,6 +81,29 @@ class TestTUFormat:
         assert parse_tu_game(dump_tu_game(g)) == g
         assert dump_tu_game(parse_tu_game(dump_tu_game(g))) == dump_tu_game(g)
 
+    def test_completeness_bound(self):
+        import tracemalloc
+
+        # 2**40 - 1 coalitions are mandatory; the count alone refuses the file.
+        text = json.dumps({"n": 40, "worth": {"1": 1}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                parse_tu_game(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any per-coalition list exists
+        message = str(info.value)
+        assert f"all {2**40 - 1} coalitions are mandatory" in message
+        assert f"missing '2' and {2**40 - 3} more" in message
+        # the first missing coalition is named, wherever it lies
+        doc = {"n": 3, "worth": {"1": 1, "2": 1, "1,2": 2, "3": 0, "2,3": 1, "1,2,3": 4}}
+        with pytest.raises(FormatError, match="missing '1,3'$"):
+            parse_tu_game(json.dumps(doc))
+        doc["worth"]["1,3"] = 1
+        assert parse_tu_game(json.dumps(doc)).worth(0b101) == 1
+
 
 class TestMarriageFormat:
     DOC = {
