@@ -574,7 +574,7 @@ def lattice_games(draw):
 @st.composite
 def games_and_allocations(draw):
     """A lattice game and an allocation with denominators up to 6 that
-    overshoots u(N) about one time in six."""
+    overshoots u(N) whenever the drawn slack is negative."""
     game, _, _ = draw(lattice_games())
     head = [draw(st.fractions(min_value=-8, max_value=16, max_denominator=6)) for _ in range(game.n - 1)]
     slack = draw(st.fractions(min_value=-1, max_value=5, max_denominator=6))
