@@ -322,8 +322,8 @@ def _cmd_zerosum_solve(args) -> int:
     sg = zerosum.StatisticalGame(game)
     lines = ["mode: exact LP"]
     players_json = []
-    for player in (0, 1):
-        sol = zerosum.maximin_lp(sg, player)
+    solutions = [zerosum.maximin_lp(sg, player) for player in (0, 1)]
+    for player, sol in enumerate(solutions):
         lines.append(
             f"  {game.players[player]}: mixture {_vector(sol.mixture)}"
             f"  guarantees {format_table(sol.value)}"
@@ -335,7 +335,7 @@ def _cmd_zerosum_solve(args) -> int:
                 "value": json_number(sol.value),
             }
         )
-    value = zerosum.game_value(sg)
+    value = solutions[0].value  # player 0's guarantee, as `zerosum.game_value` gives it
     lines.append(f"game value: {format_table(value)}")
     return _emit(args, lines, {"mode": "exact-lp", "players": players_json, "value": json_number(value)})
 

@@ -39,8 +39,9 @@ class TUGame:
     """Characteristic function on all nonempty coalitions of n players.
 
     `worth[mask]` is the coalition's transferable worth; the empty coalition
-    is implicitly 0.  Construction verifies completeness and flags (but does
-    not reject) games whose grand coalition fails to cover some partition.
+    is implicitly 0.  Construction verifies completeness; `cohesive` flags
+    (but nothing rejects) games whose grand coalition fails to cover some
+    partition.
 
     The worths are stored as the ints ``_num[mask]`` over the common
     denominator ``_den``, the lcm of their reduced denominators, so equal
@@ -51,7 +52,7 @@ class TUGame:
     members of any remaining coalition R is the int multiple ``L/|R|``.
     """
 
-    __slots__ = ("n", "_num", "_den", "cohesive")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, worth: dict[int, object]) -> None:
         if n < 1:
@@ -72,7 +73,12 @@ class TUGame:
             )
         num, self._den = over_common_denominator(values[m] for m in range(1, full + 1))
         self._num = (0,) + num
-        self.cohesive = self._check_cohesive()
+
+    @property
+    def cohesive(self) -> bool:
+        """Whether no partition of the grand coalition beats its worth; an
+        O(3^n) check run on each read, never at construction."""
+        return self._check_cohesive()
 
     def _check_cohesive(self) -> bool:
         # Best partition value at each coalition via subset DP; cohesive iff
@@ -178,6 +184,17 @@ def _worst_case(worth: Sequence[int], alloc: Sequence[int], lcm: int) -> tuple[i
     return tuple(xi * lcm - c for xi, c in zip(alloc, loss))
 
 
+def _scaled_feasible(
+    game: TUGame, x: Sequence
+) -> tuple[Allocation, list[int], Sequence[int], int]:
+    """`as_allocation` and `_scaled` of a feasible allocation; else DomainError."""
+    x = as_allocation(game, x)
+    alloc, worth, d = _scaled(game, x)
+    if sum(alloc) > worth[game.grand_coalition]:
+        raise DomainError(f"allocation {x} exceeds the grand coalition worth")
+    return x, alloc, worth, d
+
+
 def is_feasible(game: TUGame, x: Sequence[Fraction]) -> bool:
     alloc, worth, _ = _scaled(game, x)
     return sum(alloc) <= worth[game.grand_coalition]
@@ -209,12 +226,9 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
     worth exceeds what x gives it in total, so the strict-sum test is the
     whole domination condition.
     """
-    x = as_allocation(game, x)
-    if not is_feasible(game, x):
-        raise DomainError(f"allocation {x} exceeds the grand coalition worth")
+    x, alloc, worth, _ = _scaled_feasible(game, x)
     if not 0 <= excluding < game.n:
         raise DomainError(f"no player {excluding} in a {game.n}-player game")
-    alloc, worth, _ = _scaled(game, x)
     sums = _coalition_sums(alloc)
     full = game.grand_coalition
     bit = 1 << excluding
@@ -224,10 +238,7 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
 
 def coop_value(game: TUGame, x: Sequence) -> ValueVector:
     """Worst-case payoffs: deviators leave, the rest split the shortfall equally."""
-    x = as_allocation(game, x)
-    if not is_feasible(game, x):
-        raise DomainError(f"allocation {x} exceeds the grand coalition worth")
-    alloc, worth, d = _scaled(game, x)
+    _, alloc, worth, d = _scaled_feasible(game, x)
     lcm = math.lcm(*range(1, game.n + 1))
     return tuple(Fraction(v, lcm * d) for v in _worst_case(worth, alloc, lcm))
 
@@ -428,7 +439,9 @@ def nucleolus(game: TUGame) -> Allocation:
     def mask_coeffs(mask: int) -> list[int]:
         return [mask >> i & 1 for i in range(n)]
 
-    while free:
+    # Each round pins at least one coalition, and once every singleton is
+    # pinned the system is determined, so the loop always returns.
+    while True:
         constraints = [(mask_coeffs(game.grand_coalition) + [0], "=", total)]
         for mask, level in pinned:
             constraints.append((mask_coeffs(mask) + [0], "=", game.worth(mask) - level))
@@ -450,11 +463,6 @@ def nucleolus(game: TUGame) -> Allocation:
         point = _pinned_solution(game, pinned)
         if point is not None:
             return point
-
-    point = _pinned_solution(game, pinned)
-    if point is None:
-        raise AssertionError("nucleolus system never became determined")
-    return point
 
 
 def _pinned_solution(game: TUGame, pinned) -> Allocation | None:

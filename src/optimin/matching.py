@@ -6,11 +6,15 @@ profitably re-match internally does so: deviators take their new partners, an
 abandoned partner becomes single.  Matchings whose worst-case outcomes are
 Pareto optimal (each individual comparing by their own list) form the
 solution set.
+
+Each deviator's gain depends only on their own new partner, so every
+profitable group is a union of disjoint moves of one person (leaving a partner
+to be single) or two (a blocking pair).  `_moves` is the one definition of
+those moves; stability, worst-case values and group deviations all read it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -172,20 +176,33 @@ class StabilityReport:
 
 
 def is_stable(problem: MarriageProblem, matching: Matching) -> StabilityReport:
-    """Individual rationality plus no blocking pair; first violation reported."""
-    for person in problem.everyone():
-        partner = matching.partner(person)
-        if partner != person and problem.prefers(person, person, partner):
-            return StabilityReport(False, blocking_individual=person)
+    """Individual rationality plus no blocking pair; the first move is reported."""
+    move = next(_moves(problem, matching), None)
+    if move is None:
+        return StabilityReport(True)
+    if len(move) == 1:
+        return StabilityReport(False, blocking_individual=move[0])
+    return StabilityReport(False, blocking_pair=move)
+
+
+def _moves(problem: MarriageProblem, matching: Matching) -> Iterator[tuple[str, ...]]:
+    """Every profitable move of one or two individuals, the module's one
+    definition of a deviation.
+
+    First `(p,)` for each p who prefers being single to their partner, in
+    `everyone()` order; then `(a, b)` for each blocking pair, a from side A
+    and b from side B in side order: each prefers the other to their partner
+    (so they are not partners).
+    """
+    rank, pairs = problem._rank, matching.pairs
+    for p in problem.everyone():
+        if rank[p][p] < rank[p][pairs[p]]:
+            yield (p,)
     for a in problem.side_a:
+        rank_a, held_a = rank[a], rank[a][pairs[a]]
         for b in problem.side_b:
-            if matching.partner(a) == b:
-                continue
-            if problem.prefers(a, b, matching.partner(a)) and problem.prefers(
-                b, a, matching.partner(b)
-            ):
-                return StabilityReport(False, blocking_pair=(a, b))
-    return StabilityReport(True)
+            if rank_a[b] < held_a and rank[b][a] < rank[b][pairs[b]]:
+                yield (a, b)
 
 
 @dataclass(frozen=True)
@@ -197,58 +214,31 @@ class GroupDeviation:
 def profitable_group_deviations(
     problem: MarriageProblem, matching: Matching
 ) -> list[GroupDeviation]:
-    """Every group that can re-match internally so all members strictly improve."""
+    """Every group that can re-match internally so all members strictly improve.
+
+    Each member's gain depends only on their own new partner, who is either
+    themselves or a member who gains too, so the profitable groups are exactly
+    the unions of nonempty sets of pairwise-disjoint moves (`_moves`).
+    """
     if problem.size > DEVIATION_MAX_SIZE:
         raise ResourceLimitError(
             f"group enumeration of {problem.size} per side exceeds the "
             f"{DEVIATION_MAX_SIZE}-per-side bound (DEVIATION_MAX_SIZE)"
         )
-    # Only individuals with someone (or self) strictly above their current
-    # partner can ever join a deviating group.
-    improvable = [
-        p
-        for p in problem.everyone()
-        if problem.rank(p, matching.partner(p)) > 0
-    ]
+    # Each move as its rematching: {p: p} for one person, {a: b, b: a} for a pair.
+    moves = [dict(zip(move, reversed(move))) for move in _moves(problem, matching)]
     out: list[GroupDeviation] = []
-    for r in range(1, len(improvable) + 1):
-        for group in itertools.combinations(improvable, r):
-            members = set(group)
-            ga = [p for p in group if p in set(problem.side_a)]
-            gb = [p for p in group if p in set(problem.side_b)]
-            for assignment in _improving_assignments(problem, matching, ga, gb, members):
-                out.append(
-                    GroupDeviation(tuple(sorted(group)), tuple(sorted(assignment.items())))
-                )
+
+    def extend(start: int, taken: dict[str, str]) -> None:
+        for i in range(start, len(moves)):
+            if taken.keys().isdisjoint(moves[i]):
+                joined = {**taken, **moves[i]}
+                out.append(GroupDeviation(tuple(sorted(joined)), tuple(sorted(joined.items()))))
+                extend(i + 1, joined)
+
+    extend(0, {})
     out.sort(key=lambda d: (len(d.group), d.group, d.rematching))
     return out
-
-
-def _improving_assignments(problem, matching, ga, gb, members) -> Iterator[dict[str, str]]:
-    """Internal matchings of the group where every member strictly improves."""
-
-    def improves(person: str, new: str) -> bool:
-        return problem.prefers(person, new, matching.partner(person))
-
-    def rec(idx: int, used: set[str], acc: dict[str, str]) -> Iterator[dict[str, str]]:
-        if idx == len(ga):
-            leftovers = [b for b in gb if b not in used]
-            if all(improves(b, b) for b in leftovers):
-                final = dict(acc)
-                for b in leftovers:
-                    final[b] = b
-                yield final
-            return
-        a = ga[idx]
-        if improves(a, a):
-            yield from rec(idx + 1, used, {**acc, a: a})
-        for b in gb:
-            if b in used:
-                continue
-            if improves(a, b) and improves(b, a):
-                yield from rec(idx + 1, used | {b}, {**acc, a: b, b: a})
-
-    yield from rec(0, set(), {})
 
 
 @dataclass(frozen=True)
@@ -266,34 +256,22 @@ def matching_value(problem: MarriageProblem, matching: Matching) -> MatchOutcome
 
     A deviation an individual joins only improves their outcome, so the worst
     case is either the assigned partner or becoming single when some deviating
-    group claims that partner.  A group containing the partner but not the
-    individual exists exactly when the partner forms a blocking pair with a
-    third party or prefers being single, which keeps this check quadratic.
+    group claims that partner.  Every such group is a union of disjoint moves
+    (see `profitable_group_deviations`), so one exists exactly when the partner
+    makes some move of their own, alone or with a third party; the individual
+    is never in it, since partners do not block each other.
     """
-    worst = []
-    for person in problem.everyone():
-        partner = matching.partner(person)
-        outcome = partner
-        if partner != person and problem.prefers(person, partner, person):
-            if _partner_strippable(problem, matching, person):
-                outcome = person
-        worst.append((person, outcome))
-    return MatchOutcomeValue(tuple(worst))
+    return MatchOutcomeValue(tuple(zip(problem.everyone(), _worst(problem, matching))))
 
 
-def _partner_strippable(problem: MarriageProblem, matching: Matching, person: str) -> bool:
-    partner = matching.partner(person)
-    if problem.prefers(partner, partner, person):
-        return True  # partner walks away alone
-    others = problem.side_a if partner in problem.side_b else problem.side_b
-    for third in others:
-        if third == person:
-            continue
-        if problem.prefers(partner, third, person) and problem.prefers(
-            third, partner, matching.partner(third)
-        ):
-            return True
-    return False
+def _worst(problem: MarriageProblem, matching: Matching) -> list[str]:
+    """`matching_value`'s outcomes, in `everyone()` order."""
+    rank, pairs = problem._rank, matching.pairs
+    movers = {p for move in _moves(problem, matching) for p in move}
+    return [
+        p if pairs[p] in movers and rank[p][pairs[p]] < rank[p][p] else pairs[p]
+        for p in problem.everyone()
+    ]
 
 
 def all_matchings(problem: MarriageProblem) -> list[Matching]:
@@ -329,13 +307,11 @@ def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
             f"{OPTIMIN_MAX_SIZE}-per-side bound (OPTIMIN_MAX_SIZE)"
         )
     everyone = problem.everyone()
-    candidates = all_matchings(problem)
+    rank = problem._rank
     entries = []
-    for m in candidates:
-        value = matching_value(problem, m)
-        lookup = dict(value.worst)
+    for m in all_matchings(problem):
         # Negated ranks so "greater coordinate" means "more preferred".
-        vector = tuple(-problem.rank(p, lookup[p]) for p in everyone)
+        vector = tuple(-rank[p][w] for p, w in zip(everyone, _worst(problem, m)))
         entries.append((m, vector))
     kept = pareto_filter(entries, key=lambda e: e[1])
     return [m for m, _ in kept]

@@ -108,6 +108,15 @@ class TestTUGame:
     def test_additive_games_are_cohesive(self):
         assert additive_game([3, 1, 4]).cohesive
 
+    def test_cohesion_is_checked_only_when_read(self, monkeypatch):
+        calls = []
+        original = TUGame._check_cohesive
+        monkeypatch.setattr(TUGame, "_check_cohesive", lambda g: calls.append(g) or original(g))
+        game = gen_named("coop_empty_core")
+        assert calls == []
+        assert not game.cohesive
+        assert calls == [game]
+
 
 class TestDominatingCoalitions:
     def test_empty_core_no_deviation_against_player1(self):

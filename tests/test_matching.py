@@ -55,14 +55,38 @@ def random_problem(rng, n):
     return MarriageProblem(side_a, side_b, prefs)
 
 
-def brute_matching_value(problem, matching):
-    """Oracle: walk every profitable deviation and take the literal worst case."""
-    devs = profitable_group_deviations(problem, matching)
+def enumerate_deviations(problem, m):
+    """From-scratch enumeration: every subset, every internal pairing."""
+    people = problem.everyone()
+    found = set()
+    for r in range(1, len(people) + 1):
+        for group in itertools.combinations(people, r):
+            ga = [p for p in group if p in problem.side_a]
+            gb = [p for p in group if p in problem.side_b]
+            for k in range(min(len(ga), len(gb)) + 1):
+                for chosen_a in itertools.combinations(ga, k):
+                    for chosen_b in itertools.permutations(gb, k):
+                        pairing = dict(zip(chosen_a, chosen_b))
+                        pairing.update({b: a for a, b in pairing.items()})
+                        for person in group:
+                            pairing.setdefault(person, person)
+                        if all(
+                            problem.prefers(p, pairing[p], m.partner(p))
+                            for p in group
+                        ):
+                            found.add(
+                                (group, tuple(sorted(pairing.items())))
+                            )
+    return found
+
+
+def worst_over(problem, matching, rematchings):
+    """Each person's literal worst case over the matching and the given
+    deviations, each a dict from member to new partner."""
     worst = {}
     for person in problem.everyone():
         outcomes = [matching.partner(person)]
-        for dev in devs:
-            inside = dict(dev.rematching)
+        for inside in rematchings:
             if person in inside:
                 outcomes.append(inside[person])
             elif matching.partner(person) in inside:
@@ -71,6 +95,12 @@ def brute_matching_value(problem, matching):
                 outcomes.append(matching.partner(person))
         worst[person] = max(outcomes, key=lambda c: problem.rank(person, c))
     return worst
+
+
+def brute_matching_value(problem, matching):
+    """Oracle: walk every profitable deviation and take the literal worst case."""
+    devs = profitable_group_deviations(problem, matching)
+    return worst_over(problem, matching, [dict(dev.rematching) for dev in devs])
 
 
 def brute_optimin(problem):
@@ -190,30 +220,6 @@ class TestGroupDeviations:
         assert "DEVIATION_MAX_SIZE" in message
 
     def test_exhaustive_enumeration_oracle(self):
-        # From-scratch enumeration: every subset, every internal pairing.
-        def enumerate_deviations(problem, m):
-            people = problem.everyone()
-            found = set()
-            for r in range(1, len(people) + 1):
-                for group in itertools.combinations(people, r):
-                    ga = [p for p in group if p in problem.side_a]
-                    gb = [p for p in group if p in problem.side_b]
-                    for k in range(min(len(ga), len(gb)) + 1):
-                        for chosen_a in itertools.combinations(ga, k):
-                            for chosen_b in itertools.permutations(gb, k):
-                                pairing = dict(zip(chosen_a, chosen_b))
-                                pairing.update({b: a for a, b in pairing.items()})
-                                for person in group:
-                                    pairing.setdefault(person, person)
-                                if all(
-                                    problem.prefers(p, pairing[p], m.partner(p))
-                                    for p in group
-                                ):
-                                    found.add(
-                                        (group, tuple(sorted(pairing.items())))
-                                    )
-            return found
-
         rng = random.Random(62)
         for n in (2, 3):
             for _ in range(20):
@@ -259,6 +265,29 @@ class TestMatchingValue:
             for m in all_matchings(problem):
                 value = dict(matching_value(problem, m).worst)
                 assert value == brute_matching_value(problem, m)
+
+    def test_value_and_stability_match_exhaustive_enumeration(self):
+        # The oracle is the from-scratch enumeration, not
+        # `profitable_group_deviations`, which shares `_moves` with the code under test.
+        rng = random.Random(63)
+        for _ in range(40):
+            problem = random_problem(rng, rng.randint(1, 3))
+            everyone = problem.everyone()
+            for m in all_matchings(problem):
+                found = enumerate_deviations(problem, m)
+                value = dict(matching_value(problem, m).worst)
+                assert value == worst_over(problem, m, [dict(r) for _, r in found])
+                singles = [p for p in everyone if ((p,), ((p, p),)) in found]
+                pairs = [
+                    (a, b)
+                    for a in problem.side_a
+                    for b in problem.side_b
+                    if ((a, b), tuple(sorted(((a, b), (b, a))))) in found
+                ]
+                report = is_stable(problem, m)
+                assert report.stable == (not found)
+                assert report.blocking_individual == (singles[0] if singles else None)
+                assert report.blocking_pair == (pairs[0] if pairs and not singles else None)
 
     def test_value_weakly_below_partner(self):
         rng = random.Random(58)
