@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import coop, decisions, fileio, generators, matching, noncoop, zerosum
-from .errors import OptiminError, ParameterError
+from .errors import OptiminError, ParameterError, ResourceLimitError
 from .games import NormalFormGame, is_constant_sum
 from .rational import format_table, json_number, to_fraction
 
@@ -26,6 +26,9 @@ from .rational import format_table, json_number, to_fraction
 # separately because it lives in the zero-sum module.
 GAME_TAGS = ("figure1", "motivating", "battle_of_sexes", "prisoners_dilemma")
 COOP_TAGS = ("coop_empty_core", "coop_120")
+
+# `sweep` refuses ranges of more points than this; each point solves one game.
+SWEEP_MAX_POINTS = 10_000
 
 
 def main(argv=None) -> int:
@@ -571,17 +574,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    start = to_fraction(args.start)
-    stop = to_fraction(args.stop)
-    step = to_fraction(args.step)
+def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
+    """start, start + step, ... up to stop, counted before any is built."""
     if step <= 0 or stop < start:
         raise ParameterError("need from <= to and a positive step")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
+    count = (stop - start) // step + 1
+    if count > SWEEP_MAX_POINTS:
+        raise ResourceLimitError(
+            f"sweep of {count} points exceeds the {SWEEP_MAX_POINTS}-point bound "
+            "(SWEEP_MAX_POINTS); raise --step"
+        )
+    return [start + k * step for k in range(count)]
+
+
+def _cmd_sweep(args) -> int:
+    values = _sweep_values(to_fraction(args.start), to_fraction(args.stop), to_fraction(args.step))
     fixed = {}
     if args.family == "travelers":
         fixed = {"low": args.low, "high": args.high}

@@ -23,6 +23,10 @@ from .rational import to_fraction
 # side); its value table holds one entry per cell.
 TRAVELERS_CELL_LIMIT = 250_000
 
+# gen_public_goods refuses games above this many cells (2 levels for 16
+# players); each cell holds one payoff per player.
+PUBLIC_GOODS_CELL_LIMIT = 65_536
+
 NAMED_TAGS = (
     "figure1",
     "motivating",
@@ -129,6 +133,15 @@ def gen_public_goods(n: int, endowment, mpcr, levels: Sequence) -> NormalFormGam
         raise ParameterError("need at least 2 distinct contribution levels")
     if menu[0] < 0 or menu[-1] > e:
         raise ParameterError(f"levels must lie within [0, {e}]")
+    cells = 1
+    for _ in range(n):  # stops within 17 players: each multiplies by at least 2
+        cells *= len(menu)
+        if cells > PUBLIC_GOODS_CELL_LIMIT:
+            raise ResourceLimitError(
+                f"public goods game of {n} players with {len(menu)} levels each exceeds "
+                f"the {PUBLIC_GOODS_CELL_LIMIT}-cell bound (PUBLIC_GOODS_CELL_LIMIT); "
+                "lower --n or the number of --levels"
+            )
 
     labels = tuple(str(c) if c.denominator != 1 else str(c.numerator) for c in menu)
     players = tuple(f"player{i + 1}" for i in range(n))

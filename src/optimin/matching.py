@@ -11,11 +11,19 @@ Each deviator's gain depends only on their own new partner, so every
 profitable group is a union of disjoint moves of one person (leaving a partner
 to be single) or two (a blocking pair).  `_moves` is the one definition of
 those moves; stability, worst-case values and group deviations all read it.
+
+`all_matchings` and `optimin_matchings` share one enumerator, `_candidates`,
+which works on person indices rather than labels.  It restates `_moves` with
+int bitmasks, one bit per cross-side pair: each person's held rank selects
+the pairs they would join, and blocking pairs are where both sides' masks
+meet.  A test checks its worst cases against `matching_value` on every
+matching.  `Matching` objects are built only for the matchings returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -261,57 +269,109 @@ def matching_value(problem: MarriageProblem, matching: Matching) -> MatchOutcome
     makes some move of their own, alone or with a third party; the individual
     is never in it, since partners do not block each other.
     """
-    return MatchOutcomeValue(tuple(zip(problem.everyone(), _worst(problem, matching))))
-
-
-def _worst(problem: MarriageProblem, matching: Matching) -> list[str]:
-    """`matching_value`'s outcomes, in `everyone()` order."""
     rank, pairs = problem._rank, matching.pairs
     movers = {p for move in _moves(problem, matching) for p in move}
-    return [
-        p if pairs[p] in movers and rank[p][pairs[p]] < rank[p][p] else pairs[p]
+    return MatchOutcomeValue(tuple(
+        (p, p if pairs[p] in movers and rank[p][pairs[p]] < rank[p][p] else pairs[p])
         for p in problem.everyone()
+    ))
+
+
+def _candidates(problem: MarriageProblem) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Every matching as `(order, partners, values)`, sorted by `order`.
+
+    People are indices in `everyone()` order, side A first; `partners[p]` is
+    p's partner (p when single) and `order` sorts like `Matching.key()`.
+    `values[p]` is minus the rank of p's `matching_value` outcome.
+
+    This is `_moves` in bitmask form.  Bit a*n + b is the pair of the a-th
+    member of side A and the b-th of side B.  Each person's rank of their
+    partner selects the mask of pairs they would join; `x` sums side A's
+    masks, `y` side B's, so `x & y` is the set of blocking pairs.  A partner
+    who would rather be single always moves, so only the outcomes of mutually
+    acceptable pairs wait for the blocking set.
+    """
+    n, people = problem.size, problem.everyone()
+    rank = [[problem._rank[p].get(q) for q in people] for p in people]  # None within a side
+    own = [-rank[p][p] for p in range(2 * n)]
+    other = (range(n, 2 * n), range(n))  # indexed by p >= n
+    bits = [{q: 1 << (min(p, q) * n + max(p, q) - n) for q in other[p >= n]} for p in range(2 * n)]
+    every_pair = [sum(bits[p].values()) for p in range(2 * n)]
+    # joins[p][r]: the pairs p would join while holding a partner of rank r.
+    joins = [
+        [sum(bit for q, bit in bits[p].items() if rank[p][q] < r) for r in range(n + 1)]
+        for p in range(2 * n)
     ]
+    # `order` is a base-2n number: partners' label positions, people in label order.
+    position = {p: k for k, p in enumerate(sorted(people))}
+    pos = [position[p] for p in people]
+    digit = [(2 * n) ** (2 * n - 1 - k) for k in pos]
+    join = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for q in range(n, 2 * n):
+            takes_a, takes_b = rank[a][q] < rank[a][a], rank[q][a] < rank[q][q]
+            join[a][q - n] = (
+                joins[a][rank[a][q]] - joins[a][rank[a][a]],
+                joins[q][rank[q][a]] - joins[q][rank[q][q]],
+                (pos[q] - pos[a]) * digit[a] + (pos[a] - pos[q]) * digit[q],
+                own[a] if takes_a and not takes_b else -rank[a][q],
+                own[q] if takes_b and not takes_a else -rank[q][a],
+                (every_pair[a], every_pair[q], a, q) if takes_a and takes_b else None,
+            )
+    partners, values, waiting, out = list(range(2 * n)), own.copy(), [], []
 
-
-def all_matchings(problem: MarriageProblem) -> list[Matching]:
-    """Every matching, in a canonical deterministic order."""
-    out: list[Matching] = []
-
-    def rec(idx: int, used: set[str], acc: dict[str, str]) -> None:
-        if idx == problem.size:
-            out.append(Matching(problem, dict(acc)))
+    def extend(a: int, x: int, y: int, order: int, free: int) -> None:
+        if a == n:
+            blocking = x & y
+            final = values.copy()
+            for pairs_a, pairs_b, p, q in waiting:
+                if blocking & pairs_a:
+                    final[q] = own[q]
+                if blocking & pairs_b:
+                    final[p] = own[p]
+            out.append((order, tuple(partners), tuple(final)))
             return
-        a = problem.side_a[idx]
-        rec(idx + 1, used, acc)  # a stays single
-        for b in problem.side_b:
-            if b not in used:
-                acc[a], acc[b] = b, a
-                rec(idx + 1, used | {b}, acc)
-                del acc[a], acc[b]
+        extend(a + 1, x, y, order, free)  # a stays single
+        for b in range(n):
+            if free >> b & 1:
+                q = n + b
+                dx, dy, do, value_a, value_b, check = join[a][b]
+                partners[a], partners[q], values[a], values[q] = q, a, value_a, value_b
+                if check:
+                    waiting.append(check)
+                extend(a + 1, x + dx, y + dy, order + do, free & ~(1 << b))
+                if check:
+                    waiting.pop()
+                partners[a], partners[q], values[a], values[q] = a, q, own[a], own[q]
 
-    rec(0, set(), {})
-    out.sort(key=lambda m: m.key())
+    x, y = (sum(joins[p][rank[p][p]] for p in side) for side in (range(n), range(n, 2 * n)))
+    extend(0, x, y, sum(pos[p] * digit[p] for p in range(2 * n)), (1 << n) - 1)
+    out.sort()
     return out
 
 
+def _as_matching(problem: MarriageProblem, partners: tuple[int, ...]) -> Matching:
+    people = problem.everyone()
+    return Matching(problem, {people[p]: people[q] for p, q in enumerate(partners)})
+
+
+def all_matchings(problem: MarriageProblem) -> list[Matching]:
+    """Every matching, in `Matching.key()` order."""
+    return [_as_matching(problem, partners) for _, partners, _ in _candidates(problem)]
+
+
 def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
-    """Matchings whose worst-case outcome vectors are Pareto optimal.
+    """Matchings whose worst-case outcome vectors are Pareto optimal, in
+    `Matching.key()` order.
 
     Comparison is ordinal: coordinate i improves when individual i's worst
     outcome moves up their own preference list.  The set is never empty.
+    Only the matchings kept are built as `Matching` objects.
     """
     if problem.size > OPTIMIN_MAX_SIZE:
         raise ResourceLimitError(
             f"matching enumeration of {problem.size} per side exceeds the "
             f"{OPTIMIN_MAX_SIZE}-per-side bound (OPTIMIN_MAX_SIZE)"
         )
-    everyone = problem.everyone()
-    rank = problem._rank
-    entries = []
-    for m in all_matchings(problem):
-        # Negated ranks so "greater coordinate" means "more preferred".
-        vector = tuple(-rank[p][w] for p, w in zip(everyone, _worst(problem, m)))
-        entries.append((m, vector))
-    kept = pareto_filter(entries, key=lambda e: e[1])
-    return [m for m, _ in kept]
+    kept = pareto_filter(_candidates(problem), key=itemgetter(2))
+    return [_as_matching(problem, partners) for _, partners, _ in kept]

@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import optimin
-from optimin.cli import main
+from optimin import ResourceLimitError
+from optimin.cli import SWEEP_MAX_POINTS, _sweep_values, main
 from optimin.fileio import dump_marriage
 from optimin.matching import MarriageProblem
 
@@ -221,6 +224,31 @@ class TestGenAndSweep:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["threshold"] <= 4
+
+    def test_sweep_point_bound(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                _sweep_values(Fraction(2), Fraction(3), Fraction(1, 10**1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any point exists
+        message = str(info.value)
+        assert str(10**1000 + 1) in message
+        assert str(SWEEP_MAX_POINTS) in message
+        assert "--step" in message
+        last = Fraction(SWEEP_MAX_POINTS - 1, 7)
+        assert _sweep_values(Fraction(0), last, Fraction(1, 7))[-1] == last
+        assert len(_sweep_values(Fraction(0), last, Fraction(1, 7))) == SWEEP_MAX_POINTS
+        with pytest.raises(ResourceLimitError):
+            _sweep_values(Fraction(0), last + Fraction(1, 7), Fraction(1, 7))
+        code, out, err = run(
+            capsys, "sweep", "--family", "travelers", "--param", "r",
+            "--from", "2", "--to", "3", "--step", "1e-1000",
+        )
+        assert code == 1 and out == ""
+        assert "SWEEP_MAX_POINTS" in err
 
 
 class TestErrorsAndDeterminism:

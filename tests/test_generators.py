@@ -20,7 +20,7 @@ from optimin import (
     value_pure,
 )
 from optimin.fileio import dump_game, parse_game
-from optimin.generators import TRAVELERS_CELL_LIMIT
+from optimin.generators import PUBLIC_GOODS_CELL_LIMIT, TRAVELERS_CELL_LIMIT
 
 
 def optimin_labels(game):
@@ -190,6 +190,25 @@ class TestPublicGoods:
         prof = g.profile_from_labels(("3", "0", "6"))
         total = F(9, 2)
         assert g.payoff(prof) == (3 + total, 6 + total, total)
+
+    def test_cell_bound(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                gen_public_goods(10**6, 10, F(1, 2), (0, 5, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any cell or power of 3 exists
+        message = str(info.value)
+        assert str(PUBLIC_GOODS_CELL_LIMIT) in message
+        assert "1000000 players" in message
+        assert "3 levels" in message
+        assert "PUBLIC_GOODS_CELL_LIMIT" in message
+        players = PUBLIC_GOODS_CELL_LIMIT.bit_length() - 1  # 2**players cells, the bound
+        assert 2**players == PUBLIC_GOODS_CELL_LIMIT
+        with pytest.raises(ResourceLimitError):
+            gen_public_goods(players + 1, 10, F(1, 2), (0, 10))
 
 
 class TestNamed:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from optimin import (
     optimin_matchings,
     profitable_group_deviations,
 )
-from optimin.matching import DEVIATION_MAX_SIZE, OPTIMIN_MAX_SIZE
+from optimin.matching import DEVIATION_MAX_SIZE, OPTIMIN_MAX_SIZE, _candidates
 
 
 def tiny_mutual():
@@ -330,6 +331,39 @@ class TestOptiminMatchings:
         assert str(OPTIMIN_MAX_SIZE) in message
         assert "6 per side" in message
         assert "OPTIMIN_MAX_SIZE" in message
+
+
+def mixed_label_problem(rng, n):
+    """Labels whose string order differs from side order; everyone's ranking
+    puts self anywhere, so some partners are unacceptable."""
+    labels = rng.sample(["a10", "a9", "z1", "b2", "b10", "Q", "m3", "m20"], 2 * n)
+    side_a, side_b = labels[:n], labels[n:]
+    prefs = {}
+    for person in labels:
+        ranking = (side_b if person in side_a else side_a) + [person]
+        rng.shuffle(ranking)
+        prefs[person] = ranking
+    return MarriageProblem(side_a, side_b, prefs)
+
+
+class TestCandidateKernel:
+    def test_worst_ranks_match_matching_value(self):
+        rng = random.Random(64)
+        for _ in range(60):
+            n = rng.randint(0, 4)
+            problem = mixed_label_problem(rng, n)
+            everyone = problem.everyone()
+            candidates = _candidates(problem)
+            matchings = all_matchings(problem)
+            assert len(matchings) == len(candidates) == len(set(matchings))
+            assert len(matchings) == sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+            keys = [m.key() for m in matchings]
+            assert keys == sorted(keys)
+            for (_, partners, values), m in zip(candidates, matchings):
+                assert tuple(m.partner(p) for p in everyone) == tuple(everyone[q] for q in partners)
+                worst = matching_value(problem, m).worst
+                assert values == tuple(-problem.rank(p, w) for p, w in worst)
+            assert optimin_matchings(problem) == brute_optimin(problem)
 
 
 class TestValidation:
