@@ -346,6 +346,9 @@ def _candidates(problem: MarriageProblem) -> list[tuple[int, tuple[int, ...], tu
 
     x, y = (sum(joins[p][rank[p][p]] for p in side) for side in (range(n), range(n, 2 * n)))
     extend(0, x, y, sum(pos[p] * digit[p] for p in range(2 * n)), (1 << n) - 1)
+    # `extend` refers to itself; without this its closure would keep `out`
+    # alive until the next cyclic garbage collection.
+    del extend
     out.sort()
     return out
 

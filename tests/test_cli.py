@@ -239,8 +239,8 @@ class TestGenAndSweep:
         assert str(SWEEP_MAX_POINTS) in message
         assert "--step" in message
         last = Fraction(SWEEP_MAX_POINTS - 1, 7)
-        assert _sweep_values(Fraction(0), last, Fraction(1, 7))[-1] == last
-        assert len(_sweep_values(Fraction(0), last, Fraction(1, 7))) == SWEEP_MAX_POINTS
+        values = _sweep_values(Fraction(0), last, Fraction(1, 7))
+        assert len(values) == SWEEP_MAX_POINTS and values[-1] == last
         with pytest.raises(ResourceLimitError):
             _sweep_values(Fraction(0), last + Fraction(1, 7), Fraction(1, 7))
         code, out, err = run(
