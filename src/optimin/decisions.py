@@ -14,11 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ConstraintError, DomainError
+from .errors import ConstraintError, DomainError, ResourceLimitError
 from .pareto import pareto_filter
 from .rational import to_fraction
 
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
+
+# DecisionProblem refuses more than this many (act, state) cells, |A|·|S|:
+# optimin_acts scans O(|A|·|S|·(|A|+|S|)) labels and gilboa_reduction_check
+# compares every pair of feasible values.
+DECISION_MAX_CELLS = 4096
 
 
 class DecisionProblem:
@@ -35,6 +40,12 @@ class DecisionProblem:
         feasible_states: Mapping[str, Sequence[str]] | None = None,
         antagonist: bool = False,
     ) -> None:
+        if len(acts) * len(states) > DECISION_MAX_CELLS:
+            raise ResourceLimitError(
+                f"decision problem of {len(acts)} acts x {len(states)} states "
+                f"({len(acts) * len(states)} cells) exceeds the {DECISION_MAX_CELLS}-cell "
+                "bound (DECISION_MAX_CELLS)"
+            )
         self.acts = tuple(str(a) for a in acts)
         self.states = tuple(str(s) for s in states)
         if not self.acts or not self.states:
@@ -127,7 +138,8 @@ class OptimismConstraint:
         allowed = self.dm_states.get(profile)
         if allowed is None:
             allowed = problem.feasible_states[act]
-        possible = tuple(s for s in allowed if s in problem.feasible_states[act])
+        feasible = set(problem.feasible_states[act])
+        possible = tuple(s for s in allowed if s in feasible)
         if not possible:
             raise ConstraintError(f"optimism constraint empty at {profile}")
         return possible
@@ -137,7 +149,8 @@ class OptimismConstraint:
         allowed = self.nature_acts.get(profile)
         if allowed is None:
             allowed = problem.feasible_acts[state]
-        possible = tuple(a for a in allowed if a in problem.feasible_acts[state])
+        feasible = set(problem.feasible_acts[state])
+        possible = tuple(a for a in allowed if a in feasible)
         if not possible:
             raise ConstraintError(f"optimism constraint empty at {profile}")
         return possible

@@ -245,6 +245,7 @@ def profitable_group_deviations(
                 extend(i + 1, joined)
 
     extend(0, {})
+    del extend  # it refers to itself, which would keep `moves` and `out` alive
     out.sort(key=lambda d: (len(d.group), d.group, d.rematching))
     return out
 

@@ -6,6 +6,12 @@ deviations by the others; agreements whose value vectors are Pareto optimal
 form the solution set.  Pure mode restricts deviations to pure strategies;
 mixed mode (two players only) admits mixed deviations and takes their worst
 case in closed form.
+
+Every solver reads each player's payoffs as ints over one denominator.  The
+mixed grid search Pareto-filters exact int keys (values scaled to the lcm of
+their denominators over the grid) and builds `Fraction` values and witnesses
+only for the survivors; a mixed witness is the opponent's lowest-index optimal
+pure reply, else the first optimal mixture of two replies in (s, t) order.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
@@ -245,8 +251,9 @@ def nash_pure(game: NormalFormGame) -> list[PureProfile]:
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:
     """Worst-case payoffs under mixed deviations, two-player games only.
 
-    Each witness swaps in a minimizing deviation for the opponent: the
-    lowest-index optimal pure reply, else the first optimal mixture of a
+    Values come from the int core `_deviation_minimum`, which the grid search
+    shares.  Each witness swaps in a minimizing deviation for the opponent:
+    the lowest-index optimal pure reply, else the first optimal mixture of a
     losing s and a gaining t in lexicographic (s, t) order.
     """
     if game.num_players != 2:
@@ -254,21 +261,20 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
             f"mixed values support exactly 2 players, game has {game.num_players}"
         )
     game.validate_mixed(profile)
-    return _evaluate_2p(game, profile, [_side(game, i, profile[i]) for i in (0, 1)])
+    sides = [_side(game, i, *over_common_denominator(profile[i])) for i in (0, 1)]
+    cores = [_deviation_minimum(*sides), _deviation_minimum(*sides[::-1])]
+    return _entry(game, profile, sides, cores)
 
 
-def _side(
-    game: NormalFormGame, i: int, mixture
-) -> tuple[list[int], list[int], tuple[int, ...], int]:
-    """(mine, theirs, weights, scale) for player i playing `mixture`.
+def _side(game: NormalFormGame, i: int, weights, scale: int) -> tuple[list, list, tuple, int]:
+    """(mine, theirs, weights, scale) for player i playing the mixture weights/scale.
 
-    `mixture` is weights/scale in ints; mine[t] and theirs[t] are i's and j's
-    payoffs, as ints over scale * _den, when j answers with pure strategy t.
+    mine[t] and theirs[t] are i's and j's payoffs, as ints over scale * _den,
+    when j answers with pure strategy t.
     """
     j = 1 - i
     num_i, num_j = game._num[i], game._num[j]
     stride_j = game._strides[j]
-    weights, scale = over_common_denominator(mixture)
     support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
     replies = range(game.shape[j])
     mine = [sum(w * num_i[o + t * stride_j] for o, w in support) for t in replies]
@@ -276,48 +282,59 @@ def _side(
     return mine, theirs, weights, scale
 
 
-def _evaluate_2p(game: NormalFormGame, profile: MixedProfile, sides) -> EvaluatedProfile:
-    """`value_mixed_2p` of a valid profile, from each player's `_side`."""
+def _deviation_minimum(side, other) -> tuple[int, int, object]:
+    """(num, den, choice): the value of `side`'s player against `other`'s is
+    num / (den * scale * _den) in `side`'s units.  `choice` is the minimizer
+    under `value_mixed_2p`'s tie-break: None when the opponent has no
+    profitable deviation, a pure reply t, or an edge (s, t).
+    """
+    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
+    # The opponent's gain from answering t instead of its agreed mixture, times qscale.
+    expected = sum(map(mul, agreed, theirs))
+    gain = [u * qscale - expected for u in theirs]
+    if max(gain) <= 0:
+        # A mixture's payoff is a convex combination of these pure payoffs,
+        # so the opponent has no profitable deviation at all and the
+        # agreement's own payoff stands.
+        return sum(map(mul, agreed, mine)), qscale, None
+    # The deviation set {q : gain·q > 0} is open, but it is nonempty here, so
+    # every point of {q : gain·q >= 0} is a limit of points inside it (slide
+    # toward any strictly better q), and the infimum of mine·q is its minimum
+    # over that closure, which holds the agreed mixture too.  The closure is
+    # the simplex cut by one halfspace, so the minimum sits at a vertex: a
+    # pure reply with gain >= 0, or the point with gain·q = 0 on an edge from
+    # s to t.
+    num, choice = min((mine[t], t) for t, g in enumerate(gain) if g >= 0)
+    den = 1
+    gainers = [(t, g, mine[t]) for t, g in enumerate(gain) if g > 0]
+    for s, (loss, ms) in enumerate(zip(gain, mine)):
+        if loss < 0:
+            for t, g, mt in gainers:
+                if (ms * g - mt * loss) * den < num * (g - loss):
+                    num, den, choice = ms * g - mt * loss, g - loss, (s, t)
+    return num, den, choice
+
+
+def _entry(game: NormalFormGame, profile, sides, cores) -> EvaluatedProfile:
+    """`profile` evaluated from its `_side`s and their `_deviation_minimum`s."""
     values = []
     witnesses = []
-    for i in (0, 1):
+    for i, (num, den, choice) in enumerate(cores):
         j = 1 - i
         mine, theirs, _, scale = sides[i]
-        replies = range(len(mine))
-        # j's gain from answering t instead of its agreed mixture, times qscale.
-        _, _, agreed, qscale = sides[j]
-        expected_j = sum(q * u for q, u in zip(agreed, theirs))
-        gain = [u * qscale - expected_j for u in theirs]
-        if max(gain) <= 0:
-            # A mixture's payoff is a convex combination of these pure
-            # payoffs, so the opponent has no profitable deviation at all and
-            # the agreement's own payoff stands.
-            expected_i = sum(q * u for q, u in zip(agreed, mine))
-            values.append(Fraction(expected_i, qscale * scale * game._den[i]))
+        values.append(Fraction(num, den * scale * game._den[i]))
+        if choice is None:
             witnesses.append(profile)
             continue
-        # The deviation set {q : gain·q > 0} is open, but it is nonempty here,
-        # so every point of {q : gain·q >= 0} is a limit of points inside it
-        # (slide toward any strictly better q), and the infimum of mine·q is
-        # its minimum over that closure, which holds the agreed mixture too.
-        # The closure is the simplex cut by one halfspace, so the minimum sits
-        # at a vertex: a pure reply with gain >= 0, or the point with
-        # gain·q = 0 on an edge from s to t.
-        best = min((t for t in replies if gain[t] >= 0), key=mine.__getitem__)
-        num, den, pair = mine[best], 1, None
-        for s, t in itertools.product(replies, repeat=2):
-            if gain[s] < 0 < gain[t]:
-                d = gain[t] - gain[s]
-                n = mine[s] * gain[t] - mine[t] * gain[s]
-                if n * den < num * d:
-                    num, den, pair = n, d, (s, t)
-        dev = [Fraction(0)] * len(replies)
-        if pair is None:
-            dev[best] = Fraction(1)
+        dev = [Fraction(0)] * len(mine)
+        if isinstance(choice, int):
+            dev[choice] = Fraction(1)
         else:
-            s, t = pair
-            dev[s], dev[t] = Fraction(gain[t], den), Fraction(-gain[s], den)
-        values.append(Fraction(num, den * scale * game._den[i]))
+            # The edge point weighs s by gain[t] / den and t by -gain[s] / den.
+            s, t = choice
+            _, _, agreed, qscale = sides[j]
+            gain_t = theirs[t] * qscale - sum(map(mul, agreed, theirs))
+            dev[s], dev[t] = Fraction(gain_t, den), Fraction(den - gain_t, den)
         witnesses.append((profile[0], tuple(dev)) if j == 1 else (tuple(dev), profile[1]))
     return EvaluatedProfile(tuple(profile), tuple(values), tuple(witnesses))
 
@@ -335,8 +352,8 @@ class GridOptimin:
     kind: str = field(default="grid-approximate")
 
 
-def _simplex_grid(size: int, k: int) -> list[tuple[Fraction, ...]]:
-    """All distributions over `size` atoms with weights in multiples of 1/k."""
+def _simplex_grid(size: int, k: int) -> list[tuple[int, ...]]:
+    """All distributions over `size` atoms as int weights summing to k."""
     out = []
 
     def rec(slot: int, left: int, acc: tuple[int, ...]) -> None:
@@ -347,16 +364,16 @@ def _simplex_grid(size: int, k: int) -> list[tuple[Fraction, ...]]:
             rec(slot + 1, left - take, acc + (take,))
 
     rec(0, k, ())
-    return [tuple(Fraction(w, k) for w in ws) for ws in out]
+    return out
 
 
 def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
-    g0, g1 = _grids_2p(game, k)
+    g0, g1 = ([tuple(Fraction(w, k) for w in ws) for ws in g] for g in _grids_2p(game, k))
     return [(p, q) for p in g0 for q in g1]
 
 
 def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
-    """Each player's mixtures on the 1/k grid, once the grid's size is checked."""
+    """Each player's int weights over k on the 1/k grid, once the grid's size is checked."""
     if game.num_players != 2:
         raise UnsupportedArityError("probability grids support exactly 2 players")
     if k < 1:
@@ -371,18 +388,27 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
-    """Evaluate the mixed value on the 1/k grid and Pareto-filter it."""
+    """The `value_mixed_2p` entries of the Pareto-optimal 1/k grid profiles, in grid order.
+
+    Every grid point has scale k, so the filter reads player i's num / den from
+    `_deviation_minimum` as the int key num * (L_i // den), L_i being the lcm
+    of i's dens over the grid; only the survivors get `Fraction`s.
+    """
     g0, g1 = _grids_2p(game, k)
     # Each grid point's payoff vectors serve every profile it is part of.
-    sides0 = [_side(game, 0, p) for p in g0]
-    sides1 = [_side(game, 1, q) for q in g1]
-    evaluated = [
-        _evaluate_2p(game, (p, q), (s0, s1))
-        for p, s0 in zip(g0, sides0)
-        for q, s1 in zip(g1, sides1)
+    sides0 = [_side(game, 0, w, k) for w in g0]
+    sides1 = [_side(game, 1, w, k) for w in g1]
+    cores = [
+        (_deviation_minimum(s0, s1), _deviation_minimum(s1, s0)) for s0 in sides0 for s1 in sides1
     ]
-    kept = pareto_filter(evaluated, key=lambda e: e.value)
-    return GridOptimin(resolution=k, entries=tuple(kept))
+    l0, l1 = (math.lcm(*{c[i][1] for c in cores}) for i in (0, 1))
+    keys = [(n0 * (l0 // d0), n1 * (l1 // d1)) for (n0, d0, _), (n1, d1, _) in cores]
+    entries = []
+    for n in pareto_filter(range(len(cores)), key=keys.__getitem__):
+        a, b = divmod(n, len(g1))
+        profile = tuple(tuple(Fraction(w, k) for w in ws) for ws in (g0[a], g1[b]))
+        entries.append(_entry(game, profile, (sides0[a], sides1[b]), cores[n]))
+    return GridOptimin(resolution=k, entries=tuple(entries))
 
 
 def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:

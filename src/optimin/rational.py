@@ -1,9 +1,11 @@
 """Helpers for exact rational values.
 
-All payoff magnitudes in the library are `fractions.Fraction`, which already
-guarantees lowest terms and a positive denominator.  These helpers only cover
-coercion and the two text encodings used by the file formats and the CLI:
-exact strings like ``"265/6"`` and plain integers.  A string is refused
+Values at the library's API are `fractions.Fraction`s, which guarantee
+lowest terms and a positive denominator.  Inside, the solvers run on ints
+over common denominators and build a `Fraction` only for a value they
+return; `over_common_denominator` and `json_ratio` serve that.  The other
+helpers cover coercion and the two text encodings used by the file formats
+and the CLI: exact strings like ``"265/6"`` and plain integers.  A string is refused
 before it is parsed when its digits or its decimal exponent pass the bounds
 below, because ``"1e1000000"`` alone would build a 3.3-million-bit integer.
 """

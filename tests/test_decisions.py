@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +10,12 @@ from optimin import (
     DecisionProblem,
     DomainError,
     OptimismConstraint,
+    ResourceLimitError,
     decision_value,
     gilboa_reduction_check,
     optimin_acts,
 )
+from optimin.decisions import DECISION_MAX_CELLS
 
 
 def two_by_two():
@@ -202,3 +206,29 @@ class TestReductionCheck:
         problem = two_by_two()
         report = gilboa_reduction_check(problem, OptimismConstraint.constant(problem))
         assert any("vacuous" in note for note in report.notes)
+
+
+class TestBounds:
+    def test_cell_bound(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                DecisionProblem(range(10**6), range(1000), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any label or utility is read
+        message = str(info.value)
+        assert str(DECISION_MAX_CELLS) in message
+        assert "1000000 acts x 1000 states" in message
+        assert str(10**9) in message
+        assert "DECISION_MAX_CELLS" in message
+        side = math.isqrt(DECISION_MAX_CELLS)
+        assert side * side == DECISION_MAX_CELLS
+        acts = [f"a{k}" for k in range(side)]
+        states = [f"s{k}" for k in range(side)]
+        problem = DecisionProblem(acts, states, {(a, s): 0 for a in acts for s in states})
+        assert len(problem.feasible_pairs()) == DECISION_MAX_CELLS
+        # One cell past the bound is refused before the (missing) utilities are read.
+        with pytest.raises(ResourceLimitError):
+            DecisionProblem([f"a{k}" for k in range(DECISION_MAX_CELLS + 1)], ["s"], {})

@@ -30,6 +30,7 @@ from optimin import (
     is_maximin_equilibrium,
     maximin_profile,
     nash_pure,
+    optimin_grid_2p,
     optimin_pure,
     solve_lp,
     value_mixed_2p,
@@ -247,24 +248,20 @@ def tie_break_deviation(mine, gain):
 TIED_2P_GAMES = built_games(st.just(2), st.integers(min_value=0, max_value=2), st.just((1,)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_value_mixed_2p_matches_the_fraction_lp(data):
-    game, cells = data.draw(st.one_of(built_games(st.just(2)), TIED_2P_GAMES))
-    profile = tuple(data.draw(grid_mixtures(k)) for k in game.shape)
+def mixed_value_oracle(cells, shape, profile):
+    """Each player's value under mixed deviations, from the deviation LP over
+    the `Fraction` payoffs, and the documented witness."""
     expected = mixed_expectation(cells, profile)
-    entry = value_mixed_2p(game, profile)
+    values, witnesses = [], []
     for i in (0, 1):
         j = 1 - i
-        m = game.shape[j]
-        answers = [
-            [cells[(s, t) if i == 0 else (t, s)] for s in range(game.shape[i])] for t in range(m)
-        ]
+        m = shape[j]
+        answers = [[cells[(s, t) if i == 0 else (t, s)] for s in range(shape[i])] for t in range(m)]
         mine = [sum(q * u[i] for q, u in zip(profile[i], col)) for col in answers]
         theirs = [sum(q * u[j] for q, u in zip(profile[i], col)) for col in answers]
         if max(theirs) <= expected[j]:
-            assert entry.value[i] == expected[i]
-            assert entry.witnesses[i] == profile
+            values.append(expected[i])
+            witnesses.append(profile)
             continue
         sol = solve_lp(
             LinearProgram.build(
@@ -274,9 +271,49 @@ def test_value_mixed_2p_matches_the_fraction_lp(data):
                 bounds=[(0, None)] * m,
             )
         )
-        assert entry.value[i] == sol.objective_value
+        values.append(sol.objective_value)
         dev = tie_break_deviation(mine, [u - expected[j] for u in theirs])
-        assert entry.witnesses[i] == ((profile[0], dev) if j == 1 else (dev, profile[1]))
+        witnesses.append((profile[0], dev) if j == 1 else (dev, profile[1]))
+    return tuple(values), tuple(witnesses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_value_mixed_2p_matches_the_fraction_lp(data):
+    game, cells = data.draw(st.one_of(built_games(st.just(2)), TIED_2P_GAMES))
+    profile = tuple(data.draw(grid_mixtures(k)) for k in game.shape)
+    entry = value_mixed_2p(game, profile)
+    assert (entry.value, entry.witnesses) == mixed_value_oracle(cells, game.shape, profile)
+
+
+def grid(size, k):
+    """Every distribution over `size` strategies in steps of 1/k, in lexicographic
+    order of the weights."""
+    return [
+        tuple(F(w, k) for w in weights)
+        for weights in product(range(k + 1), repeat=size)
+        if sum(weights) == k
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_optimin_grid_2p_matches_the_oracle(data):
+    game, cells = data.draw(st.one_of(built_games(st.just(2)), TIED_2P_GAMES))
+    # The oracle solves two LPs per profile and scans all pairs, so the
+    # resolution stops where the grid would pass 400 profiles.
+    sizes = [[len(grid(m, k)) for m in game.shape] for k in range(1, 5)]
+    top = max(k for k, (a, b) in enumerate(sizes, 1) if a * b <= 400)
+    k = data.draw(st.integers(min_value=1, max_value=top))
+    evaluated = [
+        ((p, q),) + mixed_value_oracle(cells, game.shape, (p, q))
+        for p in grid(game.shape[0], k)
+        for q in grid(game.shape[1], k)
+    ]
+    front = set(brute_pareto(list({value for _, value, _ in evaluated})))
+    expected = [entry for entry in evaluated if entry[1] in front]
+    result = optimin_grid_2p(game, k)
+    assert [(e.profile, e.value, e.witnesses) for e in result.entries] == expected
 
 
 @settings(max_examples=150, deadline=None)

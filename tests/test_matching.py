@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -219,6 +221,32 @@ class TestGroupDeviations:
         assert str(DEVIATION_MAX_SIZE) in message
         assert "7 per side" in message
         assert "DEVIATION_MAX_SIZE" in message
+
+    def test_calls_hold_no_memory(self):
+        # The recursive enumerator refers to itself; a closure left in that
+        # cycle would keep each call's moves and output alive until a cyclic
+        # collection, which disabling gc rules out here.
+        problem = random_problem(random.Random(0), 6)
+        everyone_single = Matching(problem, {})
+        assert len(profitable_group_deviations(problem, everyone_single)) == 111
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            profitable_group_deviations(problem, everyone_single)
+            base = tracemalloc.get_traced_memory()[0]
+            held = []
+            for _ in range(8):
+                profitable_group_deviations(problem, everyone_single)
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        # A leaked call holds about 65 KiB here; a few KiB of interpreter
+        # caches may settle in over the first calls.
+        assert held[-1] - held[1] < 8 << 10, held
 
     def test_exhaustive_enumeration_oracle(self):
         rng = random.Random(62)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -419,6 +420,40 @@ class TestGridOptimin:
                 evaluated = [value_mixed_2p(g, p) for p in grid_profiles_2p(g, k)]
                 expected = pareto_filter(evaluated, key=lambda e: e.value)
                 assert optimin_grid_2p(g, k).entries == tuple(expected)
+
+    def test_large_denominators_at_3136_profiles(self):
+        # The filter's int keys scale each player's values to the lcm of their
+        # denominators over the grid, which here runs to 83 and 97 digits.
+        from optimin.noncoop import grid_profiles_2p
+
+        rng = random.Random(63)
+        labels = [f"s{k}" for k in range(6)]
+        payoffs = [
+            [[F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(2)] for _ in labels]
+            for _ in labels
+        ]
+        g = NormalFormGame(("row", "column"), (labels, labels), payoffs)
+        profiles = grid_profiles_2p(g, 3)
+        assert len(profiles) == 3136
+        evaluated = [value_mixed_2p(g, p) for p in profiles]
+        assert math.lcm(*(e.value[0].denominator for e in evaluated)) > 10**30
+        expected = pareto_filter(evaluated, key=lambda e: e.value)
+        assert optimin_grid_2p(g, 3).entries == tuple(expected)
+
+    def test_constant_game_keeps_every_profile_in_grid_order(self):
+        from optimin.noncoop import grid_profiles_2p
+
+        g = NormalFormGame(
+            ("row", "column"),
+            (("a", "b", "c"), ("x", "y")),
+            [[(F(7, 3), -2)] * 2] * 3,
+        )
+        entries = optimin_grid_2p(g, 3).entries
+        assert [e.profile for e in entries] == grid_profiles_2p(g, 3)
+        assert len(entries) == 10 * 4
+        for e in entries:
+            assert e.value == (F(7, 3), F(-2))
+            assert e.witnesses == (e.profile, e.profile)
 
 
 class TestMaximinEquilibrium:
