@@ -353,18 +353,13 @@ class GridOptimin:
 
 
 def _simplex_grid(size: int, k: int) -> list[tuple[int, ...]]:
-    """All distributions over `size` atoms as int weights summing to k."""
-    out = []
-
-    def rec(slot: int, left: int, acc: tuple[int, ...]) -> None:
-        if slot == size - 1:
-            out.append(acc + (left,))
-            return
-        for take in range(left + 1):
-            rec(slot + 1, left - take, acc + (take,))
-
-    rec(0, k, ())
-    return out
+    """All distributions over `size` atoms as int weights summing to k, in
+    lexicographic order: k stars split by size - 1 bars at positions `cuts`."""
+    end = k + size - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (end,)))
+        for cuts in itertools.combinations(range(end), size - 1)
+    ]
 
 
 def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:

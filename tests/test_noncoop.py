@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction as F
@@ -439,6 +440,20 @@ class TestGridOptimin:
         assert math.lcm(*(e.value[0].denominator for e in evaluated)) > 10**30
         expected = pareto_filter(evaluated, key=lambda e: e.value)
         assert optimin_grid_2p(g, 3).entries == tuple(expected)
+
+    def test_grid_search_leaves_no_cyclic_garbage(self):
+        # Cyclic garbage waits for the collector, and the grid search makes
+        # too few objects to trigger it often, so a cycle per call piles up.
+        g = gen_named("figure1")
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            optimin_grid_2p(g, 4)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_constant_game_keeps_every_profile_in_grid_order(self):
         from optimin.noncoop import grid_profiles_2p
