@@ -398,12 +398,14 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     ]
     l0, l1 = (math.lcm(*{c[i][1] for c in cores}) for i in (0, 1))
     keys = [(n0 * (l0 // d0), n1 * (l1 // d1)) for (n0, d0, _), (n1, d1, _) in cores]
-    entries = []
-    for n in pareto_filter(range(len(cores)), key=keys.__getitem__):
-        a, b = divmod(n, len(g1))
-        profile = tuple(tuple(Fraction(w, k) for w in ws) for ws in (g0[a], g1[b]))
-        entries.append(_entry(game, profile, (sides0[a], sides1[b]), cores[n]))
-    return GridOptimin(resolution=k, entries=tuple(entries))
+    kept = [divmod(n, len(g1)) for n in pareto_filter(range(len(cores)), key=keys.__getitem__)]
+    # Each surviving grid point's mixture is built once and shared by its entries.
+    p = {a: tuple(Fraction(w, k) for w in g0[a]) for a, _ in kept}
+    q = {b: tuple(Fraction(w, k) for w in g1[b]) for _, b in kept}
+    entries = tuple(
+        _entry(game, (p[a], q[b]), (sides0[a], sides1[b]), cores[a * len(g1) + b]) for a, b in kept
+    )
+    return GridOptimin(resolution=k, entries=entries)
 
 
 def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
