@@ -21,9 +21,18 @@ from .rational import to_fraction
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
 
 # DecisionProblem refuses more than this many (act, state) cells, |A|·|S|:
-# optimin_acts scans O(|A|·|S|·(|A|+|S|)) labels and gilboa_reduction_check
-# compares every pair of feasible values.
+# optimin_acts scans O(|A|·|S|·(|A|+|S|)) labels.
 DECISION_MAX_CELLS = 4096
+
+
+def check_size(num_acts: int, num_states: int) -> None:
+    """Refuse a problem of more than DECISION_MAX_CELLS (act, state) cells."""
+    if num_acts * num_states > DECISION_MAX_CELLS:
+        raise ResourceLimitError(
+            f"decision problem of {num_acts} acts x {num_states} states "
+            f"({num_acts * num_states} cells) exceeds the {DECISION_MAX_CELLS}-cell "
+            "bound (DECISION_MAX_CELLS)"
+        )
 
 
 class DecisionProblem:
@@ -40,12 +49,7 @@ class DecisionProblem:
         feasible_states: Mapping[str, Sequence[str]] | None = None,
         antagonist: bool = False,
     ) -> None:
-        if len(acts) * len(states) > DECISION_MAX_CELLS:
-            raise ResourceLimitError(
-                f"decision problem of {len(acts)} acts x {len(states)} states "
-                f"({len(acts) * len(states)} cells) exceeds the {DECISION_MAX_CELLS}-cell "
-                "bound (DECISION_MAX_CELLS)"
-            )
+        check_size(len(acts), len(states))
         self.acts = tuple(str(a) for a in acts)
         self.states = tuple(str(s) for s in states)
         if not self.acts or not self.states:
@@ -235,11 +239,12 @@ def gilboa_reduction_check(problem: DecisionProblem, oc: OptimismConstraint) -> 
     notes = ["finite possible-state sets: convexity/closedness vacuous, skipped"]
 
     if problem.antagonist:
-        values = [decision_value(problem, oc, p) for p in profiles]
+        # The Pareto order on (dm, nature) agrees with the order on dm alone
+        # exactly when equal dm values share one nature value and nature never
+        # falls as dm rises, and in (dm, nature) order neighbouring pairs show both.
+        pairs = sorted((v.dm, v.nature) for v in (decision_value(problem, oc, p) for p in profiles))
         dm_only = all(
-            (v.dm > w.dm) == _pareto_dominates(v, w)
-            for v in values
-            for w in values
+            b[1] == a[1] or (a[0] < b[0] and a[1] < b[1]) for a, b in zip(pairs, pairs[1:])
         )
     else:
         dm_only = True
@@ -258,8 +263,3 @@ def gilboa_reduction_check(problem: DecisionProblem, oc: OptimismConstraint) -> 
         verified = set(optimin_acts(problem, oc).acts) == maximin_acts
     return ReductionCheck(constant, dm_only, hypotheses, verified, tuple(notes))
 
-
-def _pareto_dominates(v: DecisionValue, w: DecisionValue) -> bool:
-    a = (v.dm, v.nature)
-    b = (w.dm, w.nature)
-    return a != b and all(x >= y for x, y in zip(a, b))

@@ -2,8 +2,9 @@
 and decision problems.
 
 Rationals are encoded as plain integers or exact strings "a/b"; writers are
-canonical so a parse/dump round trip is byte-identical.  Parse errors name the
-offending JSON path.
+canonical so a parse/dump round trip is byte-identical.  Game payoffs are
+parsed straight to ints, with no `Fraction` for a plain literal.  Parse errors
+name the offending JSON path, which is built only once a check has failed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coop import TUGame
-from .decisions import DecisionProblem, OptimismConstraint
-from .errors import FormatError
-from .games import NormalFormGame
+from .decisions import DecisionProblem, OptimismConstraint, check_size
+from .errors import FormatError, ResourceLimitError
+from .games import NormalFormGame, scaled_payoffs, tensor_fault, tensor_path
 from .matching import MarriageProblem
 from .rational import json_ratio, to_fraction
 
@@ -61,20 +62,16 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
     for i, strats in enumerate(strategies):
         if not isinstance(strats, list) or not all(isinstance(s, str) for s in strats):
             raise _fail(f"{source}.strategies[{i}]", "expected a list of strings")
-    shape = [len(s) for s in strategies]
-
-    def walk(node, depth: int, path: str):
-        if depth == len(shape):
-            if not isinstance(node, list) or len(node) != len(players):
-                raise _fail(path, f"expected {len(players)} payoffs")
-            return [_rational_at(v, f"{path}[{k}]") for k, v in enumerate(node)]
-        if not isinstance(node, list) or len(node) != shape[depth]:
-            raise _fail(path, f"expected {shape[depth]} entries")
-        return [walk(child, depth + 1, f"{path}[{k}]") for k, child in enumerate(node)]
-
-    tensor = walk(payoffs, 0, f"{source}.payoffs")
+    shape = tuple(len(s) for s in strategies)
+    n = len(players)
+    scaled = scaled_payoffs(payoffs, shape, n)
+    if scaled is None:
+        prefix, fault = tensor_fault(payoffs, shape, n, "payoffs")
+        if isinstance(fault, ResourceLimitError):
+            raise fault
+        raise _fail(f"{source}.payoffs{tensor_path(prefix)}", str(fault)) from None
     try:
-        return NormalFormGame(players, strategies, tensor)
+        return NormalFormGame._from_scaled(players, strategies, *scaled)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
@@ -189,6 +186,10 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
     utility = _require(doc, "utility", source)
     if not isinstance(acts, list) or not isinstance(states, list):
         raise _fail(source, "acts and states must be lists of strings")
+    try:
+        check_size(len(acts), len(states))
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{source}: {exc}") from None
     if not isinstance(utility, dict):
         raise _fail(f"{source}.utility", "expected an object of per-act state tables")
 

@@ -2,8 +2,10 @@
 
 A game is an immutable dense payoff tensor over labelled strategies.  All
 operations here are pure functions.  Payoffs are exact and held in one form:
-each player's payoffs are ints over one common denominator.  Readers work on
-those ints and build a `Fraction` only for a value they return, so at the API
+each player's payoffs are ints over one common denominator.  The constructor
+and the file parser read a nested payoff tensor in one pass straight to those
+ints (`scaled_payoffs`), and walk it again only to name a fault.  Readers work
+on the ints and build a `Fraction` only for a value they return, so at the API
 every payoff is a `Fraction`.  Results reproduce bit-exactly and comparisons
 never depend on floating tolerances.
 """
@@ -20,8 +22,9 @@ from .errors import (
     InvalidDistributionError,
     InvalidProfileError,
     InvalidScaleError,
+    OptiminError,
 )
-from .rational import over_common_denominator, to_fraction
+from .rational import literal_ratio, over_common_denominator, to_fraction
 
 PureProfile = tuple[int, ...]
 MixedProfile = tuple[tuple[Fraction, ...], ...]
@@ -48,10 +51,15 @@ class NormalFormGame:
     __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den")
 
     def __init__(self, players: Sequence[str], strategies: Sequence[Sequence[str]], payoffs) -> None:
-        size = self._set_labels(players, strategies)
-        cells: list[tuple[Fraction, ...]] = [None] * size  # type: ignore[list-item]
-        self._fill(payoffs, 0, (), cells)
-        self._num, self._den = zip(*map(over_common_denominator, zip(*cells)))
+        self._set_labels(players, strategies)
+        n = len(self.players)
+        scaled = scaled_payoffs(payoffs, self.shape, n)
+        if scaled is None:
+            prefix, fault = tensor_fault(payoffs, self.shape, n, "payoffs per cell")
+            if isinstance(fault, OptiminError):
+                raise fault
+            raise ValueError(f"payoffs{tensor_path(prefix)}: {fault}")
+        self._num, self._den = scaled
 
     @classmethod
     def _from_scaled(cls, players, strategies, num, den) -> NormalFormGame:
@@ -73,8 +81,8 @@ class NormalFormGame:
         game._den = tuple(dens)
         return game
 
-    def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> int:
-        """Validate and set the labels, shape and strides; return the cell count."""
+    def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> None:
+        """Validate and set the labels, shape and strides."""
         self.players = tuple(str(p) for p in players)
         if not self.players:
             raise ValueError("a game needs at least one player")
@@ -97,23 +105,6 @@ class NormalFormGame:
             strides.append(acc)
             acc *= size
         self._strides = tuple(reversed(strides))
-        return acc
-
-    def _fill(self, node, depth: int, prefix: PureProfile, cells: list) -> None:
-        n = len(self.players)
-        if depth == n:
-            if not isinstance(node, (list, tuple)) or len(node) != n:
-                raise ValueError(
-                    f"payoffs{_path(prefix)}: expected {n} payoffs per cell"
-                )
-            cells[self._index(prefix)] = tuple(to_fraction(v) for v in node)
-            return
-        if not isinstance(node, (list, tuple)) or len(node) != self.shape[depth]:
-            raise ValueError(
-                f"payoffs{_path(prefix)}: expected {self.shape[depth]} entries"
-            )
-        for k, child in enumerate(node):
-            self._fill(child, depth + 1, prefix + (k,), cells)
 
     def _index(self, profile: PureProfile) -> int:
         return sum(i * s for i, s in zip(profile, self._strides))
@@ -243,7 +234,52 @@ class NormalFormGame:
         return f"NormalFormGame({dims}, players={list(self.players)})"
 
 
-def _path(prefix: PureProfile) -> str:
+def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):
+    """A nested payoff tensor of `shape` whose cells hold `n` literals each, as
+    `NormalFormGame`'s ``(_num, _den)``, or None if it is malformed.
+
+    Each level is checked for type and length, then every literal is read by
+    `literal_ratio`, and each player's ints are put over the lcm of their
+    reduced denominators.
+    """
+    level = [payoffs]
+    for size in shape + (n,):
+        if not all(isinstance(node, (list, tuple)) and len(node) == size for node in level):
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    try:
+        ratios = list(map(literal_ratio, level))
+    except OptiminError:
+        return None
+    columns = [ratios[i::n] for i in range(n)]
+    den = tuple(math.lcm(*(e for _, e in column)) for column in columns)
+    return tuple(tuple(a * (d // e) for a, e in column) for column, d in zip(columns, den)), den
+
+
+def tensor_fault(
+    payoffs, shape: tuple[int, ...], n: int, cell: str
+) -> tuple[PureProfile, str | OptiminError]:
+    """The index path of the first fault, in depth-first order, of a tensor
+    `scaled_payoffs` refused, with what it lacks: "expected <length> entries"
+    (or <cell>, for a cell) for a node of the wrong type or length, or the
+    error of a literal that does not read."""
+    sizes = shape + (n,)
+    stack = [((), payoffs)]
+    while stack:
+        prefix, node = stack.pop()
+        depth = len(prefix)
+        if depth == len(sizes):
+            try:
+                literal_ratio(node)
+            except OptiminError as exc:
+                return prefix, exc
+        elif not isinstance(node, (list, tuple)) or len(node) != sizes[depth]:
+            return prefix, f"expected {sizes[depth]} {cell if depth == len(shape) else 'entries'}"
+        else:
+            stack.extend(reversed([(prefix + (k,), child) for k, child in enumerate(node)]))
+
+
+def tensor_path(prefix: PureProfile) -> str:
     return "".join(f"[{i}]" for i in prefix)
 
 

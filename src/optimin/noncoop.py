@@ -75,60 +75,48 @@ class EvaluatedProfile:
     witnesses: tuple
 
 
-def _options(game: NormalFormGame, idx: int, profile: PureProfile, player: int) -> tuple[int, ...]:
-    """`player`'s agreed strategy and strictly better replies at cell `idx`, ascending."""
-    u = game._num[player]
-    stride = game._strides[player]
-    base = u[idx]
-    start = idx - profile[player] * stride
-    return tuple(
-        s
-        for s in range(game.shape[player])
-        if s == profile[player] or u[start + s * stride] > base
-    )
+def _steps(game: NormalFormGame, idx: int, profile: PureProfile) -> list[list[int]]:
+    """Per player, the cell index steps from `idx` (the cell of `profile`) to
+    their agreed strategy and to each strictly better reply, ascending."""
+    steps = []
+    for u, p, stride, m in zip(game._num, profile, game._strides, game.shape):
+        base = u[idx]
+        start = idx - p * stride
+        line = u[start : start + m * stride : stride]
+        steps.append([(s - p) * stride for s, v in enumerate(line) if v > base or s == p])
+    return steps
 
 
 def better_responses(game: NormalFormGame, profile: PureProfile, player: int) -> BetterResponseSet:
     game.validate_profile(profile)
     profile = tuple(profile)
-    options = _options(game, game._index(profile), profile, player)
-    return BetterResponseSet(player, profile, tuple(s for s in options if s != profile[player]))
+    step = _steps(game, game._index(profile), profile)[player]
+    stride = game._strides[player]
+    return BetterResponseSet(player, profile, tuple(profile[player] + d // stride for d in step if d))
 
 
 def deviation_space(game: NormalFormGame, profile: PureProfile, player: int) -> DeviationSpace:
     game.validate_profile(profile)
     profile = tuple(profile)
-    idx = game._index(profile)
+    steps = _steps(game, game._index(profile), profile)
     options = tuple(
-        (profile[j],) if j == player else _options(game, idx, profile, j)
-        for j in range(game.num_players)
+        (p,) if j == player else tuple(p + d // stride for d in step)
+        for j, (p, stride, step) in enumerate(zip(profile, game._strides, steps))
     )
     return DeviationSpace(player, profile, options)
 
 
-def _scaled_value(game: NormalFormGame, profile: PureProfile) -> tuple[tuple[int, ...], tuple]:
-    """Per player, the deviation minimum over `_num` and its lexicographically
-    smallest minimizing profile."""
-    strides = game._strides
-    idx = game._index(profile)
-    # Every opponent's factor is the same for each evaluated player, as cell
-    # index offsets in ascending strategy order.
-    offsets = [
-        tuple(s * stride for s in _options(game, idx, profile, j))
-        for j, stride in enumerate(strides)
-    ]
-    values = []
-    witnesses = []
-    for i, u in enumerate(game._num):
-        factors = offsets[:i] + [(profile[i] * strides[i],)] + offsets[i + 1 :]
-        best = wit = None
-        for combo in itertools.product(*factors):
-            v = u[sum(combo)]
-            if best is None or v < best:
-                best, wit = v, combo
-        values.append(best)
-        witnesses.append(tuple(o // stride for o, stride in zip(wit, strides)))
-    return tuple(values), tuple(witnesses)
+def _deviation_cells(game: NormalFormGame, idx: int, profile: PureProfile) -> Iterator[list[int]]:
+    """Per player i in turn, the cells of i's deviation product at cell `idx`
+    in lexicographic profile order: i keeps `profile[i]`, and each opponent
+    stays or plays a strictly better reply."""
+    steps = _steps(game, idx, profile)
+    for i in range(len(steps)):
+        cells = [idx]
+        for j, step in enumerate(steps):
+            if j != i and len(step) > 1:
+                cells = [c + d for c in cells for d in step]
+        yield cells
 
 
 def _rescale(game: NormalFormGame, values) -> ValueVector:
@@ -143,8 +131,14 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     """
     game.validate_profile(profile)
     profile = tuple(profile)
-    values, witnesses = _scaled_value(game, profile)
-    return EvaluatedProfile(profile, _rescale(game, values), witnesses)
+    values = []
+    witnesses = []
+    for u, cells in zip(game._num, _deviation_cells(game, game._index(profile), profile)):
+        payoffs = [u[c] for c in cells]
+        values.append(min(payoffs))
+        witness = cells[payoffs.index(values[-1])]
+        witnesses.append(tuple(witness // stride % m for stride, m in zip(game._strides, game.shape)))
+    return EvaluatedProfile(profile, _rescale(game, values), tuple(witnesses))
 
 
 def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
@@ -157,7 +151,11 @@ def _scaled_values(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, .
     values times their `_den`."""
     if game.num_players == 2:
         return _values_2p(game)
-    return [(prof, _scaled_value(game, prof)[0]) for prof in game.profiles()]
+    table = []
+    for idx, prof in enumerate(game.profiles()):
+        per_player = zip(game._num, _deviation_cells(game, idx, prof))
+        table.append((prof, tuple([min(map(u.__getitem__, cells)) for u, cells in per_player])))
+    return table
 
 
 def _values_2p(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, int]]]:
@@ -412,16 +410,11 @@ def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
     """Agreement is optimin, or each strategy maximizes its own-deviation value."""
     game.validate_profile(profile)
     profile = tuple(profile)
-    consistent = True
-    for i in range(game.num_players):
-        own_values = [
-            _scaled_value(game, profile[:i] + (s,) + profile[i + 1 :])[0][i]
-            for s in range(game.shape[i])
-        ]
-        if own_values[profile[i]] != max(own_values):
-            consistent = False
-            break
-    if consistent:
+    table = _scaled_values(game)
+    idx = game._index(profile)
+    if all(
+        table[idx][1][i] == max(table[idx + (s - p) * stride][1][i] for s in range(m))
+        for i, (p, stride, m) in enumerate(zip(profile, game._strides, game.shape))
+    ):
         return True
-    kept = pareto_filter(_scaled_values(game), key=itemgetter(1))
-    return any(prof == profile for prof, _ in kept)
+    return any(prof == profile for prof, _ in pareto_filter(table, key=itemgetter(1)))

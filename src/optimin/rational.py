@@ -3,16 +3,19 @@
 Values at the library's API are `fractions.Fraction`s, which guarantee
 lowest terms and a positive denominator.  Inside, the solvers run on ints
 over common denominators and build a `Fraction` only for a value they
-return; `over_common_denominator` and `json_ratio` serve that.  The other
-helpers cover coercion and the two text encodings used by the file formats
-and the CLI: exact strings like ``"265/6"`` and plain integers.  A string is refused
-before it is parsed when its digits or its decimal exponent pass the bounds
-below, because ``"1e1000000"`` alone would build a 3.3-million-bit integer.
+return; `over_common_denominator` and `json_ratio` serve that, and
+`literal_ratio` reads a file's literal straight to a reduced ``(num, den)``
+pair.  The other helpers cover coercion and the two text encodings used by
+the file formats and the CLI: exact strings like ``"265/6"`` and plain
+integers.  A string is refused before it is parsed when its digits or its
+decimal exponent pass the bounds below, because ``"1e1000000"`` alone would
+build a 3.3-million-bit integer.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import FormatError, ResourceLimitError
@@ -21,6 +24,9 @@ from .errors import FormatError, ResourceLimitError
 # and exponent together, and the largest exponent magnitude of "1.5e3" style.
 RATIONAL_MAX_DIGITS = 1000
 RATIONAL_MAX_EXPONENT = 1000
+
+# "a" and "a/b" in ASCII digits: the literals `json_ratio` writes.
+_PLAIN_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def to_fraction(value) -> Fraction:
@@ -38,6 +44,20 @@ def to_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational number: {value!r}") from exc
     raise FormatError(f"expected a rational number, got {type(value).__name__}")
+
+
+def literal_ratio(value) -> tuple[int, int]:
+    """`to_fraction(value).as_integer_ratio()`, with no `Fraction` built for
+    an int or a plain "a" or "a/b" string within the digit bound."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= RATIONAL_MAX_DIGITS and _PLAIN_LITERAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        n, d = int(num), int(den or 1)
+        if d:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    return to_fraction(value).as_integer_ratio()
 
 
 def _check_literal_size(text: str) -> None:

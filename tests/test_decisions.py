@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optimin import (
     ConstraintError,
@@ -206,6 +208,51 @@ class TestReductionCheck:
         problem = two_by_two()
         report = gilboa_reduction_check(problem, OptimismConstraint.constant(problem))
         assert any("vacuous" in note for note in report.notes)
+
+
+def pairwise_dm_only(values) -> bool:
+    """The definition: for every pair of agreement values, v beats w on the
+    decision maker's value exactly when v Pareto-dominates w."""
+
+    def dominates(v, w):
+        a, b = (v.dm, v.nature), (w.dm, w.nature)
+        return a != b and all(x >= y for x, y in zip(a, b))
+
+    return all((v.dm > w.dm) == dominates(v, w) for v in values for w in values)
+
+
+@st.composite
+def antagonistic_problems(draw):
+    """Up to 4 acts x 4 states, small utilities so that ties are common, and
+    optimism constraints that may depend on the agreement."""
+    acts = [f"a{k}" for k in range(draw(st.integers(1, 4)))]
+    states = [f"s{k}" for k in range(draw(st.integers(1, 4)))]
+    cells = [(a, s) for a in acts for s in states]
+    utilities = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    problem = DecisionProblem(
+        acts, states, {cell: draw(utilities) for cell in cells}, antagonist=True
+    )
+
+    def subsets(labels):
+        return st.lists(st.sampled_from(labels), min_size=1, unique=True)
+
+    if draw(st.booleans()):
+        oc = OptimismConstraint.constant(problem, draw(subsets(states)), draw(subsets(acts)))
+    else:
+        oc = OptimismConstraint(
+            {cell: draw(subsets(states)) for cell in cells},
+            {cell: draw(subsets(acts)) for cell in cells},
+        )
+    return problem, oc
+
+
+@settings(max_examples=300, deadline=None)
+@given(antagonistic_problems())
+def test_dm_only_comparison_matches_the_pairwise_definition(built):
+    problem, oc = built
+    values = [decision_value(problem, oc, p) for p in problem.feasible_pairs()]
+    report = gilboa_reduction_check(problem, oc)
+    assert report.dm_only_comparison == pairwise_dm_only(values)
 
 
 class TestBounds:

@@ -2,8 +2,17 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optimin import FormatError, gen_named
+from optimin import FormatError, NormalFormGame, OptiminError, ResourceLimitError, gen_named
+from optimin.decisions import DECISION_MAX_CELLS
+from optimin.rational import (
+    RATIONAL_MAX_DIGITS,
+    RATIONAL_MAX_EXPONENT,
+    literal_ratio,
+    to_fraction,
+)
 from optimin.fileio import (
     dump_game,
     dump_marriage,
@@ -47,6 +56,53 @@ class TestGameFormat:
         doc["payoffs"] = [[[1, "x/y"], [0, 3]], [[2, 2], [1, 1]]]
         with pytest.raises(FormatError, match=r"payoffs\[0\]\[0\]\[1\]"):
             parse_game(json.dumps(doc))
+
+    def test_tensor_errors_at_every_depth(self):
+        # 3 players, 2 strategies each: depths 0-2 hold entries, depth 3 is a cell.
+        def faulty(path, value):
+            payoffs = [[[[1, 2, 3] for _ in range(2)] for _ in range(2)] for _ in range(2)]
+            node = payoffs
+            for k in path[:-1]:
+                node = node[k]
+            if path:
+                node[path[-1]] = value
+            else:
+                payoffs = value
+            return payoffs
+
+        three_by_two = [["a", "b"]] * 3
+        cases = [
+            ((), "x", ": expected 2 entries"),
+            ((), [[]] * 3, ": expected 2 entries"),
+            ((1,), {}, "[1]: expected 2 entries"),
+            ((1,), [[]], "[1]: expected 2 entries"),
+            ((1, 1), 7, "[1][1]: expected 2 entries"),
+            ((1, 1), [[1, 2, 3]] * 3, "[1][1]: expected 2 entries"),
+            ((1, 1, 1), None, "[1][1][1]: expected 3 payoffs"),
+            ((1, 1, 1), [1, 2], "[1][1][1]: expected 3 payoffs"),
+            ((1, 1, 1, 2), "x/y", "[1][1][1][2]: not a rational number: 'x/y'"),
+            ((1, 1, 1, 2), True, "[1][1][1][2]: expected a rational number, got boolean True"),
+            ((1, 1, 1, 2), 0.5, "[1][1][1][2]: expected a rational number, got float"),
+        ]
+        for path, value, message in cases:
+            doc = {"players": ["p", "q", "r"], "strategies": three_by_two, "payoffs": faulty(path, value)}
+            with pytest.raises(FormatError) as info:
+                parse_game(json.dumps(doc), source="g.json")
+            assert str(info.value) == "g.json.payoffs" + message
+            # The constructor names the same node.
+            with pytest.raises((ValueError, FormatError)) as info:
+                NormalFormGame(doc["players"], three_by_two, doc["payoffs"])
+            if len(path) == 4:
+                assert str(info.value) == message.partition(": ")[2]
+            else:
+                assert str(info.value) == "payoffs" + message.replace("3 payoffs", "3 payoffs per cell")
+        # The first fault in depth-first order is named, whatever its kind.
+        payoffs = faulty((1,), [[]])
+        payoffs[0][1][0][2] = "1/0"
+        doc = {"players": ["p", "q", "r"], "strategies": three_by_two, "payoffs": payoffs}
+        with pytest.raises(FormatError) as info:
+            parse_game(json.dumps(doc), source="g.json")
+        assert str(info.value) == "g.json.payoffs[0][1][0][2]: not a rational number: '1/0'"
 
     def test_json_syntax_error_reports_line(self):
         with pytest.raises(FormatError, match="line"):
@@ -171,6 +227,25 @@ class TestDecisionFormat:
         with pytest.raises(FormatError, match="rent"):
             parse_decision(json.dumps(doc))
 
+    def test_cell_bound_before_any_utility_is_read(self):
+        # Every utility is malformed, so reading any one would raise FormatError.
+        def doc(num_acts, num_states):
+            acts = [f"a{k}" for k in range(num_acts)]
+            states = [f"s{k}" for k in range(num_states)]
+            utility = {a: {s: "not a number" for s in states} for a in acts}
+            return json.dumps({"acts": acts, "states": states, "utility": utility})
+
+        with pytest.raises(ResourceLimitError) as info:
+            parse_decision(doc(65, 64), source="big.json")
+        assert not isinstance(info.value, FormatError)
+        assert str(info.value) == (
+            "big.json: decision problem of 65 acts x 64 states (4160 cells) exceeds "
+            f"the {DECISION_MAX_CELLS}-cell bound (DECISION_MAX_CELLS)"
+        )
+        # At the bound the utilities are read, and the first one is refused.
+        with pytest.raises(FormatError, match=r"big\.json\.utility\['a0'\]\['s0'\]"):
+            parse_decision(doc(64, 64), source="big.json")
+
 
 class TestRationalLiteralBound:
     def test_literal_bound(self):
@@ -207,3 +282,67 @@ class TestRationalLiteralBound:
         assert f"{RATIONAL_MAX_DIGITS + 1} digits" in message
         assert str(RATIONAL_MAX_DIGITS) in message
         assert "RATIONAL_MAX_DIGITS" in message
+
+
+def _literal_outcome(read, value):
+    try:
+        return read(value)
+    except OptiminError as exc:
+        return type(exc)
+
+
+def _texts():
+    """Rational literals and near misses: signs, leading zeros, ASCII and
+    non-ASCII digits, underscores, fractions, decimals, exponents at and past
+    RATIONAL_MAX_EXPONENT, surrounding whitespace, and digit runs at and past
+    RATIONAL_MAX_DIGITS."""
+    space = st.sampled_from(["", " ", "\t", "\n"])
+    digits = st.text(alphabet="0123456789_٣５", max_size=6)
+    exponents = st.integers(0, 4) | st.integers(RATIONAL_MAX_EXPONENT - 1, RATIONAL_MAX_EXPONENT + 1)
+    literal = st.builds(
+        "".join,
+        st.tuples(
+            space,
+            st.sampled_from(["", "-", "+", "--"]),
+            st.sampled_from(["", "0", "00"]),
+            digits,
+            st.sampled_from(["", "/", "."]).flatmap(
+                lambda mark: st.just("") if not mark else digits.map(lambda d: mark + d)
+            ),
+            st.just("") | st.builds("e{}{}".format, st.sampled_from(["", "-", "+"]), exponents),
+            space,
+        ),
+    )
+    half = RATIONAL_MAX_DIGITS // 2
+    long_runs = st.builds(
+        lambda sign, a, b: sign + "7" * a + "/" + "3" * b,
+        st.sampled_from(["", "-"]),
+        st.integers(half - 1, half + 1),
+        st.integers(half - 1, half + 1),
+    ) | st.builds(lambda k: "9" * k, st.integers(RATIONAL_MAX_DIGITS - 1, RATIONAL_MAX_DIGITS + 1))
+    ascii_digits = st.text(alphabet="0123456789", min_size=1, max_size=8)
+    plain = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "-"]),
+        ascii_digits,
+        st.just("") | ascii_digits.map("/".__add__),
+    )
+    return plain | literal | long_runs | st.sampled_from(["1/0", "-0/7", "0/0", "/", "1/-2"]) | st.text(max_size=8)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    _texts()
+    | st.integers()
+    | st.booleans()
+    | st.floats()
+    | st.none()
+    | st.fractions()
+)
+def test_literal_ratio_matches_fraction(value):
+    # The reader's (num, den) is to_fraction's, or it raises the same error type;
+    # a string within the bounds reads as Fraction reads it.
+    got = _literal_outcome(literal_ratio, value)
+    assert got == _literal_outcome(lambda v: to_fraction(v).as_integer_ratio(), value)
+    if isinstance(got, tuple) and isinstance(value, str):
+        assert got == F(value).as_integer_ratio()

@@ -10,6 +10,7 @@ oracles computed from the `Fraction` payoffs.
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -119,12 +120,48 @@ def deviation_product(game, profile, player):
     return list(product(*factors))
 
 
-@settings(max_examples=150, deadline=None)
-@given(games())
-def test_value_table_matches_the_definition(game):
+def check_value_table(game):
     brute = {prof: brute_value_pure(game, prof) for prof in game.profiles()}
     assert value_table(game) == brute
     assert list(value_table(game)) == list(brute)
+
+
+def check_witnesses(game):
+    for prof in game.profiles():
+        entry = value_pure(game, prof)
+        assert entry.value == brute_value_pure(game, prof)
+        for i, witness in enumerate(entry.witnesses):
+            space = deviation_product(game, prof, i)
+            assert witness == min(space, key=lambda full: (game.payoff(full)[i], full))
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_value_table_matches_the_definition(game):
+    check_value_table(game)
+
+
+@settings(max_examples=40, deadline=None)
+@given(built_games(player_counts=st.integers(min_value=4, max_value=5)).map(lambda built: built[0]))
+def test_values_and_witnesses_at_four_and_five_players(game):
+    check_value_table(game)
+    check_witnesses(game)
+
+
+def test_values_and_witnesses_on_seeded_four_and_five_player_games():
+    # Full-size shapes, which the drawn games above seldom reach.
+    for seed, shape in enumerate([(3, 3, 3, 3), (3, 2, 3, 3), (3, 3, 3, 3, 3), (2, 3, 3, 2, 3)]):
+        rng = random.Random(seed)
+        n = len(shape)
+        cells = {
+            prof: [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+            for prof in product(*map(range, shape))
+        }
+        players = [f"p{i}" for i in range(n)]
+        strategies = [[f"s{k}" for k in range(m)] for m in shape]
+        game = NormalFormGame(players, strategies, nest(cells, shape))
+        check_value_table(game)
+        check_witnesses(game)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,12 +217,7 @@ def test_maximin_profile_matches_the_definition(game):
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_value_pure_witnesses_are_lexicographically_smallest(game):
-    for prof in game.profiles():
-        entry = value_pure(game, prof)
-        assert entry.value == brute_value_pure(game, prof)
-        for i, witness in enumerate(entry.witnesses):
-            space = deviation_product(game, prof, i)
-            assert witness == min(space, key=lambda full: (game.payoff(full)[i], full))
+    check_witnesses(game)
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,6 +399,23 @@ def test_zero_sum_readers_match_the_cells(data):
     if any(u[0] for u in opposed.values()):
         with pytest.raises(DomainError):
             StatisticalGame(rebuilt(game, halved))
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_games(player_counts=st.integers(min_value=1, max_value=4)), st.integers(1, 12))
+def test_parse_dump_round_trip(built, factor):
+    game, cells = built
+    text = dump_game(game)
+    loaded = parse_game(text)
+    assert dump_game(loaded) == text
+    assert (loaded._num, loaded._den) == (game._num, game._den)
+    # Unreduced literals with leading zeros read to the same representation.
+    unreduced = {
+        prof: [f"{u.numerator * factor:03d}/{u.denominator * factor:03d}" for u in payoffs]
+        for prof, payoffs in cells.items()
+    }
+    doc = dict(json.loads(text), payoffs=nest(unreduced, game.shape))
+    assert dump_game(parse_game(json.dumps(doc))) == text
 
 
 @settings(max_examples=150, deadline=None)
