@@ -16,7 +16,7 @@ from typing import Mapping
 from .coop import TUGame
 from .decisions import DecisionProblem, OptimismConstraint, check_size
 from .errors import FormatError, ResourceLimitError
-from .games import NormalFormGame, scaled_payoffs, tensor_fault, tensor_path
+from .games import NormalFormGame, scaled_payoffs, tensor_fault
 from .matching import MarriageProblem
 from .rational import json_ratio, to_fraction
 
@@ -66,10 +66,10 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
     n = len(players)
     scaled = scaled_payoffs(payoffs, shape, n)
     if scaled is None:
-        prefix, fault = tensor_fault(payoffs, shape, n, "payoffs")
+        path, fault = tensor_fault(payoffs, shape, n, "payoffs")
         if isinstance(fault, ResourceLimitError):
             raise fault
-        raise _fail(f"{source}.payoffs{tensor_path(prefix)}", str(fault)) from None
+        raise _fail(f"{source}.payoffs{path}", str(fault)) from None
     try:
         return NormalFormGame._from_scaled(players, strategies, *scaled)
     except ValueError as exc:

@@ -55,10 +55,8 @@ class NormalFormGame:
         n = len(self.players)
         scaled = scaled_payoffs(payoffs, self.shape, n)
         if scaled is None:
-            prefix, fault = tensor_fault(payoffs, self.shape, n, "payoffs per cell")
-            if isinstance(fault, OptiminError):
-                raise fault
-            raise ValueError(f"payoffs{tensor_path(prefix)}: {fault}")
+            path, fault = tensor_fault(payoffs, self.shape, n, "payoffs per cell")
+            raise fault if isinstance(fault, OptiminError) else ValueError(f"payoffs{path}: {fault}")
         self._num, self._den = scaled
 
     @classmethod
@@ -256,31 +254,24 @@ def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):
     return tuple(tuple(a * (d // e) for a, e in column) for column, d in zip(columns, den)), den
 
 
-def tensor_fault(
-    payoffs, shape: tuple[int, ...], n: int, cell: str
-) -> tuple[PureProfile, str | OptiminError]:
-    """The index path of the first fault, in depth-first order, of a tensor
-    `scaled_payoffs` refused, with what it lacks: "expected <length> entries"
-    (or <cell>, for a cell) for a node of the wrong type or length, or the
-    error of a literal that does not read."""
+def tensor_fault(payoffs, shape: tuple[int, ...], n: int, cell: str) -> tuple[str, str | OptiminError]:
+    """The index path ("[0][2]") of the first fault, in depth-first order, of a
+    tensor `scaled_payoffs` refused, with what it lacks: "expected <length>
+    entries" (or <cell>, for a cell) for a node of the wrong type or length, or
+    the error of a literal that does not read."""
     sizes = shape + (n,)
-    stack = [((), payoffs)]
+    stack = [("", payoffs, 0)]
     while stack:
-        prefix, node = stack.pop()
-        depth = len(prefix)
+        path, node, depth = stack.pop()
         if depth == len(sizes):
             try:
                 literal_ratio(node)
             except OptiminError as exc:
-                return prefix, exc
+                return path, exc
         elif not isinstance(node, (list, tuple)) or len(node) != sizes[depth]:
-            return prefix, f"expected {sizes[depth]} {cell if depth == len(shape) else 'entries'}"
+            return path, f"expected {sizes[depth]} {cell if depth == len(shape) else 'entries'}"
         else:
-            stack.extend(reversed([(prefix + (k,), child) for k, child in enumerate(node)]))
-
-
-def tensor_path(prefix: PureProfile) -> str:
-    return "".join(f"[{i}]" for i in prefix)
+            stack.extend(reversed([(f"{path}[{k}]", child, depth + 1) for k, child in enumerate(node)]))
 
 
 class ConstantSumCheck(NamedTuple):

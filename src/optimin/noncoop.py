@@ -114,7 +114,7 @@ def _deviation_cells(game: NormalFormGame, idx: int, profile: PureProfile) -> It
     for i in range(len(steps)):
         cells = [idx]
         for j, step in enumerate(steps):
-            if j != i and len(step) > 1:
+            if j != i and len(step) > 1:  # a lone step is 0: the opponent stays
                 cells = [c + d for c in cells for d in step]
         yield cells
 
@@ -134,9 +134,8 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     values = []
     witnesses = []
     for u, cells in zip(game._num, _deviation_cells(game, game._index(profile), profile)):
-        payoffs = [u[c] for c in cells]
-        values.append(min(payoffs))
-        witness = cells[payoffs.index(values[-1])]
+        witness = min(cells, key=u.__getitem__)  # the first, so the lexicographically smallest
+        values.append(u[witness])
         witnesses.append(tuple(witness // stride % m for stride, m in zip(game._strides, game.shape)))
     return EvaluatedProfile(profile, _rescale(game, values), tuple(witnesses))
 
@@ -410,11 +409,15 @@ def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
     """Agreement is optimin, or each strategy maximizes its own-deviation value."""
     game.validate_profile(profile)
     profile = tuple(profile)
-    table = _scaled_values(game)
     idx = game._index(profile)
-    if all(
-        table[idx][1][i] == max(table[idx + (s - p) * stride][1][i] for s in range(m))
-        for i, (p, stride, m) in enumerate(zip(profile, game._strides, game.shape))
-    ):
+    for i, (u, p, stride) in enumerate(zip(game._num, profile, game._strides)):
+        own_values = []
+        for s in range(game.shape[i]):
+            per_player = _deviation_cells(game, idx + (s - p) * stride, profile[:i] + (s,) + profile[i + 1 :])
+            own_values.append(min(map(u.__getitem__, list(per_player)[i])))
+        if own_values[p] != max(own_values):
+            break
+    else:
         return True
-    return any(prof == profile for prof, _ in pareto_filter(table, key=itemgetter(1)))
+    kept = pareto_filter(_scaled_values(game), key=itemgetter(1))
+    return any(prof == profile for prof, _ in kept)
