@@ -327,10 +327,19 @@ def _texts():
         ascii_digits,
         st.just("") | ascii_digits.map("/".__add__),
     )
-    return plain | literal | long_runs | st.sampled_from(["1/0", "-0/7", "0/0", "/", "1/-2"]) | st.text(max_size=8)
+    # Near misses of the plain form: a space after the sign, stray underscores.
+    near_plain = st.from_regex(r"[ \t]?[-+]?[ ]?[0-9_٣]{1,5}(?:/[0-9_]{0,3})?[ \n]?", fullmatch=True)
+    return (
+        plain
+        | near_plain
+        | literal
+        | long_runs
+        | st.sampled_from(["1/0", "-0/7", "0/0", "/", "1/-2"])
+        | st.text(max_size=8)
+    )
 
 
-@settings(max_examples=1500, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(
     _texts()
     | st.integers()
