@@ -38,6 +38,8 @@ def _load_json(text: str, source: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's int-conversion digit limit
+        raise FormatError(f"{source}: {str(exc).partition(';')[0]}") from exc
 
 
 def _rational_at(value, path: str) -> Fraction:

@@ -54,10 +54,16 @@ def gen_travelers(low: int, high: int, r) -> NormalFormGame:
     claims = range(low, high + 1)
     labels = tuple(str(c) for c in claims)
     # With r = p/q every payoff is an int over q: a*q for a tie, the lower
-    # claim times q, plus p for its owner and minus p for the other.
+    # claim times q, plus p for its owner and minus p for the other.  Row a
+    # is column b's below the diagonal, the tie on it and a constant above.
     p, q = r.numerator, r.denominator
-    u1 = [a * q if a == b else a * q + p if a < b else b * q - p for a in claims for b in claims]
-    u2 = [a * q if a == b else a * q - p if a < b else b * q + p for a in claims for b in claims]
+    below1 = [b * q - p for b in claims]
+    below2 = [b * q + p for b in claims]
+    u1, u2 = [], []
+    for i, a in enumerate(claims):
+        above = len(claims) - i - 1
+        u1 += below1[:i] + [a * q] + [a * q + p] * above
+        u2 += below2[:i] + [a * q] + [a * q - p] * above
     return NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
 
 

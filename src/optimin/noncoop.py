@@ -8,9 +8,11 @@ mixed mode (two players only) admits mixed deviations and takes their worst
 case in closed form.
 
 Every solver reads each player's payoffs as ints over one denominator.  The
-mixed grid search Pareto-filters exact int keys (values scaled to the lcm of
-their denominators over the grid) and builds `Fraction` values and witnesses
-only for the survivors; a mixed witness is the opponent's lowest-index optimal
+pure solution set filters the int value vectors by cell position and builds
+profiles and witnesses only for the cells that survive.  The mixed grid
+search Pareto-filters exact int keys (values scaled to the lcm of their
+denominators over the grid) and builds `Fraction` values and witnesses only
+for the survivors; a mixed witness is the opponent's lowest-index optimal
 pure reply, else the first optimal mixture of two replies in (s, t) order.
 """
 
@@ -20,12 +22,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
 from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
-from .pareto import pareto_filter
+from .pareto import pareto_filter, pareto_positions
 from .rational import over_common_denominator
 
 
@@ -136,28 +138,28 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     for u, cells in zip(game._num, _deviation_cells(game, game._index(profile), profile)):
         witness = min(cells, key=u.__getitem__)  # the first, so the lexicographically smallest
         values.append(u[witness])
-        witnesses.append(tuple(witness // stride % m for stride, m in zip(game._strides, game.shape)))
+        witnesses.append(_profile_at(game, witness))
     return EvaluatedProfile(profile, _rescale(game, values), tuple(witnesses))
 
 
 def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
     """The value vector of every cell, keyed in lexicographic profile order."""
-    return {prof: _rescale(game, vec) for prof, vec in _scaled_values(game)}
+    return {prof: _rescale(game, vec) for prof, vec in zip(game.profiles(), _scaled_values(game))}
 
 
-def _scaled_values(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, ...]]]:
-    """`value_table` over `_num` as (profile, values) pairs, each player's
-    values times their `_den`."""
+def _scaled_values(game: NormalFormGame) -> list[tuple[int, ...]]:
+    """`value_table`'s vectors over `_num` in row-major cell order, each
+    player's values times their `_den`; no profile is built."""
     if game.num_players == 2:
         return _values_2p(game)
     table = []
     for idx, prof in enumerate(game.profiles()):
         per_player = zip(game._num, _deviation_cells(game, idx, prof))
-        table.append((prof, tuple([min(map(u.__getitem__, cells)) for u, cells in per_player])))
+        table.append(tuple([min(map(u.__getitem__, cells)) for u, cells in per_player]))
     return table
 
 
-def _values_2p(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, int]]]:
+def _values_2p(game: NormalFormGame) -> list[tuple[int, int]]:
     # Per row (column), the deviation minimum over the opponent's strictly
     # better cells is a suffix minimum after sorting by the opponent's payoff,
     # which avoids the quadratic per-line scan on big matrices.
@@ -166,8 +168,7 @@ def _values_2p(game: NormalFormGame) -> list[tuple[PureProfile, tuple[int, int]]
     v1 = [_line_minima(u1[a * nc : (a + 1) * nc], u2[a * nc : (a + 1) * nc]) for a in range(nr)]
     v2 = [_line_minima(u2[b::nc], u1[b::nc]) for b in range(nc)]
     # v1 is row by row and v2 column by column; both flatten to row-major.
-    values = zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2)))
-    return list(zip(game.profiles(), values))
+    return list(zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2))))
 
 
 def _line_minima(mine: Sequence[int], theirs: Sequence[int]) -> list[int]:
@@ -191,10 +192,15 @@ def optimin_pure(game: NormalFormGame) -> list[EvaluatedProfile]:
     """Pareto-optimal agreements of the pure value table (never empty).
 
     The filter runs on the scaled values: multiplying each player's values
-    by their positive `_den` changes no domination.
+    by their positive `_den` changes no domination.  Only the surviving
+    cells are decoded to profiles and evaluated with witnesses.
     """
-    kept = pareto_filter(_scaled_values(game), key=itemgetter(1))
-    return [value_pure(game, prof) for prof, _ in kept]
+    return [value_pure(game, _profile_at(game, idx)) for idx in pareto_positions(_scaled_values(game))]
+
+
+def _profile_at(game: NormalFormGame, idx: int) -> PureProfile:
+    """The profile of cell `idx`, decoded by strides."""
+    return tuple(idx // stride % m for stride, m in zip(game._strides, game.shape))
 
 
 @dataclass(frozen=True)
@@ -239,10 +245,7 @@ def nash_pure(game: NormalFormGame) -> list[PureProfile]:
             for start in range(first, first + stride)
         ]
         cells = [c for c in cells if u[c] == top[c // block * stride + c % stride]]
-    return [
-        tuple(c // stride % count for stride, count in zip(game._strides, game.shape))
-        for c in cells
-    ]
+    return [_profile_at(game, c) for c in cells]
 
 
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:
@@ -419,5 +422,4 @@ def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
             break
     else:
         return True
-    kept = pareto_filter(_scaled_values(game), key=itemgetter(1))
-    return any(prof == profile for prof, _ in kept)
+    return idx in pareto_positions(_scaled_values(game))

@@ -346,3 +346,20 @@ class TestErrorsAndDeterminism:
         assert "optimize 1" in proc.stdout
         assert "FAIL figure1 payoffs" in proc.stdout
         assert proc.returncode == 1
+
+
+def test_overlong_json_integer_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"players": ["a"], "strategies": [["x"]], "payoffs": [[%s]]}' % ("9" * 5000))
+    argv = ["optimin", "--game", str(path), "--pure"]
+    script = f"import sys; from optimin.cli import main; sys.exit(main({argv!r}))"
+    src = str(Path(optimin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -355,3 +355,23 @@ def test_literal_ratio_matches_fraction(value):
     assert got == _literal_outcome(lambda v: to_fraction(v).as_integer_ratio(), value)
     if isinstance(got, tuple) and isinstance(value, str):
         assert got == F(value).as_integer_ratio()
+
+
+# 5 000 nines, past Python's default int-conversion limit of 4 300 digits, so
+# `json.loads` itself refuses the number before any parser sees it.
+LONG_INTEGER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_game, '{"players": ["a"], "strategies": [["x"]], "payoffs": [[%s]]}' % LONG_INTEGER),
+        (parse_tu_game, '{"n": 1, "worth": {"1": %s}}' % LONG_INTEGER),
+    ],
+    ids=["game", "tu"],
+)
+def test_overlong_json_integer_is_a_format_error(parse, text):
+    with pytest.raises(FormatError) as info:
+        parse(text, source="f.json")
+    message = str(info.value)
+    assert message.startswith("f.json: ") and "5000 digits" in message

@@ -184,6 +184,50 @@ def test_optimin_pure_matches_brute_pareto(game):
         assert is_maximin_equilibrium(game, prof) == (own_best or in_front)
 
 
+SIDES = st.sampled_from(range(1, 13))
+
+
+@st.composite
+def two_player_games(draw):
+    """2-player games of up to 12x12, half of them a single row or column,
+    with numerators from a tied pool (0..2) over each player's denominators.
+    The payoffs come from one drawn `Random`, which keeps large games within
+    hypothesis's data budget."""
+    rows, cols = draw(SIDES), draw(SIDES)
+    shape = draw(st.sampled_from([(1, cols), (rows, 1), (rows, cols), (rows, cols)]))
+    pools = [draw(DENOMINATOR_POOLS) for _ in range(2)]
+    rng = draw(st.randoms(use_true_random=False))
+    cells = {
+        prof: [F(rng.randint(0, 2), rng.choice(pool)) for pool in pools]
+        for prof in product(*map(range, shape))
+    }
+    strategies = [[f"s{k}" for k in range(m)] for m in shape]
+    return NormalFormGame(["p0", "p1"], strategies, nest(cells, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_player_games())
+def test_two_player_kernel_at_larger_sizes(game):
+    brute = {prof: brute_value_pure(game, prof) for prof in game.profiles()}
+    assert value_table(game) == brute
+    assert list(value_table(game)) == list(brute)
+    front = set(brute_pareto(list(brute.values())))
+    expected = [prof for prof, vec in brute.items() if vec in front]
+    entries = optimin_pure(game)
+    assert [e.profile for e in entries] == expected
+    for entry in entries:
+        assert entry.value == brute[entry.profile]
+        for i, witness in enumerate(entry.witnesses):
+            space = deviation_product(game, entry.profile, i)
+            assert witness == min(space, key=lambda full: (game.payoff(full)[i], full))
+    for prof, vec in brute.items():
+        own_best = all(
+            vec[i] == max(brute[prof[:i] + (s,) + prof[i + 1 :]][i] for s in range(game.shape[i]))
+            for i in (0, 1)
+        )
+        assert is_maximin_equilibrium(game, prof) == (own_best or prof in expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_nash_pure_matches_best_responses(game):
@@ -458,6 +502,16 @@ class TestRepresentation:
             assert hash(direct) == hash(built)
             for prof in direct.profiles():
                 assert direct.payoff(prof) == built.payoff(prof)
+
+    def test_travelers_at_other_claim_ranges(self):
+        # The rows are built from slices by position, so ranges not starting
+        # at 2 and of other lengths must match cell by cell too.
+        for low, high in ((2, 3), (5, 9), (17, 40)):
+            for r in (F(2), F(7, 3), F(201, 100)):
+                direct = gen_travelers(low, high, r)
+                built = fraction_travelers(low, high, r)
+                assert (direct._num, direct._den) == (built._num, built._den)
+                assert direct == built and hash(direct) == hash(built)
 
     def test_denominators_are_the_lcm(self):
         assert gen_travelers(2, 10, F(5, 2))._den == (2, 2)

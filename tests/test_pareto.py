@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import optimin
 from optimin import EmptyInputError, coop, decisions, matching, noncoop, pareto, pareto_filter
+from optimin.pareto import pareto_positions
 from conftest import brute_pareto
 
 # Few distinct values, negatives and halves among them, so that ties in single
@@ -98,3 +99,21 @@ def test_matches_quadratic_definition(vecs):
     labelled = list(enumerate(vecs))
     survivors = set(expected)
     assert pareto_filter(labelled, key=lambda it: it[1]) == [it for it in labelled if it[1] in survivors]
+
+
+@st.composite
+def int_vector_lists(draw):
+    """Up to 200 vectors of width 2-5 with coordinates in 0..3, whole vectors repeated."""
+    width = draw(st.integers(min_value=2, max_value=5))
+    vector = st.tuples(*[st.integers(min_value=0, max_value=3)] * width)
+    pool = draw(st.lists(vector, min_size=1, max_size=60))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_vector_lists())
+def test_positions_match_quadratic_definition(vecs):
+    survivors = set(brute_pareto(vecs))
+    positions = pareto_positions(vecs)
+    assert positions == [i for i, v in enumerate(vecs) if v in survivors]
+    assert [vecs[i] for i in positions] == brute_pareto(vecs)
