@@ -60,10 +60,9 @@ def gen_travelers(low: int, high: int, r) -> NormalFormGame:
     below1 = [b * q - p for b in claims]
     below2 = [b * q + p for b in claims]
     u1, u2 = [], []
-    for i, a in enumerate(claims):
-        above = len(claims) - i - 1
-        u1 += below1[:i] + [a * q] + [a * q + p] * above
-        u2 += below2[:i] + [a * q] + [a * q - p] * above
+    for a in claims:
+        u1 += below1[: a - low] + [a * q] + [a * q + p] * (high - a)
+        u2 += below2[: a - low] + [a * q] + [a * q - p] * (high - a)
     return NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
 
 

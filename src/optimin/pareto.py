@@ -40,7 +40,7 @@ def pareto_positions(vectors: Sequence[tuple]) -> list[int]:
     a skyline.
     """
     if not vectors:
-        raise EmptyInputError("pareto_filter needs at least one item")
+        raise EmptyInputError("the Pareto filter needs at least one item")
     distinct = set(vectors)
     if len(set(map(len, distinct))) > 1:
         raise ValueError("all value vectors must have the same length")
