@@ -568,8 +568,7 @@ def _cmd_gen(args) -> int:
         text = fileio.dump_game(obj)
     else:
         text = fileio.dump_tu_game(obj)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    fileio.write_text(args.out, text)
     print(f"wrote {args.out}")
     return 0
 
@@ -632,8 +631,7 @@ def _cmd_sweep(args) -> int:
             lines.append("threshold: none")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -24,7 +24,7 @@ from .errors import DomainError, ResourceLimitError
 from .games import ValueVector
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
 from .pareto import pareto_filter
-from .rational import over_common_denominator, to_fraction
+from .rational import format_exact, over_common_denominator, to_fraction
 
 ZERO = Fraction(0)
 
@@ -117,10 +117,6 @@ class TUGame:
         return f"TUGame(n={self.n}, u(N)={self.worth(self.grand_coalition)})"
 
 
-def coalition_members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
 def coalition_sum(x: Sequence[Fraction], mask: int) -> Fraction:
     total = ZERO
     i = 0
@@ -191,7 +187,9 @@ def _scaled_feasible(
     x = as_allocation(game, x)
     alloc, worth, d = _scaled(game, x)
     if sum(alloc) > worth[game.grand_coalition]:
-        raise DomainError(f"allocation {x} exceeds the grand coalition worth")
+        raise DomainError(
+            f"allocation ({', '.join(map(format_exact, x))}) exceeds the grand coalition worth"
+        )
     return x, alloc, worth, d
 
 

@@ -10,18 +10,20 @@ value alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ConstraintError, DomainError, ResourceLimitError
 from .pareto import pareto_filter
-from .rational import to_fraction
+from .rational import literal_ratio
 
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
 
-# DecisionProblem refuses more than this many (act, state) cells, |A|·|S|:
-# optimin_acts scans O(|A|·|S|·(|A|+|S|)) labels.
+# DecisionProblem refuses more than this many (act, state) cells, |A|·|S|.
+# Each agreement's value is an int minimum over its row and column, so the work
+# is O(|A|·|S|·(|A|+|S|)): at the bound, 64×64 takes 0.1 s and 4096×1 3 s.
 DECISION_MAX_CELLS = 4096
 
 
@@ -35,10 +37,23 @@ def check_size(num_acts: int, num_states: int) -> None:
         )
 
 
-class DecisionProblem:
-    """Acts, states, mutual feasibility maps, and exact utilities on feasible pairs."""
+def _listed(lists, keys, labels, what: str) -> dict[str, set[str]]:
+    """Each key's listed labels, a nonempty subset of `labels`; all of them by default."""
+    universe = set(labels)
+    listed = {}
+    for key in keys:
+        allowed = listed[key] = universe if lists is None else {str(x) for x in lists.get(key, ())}
+        if not allowed or not allowed <= universe:
+            raise DomainError(f"feasible {what} {key!r} must be a nonempty subset")
+    return listed
 
-    __slots__ = ("acts", "states", "feasible_acts", "feasible_states", "utility", "antagonist")
+
+class DecisionProblem:
+    """Acts, states, and exact utilities as the ints ``_num[act][state]`` over one
+    denominator ``_den``.  A pair is feasible when both feasibility maps name it,
+    and an act's row holds exactly its feasible states: the one feasibility table."""
+
+    __slots__ = ("acts", "states", "antagonist", "_num", "_den")
 
     def __init__(
         self,
@@ -57,55 +72,55 @@ class DecisionProblem:
         if len(set(self.acts)) != len(self.acts) or len(set(self.states)) != len(self.states):
             raise DomainError("duplicate act or state labels")
 
-        if feasible_acts is None:
-            feasible_acts = {s: self.acts for s in self.states}
-        if feasible_states is None:
-            feasible_states = {a: self.states for a in self.acts}
-        self.feasible_acts = {}
-        for s in self.states:
-            allowed = tuple(str(a) for a in feasible_acts.get(s, ()))
-            if not allowed or not set(allowed) <= set(self.acts):
-                raise DomainError(f"feasible acts for state {s!r} must be a nonempty subset")
-            self.feasible_acts[s] = allowed
-        self.feasible_states = {}
+        acts_at = _listed(feasible_acts, self.states, self.acts, "acts for state")
+        states_at = _listed(feasible_states, self.acts, self.states, "states for act")
+        ratios = {}
         for a in self.acts:
-            allowed = tuple(str(s) for s in feasible_states.get(a, ()))
-            if not allowed or not set(allowed) <= set(self.states):
-                raise DomainError(f"feasible states for act {a!r} must be a nonempty subset")
-            self.feasible_states[a] = allowed
-
-        self.utility = {}
-        for (a, s) in self.feasible_pairs():
-            try:
-                self.utility[(a, s)] = to_fraction(utility[a][s] if isinstance(utility.get(a), Mapping) else utility[(a, s)])
-            except KeyError:
-                raise DomainError(f"no utility for feasible pair ({a!r}, {s!r})") from None
+            row = ratios[a] = {}
+            for s in self.states:
+                if s in states_at[a] and a in acts_at[s]:
+                    try:
+                        cell = utility[a][s] if isinstance(utility.get(a), Mapping) else utility[(a, s)]
+                    except KeyError:
+                        raise DomainError(f"no utility for feasible pair ({a!r}, {s!r})") from None
+                    row[s] = literal_ratio(cell)
+        den = self._den = math.lcm(*(d for row in ratios.values() for _, d in row.values()))
+        self._num = {a: {s: n * (den // d) for s, (n, d) in row.items()} for a, row in ratios.items()}
         self.antagonist = bool(antagonist)
 
+    @property
+    def feasible_states(self) -> dict[str, tuple[str, ...]]:
+        return {a: tuple(row) for a, row in self._num.items()}
+
+    @property
+    def feasible_acts(self) -> dict[str, tuple[str, ...]]:
+        return {s: tuple(self._nature_row(s)) for s in self.states}
+
+    def _nature_row(self, state: str) -> dict[str, int]:
+        """Nature's utilities (scaled by ``_den``) at `state`, keyed by its feasible acts."""
+        return {a: -row[state] for a, row in self._num.items() if state in row}
+
     def feasible_pairs(self) -> list[ActProfile]:
-        return [
-            (a, s)
-            for a in self.acts
-            for s in self.states
-            if s in self.feasible_states[a] and a in self.feasible_acts[s]
-        ]
+        return [(a, s) for a, row in self._num.items() for s in row]
 
     def is_feasible(self, profile: ActProfile) -> bool:
-        a, s = profile
-        return (
-            a in self.acts
-            and s in self.states
-            and s in self.feasible_states[a]
-            and a in self.feasible_acts[s]
-        )
+        return profile[1] in self._num.get(profile[0], ())
 
     def dm_utility(self, act: str, state: str) -> Fraction:
-        return self.utility[(act, state)]
+        return Fraction(self._num[act][state], self._den)
 
     def nature_utility(self, act: str, state: str) -> Fraction:
         if not self.antagonist:
             raise DomainError("Nature has no utility in a non-antagonistic problem")
-        return -self.utility[(act, state)]
+        return -self.dm_utility(act, state)
+
+
+def _possible(allowed: Sequence[str] | None, partners: Mapping[str, int], profile) -> tuple[str, ...]:
+    """The allowed labels among the feasible partners; all of them by default."""
+    possible = tuple(partners) if allowed is None else tuple(filter(partners.__contains__, allowed))
+    if not possible:
+        raise ConstraintError(f"optimism constraint empty at {profile}")
+    return possible
 
 
 class OptimismConstraint:
@@ -133,37 +148,33 @@ class OptimismConstraint:
     ) -> "OptimismConstraint":
         states = tuple(states) if states is not None else problem.states
         acts = tuple(acts) if acts is not None else problem.acts
-        dm = {p: states for p in problem.feasible_pairs()}
-        nat = {p: acts for p in problem.feasible_pairs()}
-        return cls(dm, nat)
+        pairs = problem.feasible_pairs()
+        return cls(dict.fromkeys(pairs, states), dict.fromkeys(pairs, acts))
 
     def states_for(self, problem: DecisionProblem, profile: ActProfile) -> tuple[str, ...]:
-        act = profile[0]
-        allowed = self.dm_states.get(profile)
-        if allowed is None:
-            allowed = problem.feasible_states[act]
-        feasible = set(problem.feasible_states[act])
-        possible = tuple(s for s in allowed if s in feasible)
-        if not possible:
-            raise ConstraintError(f"optimism constraint empty at {profile}")
-        return possible
+        return _possible(self.dm_states.get(profile), problem._num[profile[0]], profile)
 
     def acts_for(self, problem: DecisionProblem, profile: ActProfile) -> tuple[str, ...]:
-        state = profile[1]
-        allowed = self.nature_acts.get(profile)
-        if allowed is None:
-            allowed = problem.feasible_acts[state]
-        feasible = set(problem.feasible_acts[state])
-        possible = tuple(a for a in allowed if a in feasible)
-        if not possible:
-            raise ConstraintError(f"optimism constraint empty at {profile}")
-        return possible
+        return _possible(self.nature_acts.get(profile), problem._nature_row(profile[1]), profile)
 
 
 @dataclass(frozen=True)
 class DecisionValue:
     dm: Fraction
     nature: Fraction | None  # None when Nature has no utility
+
+
+def _evaluate(problem: DecisionProblem, oc: OptimismConstraint, profiles: list):
+    """The states the decision maker deems possible at each feasible agreement,
+    and both sides' values there as ints over ``_den`` (Nature's None without a
+    utility).  The decision maker's sets are all checked before Nature's."""
+    possible = [oc.states_for(problem, p) for p in profiles]
+    dm = [min(map(problem._num[a].__getitem__, states)) for (a, _), states in zip(profiles, possible)]
+    if not problem.antagonist:
+        return possible, dm, None
+    rows = {s: problem._nature_row(s) for _, s in profiles}
+    rivals = [_possible(oc.nature_acts.get(p), rows[p[1]], p) for p in profiles]
+    return possible, dm, [min(map(rows[s].__getitem__, acts)) for (_, s), acts in zip(profiles, rivals)]
 
 
 def decision_value(
@@ -173,15 +184,9 @@ def decision_value(
     profile = (str(profile[0]), str(profile[1]))
     if not problem.is_feasible(profile):
         raise DomainError(f"profile {profile} is not feasible")
-    act = profile[0]
-    dm_value = min(problem.dm_utility(act, s) for s in oc.states_for(problem, profile))
-    nature_value = None
-    if problem.antagonist:
-        state = profile[1]
-        nature_value = min(
-            problem.nature_utility(a, state) for a in oc.acts_for(problem, profile)
-        )
-    return DecisionValue(dm_value, nature_value)
+    _, (dm,), nature = _evaluate(problem, oc, [profile])
+    den = problem._den
+    return DecisionValue(Fraction(dm, den), None if nature is None else Fraction(nature[0], den))
 
 
 @dataclass(frozen=True)
@@ -203,19 +208,22 @@ def optimin_acts(problem: DecisionProblem, oc: OptimismConstraint) -> DecisionOp
     maker's value, and `ranking` says so.
     """
     profiles = problem.feasible_pairs()
-    values = [decision_value(problem, oc, p) for p in profiles]
-    if problem.antagonist:
-        entries = list(zip(profiles, values))
-        kept = pareto_filter(entries, key=lambda e: (e[1].dm, e[1].nature))
-        kept_profiles = tuple(p for p, _ in kept)
-        kept_values = tuple(v for _, v in kept)
-        return DecisionOptimin("pareto", kept_profiles, kept_values)
-    best = max(v.dm for v in values)
-    kept_pairs = [(p, v) for p, v in zip(profiles, values) if v.dm == best]
+    _, dm, nature = _evaluate(problem, oc, profiles)
+    return _optimin(problem, profiles, dm, nature)
+
+
+def _optimin(problem: DecisionProblem, profiles, dm, nature) -> DecisionOptimin:
+    # Values come from _evaluate; the Pareto front of dm alone keeps its maximizers.
+    vectors = [(v,) for v in dm] if nature is None else list(zip(dm, nature))
+    kept = pareto_filter(range(len(vectors)), key=vectors.__getitem__)
+    den = problem._den
     return DecisionOptimin(
-        "dm-only",
-        tuple(p for p, _ in kept_pairs),
-        tuple(v for _, v in kept_pairs),
+        "dm-only" if nature is None else "pareto",
+        tuple(profiles[i] for i in kept),
+        tuple(
+            DecisionValue(Fraction(dm[i], den), None if nature is None else Fraction(nature[i], den))
+            for i in kept
+        ),
     )
 
 
@@ -234,15 +242,16 @@ def gilboa_reduction_check(problem: DecisionProblem, oc: OptimismConstraint) -> 
     """When the constraint is act-independent and ranking is DM-only, the
     solution must be exactly the acts maximizing min-over-possible-states utility."""
     profiles = problem.feasible_pairs()
-    state_sets = [tuple(oc.states_for(problem, p)) for p in profiles]
-    constant = len(set(state_sets)) == 1
+    possible, dm, nature = _evaluate(problem, oc, profiles)
+    state_sets = set(map(frozenset, possible))
+    constant = len(state_sets) == 1
     notes = ["finite possible-state sets: convexity/closedness vacuous, skipped"]
 
-    if problem.antagonist:
+    if nature is not None:
         # The Pareto order on (dm, nature) agrees with the order on dm alone
         # exactly when equal dm values share one nature value and nature never
         # falls as dm rises, and in (dm, nature) order neighbouring pairs show both.
-        pairs = sorted((v.dm, v.nature) for v in (decision_value(problem, oc, p) for p in profiles))
+        pairs = sorted(zip(dm, nature))
         dm_only = all(
             b[1] == a[1] or (a[0] < b[0] and a[1] < b[1]) for a, b in zip(pairs, pairs[1:])
         )
@@ -253,13 +262,9 @@ def gilboa_reduction_check(problem: DecisionProblem, oc: OptimismConstraint) -> 
     hypotheses = constant and dm_only
     verified: bool | None = None
     if hypotheses:
-        possible = state_sets[0]
-        security = {
-            a: min(problem.dm_utility(a, s) for s in possible if s in problem.feasible_states[a])
-            for a in {p[0] for p in profiles}
-        }
+        (states,) = state_sets  # each act's row holds all of them: they are feasible
+        security = {a: min(map(row.__getitem__, states)) for a, row in problem._num.items() if row}
         best = max(security.values())
         maximin_acts = {a for a, g in security.items() if g == best}
-        verified = set(optimin_acts(problem, oc).acts) == maximin_acts
+        verified = set(_optimin(problem, profiles, dm, nature).acts) == maximin_acts
     return ReductionCheck(constant, dm_only, hypotheses, verified, tuple(notes))
-

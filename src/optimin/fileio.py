@@ -18,7 +18,7 @@ from .decisions import DecisionProblem, OptimismConstraint, check_size
 from .errors import FormatError, ResourceLimitError
 from .games import NormalFormGame, scaled_payoffs, tensor_fault
 from .matching import MarriageProblem
-from .rational import json_ratio, to_fraction
+from .rational import json_ratio, literal_ratio, to_fraction
 
 
 def _fail(path: str, message: str) -> FormatError:
@@ -42,9 +42,9 @@ def _load_json(text: str, source: str) -> object:
         raise FormatError(f"{source}: {str(exc).partition(';')[0]}") from exc
 
 
-def _rational_at(value, path: str) -> Fraction:
+def _rational_at(value, path: str, read=to_fraction):
     try:
-        return to_fraction(value)
+        return read(value)
     except FormatError as exc:
         raise _fail(path, str(exc)) from None
 
@@ -195,21 +195,18 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
     if not isinstance(utility, dict):
         raise _fail(f"{source}.utility", "expected an object of per-act state tables")
 
-    table = {}
     for act, row in utility.items():
         if not isinstance(row, dict):
             raise _fail(f"{source}.utility[{act!r}]", "expected an object keyed by state")
-        for state, value in row.items():
-            table[(act, state)] = _rational_at(value, f"{source}.utility[{act!r}][{state!r}]")
+        for state, value in row.items():  # checked here for the path; DecisionProblem reads them
+            _rational_at(value, f"{source}.utility[{act!r}][{state!r}]", literal_ratio)
+    antagonist = doc.get("antagonist", False)
+    if not isinstance(antagonist, bool):
+        raise _fail(f"{source}.antagonist", "expected a boolean")
 
     try:
         problem = DecisionProblem(
-            acts,
-            states,
-            table,
-            feasible_acts=doc.get("feasible_acts"),
-            feasible_states=doc.get("feasible_states"),
-            antagonist=bool(doc.get("antagonist", False)),
+            acts, states, utility, doc.get("feasible_acts"), doc.get("feasible_states"), antagonist
         )
     except Exception as exc:
         raise FormatError(f"{source}: {exc}") from exc
@@ -236,15 +233,7 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
                 out.setdefault(profile, tuple(wildcard))
         return out
 
-    oc_states = parse_oc("oc_states")
-    oc_acts = parse_oc("oc_acts")
-    if not oc_states:
-        oc = OptimismConstraint.constant(problem)
-        if oc_acts:
-            oc = OptimismConstraint(oc.dm_states, oc_acts)
-    else:
-        oc = OptimismConstraint(oc_states, oc_acts or None)
-    return problem, oc
+    return problem, OptimismConstraint(parse_oc("oc_states"), parse_oc("oc_acts"))
 
 
 # -- path helpers ----------------------------------------------------------
@@ -254,6 +243,14 @@ def read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
 

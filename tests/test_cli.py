@@ -117,6 +117,11 @@ class TestCoopCommands:
         )
         assert "value: (40, 30, 25)" in out
 
+    def test_infeasible_allocation_prints_exact_values(self, capsys):
+        code, out, err = run(capsys, "coop", "value", "--game", "coop_120", "--alloc", "200,0,1/3")
+        assert code == 1 and out == ""
+        assert err == "error: allocation (200, 0, 1/3) exceeds the grand coalition worth\n"
+
     def test_optimin_with_widened_floor(self, capsys):
         code, out, _ = run(
             capsys, "coop", "optimin", "--game", "coop_120",
@@ -190,6 +195,29 @@ class TestDecideCommands:
         assert "reduction to security maximization: confirmed" in out
 
 
+    def test_disagreeing_feasibility_lists(self, capsys, tmp_path):
+        # s2 lists only a2, so (a1, s2) is infeasible although a1 lists s2.
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps({
+            "acts": ["a1", "a2"],
+            "states": ["s1", "s2"],
+            "utility": {"a1": {"s1": 1}, "a2": {"s1": 2, "s2": 3}},
+            "feasible_acts": {"s1": ["a1", "a2"], "s2": ["a2"]},
+        }))
+        code, out, err = run(capsys, "decide", "solve", "--game", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "ranking: dm-only",
+            "optimin agreements: 2",
+            "  (a2, s1)  value 2",
+            "  (a2, s2)  value 2",
+            "acts: a2",
+        ]
+        code, out, err = run(capsys, "decide", "check", "--game", str(path))
+        assert (code, err) == (0, "")
+        assert "constant constraint: no" in out
+
+
 class TestGenAndSweep:
     def test_gen_then_solve(self, capsys, tmp_path):
         path = tmp_path / "pd.json"
@@ -224,6 +252,26 @@ class TestGenAndSweep:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["threshold"] <= 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "centipede"],
+            ["sweep", "--family", "travelers", "--param", "r", "--from", "2", "--to", "3"],
+        ],
+    )
+    def test_unwritable_out_exits_1_without_a_traceback(self, tmp_path, argv):
+        target = str(tmp_path / "missing" / "x.json")
+        argv = argv + ["--out", target]
+        script = f"import sys; from optimin.cli import main; sys.exit(main({argv!r}))"
+        src = str(Path(optimin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {target}: No such file or directory"]
+        assert proc.stdout == ""
 
     def test_sweep_point_bound(self, capsys):
         tracemalloc.start()

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_pareto
 from optimin import (
     ConstraintError,
     DecisionProblem,
+    DecisionValue,
     DomainError,
+    EmptyInputError,
     OptimismConstraint,
     ResourceLimitError,
     decision_value,
@@ -210,6 +213,20 @@ class TestReductionCheck:
         assert any("vacuous" in note for note in report.notes)
 
 
+    def test_constant_constraint_ignores_list_order(self):
+        problem = two_by_two()
+        forward, backward = ("s1", "s2"), ("s2", "s1")
+        oc = OptimismConstraint(
+            {
+                ("act1", "s1"): forward, ("act1", "s2"): forward,
+                ("act2", "s1"): backward, ("act2", "s2"): backward,
+            }
+        )
+        report = gilboa_reduction_check(problem, oc)
+        assert report.constant_constraint and report.hypotheses_hold
+        assert report.verified is True
+
+
 def pairwise_dm_only(values) -> bool:
     """The definition: for every pair of agreement values, v beats w on the
     decision maker's value exactly when v Pareto-dominates w."""
@@ -279,3 +296,100 @@ class TestBounds:
         # One cell past the bound is refused before the (missing) utilities are read.
         with pytest.raises(ResourceLimitError):
             DecisionProblem([f"a{k}" for k in range(DECISION_MAX_CELLS + 1)], ["s"], {})
+
+
+@st.composite
+def decision_problems(draw):
+    """Up to 4 acts x 4 states whose two feasibility maps need not agree,
+    optimism constraints that may depend on the agreement and may name
+    infeasible partners, and either kind of Nature."""
+    acts = [f"a{k}" for k in range(draw(st.integers(1, 4)))]
+    states = [f"s{k}" for k in range(draw(st.integers(1, 4)))]
+    cells = [(a, s) for a in acts for s in states]
+
+    def subsets(labels):
+        return st.lists(st.sampled_from(labels), min_size=1, unique=True)
+
+    utilities = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return dict(
+        acts=acts,
+        states=states,
+        utility={cell: draw(utilities) for cell in cells},
+        feasible_acts=draw(st.none() | st.fixed_dictionaries({s: subsets(acts) for s in states})),
+        feasible_states=draw(st.none() | st.fixed_dictionaries({a: subsets(states) for a in acts})),
+        antagonist=draw(st.booleans()),
+    ), draw(st.dictionaries(st.sampled_from(cells), subsets(states))), draw(
+        st.dictionaries(st.sampled_from(cells), subsets(acts))
+    )
+
+
+def definition_oracle(spec, dm_states, nature_acts):
+    """Each feasible agreement's value straight from the definition, or None
+    where a constraint leaves no feasible partner, with its possible states."""
+    acts, states, utility = spec["acts"], spec["states"], spec["utility"]
+    lists_a, lists_s = spec["feasible_acts"], spec["feasible_states"]
+
+    def feasible(a, s):
+        return (lists_s is None or s in lists_s[a]) and (lists_a is None or a in lists_a[s])
+
+    values, possible = {}, {}
+    for a, s in ((a, s) for a in acts for s in states if feasible(a, s)):
+        seen = [t for t in dm_states.get((a, s), states) if feasible(a, t)]
+        rivals = [b for b in nature_acts.get((a, s), acts) if feasible(b, s)]
+        possible[a, s] = frozenset(seen)
+        if not seen or (spec["antagonist"] and not rivals):
+            values[a, s] = None
+            continue
+        nature = -max(utility[b, s] for b in rivals) if spec["antagonist"] else None
+        values[a, s] = DecisionValue(min(utility[a, t] for t in seen), nature)
+    return values, possible
+
+
+@settings(max_examples=300, deadline=None)
+@given(decision_problems())
+def test_decisions_match_the_definition(built):
+    spec, dm_states, nature_acts = built
+    problem = DecisionProblem(**spec)
+    oc = OptimismConstraint(dm_states, nature_acts)
+    values, possible = definition_oracle(spec, dm_states, nature_acts)
+    assert problem.feasible_pairs() == list(values)
+    for profile, value in values.items():
+        if value is None:
+            with pytest.raises(ConstraintError):
+                decision_value(problem, oc, profile)
+        else:
+            assert decision_value(problem, oc, profile) == value
+
+    if None in values.values():
+        for solver in (optimin_acts, gilboa_reduction_check):
+            with pytest.raises(ConstraintError):
+                solver(problem, oc)
+        return
+    report = gilboa_reduction_check(problem, oc)
+    constant = len(set(possible.values())) == 1
+    dm_only = not spec["antagonist"] or pairwise_dm_only(values.values())
+    assert report.constant_constraint == constant
+    assert report.dm_only_comparison == dm_only
+    assert report.hypotheses_hold == (constant and dm_only)
+    if not values:
+        with pytest.raises(EmptyInputError):
+            optimin_acts(problem, oc)
+        assert report.verified is None
+        return
+
+    vectors = {p: (v.dm, v.nature) if spec["antagonist"] else (v.dm,) for p, v in values.items()}
+    front = brute_pareto(list(vectors.values()))
+    kept = [p for p, vector in vectors.items() if vector in front]
+    result = optimin_acts(problem, oc)
+    assert result.ranking == ("pareto" if spec["antagonist"] else "dm-only")
+    assert result.profiles == tuple(kept)
+    assert result.values == tuple(values[p] for p in kept)
+
+    if report.hypotheses_hold:
+        (seen,) = set(possible.values())
+        security = {a: min(spec["utility"][a, s] for s in seen) for a, _ in values}
+        best = max(security.values())
+        maximin = {a for a, g in security.items() if g == best}
+        assert report.verified == ({a for a, _ in kept} == maximin)
+    else:
+        assert report.verified is None

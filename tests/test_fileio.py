@@ -227,6 +227,16 @@ class TestDecisionFormat:
         with pytest.raises(FormatError, match="rent"):
             parse_decision(json.dumps(doc))
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_antagonist_must_be_a_boolean(self, flag):
+        doc = dict(self.DOC, antagonist=flag)
+        with pytest.raises(FormatError) as info:
+            parse_decision(json.dumps(doc), source="d.json")
+        assert str(info.value) == "d.json.antagonist: expected a boolean"
+        for flag in (True, False):
+            problem, _ = parse_decision(json.dumps(dict(self.DOC, antagonist=flag)))
+            assert problem.antagonist is flag
+
     def test_cell_bound_before_any_utility_is_read(self):
         # Every utility is malformed, so reading any one would raise FormatError.
         def doc(num_acts, num_states):
