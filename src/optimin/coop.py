@@ -33,6 +33,9 @@ Allocation = tuple[Fraction, ...]
 SHAPLEY_MAX_PLAYERS = 12
 IMPUTATION_GRID_MAX_POINTS = 100_000
 NUCLEOLUS_MAX_PLAYERS = 8
+# `core` solves one LP with a row per coalition, 2^n - 1 of them; at 9 players
+# it takes a few seconds, and every further player roughly quadruples that.
+CORE_MAX_PLAYERS = 9
 
 
 class TUGame:
@@ -360,6 +363,10 @@ class CoreResult:
 def core(game: TUGame) -> CoreResult:
     """LP feasibility of efficiency plus every coalition constraint."""
     n = game.n
+    if n > CORE_MAX_PLAYERS:
+        raise ResourceLimitError(
+            f"core of {n} players exceeds the {CORE_MAX_PLAYERS}-player bound (CORE_MAX_PLAYERS)"
+        )
     constraints = [([1] * n, "=", game.worth(game.grand_coalition))]
     for mask in game.proper_coalitions():
         coeffs = [1 if mask >> i & 1 else 0 for i in range(n)]
@@ -404,16 +411,28 @@ def shapley(game: TUGame) -> Allocation:
 def nucleolus(game: TUGame) -> Allocation:
     """Lexicographically minimize sorted coalition excesses over imputations.
 
-    The sequential-LP scheme: each round solves one LP that minimizes the
-    maximum excess eps over the coalitions not yet pinned, then pins every
-    such coalition whose dual value is positive, at level eps, and the
-    rounds stop once the pinned equalities determine the allocation.  By
-    complementary slackness a coalition with a positive dual is tight at
-    every optimum, and since eps is free the duals of the excess rows sum
-    to 1, so each round pins at least one coalition and needs no probe LPs
-    (Benedek, Fliege & Nguyen, Math. Programming 2021).  A coalition tight
-    at every optimum may still have a zero dual; it is pinned in a later
-    round at the same level, and the point is unique either way.
+    The sequential-LP scheme, one LP per round.  A round's primal minimizes
+    the maximum excess eps over the coalitions not yet pinned, subject to
+    efficiency, the pinned coalitions' excesses and individual rationality;
+    each round solves its dual instead, which has one equality row per
+    player and one more, so a pivot updates n + 1 rows rather than 2^n:
+
+        max  u(N)·y_N + sum_pinned (u(S) - level_S)·y_S + sum_free u(S)·λ_S
+             + sum_i u({i})·μ_i
+        s.t. y_N + sum_{pinned S ∋ i} y_S + sum_{free S ∋ i} λ_S + μ_i = 0
+                 for every player i,
+             sum_free λ_S = 1,
+             y free, λ >= 0, μ >= 0.
+
+    By strong duality its value is the round's eps, and by complementary
+    slackness every free coalition with λ_S > 0 is tight at every primal
+    optimum; those coalitions, a balanced collection in Kohlberg's criterion
+    (Kohlberg, SIAM J. Appl. Math. 1971), are pinned at level eps, and since
+    the λ sum to 1 each round pins at least one (Benedek, Fliege & Nguyen,
+    Math. Programming 2021).  The rounds stop once the pinned equalities
+    determine the allocation.  A coalition tight at every optimum may still
+    have λ_S = 0; it is pinned in a later round at the same level, and the
+    point is unique either way.
     """
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
@@ -430,33 +449,35 @@ def nucleolus(game: TUGame) -> Allocation:
 
     free = game.proper_coalitions()
     pinned: list[tuple[int, Fraction]] = []  # (mask, excess held at)
-    # Individual rationality lives in the variable bounds, which keeps the
-    # tableaus small; eps is the only genuinely free variable.
-    bounds = [(lows[i], None) for i in range(n)] + [(None, None)]
-
-    def mask_coeffs(mask: int) -> list[int]:
-        return [mask >> i & 1 for i in range(n)]
+    players = range(n)
 
     # Each round pins at least one coalition, and once every singleton is
     # pinned the system is determined, so the loop always returns.
     while True:
-        constraints = [(mask_coeffs(game.grand_coalition) + [0], "=", total)]
-        for mask, level in pinned:
-            constraints.append((mask_coeffs(mask) + [0], "=", game.worth(mask) - level))
-        for mask in free:
-            # excess u(S) - x(S) <= eps
-            constraints.append((mask_coeffs(mask) + [1], ">=", game.worth(mask)))
-        lp = LinearProgram.build([0] * n + [1], False, constraints, bounds)
-        sol = solve_lp(lp)
+        # Columns: y_N, y_S per pinned S, λ_S per free S, μ_i per player.
+        masks = [game.grand_coalition, *(mask for mask, _ in pinned), *free]
+        objective = [
+            total,
+            *(game.worth(mask) - level for mask, level in pinned),
+            *map(game.worth, free),
+            *lows,
+        ]
+        constraints = [
+            ([mask >> i & 1 for mask in masks] + [0] * i + [1] + [0] * (n - 1 - i), "=", 0)
+            for i in players
+        ]
+        lam = len(masks) - len(free)  # the first λ column
+        constraints.append(([0] * lam + [1] * len(free) + [0] * n, "=", 1))
+        bounds = [(None, None)] * lam + [(0, None)] * (len(free) + n)
+        sol = solve_lp(LinearProgram.build(objective, True, constraints, bounds))
         if not sol.is_optimal:
-            raise AssertionError(f"nucleolus LP unexpectedly {sol.status}")
-        duals = sol.duals[1 + len(pinned) :]
-        newly = [mask for mask, dual in zip(free, duals) if dual > 0]
+            raise AssertionError(f"nucleolus dual LP unexpectedly {sol.status}")
+        weights = sol.point[lam : lam + len(free)]
+        newly = {mask for mask, weight in zip(free, weights) if weight > 0}
         if not newly:
-            raise AssertionError("no coalition has a positive dual; solver bug")
-        for mask in newly:
-            pinned.append((mask, sol.objective_value))
-            free.remove(mask)
+            raise AssertionError("no coalition has a positive dual weight; solver bug")
+        pinned += [(mask, sol.objective_value) for mask in free if mask in newly]
+        free = [mask for mask in free if mask not in newly]
 
         point = _pinned_solution(game, pinned)
         if point is not None:

@@ -84,6 +84,11 @@ class DecisionProblem:
                     except KeyError:
                         raise DomainError(f"no utility for feasible pair ({a!r}, {s!r})") from None
                     row[s] = literal_ratio(cell)
+        if not any(ratios.values()):
+            raise DomainError(
+                "no (act, state) pair is feasible: feasible_acts and feasible_states "
+                "share no pair, so the feasibility table is empty"
+            )
         den = self._den = math.lcm(*(d for row in ratios.values() for _, d in row.values()))
         self._num = {a: {s: n * (den // d) for s, (n, d) in row.items()} for a, row in ratios.items()}
         self.antagonist = bool(antagonist)

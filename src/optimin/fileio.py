@@ -203,6 +203,15 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
     antagonist = doc.get("antagonist", False)
     if not isinstance(antagonist, bool):
         raise _fail(f"{source}.antagonist", "expected a boolean")
+    for field in ("feasible_acts", "feasible_states"):
+        table = doc.get(field)
+        if table is None:
+            continue
+        if not isinstance(table, dict):
+            raise _fail(f"{source}.{field}", "expected an object of label lists")
+        for key, labels in table.items():
+            if not isinstance(labels, list):
+                raise _fail(f"{source}.{field}[{key!r}]", "expected a list of labels")
 
     try:
         problem = DecisionProblem(

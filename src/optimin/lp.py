@@ -1,24 +1,28 @@
 """Exact linear programming: a fraction-free two-phase simplex with Bland's rule.
 
-The API speaks `Fraction`s; the solver works in ints.  Each constraint row,
-with its right-hand side, and the cost row are scaled to ints once, and the
-dense tableau then holds ints over one common denominator `D > 0` (Bareiss,
+The API speaks `Fraction`s; the solver works in ints.  `LinearProgram.build`
+reads each constraint's coefficients and right-hand side once, straight to
+ints over one positive denominator per row (`Constraint`), and the dense
+tableau then holds ints over one common denominator `D > 0` (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968): see `fraction_free_pivot`.  There is no
-epsilon anywhere.  Bland's rule (always pivot on the lowest eligible index)
-makes the method cycling-proof, and degenerate ratio ties are broken by the
-lowest basic-variable index, so the returned vertex is deterministic.
-Problem sizes here are desk scale, so a dense tableau is plenty.
+elimination", Math. Comp. 1968): see `fraction_free_pivot`.  The returned
+point is brought over one denominator once, and every constraint is checked
+at it in ints.  There is no epsilon anywhere.  Bland's rule (always pivot on
+the lowest eligible index) makes the method cycling-proof, and degenerate
+ratio ties are broken by the lowest basic-variable index, so the returned
+vertex is deterministic.  Problem sizes here are desk scale, so a dense
+tableau is plenty.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import over_common_denominator, to_fraction
+from .rational import literal_ratio, over_common_denominator, to_fraction
 
 ZERO = Fraction(0)
 
@@ -28,19 +32,61 @@ GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 
-@dataclass(frozen=True)
 class Constraint:
-    coefficients: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
+    """One row ``coefficients · x (relation) rhs``, held as ints.
+
+    ``_num`` holds the coefficients and then the right-hand side as ints over
+    the one positive denominator ``_den``, the lcm of their reduced
+    denominators, so equal rows have equal ints.  `coefficients` and `rhs`
+    are read-only properties that give them back as `Fraction`s.
+    """
+
+    __slots__ = ("_num", "_den", "relation")
+
+    def __init__(self, coefficients: Sequence, relation: str, rhs) -> None:
+        if relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        ratios = [literal_ratio(c) for c in coefficients]
+        ratios.append(literal_ratio(rhs))
+        den = math.lcm(*(d for _, d in ratios))
+        self._num = tuple([n * (den // d) for n, d in ratios])
+        self._den = den
+        self.relation = relation
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self._den) for a in self._num[:-1])
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self._num[-1], self._den)
 
     def holds_at(self, point: Sequence[Fraction]) -> bool:
-        lhs = sum((c * x for c, x in zip(self.coefficients, point)), ZERO)
+        if len(point) != len(self._num) - 1:
+            raise ValueError(f"point has {len(point)} entries, expected {len(self._num) - 1}")
+        return self._holds(*over_common_denominator(point))
+
+    def _holds(self, point: Sequence[int], scale: int) -> bool:
+        """Whether the row holds at ``point / scale`` (one int per coefficient),
+        in ints: ``sum(a * x) (relation) b * scale`` over the row's ints."""
+        lhs = sum(map(operator.mul, self._num, point))
+        rhs = self._num[-1] * scale
         if self.relation == LESS_EQUAL:
-            return lhs <= self.rhs
+            return lhs <= rhs
         if self.relation == GREATER_EQUAL:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return lhs >= rhs
+        return lhs == rhs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return (self.relation, self._den, self._num) == (other.relation, other._den, other._num)
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self._den, self._num))
+
+    def __repr__(self) -> str:
+        return f"Constraint({self.coefficients!r}, {self.relation!r}, {self.rhs!r})"
 
 
 @dataclass(frozen=True)
@@ -62,14 +108,12 @@ class LinearProgram:
             raise ValueError("an LP needs at least one variable")
         rows = []
         for coeffs, rel, rhs in constraints:
-            coeffs = tuple(to_fraction(c) for c in coeffs)
-            if len(coeffs) != len(obj):
+            row = Constraint(coeffs, rel, rhs)
+            if len(row._num) != len(obj) + 1:
                 raise ValueError(
-                    f"constraint has {len(coeffs)} coefficients, expected {len(obj)}"
+                    f"constraint has {len(row._num) - 1} coefficients, expected {len(obj)}"
                 )
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            rows.append(Constraint(coeffs, rel, to_fraction(rhs)))
+            rows.append(row)
         if bounds is None:
             bounds = ((None, None),) * len(obj)
         else:
@@ -119,28 +163,33 @@ class _Unbounded(Exception):
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly; the returned point is re-verified against every constraint."""
     try:
-        point, duals = _solve(lp)
+        point, scale, duals = _solve(lp)
     except _Infeasible:
         return LPSolution("infeasible")
     except _Unbounded:
         return LPSolution("unbounded")
-    value = sum((c * x for c, x in zip(lp.objective, point)), ZERO)
-    _verify(lp, point)
-    return LPSolution("optimal", tuple(point), value, duals)
+    _verify(lp, point, scale)
+    obj, den = over_common_denominator(lp.objective)
+    value = Fraction(sum(map(operator.mul, obj, point)), den * scale)
+    exact = tuple(Fraction(x, scale) if x else ZERO for x in point)
+    return LPSolution("optimal", exact, value, duals)
 
 
-def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
+def _verify(lp: LinearProgram, point: Sequence[int], scale: int) -> None:
+    """Check every constraint and bound, exactly, at the point ``point / scale``."""
     for k, row in enumerate(lp.constraints):
-        if not row.holds_at(point):
-            raise AssertionError(f"solver bug: constraint {k} violated at {point}")
+        if not row._holds(point, scale):
+            raise AssertionError(f"solver bug: constraint {k} violated at {point} / {scale}")
     for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and point[j] < lo:
+        x = point[j]
+        if lo is not None and x * lo.denominator < lo.numerator * scale:
             raise AssertionError(f"solver bug: lower bound of variable {j} violated")
-        if hi is not None and point[j] > hi:
+        if hi is not None and x * hi.denominator > hi.numerator * scale:
             raise AssertionError(f"solver bug: upper bound of variable {j} violated")
 
 
-def _solve(lp: LinearProgram) -> tuple[list[Fraction], tuple[Fraction, ...]]:
+def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[Fraction, ...]]:
+    """The optimal point as ints over one positive denominator, and the duals."""
     # Rewrite onto nonnegative internal variables:
     #   lb only      x = lb + y
     #   ub only      x = ub - y
@@ -154,15 +203,17 @@ def _solve(lp: LinearProgram) -> tuple[list[Fraction], tuple[Fraction, ...]]:
     widths: list[tuple[int, int]] = []  # (column, (ub - lb) * scale)
     n_internal = 0
     for lo, hi in lp.bounds:
-        if lo is not None and hi is not None and lo > hi:
-            raise _Infeasible
         if lo is not None:
-            columns.append((1, int(lo * scale), n_internal, None))
+            low = lo.numerator * (scale // lo.denominator)
+            columns.append((1, low, n_internal, None))
             if hi is not None:
-                widths.append((n_internal, int((hi - lo) * scale)))
+                width = hi.numerator * (scale // hi.denominator) - low
+                if width < 0:
+                    raise _Infeasible
+                widths.append((n_internal, width))
             n_internal += 1
         elif hi is not None:
-            columns.append((-1, int(hi * scale), n_internal, None))
+            columns.append((-1, hi.numerator * (scale // hi.denominator), n_internal, None))
             n_internal += 1
         else:
             columns.append((1, 0, n_internal, n_internal + 1))
@@ -186,7 +237,7 @@ def _solve(lp: LinearProgram) -> tuple[list[Fraction], tuple[Fraction, ...]]:
         scales.append((num // g2, g // g2))
 
     for con in lp.constraints:
-        ints, den = over_common_denominator((*con.coefficients, con.rhs))
+        ints, den = con._num, con._den
         row = [0] * n_internal
         b = ints[-1] * scale
         for a, (sign, offset, col, neg) in zip(ints, columns):
@@ -212,10 +263,11 @@ def _solve(lp: LinearProgram) -> tuple[list[Fraction], tuple[Fraction, ...]]:
 
     y, prices, d = _simplex(rows, rels, rhs, scales, cost)
 
+    # x_j = sign * y/d + offset/scale, over the one denominator d * scale.
     point = []
     for sign, offset, col, neg in columns:
         val = y[col] if neg is None else y[col] - y[neg]
-        point.append(sign * val + Fraction(offset, scale))
+        point.append(sign * val * scale + offset * d)
     # prices/d are the duals of the int rows for the int cost row; undo both
     # scalings, and the sign flip of a maximum.
     sense = -1 if lp.maximize else 1
@@ -223,7 +275,7 @@ def _solve(lp: LinearProgram) -> tuple[list[Fraction], tuple[Fraction, ...]]:
         Fraction(sense * num * price, den_k * den * d)
         for price, (num, den_k) in zip(prices, scales[: len(lp.constraints)])
     )
-    return point, duals
+    return point, d * scale, duals
 
 
 def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
@@ -251,11 +303,11 @@ def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[Fraction], list[int], int]:
+def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
     """Two-phase tableau simplex over y >= 0 on int data.
 
-    Returns an optimal y, each row's dual value (for the int rows and the
-    int cost) as an int over the returned common denominator, and that
+    Returns an optimal y and each row's dual value (for the int rows and the
+    int cost), both as ints over the returned common denominator, and that
     denominator; or raises.  `scales[k] = (num, den)` says row k is num/den
     times the row the caller started from; phase 1 weighs each artificial
     by den/num, so it minimizes the sum of the unscaled artificials and
@@ -350,10 +402,10 @@ def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[Fraction], list[int], 
     # Phase 2 on the original cost.
     d = _pivot_until_optimal(tableau, basis, len(basis), total, d)
 
-    y = [ZERO] * n
+    y = [0] * n
     for r, b in enumerate(basis):
         if b < n:
-            y[b] = Fraction(tableau[r][-1], d)
+            y[b] = tableau[r][-1]
     # The cost row is D*(c - pi*A) over the rows as given: a slack column
     # reads -pi_r times its +-1 coefficient, an equality row's artificial
     # column -pi_r times the sign that made its rhs nonnegative.

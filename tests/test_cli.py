@@ -217,6 +217,22 @@ class TestDecideCommands:
         assert (code, err) == (0, "")
         assert "constant constraint: no" in out
 
+    def test_empty_feasibility_table(self, capsys, tmp_path):
+        # Each state lists the one act that does not list it, so no pair is feasible.
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "acts": ["a1", "a2"],
+            "states": ["s1", "s2"],
+            "utility": {"a1": {"s1": 1, "s2": 2}, "a2": {"s1": 3, "s2": 4}},
+            "feasible_acts": {"s1": ["a1"], "s2": ["a2"]},
+            "feasible_states": {"a1": ["s2"], "a2": ["s1"]},
+        }))
+        for command in ("solve", "check"):
+            code, out, err = run(capsys, "decide", command, "--game", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path}: no (act, state) pair is feasible")
+            assert "feasibility table is empty" in err
+
 
 class TestGenAndSweep:
     def test_gen_then_solve(self, capsys, tmp_path):

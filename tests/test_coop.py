@@ -1,9 +1,11 @@
+import importlib.util
 import itertools
 import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from optimin import (
 )
 from optimin import coop
 from optimin.coop import (
+    CORE_MAX_PLAYERS,
     IMPUTATION_GRID_MAX_POINTS,
     NUCLEOLUS_MAX_PLAYERS,
     SHAPLEY_MAX_PLAYERS,
@@ -382,6 +385,22 @@ class TestNucleolus:
         assert "9 players" in message
         assert "NUCLEOLUS_MAX_PLAYERS" in message
 
+    def test_core_player_bound(self):
+        n = CORE_MAX_PLAYERS + 1
+        game = TUGame(n, {m: 0 for m in range(1, 1 << n)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                core(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any of the 2^n - 1 rows is built
+        message = str(info.value)
+        assert f"{n} players" in message
+        assert f"{CORE_MAX_PLAYERS}-player bound" in message
+        assert "CORE_MAX_PLAYERS" in message
+
 
 class TestCoreEquivalences:
     def test_grid_optimin_equals_core_on_convex_games(self):
@@ -485,12 +504,60 @@ def probe_nucleolus(game):
     raise AssertionError("pinned system never became determined")
 
 
+def primal_nucleolus(game):
+    """Reference: the sequential-LP nucleolus on each round's primal LP.
+
+    Each round minimizes the maximum excess eps over the free coalitions,
+    with individual rationality in the variable bounds, and pins every free
+    coalition whose excess row has a positive dual value, at level eps; the
+    pinned equalities are solved by `coop._pinned_solution`.
+    """
+    n = game.n
+    total = game.worth(game.grand_coalition)
+    if n == 1:
+        return (total,)
+    free = game.proper_coalitions()
+    pinned = []
+    bounds = [(low, None) for low in game.singletons()] + [(None, None)]
+
+    def mask_coeffs(mask):
+        return [mask >> i & 1 for i in range(n)]
+
+    while True:
+        constraints = [(mask_coeffs(game.grand_coalition) + [0], "=", total)]
+        for mask, level in pinned:
+            constraints.append((mask_coeffs(mask) + [0], "=", game.worth(mask) - level))
+        for mask in free:
+            constraints.append((mask_coeffs(mask) + [1], ">=", game.worth(mask)))
+        sol = solve_lp(LinearProgram.build([0] * n + [1], False, constraints, bounds))
+        assert sol.is_optimal
+        duals = sol.duals[1 + len(pinned) :]
+        newly = [mask for mask, dual in zip(free, duals) if dual > 0]
+        assert newly
+        for mask in newly:
+            pinned.append((mask, sol.objective_value))
+            free.remove(mask)
+        point = coop._pinned_solution(game, pinned)
+        if point is not None:
+            return point
+
+
+def _bench_workloads():
+    """perfbench/workloads.py, loaded by path and only read from."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("optimin_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @st.composite
-def tu_games(draw):
-    """3 to 5 players, worths with denominators up to 6; a coalition's bonus
-    over its members' singletons may exceed the grand coalition's, which
-    empties the core, but the imputation set is never empty."""
-    n = draw(st.integers(3, 5))
+def tu_games(draw, max_players=5):
+    """3 to `max_players` players, worths with denominators up to 6; a
+    coalition's bonus over its members' singletons may exceed the grand
+    coalition's, which empties the core, but the imputation set is never
+    empty."""
+    n = draw(st.integers(3, max_players))
     worth_value = st.fractions(min_value=-6, max_value=12, max_denominator=6)
     singles = [draw(worth_value) for _ in range(n)]
     surplus = draw(st.fractions(min_value=0, max_value=20, max_denominator=6))
@@ -521,6 +588,20 @@ class TestDualPinnedNucleolus:
         assert core(game).empty
         assert nucleolus(game) == probe_nucleolus(game) == (F(3),) * 4
 
+    @settings(max_examples=30, deadline=None)
+    @given(tu_games(max_players=7))
+    def test_matches_the_primal_scheme(self, game):
+        assert nucleolus(game) == primal_nucleolus(game)
+
+    def test_matches_the_primal_scheme_on_the_benchmark_pool(self):
+        # The 80 4-player games of the benchmark's nucleolus4 pool, each drawn
+        # by workloads.nucleolus4_data from its own seeded generator.
+        workloads = _bench_workloads()
+        for index in range(workloads.POOL_SIZE["nucleolus4"]):
+            data = workloads.pool_instance("nucleolus4", index).data
+            game = TUGame(data["n"], data["worth"])
+            assert nucleolus(game) == primal_nucleolus(game)
+
     @settings(max_examples=40, deadline=None)
     @given(tu_games())
     def test_one_lp_per_round(self, game):
@@ -542,8 +623,23 @@ class TestDualPinnedNucleolus:
         finally:
             coop.solve_lp, coop._pinned_solution = solve, pinned_solution
         assert len(lps) == len(rounds) >= 1
-        # every LP is a round's eps-minimizing LP: no probes
-        assert all(lp.objective == (F(0),) * game.n + (F(1),) for lp in lps)
+        # every LP is a round's dual, with no probes: a maximum over one
+        # equality row per player and the row sum(λ) = 1, with a free column
+        # for the grand and each pinned coalition, then a λ column per free
+        # coalition and a μ column per player
+        n = game.n
+        for lp, pinned_before in zip(lps, [0] + rounds):
+            free_columns = 1 + pinned_before
+            lam = len(lp.objective) - free_columns - n
+            assert lp.maximize
+            assert lam == (1 << n) - 2 - pinned_before
+            assert lp.bounds == ((None, None),) * free_columns + ((0, None),) * (lam + n)
+            assert len(lp.constraints) == n + 1
+            assert all(row.relation == "=" for row in lp.constraints)
+            assert all(row.rhs == 0 for row in lp.constraints[:n])
+            last = lp.constraints[-1]
+            assert last.coefficients == (0,) * free_columns + (1,) * lam + (0,) * n
+            assert last.rhs == 1
         # and every round pins at least one more coalition
         assert all(a < b for a, b in zip([0] + rounds, rounds))
 

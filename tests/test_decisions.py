@@ -272,6 +272,29 @@ def test_dm_only_comparison_matches_the_pairwise_definition(built):
     assert report.dm_only_comparison == pairwise_dm_only(values)
 
 
+class TestFeasibilityTable:
+    def test_empty_table_is_refused(self):
+        # Each state lists the one act that does not list it.
+        with pytest.raises(DomainError, match="feasibility table is empty"):
+            DecisionProblem(
+                ("a1", "a2"),
+                ("s1", "s2"),
+                {"a1": {"s1": 1, "s2": 2}, "a2": {"s1": 3, "s2": 4}},
+                feasible_acts={"s1": ["a1"], "s2": ["a2"]},
+                feasible_states={"a1": ["s2"], "a2": ["s1"]},
+            )
+
+    def test_one_feasible_pair_is_enough(self):
+        problem = DecisionProblem(
+            ("a1", "a2"),
+            ("s1", "s2"),
+            {"a1": {"s2": 2}},
+            feasible_acts={"s1": ["a2"], "s2": ["a1"]},
+            feasible_states={"a1": ["s2"], "a2": ["s2"]},
+        )
+        assert problem.feasible_pairs() == [("a1", "s2")]
+
+
 class TestBounds:
     def test_cell_bound(self):
         tracemalloc.start()

@@ -237,6 +237,23 @@ class TestDecisionFormat:
             problem, _ = parse_decision(json.dumps(dict(self.DOC, antagonist=flag)))
             assert problem.antagonist is flag
 
+    @pytest.mark.parametrize("field", ["feasible_acts", "feasible_states"])
+    def test_feasibility_maps_must_be_objects_of_label_lists(self, field):
+        cases = [
+            (["keep"], f"d.json.{field}: expected an object of label lists"),
+            ("keep", f"d.json.{field}: expected an object of label lists"),
+            ({"keep": "buy"}, f"d.json.{field}['keep']: expected a list of labels"),
+            ({"buy": {"keep": 1}}, f"d.json.{field}['buy']: expected a list of labels"),
+        ]
+        for table, message in cases:
+            doc = dict(self.DOC, **{field: table})
+            with pytest.raises(FormatError) as info:
+                parse_decision(json.dumps(doc), source="d.json")
+            assert str(info.value) == message
+        # null reads as absent: every pair stays feasible
+        problem, _ = parse_decision(json.dumps(dict(self.DOC, **{field: None})))
+        assert len(problem.feasible_pairs()) == 4
+
     def test_cell_bound_before_any_utility_is_read(self):
         # Every utility is malformed, so reading any one would raise FormatError.
         def doc(num_acts, num_states):

@@ -5,7 +5,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optimin import LinearProgram, solve_lp
+import pytest
+
+from optimin import Constraint, LinearProgram, solve_lp
+from optimin import lp as lp_module
 
 
 def build(objective, maximize, constraints, bounds=None):
@@ -78,6 +81,95 @@ class TestBasics:
         )
         assert sol.status == "optimal"
         assert sol.objective_value == F(-1, 20)
+
+
+RELATIONS = ("<=", ">=", "=")
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def fraction_holds(coefficients, relation, rhs, point):
+    """The definition: sum(c * x) (relation) rhs, in Fractions."""
+    lhs = sum((F(c) * x for c, x in zip(coefficients, point)), F(0))
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[relation]
+
+
+class TestConstraint:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_holds_at_matches_the_fraction_definition(self, data):
+        n = data.draw(st.integers(1, 5))
+        values = st.one_of(st.just(F(0)), st.integers(-4, 4).map(F), small_fractions)
+        coefficients = data.draw(st.lists(values, min_size=n, max_size=n))
+        point = data.draw(st.lists(values, min_size=n, max_size=n))
+        relation = data.draw(st.sampled_from(RELATIONS))
+        # a rhs at the point's own value makes equality and the boundary likely
+        exact = sum((c * x for c, x in zip(coefficients, point)), F(0))
+        rhs = data.draw(st.one_of(st.just(exact), values))
+        row = Constraint(coefficients, relation, rhs)
+        assert row.holds_at(point) == fraction_holds(coefficients, relation, rhs, point)
+
+    def test_round_trip_equality_and_hash(self):
+        spellings = [
+            ([1, -2, 0], 3),
+            (["1", "-2", "0"], "3"),
+            ([F(1), F(-2), F(0)], F(3)),
+            (["2/2", "-4/2", "0/5"], "6/2"),
+        ]
+        rows = [Constraint(coeffs, "<=", rhs) for coeffs, rhs in spellings]
+        for row in rows:
+            assert row.coefficients == (F(1), F(-2), F(0))
+            assert row.rhs == F(3)
+            assert all(type(c) is F for c in (*row.coefficients, row.rhs))
+        assert all(row == rows[0] and hash(row) == hash(rows[0]) for row in rows)
+        fractional = [
+            Constraint(["1/2", "-2/3"], "=", "5/6"),
+            Constraint([F(1, 2), F(-2, 3)], "=", F(5, 6)),
+            Constraint(["3/6", "-4/6"], "=", F(10, 12)),
+        ]
+        for row in fractional:
+            assert row.coefficients == (F(1, 2), F(-2, 3))
+            assert row.rhs == F(5, 6)
+        assert len(set(fractional)) == 1
+        assert Constraint([1, 2], "=", 3) != Constraint([1, 2], ">=", 3)
+        assert Constraint([1, 2], "=", 3) != Constraint([2, 4], "=", 6)
+        lp = LinearProgram.build([1, 1], True, [(["1/2", 1], "<=", "3/4")])
+        assert lp.constraints == (Constraint([F(1, 2), 1], "<=", F(3, 4)),)
+        with pytest.raises(AttributeError):
+            lp.constraints[0].rhs = F(1)
+
+    def test_build_checks_rows(self):
+        with pytest.raises(ValueError, match="unknown relation"):
+            LinearProgram.build([1], True, [([1], "<", 1)])
+        with pytest.raises(ValueError, match="constraint has 2 coefficients, expected 1"):
+            LinearProgram.build([1], True, [([1, 1], "<=", 1)])
+        with pytest.raises(ValueError, match="point has 1 entries, expected 2"):
+            Constraint([1, 1], "<=", 1).holds_at([F(1)])
+
+    @pytest.mark.parametrize(
+        "point, fault",
+        [
+            ([3, 2], "constraint 0 violated"),  # x + y = 5 > 4
+            ([2, 0], "constraint 1 violated"),  # x - y = 2, not 1
+            ([1, 0], "upper bound of variable 0 violated"),  # both rows hold, x > 1/2
+            ([0, -1], "lower bound of variable 1 violated"),  # both rows hold, y < 0
+        ],
+    )
+    def test_verify_refuses_a_bad_point(self, monkeypatch, point, fault):
+        rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
+        lp = LinearProgram.build([1, 1], True, rows, bounds=[(None, F(1, 2)), (0, None)])
+        # the solver's point comes as ints over one denominator, here 2
+        bad = ([2 * x for x in point], 2, (F(0), F(0)))
+        monkeypatch.setattr(lp_module, "_solve", lambda program: bad)
+        with pytest.raises(AssertionError, match=f"solver bug: {fault}"):
+            solve_lp(lp)
+
+    def test_verify_passes_a_good_point(self, monkeypatch):
+        rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
+        lp = LinearProgram.build([1, 1], True, rows, bounds=[(None, 3), (0, None)])
+        monkeypatch.setattr(lp_module, "_solve", lambda program: ([5, 3], 2, (F(1), F(0))))
+        sol = solve_lp(lp)
+        assert sol.point == (F(5, 2), F(3, 2))
+        assert sol.objective_value == 4
 
 
 def enumerate_optimum(objective, maximize, constraints, box):
