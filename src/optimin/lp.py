@@ -48,8 +48,16 @@ class Constraint:
             raise ValueError(f"unknown relation {relation!r}")
         ratios = [literal_ratio(c) for c in coefficients]
         ratios.append(literal_ratio(rhs))
-        den = math.lcm(*(d for _, d in ratios))
-        self._num = tuple([n * (den // d) for n, d in ratios])
+        # No tuple as wide as the row: CPython 3.11 files every freed 20-item
+        # tuple in a free list that it never takes from, up to 2000 of them,
+        # and a 4-player nucleolus round builds rows of exactly 20 values.  So
+        # the lcm is taken pairwise, not over an argument tuple, and the ints
+        # are a list.
+        den = 1
+        for _, d in ratios:
+            if den % d:
+                den = math.lcm(den, d)
+        self._num = [n * (den // d) for n, d in ratios]
         self._den = den
         self.relation = relation
 
@@ -83,7 +91,7 @@ class Constraint:
         return (self.relation, self._den, self._num) == (other.relation, other._den, other._num)
 
     def __hash__(self) -> int:
-        return hash((self.relation, self._den, self._num))
+        return hash((self.relation, self._den, tuple(self._num)))
 
     def __repr__(self) -> str:
         return f"Constraint({self.coefficients!r}, {self.relation!r}, {self.rhs!r})"
