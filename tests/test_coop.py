@@ -514,8 +514,6 @@ def primal_nucleolus(game):
     """
     n = game.n
     total = game.worth(game.grand_coalition)
-    if n == 1:
-        return (total,)
     free = game.proper_coalitions()
     pinned = []
     bounds = [(low, None) for low in game.singletons()] + [(None, None)]
