@@ -6,15 +6,19 @@ equal share of the shortfall it is left with; allocations whose value vectors
 are Pareto optimal form the solution set, searched on an integer lattice of
 imputations.  Core membership, the Shapley value, and the nucleolus are exact.
 
-Worths are held as ints over one common denominator, and the worst-case
-values, deviation tests and lattice search run on ints: an allocation is
-brought to the worths' denominator once, and a `Fraction` is built only for
-an allocation or value that is returned.
+Worths are read straight to ints over one common denominator
+(`rational.over_common_denominator`, with no `Fraction` for an int or
+``"a/b"`` literal), and the worst-case values, deviation tests, lattice
+search and Shapley value run on ints: an allocation is brought to the
+worths' denominator once, and a `Fraction` is built only for an allocation
+or value that is returned.  A player count is checked before any 2^n is
+built.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -38,6 +42,16 @@ NUCLEOLUS_MAX_PLAYERS = 8
 CORE_MAX_PLAYERS = 9
 
 
+def check_players(n: int, worths: int) -> None:
+    """Refuse, before 2^n is built, a player count whose 2^n - 1 coalitions
+    outnumber what any mapping holds (``sys.maxsize`` entries); `worths` is
+    the number of worths given."""
+    if n > sys.maxsize.bit_length():
+        raise ValueError(
+            f"a {n}-player game needs 2^{n} - 1 worths, more than any mapping holds; got {worths}"
+        )
+
+
 class TUGame:
     """Characteristic function on all nonempty coalitions of n players.
 
@@ -58,24 +72,24 @@ class TUGame:
     __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, worth: dict[int, object]) -> None:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"a TU game's player count must be an int, got {n!r}")
         if n < 1:
             raise ValueError("a TU game needs at least one player")
+        check_players(n, len(worth))
         self.n = n
         full = (1 << n) - 1
-        values: dict[int, Fraction] = {}
-        for mask, value in worth.items():
+        for mask in worth:
             if not isinstance(mask, int) or not 1 <= mask <= full:
                 raise ValueError(f"coalition mask {mask!r} out of range")
-            values[mask] = to_fraction(value)
         # The masks are distinct and in range, so the count decides
-        # completeness, and some mask up to len(values) + 1 is missing.
-        if len(values) < full:
-            first = next(m for m in range(1, len(values) + 2) if m not in values)
+        # completeness, and some mask up to len(worth) + 1 is missing.
+        if len(worth) < full:
+            first = next(m for m in range(1, len(worth) + 2) if m not in worth)
             raise ValueError(
-                f"worth missing for {full - len(values)} coalitions, e.g. mask {first}"
+                f"worth missing for {full - len(worth)} coalitions, e.g. mask {first}"
             )
-        num, self._den = over_common_denominator(values[m] for m in range(1, full + 1))
-        self._num = (0,) + num
+        self._num, self._den = over_common_denominator([0] + [worth[m] for m in range(1, full + 1)])
 
     @property
     def cohesive(self) -> bool:
@@ -393,19 +407,14 @@ def shapley(game: TUGame) -> Allocation:
             "(SHAPLEY_MAX_PLAYERS)"
         )
     fact = [math.factorial(k) for k in range(n + 1)]
-    denom = fact[n]
-    out = [ZERO] * n
-    for mask in range(1 << n):
-        size = bin(mask).count("1")
-        if size == n:
-            continue
-        weight = Fraction(fact[size] * fact[n - size - 1], denom)
-        base = game.worth(mask) if mask else ZERO
+    worth = game._num
+    out = [0] * n  # each value as an int over n! · _den
+    for mask in range(game.grand_coalition):
+        weight = fact[mask.bit_count()] * fact[n - 1 - mask.bit_count()]
         for i in range(n):
-            if mask >> i & 1:
-                continue
-            out[i] += weight * (game.worth(mask | (1 << i)) - base)
-    return tuple(out)
+            if not mask >> i & 1:
+                out[i] += weight * (worth[mask | 1 << i] - worth[mask])
+    return tuple(Fraction(v, fact[n] * game._den) for v in out)
 
 
 def nucleolus(game: TUGame) -> Allocation:

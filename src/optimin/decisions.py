@@ -5,19 +5,19 @@ minimum utility over the states they still deem possible there; the constraint
 may depend on the act, which lets confidence shrink or grow with the choice.
 With an antagonistic Nature both sides are evaluated and Pareto-compared;
 without a utility for Nature, ranking degenerates to the decision maker's
-value alone.
+value alone.  Utilities are read once, by `rational.over_common_denominator`,
+into int rows over one denominator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ConstraintError, DomainError, ResourceLimitError
 from .pareto import pareto_filter
-from .rational import literal_ratio
+from .rational import over_common_denominator
 
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
 
@@ -74,23 +74,23 @@ class DecisionProblem:
 
         acts_at = _listed(feasible_acts, self.states, self.acts, "acts for state")
         states_at = _listed(feasible_states, self.acts, self.states, "states for act")
-        ratios = {}
+        cells = {}
         for a in self.acts:
-            row = ratios[a] = {}
+            row = cells[a] = {}
             for s in self.states:
                 if s in states_at[a] and a in acts_at[s]:
                     try:
-                        cell = utility[a][s] if isinstance(utility.get(a), Mapping) else utility[(a, s)]
+                        row[s] = utility[a][s] if isinstance(utility.get(a), Mapping) else utility[(a, s)]
                     except KeyError:
                         raise DomainError(f"no utility for feasible pair ({a!r}, {s!r})") from None
-                    row[s] = literal_ratio(cell)
-        if not any(ratios.values()):
+        if not any(cells.values()):
             raise DomainError(
                 "no (act, state) pair is feasible: feasible_acts and feasible_states "
                 "share no pair, so the feasibility table is empty"
             )
-        den = self._den = math.lcm(*(d for row in ratios.values() for _, d in row.values()))
-        self._num = {a: {s: n * (den // d) for s, (n, d) in row.items()} for a, row in ratios.items()}
+        nums, self._den = over_common_denominator(u for row in cells.values() for u in row.values())
+        nums = iter(nums)
+        self._num = {a: {s: next(nums) for s in row} for a, row in cells.items()}
         self.antagonist = bool(antagonist)
 
     @property

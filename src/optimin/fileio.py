@@ -3,22 +3,24 @@ and decision problems.
 
 Rationals are encoded as plain integers or exact strings "a/b"; writers are
 canonical so a parse/dump round trip is byte-identical.  Game payoffs are
-parsed straight to ints, with no `Fraction` for a plain literal.  Parse errors
-name the offending JSON path, which is built only once a check has failed.
+parsed straight to ints, and TU worths and decision utilities are checked at
+their JSON paths and passed on as literals for their classes to read to
+ints, with no `Fraction` for a plain literal.  Parse errors name the
+offending JSON path, which is built only once a check has failed; JSON
+nested past the recursion limit is a format error too.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping
 
-from .coop import TUGame
+from .coop import TUGame, check_players
 from .decisions import DecisionProblem, OptimismConstraint, check_size
 from .errors import FormatError, ResourceLimitError
 from .games import NormalFormGame, scaled_payoffs, tensor_fault
 from .matching import MarriageProblem
-from .rational import json_ratio, literal_ratio, to_fraction
+from .rational import json_ratio, literal_ratio
 
 
 def _fail(path: str, message: str) -> FormatError:
@@ -40,11 +42,14 @@ def _load_json(text: str, source: str) -> object:
         raise FormatError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer past Python's int-conversion digit limit
         raise FormatError(f"{source}: {str(exc).partition(';')[0]}") from exc
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise FormatError(f"{source}: JSON nested too deeply") from None
 
 
-def _rational_at(value, path: str, read=to_fraction):
+def _rational_at(value, path: str) -> None:
+    """Check that `value` reads as an exact rational, naming `path` if not."""
     try:
-        return read(value)
+        literal_ratio(value)
     except FormatError as exc:
         raise _fail(path, str(exc)) from None
 
@@ -106,11 +111,15 @@ def parse_tu_game(text: str, source: str = "game") -> TUGame:
     doc = _load_json(text, source)
     n = _require(doc, "n", source)
     worth = _require(doc, "worth", source)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise _fail(f"{source}.n", "expected a positive integer")
     if not isinstance(worth, dict):
         raise _fail(f"{source}.worth", "expected an object keyed by coalitions")
-    by_mask: dict[int, Fraction] = {}
+    try:
+        check_players(n, len(worth))
+    except ValueError as exc:
+        raise _fail(f"{source}.n", str(exc)) from None
+    by_mask = {}
     for key, value in worth.items():
         path = f"{source}.worth[{key!r}]"
         try:
@@ -121,8 +130,8 @@ def parse_tu_game(text: str, source: str = "game") -> TUGame:
             raise _fail(path, "coalition keys must list players sorted, once each")
         if not all(1 <= p <= n for p in members):
             raise _fail(path, f"player numbers must lie in 1..{n}")
-        mask = sum(1 << (p - 1) for p in members)
-        by_mask[mask] = _rational_at(value, path)
+        _rational_at(value, path)  # checked here for the path; TUGame reads them
+        by_mask[sum(1 << (p - 1) for p in members)] = value
     full = (1 << n) - 1
     # Every mask in by_mask lies in 1..full, so the count decides
     # completeness, and some mask up to len(by_mask) + 1 is missing.
@@ -199,7 +208,7 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
         if not isinstance(row, dict):
             raise _fail(f"{source}.utility[{act!r}]", "expected an object keyed by state")
         for state, value in row.items():  # checked here for the path; DecisionProblem reads them
-            _rational_at(value, f"{source}.utility[{act!r}][{state!r}]", literal_ratio)
+            _rational_at(value, f"{source}.utility[{act!r}][{state!r}]")
     antagonist = doc.get("antagonist", False)
     if not isinstance(antagonist, bool):
         raise _fail(f"{source}.antagonist", "expected a boolean")

@@ -4,7 +4,8 @@ A game is an immutable dense payoff tensor over labelled strategies.  All
 operations here are pure functions.  Payoffs are exact and held in one form:
 each player's payoffs are ints over one common denominator.  The constructor
 and the file parser read a nested payoff tensor in one pass straight to those
-ints (`scaled_payoffs`), and walk it again only to name a fault.  Readers work
+ints (`scaled_payoffs`, one `rational.over_common_denominator` per player),
+and walk it again only to name a fault.  Readers work
 on the ints and build a `Fraction` only for a value they return, so at the API
 every payoff is a `Fraction`.  Results reproduce bit-exactly and comparisons
 never depend on floating tolerances.
@@ -236,9 +237,8 @@ def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):
     """A nested payoff tensor of `shape` whose cells hold `n` literals each, as
     `NormalFormGame`'s ``(_num, _den)``, or None if it is malformed.
 
-    Each level is checked for type and length, then every literal is read by
-    `literal_ratio`, and each player's ints are put over the lcm of their
-    reduced denominators.
+    Each level is checked for type and length, then each player's literals
+    are read by `over_common_denominator`.
     """
     level = [payoffs]
     for size in shape + (n,):
@@ -246,12 +246,10 @@ def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):
             return None
         level = list(itertools.chain.from_iterable(level))
     try:
-        ratios = list(map(literal_ratio, level))
+        columns = [over_common_denominator(level[i::n]) for i in range(n)]
     except OptiminError:
         return None
-    columns = [ratios[i::n] for i in range(n)]
-    den = tuple(math.lcm(*(e for _, e in column)) for column in columns)
-    return tuple(tuple(a * (d // e) for a, e in column) for column, d in zip(columns, den)), den
+    return tuple(tuple(num) for num, _ in columns), tuple(d for _, d in columns)
 
 
 def tensor_fault(payoffs, shape: tuple[int, ...], n: int, cell: str) -> tuple[str, str | OptiminError]:

@@ -2,27 +2,30 @@
 
 The API speaks `Fraction`s; the solver works in ints.  `LinearProgram.build`
 reads each constraint's coefficients and right-hand side once, straight to
-ints over one positive denominator per row (`Constraint`), and the dense
-tableau then holds ints over one common denominator `D > 0` (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968): see `fraction_free_pivot`.  The returned
-point is brought over one denominator once, and every constraint is checked
-at it in ints.  There is no epsilon anywhere.  Bland's rule (always pivot on
-the lowest eligible index) makes the method cycling-proof, and degenerate
-ratio ties are broken by the lowest basic-variable index, so the returned
-vertex is deterministic.  Problem sizes here are desk scale, so a dense
-tableau is plenty.
+ints over one positive denominator per row (`Constraint`, through
+`rational.over_common_denominator`, which also reads the bounds and the
+objective), and the dense tableau then holds ints over one common
+denominator `D > 0` (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): see
+`fraction_free_pivot`.  The returned point is brought over one denominator
+once, and every constraint is checked at it in ints; the duals stay ints
+until they are read.  There is no epsilon anywhere.  Bland's rule (always
+pivot on the lowest eligible index) makes the method cycling-proof, and
+degenerate ratio ties are broken by the lowest basic-variable index, so the
+returned vertex is deterministic.  Problem sizes here are desk scale, so a
+dense tableau is plenty.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .rational import literal_ratio, over_common_denominator, to_fraction
+from .rational import over_common_denominator, to_fraction
 
 ZERO = Fraction(0)
 
@@ -46,19 +49,7 @@ class Constraint:
     def __init__(self, coefficients: Sequence, relation: str, rhs) -> None:
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        ratios = [literal_ratio(c) for c in coefficients]
-        ratios.append(literal_ratio(rhs))
-        # No tuple as wide as the row: CPython 3.11 files every freed 20-item
-        # tuple in a free list that it never takes from, up to 2000 of them,
-        # and a 4-player nucleolus round builds rows of exactly 20 values.  So
-        # the lcm is taken pairwise, not over an argument tuple, and the ints
-        # are a list.
-        den = 1
-        for _, d in ratios:
-            if den % d:
-                den = math.lcm(den, d)
-        self._num = [n * (den // d) for n, d in ratios]
-        self._den = den
+        self._num, self._den = over_common_denominator([*coefficients, rhs])
         self.relation = relation
 
     @property
@@ -148,16 +139,25 @@ class LPSolution:
     where `bound[j]` is the lower bound of variable j when r[j] pushes it
     down (r[j] > 0 when minimizing, r[j] < 0 when maximizing) and its upper
     bound when r[j] pushes it up; r[j] is 0 for a free variable.
+
+    The solver keeps each dual as an int ``(num, den)`` pair, and `duals`
+    builds the `Fraction`s on its first read.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: tuple[Fraction, ...] | None = None
     objective_value: Fraction | None = None
-    duals: tuple[Fraction, ...] | None = None
+    dual_ratios: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
+
+    @cached_property
+    def duals(self) -> tuple[Fraction, ...] | None:
+        if self.dual_ratios is None:
+            return None
+        return tuple(Fraction(num, den) for num, den in self.dual_ratios)
 
 
 class _Infeasible(Exception):
@@ -196,8 +196,9 @@ def _verify(lp: LinearProgram, point: Sequence[int], scale: int) -> None:
             raise AssertionError(f"solver bug: upper bound of variable {j} violated")
 
 
-def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[Fraction, ...]]:
-    """The optimal point as ints over one positive denominator, and the duals."""
+def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
+    """The optimal point as ints over one positive denominator, that
+    denominator, and each dual as an int ``(num, den)`` pair."""
     # Rewrite onto nonnegative internal variables:
     #   lb only      x = lb + y
     #   ub only      x = ub - y
@@ -205,23 +206,23 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[Fraction, ...]]:
     #   free         x = y+ - y-
     # columns[j] = (sign, offset, column, negative column or None) with
     # x_j = sign*y_col + offset/scale; every offset is an int over `scale`.
-    bounds = [b for pair in lp.bounds for b in pair if b is not None]
-    scale = math.lcm(*(b.denominator for b in bounds))
+    offsets, scale = over_common_denominator(b for pair in lp.bounds for b in pair if b is not None)
+    offsets = iter(offsets)
     columns: list[tuple[int, int, int, int | None]] = []
     widths: list[tuple[int, int]] = []  # (column, (ub - lb) * scale)
     n_internal = 0
     for lo, hi in lp.bounds:
         if lo is not None:
-            low = lo.numerator * (scale // lo.denominator)
+            low = next(offsets)
             columns.append((1, low, n_internal, None))
             if hi is not None:
-                width = hi.numerator * (scale // hi.denominator) - low
+                width = next(offsets) - low
                 if width < 0:
                     raise _Infeasible
                 widths.append((n_internal, width))
             n_internal += 1
         elif hi is not None:
-            columns.append((-1, hi.numerator * (scale // hi.denominator), n_internal, None))
+            columns.append((-1, next(offsets), n_internal, None))
             n_internal += 1
         else:
             columns.append((1, 0, n_internal, n_internal + 1))
@@ -280,7 +281,7 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[Fraction, ...]]:
     # scalings, and the sign flip of a maximum.
     sense = -1 if lp.maximize else 1
     duals = tuple(
-        Fraction(sense * num * price, den_k * den * d)
+        (sense * num * price, den_k * den * d)
         for price, (num, den_k) in zip(prices, scales[: len(lp.constraints)])
     )
     return point, d * scale, duals

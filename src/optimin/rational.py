@@ -3,13 +3,14 @@
 Values at the library's API are `fractions.Fraction`s, which guarantee
 lowest terms and a positive denominator.  Inside, the solvers run on ints
 over common denominators and build a `Fraction` only for a value they
-return; `over_common_denominator` and `json_ratio` serve that, and
-`literal_ratio` reads a file's literal straight to a reduced ``(num, den)``
-pair.  The other helpers cover coercion and the two text encodings used by
-the file formats and the CLI: exact strings like ``"265/6"`` and plain
-integers.  A string is refused before it is parsed when its digits or its
-decimal exponent pass the bounds below, because ``"1e1000000"`` alone would
-build a 3.3-million-bit integer.
+return.  `literal_ratio` reads a literal straight to a reduced ``(num, den)``
+pair, and `over_common_denominator`, the one reader into ints over a common
+denominator, reads values with it; `json_ratio` writes them back.  The other
+helpers cover coercion and the two text encodings used by the file formats
+and the CLI: exact strings like ``"265/6"`` and plain integers.  A string is
+refused before it is parsed when its digits or its decimal exponent pass the
+bounds below, because ``"1e1000000"`` alone would build a 3.3-million-bit
+integer.
 """
 
 from __future__ import annotations
@@ -83,11 +84,21 @@ def _check_literal_size(text: str) -> None:
         )
 
 
-def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
-    """Exact rationals as ints over the lcm ``d`` of their reduced denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = math.lcm(*(e for _, e in ratios))
-    return tuple(n * (d // e) for n, e in ratios), d
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Values read by `literal_ratio`, as ints over the lcm ``d`` of their
+    reduced denominators.
+
+    No tuple as wide as the values: CPython 3.11 files every freed 20-item
+    tuple in a free list that it never takes from, up to 2000 of them, and a
+    4-player nucleolus round builds LP rows of exactly 20 values.  So the lcm
+    is taken pairwise, not over an argument tuple, and the ints are a list.
+    """
+    ratios = list(map(literal_ratio, values))
+    d = 1
+    for _, e in ratios:
+        if d % e:
+            d = math.lcm(d, e)
+    return [n * (d // e) for n, e in ratios], d
 
 
 def format_exact(value: Fraction) -> str:

@@ -427,3 +427,27 @@ def test_overlong_json_integer_exits_1_without_a_traceback(tmp_path):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["coop", "nucleolus"], '{"n": 100000, "worth": {"1": 1}}'),
+        (["coop", "nucleolus"], '{"n": true, "worth": {"1": 1}}'),
+        (["optimin"], "[" * 100_000 + "]" * 100_000),
+    ],
+    ids=["huge-tu-player-count", "boolean-tu-player-count", "deeply-nested"],
+)
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = argv + ["--game", str(path)]
+    script = f"import sys; from optimin.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=os.environ, timeout=300
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -805,3 +806,52 @@ class TestIntegerKernel:
         off = TUGame(2, {0b01: 0, 0b10: 0, 0b11: F(7, 6)})
         assert brute_lattice(off, F(1, 2), None) == imputation_grid(off, F(1, 2)) == []
         assert optimin_coop(off, F(1, 2)).entries == ()
+
+
+class TestPlayerCount:
+    def test_boolean_player_count_refused(self):
+        with pytest.raises(ValueError, match="player count must be an int, got True$"):
+            TUGame(True, {1: 1})
+
+    def test_player_count_checked_before_any_shift(self):
+        # 2^n - 1 worths cannot fit any mapping past sys.maxsize's bit length,
+        # so such a count is refused before 2^n, 2 MiB here, is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                TUGame(1 << 24, {1: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(info.value) == (
+            "a 16777216-player game needs 2^16777216 - 1 worths, more than any mapping holds; got 1"
+        )
+        at = sys.maxsize.bit_length()
+        with pytest.raises(ValueError, match=f"worth missing for {2**at - 2} coalitions"):
+            TUGame(at, {1: 1})
+        with pytest.raises(ValueError, match=f"a {at + 1}-player game needs"):
+            TUGame(at + 1, {1: 1})
+
+
+def brute_shapley(game):
+    """Oracle: each player's marginal contribution averaged over all orders."""
+    total = [F(0)] * game.n
+    orders = list(itertools.permutations(range(game.n)))
+    for order in orders:
+        mask = 0
+        for i in order:
+            total[i] += game.worth(mask | 1 << i) - game.worth(mask)
+            mask |= 1 << i
+    return tuple(t / len(orders) for t in total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.fractions(-50, 50, max_denominator=12),
+                       min_size=(1 << n) - 1, max_size=(1 << n) - 1).map(lambda ws: (n, ws))
+))
+def test_shapley_matches_its_definition(case):
+    n, worths = case
+    game = TUGame(n, {m: w for m, w in enumerate(worths, start=1)})
+    assert shapley(game) == brute_shapley(game)

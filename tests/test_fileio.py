@@ -1,16 +1,18 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optimin import FormatError, NormalFormGame, OptiminError, ResourceLimitError, gen_named
+from optimin import Constraint, FormatError, NormalFormGame, OptiminError, ResourceLimitError, gen_named
 from optimin.decisions import DECISION_MAX_CELLS
 from optimin.rational import (
     RATIONAL_MAX_DIGITS,
     RATIONAL_MAX_EXPONENT,
     literal_ratio,
+    over_common_denominator,
     to_fraction,
 )
 from optimin.fileio import (
@@ -402,3 +404,80 @@ def test_overlong_json_integer_is_a_format_error(parse, text):
         parse(text, source="f.json")
     message = str(info.value)
     assert message.startswith("f.json: ") and "5000 digits" in message
+
+
+class TestTUPlayerCount:
+    def test_boolean_player_count_refused(self):
+        with pytest.raises(FormatError, match=r"^t\.json\.n: expected a positive integer$"):
+            parse_tu_game('{"n": true, "worth": {"1": 1}}', source="t.json")
+
+    def test_player_count_checked_before_any_shift(self):
+        import tracemalloc
+
+        text = json.dumps({"n": 1 << 24, "worth": {"1": 1, "16777216": 2}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                parse_tu_game(text, source="t.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(info.value) == (
+            "t.json.n: a 16777216-player game needs 2^16777216 - 1 worths, "
+            "more than any mapping holds; got 2"
+        )
+
+
+# Nested past the interpreter's recursion limit, which json.loads runs into.
+DEEP_JSON = {"arrays": "[" * 100_000 + "]" * 100_000, "objects": '{"a":' * 100_000 + "1" + "}" * 100_000}
+
+
+@pytest.mark.parametrize("parse", [parse_game, parse_tu_game, parse_marriage, parse_decision])
+@pytest.mark.parametrize("text", DEEP_JSON.values(), ids=DEEP_JSON)
+def test_deeply_nested_json_is_a_format_error(parse, text):
+    with pytest.raises(FormatError, match=r"^deep\.json: JSON nested too deeply$"):
+        parse(text, source="deep.json")
+
+
+_READABLE = st.integers(-(10**30), 10**30) | st.fractions() | _texts()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_READABLE | st.booleans() | st.floats() | st.none(), max_size=25))
+def test_over_common_denominator_matches_its_definition(values):
+    # Every value read as a Fraction, and the ints over the lcm of the reduced
+    # denominators; or the error literal_ratio raises on the first value it refuses.
+    errors = [_literal_outcome(literal_ratio, v) for v in values]
+    refused = next((e for e in errors if isinstance(e, type)), None)
+    if refused is not None:
+        with pytest.raises(refused):
+            over_common_denominator(values)
+        return
+    exact = [to_fraction(v) for v in values]
+    d = math.lcm(*(x.denominator for x in exact))
+    assert over_common_denominator(values) == ([int(x * d) for x in exact], d)
+    assert over_common_denominator(iter(values)) == over_common_denominator(values)
+
+
+def test_readers_build_no_fraction_for_int_or_plain_literals(monkeypatch):
+    game = json.dumps(GAME_DOC)
+    tu = json.dumps({"n": 2, "worth": {"1": 1, "2": "-1/2", "1,2": "7/3"}})
+    decision = json.dumps(
+        {"acts": ["a", "b"], "states": ["s", "t"],
+         "utility": {"a": {"s": 1, "t": "-5/6"}, "b": {"s": "4/3", "t": 0}}}
+    )
+    built = []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    parse_game(game)
+    parse_tu_game(tu)
+    parse_decision(decision)
+    Constraint([1, "1/2", "-3/4"], "<=", "7/3")
+    monkeypatch.undo()
+    assert built == []

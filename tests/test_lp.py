@@ -488,3 +488,23 @@ class TestVertexChoice:
         solution = maximin_lp(StatisticalGame(game), 0)
         assert solution.value == -1  # column y holds every mixture to -1
         assert solution.mixture == (F(1), F(0))
+
+
+def test_duals_are_built_on_first_read(monkeypatch):
+    # The solver keeps each dual as ints; no Fraction is built until `duals` is read.
+    lp = LinearProgram.build([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
+                             bounds=[(0, None), (0, None)])
+    built = []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    sol = solve_lp(lp)
+    solved = len(built)
+    duals = sol.duals
+    monkeypatch.undo()
+    assert len(built) - solved == 3  # one per row, on the first read only
+    assert duals == (F(2), F(0), F(1)) and sol.duals is duals
