@@ -80,7 +80,7 @@ class TUGame:
         self.n = n
         full = (1 << n) - 1
         for mask in worth:
-            if not isinstance(mask, int) or not 1 <= mask <= full:
+            if isinstance(mask, bool) or not isinstance(mask, int) or not 1 <= mask <= full:
                 raise ValueError(f"coalition mask {mask!r} out of range")
         # The masks are distinct and in range, so the count decides
         # completeness, and some mask up to len(worth) + 1 is missing.

@@ -4,16 +4,18 @@ The API speaks `Fraction`s; the solver works in ints.  `LinearProgram.build`
 reads each constraint's coefficients and right-hand side once, straight to
 ints over one positive denominator per row (`Constraint`, through
 `rational.over_common_denominator`, which also reads the bounds and the
-objective), and the dense tableau then holds ints over one common
-denominator `D > 0` (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968): see
-`fraction_free_pivot`.  The returned point is brought over one denominator
-once, and every constraint is checked at it in ints; the duals stay ints
-until they are read.  There is no epsilon anywhere.  Bland's rule (always
-pivot on the lowest eligible index) makes the method cycling-proof, and
-degenerate ratio ties are broken by the lowest basic-variable index, so the
-returned vertex is deterministic.  Problem sizes here are desk scale, so a
-dense tableau is plenty.
+objective), and the tableau then holds ints over one common denominator
+`D > 0` (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968): see `fraction_free_pivot`.  The
+returned point is brought over one denominator once, and every constraint
+is checked at it in ints; the duals stay ints until they are read.  There
+is no epsilon anywhere.  Bland's rule (always pivot on the lowest eligible
+index) makes the method cycling-proof, and degenerate ratio ties are broken
+by the lowest basic-variable index, so the returned vertex is deterministic.
+Problem sizes here are desk scale, so the tableau is stored dense, as one
+list of ints per row.  Most pivots of the sparse core and nucleolus
+tableaus have p = D, and those touch only the pivot row's nonzero columns;
+a pivot with p != D rewrites every row at full width.
 """
 
 from __future__ import annotations
@@ -171,13 +173,12 @@ class _Unbounded(Exception):
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly; the returned point is re-verified against every constraint."""
     try:
-        point, scale, duals = _solve(lp)
+        point, scale, duals, obj, den = _solve(lp)
     except _Infeasible:
         return LPSolution("infeasible")
     except _Unbounded:
         return LPSolution("unbounded")
     _verify(lp, point, scale)
-    obj, den = over_common_denominator(lp.objective)
     value = Fraction(sum(map(operator.mul, obj, point)), den * scale)
     exact = tuple(Fraction(x, scale) if x else ZERO for x in point)
     return LPSolution("optimal", exact, value, duals)
@@ -196,9 +197,12 @@ def _verify(lp: LinearProgram, point: Sequence[int], scale: int) -> None:
             raise AssertionError(f"solver bug: upper bound of variable {j} violated")
 
 
-def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
+def _solve(
+    lp: LinearProgram,
+) -> tuple[list[int], int, tuple[tuple[int, int], ...], list[int], int]:
     """The optimal point as ints over one positive denominator, that
-    denominator, and each dual as an int ``(num, den)`` pair."""
+    denominator, each dual as an int ``(num, den)`` pair, and the objective
+    as ints over its own positive denominator."""
     # Rewrite onto nonnegative internal variables:
     #   lb only      x = lb + y
     #   ub only      x = ub - y
@@ -261,9 +265,9 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
         row[col] = scale
         add_row(row, LESS_EQUAL, width, scale)
 
-    ints, den = over_common_denominator(lp.objective)
+    obj, obj_den = over_common_denominator(lp.objective)
     cost = [0] * n_internal
-    for a, (sign, _, col, neg) in zip(ints, columns):
+    for a, (sign, _, col, neg) in zip(obj, columns):
         cost[col] += a * sign
         if neg is not None:
             cost[neg] -= a
@@ -281,10 +285,10 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
     # scalings, and the sign flip of a maximum.
     sense = -1 if lp.maximize else 1
     duals = tuple(
-        (sense * num * price, den_k * den * d)
+        (sense * num * price, den_k * obj_den * d)
         for price, (num, den_k) in zip(prices, scales[: len(lp.constraints)])
     )
-    return point, d * scale, duals
+    return point, d * scale, duals, obj, obj_den
 
 
 def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
@@ -298,16 +302,30 @@ def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     up to sign, a determinant of the starting int matrix, so the division is
     exact and no entry outgrows those determinants.  Negating a row before
     pivoting on it keeps all of this true.
+
+    When p = d, as in most pivots of a sparse tableau, the new entry is
+    v - f*q // d, and f*q // d is exact since it is the difference of two
+    ints.  So an entry changes only where f and q are both nonzero: rows
+    with f = 0 are left alone, and the others are updated in place at the
+    pivot row's nonzero columns only.  The rows must be distinct lists.
     """
     prow = rows[r]
     p = prow[c]
+    if p == d:
+        pairs = [(k, q) for k, q in enumerate(prow) if q]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for k, q in pairs:
+                    row[k] -= f * q // d
+        return p
     for i, row in enumerate(rows):
         if i == r:
             continue
         f = row[c]
         if f:
             rows[i] = [(p * v - f * q) // d for v, q in zip(row, prow)]
-        elif p != d:
+        else:
             rows[i] = [p * v // d for v in row]
     return p
 

@@ -102,6 +102,13 @@ class TestTUGame:
         with pytest.raises(ValueError, match="worth missing for 1 coalitions, e.g. mask 5$"):
             TUGame(3, {m: 1 for m in range(1, 8) if m != 5})
 
+    def test_boolean_masks_are_refused(self):
+        # True == 1, but a boolean is no coalition, as it is no player count
+        with pytest.raises(ValueError, match="coalition mask True out of range"):
+            TUGame(1, {True: 5})
+        with pytest.raises(ValueError, match="coalition mask True out of range"):
+            TUGame(2, {True: 1, 0b10: 2, 0b11: 4})
+
     def test_empty_core_instance_is_not_cohesive(self):
         # u({1,2}) + u({3}) = 115 > 110: one partition beats the grand coalition.
         assert not gen_named("coop_empty_core").cohesive

@@ -9,6 +9,7 @@ import pytest
 
 from optimin import Constraint, LinearProgram, solve_lp
 from optimin import lp as lp_module
+from optimin.lp import fraction_free_pivot
 
 
 def build(objective, maximize, constraints, bounds=None):
@@ -158,7 +159,7 @@ class TestConstraint:
         rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
         lp = LinearProgram.build([1, 1], True, rows, bounds=[(None, F(1, 2)), (0, None)])
         # the solver's point comes as ints over one denominator, here 2
-        bad = ([2 * x for x in point], 2, (F(0), F(0)))
+        bad = ([2 * x for x in point], 2, ((0, 1), (0, 1)), [1, 1], 1)
         monkeypatch.setattr(lp_module, "_solve", lambda program: bad)
         with pytest.raises(AssertionError, match=f"solver bug: {fault}"):
             solve_lp(lp)
@@ -166,7 +167,7 @@ class TestConstraint:
     def test_verify_passes_a_good_point(self, monkeypatch):
         rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
         lp = LinearProgram.build([1, 1], True, rows, bounds=[(None, 3), (0, None)])
-        monkeypatch.setattr(lp_module, "_solve", lambda program: ([5, 3], 2, (F(1), F(0))))
+        monkeypatch.setattr(lp_module, "_solve", lambda program: ([5, 3], 2, ((1, 1), (0, 1)), [1, 1], 1))
         sol = solve_lp(lp)
         assert sol.point == (F(5, 2), F(3, 2))
         assert sol.objective_value == 4
@@ -508,3 +509,110 @@ def test_duals_are_built_on_first_read(monkeypatch):
     monkeypatch.undo()
     assert len(built) - solved == 3  # one per row, on the first read only
     assert duals == (F(2), F(0), F(1)) and sol.duals is duals
+
+
+# -- the fraction-free pivot against its dense formula ------------------------------
+
+
+def dense_pivot(rows, r, c, d):
+    """Reference: every other row becomes (p*v - f*q) // d, over the whole width."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * v - f * q) // d for v, q in zip(row, prow)]
+    return p
+
+
+def checked_pivot(rows, r, c, d):
+    """`fraction_free_pivot` on `rows`, checked against `dense_pivot` on a copy.
+
+    Returns the new denominator and whether the pivot equalled the old one."""
+    assert len({id(row) for row in rows}) == len(rows)  # no row is another's list
+    expected = [row[:] for row in rows]
+    expected_d = dense_pivot(expected, r, c, d)
+    sparse = rows[r][c] == d
+    new_d = fraction_free_pivot(rows, r, c, d)
+    assert (new_d, rows) == (expected_d, expected)
+    return new_d, sparse
+
+
+def pivot_sequence(rows, choose):
+    """Pivot an int tableau (d = 1, an implicit identity basis) on entries picked
+    by `choose` from the nonzero ones, negating the pivot row as the simplex
+    does; every such sequence is a basis change, so each division is exact.
+    Returns how many pivots had p == d and how many had p != d."""
+    d = 1
+    kinds = [0, 0]
+    for _ in range(8):
+        nonzero = [(r, c) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
+        if not nonzero:
+            break
+        r, c = choose(nonzero)
+        if rows[r][c] < 0:
+            rows[r] = [-v for v in rows[r]]
+        d, sparse = checked_pivot(rows, r, c, d)
+        kinds[not sparse] += 1
+    return kinds
+
+
+entries = st.one_of(st.just(0), st.just(0), st.integers(-1, 1), st.integers(-9, 9))
+
+
+class TestFractionFreePivot:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_dense_formula(self, data):
+        m = data.draw(st.integers(1, 5))
+        width = data.draw(st.integers(1, 7))
+        rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=m, max_size=m))
+        pivot_sequence(rows, lambda nonzero: data.draw(st.sampled_from(nonzero)))
+
+    def test_both_branches_occur(self):
+        # p == d in most pivots of a sparse tableau, p != d in the rest
+        rng = random.Random(17)
+        kinds = [0, 0]
+        for _ in range(300):
+            width = rng.randint(1, 7)
+            rows = [[rng.choice([0, 0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(width)]
+                    for _ in range(rng.randint(1, 5))]
+            kinds = [a + b for a, b in zip(kinds, pivot_sequence(rows, rng.choice))]
+        assert min(kinds) > 200
+
+    def test_solver_tableaus_match_the_dense_formula(self, monkeypatch):
+        # Every pivot of real solves, phase 1 and the pinned nucleolus systems
+        # included, on rows that are distinct lists.
+        from optimin import TUGame, coop, core, nucleolus
+
+        kinds = [0, 0]
+
+        def pivot(rows, r, c, d):
+            new_d, sparse = checked_pivot(rows, r, c, d)
+            kinds[not sparse] += 1
+            return new_d
+
+        monkeypatch.setattr(lp_module, "fraction_free_pivot", pivot)
+        monkeypatch.setattr(coop, "fraction_free_pivot", pivot)
+        rng = random.Random(23)
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            constraints = [
+                ([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)],
+                 rng.choice(RELATIONS), rng.randint(-6, 8))
+                for _ in range(rng.randint(1, 4))
+            ]
+            objective = [rng.randint(-5, 5) for _ in range(nvars)]
+            bounds = [rng.choice([(0, None), (None, None), (-2, 3)]) for _ in range(nvars)]
+            solve_lp(build(objective, rng.random() < 0.5, constraints, bounds))
+        for n in (3, 4):
+            for _ in range(5):
+                singles = [rng.randint(0, 5) for _ in range(n)]
+                worth = {
+                    mask: sum(singles[i] for i in range(n) if mask >> i & 1)
+                    + F(rng.randint(0, 4 * bin(mask).count("1") - 4), rng.randint(1, 3))
+                    for mask in range(1, 1 << n)
+                }
+                core(TUGame(n, worth))
+                nucleolus(TUGame(n, worth))
+        assert min(kinds) > 50
