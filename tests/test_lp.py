@@ -557,7 +557,7 @@ def pivot_sequence(rows, choose):
     return kinds
 
 
-entries = st.one_of(st.just(0), st.just(0), st.integers(-1, 1), st.integers(-9, 9))
+entries = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-9, 9))  # sparse, as tableaus are
 
 
 class TestFractionFreePivot:
