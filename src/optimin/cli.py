@@ -35,21 +35,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args)
+        _check_thread_env()
         return args.handler(args)
     except OptiminError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _resolve_threads(args) -> int:
+def _check_thread_env() -> None:
+    """Refuse an `OPTIMIN_THREADS` that is not an integer; the solvers run
+    serially, so no thread count is read past this check."""
     env = os.environ.get("OPTIMIN_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ParameterError(f"OPTIMIN_THREADS must be an integer, got {env!r}")
-    return max(1, getattr(args, "threads", 1) or 1)
 
 
 @functools.cache

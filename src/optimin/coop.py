@@ -381,10 +381,11 @@ def core(game: TUGame) -> CoreResult:
         raise ResourceLimitError(
             f"core of {n} players exceeds the {CORE_MAX_PLAYERS}-player bound (CORE_MAX_PLAYERS)"
         )
-    constraints = [([1] * n, "=", game.worth(game.grand_coalition))]
+    # Every row times the worths' denominator: den·x(S) >= u(S)·den, in the game's ints.
+    constraints = [([game._den] * n, "=", game._num[game.grand_coalition])]
     for mask in game.proper_coalitions():
-        coeffs = [1 if mask >> i & 1 else 0 for i in range(n)]
-        constraints.append((coeffs, ">=", game.worth(mask)))
+        coeffs = [game._den if mask >> i & 1 else 0 for i in range(n)]
+        constraints.append((coeffs, ">=", game._num[mask]))
     lp = LinearProgram.build([0] * n, False, constraints)
     sol = solve_lp(lp)
     if sol.status == "infeasible":
@@ -442,6 +443,12 @@ def nucleolus(game: TUGame) -> Allocation:
     determine the allocation.  A coalition tight at every optimum may still
     have λ_S = 0; it is pinned in a later round at the same level, and the
     point is unique either way.
+
+    The LP gets ints: its objective is the worths' ints ``_num`` (a pinned
+    coalition's less ``_den`` times its level), all times the lcm of the
+    levels' denominators, so eps is the LP value divided by ``_den`` and by
+    that lcm.  The empty-imputation test and the pinned system are in ints
+    too; a `Fraction` is built only for an LP point, a level and the result.
     """
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
@@ -449,28 +456,26 @@ def nucleolus(game: TUGame) -> Allocation:
             f"nucleolus of {n} players exceeds the {NUCLEOLUS_MAX_PLAYERS}-player bound "
             "(NUCLEOLUS_MAX_PLAYERS)"
         )
-    total = game.worth(game.grand_coalition)
-    lows = game.singletons()
-    if sum(lows, ZERO) > total:
+    num, den, full = game._num, game._den, game.grand_coalition
+    players = range(n)
+    if sum(num[1 << i] for i in players) > num[full]:
         raise DomainError("imputation set is empty; the nucleolus is undefined")
     if n == 1:
-        return (total,)
+        return (Fraction(num[full], den),)
 
     free = game.proper_coalitions()
     pinned: list[tuple[int, Fraction]] = []  # (mask, excess held at)
-    players = range(n)
 
     # Each round pins at least one coalition, and once every singleton is
     # pinned the system is determined, so the loop always returns.
     while True:
         # Columns: y_N, y_S per pinned S, λ_S per free S, μ_i per player.
-        masks = [game.grand_coalition, *(mask for mask, _ in pinned), *free]
-        objective = [
-            total,
-            *(game.worth(mask) - level for mask, level in pinned),
-            *map(game.worth, free),
-            *lows,
-        ]
+        # The objective is times den·scale; `scale` clears the levels' denominators.
+        scale = math.lcm(*(level.denominator for _, level in pinned))
+        masks = [full, *(mask for mask, _ in pinned), *free]
+        objective = [num[mask] * scale for mask in masks] + [num[1 << i] * scale for i in players]
+        for k, (_, level) in enumerate(pinned, 1):
+            objective[k] -= level.numerator * den * scale // level.denominator
         constraints = [
             ([mask >> i & 1 for mask in masks] + [0] * i + [1] + [0] * (n - 1 - i), "=", 0)
             for i in players
@@ -485,7 +490,8 @@ def nucleolus(game: TUGame) -> Allocation:
         newly = {mask for mask, weight in zip(free, weights) if weight > 0}
         if not newly:
             raise AssertionError("no coalition has a positive dual weight; solver bug")
-        pinned += [(mask, sol.objective_value) for mask in free if mask in newly]
+        eps = sol.objective_value / (den * scale)
+        pinned += [(mask, eps) for mask in free if mask in newly]
         free = [mask for mask in free if mask not in newly]
 
         point = _pinned_solution(game, pinned)
@@ -495,13 +501,13 @@ def nucleolus(game: TUGame) -> Allocation:
 
 def _pinned_solution(game: TUGame, pinned) -> Allocation | None:
     """Solve the pinned equality system; None while it is underdetermined."""
-    n = game.n
-    system = [(game.grand_coalition, game.worth(game.grand_coalition))]
-    system += [(mask, game.worth(mask) - level) for mask, level in pinned]
-    # Fraction-free Gauss-Jordan, each row scaled to ints by its rhs's denominator.
-    rows = [
-        [(mask >> i & 1) * rhs.denominator for i in range(n)] + [rhs.numerator]
-        for mask, rhs in system
+    n, num, den = game.n, game._num, game._den
+    # Fraction-free Gauss-Jordan on int rows: den·x(N) = u(N)·den, and
+    # den·q·x(S) = u(S)·den·q - p·den for each S pinned at level p/q.
+    rows = [[den] * n + [num[game.grand_coalition]]] + [
+        [(mask >> i & 1) * den * level.denominator for i in range(n)]
+        + [num[mask] * level.denominator - level.numerator * den]
+        for mask, level in pinned
     ]
     d = 1
     r = 0

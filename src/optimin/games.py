@@ -142,26 +142,31 @@ class NormalFormGame:
                 f"{len(self.shape)}-player game"
             )
         for i, dist in enumerate(profile):
-            if len(dist) != self.shape[i]:
+            self._check_distribution(i, dist)
+
+    def _check_distribution(self, i: int, dist: Sequence[Fraction]) -> None:
+        """Refuse `dist` unless it is a distribution of `Fraction`s over
+        player i's strategies."""
+        if len(dist) != self.shape[i]:
+            raise InvalidDistributionError(
+                f"player {self.players[i]!r}: distribution over {len(dist)} "
+                f"strategies, game has {self.shape[i]}"
+            )
+        total = ZERO
+        for q in dist:
+            if not isinstance(q, Fraction):
                 raise InvalidDistributionError(
-                    f"player {self.players[i]!r}: distribution over {len(dist)} "
-                    f"strategies, game has {self.shape[i]}"
+                    f"player {self.players[i]!r}: probabilities must be Fractions"
                 )
-            total = ZERO
-            for q in dist:
-                if not isinstance(q, Fraction):
-                    raise InvalidDistributionError(
-                        f"player {self.players[i]!r}: probabilities must be Fractions"
-                    )
-                if q < 0:
-                    raise InvalidDistributionError(
-                        f"player {self.players[i]!r}: negative probability {q}"
-                    )
-                total += q
-            if total != ONE:
+            if q < 0:
                 raise InvalidDistributionError(
-                    f"player {self.players[i]!r}: probabilities sum to {total}, not 1"
+                    f"player {self.players[i]!r}: negative probability {q}"
                 )
+            total += q
+        if total != ONE:
+            raise InvalidDistributionError(
+                f"player {self.players[i]!r}: probabilities sum to {total}, not 1"
+            )
 
     def expected_payoff(self, profile: MixedProfile) -> ValueVector:
         """Multilinear expectation of the payoff tensor, exact.

@@ -27,6 +27,11 @@ TRAVELERS_CELL_LIMIT = 250_000
 # players); each cell holds one payoff per player.
 PUBLIC_GOODS_CELL_LIMIT = 65_536
 
+# gen_centipede refuses games of more nodes than this.  The game has about
+# (nodes / 2)^2 cells of nodes-bit payoffs; at the bound, `gen` takes about a
+# second and 90 MB.
+CENTIPEDE_MAX_NODES = 500
+
 NAMED_TAGS = (
     "figure1",
     "motivating",
@@ -79,6 +84,11 @@ def gen_centipede(nodes: int, variant: str = "increasing") -> NormalFormGame:
         raise ParameterError(f"node count must be a positive integer, got {nodes}")
     if variant not in ("increasing", "constant"):
         raise ParameterError(f"variant must be 'increasing' or 'constant', got {variant!r}")
+    if nodes > CENTIPEDE_MAX_NODES:
+        raise ResourceLimitError(
+            f"centipede of {nodes} nodes exceeds the {CENTIPEDE_MAX_NODES}-node bound "
+            "(CENTIPEDE_MAX_NODES); lower --nodes"
+        )
 
     def stop_payoff(k: int) -> tuple[Fraction, Fraction]:
         mover_first = k % 2 == 1

@@ -1,21 +1,24 @@
 """Exact linear programming: a fraction-free two-phase simplex with Bland's rule.
 
 The API speaks `Fraction`s; the solver works in ints.  `LinearProgram.build`
-reads each constraint's coefficients and right-hand side once, straight to
-ints over one positive denominator per row (`Constraint`, through
-`rational.over_common_denominator`, which also reads the bounds and the
-objective), and the tableau then holds ints over one common denominator
-`D > 0` (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968): see `fraction_free_pivot`.  The
-returned point is brought over one denominator once, and every constraint
-is checked at it in ints; the duals stay ints until they are read.  There
-is no epsilon anywhere.  Bland's rule (always pivot on the lowest eligible
-index) makes the method cycling-proof, and degenerate ratio ties are broken
-by the lowest basic-variable index, so the returned vertex is deterministic.
-Problem sizes here are desk scale, so the tableau is stored dense, as one
-list of ints per row.  Most pivots of the sparse core and nucleolus
-tableaus have p = D, and those touch only the pivot row's nonzero columns;
-a pivot with p != D rewrites every row at full width.
+reads the objective, the bounds and each constraint's coefficients and
+right-hand side once, straight to ints (through
+`rational.over_common_denominator`, so an int builds no `Fraction`): the
+objective over one positive denominator, the bounds over one positive
+scale, and each row over its own (`Constraint`).  The builders in `coop`
+and `zerosum` hand over their games' ints.  The tableau then holds ints
+over one common denominator `D > 0` (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968): see
+`fraction_free_pivot`.  The returned point is brought over one denominator
+once, and every constraint and bound is checked at it in ints; the duals
+stay ints until they are read.  There is no epsilon anywhere.  Bland's rule
+(always pivot on the lowest eligible index) makes the method cycling-proof,
+and degenerate ratio ties are broken by the lowest basic-variable index, so
+the returned vertex is deterministic.  Problem sizes here are desk scale,
+so the tableau is stored dense, as one list of ints per row.  Most pivots
+of the sparse core and nucleolus tableaus have p = D, and those touch only
+the pivot row's nonzero columns; a pivot with p != D rewrites every row at
+full width.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .rational import over_common_denominator, to_fraction
+from .rational import over_common_denominator
 
 ZERO = Fraction(0)
 
@@ -90,44 +93,55 @@ class Constraint:
         return f"Constraint({self.coefficients!r}, {self.relation!r}, {self.rhs!r})"
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """min/max c.x subject to linear constraints and optional variable bounds.
 
     Bounds default to free variables; pass ``(0, None)`` for nonnegativity.
+    The objective is read once, to the ints ``_obj_num`` over one positive
+    denominator ``_obj_den``, and the given bounds once, to ``_bound_num``
+    pairs of ints (``None`` for a missing side) over one positive scale
+    ``_bound_den``.  `objective` and `bounds` are read-only properties that
+    give them back as `Fraction`s.
     """
 
-    objective: tuple[Fraction, ...]
-    maximize: bool
-    constraints: tuple[Constraint, ...]
-    bounds: tuple[tuple[Fraction | None, Fraction | None], ...]
+    __slots__ = ("_obj_num", "_obj_den", "maximize", "constraints", "_bound_num", "_bound_den")
+
+    def __init__(self, objective, maximize, constraints, bounds=None) -> None:
+        self._obj_num, self._obj_den = over_common_denominator(objective)
+        n = len(self._obj_num)
+        if not n:
+            raise ValueError("an LP needs at least one variable")
+        self.maximize = bool(maximize)
+        self.constraints = tuple(Constraint(coeffs, rel, rhs) for coeffs, rel, rhs in constraints)
+        for row in self.constraints:
+            if len(row._num) != n + 1:
+                raise ValueError(f"constraint has {len(row._num) - 1} coefficients, expected {n}")
+        bounds = [(None, None)] * n if bounds is None else list(bounds)
+        if len(bounds) != n:
+            raise ValueError("one bound pair per variable required")
+        ints, self._bound_den = over_common_denominator(
+            b for pair in bounds for b in pair if b is not None
+        )
+        ints = iter(ints)
+        self._bound_num = [
+            (None if lo is None else next(ints), None if hi is None else next(ints))
+            for lo, hi in bounds
+        ]
 
     @classmethod
     def build(cls, objective, maximize, constraints, bounds=None) -> "LinearProgram":
-        obj = tuple(to_fraction(c) for c in objective)
-        if not obj:
-            raise ValueError("an LP needs at least one variable")
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            row = Constraint(coeffs, rel, rhs)
-            if len(row._num) != len(obj) + 1:
-                raise ValueError(
-                    f"constraint has {len(row._num) - 1} coefficients, expected {len(obj)}"
-                )
-            rows.append(row)
-        if bounds is None:
-            bounds = ((None, None),) * len(obj)
-        else:
-            bounds = tuple(
-                (
-                    None if lo is None else to_fraction(lo),
-                    None if hi is None else to_fraction(hi),
-                )
-                for lo, hi in bounds
-            )
-            if len(bounds) != len(obj):
-                raise ValueError("one bound pair per variable required")
-        return cls(obj, bool(maximize), tuple(rows), bounds)
+        return cls(objective, maximize, constraints, bounds)
+
+    @property
+    def objective(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._obj_den) for c in self._obj_num)
+
+    @property
+    def bounds(self) -> tuple[tuple[Fraction | None, Fraction | None], ...]:
+        d = self._bound_den
+        return tuple(
+            tuple(b if b is None else Fraction(b, d) for b in pair) for pair in self._bound_num
+        )
 
 
 @dataclass(frozen=True)
@@ -189,11 +203,11 @@ def _verify(lp: LinearProgram, point: Sequence[int], scale: int) -> None:
     for k, row in enumerate(lp.constraints):
         if not row._holds(point, scale):
             raise AssertionError(f"solver bug: constraint {k} violated at {point} / {scale}")
-    for j, (lo, hi) in enumerate(lp.bounds):
-        x = point[j]
-        if lo is not None and x * lo.denominator < lo.numerator * scale:
+    for j, (lo, hi) in enumerate(lp._bound_num):
+        x = point[j] * lp._bound_den
+        if lo is not None and x < lo * scale:
             raise AssertionError(f"solver bug: lower bound of variable {j} violated")
-        if hi is not None and x * hi.denominator > hi.numerator * scale:
+        if hi is not None and x > hi * scale:
             raise AssertionError(f"solver bug: upper bound of variable {j} violated")
 
 
@@ -210,23 +224,20 @@ def _solve(
     #   free         x = y+ - y-
     # columns[j] = (sign, offset, column, negative column or None) with
     # x_j = sign*y_col + offset/scale; every offset is an int over `scale`.
-    offsets, scale = over_common_denominator(b for pair in lp.bounds for b in pair if b is not None)
-    offsets = iter(offsets)
+    scale = lp._bound_den
     columns: list[tuple[int, int, int, int | None]] = []
     widths: list[tuple[int, int]] = []  # (column, (ub - lb) * scale)
     n_internal = 0
-    for lo, hi in lp.bounds:
+    for lo, hi in lp._bound_num:
         if lo is not None:
-            low = next(offsets)
-            columns.append((1, low, n_internal, None))
+            columns.append((1, lo, n_internal, None))
             if hi is not None:
-                width = next(offsets) - low
-                if width < 0:
+                if hi < lo:
                     raise _Infeasible
-                widths.append((n_internal, width))
+                widths.append((n_internal, hi - lo))
             n_internal += 1
         elif hi is not None:
-            columns.append((-1, next(offsets), n_internal, None))
+            columns.append((-1, hi, n_internal, None))
             n_internal += 1
         else:
             columns.append((1, 0, n_internal, n_internal + 1))
@@ -265,7 +276,7 @@ def _solve(
         row[col] = scale
         add_row(row, LESS_EQUAL, width, scale)
 
-    obj, obj_den = over_common_denominator(lp.objective)
+    obj, obj_den = lp._obj_num, lp._obj_den
     cost = [0] * n_internal
     for a, (sign, _, col, neg) in zip(obj, columns):
         cost[col] += a * sign

@@ -41,43 +41,47 @@ class MaximinSolution:
     value: Fraction  # guaranteed expected payoff for this player
 
 
+def _opponent(player) -> int:
+    """The other player of a statistical game; refuses anything but the ints 0 and 1."""
+    if type(player) is not int or player not in (0, 1):
+        raise DomainError(f"player must be 0 or 1, got {player!r}")
+    return 1 - player
+
+
 def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
     """Exact optimal mixture maximizing the player's guaranteed payoff.
 
     Standard guarantee-maximization LP: maximize v subject to the mixture
-    earning at least v against every opposing pure strategy.
+    earning at least v against every opposing pure strategy.  Every row is
+    handed over times the player's payoff denominator d, as the payoffs'
+    ints: ``sum_s u[s, t]·x_s - d·v >= 0`` and ``d·sum_s x_s = d``.
     """
     game = sg.game
-    if player not in (0, 1):
-        raise DomainError(f"player must be 0 or 1, got {player}")
-    other = 1 - player
+    other = _opponent(player)
     k = game.shape[player]
     m = game.shape[other]
     u, d = game._num[player], game._den[player]
     mine, theirs = game._strides[player], game._strides[other]
-    constraints = []
-    for t in range(m):
-        coeffs = [Fraction(u[s * mine + t * theirs], d) for s in range(k)]
-        constraints.append((coeffs + [-1], ">=", 0))
-    constraints.append(([1] * k + [0], "=", 1))
-    lp = LinearProgram.build(
-        objective=[0] * k + [1],
-        maximize=True,
-        constraints=constraints,
-        bounds=[(0, None)] * k + [(None, None)],
-    )
-    sol = solve_lp(lp)
+    constraints = [
+        ([u[s * mine + t * theirs] for s in range(k)] + [-d], ">=", 0) for t in range(m)
+    ]
+    constraints.append(([d] * k + [0], "=", d))
+    bounds = [(0, None)] * k + [(None, None)]
+    sol = solve_lp(LinearProgram.build([0] * k + [1], True, constraints, bounds))
     if not sol.is_optimal:
         raise AssertionError(f"guarantee LP unexpectedly {sol.status}")
     return MaximinSolution(player, tuple(sol.point[:k]), sol.objective_value)
 
 
 def guarantee(sg: StatisticalGame, player: int, mixture: Sequence[Fraction]) -> Fraction:
-    """Worst expected payoff of a fixed mixture over opposing pure strategies."""
+    """Worst expected payoff of a fixed mixture over opposing pure strategies.
+
+    The mixture must be a distribution of `Fraction`s over the player's
+    strategies, as `NormalFormGame.validate_mixed` requires of each entry.
+    """
     game = sg.game
-    other = 1 - player
-    if len(mixture) != game.shape[player]:
-        raise DomainError("mixture length does not match the strategy count")
+    other = _opponent(player)
+    game._check_distribution(player, mixture)
     u = game._num[player]
     mine, theirs = game._strides[player], game._strides[other]
     weights, scale = over_common_denominator(mixture)

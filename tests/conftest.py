@@ -6,11 +6,14 @@ same instances.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+
+import pytest
 
 from optimin import NormalFormGame
 
@@ -18,6 +21,30 @@ from optimin import NormalFormGame
 # checkout, whether or not it is installed.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture
+def count_fractions():
+    """``with count_fractions() as built:`` appends the arguments of every
+    `Fraction.__new__` call made inside the block to the list `built`."""
+
+    @contextlib.contextmanager
+    def counting():
+        built = []
+        saved = vars(Fraction)["__new__"]
+        original = Fraction.__new__
+
+        def new(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        Fraction.__new__ = new
+        try:
+            yield built
+        finally:
+            Fraction.__new__ = saved
+
+    return counting
 
 
 def random_game(rng: random.Random, max_players: int = 3, max_strats: int = 3,

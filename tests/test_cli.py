@@ -314,6 +314,23 @@ class TestGenAndSweep:
         assert code == 1 and out == ""
         assert "SWEEP_MAX_POINTS" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "centipede", "--nodes", "100000"],
+            ["sweep", "--family", "centipede", "--param", "nodes",
+             "--from", "100000", "--to", "100001"],
+        ],
+    )
+    def test_centipede_node_bound_exits_1(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: centipede of 100000 nodes exceeds the 500-node bound (CENTIPEDE_MAX_NODES); "
+            "lower --nodes"
+        ]
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestErrorsAndDeterminism:
     def test_unknown_game_file_exits_1(self, capsys):

@@ -1,8 +1,11 @@
+import contextlib
 import importlib.util
+import io
 import itertools
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction as F
@@ -27,7 +30,8 @@ from optimin import (
     shapley,
     solve_lp,
 )
-from optimin import coop
+import optimin
+from optimin import cli, coop
 from optimin.coop import (
     CORE_MAX_PLAYERS,
     IMPUTATION_GRID_MAX_POINTS,
@@ -862,3 +866,82 @@ def test_shapley_matches_its_definition(case):
     n, worths = case
     game = TUGame(n, {m: w for m, w in enumerate(worths, start=1)})
     assert shapley(game) == brute_shapley(game)
+
+
+# -- Fractions built per op: the solvers run on ints ------------------------------
+
+BENCH_OP_KINDS = ("claim", "game3", "match5", "coop4", "mixed3", "nucleolus4", "core5")
+# How many more `Fraction`s than printed values an op of any kind may build on
+# average; the ints-to-Fraction conversion of a solver's rows would cost
+# 2^n - 1 of them per LP, 31 at core5 and 14 per nucleolus4 round.
+FRACTIONS_OVER_VALUES = 20
+# An exact number in a report; the "(~0.333)" decimal hints are cut first, and
+# labels such as "s3", "stop@2" or "a1=b4" hold none.
+_DECIMAL_HINT = re.compile(r" \(~[^)]*\)")
+_EXACT_NUMBER = re.compile(r"(?<![\w@./=-])-?\d+(?:/\d+)?(?![\w./])")
+
+
+def _pool(workloads, kind, workdir):
+    """Every instance of the benchmark's `kind`, its input files written to `workdir`."""
+    if kind == "claim":
+        return [workloads.claim_instance(reward) for reward in workloads.CLAIM_REWARDS]
+    instances = [workloads.pool_instance(kind, i) for i in range(workloads.POOL_SIZE[kind])]
+    workloads.write_inputs(optimin, instances, workdir)
+    return instances
+
+
+@pytest.mark.parametrize("kind", BENCH_OP_KINDS)
+def test_fractions_per_benchmark_op(kind, count_fractions, tmp_path):
+    # Over the whole pool of each benchmark op kind, run as the benchmark runs
+    # it (`cli.main` on the op's argv), the `Fraction`s built per op are at most
+    # the exact values its report prints plus FRACTIONS_OVER_VALUES.
+    workdir = str(tmp_path)
+    instances = _pool(_bench_workloads(), kind, workdir)
+    built = values = 0
+    for instance in instances:
+        out = io.StringIO()
+        with count_fractions() as made, contextlib.redirect_stdout(out):
+            code = cli.main(instance.argv(workdir, 1))
+        assert code == 0
+        built += len(made)
+        values += len(_EXACT_NUMBER.findall(_DECIMAL_HINT.sub("", out.getvalue())))
+    assert built <= values + FRACTIONS_OVER_VALUES * len(instances), (built, values, len(instances))
+
+
+def _symmetric_game(n, worth_of_size):
+    return TUGame(n, {mask: worth_of_size(mask.bit_count()) for mask in range(1, 1 << n)})
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_core_builds_fractions_for_its_witness_only(n, count_fractions):
+    # k^2/3 is convex in the coalition size k, so the core holds the equal
+    # split; capping u(N) at 0 empties it.  Neither count grows with the
+    # 2^n - 1 coalition rows.
+    convex = _symmetric_game(n, lambda k: F(k * k, 3))
+    empty = _symmetric_game(n, lambda k: F(k * k, 3) if k < n else F(0))
+    with count_fractions() as built:
+        witness = core(convex).witness
+    assert len(built) <= n + 1  # the witness and the LP's value
+    assert sum(witness) == F(n * n, 3)
+    with count_fractions() as built:
+        assert core(empty).empty
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_nucleolus_builds_a_bounded_number_of_fractions_per_round(n, count_fractions, monkeypatch):
+    # Per round: the dual's point, at most n + 1 of whose entries are basic
+    # and nonzero, its value and the level; then the n entries returned.
+    rng = random.Random(f"nucleolus-fractions/{n}")
+    solve = coop.solve_lp
+    for _ in range(5):
+        worth = {
+            mask: F(rng.randint(0, 12 * mask.bit_count()), rng.randint(1, 6))
+            for mask in range(1, 1 << n)
+        }
+        worth[(1 << n) - 1] += 12 * n  # keeps the imputation set nonempty
+        rounds = []
+        monkeypatch.setattr(coop, "solve_lp", lambda lp: rounds.append(lp) or solve(lp))
+        with count_fractions() as built:
+            nucleolus(TUGame(n, worth))
+        assert len(built) <= len(rounds) * (n + 3) + n

@@ -460,24 +460,16 @@ def test_over_common_denominator_matches_its_definition(values):
     assert over_common_denominator(iter(values)) == over_common_denominator(values)
 
 
-def test_readers_build_no_fraction_for_int_or_plain_literals(monkeypatch):
+def test_readers_build_no_fraction_for_int_or_plain_literals(count_fractions):
     game = json.dumps(GAME_DOC)
     tu = json.dumps({"n": 2, "worth": {"1": 1, "2": "-1/2", "1,2": "7/3"}})
     decision = json.dumps(
         {"acts": ["a", "b"], "states": ["s", "t"],
          "utility": {"a": {"s": 1, "t": "-5/6"}, "b": {"s": "4/3", "t": 0}}}
     )
-    built = []
-    original = F.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counting)
-    parse_game(game)
-    parse_tu_game(tu)
-    parse_decision(decision)
-    Constraint([1, "1/2", "-3/4"], "<=", "7/3")
-    monkeypatch.undo()
+    with count_fractions() as built:
+        parse_game(game)
+        parse_tu_game(tu)
+        parse_decision(decision)
+        Constraint([1, "1/2", "-3/4"], "<=", "7/3")
     assert built == []

@@ -20,7 +20,7 @@ from optimin import (
     value_pure,
 )
 from optimin.fileio import dump_game, parse_game
-from optimin.generators import PUBLIC_GOODS_CELL_LIMIT, TRAVELERS_CELL_LIMIT
+from optimin.generators import CENTIPEDE_MAX_NODES, PUBLIC_GOODS_CELL_LIMIT, TRAVELERS_CELL_LIMIT
 
 
 def optimin_labels(game):
@@ -120,6 +120,24 @@ class TestCentipede:
         for nodes in (4, 5, 6, 7, 8):
             g = gen_centipede(nodes, "increasing")
             assert optimin_labels(g) == [("continue", "continue")]
+
+    def test_node_bound(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                gen_centipede(100_000, "constant")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any payoff exists
+        message = str(info.value)
+        assert str(CENTIPEDE_MAX_NODES) in message
+        assert "100000 nodes" in message
+        assert "CENTIPEDE_MAX_NODES" in message
+        assert "--nodes" in message
+        for variant in ("increasing", "constant"):
+            with pytest.raises(ResourceLimitError):
+                gen_centipede(CENTIPEDE_MAX_NODES + 1, variant)
 
     def test_two_nodes_mixes_stop_and_cooperation(self):
         g = gen_centipede(2, "increasing")

@@ -491,22 +491,14 @@ class TestVertexChoice:
         assert solution.mixture == (F(1), F(0))
 
 
-def test_duals_are_built_on_first_read(monkeypatch):
+def test_duals_are_built_on_first_read(count_fractions):
     # The solver keeps each dual as ints; no Fraction is built until `duals` is read.
     lp = LinearProgram.build([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
                              bounds=[(0, None), (0, None)])
-    built = []
-    original = F.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counting)
-    sol = solve_lp(lp)
-    solved = len(built)
-    duals = sol.duals
-    monkeypatch.undo()
+    with count_fractions() as built:
+        sol = solve_lp(lp)
+        solved = len(built)
+        duals = sol.duals
     assert len(built) - solved == 3  # one per row, on the first read only
     assert duals == (F(2), F(0), F(1)) and sol.duals is duals
 

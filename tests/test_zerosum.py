@@ -5,6 +5,7 @@ import pytest
 
 from optimin import (
     DomainError,
+    InvalidDistributionError,
     NormalFormGame,
     StatisticalGame,
     UnsupportedFeatureError,
@@ -96,6 +97,27 @@ class TestMaximinLP:
         g = NormalFormGame(("a", "b"), (("x",), ("y",)), [[(1, 0)]])
         with pytest.raises(DomainError):
             StatisticalGame(g)
+
+    @pytest.mark.parametrize("player", [True, False, 2, -1, 1.0, "0"])
+    def test_refuses_a_player_other_than_0_or_1(self, player):
+        sg = bulmer_game()
+        with pytest.raises(DomainError, match="player must be 0 or 1"):
+            maximin_lp(sg, player)
+        with pytest.raises(DomainError, match="player must be 0 or 1"):
+            guarantee(sg, player, (F(1, 2), F(1, 2)))
+
+    @pytest.mark.parametrize(
+        "mixture, fault",
+        [
+            ((F(2), F(-1), F(0), F(0)), "negative probability -1"),
+            ((F(1, 2), F(1, 4), F(0), F(0)), "sum to 3/4, not 1"),
+            ((1, 0, 0, 0), "must be Fractions"),
+            ((F(1, 2), F(1, 2)), "distribution over 2 strategies, game has 4"),
+        ],
+    )
+    def test_guarantee_refuses_a_mixture_that_is_no_distribution(self, mixture, fault):
+        with pytest.raises(InvalidDistributionError, match=fault):
+            guarantee(bulmer_game(), 0, mixture)
 
     def test_duality_on_random_games(self):
         rng = random.Random(31)
