@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Sequence, get_args
 
 from . import coop, decisions, fileio, generators, matching, noncoop, zerosum
 from .errors import OptiminError, ParameterError, ResourceLimitError
@@ -151,35 +152,18 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_decide_check)
 
     p = sub.add_parser("gen", help="write a generated game to a file")
-    p.add_argument("family", choices=generators.NAMED_TAGS + ("travelers", "centipede", "public_goods"))
+    p.add_argument("family", choices=tuple(dict.fromkeys(generators.NAMED_TAGS + tuple(generators.FAMILIES))))
     p.add_argument("--out", required=True)
-    p.add_argument("--low", type=int, default=2)
-    p.add_argument("--high", type=int, default=100)
-    p.add_argument("--r", default="2")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--variant", choices=("increasing", "constant"), default="increasing")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--endowment", default="10")
-    p.add_argument("--mpcr", default="1/2")
-    p.add_argument("--levels", default="0,10")
-    p.add_argument("--t", default="5")
-    p.add_argument("--reward", default="3")
-    p.add_argument("--punishment", default="1")
-    p.add_argument("--sucker", default="0")
+    _family_flags(p, sweeping=False)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("sweep", help="solution sets across a parameter range")
-    p.add_argument("--family", required=True, choices=("travelers", "centipede", "public_goods"))
+    p.add_argument("--family", required=True, choices=[k for k, f in generators.FAMILIES.items() if f.swept])
     p.add_argument("--param", required=True)
     p.add_argument("--from", dest="start", required=True)
     p.add_argument("--to", dest="stop", required=True)
     p.add_argument("--step", default="1")
-    p.add_argument("--low", type=int, default=2)
-    p.add_argument("--high", type=int, default=100)
-    p.add_argument("--variant", choices=("increasing", "constant"), default="increasing")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--endowment", default="10")
-    p.add_argument("--levels", default="0,10")
+    _family_flags(p, sweeping=True)
     p.add_argument("--out")
     common(p)
     p.set_defaults(handler=_cmd_sweep)
@@ -550,21 +534,27 @@ def _cmd_decide_check(args) -> int:
 # -- generation and sweeps -------------------------------------------------------
 
 
+# A family flag's type, by its parameter's annotation; a Literal gives choices.
+_FLAG_TYPES = {int: int, Sequence: lambda text: text.split(",")}
+
+
+def _family_flags(p, sweeping: bool) -> None:
+    """One flag per family parameter, in table and signature order, with no
+    default, so one left out keeps the generator's; none for what `sweep` varies."""
+    for family in generators.FAMILIES.values():
+        for name, (flag, hint) in family.parameters.items():
+            if not (sweeping and family.swept in (None, name)):
+                kind = _FLAG_TYPES.get(hint, str)
+                p.add_argument(f"--{flag}", default=argparse.SUPPRESS, type=kind, choices=get_args(hint) or None)
+
+
+def _family_params(args, family) -> dict:
+    return {name: getattr(args, flag) for name, (flag, _) in family.parameters.items() if hasattr(args, flag)}
+
+
 def _cmd_gen(args) -> int:
-    family = args.family
-    if family == "travelers":
-        obj = generators.gen_travelers(args.low, args.high, to_fraction(args.r))
-    elif family == "centipede":
-        obj = generators.gen_centipede(args.nodes, args.variant)
-    elif family == "public_goods":
-        levels = [to_fraction(tok) for tok in args.levels.split(",")]
-        obj = generators.gen_public_goods(args.n, to_fraction(args.endowment), to_fraction(args.mpcr), levels)
-    elif family == "prisoners_dilemma":
-        obj = generators.gen_prisoners_dilemma(
-            to_fraction(args.t), to_fraction(args.reward), to_fraction(args.punishment), to_fraction(args.sucker)
-        )
-    else:
-        obj = generators.gen_named(family)
+    family = generators.FAMILIES.get(args.family)
+    obj = family.build(**_family_params(args, family)) if family else generators.gen_named(args.family)
     if isinstance(obj, NormalFormGame):
         text = fileio.dump_game(obj)
     else:
@@ -589,17 +579,7 @@ def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fract
 
 def _cmd_sweep(args) -> int:
     values = _sweep_values(to_fraction(args.start), to_fraction(args.stop), to_fraction(args.step))
-    fixed = {}
-    if args.family == "travelers":
-        fixed = {"low": args.low, "high": args.high}
-    elif args.family == "centipede":
-        fixed = {"variant": args.variant}
-    elif args.family == "public_goods":
-        fixed = {
-            "n": args.n,
-            "endowment": to_fraction(args.endowment),
-            "levels": tuple(to_fraction(tok) for tok in args.levels.split(",")),
-        }
+    fixed = _family_params(args, generators.FAMILIES[args.family])
     result = generators.sweep(args.family, args.param, values, **fixed)
 
     def profile_set(profiles) -> str:

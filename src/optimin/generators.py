@@ -2,22 +2,28 @@
 
 Families: the claim-a-number dilemma with a reward parameter, the sequential
 stop-or-continue game in reduced normal form (increasing-sum and constant-sum
-variants), the 2x2 dilemma, and voluntary-contribution games.  Named tags
-reproduce specific matrices and characteristic functions exactly.
+variants), the 2x2 dilemma, and voluntary-contribution games.  Each builds
+int payoffs through `NormalFormGame._from_scaled`, no `Fraction` per cell;
+`FAMILIES` maps each to its generator, whose signature states its parameters
+and defaults.  Named tags reproduce specific matrices and characteristic
+functions exactly.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 from .coop import TUGame
 from .errors import ParameterError, ResourceLimitError
 from .games import NormalFormGame
 from .noncoop import nash_pure, optimin_pure
-from .rational import to_fraction
+from .rational import json_ratio, literal_ratio, over_common_denominator, to_fraction
 
 # gen_travelers refuses claim games above this many cells (500 claims a
 # side); its value table holds one entry per cell.
@@ -28,9 +34,11 @@ TRAVELERS_CELL_LIMIT = 250_000
 PUBLIC_GOODS_CELL_LIMIT = 65_536
 
 # gen_centipede refuses games of more nodes than this.  The game has about
-# (nodes / 2)^2 cells of nodes-bit payoffs; at the bound, `gen` takes about a
-# second and 90 MB.
+# (nodes / 2)^2 cells of nodes-bit payoffs; at the bound, `gen` takes about
+# half a second and 80 MB.
 CENTIPEDE_MAX_NODES = 500
+
+CentipedeVariant = Literal["increasing", "constant"]
 
 NAMED_TAGS = (
     "figure1",
@@ -42,14 +50,14 @@ NAMED_TAGS = (
 )
 
 
-def gen_travelers(low: int, high: int, r) -> NormalFormGame:
+def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:
     """Both pick an integer claim in [low, high]; the lower claim n earns n + r,
     the higher earns n - r, ties earn the claim itself."""
-    r = to_fraction(r)
+    p, q = literal_ratio(r)
     if not (isinstance(low, int) and isinstance(high, int) and 2 <= low < high):
         raise ParameterError(f"claims need integers 2 <= low < high, got {low}, {high}")
-    if r <= 1:
-        raise ParameterError(f"reward must exceed 1, got {r}")
+    if p <= q:
+        raise ParameterError(f"reward must exceed 1, got {json_ratio(p, q)}")
     cells = (high - low + 1) ** 2
     if cells > TRAVELERS_CELL_LIMIT:
         raise ResourceLimitError(
@@ -61,7 +69,6 @@ def gen_travelers(low: int, high: int, r) -> NormalFormGame:
     # With r = p/q every payoff is an int over q: a*q for a tie, the lower
     # claim times q, plus p for its owner and minus p for the other.  Row a
     # is column b's below the diagonal, the tie on it and a constant above.
-    p, q = r.numerator, r.denominator
     below1 = [b * q - p for b in claims]
     below2 = [b * q + p for b in claims]
     u1, u2 = [], []
@@ -71,7 +78,7 @@ def gen_travelers(low: int, high: int, r) -> NormalFormGame:
     return NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
 
 
-def gen_centipede(nodes: int, variant: str = "increasing") -> NormalFormGame:
+def gen_centipede(nodes: int = 4, variant: CentipedeVariant = "increasing") -> NormalFormGame:
     """Reduced normal form of the alternating stop-or-continue game.
 
     Player 1 moves at odd nodes, player 2 at even ones; a strategy is the
@@ -82,72 +89,64 @@ def gen_centipede(nodes: int, variant: str = "increasing") -> NormalFormGame:
     """
     if not isinstance(nodes, int) or nodes < 1:
         raise ParameterError(f"node count must be a positive integer, got {nodes}")
-    if variant not in ("increasing", "constant"):
+    if variant not in get_args(CentipedeVariant):
         raise ParameterError(f"variant must be 'increasing' or 'constant', got {variant!r}")
     if nodes > CENTIPEDE_MAX_NODES:
         raise ResourceLimitError(
             f"centipede of {nodes} nodes exceeds the {CENTIPEDE_MAX_NODES}-node bound "
             "(CENTIPEDE_MAX_NODES); lower --nodes"
         )
-
-    def stop_payoff(k: int) -> tuple[Fraction, Fraction]:
-        mover_first = k % 2 == 1
+    # The payoffs when the game stops at node k = 1 .. nodes + 1; "continue"
+    # is node nodes + 1, where the next mover's split stands.
+    half = 2 ** (nodes + 1)
+    stop = {}
+    for k in range(1, nodes + 2):
         if variant == "increasing":
-            hi, lo = Fraction(4 * 2 ** (k - 1)), Fraction(2 ** (k - 1))
+            hi, lo = 2 ** (k + 1), 2 ** (k - 1)
         else:
-            total = 2 ** (nodes + 2)
-            edge = total // 2 ** (k + 1)
-            hi, lo = Fraction(total // 2 + edge), Fraction(total // 2 - edge)
-        return (hi, lo) if mover_first else (lo, hi)
-
-    own1 = [k for k in range(1, nodes + 1) if k % 2 == 1]
-    own2 = [k for k in range(1, nodes + 1) if k % 2 == 0]
+            hi, lo = half + 2 ** (nodes + 1 - k), half - 2 ** (nodes + 1 - k)
+        stop[k] = (hi, lo) if k % 2 else (lo, hi)  # player 1 moves at odd nodes
+    own1 = range(1, nodes + 1, 2)
+    own2 = range(2, nodes + 1, 2)
     s1 = tuple(f"stop@{k}" for k in own1) + ("continue",)
     s2 = tuple(f"stop@{k}" for k in own2) + ("continue",)
-    end = stop_payoff(nodes + 1)  # nobody stopped; next mover's split stands
-
-    def outcome(k1: int | None, k2: int | None) -> tuple[Fraction, Fraction]:
-        stops = [k for k in (k1, k2) if k is not None]
-        return stop_payoff(min(stops)) if stops else end
-
-    nodes1 = own1 + [None]
-    nodes2 = own2 + [None]
-    payoffs = [[outcome(k1, k2) for k2 in nodes2] for k1 in nodes1]
-    return NormalFormGame(("player1", "player2"), (s1, s2), payoffs)
+    u1, u2 = zip(*[stop[min(k1, k2)] for k1 in (*own1, nodes + 1) for k2 in (*own2, nodes + 1)])
+    return NormalFormGame._from_scaled(("player1", "player2"), (s1, s2), (u1, u2), (1, 1))
 
 
-def gen_prisoners_dilemma(t, r, p, s) -> NormalFormGame:
+def gen_prisoners_dilemma(t=5, r=3, p=1, s=0) -> NormalFormGame:
     """Standard 2x2 dilemma with temptation > reward > punishment > sucker."""
-    t, r, p, s = (to_fraction(v) for v in (t, r, p, s))
+    (t, r, p, s), d = over_common_denominator((t, r, p, s))
     if not t > r > p > s:
-        raise ParameterError(f"need T > R > P > S, got {t} > {r} > {p} > {s}")
+        raise ParameterError(
+            "need T > R > P > S, got " + " > ".join(str(json_ratio(v, d)) for v in (t, r, p, s))
+        )
     strategies = ("Cooperate", "Defect")
-    payoffs = [
-        [(r, r), (s, t)],
-        [(t, s), (p, p)],
-    ]
-    return NormalFormGame(("row", "column"), (strategies, strategies), payoffs)
+    payoffs = ((r, s, t, p), (r, t, s, p))  # row's, then column's, cells in row-major order
+    return NormalFormGame._from_scaled(("row", "column"), (strategies, strategies), payoffs, (d, d))
 
 
-def gen_public_goods(n: int, endowment, mpcr, levels: Sequence) -> NormalFormGame:
+def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0, 10)) -> NormalFormGame:
     """Each player contributes a level c from the menu; payoff is e - c + m * total."""
-    e = to_fraction(endowment)
-    m = to_fraction(mpcr)
+    # e and the levels are ints over den and the return rate is p/q, so
+    # every payoff is an int over den * q.
+    (e, *menu), den = over_common_denominator([endowment, *levels])
+    p, q = literal_ratio(mpcr)
     if n < 2:
         raise ParameterError(f"need at least 2 players, got {n}")
     if e <= 0:
-        raise ParameterError(f"endowment must be positive, got {e}")
-    if m <= 0:
-        raise ParameterError(f"return rate must be positive, got {m}")
-    if m >= 1:
+        raise ParameterError(f"endowment must be positive, got {json_ratio(e, den)}")
+    if p <= 0:
+        raise ParameterError(f"return rate must be positive, got {json_ratio(p, q)}")
+    if p >= q:
         warnings.warn(
-            f"return rate {m} >= 1 makes contribution dominant", stacklevel=2
+            f"return rate {json_ratio(p, q)} >= 1 makes contribution dominant", stacklevel=2
         )
-    menu = sorted({to_fraction(c) for c in levels})
+    menu = sorted(set(menu))
     if len(menu) < 2:
         raise ParameterError("need at least 2 distinct contribution levels")
     if menu[0] < 0 or menu[-1] > e:
-        raise ParameterError(f"levels must lie within [0, {e}]")
+        raise ParameterError(f"levels must lie within [0, {json_ratio(e, den)}]")
     cells = 1
     for _ in range(n):  # stops within 17 players: each multiplies by at least 2
         cells *= len(menu)
@@ -158,16 +157,44 @@ def gen_public_goods(n: int, endowment, mpcr, levels: Sequence) -> NormalFormGam
                 "lower --n or the number of --levels"
             )
 
-    labels = tuple(str(c) if c.denominator != 1 else str(c.numerator) for c in menu)
+    labels = tuple(str(json_ratio(c, den)) for c in menu)
     players = tuple(f"player{i + 1}" for i in range(n))
+    profiles = list(itertools.product(menu, repeat=n))
+    pooled = [p * sum(profile) for profile in profiles]
+    num = [[(e - c) * q + pool for c, pool in zip(own, pooled)] for own in zip(*profiles)]
+    return NormalFormGame._from_scaled(players, (labels,) * n, num, (den * q,) * n)
 
-    def build(depth: int, chosen: tuple[Fraction, ...]):
-        if depth == n:
-            total = sum(chosen, Fraction(0))
-            return [e - c + m * total for c in chosen]
-        return [build(depth + 1, chosen + (c,)) for c in menu]
 
-    return NormalFormGame(players, (labels,) * n, build(0, ()))
+@dataclass(frozen=True)
+class Family:
+    """A family's generator, held by name and looked up on this module at each
+    call so that a rebinding of the module attribute is seen, and the
+    parameter `sweep` varies (None if it sweeps none).  The generator's
+    signature states the parameters and their defaults."""
+
+    generator: str
+    swept: str | None = None
+    renamed: tuple[tuple[str, str], ...] = ()  # (parameter, CLI flag) where they differ
+
+    def build(self, **params):
+        return globals()[self.generator](**params)
+
+    @functools.cached_property
+    def parameters(self) -> dict[str, tuple[str, object]]:
+        """Parameter name -> (CLI flag, annotation), in signature order."""
+        flags = dict(self.renamed)
+        signature = inspect.signature(globals()[self.generator], eval_str=True)
+        return {name: (flags.get(name, name), p.annotation) for name, p in signature.parameters.items()}
+
+
+FAMILIES = {
+    "travelers": Family("gen_travelers", "r"),
+    "centipede": Family("gen_centipede", "nodes"),
+    "public_goods": Family("gen_public_goods", "mpcr"),
+    "prisoners_dilemma": Family(
+        "gen_prisoners_dilemma", renamed=(("r", "reward"), ("p", "punishment"), ("s", "sucker"))
+    ),
+}
 
 
 def gen_named(tag: str):
@@ -195,7 +222,7 @@ def gen_named(tag: str):
         ]
         return NormalFormGame(("row", "column"), (strategies, strategies), payoffs)
     if tag == "prisoners_dilemma":
-        return gen_prisoners_dilemma(5, 3, 1, 0)
+        return gen_prisoners_dilemma()
     if tag == "coop_empty_core":
         return _three_player_tu(grand=110)
     if tag == "coop_120":
@@ -241,11 +268,23 @@ class SweepResult:
 
 
 def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult:
-    """Run the solution set and the equilibrium set across a parameter range."""
+    """Run the solution set and the equilibrium set across a parameter range;
+    `fixed` keywords the family's generator does not take are ignored."""
+    spec = FAMILIES.get(family)
+    if spec is None or spec.swept is None:
+        raise ParameterError(f"unknown sweep family {family!r}")
+    if parameter != spec.swept:
+        raise ParameterError(f"{family} sweeps over {spec.swept!r}, not {parameter!r}")
+    integral = spec.parameters[parameter][1] is int  # centipede's nodes
+    params = {k: v for k, v in fixed.items() if k in spec.parameters and k != parameter}
     rows = []
     for raw in values:
         value = to_fraction(raw)
-        game = _family_instance(family, parameter, value, fixed)
+        if integral and value.denominator != 1:
+            raise ParameterError("node counts must be integers")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a public goods return rate >= 1
+            game = spec.build(**params, **{parameter: value.numerator if integral else value})
         opt = tuple(game.profile_labels(e.profile) for e in optimin_pure(game))
         nash = tuple(game.profile_labels(p) for p in nash_pure(game))
         rows.append(SweepRow(value, opt, nash))
@@ -257,28 +296,3 @@ def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult
                 threshold = row.parameter
                 break
     return SweepResult(family, parameter, tuple(rows), threshold)
-
-
-def _family_instance(family: str, parameter: str, value: Fraction, fixed: dict):
-    if family == "travelers":
-        if parameter != "r":
-            raise ParameterError(f"travelers sweeps over 'r', not {parameter!r}")
-        return gen_travelers(fixed.get("low", 2), fixed.get("high", 100), value)
-    if family == "centipede":
-        if parameter != "nodes":
-            raise ParameterError(f"centipede sweeps over 'nodes', not {parameter!r}")
-        if value.denominator != 1:
-            raise ParameterError("node counts must be integers")
-        return gen_centipede(int(value), fixed.get("variant", "increasing"))
-    if family == "public_goods":
-        if parameter != "mpcr":
-            raise ParameterError(f"public_goods sweeps over 'mpcr', not {parameter!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return gen_public_goods(
-                fixed.get("n", 2),
-                fixed.get("endowment", 10),
-                value,
-                fixed.get("levels", (0, 10)),
-            )
-    raise ParameterError(f"unknown sweep family {family!r}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,43 @@ from optimin import ResourceLimitError
 from optimin.cli import SWEEP_MAX_POINTS, _sweep_values, main
 from optimin.fileio import dump_marriage
 from optimin.matching import MarriageProblem
+
+
+# sha256 of the bytes each command writes, recorded before the generators
+# moved from nested Fraction tensors to int columns: the files, reports and
+# help text must not change.
+GEN_PINS = {
+    "figure1": "290b19c62e60dc70ad52f86a8f3f5830c8f13acbbac454723f067d7f13e3b576",
+    "motivating": "f0a2eb46df916891c43897101ad9619cdfeba9055eee3df20beb083553713890",
+    "battle_of_sexes": "ffdb4d98504918f0f1b856b13ea66bc0b0d006622d87546be95ebf4500eb821b",
+    "prisoners_dilemma": "10a1ad64392f9681edc4b4575fc3635aa10a2ba8580bc430235a0436f8345a9d",
+    "coop_empty_core": "42d5bc1423452fee3a2bf73bda598f208e8c9e3b65ff2914e2a0a811cc4e5673",
+    "coop_120": "15eaf8cafd09a5c4d87d39af18bd9fb8353b4bf4d68f316edb5b15409b3b5a0d",
+    "travelers": "9598854aaca62e2a46e80b19868b1912629561abdaa1d629d46b97a83ad347a4",
+    "centipede": "a3e4db9fb7ec4c50c833c50a5b630c9138ab47ac532a2e5582b03a91d0e498f0",
+    "public_goods": "3367260e730240f0cd978583ee0b5ede98d78778e45d1f5de018ea985af6c84c",
+    "travelers --r 5/2 --low 3 --high 9": "6b282511186f0bae681263b7057f2cf3883b959e5b3f7ca8cba7fe4daada7402",
+    "centipede --nodes 7 --variant constant":
+        "e936bf4b6d679c9b191ffbe8820b28ee1a5222041f3ee26cc60639093a04d387",
+    "public_goods --n 3 --endowment 7/2 --mpcr 2/3 --levels 0,1/3,3":
+        "2ba74e7f8af9f7fb606f014d46554597d562ebcb68c74a10fa971b4a86eaa8a6",
+    "prisoners_dilemma --t 7/2 --reward 3 --punishment 1/2 --sucker 0":
+        "97ecda1d5fc7ab6946bb138a9e8a00b6e2c51480d399f00b482fb87bfcb9ae38",
+}
+SWEEP_PINS = {
+    "--family travelers --param r --from 2 --to 4 --step 1/2 --low 3 --high 12":
+        "f411f59372b66dd7db7caed2b73625c6f2e0cd1fcaeae8b007d7a1a3032fb6d8",
+    "--family centipede --param nodes --from 1 --to 6":
+        "ca09364b36f81b384f7ad5e10ad742be93b8198dc9683b25b82921b3eb6ac8c6",
+    "--family centipede --param nodes --from 1 --to 4 --variant constant":
+        "94568fbdc902a67bfa6a418a8e9181a9cc6aed85d3c018f4cf1ef006681261f0",
+    "--family public_goods --param mpcr --from 1/2 --to 3/2 --step 1/4 --n 3 --endowment 7/2 --levels 0,1/3,3":
+        "1d12a6bc3c00ad3dbaaba48c8ff1d78cdb3ec5fa1cd1b21e869cb97144ba9218",
+}
+HELP_PINS = {
+    "gen": "d4e0f71045793f392b55f92598caf0ae15bddbaf397d7bbe12d892c590528e92",
+    "sweep": "db16d3ce2b1039560d9bf377947e3a588c3fbb61b46493540ae6ddda98b3ed8b",
+}
 
 
 def run(capsys, *argv):
@@ -330,6 +368,61 @@ class TestGenAndSweep:
             "lower --nodes"
         ]
         assert not (tmp_path / "out.json").exists()
+
+
+class TestBytePins:
+    @pytest.mark.parametrize("argv", list(GEN_PINS))
+    def test_gen_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "game.json"
+        code, out, _ = run(capsys, "gen", *argv.split(), "--out", str(path))
+        assert (code, out) == (0, f"wrote {path}\n")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_PINS[argv]
+
+    @pytest.mark.parametrize("argv", list(SWEEP_PINS))
+    def test_sweep_report(self, capsys, argv):
+        code, out, _ = run(capsys, "sweep", *argv.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_PINS[argv]
+
+    @pytest.mark.parametrize("command", list(HELP_PINS))
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_PINS[command]
+
+    def test_flag_of_another_family_is_ignored(self, capsys, tmp_path):
+        path = tmp_path / "game.json"
+        run(capsys, "gen", "travelers", "--nodes", "7", "--mpcr", "x", "--out", str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_PINS["travelers"]
+        argv = "--family centipede --param nodes --from 1 --to 6"
+        code, out, _ = run(capsys, "sweep", *argv.split(), "--low", "3", "--levels", "x", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_PINS[argv]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "travelers", "--param", "low", "--from", "2", "--to", "3"],
+             "travelers sweeps over 'r', not 'low'"),
+            (["--family", "centipede", "--param", "nodes", "--from", "1", "--to", "2", "--step", "1/2"],
+             "node counts must be integers"),
+            (["--family", "public_goods", "--param", "mpcr", "--from", "0", "--to", "1"],
+             "return rate must be positive, got 0"),
+            (["--family", "public_goods", "--param", "mpcr", "--from", "1", "--to", "1", "--n", "17"],
+             "public goods game of 17 players with 2 levels each exceeds the 65536-cell bound "
+             "(PUBLIC_GOODS_CELL_LIMIT); lower --n or the number of --levels"),
+        ],
+    )
+    def test_sweep_error_messages(self, capsys, argv, message):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_return_rate_warning(self, capsys, tmp_path):
+        with pytest.warns(UserWarning, match=r"^return rate 3/2 >= 1 makes contribution dominant$"):
+            code, _, _ = run(capsys, "gen", "public_goods", "--mpcr", "3/2", "--out", str(tmp_path / "g.json"))
+        assert code == 0
 
 
 class TestErrorsAndDeterminism:

@@ -21,6 +21,7 @@ from optimin import (
     optimin_acts,
 )
 from optimin.decisions import DECISION_MAX_CELLS
+from optimin.fileio import parse_decision
 
 
 def two_by_two():
@@ -416,3 +417,52 @@ def test_decisions_match_the_definition(built):
         assert report.verified == ({a for a, _ in kept} == maximin)
     else:
         assert report.verified is None
+
+
+# README's decision example, whose `antagonist` each test sets.
+README_DECISION = """{
+  "acts": ["buy", "rent"],
+  "states": ["keep", "fired"],
+  "utility": {
+    "buy":  {"keep": 10, "fired": -10},
+    "rent": {"keep": 2,  "fired": 1}
+  },
+  "feasible_states": {"buy": ["keep", "fired"], "rent": ["keep", "fired"]},
+  "oc_states": {
+    "buy,keep": ["keep"],
+    "buy,fired": ["keep"],
+    "*": ["keep", "fired"]
+  },
+  "antagonist": %s
+}"""
+
+
+class TestUtilityAccessors:
+    def test_nature_is_the_negated_decision_maker(self):
+        problem, oc = parse_decision(README_DECISION % "true")
+        table = {("buy", "keep"): 10, ("buy", "fired"): -10, ("rent", "keep"): 2, ("rent", "fired"): 1}
+        assert problem.feasible_pairs() == list(table)
+        for (act, state), u in table.items():
+            assert problem.dm_utility(act, state) == F(u)
+            assert problem.nature_utility(act, state) == -problem.dm_utility(act, state)
+
+    def test_nature_value_is_its_minimum_over_acts_for(self):
+        problem, oc = parse_decision(README_DECISION % "true")
+        for profile in problem.feasible_pairs():
+            acts = oc.acts_for(problem, profile)
+            assert acts == ("buy", "rent")  # no oc_acts: every act feasible at the state
+            value = decision_value(problem, oc, profile)
+            assert value.nature == min(problem.nature_utility(a, profile[1]) for a in acts)
+            states = oc.states_for(problem, profile)
+            assert value.dm == min(problem.dm_utility(profile[0], s) for s in states)
+        assert decision_value(problem, oc, ("rent", "keep")).nature == F(-10)
+        # Nature deeming only "rent" possible at (rent, keep) lifts its value there.
+        narrowed = OptimismConstraint(oc.dm_states, {("rent", "keep"): ("rent",)})
+        assert narrowed.acts_for(problem, ("rent", "keep")) == ("rent",)
+        assert decision_value(problem, narrowed, ("rent", "keep")).nature == F(-2)
+
+    def test_no_nature_utility_without_an_antagonist(self):
+        problem, _ = parse_decision(README_DECISION % "false")
+        assert problem.dm_utility("buy", "fired") == F(-10)
+        with pytest.raises(DomainError, match="Nature has no utility"):
+            problem.nature_utility("buy", "fired")

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from optimin import (
+    NormalFormGame,
     ParameterError,
     ResourceLimitError,
     better_responses,
@@ -25,6 +27,114 @@ from optimin.generators import CENTIPEDE_MAX_NODES, PUBLIC_GOODS_CELL_LIMIT, TRA
 
 def optimin_labels(game):
     return [game.profile_labels(e.profile) for e in optimin_pure(game)]
+
+
+# -- definition-direct oracles: nested Fraction tensors, one cell at a time --
+
+
+def oracle_centipede(nodes: int, variant: str) -> NormalFormGame:
+    def stop_payoff(k: int) -> tuple[F, F]:
+        mover_first = k % 2 == 1
+        if variant == "increasing":
+            hi, lo = F(4 * 2 ** (k - 1)), F(2 ** (k - 1))
+        else:
+            total = 2 ** (nodes + 2)
+            edge = total // 2 ** (k + 1)
+            hi, lo = F(total // 2 + edge), F(total // 2 - edge)
+        return (hi, lo) if mover_first else (lo, hi)
+
+    own1 = [k for k in range(1, nodes + 1) if k % 2 == 1]
+    own2 = [k for k in range(1, nodes + 1) if k % 2 == 0]
+    s1 = tuple(f"stop@{k}" for k in own1) + ("continue",)
+    s2 = tuple(f"stop@{k}" for k in own2) + ("continue",)
+    end = stop_payoff(nodes + 1)  # nobody stopped; next mover's split stands
+
+    def outcome(k1, k2):
+        stops = [k for k in (k1, k2) if k is not None]
+        return stop_payoff(min(stops)) if stops else end
+
+    payoffs = [[outcome(k1, k2) for k2 in own2 + [None]] for k1 in own1 + [None]]
+    return NormalFormGame(("player1", "player2"), (s1, s2), payoffs)
+
+
+def oracle_prisoners_dilemma(t: F, r: F, p: F, s: F) -> NormalFormGame:
+    strategies = ("Cooperate", "Defect")
+    payoffs = [
+        [(r, r), (s, t)],
+        [(t, s), (p, p)],
+    ]
+    return NormalFormGame(("row", "column"), (strategies, strategies), payoffs)
+
+
+def oracle_public_goods(n: int, e: F, m: F, levels) -> NormalFormGame:
+    menu = sorted(set(levels))
+    labels = tuple(str(c) for c in menu)
+    players = tuple(f"player{i + 1}" for i in range(n))
+
+    def build(depth: int, chosen: tuple[F, ...]):
+        if depth == n:
+            total = sum(chosen, F(0))
+            return [e - c + m * total for c in chosen]
+        return [build(depth + 1, chosen + (c,)) for c in menu]
+
+    return NormalFormGame(players, (labels,) * n, build(0, ()))
+
+
+def assert_same_game(got, want):
+    assert got == want
+    assert dump_game(got) == dump_game(want)
+
+
+def random_fraction(rng: random.Random, lo: int, hi: int, max_den: int = 6) -> F:
+    return F(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+class TestIntGeneratorsMatchOracles:
+    @pytest.mark.parametrize("variant", ["increasing", "constant"])
+    def test_centipede(self, variant):
+        for nodes in range(1, 61):
+            assert_same_game(gen_centipede(nodes, variant), oracle_centipede(nodes, variant))
+
+    def test_public_goods(self):
+        rng = random.Random(19)
+        for trial in range(60):
+            n = rng.randint(2, 5)
+            e = random_fraction(rng, 1, 30)
+            m = random_fraction(rng, 1, 12, 8)  # two thirds of them >= 1
+            levels = [e * random_fraction(rng, 0, 6, 6) / 6 for _ in range(rng.randint(2, 4))]
+            levels = [min(c, e) for c in levels] + [levels[0]]  # a duplicate, unsorted
+            if len(set(levels)) < 2 or len(set(levels)) ** n > 1024:
+                continue
+            # The generator reads exact strings; the oracle gets Fractions.
+            args = (n, str(e), str(m), [str(c) for c in levels])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert_same_game(gen_public_goods(*args), oracle_public_goods(n, e, m, levels))
+                assert_same_game(gen_public_goods(n, e, m, levels), oracle_public_goods(n, e, m, levels))
+
+    def test_prisoners_dilemma(self):
+        rng = random.Random(19)
+        for trial in range(100):
+            values = sorted({random_fraction(rng, -20, 20) for _ in range(4)}, reverse=True)
+            if len(values) < 4:
+                continue
+            assert_same_game(gen_prisoners_dilemma(*values), oracle_prisoners_dilemma(*values))
+            assert_same_game(
+                gen_prisoners_dilemma(*map(str, values)), oracle_prisoners_dilemma(*values)
+            )
+
+    def test_fractions_built_do_not_grow_with_cells(self, count_fractions):
+        # 1 024 and 10 201 cells; the parent's nested builders made a
+        # Fraction per payoff.
+        menu = ["0", "7/3"]
+        with count_fractions() as built:
+            gen_public_goods(10, "7/2", "2/3", menu)
+        assert len(built) <= len(menu) + 4
+        with count_fractions() as built:
+            gen_centipede(200, "increasing")
+            gen_centipede(200, "constant")
+            gen_prisoners_dilemma("7/2", 3, "1/2", 0)
+        assert len(built) <= 4
 
 
 class TestTravelers:

@@ -1,0 +1,48 @@
+"""The benchmark's tracer (perfbench/tracing.py) must still find every name it
+wraps, and must see the calls made through them.  A change that removes a
+traced name, or calls around it through a captured reference, fails here
+rather than in a benchmark run that reports an empty layer."""
+
+import contextlib
+import io
+import sys
+import types
+from pathlib import Path
+
+import optimin  # noqa: F401  (loads every module the tracer wraps)
+from optimin import cli, generators
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    """Run tracing.py's source in a fresh module; nothing is written beside it."""
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_target_resolves_and_the_claim_sweep_records_gen_travelers():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.prepare()  # raises on a target it cannot find
+    bound = {(owner, key) for owner, key, _, _ in tracer._bindings}
+    for module, attr, _, _ in tracing.TARGETS:
+        owner = sys.modules[f"optimin.{module}"]
+        if "." in attr:
+            cls, attr = attr.split(".")
+            owner = getattr(owner, cls)
+        assert (owner, attr) in bound, f"{module}.{attr} is not traced"
+
+    original = generators.gen_travelers
+    argv = ["sweep", "--family", "travelers", "--param", "r", "--from", "5/2", "--to", "5/2", "--high", "12"]
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert generators.gen_travelers is original
+    names = [span[1] for span in tracer.spans]
+    assert names.count("generators.gen_travelers") == 1
+    assert names.count("cli.main") == 1
