@@ -22,8 +22,8 @@ from .rational import over_common_denominator
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
 
 # DecisionProblem refuses more than this many (act, state) cells, |A|·|S|.
-# Each agreement's value is an int minimum over its row and column, so the work
-# is O(|A|·|S|·(|A|+|S|)): at the bound, 64×64 takes 0.1 s and 4096×1 3 s.
+# Each agreement's value is an int minimum over its row and column, taken once
+# per distinct possible set, so a constant constraint costs O(|A|·|S|).
 DECISION_MAX_CELLS = 4096
 
 
@@ -169,17 +169,36 @@ class DecisionValue:
     nature: Fraction | None  # None when Nature has no utility
 
 
+def _minima(allowed_at: Mapping, rows: Mapping[str, Mapping[str, int]], profiles: list, side: int):
+    """Per profile, the minimum of its own side's row over the possible partners:
+    the allowed labels (``allowed_at``, all by default) among the feasible ones.
+    Each set and its minimum are taken once per distinct (own label, allowed
+    list), in profile order, so the first empty set raises at its own profile.
+    Also returns the distinct possible sets."""
+    seen: dict = {}
+    lows = []
+    for profile in profiles:
+        label = profile[side]
+        allowed = allowed_at.get(profile)
+        hit = seen.get((label, allowed))
+        if hit is None:
+            row = rows[label]
+            possible = _possible(allowed, row, profile)
+            hit = seen[label, allowed] = possible, min(map(row.__getitem__, possible))
+        lows.append(hit[1])
+    return lows, [possible for possible, _ in seen.values()]
+
+
 def _evaluate(problem: DecisionProblem, oc: OptimismConstraint, profiles: list):
-    """The states the decision maker deems possible at each feasible agreement,
-    and both sides' values there as ints over ``_den`` (Nature's None without a
-    utility).  The decision maker's sets are all checked before Nature's."""
-    possible = [oc.states_for(problem, p) for p in profiles]
-    dm = [min(map(problem._num[a].__getitem__, states)) for (a, _), states in zip(profiles, possible)]
+    """The distinct sets of states the decision maker deems possible over the
+    feasible agreements, and both sides' values at each agreement as ints over
+    ``_den`` (Nature's None without a utility).  The decision maker's sets are
+    all checked before Nature's."""
+    dm, possible = _minima(oc.dm_states, problem._num, profiles, 0)
     if not problem.antagonist:
         return possible, dm, None
-    rows = {s: problem._nature_row(s) for _, s in profiles}
-    rivals = [_possible(oc.nature_acts.get(p), rows[p[1]], p) for p in profiles]
-    return possible, dm, [min(map(rows[s].__getitem__, acts)) for (_, s), acts in zip(profiles, rivals)]
+    rows = {s: problem._nature_row(s) for s in dict.fromkeys(s for _, s in profiles)}
+    return possible, dm, _minima(oc.nature_acts, rows, profiles, 1)[0]
 
 
 def decision_value(

@@ -9,17 +9,24 @@ case in closed form.
 
 Every solver reads each player's payoffs as ints over one denominator.  The
 pure solution set filters the int value vectors by cell position and builds
-profiles and witnesses only for the cells that survive.  The mixed grid
-search Pareto-filters exact int keys (values scaled to the lcm of their
-denominators over the grid) and builds `Fraction` values and witnesses only
-for the survivors; a mixed witness is the opponent's lowest-index optimal
-pure reply, else the first optimal mixture of two replies in (s, t) order.
+profiles and witnesses only for the cells that survive.
+
+A mixed value comes from one lower convex chain per grid point (`_chain`):
+each opponent reply t is the point (their payoff, my payoff), and the value
+is that chain evaluated at the opponent's agreed payoff E, so a profile costs
+one dot product, one `bisect` and one int interpolation.  The grid search
+Pareto-filters exact int keys (values scaled to the lcm of their denominators
+over the grid) and builds `Fraction` values and witnesses only for the
+survivors.  A witness is found by scanning the deviation vertices for the
+known value (`_witness`): the opponent's lowest-index optimal pure reply,
+else the first optimal mixture of two replies in (s, t) order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -251,10 +258,11 @@ def nash_pure(game: NormalFormGame) -> list[PureProfile]:
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:
     """Worst-case payoffs under mixed deviations, two-player games only.
 
-    Values come from the int core `_deviation_minimum`, which the grid search
-    shares.  Each witness swaps in a minimizing deviation for the opponent:
-    the lowest-index optimal pure reply, else the first optimal mixture of a
-    losing s and a gaining t in lexicographic (s, t) order.
+    Each value is the `_chain` of the player's `_side` evaluated at the
+    opponent's agreed payoff (`_hull_value`), as in the grid search.  Each
+    witness swaps in a minimizing deviation for the opponent, found by
+    `_witness`: the lowest-index optimal pure reply, else the first optimal
+    mixture of a losing s and a gaining t in lexicographic (s, t) order.
     """
     if game.num_players != 2:
         raise UnsupportedArityError(
@@ -262,7 +270,10 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
         )
     game.validate_mixed(profile)
     sides = [_side(game, i, *over_common_denominator(profile[i])) for i in (0, 1)]
-    cores = [_deviation_minimum(*sides), _deviation_minimum(*sides[::-1])]
+    cores = [
+        _hull_value(_chain(side, other[3]), side, other[2], other[3])
+        for side, other in (sides, sides[::-1])
+    ]
     return _entry(game, profile, sides, cores)
 
 
@@ -282,47 +293,98 @@ def _side(game: NormalFormGame, i: int, weights, scale: int) -> tuple[list, list
     return mine, theirs, weights, scale
 
 
-def _deviation_minimum(side, other) -> tuple[int, int, object]:
-    """(num, den, choice): the value of `side`'s player against `other`'s is
-    num / (den * scale * _den) in `side`'s units.  `choice` is the minimizer
-    under `value_mixed_2p`'s tie-break: None when the opponent has no
-    profitable deviation, a pure reply t, or an edge (s, t).
+def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
+    """(xs, ys): the lower convex chain of the points (theirs[t] * qscale, mine[t])
+    from the lowest point (the rightmost among ties) to the rightmost point
+    (the lowest among ties), with xs strictly increasing.
+
+    Against an agreed opponent mixture of scale `qscale`, the minimum of
+    mine·q' over the mixtures q' with theirs·q' * qscale >= E is this chain
+    evaluated at E: the lower boundary of the points' hull, which is convex,
+    cut to the part where it rises (Andrew's monotone chain, collinear points
+    dropped).
+    """
+    mine, theirs, _, _ = side
+    lowest = {}  # per x, only the lowest point can be on the chain
+    for x, y in zip(theirs, mine):
+        x *= qscale
+        if lowest.get(x, y) >= y:
+            lowest[x] = y
+    hull: list[tuple[int, int]] = []
+    for x, y in sorted(lowest.items()):
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):  # a strict left turn
+                break
+            hull.pop()
+        hull.append((x, y))
+    # On a strictly convex chain the lowest y shows up at most twice, as a
+    # flat edge; the rising part starts at its right end.
+    low = min(y for _, y in hull)
+    start = max(k for k, (_, y) in enumerate(hull) if y == low)
+    return [x for x, _ in hull[start:]], [y for _, y in hull[start:]]
+
+
+def _hull_value(chain, side, agreed, qscale: int) -> tuple[int, int]:
+    """(num, den): the value of `side`'s player against the opponent's agreed
+    weights over `qscale` is num / (den * scale * _den) in `side`'s units.
+
+    The opponent's agreed payoff is E = agreed·theirs (over qscale).  When no
+    pure reply beats it, no mixture does either, since a mixture's payoff is
+    a convex combination of the pure ones, and the agreement's own payoff
+    stands.  Otherwise the deviation set {q : gain·q > 0} is open but
+    nonempty, so every point of {q : gain·q >= 0} is a limit of points inside
+    it (slide toward any strictly better q), and the infimum of mine·q is its
+    minimum over that closure, which holds the agreed mixture too: `chain`
+    evaluated at E.
+    """
+    xs, ys = chain
+    mine, theirs, _, _ = side
+    expected = sum(map(mul, agreed, theirs))
+    if expected >= xs[-1]:
+        return sum(map(mul, agreed, mine)), qscale
+    b = bisect_left(xs, expected)
+    if not b:
+        return ys[0], 1
+    xa, xb = xs[b - 1], xs[b]
+    return ys[b - 1] * (xb - expected) + ys[b] * (expected - xa), xb - xa
+
+
+def _witness(side, other, num: int, den: int):
+    """The deviation that attains the value num / den (in `side`'s units over
+    its scale * _den): None when the opponent has no profitable deviation, else
+    the lowest-index pure reply t with gain >= 0 worth exactly that, else the
+    first edge (s, t) in lexicographic order, gain[s] < 0 < gain[t], whose
+    point gain·q = 0 is.  The value's minimum sits at one of these vertices,
+    since {q : gain·q >= 0} is the simplex cut by one halfspace.
     """
     (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
     # The opponent's gain from answering t instead of its agreed mixture, times qscale.
     expected = sum(map(mul, agreed, theirs))
     gain = [u * qscale - expected for u in theirs]
     if max(gain) <= 0:
-        # A mixture's payoff is a convex combination of these pure payoffs,
-        # so the opponent has no profitable deviation at all and the
-        # agreement's own payoff stands.
-        return sum(map(mul, agreed, mine)), qscale, None
-    # The deviation set {q : gain·q > 0} is open, but it is nonempty here, so
-    # every point of {q : gain·q >= 0} is a limit of points inside it (slide
-    # toward any strictly better q), and the infimum of mine·q is its minimum
-    # over that closure, which holds the agreed mixture too.  The closure is
-    # the simplex cut by one halfspace, so the minimum sits at a vertex: a
-    # pure reply with gain >= 0, or the point with gain·q = 0 on an edge from
-    # s to t.
-    num, choice = min((mine[t], t) for t, g in enumerate(gain) if g >= 0)
-    den = 1
-    gainers = [(t, g, mine[t]) for t, g in enumerate(gain) if g > 0]
+        return None
+    for t, (g, mt) in enumerate(zip(gain, mine)):
+        if g >= 0 and mt * den == num:
+            return t
     for s, (loss, ms) in enumerate(zip(gain, mine)):
         if loss < 0:
-            for t, g, mt in gainers:
-                if (ms * g - mt * loss) * den < num * (g - loss):
-                    num, den, choice = ms * g - mt * loss, g - loss, (s, t)
-    return num, den, choice
+            for t, (g, mt) in enumerate(zip(gain, mine)):
+                if g > 0 and (ms * g - mt * loss) * den == num * (g - loss):
+                    return s, t, g, g - loss
+    raise AssertionError(f"hull bug: no deviation vertex is worth {num}/{den}")
 
 
 def _entry(game: NormalFormGame, profile, sides, cores) -> EvaluatedProfile:
-    """`profile` evaluated from its `_side`s and their `_deviation_minimum`s."""
+    """`profile` evaluated from its `_side`s and their `_hull_value`s, with one
+    `_witness` per player."""
     values = []
     witnesses = []
-    for i, (num, den, choice) in enumerate(cores):
+    for i, (num, den) in enumerate(cores):
         j = 1 - i
-        mine, theirs, _, scale = sides[i]
+        mine, _, _, scale = sides[i]
         values.append(Fraction(num, den * scale * game._den[i]))
+        choice = _witness(sides[i], sides[j], num, den)
         if choice is None:
             witnesses.append(profile)
             continue
@@ -330,11 +392,9 @@ def _entry(game: NormalFormGame, profile, sides, cores) -> EvaluatedProfile:
         if isinstance(choice, int):
             dev[choice] = Fraction(1)
         else:
-            # The edge point weighs s by gain[t] / den and t by -gain[s] / den.
-            s, t = choice
-            _, _, agreed, qscale = sides[j]
-            gain_t = theirs[t] * qscale - sum(map(mul, agreed, theirs))
-            dev[s], dev[t] = Fraction(gain_t, den), Fraction(den - gain_t, den)
+            # The edge point weighs s by gain[t] / width and t by -gain[s] / width.
+            s, t, gain_t, width = choice
+            dev[s], dev[t] = Fraction(gain_t, width), Fraction(width - gain_t, width)
         witnesses.append((profile[0], tuple(dev)) if j == 1 else (tuple(dev), profile[1]))
     return EvaluatedProfile(tuple(profile), tuple(values), tuple(witnesses))
 
@@ -385,19 +445,25 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     """The `value_mixed_2p` entries of the Pareto-optimal 1/k grid profiles, in grid order.
 
-    Every grid point has scale k, so the filter reads player i's num / den from
-    `_deviation_minimum` as the int key num * (L_i // den), L_i being the lcm
-    of i's dens over the grid; only the survivors get `Fraction`s.
+    Every grid point has scale k, so each point's `_chain` is built once and
+    serves every profile it is part of; `_hull_value` reads player i's value
+    from it as num / den, and the filter takes the int key num * (L_i // den),
+    L_i being the lcm of i's dens over the grid.  Only the survivors get
+    `Fraction`s and `_witness` scans.
     """
     g0, g1 = _grids_2p(game, k)
-    # Each grid point's payoff vectors serve every profile it is part of.
+    # Each grid point's payoff vectors and chain serve every profile it is part of.
     sides0 = [_side(game, 0, w, k) for w in g0]
     sides1 = [_side(game, 1, w, k) for w in g1]
+    chains0 = [_chain(side, k) for side in sides0]
+    chains1 = [_chain(side, k) for side in sides1]
     cores = [
-        (_deviation_minimum(s0, s1), _deviation_minimum(s1, s0)) for s0 in sides0 for s1 in sides1
+        (_hull_value(c0, s0, w1, k), _hull_value(c1, s1, w0, k))
+        for c0, s0, w0 in zip(chains0, sides0, g0)
+        for c1, s1, w1 in zip(chains1, sides1, g1)
     ]
     l0, l1 = (math.lcm(*{c[i][1] for c in cores}) for i in (0, 1))
-    keys = [(n0 * (l0 // d0), n1 * (l1 // d1)) for (n0, d0, _), (n1, d1, _) in cores]
+    keys = [(n0 * (l0 // d0), n1 * (l1 // d1)) for (n0, d0), (n1, d1) in cores]
     kept = [divmod(n, len(g1)) for n in pareto_filter(range(len(cores)), key=keys.__getitem__)]
     # Each surviving grid point's mixture is built once and shared by its entries.
     p = {a: tuple(Fraction(w, k) for w in g0[a]) for a, _ in kept}

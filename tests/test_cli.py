@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -52,6 +53,195 @@ HELP_PINS = {
     "gen": "d4e0f71045793f392b55f92598caf0ae15bddbaf397d7bbe12d892c590528e92",
     "sweep": "db16d3ce2b1039560d9bf377947e3a588c3fbb61b46493540ae6ddda98b3ed8b",
 }
+
+# sha256 of `optimin --game <g> --mixed-grid k` in table and json format,
+# recorded before the grid's deviation values came from one lower hull per
+# grid point; the seeded files are written by `write_seeded_game`.
+MIXED_GRID_PINS = {
+    ("figure1", 1): (
+        "28e194a2d8ac0bfd19480755ce50d80d8c384e89397bab82168f45aeea105524",
+        "2d8325e440a9c211368109db84c87f51835a0324253a950e17e30d8700c46f26",
+    ),
+    ("figure1", 2): (
+        "f456c49f3c5882c471e6977f95fb6f6735c7961ed60b6aa1fbcc15369924b4df",
+        "7e595fa725aa6b525d64e5e5df66011a93a9328e0f19845a3590202d50bb6369",
+    ),
+    ("figure1", 3): (
+        "7ce86165d2b867d7d1338b2321a1858e03f52f488fd69410aabec60961455f52",
+        "8c35dd3e78f72d3472f04102dcaaf221cb1eb85878dfc3b6c51d37f3c5b25af4",
+    ),
+    ("figure1", 4): (
+        "eeec2d8e6ede427af933a260c4b2403e0a28581bea58448066374c72da27e430",
+        "b9edf19b287d87b2fa01fe440b48ecd3cabc80e09073f154679b367adf5f1ee5",
+    ),
+    ("figure1", 5): (
+        "4a88fe9371c316a7ae09167a55eb6e951998e30722e482d62c49ebf6a329ccd4",
+        "355af27592064f435be2360331cbf5d970d1b4d70e93b9af94144034e39dccd9",
+    ),
+    ("figure1", 6): (
+        "a15f84316a3e3533d849937c4954c207dce93c15c0b41100cb1d5ef8defdd55d",
+        "ca4708a583be812764e33484d5ea8030dde169a71e066bf7d204d7b602229f39",
+    ),
+    ("motivating", 1): (
+        "1588b771b218ef6f9a12716297b9c9b0962f4797b85efebbf1f08182d309e39a",
+        "6e6d93bc6ae4246ededc4a995db738d30d9407c4d1f4890d40c97e1376cb5f05",
+    ),
+    ("motivating", 2): (
+        "2dceadd9d30d626841161010f9501cfd73f1a9c8223188e56ea4767157691765",
+        "a6f00b822a2093c6177608ec91f4ca545b080c6cc1ada1906e3d8eb202cbd5d9",
+    ),
+    ("motivating", 3): (
+        "796ad9e7e2d9ec15171dff6a36242cb3e5b908acaa861c4ac6af238f7656447e",
+        "17190d42e35346fd7ae76e34c3f2b5de4b1bd621277ade8279f0cfac135943fc",
+    ),
+    ("motivating", 4): (
+        "756d525a1c38e1391856d57f016eec20534250179a4cfd5b089c06f8c662bcb1",
+        "ab330a38b64b95bf019167a1e342c4d2a6f8fcf001b9f9a72bf515d6cfc60a8c",
+    ),
+    ("motivating", 5): (
+        "06532d57fc8b9e98816684f7a1bbd8cd68ae8524d0519e585c169c9eb0a1d3eb",
+        "de8e6569b8b616612bee7f5a89a6b0ed32829764d47cb52de8c720313add6b1c",
+    ),
+    ("motivating", 6): (
+        "ba6119b308da24a226ff39f073cf1b0d6acc387197ca4c86ce0bb7361d0b7b65",
+        "4b5dc136dcc4af51967ba94270ed09bde72278aa029823a6501fab7a114364b5",
+    ),
+    ("battle_of_sexes", 1): (
+        "8ceb3a51b25074cfde820cbb76596232483bced79be554912a66209854314cc8",
+        "d8169021ab61d6d8decec35d453f7122bb3aaa1a6825fb3b2887d6867c53b697",
+    ),
+    ("battle_of_sexes", 2): (
+        "33fd656aa3429ef16e73e346786d62a0fad2e1142ac556eeea1e384030557f77",
+        "af69b63b339861abcd9b6d358b091129764e41021d6d779c9ad06b5564b8d601",
+    ),
+    ("battle_of_sexes", 3): (
+        "f9288da539af611b77d73512bc215686ca6a3f739ed05284cf814d99a425132e",
+        "1fdc370a096f8baee041f8cab08d11b936e4fd64e99a747cae3d3a5513e257d9",
+    ),
+    ("battle_of_sexes", 4): (
+        "cc0ee18e982805299a36927f5dab9a5e30c070bfe5154782e510b63c157debe2",
+        "41fcefdd49a1ad550a8b7af5a510c736cb927cab3c7ce06621e6b3dc8b2437e7",
+    ),
+    ("battle_of_sexes", 5): (
+        "83db0acf52b2ec2e38b234455a28088f7463aa0611747a84bdb4ecca29a2dfaf",
+        "140ecf72a1b081af273502e8611fb13c1433cfb364316d1ac6c055dfeeaf38d0",
+    ),
+    ("battle_of_sexes", 6): (
+        "0944c0939e1a8f9a7325c331f99dfe07876ed03fbbcca8cb4a0584ab9f1f57bc",
+        "69790bce4131e071b960e3e1235f6e158875a89b56002f1de25610f196edd98b",
+    ),
+    ("prisoners_dilemma", 1): (
+        "7ae8ed05aa64e8e2ba5d2a7d8bcea7bc8952b1eab18ac41abd393dee7dd29846",
+        "77f63a1ad31c365d62891e265307e91ceae849f72c8d00d44dd4c02d9bb1b6db",
+    ),
+    ("prisoners_dilemma", 2): (
+        "d4669eed63deaa24c58857aae86a2cdc974666eaac8b3e1fb36634c4623674dd",
+        "84cf4f9068ac21f0589196e199f8bbec59d46828e6c4e0b6c953a4ab66f829eb",
+    ),
+    ("prisoners_dilemma", 3): (
+        "51517b553473658c5052578224ff77b47bb1fbd23fa7394196ace886a5ce33be",
+        "5b624f9296e972e7eb90f80acf488b92ad4e5a063f3f970ce8925c52809ae1fb",
+    ),
+    ("prisoners_dilemma", 4): (
+        "52a792404eb5e5da6f95162cda485d1d533cf780affad2a14db9bf53368dad7b",
+        "6d8a4ee6c1c8deb7946a9b16abc6b2b356303957c6faea7599da1602df7027fe",
+    ),
+    ("prisoners_dilemma", 5): (
+        "be756109865ed7811672bf93079d2ac546e461c7355ece5562a19655e00c2495",
+        "ea637d4539324c310be9a487e440bfe5784e18998de3a158308f4a26c0baeae0",
+    ),
+    ("prisoners_dilemma", 6): (
+        "9500164f49e1d8ec5dbce184605914ad6eb0cb7e863a8a7a13bff42a5d098b09",
+        "42e7ee1295322735b02f3d6a79374d21a3eb583995d69022e43f226799ad921a",
+    ),
+    ("3x3", 1): (
+        "c1dfa5a0bf1770d84508b5674c0073eff3e21d182541977d9de9e0a5d513b78d",
+        "f3a285b9e782c2ebdc3f2cc4c5e17d9d6246cc072716c9741ddf9b085507e349",
+    ),
+    ("3x3", 2): (
+        "ad889b51227a26cc4cfef6db6a6e6998af880faeea69d71a1d40cb49170629aa",
+        "ad574e9db2cedfee91a043dd58ec0fc77deaf77f1d6fe67caaa51132349751b9",
+    ),
+    ("3x3", 3): (
+        "388f471a08d1a1535fbfa26344956dcfb4e278473c18e5065ef7f8ee21da2ea1",
+        "4c82d0e201940b4c8074077e60f4a9837a3a69237672eb77cdb6d281f7c5fa90",
+    ),
+    ("3x3", 4): (
+        "5a066db3688a084f00ca33b39c79ccb3b47ef4781b07a923566c19c1a95a06f9",
+        "28339e4a25cb234218c1f7a555ecb1c46baf0fef8bf2218303df3bd894a19bf1",
+    ),
+    ("3x3", 5): (
+        "82f4491adec0838a1cacc0137c1e55f7f1c052a1759949cd81bba54f2f373281",
+        "cee42b3d8e4389ff348901a06ff5bdc8c9f83a4fbed6ca3b9e806f33064b7adf",
+    ),
+    ("3x3", 6): (
+        "9d5f2399e6a0cb3e43279e3e4e0fc89c6516db8c73d7c370ceda7667acb32a04",
+        "34f4579e42a9f20209456382638a6682f69bc93cbdbebf994249345b8ca4a7e9",
+    ),
+    ("4x2", 1): (
+        "08a09d923cd844d07008091ac208bae79132828aee9f7024a93ce0b4586e9e6c",
+        "6bf7e90987cb8f7dc1fb7f915c70ffa25f04bf8d0b9f103c7043f929a621cb9a",
+    ),
+    ("4x2", 2): (
+        "da6f8bdedb2834a4dfabdc7295eb712589861c1af30797bb7540471ad1148ba3",
+        "d0f3e8fd47483d5c058f777a727533898ea092c04e0d0061c5f5dc32b93f2ba7",
+    ),
+    ("4x2", 3): (
+        "89f1f72c1f6135ab18bce1fe0ddc4d01f097a1951ea4074d498e81b87f4c825f",
+        "60a973d7f421129b1c12a86963b724d72e760535f634f26c94045207d7cf7b46",
+    ),
+    ("4x2", 4): (
+        "8185aa7551117fabee5905da8b147e4217479f53947fd4d9f8e76496b4724bdd",
+        "e597f1d7e5e199eabed17edb920c96a0cae87df8c5910eb3bdef2f4e3825fd18",
+    ),
+    ("4x2", 5): (
+        "9299cc36c6101d63a2b4316af5d2e22e8b9196cb6093e4f58f1bbdf15fb95816",
+        "dbc5cf1da2006bb22a9fc43d491cdfe9f0f3c3eca63f0dd88c57320a13663aef",
+    ),
+    ("4x2", 6): (
+        "2edfa9f656910dcf679a3b36d70cfaa56fe1216975fd308fa7482a18f7918913",
+        "532aa3cf44c71fe553bcaa5a568e94c1020b1f34418de38ba03cb2f222d60f51",
+    ),
+    ("1x5", 1): (
+        "cd46686fe2f24c95a8a9dc3813bdc413de6ad7ca46e68dbcd0405dcedb1386d2",
+        "ba0c39d3c7246499e8267c4a16243e3c43ffd9ffc2d328dd9b4f512bdd8eb080",
+    ),
+    ("1x5", 2): (
+        "264aeb6e6b97c9e64818c519dab1ca584dc95f079844f10962fa7485c37aa475",
+        "cff79ed94d2df9ec67deb2a708a42e337ffe22c99328f75efb0d0d3aa7be3e63",
+    ),
+    ("1x5", 3): (
+        "7b560093b8088b4ad66ab00e16031183cf91f6d08505103c7dc363c822ea2500",
+        "8d7d015cfeba3c40cd48d1a3383006e9416179d60a1924e50633899e8b75648a",
+    ),
+    ("1x5", 4): (
+        "ae845ad9ef2fe86b8c756d62732deb5c5f407b87de3afb90e340e5f0de983eb4",
+        "d4a3b4da83032f3202cbf8657a1a260983e8906705c565b4aee426c36ae53534",
+    ),
+    ("1x5", 5): (
+        "4d2c56020a99fa319e0648376fa227736fe61e97ad9532216d80b19a99ada014",
+        "eed88b45eaa91891439cbc5e0a6542d0c5e8c3edadfe68918878da6c32fa384e",
+    ),
+    ("1x5", 6): (
+        "c93dee1634f918b70191a06d0fe69850d1743ea06c81504f8e6c8be8d2a0b08a",
+        "e9c570573ff021768158cd744dd9bb881ceb22f0e4274a74153a4cd644d1b068",
+    ),
+}
+SEEDED_GAMES = {"3x3": ((3, 3), 1), "4x2": ((4, 2), 2), "1x5": ((1, 5), 3)}
+
+
+def write_seeded_game(path, shape, seed):
+    """A two-player game file of `shape` whose payoffs are fractions drawn from `seed`."""
+    rng = random.Random(seed)
+    doc = {
+        "players": ["row", "column"],
+        "strategies": [[f"r{a}" for a in range(shape[0])], [f"c{b}" for b in range(shape[1])]],
+        "payoffs": [
+            [[f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(2)] for _ in range(shape[1])]
+            for _ in range(shape[0])
+        ],
+    }
+    path.write_text(json.dumps(doc))
 
 
 def run(capsys, *argv):
@@ -391,6 +581,19 @@ class TestBytePins:
             main([command, "--help"])
         assert exc.value.code == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_PINS[command]
+
+    @pytest.mark.parametrize("game, k", list(MIXED_GRID_PINS))
+    def test_mixed_grid_report(self, capsys, tmp_path, game, k):
+        source = game
+        if game in SEEDED_GAMES:
+            source = tmp_path / f"{game}.json"
+            write_seeded_game(source, *SEEDED_GAMES[game])
+        shas = []
+        for fmt in ("table", "json"):
+            code, out, _ = run(capsys, "optimin", "--game", str(source), "--mixed-grid", str(k), "--format", fmt)
+            assert code == 0
+            shas.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(shas) == MIXED_GRID_PINS[(game, k)]
 
     def test_flag_of_another_family_is_ignored(self, capsys, tmp_path):
         path = tmp_path / "game.json"

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -372,7 +373,10 @@ def definition_oracle(spec, dm_states, nature_acts):
 @settings(max_examples=300, deadline=None)
 @given(decision_problems())
 def test_decisions_match_the_definition(built):
-    spec, dm_states, nature_acts = built
+    check_against_the_definition(*built)
+
+
+def check_against_the_definition(spec, dm_states, nature_acts):
     problem = DecisionProblem(**spec)
     oc = OptimismConstraint(dm_states, nature_acts)
     values, possible = definition_oracle(spec, dm_states, nature_acts)
@@ -417,6 +421,86 @@ def test_decisions_match_the_definition(built):
         assert report.verified == ({a for a, _ in kept} == maximin)
     else:
         assert report.verified is None
+
+
+def seeded_problem(rng, num_acts, num_states):
+    """A random problem with its feasibility lists and an optimism constraint
+    that draws each agreement's lists from a few shared ones, so that the
+    solvers meet each (label, list) pair many times; some lists name only
+    infeasible partners."""
+    acts = [f"a{k}" for k in range(num_acts)]
+    states = [f"s{k}" for k in range(num_states)]
+
+    def some(labels):
+        return rng.sample(labels, rng.randint(1, len(labels)))
+
+    spec = dict(
+        acts=acts,
+        states=states,
+        utility={(a, s): F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for a in acts for s in states},
+        feasible_acts=rng.choice([None, {s: some(acts) for s in states}]),
+        feasible_states=rng.choice([None, {a: some(states) for a in acts}]),
+        antagonist=rng.random() < 0.7,
+    )
+    cells = [(a, s) for a in acts for s in states]
+    state_lists = [tuple(some(states)) for _ in range(3)]
+    act_lists = [tuple(some(acts)) for _ in range(3)]
+    dm_states = {c: rng.choice(state_lists) for c in cells if rng.random() < 0.8}
+    nature_acts = {c: rng.choice(act_lists) for c in cells if rng.random() < 0.8}
+    return spec, dm_states, nature_acts
+
+
+def test_seeded_problems_match_the_definition_and_fail_at_the_first_empty_set():
+    rng = random.Random(14)
+    for _ in range(300):
+        spec, dm_states, nature_acts = seeded_problem(rng, rng.randint(1, 6), rng.randint(1, 6))
+        try:
+            problem = DecisionProblem(**spec)
+        except DomainError:
+            continue  # the two feasibility lists share no pair
+        check_against_the_definition(spec, dm_states, nature_acts)
+        oc = OptimismConstraint(dm_states, nature_acts)
+        profiles = problem.feasible_pairs()
+        # The decision maker's sets are checked in profile order before Nature's.
+        empty = [p for p in profiles if not _possible_or_empty(oc.dm_states.get(p), problem._num[p[0]])]
+        if not empty and problem.antagonist:
+            rows = {s: problem._nature_row(s) for s in problem.states}
+            empty = [p for p in profiles if not _possible_or_empty(oc.nature_acts.get(p), rows[p[1]])]
+        if empty:
+            for solver in (optimin_acts, gilboa_reduction_check):
+                with pytest.raises(ConstraintError) as info:
+                    solver(problem, oc)
+                assert str(info.value) == f"optimism constraint empty at {empty[0]}"
+
+
+def _possible_or_empty(allowed, partners):
+    return list(partners) if allowed is None else [x for x in allowed if x in partners]
+
+
+@pytest.mark.parametrize("num_acts, num_states", [(DECISION_MAX_CELLS, 1), (1, DECISION_MAX_CELLS)])
+def test_a_constant_constraint_at_the_bound_takes_each_minimum_once(num_acts, num_states):
+    """At |A|·|S| = DECISION_MAX_CELLS in either long shape, each solver takes
+    under a second: a constant constraint has one possible set per row or column."""
+    rng = random.Random(num_acts)
+    acts = [f"a{k}" for k in range(num_acts)]
+    states = [f"s{k}" for k in range(num_states)]
+    problem = DecisionProblem(
+        acts, states, {(a, s): rng.randint(-100, 100) for a in acts for s in states}, antagonist=True
+    )
+    oc = OptimismConstraint.constant(problem)
+    for solver in (optimin_acts, gilboa_reduction_check):
+        start = time.perf_counter()
+        solver(problem, oc)
+        assert time.perf_counter() - start < 1.0, solver.__name__
+    # The long side's minimum is the same at every agreement.
+    values = {decision_value(problem, oc, p) for p in [problem.feasible_pairs()[0], problem.feasible_pairs()[-1]]}
+    utilities = [problem.dm_utility(a, s) for a in acts for s in states]
+    if num_acts == 1:
+        assert {v.dm for v in values} == {min(utilities)}
+    else:
+        assert {v.nature for v in values} == {-max(utilities)}
+    report = gilboa_reduction_check(problem, oc)
+    assert report.constant_constraint
 
 
 # README's decision example, whose `antagonist` each test sets.

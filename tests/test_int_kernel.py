@@ -38,6 +38,7 @@ from optimin import (
     value_pure,
     value_table,
 )
+from optimin import noncoop
 from optimin.fileio import dump_game, parse_game
 from optimin.rational import json_number
 from optimin.zerosum import MaximinSolution, guarantee, maximin_lp
@@ -390,6 +391,87 @@ def test_optimin_grid_2p_matches_the_oracle(data):
     expected = [entry for entry in evaluated if entry[1] in front]
     result = optimin_grid_2p(game, k)
     assert [(e.profile, e.value, e.witnesses) for e in result.entries] == expected
+
+
+def deviation_minimum(side, other):
+    """(num, den, choice): the value of `side`'s player against `other`'s agreed
+    weights is num / den in `side`'s units, minimized over every vertex of the
+    opponent's closed deviation set by a full scan.  `choice` is None when no
+    deviation is profitable, else the lowest-index optimal pure reply t with
+    gain >= 0, else the first optimal edge (s, t) with gain[s] < 0 < gain[t]."""
+    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
+    expected = sum(a * u for a, u in zip(agreed, theirs))
+    gain = [u * qscale - expected for u in theirs]
+    if max(gain) <= 0:
+        return sum(a * u for a, u in zip(agreed, mine)), qscale, None
+    num, choice = min((mine[t], t) for t, g in enumerate(gain) if g >= 0)
+    den = 1
+    gainers = [(t, g, mine[t]) for t, g in enumerate(gain) if g > 0]
+    for s, (loss, ms) in enumerate(zip(gain, mine)):
+        if loss < 0:
+            for t, g, mt in gainers:
+                if (ms * g - mt * loss) * den < num * (g - loss):
+                    num, den, choice = ms * g - mt * loss, g - loss, (s, t)
+    return num, den, choice
+
+
+def hull_core(side, other):
+    """`noncoop`'s value of `side` against `other` as a `Fraction`, and its witness
+    choice in `deviation_minimum`'s form."""
+    agreed, qscale = other[2], other[3]
+    num, den = noncoop._hull_value(noncoop._chain(side, qscale), side, agreed, qscale)
+    choice = noncoop._witness(side, other, num, den)
+    return F(num, den), choice if choice is None or isinstance(choice, int) else choice[:2]
+
+
+@st.composite
+def int_sides(draw):
+    """A side (mine, theirs, weights, scale) and the opponent's agreed weights over
+    their own scale: 1-7 replies, payoffs in 0..2 (repeated x values, collinear
+    points, tied optima) or over a wide range."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    top = draw(st.sampled_from([2, 2, 40, 10**25]))
+    payoffs = st.integers(min_value=0 if top == 2 else -top, max_value=top)
+    mine = draw(st.lists(payoffs, min_size=m, max_size=m))
+    theirs = draw(st.lists(payoffs, min_size=m, max_size=m))
+    agreed = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=m, max_size=m))
+    if not any(agreed):
+        agreed[draw(st.integers(min_value=0, max_value=m - 1))] = draw(st.integers(1, 6))
+    scale = draw(st.integers(min_value=1, max_value=12))
+    return (mine, theirs, None, scale), (None, None, tuple(agreed), sum(agreed))
+
+
+@settings(max_examples=600, deadline=None)
+@given(int_sides())
+def test_hull_value_and_witness_match_the_vertex_scan(sides):
+    side, other = sides
+    num, den, choice = deviation_minimum(side, other)
+    assert hull_core(side, other) == (F(num, den), choice)
+
+
+def test_witness_refuses_a_value_no_vertex_attains():
+    side, other = ([0, 2], [0, 2], None, 1), (None, None, (1, 1), 2)
+    assert hull_core(side, other) == (F(1), (0, 1))
+    with pytest.raises(AssertionError, match="no deviation vertex is worth 3/1"):
+        noncoop._witness(side, other, 3, 1)
+
+
+def test_grid_values_match_the_vertex_scan_on_tied_games():
+    """Every grid profile's values and witness choices, with each grid point's
+    chain built once at scale k, on seeded games of up to 4x4 with payoffs in
+    -3..3, where x values repeat and optima tie."""
+    rng = random.Random(20)
+    for _ in range(100):
+        shape = (rng.randint(1, 4), rng.randint(1, 4))
+        cells = {prof: [rng.randint(-3, 3), rng.randint(-3, 3)] for prof in product(*map(range, shape))}
+        game = NormalFormGame(["a", "b"], [[f"s{k}" for k in range(m)] for m in shape], nest(cells, shape))
+        for k in (1, 2, 3, 4):
+            grids = noncoop._grids_2p(game, k)
+            sides = [[noncoop._side(game, i, w, k) for w in grids[i]] for i in (0, 1)]
+            for s0, s1 in product(*sides):
+                for side, other in ((s0, s1), (s1, s0)):
+                    num, den, choice = deviation_minimum(side, other)
+                    assert hull_core(side, other) == (F(num, den), choice)
 
 
 @settings(max_examples=150, deadline=None)

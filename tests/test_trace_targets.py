@@ -46,3 +46,23 @@ def test_every_target_resolves_and_the_claim_sweep_records_gen_travelers():
     names = [span[1] for span in tracer.spans]
     assert names.count("generators.gen_travelers") == 1
     assert names.count("cli.main") == 1
+
+
+def test_the_tracer_sees_the_mixed_grid(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(
+        '{"players": ["row", "column"], "strategies": [["T", "M", "B"], ["L", "C", "R"]],'
+        ' "payoffs": [[[3, "1/2"], [0, 2], [-1, 4]], [["5/3", 1], [2, -2], [0, 0]],'
+        ' [[1, 3], ["-7/4", 1], [4, "2/3"]]]}'
+    )
+    tracer = load_tracing().Tracer()
+    tracer.prepare()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["optimin", "--game", str(path), "--mixed-grid", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("noncoop.optimin_grid_2p") == 1
+    assert names.count("noncoop.pareto_filter") >= 1
