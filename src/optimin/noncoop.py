@@ -270,10 +270,7 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
         )
     game.validate_mixed(profile)
     sides = [_side(game, i, *over_common_denominator(profile[i])) for i in (0, 1)]
-    cores = [
-        _hull_value(_chain(side, other[3]), side, other[2], other[3])
-        for side, other in (sides, sides[::-1])
-    ]
+    cores = [_hull_value(_chain(side, other[3]), side, other) for side, other in (sides, sides[::-1])]
     return _entry(game, profile, sides, cores)
 
 
@@ -325,9 +322,10 @@ def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
     return [x for x, _ in hull[start:]], [y for _, y in hull[start:]]
 
 
-def _hull_value(chain, side, agreed, qscale: int) -> tuple[int, int]:
-    """(num, den): the value of `side`'s player against the opponent's agreed
-    weights over `qscale` is num / (den * scale * _den) in `side`'s units.
+def _hull_value(chain, side, other) -> tuple[int, int]:
+    """(num, den): the value of `side`'s player against `other`'s agreed
+    weights is num / (den * scale * _den) in `side`'s units; `chain` is
+    `side`'s `_chain` at `other`'s scale.
 
     The opponent's agreed payoff is E = agreed·theirs (over qscale).  When no
     pure reply beats it, no mixture does either, since a mixture's payoff is
@@ -339,7 +337,7 @@ def _hull_value(chain, side, agreed, qscale: int) -> tuple[int, int]:
     evaluated at E.
     """
     xs, ys = chain
-    mine, theirs, _, _ = side
+    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
     expected = sum(map(mul, agreed, theirs))
     if expected >= xs[-1]:
         return sum(map(mul, agreed, mine)), qscale
@@ -355,8 +353,9 @@ def _witness(side, other, num: int, den: int):
     its scale * _den): None when the opponent has no profitable deviation, else
     the lowest-index pure reply t with gain >= 0 worth exactly that, else the
     first edge (s, t) in lexicographic order, gain[s] < 0 < gain[t], whose
-    point gain·q = 0 is.  The value's minimum sits at one of these vertices,
-    since {q : gain·q >= 0} is the simplex cut by one halfspace.
+    point with gain·q = 0 is worth exactly that, as (s, t, gain[t], width)
+    with width = gain[t] - gain[s].  The value's minimum sits at one of these
+    vertices, since {q : gain·q >= 0} is the simplex cut by one halfspace.
     """
     (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
     # The opponent's gain from answering t instead of its agreed mixture, times qscale.
@@ -458,9 +457,9 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     chains0 = [_chain(side, k) for side in sides0]
     chains1 = [_chain(side, k) for side in sides1]
     cores = [
-        (_hull_value(c0, s0, w1, k), _hull_value(c1, s1, w0, k))
-        for c0, s0, w0 in zip(chains0, sides0, g0)
-        for c1, s1, w1 in zip(chains1, sides1, g1)
+        (_hull_value(c0, s0, s1), _hull_value(c1, s1, s0))
+        for c0, s0 in zip(chains0, sides0)
+        for c1, s1 in zip(chains1, sides1)
     ]
     l0, l1 = (math.lcm(*{c[i][1] for c in cores}) for i in (0, 1))
     keys = [(n0 * (l0 // d0), n1 * (l1 // d1)) for (n0, d0), (n1, d1) in cores]

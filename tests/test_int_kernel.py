@@ -418,8 +418,7 @@ def deviation_minimum(side, other):
 def hull_core(side, other):
     """`noncoop`'s value of `side` against `other` as a `Fraction`, and its witness
     choice in `deviation_minimum`'s form."""
-    agreed, qscale = other[2], other[3]
-    num, den = noncoop._hull_value(noncoop._chain(side, qscale), side, agreed, qscale)
+    num, den = noncoop._hull_value(noncoop._chain(side, other[3]), side, other)
     choice = noncoop._witness(side, other, num, den)
     return F(num, den), choice if choice is None or isinstance(choice, int) else choice[:2]
 
