@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence, get_args
 
 from . import coop, decisions, fileio, generators, matching, noncoop, zerosum
-from .errors import OptiminError, ParameterError, ResourceLimitError
+from .errors import SWEEP_MAX_POINTS, OptiminError, ParameterError, ResourceLimitError
 from .games import NormalFormGame, is_constant_sum
 from .rational import format_table, json_number, to_fraction
 
@@ -27,9 +27,6 @@ from .rational import format_table, json_number, to_fraction
 # separately because it lives in the zero-sum module.
 GAME_TAGS = ("figure1", "motivating", "battle_of_sexes", "prisoners_dilemma")
 COOP_TAGS = ("coop_empty_core", "coop_120")
-
-# `sweep` refuses ranges of more points than this; each point solves one game.
-SWEEP_MAX_POINTS = 10_000
 
 
 def main(argv=None) -> int:
@@ -570,10 +567,8 @@ def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fract
         raise ParameterError("need from <= to and a positive step")
     count = (stop - start) // step + 1
     if count > SWEEP_MAX_POINTS:
-        raise ResourceLimitError(
-            f"sweep of {count} points exceeds the {SWEEP_MAX_POINTS}-point bound "
-            "(SWEEP_MAX_POINTS); raise --step"
-        )
+        what = f"sweep of {count} points"
+        raise ResourceLimitError.past(what, SWEEP_MAX_POINTS, "point", "SWEEP_MAX_POINTS", "raise --step")
     return [start + k * step for k in range(count)]
 
 

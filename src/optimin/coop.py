@@ -24,6 +24,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from .errors import CORE_MAX_PLAYERS, IMPUTATION_GRID_MAX_POINTS, NUCLEOLUS_MAX_PLAYERS, SHAPLEY_MAX_PLAYERS
 from .errors import DomainError, ResourceLimitError
 from .games import ValueVector
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
@@ -33,13 +34,6 @@ from .rational import format_exact, over_common_denominator, to_fraction
 ZERO = Fraction(0)
 
 Allocation = tuple[Fraction, ...]
-
-SHAPLEY_MAX_PLAYERS = 12
-IMPUTATION_GRID_MAX_POINTS = 100_000
-NUCLEOLUS_MAX_PLAYERS = 8
-# `core` solves one LP with a row per coalition, 2^n - 1 of them; at 9 players
-# it takes a few seconds, and every further player roughly quadruples that.
-CORE_MAX_PLAYERS = 9
 
 
 def check_players(n: int, worths: int) -> None:
@@ -293,9 +287,9 @@ def _lattice(game: TUGame, step: Fraction, floors: Sequence | None) -> list[tupl
     free = total_units.numerator - sum(min_units)
     count = math.comb(free + game.n - 1, game.n - 1) if free >= 0 else 0
     if count > IMPUTATION_GRID_MAX_POINTS:
-        raise ResourceLimitError(
-            f"imputation grid of {count} points exceeds the {IMPUTATION_GRID_MAX_POINTS}-point "
-            f"bound (IMPUTATION_GRID_MAX_POINTS); raise --step"
+        what, hint = f"imputation grid of {count} points", "raise --step"
+        raise ResourceLimitError.past(
+            what, IMPUTATION_GRID_MAX_POINTS, "point", "IMPUTATION_GRID_MAX_POINTS", hint
         )
     return _shares(min_units, free) if free >= 0 else []
 
@@ -368,7 +362,6 @@ def matches_characterization(
 class CoreResult:
     empty: bool
     witness: Allocation | None
-    lp: LinearProgram
 
     def __bool__(self) -> bool:
         return not self.empty
@@ -378,21 +371,19 @@ def core(game: TUGame) -> CoreResult:
     """LP feasibility of efficiency plus every coalition constraint."""
     n = game.n
     if n > CORE_MAX_PLAYERS:
-        raise ResourceLimitError(
-            f"core of {n} players exceeds the {CORE_MAX_PLAYERS}-player bound (CORE_MAX_PLAYERS)"
-        )
+        what = f"core of {n} players"
+        raise ResourceLimitError.past(what, CORE_MAX_PLAYERS, "player", "CORE_MAX_PLAYERS")
     # Every row times the worths' denominator: den·x(S) >= u(S)·den, in the game's ints.
     constraints = [([game._den] * n, "=", game._num[game.grand_coalition])]
     for mask in game.proper_coalitions():
         coeffs = [game._den if mask >> i & 1 else 0 for i in range(n)]
         constraints.append((coeffs, ">=", game._num[mask]))
-    lp = LinearProgram.build([0] * n, False, constraints)
-    sol = solve_lp(lp)
+    sol = solve_lp(LinearProgram.build([0] * n, False, constraints))
     if sol.status == "infeasible":
-        return CoreResult(True, None, lp)
+        return CoreResult(True, None)
     if not sol.is_optimal:
         raise AssertionError(f"core LP unexpectedly {sol.status}")
-    return CoreResult(False, tuple(sol.point), lp)
+    return CoreResult(False, tuple(sol.point))
 
 
 def shapley(game: TUGame) -> Allocation:
@@ -403,10 +394,8 @@ def shapley(game: TUGame) -> Allocation:
     """
     n = game.n
     if n > SHAPLEY_MAX_PLAYERS:
-        raise ResourceLimitError(
-            f"shapley of {n} players exceeds the {SHAPLEY_MAX_PLAYERS}-player bound "
-            "(SHAPLEY_MAX_PLAYERS)"
-        )
+        what = f"shapley of {n} players"
+        raise ResourceLimitError.past(what, SHAPLEY_MAX_PLAYERS, "player", "SHAPLEY_MAX_PLAYERS")
     fact = [math.factorial(k) for k in range(n + 1)]
     worth = game._num
     out = [0] * n  # each value as an int over n! · _den
@@ -452,10 +441,8 @@ def nucleolus(game: TUGame) -> Allocation:
     """
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
-        raise ResourceLimitError(
-            f"nucleolus of {n} players exceeds the {NUCLEOLUS_MAX_PLAYERS}-player bound "
-            "(NUCLEOLUS_MAX_PLAYERS)"
-        )
+        what = f"nucleolus of {n} players"
+        raise ResourceLimitError.past(what, NUCLEOLUS_MAX_PLAYERS, "player", "NUCLEOLUS_MAX_PLAYERS")
     num, den, full = game._num, game._den, game.grand_coalition
     players = range(n)
     if sum(num[1 << i] for i in players) > num[full]:

@@ -15,26 +15,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ConstraintError, DomainError, ResourceLimitError
+from .errors import DECISION_MAX_CELLS, ConstraintError, DomainError, ResourceLimitError
 from .pareto import pareto_filter
 from .rational import over_common_denominator
 
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
 
-# DecisionProblem refuses more than this many (act, state) cells, |A|·|S|.
-# Each agreement's value is an int minimum over its row and column, taken once
-# per distinct possible set, so a constant constraint costs O(|A|·|S|).
-DECISION_MAX_CELLS = 4096
 
-
-def check_size(num_acts: int, num_states: int) -> None:
-    """Refuse a problem of more than DECISION_MAX_CELLS (act, state) cells."""
+def check_size(num_acts: int, num_states: int, prefix: str = "") -> None:
+    """Refuse a problem of more than DECISION_MAX_CELLS (act, state) cells,
+    with `prefix` (a file's ``"<source>: "``) before the message."""
     if num_acts * num_states > DECISION_MAX_CELLS:
-        raise ResourceLimitError(
-            f"decision problem of {num_acts} acts x {num_states} states "
-            f"({num_acts * num_states} cells) exceeds the {DECISION_MAX_CELLS}-cell "
-            "bound (DECISION_MAX_CELLS)"
-        )
+        cells = num_acts * num_states
+        what = f"{prefix}decision problem of {num_acts} acts x {num_states} states ({cells} cells)"
+        raise ResourceLimitError.past(what, DECISION_MAX_CELLS, "cell", "DECISION_MAX_CELLS")
 
 
 def _listed(lists, keys, labels, what: str) -> dict[str, set[str]]:

@@ -197,10 +197,7 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
     utility = _require(doc, "utility", source)
     if not isinstance(acts, list) or not isinstance(states, list):
         raise _fail(source, "acts and states must be lists of strings")
-    try:
-        check_size(len(acts), len(states))
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{source}: {exc}") from None
+    check_size(len(acts), len(states), f"{source}: ")
     if not isinstance(utility, dict):
         raise _fail(f"{source}.utility", "expected an object of per-act state tables")
 

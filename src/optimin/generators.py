@@ -20,23 +20,11 @@ from fractions import Fraction
 from typing import Literal, Sequence, get_args
 
 from .coop import TUGame
+from .errors import CENTIPEDE_MAX_NODES, PUBLIC_GOODS_CELL_LIMIT, TRAVELERS_CELL_LIMIT
 from .errors import ParameterError, ResourceLimitError
 from .games import NormalFormGame
 from .noncoop import nash_pure, optimin_pure
 from .rational import json_ratio, literal_ratio, over_common_denominator, to_fraction
-
-# gen_travelers refuses claim games above this many cells (500 claims a
-# side); its value table holds one entry per cell.
-TRAVELERS_CELL_LIMIT = 250_000
-
-# gen_public_goods refuses games above this many cells (2 levels for 16
-# players); each cell holds one payoff per player.
-PUBLIC_GOODS_CELL_LIMIT = 65_536
-
-# gen_centipede refuses games of more nodes than this.  The game has about
-# (nodes / 2)^2 cells of nodes-bit payoffs; at the bound, `gen` takes about
-# half a second and 80 MB.
-CENTIPEDE_MAX_NODES = 500
 
 CentipedeVariant = Literal["increasing", "constant"]
 
@@ -60,10 +48,8 @@ def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:
         raise ParameterError(f"reward must exceed 1, got {json_ratio(p, q)}")
     cells = (high - low + 1) ** 2
     if cells > TRAVELERS_CELL_LIMIT:
-        raise ResourceLimitError(
-            f"claim game of {cells} cells exceeds the {TRAVELERS_CELL_LIMIT}-cell "
-            f"bound (TRAVELERS_CELL_LIMIT); lower --high"
-        )
+        what, hint = f"claim game of {cells} cells", "lower --high"
+        raise ResourceLimitError.past(what, TRAVELERS_CELL_LIMIT, "cell", "TRAVELERS_CELL_LIMIT", hint)
     claims = range(low, high + 1)
     labels = tuple(str(c) for c in claims)
     # With r = p/q every payoff is an int over q: a*q for a tie, the lower
@@ -92,10 +78,8 @@ def gen_centipede(nodes: int = 4, variant: CentipedeVariant = "increasing") -> N
     if variant not in get_args(CentipedeVariant):
         raise ParameterError(f"variant must be 'increasing' or 'constant', got {variant!r}")
     if nodes > CENTIPEDE_MAX_NODES:
-        raise ResourceLimitError(
-            f"centipede of {nodes} nodes exceeds the {CENTIPEDE_MAX_NODES}-node bound "
-            "(CENTIPEDE_MAX_NODES); lower --nodes"
-        )
+        what, hint = f"centipede of {nodes} nodes", "lower --nodes"
+        raise ResourceLimitError.past(what, CENTIPEDE_MAX_NODES, "node", "CENTIPEDE_MAX_NODES", hint)
     # The payoffs when the game stops at node k = 1 .. nodes + 1; "continue"
     # is node nodes + 1, where the next mover's split stands.
     half = 2 ** (nodes + 1)
@@ -151,10 +135,10 @@ def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0
     for _ in range(n):  # stops within 17 players: each multiplies by at least 2
         cells *= len(menu)
         if cells > PUBLIC_GOODS_CELL_LIMIT:
-            raise ResourceLimitError(
-                f"public goods game of {n} players with {len(menu)} levels each exceeds "
-                f"the {PUBLIC_GOODS_CELL_LIMIT}-cell bound (PUBLIC_GOODS_CELL_LIMIT); "
-                "lower --n or the number of --levels"
+            what = f"public goods game of {n} players with {len(menu)} levels each"
+            hint = "lower --n or the number of --levels"
+            raise ResourceLimitError.past(
+                what, PUBLIC_GOODS_CELL_LIMIT, "cell", "PUBLIC_GOODS_CELL_LIMIT", hint
             )
 
     labels = tuple(str(json_ratio(c, den)) for c in menu)

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
+from .errors import DEVIATION_MAX_SIZE, MATCHINGS_MAX_SIZE, OPTIMIN_MAX_SIZE
 from .errors import DomainError, ResourceLimitError
 from .pareto import pareto_filter
-
-DEVIATION_MAX_SIZE = 6
-OPTIMIN_MAX_SIZE = 5
 
 
 class MarriageProblem:
@@ -229,10 +227,8 @@ def profitable_group_deviations(
     the unions of nonempty sets of pairwise-disjoint moves (`_moves`).
     """
     if problem.size > DEVIATION_MAX_SIZE:
-        raise ResourceLimitError(
-            f"group enumeration of {problem.size} per side exceeds the "
-            f"{DEVIATION_MAX_SIZE}-per-side bound (DEVIATION_MAX_SIZE)"
-        )
+        what = f"group enumeration of {problem.size} per side"
+        raise ResourceLimitError.past(what, DEVIATION_MAX_SIZE, "per-side", "DEVIATION_MAX_SIZE")
     # Each move as its rematching: {p: p} for one person, {a: b, b: a} for a pair.
     moves = [dict(zip(move, reversed(move))) for move in _moves(problem, matching)]
     out: list[GroupDeviation] = []
@@ -361,6 +357,9 @@ def _as_matching(problem: MarriageProblem, partners: tuple[int, ...]) -> Matchin
 
 def all_matchings(problem: MarriageProblem) -> list[Matching]:
     """Every matching, in `Matching.key()` order."""
+    if problem.size > MATCHINGS_MAX_SIZE:
+        what = f"matching list of {problem.size} per side"
+        raise ResourceLimitError.past(what, MATCHINGS_MAX_SIZE, "per-side", "MATCHINGS_MAX_SIZE")
     return [_as_matching(problem, partners) for _, partners, _ in _candidates(problem)]
 
 
@@ -373,9 +372,7 @@ def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
     Only the matchings kept are built as `Matching` objects.
     """
     if problem.size > OPTIMIN_MAX_SIZE:
-        raise ResourceLimitError(
-            f"matching enumeration of {problem.size} per side exceeds the "
-            f"{OPTIMIN_MAX_SIZE}-per-side bound (OPTIMIN_MAX_SIZE)"
-        )
+        what = f"matching enumeration of {problem.size} per side"
+        raise ResourceLimitError.past(what, OPTIMIN_MAX_SIZE, "per-side", "OPTIMIN_MAX_SIZE")
     kept = pareto_filter(_candidates(problem), key=itemgetter(2))
     return [_as_matching(problem, partners) for _, partners, _ in kept]

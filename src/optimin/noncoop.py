@@ -32,15 +32,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from .errors import GRID_PROFILE_LIMIT, VALUE_TABLE_MAX_PROFILES
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
 from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
 from .pareto import pareto_filter, pareto_positions
 from .rational import over_common_denominator
-
-
-# optimin_grid_2p refuses grids above this many profiles; large strategy
-# spaces (e.g. 99-strategy games) stay in pure mode.
-GRID_PROFILE_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,18 @@ def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
 
 def _scaled_values(game: NormalFormGame) -> list[tuple[int, ...]]:
     """`value_table`'s vectors over `_num` in row-major cell order, each
-    player's values times their `_den`; no profile is built."""
+    player's values times their `_den`; no profile is built.  With 3 or more
+    players each cell scans, per player, the product of the opponents' option
+    sets, so the worst-case count of those profiles is checked first."""
     if game.num_players == 2:
         return _values_2p(game)
+    cells = len(game._num[0])
+    profiles = cells * sum(cells // m for m in game.shape)
+    if profiles > VALUE_TABLE_MAX_PROFILES:
+        what = f"value table of {'x'.join(map(str, game.shape))} cells ({profiles} deviation profiles)"
+        raise ResourceLimitError.past(
+            what, VALUE_TABLE_MAX_PROFILES, "profile", "VALUE_TABLE_MAX_PROFILES"
+        )
     table = []
     for idx, prof in enumerate(game.profiles()):
         per_player = zip(game._num, _deviation_cells(game, idx, prof))
@@ -434,10 +439,8 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
         raise ParameterError(f"grid resolution must be >= 1, got {k} (--mixed-grid)")
     sizes = [math.comb(game.shape[i] + k - 1, game.shape[i] - 1) for i in (0, 1)]
     if sizes[0] * sizes[1] > GRID_PROFILE_LIMIT:
-        raise ResourceLimitError(
-            f"grid of {sizes[0] * sizes[1]} profiles exceeds the {GRID_PROFILE_LIMIT}-profile "
-            "bound (GRID_PROFILE_LIMIT); lower --mixed-grid or use --pure"
-        )
+        what, hint = f"grid of {sizes[0] * sizes[1]} profiles", "lower --mixed-grid or use --pure"
+        raise ResourceLimitError.past(what, GRID_PROFILE_LIMIT, "profile", "GRID_PROFILE_LIMIT", hint)
     return _simplex_grid(game.shape[0], k), _simplex_grid(game.shape[1], k)
 
 

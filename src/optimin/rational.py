@@ -8,9 +8,9 @@ pair, and `over_common_denominator`, the one reader into ints over a common
 denominator, reads values with it; `json_ratio` writes them back.  The other
 helpers cover coercion and the two text encodings used by the file formats
 and the CLI: exact strings like ``"265/6"`` and plain integers.  A string is
-refused before it is parsed when its digits or its decimal exponent pass the
-bounds below, because ``"1e1000000"`` alone would build a 3.3-million-bit
-integer.
+refused before it is parsed when its digits or its decimal exponent pass
+`RATIONAL_MAX_DIGITS` or `RATIONAL_MAX_EXPONENT` (stated in `errors`), because
+``"1e1000000"`` alone would build a 3.3-million-bit integer.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import FormatError, ResourceLimitError
-
-# Most digits a rational literal may hold, numerator, denominator, decimals
-# and exponent together, and the largest exponent magnitude of "1.5e3" style.
-RATIONAL_MAX_DIGITS = 1000
-RATIONAL_MAX_EXPONENT = 1000
+from .errors import RATIONAL_MAX_DIGITS, RATIONAL_MAX_EXPONENT, FormatError, ResourceLimitError
 
 # "a" and "a/b" in ASCII digits: the literals `json_ratio` writes.
 _PLAIN_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -67,10 +62,8 @@ def _check_literal_size(text: str) -> None:
     if len(text) > RATIONAL_MAX_DIGITS:
         digits = sum(map(str.isdigit, text))
         if digits > RATIONAL_MAX_DIGITS:
-            raise ResourceLimitError(
-                f"rational literal of {digits} digits exceeds the {RATIONAL_MAX_DIGITS}-digit "
-                "bound (RATIONAL_MAX_DIGITS)"
-            )
+            what = f"rational literal of {digits} digits"
+            raise ResourceLimitError.past(what, RATIONAL_MAX_DIGITS, "digit", "RATIONAL_MAX_DIGITS")
     if "e" not in text and "E" not in text:
         return
     try:
@@ -78,10 +71,8 @@ def _check_literal_size(text: str) -> None:
     except ValueError:
         return  # not a literal Fraction accepts; it reports the format error
     if abs(power) > RATIONAL_MAX_EXPONENT:
-        raise ResourceLimitError(
-            f"rational literal with exponent {power} exceeds the {RATIONAL_MAX_EXPONENT} "
-            "exponent bound (RATIONAL_MAX_EXPONENT)"
-        )
+        what = f"rational literal with exponent {power}"
+        raise ResourceLimitError.past(what, RATIONAL_MAX_EXPONENT, "exponent", "RATIONAL_MAX_EXPONENT")
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

@@ -7,6 +7,7 @@ same instances.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
 from fractions import Fraction
@@ -60,6 +61,14 @@ def random_game(rng: random.Random, max_players: int = 3, max_strats: int = 3,
         return [build(depth + 1) for _ in range(shape[depth])]
 
     return NormalFormGame(players, strategies, build(0))
+
+
+def zero_game(shape) -> NormalFormGame:
+    """A game of the given shape with every payoff 0, built without a cell list."""
+    n = len(shape)
+    strategies = tuple(tuple(f"s{k}" for k in range(m)) for m in shape)
+    payoffs = [[0] * math.prod(shape)] * n
+    return NormalFormGame._from_scaled(tuple(f"p{i}" for i in range(n)), strategies, payoffs, (1,) * n)
 
 
 def random_constant_sum_game(rng: random.Random, constant: int | None = None,

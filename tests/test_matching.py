@@ -18,7 +18,7 @@ from optimin import (
     optimin_matchings,
     profitable_group_deviations,
 )
-from optimin.matching import DEVIATION_MAX_SIZE, OPTIMIN_MAX_SIZE, _candidates
+from optimin.matching import DEVIATION_MAX_SIZE, MATCHINGS_MAX_SIZE, OPTIMIN_MAX_SIZE, _candidates
 
 
 def tiny_mutual():
@@ -359,6 +359,29 @@ class TestOptiminMatchings:
         assert str(OPTIMIN_MAX_SIZE) in message
         assert "6 per side" in message
         assert "OPTIMIN_MAX_SIZE" in message
+
+
+class TestAllMatchings:
+    def test_size_bound(self, monkeypatch):
+        # 8 per side has 1 441 729 matchings; the refusal comes before any.
+        problem = random_problem(random.Random(63), MATCHINGS_MAX_SIZE + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                all_matchings(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        message = str(info.value)
+        assert str(MATCHINGS_MAX_SIZE) in message
+        assert f"{MATCHINGS_MAX_SIZE + 1} per side" in message
+        assert "MATCHINGS_MAX_SIZE" in message
+        monkeypatch.setattr("optimin.matching.MATCHINGS_MAX_SIZE", 3)
+        # sum over k of C(3, k)^2 k! matchings with k pairs
+        assert len(all_matchings(random_problem(random.Random(64), 3))) == 1 + 9 + 18 + 6
+        with pytest.raises(ResourceLimitError):
+            all_matchings(random_problem(random.Random(65), 4))
 
 
 def mixed_label_problem(rng, n):

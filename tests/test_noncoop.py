@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -25,11 +26,13 @@ from optimin import (
     value_pure,
     value_table,
 )
+from optimin import noncoop
 from conftest import (
     brute_pareto,
     brute_value_pure,
     random_constant_sum_game,
     random_game,
+    zero_game,
 )
 
 # Worst-case table of the 3x3 illustrative game, frozen from its source.
@@ -516,3 +519,42 @@ class TestGridBounds:
         assert str(4950 * 4950) in message
         assert "GRID_PROFILE_LIMIT" in message
         assert "--mixed-grid" in message
+
+
+class TestValueTableBound:
+    def test_large_tables_are_refused_before_any_cell(self, monkeypatch):
+        def scanned(*args):
+            raise AssertionError("a cell was scanned")
+
+        monkeypatch.setattr(noncoop, "_deviation_cells", scanned)
+        g = zero_game((6,) * 6)  # 46 656 cells, 6 · 7 776 profiles for each
+        for solve in (value_table, optimin_pure):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError) as info:
+                    solve(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            message = str(info.value)
+            assert str(46656 * 6 * 7776) in message
+            assert str(noncoop.VALUE_TABLE_MAX_PROFILES) in message
+            assert "VALUE_TABLE_MAX_PROFILES" in message
+
+    def test_bound_counts_the_worst_case(self, monkeypatch):
+        g = zero_game((3, 3, 3))  # 27 cells · 3 players · 9 profiles
+        monkeypatch.setattr(noncoop, "VALUE_TABLE_MAX_PROFILES", 729)
+        assert len(value_table(g)) == 27
+        monkeypatch.setattr(noncoop, "VALUE_TABLE_MAX_PROFILES", 728)
+        with pytest.raises(ResourceLimitError):
+            value_table(g)
+        # Player 0 earns their own strategy's index, so (0, 0, 0) is not their
+        # maximin and the test falls through to the bounded table.
+        u0 = [idx // 9 for idx in range(27)]
+        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], [["a", "b", "c"]] * 3, [u0, u0, u0], [1] * 3)
+        with pytest.raises(ResourceLimitError):
+            is_maximin_equilibrium(g, (0, 0, 0))
+        # Two players keep the sorted line kernel, which no count bounds.
+        monkeypatch.setattr(noncoop, "VALUE_TABLE_MAX_PROFILES", 0)
+        assert len(value_table(zero_game((3, 3)))) == 9
