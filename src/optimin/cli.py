@@ -166,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("selftest", help="re-derive the built-in golden results")
-    common(p)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
@@ -197,12 +196,20 @@ def _profile_str(labels) -> str:
     return "(" + ", ".join(labels) + ")"
 
 
-def _emit(args, table_lines, json_doc) -> int:
+def _emit(args, table_lines, json_doc, out=None) -> int:
+    """Write one report, the only place a report is encoded: the JSON
+    document, its exact numbers as ints or "a/b" strings and its tuples as
+    arrays, or the table lines.  It goes to stdout, or to the file `out`
+    followed by `wrote <out>` on stdout."""
     if args.format == "json":
-        print(json.dumps(json_doc, indent=2))
+        text = json.dumps(json_doc, indent=2, default=json_number)
     else:
-        for line in table_lines:
-            print(line)
+        text = "\n".join(table_lines)
+    if out is None:
+        print(text)
+    else:
+        fileio.write_text(out, text + "\n")
+        print(f"wrote {out}")
     return 0
 
 
@@ -219,12 +226,7 @@ def _cmd_optimin(args) -> int:
         for entry in result.entries:
             mixtures = " x ".join(_vector(dist) for dist in entry.profile)
             lines.append(f"  {mixtures}  value {_vector(entry.value)}")
-            entries_json.append(
-                {
-                    "profile": [[json_number(q) for q in dist] for dist in entry.profile],
-                    "value": [json_number(v) for v in entry.value],
-                }
-            )
+            entries_json.append({"profile": entry.profile, "value": entry.value})
         return _emit(args, lines, {"mode": mode, "optimin": entries_json})
     entries = noncoop.optimin_pure(game)
     lines = ["mode: pure", f"optimin points: {len(entries)}"]
@@ -232,33 +234,23 @@ def _cmd_optimin(args) -> int:
     for entry in entries:
         labels = game.profile_labels(entry.profile)
         lines.append(f"  {_profile_str(labels)}  value {_vector(entry.value)}")
-        entries_json.append(
-            {"profile": list(labels), "value": [json_number(v) for v in entry.value]}
-        )
+        entries_json.append({"profile": labels, "value": entry.value})
     return _emit(args, lines, {"mode": "pure", "optimin": entries_json})
 
 
 def _cmd_value(args) -> int:
     game = _load_normal_form(args.game)
-    if args.profile:
+    if args.profile is not None:
         profile = game.profile_from_labels([s.strip() for s in args.profile.split(",")])
         entry = noncoop.value_pure(game, profile)
-        lines = [
-            "mode: pure",
-            f"profile: {_profile_str(game.profile_labels(profile))}",
-            f"value: {_vector(entry.value)}",
-        ]
+        labels = game.profile_labels(profile)
+        lines = ["mode: pure", f"profile: {_profile_str(labels)}", f"value: {_vector(entry.value)}"]
         witnesses_json = []
         for i, wit in enumerate(entry.witnesses):
-            labels = game.profile_labels(wit)
-            lines.append(f"  worst case for {game.players[i]}: {_profile_str(labels)}")
-            witnesses_json.append(list(labels))
-        doc = {
-            "mode": "pure",
-            "profile": list(game.profile_labels(profile)),
-            "value": [json_number(v) for v in entry.value],
-            "witnesses": witnesses_json,
-        }
+            wit_labels = game.profile_labels(wit)
+            lines.append(f"  worst case for {game.players[i]}: {_profile_str(wit_labels)}")
+            witnesses_json.append(wit_labels)
+        doc = {"mode": "pure", "profile": labels, "value": entry.value, "witnesses": witnesses_json}
         return _emit(args, lines, doc)
     table = noncoop.value_table(game)
     lines = ["mode: pure", "value table:"]
@@ -266,7 +258,7 @@ def _cmd_value(args) -> int:
     for prof, vec in table.items():
         labels = game.profile_labels(prof)
         lines.append(f"  {_profile_str(labels)}  {_vector(vec)}")
-        rows_json.append({"profile": list(labels), "value": [json_number(v) for v in vec]})
+        rows_json.append({"profile": labels, "value": vec})
     return _emit(args, lines, {"mode": "pure", "values": rows_json})
 
 
@@ -278,7 +270,7 @@ def _cmd_nash(args) -> int:
     for prof in cells:
         labels = game.profile_labels(prof)
         lines.append(f"  {_profile_str(labels)}")
-        cells_json.append(list(labels))
+        cells_json.append(labels)
     return _emit(args, lines, {"nash": cells_json})
 
 
@@ -292,13 +284,7 @@ def _cmd_maximin(args) -> int:
             f"  {game.players[pm.player]}: security {format_table(pm.security)}"
             f"  strategies {{{', '.join(names)}}}"
         )
-        players_json.append(
-            {
-                "player": game.players[pm.player],
-                "security": json_number(pm.security),
-                "strategies": names,
-            }
-        )
+        players_json.append({"player": game.players[pm.player], "security": pm.security, "strategies": names})
     return _emit(args, lines, {"mode": "pure", "maximin": players_json})
 
 
@@ -313,16 +299,10 @@ def _cmd_zerosum_solve(args) -> int:
             f"  {game.players[player]}: mixture {_vector(sol.mixture)}"
             f"  guarantees {format_table(sol.value)}"
         )
-        players_json.append(
-            {
-                "player": game.players[player],
-                "mixture": [json_number(q) for q in sol.mixture],
-                "value": json_number(sol.value),
-            }
-        )
+        players_json.append({"player": game.players[player], "mixture": sol.mixture, "value": sol.value})
     value = solutions[0].value  # player 0's guarantee, as `zerosum.game_value` gives it
     lines.append(f"game value: {format_table(value)}")
-    return _emit(args, lines, {"mode": "exact-lp", "players": players_json, "value": json_number(value)})
+    return _emit(args, lines, {"mode": "exact-lp", "players": players_json, "value": value})
 
 
 # -- cooperative commands ----------------------------------------------------
@@ -334,27 +314,19 @@ def _cmd_coop_core(args) -> int:
     if result.empty:
         return _emit(args, ["core: empty (LP infeasible)"], {"core": "empty"})
     lines = ["core: nonempty", f"  witness {_vector(result.witness)}"]
-    return _emit(args, lines, {"core": "nonempty", "witness": [json_number(v) for v in result.witness]})
+    return _emit(args, lines, {"core": "nonempty", "witness": result.witness})
 
 
 def _cmd_coop_shapley(args) -> int:
     game = _load_tu(args.game)
     value = coop.shapley(game)
-    return _emit(
-        args,
-        [f"shapley: {_vector(value)}"],
-        {"shapley": [json_number(v) for v in value]},
-    )
+    return _emit(args, [f"shapley: {_vector(value)}"], {"shapley": value})
 
 
 def _cmd_coop_nucleolus(args) -> int:
     game = _load_tu(args.game)
     value = coop.nucleolus(game)
-    return _emit(
-        args,
-        [f"nucleolus: {_vector(value)}"],
-        {"nucleolus": [json_number(v) for v in value]},
-    )
+    return _emit(args, [f"nucleolus: {_vector(value)}"], {"nucleolus": value})
 
 
 def _cmd_coop_optimin(args) -> int:
@@ -369,12 +341,7 @@ def _cmd_coop_optimin(args) -> int:
     entries_json = []
     for alloc, value in result.entries:
         lines.append(f"  {_vector(alloc)}  value {_vector(value)}")
-        entries_json.append(
-            {
-                "allocation": [json_number(v) for v in alloc],
-                "value": [json_number(v) for v in value],
-            }
-        )
+        entries_json.append({"allocation": alloc, "value": value})
     return _emit(args, lines, {"mode": mode, "optimin": entries_json})
 
 
@@ -383,11 +350,7 @@ def _cmd_coop_value(args) -> int:
     alloc = tuple(to_fraction(tok.strip()) for tok in args.alloc.split(","))
     value = coop.coop_value(game, alloc)
     lines = [f"allocation: {_vector(alloc)}", f"value: {_vector(value)}"]
-    doc = {
-        "allocation": [json_number(v) for v in alloc],
-        "value": [json_number(v) for v in value],
-    }
-    return _emit(args, lines, doc)
+    return _emit(args, lines, {"allocation": alloc, "value": value})
 
 
 # -- matching commands --------------------------------------------------------
@@ -441,7 +404,7 @@ def _cmd_match_stable(args) -> int:
     else:
         a, b = report.blocking_pair
         line = f"stable: no (blocking pair {a}, {b})"
-        doc = {"stable": False, "blocking_pair": [a, b]}
+        doc = {"stable": False, "blocking_pair": report.blocking_pair}
     return _emit(args, [line], doc)
 
 
@@ -479,7 +442,7 @@ def _cmd_match_deviations(args) -> int:
         pairs = {a: b for a, b in dev.rematching}
         shown = ", ".join(f"{a}->{b}" for a, b in dev.rematching)
         lines.append(f"  group {{{', '.join(dev.group)}}}: {shown}")
-        out.append({"group": list(dev.group), "rematching": pairs})
+        out.append({"group": dev.group, "rematching": pairs})
     return _emit(args, lines, {"deviations": out})
 
 
@@ -496,12 +459,12 @@ def _cmd_decide_solve(args) -> int:
         if value.nature is not None:
             shown += f", nature {format_table(value.nature)}"
         lines.append(f"  ({profile[0]}, {profile[1]})  value {shown}")
-        entry = {"act": profile[0], "state": profile[1], "value": json_number(value.dm)}
+        entry = {"act": profile[0], "state": profile[1], "value": value.dm}
         if value.nature is not None:
-            entry["nature_value"] = json_number(value.nature)
+            entry["nature_value"] = value.nature
         entries.append(entry)
     lines.append(f"acts: {', '.join(result.acts)}")
-    return _emit(args, lines, {"ranking": result.ranking, "optimin": entries, "acts": list(result.acts)})
+    return _emit(args, lines, {"ranking": result.ranking, "optimin": entries, "acts": result.acts})
 
 
 def _cmd_decide_check(args) -> int:
@@ -523,7 +486,7 @@ def _cmd_decide_check(args) -> int:
         "dm_only": report.dm_only_comparison,
         "hypotheses_hold": report.hypotheses_hold,
         "verified": report.verified,
-        "notes": list(report.notes),
+        "notes": report.notes,
     }
     return _emit(args, lines, doc)
 
@@ -580,38 +543,15 @@ def _cmd_sweep(args) -> int:
     def profile_set(profiles) -> str:
         return "; ".join("(" + ",".join(p) + ")" for p in profiles)
 
-    if args.format == "json":
-        doc = {
-            "family": result.family,
-            "parameter": result.parameter,
-            "rows": [
-                {
-                    "value": json_number(row.parameter),
-                    "optimin": [list(p) for p in row.optimin],
-                    "nash": [list(p) for p in row.nash],
-                }
-                for row in result.rows
-            ],
-            "threshold": None if result.threshold is None else json_number(result.threshold),
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = [f"{result.parameter}\toptimin\tnash"]
-        for row in result.rows:
-            lines.append(
-                f"{format_table(row.parameter)}\t{profile_set(row.optimin)}\t{profile_set(row.nash)}"
-            )
-        if result.threshold is not None:
-            lines.append(f"threshold: {format_table(result.threshold)}")
-        else:
-            lines.append("threshold: none")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        fileio.write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    lines = [f"{result.parameter}\toptimin\tnash"]
+    rows_json = []
+    for row in result.rows:
+        lines.append(f"{format_table(row.parameter)}\t{profile_set(row.optimin)}\t{profile_set(row.nash)}")
+        rows_json.append({"value": row.parameter, "optimin": row.optimin, "nash": row.nash})
+    threshold = result.threshold
+    lines.append(f"threshold: {'none' if threshold is None else format_table(threshold)}")
+    doc = {"family": result.family, "parameter": result.parameter, "rows": rows_json, "threshold": threshold}
+    return _emit(args, lines, doc, args.out)
 
 
 # -- selftest ----------------------------------------------------------------

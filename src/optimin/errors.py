@@ -95,8 +95,10 @@ VALUE_TABLE_MAX_PROFILES = 100_000_000
 SHAPLEY_MAX_PLAYERS = 12
 # `imputation_grid` refuses lattices of more points than this, counted
 # before any is built; a coarser --step shrinks the lattice.  `optimin_coop`
-# Pareto-filters the lattice: 3 players and 10 011 points, all kept, take 15 s.
-IMPUTATION_GRID_MAX_POINTS = 100_000
+# Pareto-filters the lattice, quadratically in the points kept: with 3
+# players and 4 950 points it takes about 4.3 s when all are kept (every
+# worth 0 but u(N)) and 2.0 s for a convex game (pairwise synergies).
+IMPUTATION_GRID_MAX_POINTS = 5_000
 # Each `nucleolus` round solves a dual with n + 1 rows; an 8-player
 # nucleolus takes a fraction of a second.
 NUCLEOLUS_MAX_PLAYERS = 8

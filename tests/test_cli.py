@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -229,19 +230,193 @@ MIXED_GRID_PINS = {
 }
 SEEDED_GAMES = {"3x3": ((3, 3), 1), "4x2": ((4, 2), 2), "1x5": ((1, 5), 3)}
 
+# sha256 of each report command's stdout in table and json format, recorded
+# before `_emit` became the one place that encodes and writes a report.  A
+# "{name}" argument is the file `write_report_inputs` writes under that name.
+REPORT_PINS = {
+    "optimin --game {nf} --pure": (
+        "b9ea7221fa3c0d5a758fbc1b311fa3284f2d1367536e3652d85be6e1e0c9ee29",
+        "97f3b8489d3b0671fe87ecffd5cc9f8d8d98088f3cf4c682c342eec8f81f4480",
+    ),
+    "optimin --game {nf} --mixed-grid 2": (
+        "e43c6749419b2126224717519b7bc5f4c855a24263398216fc1da0cecb8927a0",
+        "632f8eb98ca9381fef5bbefd38fa207cb40cb994b14528b7355fd4fdb41fe82e",
+    ),
+    "value --game {nf}": (
+        "a9b3ac48672f144638a52ed80dc396623c667ecf3cd019ee57b3f3efc6e59cd3",
+        "e5aeed947ceb1ae4ab0411b4fb0ebb76c5326474dd31287bcb0d17fe8d70c7cc",
+    ),
+    "value --game {nf} --profile r1,c2": (
+        "25f164ff336dcf2c4c58d1e46fb77a831f2230531bb95f5cbe07c2defe135f00",
+        "a1032f85ff5f02386c04bf1487dbbdf5b12e94381581330ed4634e83094225e3",
+    ),
+    "nash --game {nf}": (
+        "44cf8a0227d60192dbc6889a56df71a4890fae37f224502e42f714a4308976bb",
+        "87d1968714f24696fdc6b1b2eee2c8cfeb0ab7e087e3c2fb4204d1e106dcdfb0",
+    ),
+    "maximin --game {nf}": (
+        "70b613696de8a73b1dec5999011ce29547b8b2b0f666748017e3aa113a65f10f",
+        "63aec457058e84042eb1cdc691f8abec7073df632a3d6ae1f6f75b5a80ba3fcd",
+    ),
+    "zerosum solve --game {zs}": (
+        "01ec6a967feb5b4723c8c151e5a837fe63288de6f836a31d8f2500841766f061",
+        "aad41a65c94884705e74923e449401d2ef63deb5b2e160c7b0af3ea65eb0e184",
+    ),
+    "zerosum solve --game bulmer": (
+        "83bbc50b1e2b81109556505442ad6d8987cf81a4cfeb932f063dd201f66f88c6",
+        "fe4c4c0b9dfb7c2d568bb3bf77ed42ff919e30a080cf8777564be92c7a63deb7",
+    ),
+    "coop core --game coop_empty_core": (
+        "2fb92bec80997bca03b509f48b02949def7e68bcae815533a4ca33be87b864a6",
+        "29d95910aab8ed1e684d3976f3f52c2da947e5ae8959e0ee1d3e64064c10c779",
+    ),
+    "coop core --game {tu}": (
+        "5199b2f3d11a9eef6521e3fc6d7ac3c9654408ccb2ced855008c8285f2558201",
+        "a5d979524d6fc354bee7d2150dc1f02900d60e769d689da628ecad364408dd28",
+    ),
+    "coop shapley --game {tu}": (
+        "540c5ecd867fbb0f604002f1d476074ee1480120a02d6e9754fe390596015036",
+        "b81b848c5af194f68eb605ecc13772a8726c6dabba8fd60ca368515d26586740",
+    ),
+    "coop nucleolus --game {tu}": (
+        "80cf917fb775651a0a49f349f0c94e89e1da1bee150453e939f09f07607e127b",
+        "da3e8169a38900ebb6367ae29bc0606fedc8388eac399027322af88554227e56",
+    ),
+    "coop optimin --game {tu} --step 1/2": (
+        "8e18c1dcff5fd0b51c8e775f12ee50ff3d235cea44dfd43e21b0ba1fa9f15aab",
+        "4d0b4bbdb86e733aaec222890b78ea33c2fe22a1e3aebfa645f1e8b5e271118e",
+    ),
+    "coop optimin --game coop_120 --step 10 --floor 0": (
+        "b3be382eab1c6158200b1b3e4dc40096a24e35e068d2e484e1c39be3b940f5db",
+        "b23c0dfc582b00e244a5d7312339304e40c8dd56ae2244b522ea1f9f8b827349",
+    ),
+    "coop value --game {tu} --alloc 10,15/2,31/2": (
+        "575deabedc5e4968b08c04aaa363ed832c6eae1fce7c1fba217f1d4b4d3e4ae6",
+        "cc7c0ffc133befdedcfa41ff479710ad2e79054dbe15e578baadcf89dc321daa",
+    ),
+    "match da --game {mp}": (
+        "badc03f5e06d7bf2f69e0651a5db9293f351f5ab200e84da176750d52009a7bd",
+        "e4e6c63fa3aa22b227c830011d30347d3e43d1daef8bc1c218b1400fffb84df8",
+    ),
+    "match da --game {mp} --propose B": (
+        "4424f02ed622a5401d04859a8acfa4332d170559e09d2b043029b8433fcc252f",
+        "d1b04bd1372d9eb0a486dd52d80c9dd27f5db48453b8852c1bc362854b870953",
+    ),
+    "match stable --game {mp} --matching a1=b2,a2=b3,a3=b1": (
+        "4ccc745007e96624780ae7145f96e06034c43c91293eb277d0e1521db1ab0a4f",
+        "4a968ef1aea7c45bca26ccf940bd33aad1b0c22668c620bc13534ae47454c214",
+    ),
+    "match stable --game {mp} --matching a1=b1,a2=b2,a3=b3": (
+        "162d63f2bb99b0f9d408ff096b70173e194665bbe57c7458aeb52911c1d051f9",
+        "eda8a86a735e154d5e898ace5e8a8987440553dfb0d0d2ec29a75b2481a430b9",
+    ),
+    "match stable --game {mp} --matching a1=b3,a2=b1,a3=b2": (
+        "3f51e1cb1f025a048ed071184ccc626166e6687390777f3e97f5f1af54ceef36",
+        "c930a4f943bd356140efd79178233f98e0795cafe15af4deee5a62f56ada8805",
+    ),
+    "match optimin --game {mp}": (
+        "cc06b0775ed131a9aabae8afdb8e4c6f95decf3f6345c387b866237ec7a871be",
+        "28e2879558aa3ca0b0d3901e8f601966bcf550b7445e63bd3e9af217aaef0c67",
+    ),
+    "match value --game {mp} --matching a1=b3,a2=b1": (
+        "0216fae538f72dcbbf5bbc6c9b922b67bd912746c86493cad4bec87ab9a21d1e",
+        "0eb467fb60c48763a45306fc399537559cda46dd759485862b14fb6924dc2db6",
+    ),
+    "match deviations --game {mp} --matching a1=b3,a2=b1": (
+        "67c496f0506436733afdfca51333d63789ece8624d965b5f21697d2e30565a57",
+        "b5cd4e23a93399627acd579185e3ae847cae6c67cd6f3d622fb816b6931e0e28",
+    ),
+    "decide solve --game {dmoc}": (
+        "9022915e06e88e092210c0159507e1bfdb440cdd4195ed29dca4638bfe5a5c17",
+        "83a98a1a5e133c279e1871b864f0aa497163680b03bd48e7830f23f90bbb198d",
+    ),
+    "decide check --game {dm}": (
+        "a82a6964f2d1dc252ba6f232da10018aea1084d1ce2c89e6b0cc089c66f05436",
+        "7f51376bba855043cfd3c57a8fb7208ae632b61475fd9ffc25fdbbf2b2741feb",
+    ),
+    "decide solve --game {ant}": (
+        "8b026638b5304b4b401b114b6e05ae7068602b141a20fc9a60e71aac3fff05f6",
+        "58489e67d104c1a00e5e49f51528005ae7976bded69dcd688dd4250c63391db5",
+    ),
+    "decide check --game {ant}": (
+        "1b0551de5e2714f5d11bb160c58d2f7557f713487b81478478eee72edeb4f82f",
+        "05c6166a0c807bc5163254154ff03b57b8c49b2b3fe658b79057873883a02fe8",
+    ),
+    "sweep --family travelers --param r --from 2 --to 4 --step 1/2 --low 3 --high 12": (
+        "f46c9432e6bcfd5d1cc12fe127b1eaea76f4f8729635b91e264e99ae2c28919c",
+        "f411f59372b66dd7db7caed2b73625c6f2e0cd1fcaeae8b007d7a1a3032fb6d8",
+    ),
+    "sweep --family public_goods --param mpcr --from 1/2 --to 3/2 --step 1/4 --n 3 --endowment 7/2 --levels 0,1/3,3": (
+        "72ed74509d73274a71b35ef37c1758b1b53d82da61fffd1286fd4ac492bea2ec",
+        "1d12a6bc3c00ad3dbaaba48c8ff1d78cdb3ec5fa1cd1b21e869cb97144ba9218",
+    ),
+}
+# sha256 of the file `sweep --out` writes, in table and json format, recorded
+# with `REPORT_PINS`.
+SWEEP_OUT_PINS = {
+    "--family travelers --param r --from 2 --to 4 --step 1/2 --low 3 --high 12": (
+        "f46c9432e6bcfd5d1cc12fe127b1eaea76f4f8729635b91e264e99ae2c28919c",
+        "f411f59372b66dd7db7caed2b73625c6f2e0cd1fcaeae8b007d7a1a3032fb6d8",
+    ),
+    "--family centipede --param nodes --from 1 --to 4 --variant constant": (
+        "f204c80303be9f25a1db54f5bf77b2e1ad66e31f1d80152658c1dc584dc98fe8",
+        "94568fbdc902a67bfa6a418a8e9181a9cc6aed85d3c018f4cf1ef006681261f0",
+    ),
+}
 
-def write_seeded_game(path, shape, seed):
+
+def write_seeded_game(path, shape, seed, zero_sum=False):
     """A two-player game file of `shape` whose payoffs are fractions drawn from `seed`."""
     rng = random.Random(seed)
+
+    def cell():
+        if zero_sum:
+            x = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+            return [str(x), str(-x)]
+        return [f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(2)]
+
     doc = {
         "players": ["row", "column"],
         "strategies": [[f"r{a}" for a in range(shape[0])], [f"c{b}" for b in range(shape[1])]],
-        "payoffs": [
-            [[f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(2)] for _ in range(shape[1])]
-            for _ in range(shape[0])
-        ],
+        "payoffs": [[cell() for _ in range(shape[1])] for _ in range(shape[0])],
     }
     path.write_text(json.dumps(doc))
+
+
+def write_report_inputs(directory) -> dict:
+    """The input files `REPORT_PINS` names, written under `directory`."""
+    files = {name: directory / f"{name}.json" for name in ("nf", "zs", "tu", "mp", "dm", "dmoc", "ant")}
+    write_seeded_game(files["nf"], (3, 4), 5)
+    write_seeded_game(files["zs"], (3, 2), 6, zero_sum=True)
+    rng = random.Random(7)
+    worth = {key: f"{rng.randint(0, 9)}/{rng.choice((1, 2, 3))}" for key in ("1", "2", "3")}
+    worth.update({key: rng.randint(10, 20) for key in ("1,2", "1,3", "2,3")})
+    worth["1,2,3"] = f"{rng.randint(60, 70)}/2"
+    files["tu"].write_text(json.dumps({"n": 3, "worth": worth}))
+    prefs = {
+        "a1": ["b2", "b1", "b3", "a1"],
+        "a2": ["b1", "b3", "a2", "b2"],
+        "a3": ["b1", "b2", "b3", "a3"],
+        "b1": ["a1", "a3", "a2", "b1"],
+        "b2": ["a3", "a1", "b2", "a2"],
+        "b3": ["a2", "a1", "a3", "b3"],
+    }
+    files["mp"].write_text(json.dumps({"A": ["a1", "a2", "a3"], "B": ["b1", "b2", "b3"], "prefs": prefs}))
+    decision = {
+        "acts": ["act1", "act2", "act3"],
+        "states": ["s1", "s2", "s3"],
+        "utility": {
+            "act1": {"s1": 4, "s2": "-1/2", "s3": 1},
+            "act2": {"s1": 1, "s2": 1, "s3": "3/2"},
+            "act3": {"s1": "7/3", "s2": 0, "s3": 2},
+        },
+    }
+    files["dm"].write_text(json.dumps(decision))
+    oc = {"act1,s1": ["s1", "s3"], "*": ["s1", "s2", "s3"]}
+    files["dmoc"].write_text(json.dumps({**decision, "oc_states": oc}))
+    antagonist = {"oc_states": {"*": ["s1", "s3"]}, "oc_acts": {"act2,s2": ["act2"]}, "antagonist": True}
+    files["ant"].write_text(json.dumps({**decision, **antagonist}))
+    return {name: str(path) for name, path in files.items()}
 
 
 def run(capsys, *argv):
@@ -290,6 +465,11 @@ class TestValueCommand:
         code, out, _ = run(capsys, "value", "--game", "motivating")
         assert code == 0
         assert "(U, L)  (2, 2)" in out
+
+    def test_empty_profile_is_refused(self, capsys):
+        # An empty profile is one empty label, not a request for the whole table.
+        code, out, err = run(capsys, "value", "--game", "figure1", "--profile", "")
+        assert (code, out, err) == (1, "", "error: expected 2 strategy labels, got 1\n")
 
 
 class TestSolverCommands:
@@ -595,6 +775,26 @@ class TestBytePins:
             shas.append(hashlib.sha256(out.encode()).hexdigest())
         assert tuple(shas) == MIXED_GRID_PINS[(game, k)]
 
+    @pytest.mark.parametrize("argv", list(REPORT_PINS))
+    def test_report(self, capsys, tmp_path, argv):
+        files = write_report_inputs(tmp_path)
+        shas = []
+        for fmt in ("table", "json"):
+            code, out, err = run(capsys, *(tok.format(**files) for tok in argv.split()), "--format", fmt)
+            assert (code, err) == (0, "")
+            shas.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(shas) == REPORT_PINS[argv]
+
+    @pytest.mark.parametrize("argv", list(SWEEP_OUT_PINS))
+    def test_sweep_out_file(self, capsys, tmp_path, argv):
+        shas = []
+        for fmt in ("table", "json"):
+            path = tmp_path / f"sweep.{fmt}"
+            code, out, err = run(capsys, "sweep", *argv.split(), "--format", fmt, "--out", str(path))
+            assert (code, out, err) == (0, f"wrote {path}\n", "")
+            shas.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert tuple(shas) == SWEEP_OUT_PINS[argv]
+
     def test_flag_of_another_family_is_ignored(self, capsys, tmp_path):
         path = tmp_path / "game.json"
         run(capsys, "gen", "travelers", "--nodes", "7", "--mpcr", "x", "--out", str(path))
@@ -674,6 +874,13 @@ class TestErrorsAndDeterminism:
         code2, out2, _ = run(capsys, "selftest")
         assert code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--threads", "2"]])
+    def test_selftest_takes_no_report_flags(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_report_identical_across_thread_counts(self, capsys):
         _, out1, _ = run(capsys, "optimin", "--game", "figure1", "--threads", "1")
@@ -764,3 +971,40 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, text):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# Only `cli._emit` encodes a report or writes it to stdout: every command
+# hands it table lines and a JSON document of exact values.  The check walks
+# `cli.py`'s syntax tree, as `test_imports.py` does for imports.
+REPORT_WRITERS = {"json.dumps", "json_number", "sys.stdout.write"}
+
+
+def report_writers(source: str) -> list[str]:
+    """Each use of a name in `REPORT_WRITERS` outside the function `_emit`."""
+    tree = ast.parse(source)
+    emit = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_emit"]
+    inside = {id(node) for function in emit for node in ast.walk(function)}
+    return sorted(
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and id(node) not in inside
+        and ast.unparse(node) in REPORT_WRITERS
+    )
+
+
+def test_only_emit_writes_a_report():
+    source = (Path(optimin.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8")
+    assert report_writers(source) == []
+
+
+def test_the_writer_check_sees_a_second_writer():
+    source = textwrap.dedent("""
+        def _emit(doc):
+            sys.stdout.write(json.dumps(doc, default=json_number))
+
+        def _cmd(doc):
+            doc["x"] = json_number(doc["x"])
+            sys.stdout.write(json.dumps(doc))
+    """)
+    assert report_writers(source) == ["line 6: json_number", "line 7: json.dumps", "line 7: sys.stdout.write"]
