@@ -21,12 +21,8 @@ from typing import Sequence, get_args
 from . import coop, decisions, fileio, generators, matching, noncoop, zerosum
 from .errors import SWEEP_MAX_POINTS, OptiminError, ParameterError, ResourceLimitError
 from .games import NormalFormGame, is_constant_sum
+from .generators import COOP_TAGS, GAME_TAGS
 from .rational import format_table, json_number, to_fraction
-
-# Parameterless instances addressable without a file; "bulmer" is handled
-# separately because it lives in the zero-sum module.
-GAME_TAGS = ("figure1", "motivating", "battle_of_sexes", "prisoners_dilemma")
-COOP_TAGS = ("coop_empty_core", "coop_120")
 
 
 def main(argv=None) -> int:
@@ -34,6 +30,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_thread_env()
+        if getattr(args, "out", None) == "":
+            raise ParameterError("--out needs a file path, got an empty string")
         return args.handler(args)
     except OptiminError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -175,6 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_normal_form(spec: str) -> NormalFormGame:
+    # A named instance needs no file; "bulmer" lives in the zero-sum module.
     if spec == "bulmer":
         return zerosum.bulmer_game().game
     if spec in GAME_TAGS:

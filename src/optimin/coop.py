@@ -9,10 +9,12 @@ imputations.  Core membership, the Shapley value, and the nucleolus are exact.
 Worths are read straight to ints over one common denominator
 (`rational.over_common_denominator`, with no `Fraction` for an int or
 ``"a/b"`` literal), and the worst-case values, deviation tests, lattice
-search and Shapley value run on ints: an allocation is brought to the
-worths' denominator once, and a `Fraction` is built only for an allocation
-or value that is returned.  A player count is checked before any 2^n is
-built.
+search and Shapley value run on ints.  An allocation is read once, by
+`_scaled`, which checks its length and brings it to the worths' denominator;
+the lattice search reads its step, floors and worths to ints and shares the
+free units with `games.simplex_grid`.  A `Fraction` is built only for an
+allocation or value that is returned.  A player count is checked before any
+2^n is built.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from .errors import CORE_MAX_PLAYERS, IMPUTATION_GRID_MAX_POINTS, NUCLEOLUS_MAX_PLAYERS, SHAPLEY_MAX_PLAYERS
 from .errors import DomainError, ResourceLimitError
-from .games import ValueVector
+from .games import ValueVector, simplex_grid
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
 from .pareto import pareto_filter
-from .rational import format_exact, over_common_denominator, to_fraction
+from .rational import json_ratio, literal_ratio, over_common_denominator
 
 ZERO = Fraction(0)
 
@@ -139,16 +141,12 @@ def coalition_sum(x: Sequence[Fraction], mask: int) -> Fraction:
     return total
 
 
-def as_allocation(game: TUGame, x: Sequence) -> Allocation:
-    vec = tuple(to_fraction(v) for v in x)
-    if len(vec) != game.n:
-        raise DomainError(f"allocation has {len(vec)} entries for {game.n} players")
-    return vec
-
-
 def _scaled(game: TUGame, x: Sequence) -> tuple[list[int], Sequence[int], int]:
-    """The allocation and the worths as ints over one common denominator d."""
+    """The allocation, one entry per player, and the worths as ints over one
+    common denominator d; the one reader of an allocation."""
     alloc, d = over_common_denominator(x)
+    if len(alloc) != game.n:
+        raise DomainError(f"allocation has {len(alloc)} entries for {game.n} players")
     common = math.lcm(d, game._den)
     k = common // game._den
     worth = game._num if k == 1 else [w * k for w in game._num]
@@ -191,17 +189,13 @@ def _worst_case(worth: Sequence[int], alloc: Sequence[int], lcm: int) -> tuple[i
     return tuple(xi * lcm - c for xi, c in zip(alloc, loss))
 
 
-def _scaled_feasible(
-    game: TUGame, x: Sequence
-) -> tuple[Allocation, list[int], Sequence[int], int]:
-    """`as_allocation` and `_scaled` of a feasible allocation; else DomainError."""
-    x = as_allocation(game, x)
+def _scaled_feasible(game: TUGame, x: Sequence) -> tuple[list[int], Sequence[int], int]:
+    """`_scaled` of a feasible allocation; else DomainError."""
     alloc, worth, d = _scaled(game, x)
     if sum(alloc) > worth[game.grand_coalition]:
-        raise DomainError(
-            f"allocation ({', '.join(map(format_exact, x))}) exceeds the grand coalition worth"
-        )
-    return x, alloc, worth, d
+        shown = ", ".join(str(json_ratio(v, d)) for v in alloc)
+        raise DomainError(f"allocation ({shown}) exceeds the grand coalition worth")
+    return alloc, worth, d
 
 
 def is_feasible(game: TUGame, x: Sequence[Fraction]) -> bool:
@@ -235,19 +229,19 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
     worth exceeds what x gives it in total, so the strict-sum test is the
     whole domination condition.
     """
-    x, alloc, worth, _ = _scaled_feasible(game, x)
+    alloc, worth, d = _scaled_feasible(game, x)
     if not 0 <= excluding < game.n:
         raise DomainError(f"no player {excluding} in a {game.n}-player game")
     sums = _coalition_sums(alloc)
     full = game.grand_coalition
     bit = 1 << excluding
     found = tuple(m for m in range(1, full) if not m & bit and sums[m] < worth[m])
-    return DeviationSet(excluding, x, found)
+    return DeviationSet(excluding, tuple(Fraction(v, d) for v in alloc), found)
 
 
 def coop_value(game: TUGame, x: Sequence) -> ValueVector:
     """Worst-case payoffs: deviators leave, the rest split the shortfall equally."""
-    _, alloc, worth, d = _scaled_feasible(game, x)
+    alloc, worth, d = _scaled_feasible(game, x)
     lcm = math.lcm(*range(1, game.n + 1))
     return tuple(Fraction(v, lcm * d) for v in _worst_case(worth, alloc, lcm))
 
@@ -258,49 +252,43 @@ def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[
     Default floors are the individual worths (the imputation set); passing
     lower floors widens the search domain below individual rationality.
     """
-    step = to_fraction(step)
-    p, q = step.numerator, step.denominator
-    return [tuple(Fraction(u * p, q) for u in point) for point in _lattice(game, step, floors)]
+    p, q = literal_ratio(step)
+    return [tuple(Fraction(u * p, q) for u in point) for point in _lattice(game, p, q, floors)]
 
 
-def _lattice(game: TUGame, step: Fraction, floors: Sequence | None) -> list[tuple[int, ...]]:
-    """`imputation_grid`'s points as int multiples of `step`, in the same order."""
-    if step <= 0:
-        raise DomainError(f"grid step must be positive, got {step}")
-    total = game.worth(game.grand_coalition)
+def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[tuple[int, ...]]:
+    """`imputation_grid`'s points as int multiples of the step p/q (q > 0), in
+    the same order; the floors are read to ints over one denominator."""
+    if p <= 0:
+        raise DomainError(f"grid step must be positive, got {json_ratio(p, q)}")
+    num, den, n = game._num, game._den, game.n
     if floors is None:
-        lows = game.singletons()
+        lows, low_den = [num[1 << i] for i in range(n)], den
     else:
-        lows = [to_fraction(v) for v in floors]
-        if len(lows) != game.n:
+        lows, low_den = over_common_denominator(floors)
+        if len(lows) != n:
             raise DomainError(f"need one floor per player, got {len(lows)}")
-    if sum(lows, ZERO) > total:
+    if sum(lows) * den > num[game.grand_coalition] * low_den:
         raise DomainError(
             "imputation set is empty: individual worths exceed the grand coalition"
         )
-    total_units = total / step
-    if total_units.denominator != 1:
+    # u(N) / step = u(N)·q / (den·p) units, which must be a whole number.
+    total_units, rest = divmod(num[game.grand_coalition] * q, den * p)
+    if rest:
         return []
-    # Minimal multiples of `step` at or above each individual worth.
-    min_units = [-((-low) // step) for low in lows]
+    # Minimal multiples of the step at or above each floor: ceil(low·q / (low_den·p)).
+    min_units = [-(-low * q // (low_den * p)) for low in lows]
     # The lattice holds every way to share the free units among n players.
-    free = total_units.numerator - sum(min_units)
-    count = math.comb(free + game.n - 1, game.n - 1) if free >= 0 else 0
+    free = total_units - sum(min_units)
+    if free < 0:
+        return []
+    count = math.comb(free + n - 1, n - 1)
     if count > IMPUTATION_GRID_MAX_POINTS:
         what, hint = f"imputation grid of {count} points", "raise --step"
         raise ResourceLimitError.past(
             what, IMPUTATION_GRID_MAX_POINTS, "point", "IMPUTATION_GRID_MAX_POINTS", hint
         )
-    return _shares(min_units, free) if free >= 0 else []
-
-
-def _shares(lows: list[int], free: int) -> list[tuple[int, ...]]:
-    """Every way to give player i lows[i] plus a share of `free`, lexicographically."""
-    if len(lows) == 1:
-        return [(lows[0] + free,)]
-    return [
-        (lows[0] + k,) + rest for k in range(free + 1) for rest in _shares(lows[1:], free - k)
-    ]
+    return [tuple(map(add, min_units, share)) for share in simplex_grid(n, free)]
 
 
 @dataclass(frozen=True)
@@ -324,11 +312,11 @@ def optimin_coop(game: TUGame, step, floors: Sequence | None = None) -> CoopOpti
     vector then shares the one positive scale lcm(1..n)·q·den, so the filter
     compares ints and keeps the same entries it would keep as `Fraction`s.
     """
-    step = to_fraction(step)
-    points = _lattice(game, step, floors)
+    p, q = literal_ratio(step)
+    points = _lattice(game, p, q, floors)
+    step = Fraction(p, q)
     if not points:
         return CoopOptimin(step, ())
-    p, q = step.numerator, step.denominator
     unit = p * game._den
     worth = [w * q for w in game._num]
     lcm = math.lcm(*range(1, game.n + 1))

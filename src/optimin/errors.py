@@ -78,6 +78,12 @@ RATIONAL_MAX_EXPONENT = 1000
 # spaces (e.g. 99-strategy games) stay in pure mode.  A 3x3 game at k = 19
 # (44 100 profiles) takes about a quarter of a second.
 GRID_PROFILE_LIMIT = 50_000
+# It also refuses grids whose points hold more weights than this, the sum
+# over players of grid points times strategies, counted after the profiles: a
+# 1 x m game at k = 1 has only m profiles, but its m points hold m weights
+# each, so memory grows as m^2.  A 1 x 999 game (998 002 weights) takes about
+# 0.2 s and 8 MB over the interpreter's own.
+GRID_WEIGHT_LIMIT = 1_000_000
 
 # The n-player (n >= 3) pure value table refuses games whose worst-case count
 # of deviation profiles, cells · sum_i cells / m_i, passes this: each cell

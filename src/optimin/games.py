@@ -9,6 +9,11 @@ and walk it again only to name a fault.  Readers work
 on the ints and build a `Fraction` only for a value they return, so at the API
 every payoff is a `Fraction`.  Results reproduce bit-exactly and comparisons
 never depend on floating tolerances.
+
+Each check hands back what it read, so no caller reads a profile twice:
+`validate_profile` returns the cell's row-major index, and `validate_mixed`
+each distribution as int weights over their sum.  `simplex_grid`, every way
+to share k units, enumerates both the mixed grid and the TU lattice.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -105,9 +110,6 @@ class NormalFormGame:
             acc *= size
         self._strides = tuple(reversed(strides))
 
-    def _index(self, profile: PureProfile) -> int:
-        return sum(i * s for i, s in zip(profile, self._strides))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -118,41 +120,45 @@ class NormalFormGame:
         """All pure profiles in lexicographic index order."""
         return itertools.product(*(range(k) for k in self.shape))
 
-    def validate_profile(self, profile: PureProfile) -> None:
+    def validate_profile(self, profile: PureProfile) -> int:
+        """Refuse `profile` unless it names one strategy index per player;
+        return its cell's row-major index."""
         if len(profile) != len(self.shape):
             raise InvalidProfileError(
                 f"profile has {len(profile)} entries for a {len(self.shape)}-player game"
             )
-        for i, s in enumerate(profile):
+        idx = 0
+        for i, (s, stride) in enumerate(zip(profile, self._strides)):
             if not isinstance(s, int) or not 0 <= s < self.shape[i]:
                 raise InvalidProfileError(
                     f"strategy index {s!r} out of range for player {self.players[i]!r}"
                 )
+            idx += s * stride
+        return idx
 
     def payoff(self, profile: PureProfile) -> ValueVector:
         """The tensor cell for a pure profile."""
-        self.validate_profile(profile)
-        c = self._index(profile)
+        c = self.validate_profile(profile)
         return tuple(Fraction(u[c], d) for u, d in zip(self._num, self._den))
 
-    def validate_mixed(self, profile: MixedProfile) -> None:
+    def validate_mixed(self, profile: MixedProfile) -> list[tuple[list[int], int]]:
+        """Refuse `profile` unless it holds one distribution per player; return
+        each as `_check_distribution` reads it."""
         if len(profile) != len(self.shape):
             raise InvalidDistributionError(
                 f"mixed profile has {len(profile)} entries for a "
                 f"{len(self.shape)}-player game"
             )
-        for i, dist in enumerate(profile):
-            self._check_distribution(i, dist)
+        return [self._check_distribution(i, dist) for i, dist in enumerate(profile)]
 
-    def _check_distribution(self, i: int, dist: Sequence[Fraction]) -> None:
+    def _check_distribution(self, i: int, dist: Sequence[Fraction]) -> tuple[list[int], int]:
         """Refuse `dist` unless it is a distribution of `Fraction`s over
-        player i's strategies."""
+        player i's strategies; return it as int weights over their sum."""
         if len(dist) != self.shape[i]:
             raise InvalidDistributionError(
                 f"player {self.players[i]!r}: distribution over {len(dist)} "
                 f"strategies, game has {self.shape[i]}"
             )
-        total = ZERO
         for q in dist:
             if not isinstance(q, Fraction):
                 raise InvalidDistributionError(
@@ -162,11 +168,13 @@ class NormalFormGame:
                 raise InvalidDistributionError(
                     f"player {self.players[i]!r}: negative probability {q}"
                 )
-            total += q
-        if total != ONE:
+        weights, scale = over_common_denominator(dist)
+        total = sum(weights)
+        if total != scale:
             raise InvalidDistributionError(
-                f"player {self.players[i]!r}: probabilities sum to {total}, not 1"
+                f"player {self.players[i]!r}: probabilities sum to {Fraction(total, scale)}, not 1"
             )
+        return weights, scale
 
     def expected_payoff(self, profile: MixedProfile) -> ValueVector:
         """Multilinear expectation of the payoff tensor, exact.
@@ -174,13 +182,11 @@ class NormalFormGame:
         Agrees with `payoff` on degenerate profiles.  Only support cells are
         visited, so degenerate lookups stay cheap.
         """
-        self.validate_mixed(profile)
         # Each distribution as int weights over its own denominator, so the
         # sums are int sums over the product of those denominators.
         scale = 1
         supports = []
-        for dist, stride in zip(profile, self._strides):
-            weights, d = over_common_denominator(dist)
+        for (weights, d), stride in zip(self.validate_mixed(profile), self._strides):
             scale *= d
             supports.append([(s * stride, w) for s, w in enumerate(weights) if w])
         totals = [0] * len(self.players)
@@ -275,6 +281,17 @@ def tensor_fault(payoffs, shape: tuple[int, ...], n: int, cell: str) -> tuple[st
             return path, f"expected {sizes[depth]} {cell if depth == len(shape) else 'entries'}"
         else:
             stack.extend(reversed([(f"{path}[{k}]", child, depth + 1) for k, child in enumerate(node)]))
+
+
+def simplex_grid(size: int, total: int) -> list[tuple[int, ...]]:
+    """Every way to share `total` units among `size` holders, as int tuples in
+    lexicographic order: each nondecreasing run of size - 1 partial sums, and
+    the differences between consecutive ones."""
+    ends = (total,)
+    return [
+        tuple(map(sub, sums + ends, (0,) + sums))
+        for sums in itertools.combinations_with_replacement(range(total + 1), size - 1)
+    ]
 
 
 class ConstantSumCheck(NamedTuple):

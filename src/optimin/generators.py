@@ -28,14 +28,10 @@ from .rational import json_ratio, literal_ratio, over_common_denominator, to_fra
 
 CentipedeVariant = Literal["increasing", "constant"]
 
-NAMED_TAGS = (
-    "figure1",
-    "motivating",
-    "battle_of_sexes",
-    "prisoners_dilemma",
-    "coop_empty_core",
-    "coop_120",
-)
+# The parameterless instances `gen_named` builds: normal-form games, then TU games.
+GAME_TAGS = ("figure1", "motivating", "battle_of_sexes", "prisoners_dilemma")
+COOP_TAGS = ("coop_empty_core", "coop_120")
+NAMED_TAGS = GAME_TAGS + COOP_TAGS
 
 
 def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:

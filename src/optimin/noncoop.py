@@ -14,12 +14,15 @@ profiles and witnesses only for the cells that survive.
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
 is that chain evaluated at the opponent's agreed payoff E, so a profile costs
-one dot product, one `bisect` and one int interpolation.  The grid search
-Pareto-filters exact int keys (values scaled to the lcm of their denominators
-over the grid) and builds `Fraction` values and witnesses only for the
-survivors.  A witness is found by scanning the deviation vertices for the
-known value (`_witness`): the opponent's lowest-index optimal pure reply,
-else the first optimal mixture of two replies in (s, t) order.
+one dot product, one `bisect` and one int interpolation.  A mixture is read
+once, by `validate_mixed`.  The grid's points are `games.simplex_grid`'s
+shares of k units, built once its profiles and the weights its points hold
+are counted against their bounds.  The grid search Pareto-filters exact int
+keys (values scaled to the lcm of their denominators over the grid) and
+builds `Fraction` values and witnesses only for the survivors.  A witness is
+found by scanning the deviation vertices for the known value (`_witness`):
+the opponent's lowest-index optimal pure reply, else the first optimal
+mixture of two replies in (s, t) order.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GRID_PROFILE_LIMIT, VALUE_TABLE_MAX_PROFILES
+from .errors import GRID_PROFILE_LIMIT, GRID_WEIGHT_LIMIT, VALUE_TABLE_MAX_PROFILES
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
-from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector
+from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector, simplex_grid
 from .pareto import pareto_filter, pareto_positions
-from .rational import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -93,17 +95,17 @@ def _steps(game: NormalFormGame, idx: int, profile: PureProfile) -> list[list[in
 
 
 def better_responses(game: NormalFormGame, profile: PureProfile, player: int) -> BetterResponseSet:
-    game.validate_profile(profile)
+    idx = game.validate_profile(profile)
     profile = tuple(profile)
-    step = _steps(game, game._index(profile), profile)[player]
+    step = _steps(game, idx, profile)[player]
     stride = game._strides[player]
     return BetterResponseSet(player, profile, tuple(profile[player] + d // stride for d in step if d))
 
 
 def deviation_space(game: NormalFormGame, profile: PureProfile, player: int) -> DeviationSpace:
-    game.validate_profile(profile)
+    idx = game.validate_profile(profile)
     profile = tuple(profile)
-    steps = _steps(game, game._index(profile), profile)
+    steps = _steps(game, idx, profile)
     options = tuple(
         (p,) if j == player else tuple(p + d // stride for d in step)
         for j, (p, stride, step) in enumerate(zip(profile, game._strides, steps))
@@ -134,11 +136,11 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     Witnesses are the lexicographically smallest minimizers, so output is
     reproducible no matter how cells are scheduled.
     """
-    game.validate_profile(profile)
+    idx = game.validate_profile(profile)
     profile = tuple(profile)
     values = []
     witnesses = []
-    for u, cells in zip(game._num, _deviation_cells(game, game._index(profile), profile)):
+    for u, cells in zip(game._num, _deviation_cells(game, idx, profile)):
         witness = min(cells, key=u.__getitem__)  # the first, so the lexicographically smallest
         values.append(u[witness])
         witnesses.append(_profile_at(game, witness))
@@ -273,8 +275,7 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
         raise UnsupportedArityError(
             f"mixed values support exactly 2 players, game has {game.num_players}"
         )
-    game.validate_mixed(profile)
-    sides = [_side(game, i, *over_common_denominator(profile[i])) for i in (0, 1)]
+    sides = [_side(game, i, *read) for i, read in enumerate(game.validate_mixed(profile))]
     cores = [_hull_value(_chain(side, other[3]), side, other) for side, other in (sides, sides[::-1])]
     return _entry(game, profile, sides, cores)
 
@@ -416,32 +417,28 @@ class GridOptimin:
     kind: str = field(default="grid-approximate")
 
 
-def _simplex_grid(size: int, k: int) -> list[tuple[int, ...]]:
-    """All distributions over `size` atoms as int weights summing to k, in
-    lexicographic order: k stars split by size - 1 bars at positions `cuts`."""
-    end = k + size - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (end,)))
-        for cuts in itertools.combinations(range(end), size - 1)
-    ]
-
-
 def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
     g0, g1 = ([tuple(Fraction(w, k) for w in ws) for ws in g] for g in _grids_2p(game, k))
     return [(p, q) for p in g0 for q in g1]
 
 
 def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
-    """Each player's int weights over k on the 1/k grid, once the grid's size is checked."""
+    """Each player's int weights over k on the 1/k grid, once the grid's
+    profiles, and then the weights its points hold, are counted."""
     if game.num_players != 2:
         raise UnsupportedArityError("probability grids support exactly 2 players")
     if k < 1:
         raise ParameterError(f"grid resolution must be >= 1, got {k} (--mixed-grid)")
-    sizes = [math.comb(game.shape[i] + k - 1, game.shape[i] - 1) for i in (0, 1)]
+    sizes = [math.comb(m + k - 1, m - 1) for m in game.shape]
+    hint = "lower --mixed-grid or use --pure"
     if sizes[0] * sizes[1] > GRID_PROFILE_LIMIT:
-        what, hint = f"grid of {sizes[0] * sizes[1]} profiles", "lower --mixed-grid or use --pure"
+        what = f"grid of {sizes[0] * sizes[1]} profiles"
         raise ResourceLimitError.past(what, GRID_PROFILE_LIMIT, "profile", "GRID_PROFILE_LIMIT", hint)
-    return _simplex_grid(game.shape[0], k), _simplex_grid(game.shape[1], k)
+    weights = sum(map(mul, sizes, game.shape))
+    if weights > GRID_WEIGHT_LIMIT:
+        what = f"grid of {weights} weights"
+        raise ResourceLimitError.past(what, GRID_WEIGHT_LIMIT, "weight", "GRID_WEIGHT_LIMIT", hint)
+    return simplex_grid(game.shape[0], k), simplex_grid(game.shape[1], k)
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
@@ -478,9 +475,8 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
 
 def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
     """Agreement is optimin, or each strategy maximizes its own-deviation value."""
-    game.validate_profile(profile)
+    idx = game.validate_profile(profile)
     profile = tuple(profile)
-    idx = game._index(profile)
     for i, (u, p, stride) in enumerate(zip(game._num, profile, game._strides)):
         own_values = []
         for s in range(game.shape[i]):

@@ -14,7 +14,6 @@ from typing import Sequence
 from .errors import DomainError, UnsupportedFeatureError
 from .games import MixedProfile, NormalFormGame
 from .lp import LinearProgram, solve_lp
-from .rational import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,15 @@ def guarantee(sg: StatisticalGame, player: int, mixture: Sequence[Fraction]) -> 
     The mixture must be a distribution of `Fraction`s over the player's
     strategies, as `NormalFormGame.validate_mixed` requires of each entry.
     """
-    game = sg.game
-    other = _opponent(player)
-    game._check_distribution(player, mixture)
+    _opponent(player)  # refuses anything but 0 and 1
+    return _guarantee(sg.game, player, *sg.game._check_distribution(player, mixture))
+
+
+def _guarantee(game: NormalFormGame, player: int, weights: list[int], scale: int) -> Fraction:
+    """`guarantee` of the mixture weights/scale, as `_check_distribution` reads it."""
+    other = 1 - player
     u = game._num[player]
     mine, theirs = game._strides[player], game._strides[other]
-    weights, scale = over_common_denominator(mixture)
     worst = min(
         sum(w * u[s * mine + t * theirs] for s, w in enumerate(weights))
         for t in range(game.shape[other])
@@ -94,11 +96,11 @@ def guarantee(sg: StatisticalGame, player: int, mixture: Sequence[Fraction]) -> 
 
 def optimin_equals_maximin_check(sg: StatisticalGame, profile: MixedProfile) -> bool:
     """True iff both components guarantee exactly the game value."""
-    sg.game.validate_mixed(profile)
+    read = sg.game.validate_mixed(profile)
     value = maximin_lp(sg, 0).value
     return (
-        guarantee(sg, 0, profile[0]) == value
-        and guarantee(sg, 1, profile[1]) == -value
+        _guarantee(sg.game, 0, *read[0]) == value
+        and _guarantee(sg.game, 1, *read[1]) == -value
     )
 
 

@@ -74,6 +74,9 @@ BOUNDS = [
     ("GRID_PROFILE_LIMIT", noncoop, "profile",
      lambda: zero_game((1, errors.GRID_PROFILE_LIMIT + 1)), lambda g: grid_profiles_2p(g, 1),
      f"grid of {errors.GRID_PROFILE_LIMIT + 1} profiles"),
+    # A 1 x 1000 game at k = 1: 1000 profiles, whose 1000 points hold 1000 weights each.
+    ("GRID_WEIGHT_LIMIT", noncoop, "weight", lambda: zero_game((1, 1000)), lambda g: grid_profiles_2p(g, 1),
+     f"grid of {1 + 1000 * 1000} weights"),
     # 12x11x11x11 counts 90 832 764 deviation profiles, within the bound.
     ("VALUE_TABLE_MAX_PROFILES", noncoop, "profile", lambda: zero_game((12, 12, 11, 11)), value_table,
      f"({17424 * (1452 * 2 + 1584 * 2)} deviation profiles)"),

@@ -667,6 +667,23 @@ class TestGenAndSweep:
         assert out.splitlines()[0] == "r\toptimin\tnash"
         assert "(2,2)" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "prisoners_dilemma"],
+            ["gen", "centipede", "--nodes", "100000"],
+            ["sweep", "--family", "travelers", "--param", "r", "--from", "2", "--to", "5", "--high", "8"],
+            ["sweep", "--family", "travelers", "--param", "r", "--from", "2", "--to", "100000"],
+        ],
+        ids=["gen", "gen-past-its-bound", "sweep", "sweep-past-its-bound"],
+    )
+    def test_empty_out_is_refused_before_anything_is_generated(self, capsys, argv):
+        # The second and fourth would be refused by their bounds if they were
+        # built, so the --out refusal comes first.
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --out needs a file path, got an empty string"]
+
     def test_sweep_json_to_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         code, _, _ = run(

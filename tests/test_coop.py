@@ -945,3 +945,109 @@ def test_nucleolus_builds_a_bounded_number_of_fractions_per_round(n, count_fract
         with count_fractions() as built:
             nucleolus(TUGame(n, worth))
         assert len(built) <= len(rounds) * (n + 3) + n
+
+
+# Every refusal of the lattice search, byte for byte, through both of its
+# callers, on coop_empty_core (worths 35, 30, 25; 90, 80, 70; 110), in the
+# order the checks run: the step, the floor count, an empty imputation set,
+# the grid bound.  A literal that does not read is refused by its reader.
+LATTICE_REFUSALS = [
+    (0, None, DomainError, "grid step must be positive, got 0"),
+    ("-3/2", None, DomainError, "grid step must be positive, got -3/2"),
+    (F(-2), [0], DomainError, "grid step must be positive, got -2"),
+    (1, [0, 0], DomainError, "need one floor per player, got 2"),
+    (1, [], DomainError, "need one floor per player, got 0"),
+    (-1, [0, 0], DomainError, "grid step must be positive, got -1"),
+    (1, [50, "30", F(61, 2)], DomainError,
+     "imputation set is empty: individual worths exceed the grand coalition"),
+    ("1/100", [0, 0], DomainError, "need one floor per player, got 2"),
+    ("1/100", None, ResourceLimitError,
+     "imputation grid of 2003001 points exceeds the 5000-point bound (IMPUTATION_GRID_MAX_POINTS); raise --step"),
+    (F(1, 5), [0, 0, 0], ResourceLimitError,
+     "imputation grid of 152076 points exceeds the 5000-point bound (IMPUTATION_GRID_MAX_POINTS); raise --step"),
+    ("x", None, optimin.FormatError, "not a rational number: 'x'"),
+    (1, [0, "1/0", 0], optimin.FormatError, "not a rational number: '1/0'"),
+    (1, [True, 0, 0], optimin.FormatError, "expected a rational number, got boolean True"),
+]
+
+
+@pytest.mark.parametrize("step, floors, error, message", LATTICE_REFUSALS)
+def test_lattice_refusals_are_pinned(step, floors, error, message):
+    g = gen_named("coop_empty_core")
+    for search in (imputation_grid, optimin_coop):
+        with pytest.raises(error) as info:
+            search(g, step, floors)
+        assert str(info.value) == message
+
+
+def test_an_empty_individual_worth_set_is_refused_with_default_floors():
+    g = TUGame(2, {1: 3, 2: "5/2", 3: 5})
+    with pytest.raises(DomainError) as info:
+        imputation_grid(g, 1)
+    assert str(info.value) == "imputation set is empty: individual worths exceed the grand coalition"
+
+
+# Every refusal of the allocation readers, byte for byte.
+ALLOCATION_REFUSALS = [
+    ((40, 30), DomainError, "allocation has 2 entries for 3 players"),
+    ((40, 30, 40, 0), DomainError, "allocation has 4 entries for 3 players"),
+    ((100, "1/2", F(29, 3)), DomainError, "allocation (100, 1/2, 29/3) exceeds the grand coalition worth"),
+    (("221/2", 0, "0/5"), DomainError, "allocation (221/2, 0, 0) exceeds the grand coalition worth"),
+    (("x", 30, 40), optimin.FormatError, "not a rational number: 'x'"),
+    ((True, 30, 40), optimin.FormatError, "expected a rational number, got boolean True"),
+    ((40, 1.5, 40), optimin.FormatError, "expected a rational number, got float"),
+]
+
+
+@pytest.mark.parametrize("alloc, error, message", ALLOCATION_REFUSALS)
+def test_allocation_refusals_are_pinned(alloc, error, message):
+    g = gen_named("coop_empty_core")
+    for read in (coop_value, lambda g, x: dominating_coalitions(g, x, 0)):
+        with pytest.raises(error) as info:
+            read(g, alloc)
+        assert str(info.value) == message
+
+
+def test_a_player_outside_the_game_is_refused_after_the_allocation():
+    g = gen_named("coop_empty_core")
+    with pytest.raises(DomainError) as info:
+        dominating_coalitions(g, (40, 30, 40), 3)
+    assert str(info.value) == "no player 3 in a 3-player game"
+
+
+@pytest.mark.parametrize("test", [coop.is_feasible, is_imputation])
+@pytest.mark.parametrize("alloc", [(80, 30), (20, 30, 40, 0), ()])
+def test_feasibility_tests_refuse_a_wrong_length(test, alloc):
+    # Neither test may sum a prefix of a long allocation or index past the
+    # end of a short one.
+    g = gen_named("coop_empty_core")
+    with pytest.raises(DomainError) as info:
+        test(g, alloc)
+    assert str(info.value) == f"allocation has {len(alloc)} entries for 3 players"
+
+
+def test_dominating_coalitions_returns_the_allocation_it_read():
+    g = gen_named("coop_empty_core")
+    found = dominating_coalitions(g, ("40", F(30), "80/2"), 0)
+    assert found.allocation == (F(40), F(30), F(40))
+    assert all(type(v) is F for v in found.allocation)
+
+
+def test_the_lattice_builds_no_fraction(count_fractions, monkeypatch):
+    # Step, floors and worths are read to ints; only `imputation_grid`'s
+    # returned points are `Fraction`s.
+    inner = []
+    lattice = coop._lattice
+
+    def counted(*args):
+        with count_fractions() as built:
+            points = lattice(*args)
+        inner.append(len(built))
+        return points
+
+    monkeypatch.setattr(coop, "_lattice", counted)
+    g = TUGame(3, {1: F(1, 2), 2: 0, 3: "3/2", 4: 1, 5: 2, 6: 2, 7: F(9, 2)})
+    for step, floors in [(F(1, 2), None), ("1/4", [0, "1/4", F(1, 2)]), (F(1, 2), [-1, 0, 0]), (F(3, 2), None)]:
+        assert imputation_grid(g, step, floors)
+        assert optimin_coop(g, step, floors).entries
+    assert inner == [0] * 8

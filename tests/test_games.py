@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optimin import (
     InvalidDistributionError,
@@ -14,6 +17,7 @@ from optimin import (
     gen_prisoners_dilemma,
     is_constant_sum,
 )
+from optimin.games import simplex_grid
 from conftest import random_game
 
 
@@ -186,3 +190,59 @@ class TestValidation:
     def test_empty_strategy_list_rejected(self):
         with pytest.raises(ValueError):
             NormalFormGame(("a", "b"), (("x",), ()), [[]])
+
+
+# Every refusal of `validate_mixed`, byte for byte, on figure1 (players "row"
+# and "column", 3 strategies each).  A distribution is refused at its first
+# entry that is not a `Fraction` or is negative, before its sum is checked.
+UNIFORM = (F(1, 3), F(1, 3), F(1, 3))
+MIXED_REFUSALS = [
+    ((UNIFORM,), "mixed profile has 1 entries for a 2-player game"),
+    ((UNIFORM, UNIFORM, UNIFORM), "mixed profile has 3 entries for a 2-player game"),
+    (((F(1), F(0)), UNIFORM), "player 'row': distribution over 2 strategies, game has 3"),
+    ((UNIFORM, (F(1),) * 4), "player 'column': distribution over 4 strategies, game has 3"),
+    (((F(1), 0, F(0)), UNIFORM), "player 'row': probabilities must be Fractions"),
+    (((F(1), "0", F(0)), UNIFORM), "player 'row': probabilities must be Fractions"),
+    (((F(1, 2), F(-1, 2), F(1)), UNIFORM), "player 'row': negative probability -1/2"),
+    (((F(-1), 1, F(2)), UNIFORM), "player 'row': negative probability -1"),
+    (((F(1), 0.5, F(-1)), UNIFORM), "player 'row': probabilities must be Fractions"),
+    (((F(1, 2), F(1, 3), F(0)), UNIFORM), "player 'row': probabilities sum to 5/6, not 1"),
+    ((UNIFORM, (F(1), F(1), F(0))), "player 'column': probabilities sum to 2, not 1"),
+    (((F(0),) * 3, (F(1), F(1), F(0))), "player 'row': probabilities sum to 0, not 1"),
+]
+
+
+@pytest.mark.parametrize("profile, message", MIXED_REFUSALS)
+def test_validate_mixed_refusals_are_pinned(profile, message):
+    g = gen_named("figure1")
+    with pytest.raises(InvalidDistributionError) as info:
+        g.validate_mixed(profile)
+    assert str(info.value) == message
+    with pytest.raises(InvalidDistributionError) as info:
+        g.expected_payoff(profile)
+    assert str(info.value) == message
+
+
+def test_validate_mixed_builds_no_fraction(count_fractions):
+    # Each distribution is read once, to ints over its own denominator.
+    g = NormalFormGame(("a", "b", "c"), (("x", "y"), ("u", "v", "w"), ("z",)), [[[(1, 2, 3)]] * 3] * 2)
+    profile = ((F(1, 3), F(2, 3)), (F(1, 6), F(0), F(5, 6)), (F(1),))
+    with count_fractions() as built:
+        read = g.validate_mixed(profile)
+    assert built == []
+    assert read == [([1, 2], 3), ([1, 0, 5], 6), ([1], 1)]
+
+
+def test_validate_profile_returns_the_cell_index():
+    g = NormalFormGame(("a", "b", "c"), (("x", "y"), ("u", "v", "w"), ("z", "t")), [[[(0, 0, 0)] * 2] * 3] * 2)
+    cells = [g.validate_profile(p) for p in g.profiles()]
+    assert cells == list(range(12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 7))
+def test_simplex_grid_matches_its_definition(size, total):
+    # Every int tuple of `size` nonnegative shares summing to `total`, in
+    # lexicographic order.
+    shares = [s for s in itertools.product(range(total + 1), repeat=size) if sum(s) == total]
+    assert simplex_grid(size, total) == shares
