@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Reports are deterministic byte-for-byte for identical inputs.  `--threads`
-and `OPTIMIN_THREADS` are accepted and validated, but the solvers run
-serially, so neither changes content or order.  Table mode prints exact
+is accepted, but the solvers run serially, so it changes neither content
+nor order.  Table mode prints exact
 rationals with a 3-place decimal hint for non-integers; JSON mode carries
 exact strings only.  Exit codes: 0 success, 1 domain/resource/format errors,
 2 usage errors.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence, get_args
@@ -29,24 +28,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
         if getattr(args, "out", None) == "":
             raise ParameterError("--out needs a file path, got an empty string")
-        return args.handler(args)
+        load = getattr(args, "load", None)
+        if load is None:
+            return args.handler(args)
+        return args.handler(args, load(args.game))
     except OptiminError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _check_thread_env() -> None:
-    """Refuse an `OPTIMIN_THREADS` that is not an integer; the solvers run
-    serially, so no thread count is read past this check."""
-    env = os.environ.get("OPTIMIN_THREADS")
-    if env is not None:
-        try:
-            int(env)
-        except ValueError:
-            raise ParameterError(f"OPTIMIN_THREADS must be an integer, got {env!r}")
 
 
 @functools.cache
@@ -58,93 +48,60 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case-optimal agreements in games, markets, and decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    reports = []
 
-    def common(p, mode_flags=False):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--threads", type=int, default=1)
-        if mode_flags:
-            mode = p.add_mutually_exclusive_group()
-            mode.add_argument("--pure", action="store_true", default=False)
-            mode.add_argument("--mixed-grid", type=int, metavar="K", default=None)
+    def group(name, summary):
+        return sub.add_parser(name, help=summary).add_subparsers(dest=f"{name}_command", required=True)
 
-    p = sub.add_parser("optimin", help="solution set of a normal-form game")
-    p.add_argument("--game", required=True, help="named tag or JSON file path")
-    common(p, mode_flags=True)
-    p.set_defaults(handler=_cmd_optimin)
+    def report(parent, name, handler, load=None, game_help=None, **kwargs):
+        """Declare a report command: `--game`, which `main` reads with `load`
+        and hands to `handler`, then the caller's own flags, then the report
+        flags, which the loop below adds to every report."""
+        p = parent.add_parser(name, **kwargs)
+        if load is not None:
+            p.add_argument("--game", required=True, help=game_help)
+        p.set_defaults(handler=handler, load=load)
+        reports.append(p)
+        return p
 
-    p = sub.add_parser("value", help="worst-case value table or a single profile's value")
-    p.add_argument("--game", required=True)
+    nf_optimin = report(
+        sub, "optimin", _cmd_optimin, _load_normal_form, "named tag or JSON file path",
+        help="solution set of a normal-form game",
+    )
+    p = report(
+        sub, "value", _cmd_value, _load_normal_form, help="worst-case value table or a single profile's value"
+    )
     p.add_argument("--profile", help="comma-joined strategy labels")
-    common(p)
-    p.set_defaults(handler=_cmd_value)
+    report(sub, "nash", _cmd_nash, _load_normal_form, help="pure equilibrium cells")
+    report(sub, "maximin", _cmd_maximin, _load_normal_form, help="pure maximin strategies and security levels")
 
-    p = sub.add_parser("nash", help="pure equilibrium cells")
-    p.add_argument("--game", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_nash)
+    zp = group("zerosum", "zero-sum games")
+    report(zp, "solve", _cmd_zerosum_solve, _load_normal_form, help="optimal mixtures and game value")
 
-    p = sub.add_parser("maximin", help="pure maximin strategies and security levels")
-    p.add_argument("--game", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_maximin)
+    cp = group("coop", "characteristic-function games")
+    report(cp, "core", _cmd_coop_core, _load_tu)
+    report(cp, "shapley", _cmd_coop_shapley, _load_tu)
+    report(cp, "nucleolus", _cmd_coop_nucleolus, _load_tu)
+    p = report(cp, "optimin", _cmd_coop_optimin, _load_tu)
+    p.add_argument("--step", default="1")
+    p.add_argument("--floor", help="widen every player's grid lower bound below their own worth")
+    p = report(cp, "value", _cmd_coop_value, _load_tu)
+    p.add_argument("--alloc", required=True, help="comma-joined payoffs")
 
-    p = sub.add_parser("zerosum", help="zero-sum games")
-    zs = p.add_subparsers(dest="zerosum_command", required=True)
-    ps = zs.add_parser("solve", help="optimal mixtures and game value")
-    ps.add_argument("--game", required=True)
-    common(ps)
-    ps.set_defaults(handler=_cmd_zerosum_solve)
+    mp = group("match", "two-sided matching problems")
+    problem = "problem JSON file"
+    pairs = {"required": True, "help": "pairs like a1=b1,a2=b2"}
+    p = report(mp, "da", _cmd_match_da, _load_marriage, problem)
+    p.add_argument("--propose", choices=("A", "B"), default="A")
+    report(mp, "stable", _cmd_match_stable, _load_marriage, problem).add_argument("--matching", **pairs)
+    report(mp, "optimin", _cmd_match_optimin, _load_marriage, problem)
+    report(mp, "value", _cmd_match_value, _load_marriage, problem).add_argument("--matching", **pairs)
+    p = report(mp, "deviations", _cmd_match_deviations, _load_marriage, problem)
+    p.add_argument("--matching", **pairs)
 
-    p = sub.add_parser("coop", help="characteristic-function games")
-    cp = p.add_subparsers(dest="coop_command", required=True)
-    for name, handler in (
-        ("core", _cmd_coop_core),
-        ("shapley", _cmd_coop_shapley),
-        ("nucleolus", _cmd_coop_nucleolus),
-        ("optimin", _cmd_coop_optimin),
-        ("value", _cmd_coop_value),
-    ):
-        q = cp.add_parser(name)
-        q.add_argument("--game", required=True)
-        if name == "optimin":
-            q.add_argument("--step", default="1")
-            q.add_argument(
-                "--floor",
-                help="widen every player's grid lower bound below their own worth",
-            )
-        if name == "value":
-            q.add_argument("--alloc", required=True, help="comma-joined payoffs")
-        common(q)
-        q.set_defaults(handler=handler)
-
-    p = sub.add_parser("match", help="two-sided matching problems")
-    mp = p.add_subparsers(dest="match_command", required=True)
-    for name, handler in (
-        ("da", _cmd_match_da),
-        ("stable", _cmd_match_stable),
-        ("optimin", _cmd_match_optimin),
-        ("value", _cmd_match_value),
-        ("deviations", _cmd_match_deviations),
-    ):
-        q = mp.add_parser(name)
-        q.add_argument("--game", required=True, help="problem JSON file")
-        if name == "da":
-            q.add_argument("--propose", choices=("A", "B"), default="A")
-        if name in ("stable", "value", "deviations"):
-            q.add_argument("--matching", required=True, help="pairs like a1=b1,a2=b2")
-        common(q)
-        q.set_defaults(handler=handler)
-
-    p = sub.add_parser("decide", help="decision problems under optimism constraints")
-    dp = p.add_subparsers(dest="decide_command", required=True)
-    q = dp.add_parser("solve")
-    q.add_argument("--game", required=True)
-    common(q)
-    q.set_defaults(handler=_cmd_decide_solve)
-    q = dp.add_parser("check")
-    q.add_argument("--game", required=True)
-    common(q)
-    q.set_defaults(handler=_cmd_decide_check)
+    dp = group("decide", "decision problems under optimism constraints")
+    report(dp, "solve", _cmd_decide_solve, _load_decision)
+    report(dp, "check", _cmd_decide_check, _load_decision)
 
     p = sub.add_parser("gen", help="write a generated game to a file")
     p.add_argument("family", choices=tuple(dict.fromkeys(generators.NAMED_TAGS + tuple(generators.FAMILIES))))
@@ -152,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _family_flags(p, sweeping=False)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("sweep", help="solution sets across a parameter range")
+    p = report(sub, "sweep", _cmd_sweep, help="solution sets across a parameter range")
     p.add_argument("--family", required=True, choices=[k for k, f in generators.FAMILIES.items() if f.swept])
     p.add_argument("--param", required=True)
     p.add_argument("--from", dest="start", required=True)
@@ -160,18 +117,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", default="1")
     _family_flags(p, sweeping=True)
     p.add_argument("--out")
-    common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("selftest", help="re-derive the built-in golden results")
-    p.set_defaults(handler=_cmd_selftest)
+    sub.add_parser("selftest", help="re-derive the built-in golden results").set_defaults(handler=_cmd_selftest)
 
+    for p in reports:
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.add_argument("--threads", type=int, default=1)
+    mode = nf_optimin.add_mutually_exclusive_group()  # listed after the report flags in its help
+    mode.add_argument("--pure", action="store_true", default=False)
+    mode.add_argument("--mixed-grid", type=int, metavar="K", default=None)
     return parser
 
 
 # -- shared helpers --------------------------------------------------------
 
 
+# The loaders `_build_parser` stores look `fileio` up when they run: the
+# parser is cached, and a tracer that rebinds `fileio.load_*` after it is
+# built must still see every load.
 def _load_normal_form(spec: str) -> NormalFormGame:
     # A named instance needs no file; "bulmer" lives in the zero-sum module.
     if spec == "bulmer":
@@ -185,6 +148,14 @@ def _load_tu(spec: str):
     if spec in COOP_TAGS:
         return generators.gen_named(spec)
     return fileio.load_tu_game(spec)
+
+
+def _load_marriage(spec: str):
+    return fileio.load_marriage(spec)
+
+
+def _load_decision(spec: str):
+    return fileio.load_decision(spec)
 
 
 def _vector(values) -> str:
@@ -215,8 +186,7 @@ def _emit(args, table_lines, json_doc, out=None) -> int:
 # -- normal-form commands ----------------------------------------------------
 
 
-def _cmd_optimin(args) -> int:
-    game = _load_normal_form(args.game)
+def _cmd_optimin(args, game) -> int:
     if args.mixed_grid is not None:
         result = noncoop.optimin_grid_2p(game, args.mixed_grid)
         mode = f"mixed-grid {result.resolution} (grid-approximate)"
@@ -237,8 +207,7 @@ def _cmd_optimin(args) -> int:
     return _emit(args, lines, {"mode": "pure", "optimin": entries_json})
 
 
-def _cmd_value(args) -> int:
-    game = _load_normal_form(args.game)
+def _cmd_value(args, game) -> int:
     if args.profile is not None:
         profile = game.profile_from_labels([s.strip() for s in args.profile.split(",")])
         entry = noncoop.value_pure(game, profile)
@@ -261,8 +230,7 @@ def _cmd_value(args) -> int:
     return _emit(args, lines, {"mode": "pure", "values": rows_json})
 
 
-def _cmd_nash(args) -> int:
-    game = _load_normal_form(args.game)
+def _cmd_nash(args, game) -> int:
     cells = noncoop.nash_pure(game)
     lines = ["mode: pure", f"pure Nash equilibria: {len(cells)}"]
     cells_json = []
@@ -273,8 +241,7 @@ def _cmd_nash(args) -> int:
     return _emit(args, lines, {"nash": cells_json})
 
 
-def _cmd_maximin(args) -> int:
-    game = _load_normal_form(args.game)
+def _cmd_maximin(args, game) -> int:
     lines = ["mode: pure security levels"]
     players_json = []
     for pm in noncoop.maximin_profile(game):
@@ -287,8 +254,7 @@ def _cmd_maximin(args) -> int:
     return _emit(args, lines, {"mode": "pure", "maximin": players_json})
 
 
-def _cmd_zerosum_solve(args) -> int:
-    game = _load_normal_form(args.game)
+def _cmd_zerosum_solve(args, game) -> int:
     sg = zerosum.StatisticalGame(game)
     lines = ["mode: exact LP"]
     players_json = []
@@ -307,8 +273,7 @@ def _cmd_zerosum_solve(args) -> int:
 # -- cooperative commands ----------------------------------------------------
 
 
-def _cmd_coop_core(args) -> int:
-    game = _load_tu(args.game)
+def _cmd_coop_core(args, game) -> int:
     result = coop.core(game)
     if result.empty:
         return _emit(args, ["core: empty (LP infeasible)"], {"core": "empty"})
@@ -316,20 +281,17 @@ def _cmd_coop_core(args) -> int:
     return _emit(args, lines, {"core": "nonempty", "witness": result.witness})
 
 
-def _cmd_coop_shapley(args) -> int:
-    game = _load_tu(args.game)
+def _cmd_coop_shapley(args, game) -> int:
     value = coop.shapley(game)
     return _emit(args, [f"shapley: {_vector(value)}"], {"shapley": value})
 
 
-def _cmd_coop_nucleolus(args) -> int:
-    game = _load_tu(args.game)
+def _cmd_coop_nucleolus(args, game) -> int:
     value = coop.nucleolus(game)
     return _emit(args, [f"nucleolus: {_vector(value)}"], {"nucleolus": value})
 
 
-def _cmd_coop_optimin(args) -> int:
-    game = _load_tu(args.game)
+def _cmd_coop_optimin(args, game) -> int:
     step = to_fraction(args.step)
     floors = None
     if args.floor is not None:
@@ -344,8 +306,7 @@ def _cmd_coop_optimin(args) -> int:
     return _emit(args, lines, {"mode": mode, "optimin": entries_json})
 
 
-def _cmd_coop_value(args) -> int:
-    game = _load_tu(args.game)
+def _cmd_coop_value(args, game) -> int:
     alloc = tuple(to_fraction(tok.strip()) for tok in args.alloc.split(","))
     value = coop.coop_value(game, alloc)
     lines = [f"allocation: {_vector(alloc)}", f"value: {_vector(value)}"]
@@ -379,8 +340,7 @@ def _matching_str(m: matching.Matching) -> str:
     return (inside or "(all single)") + extra
 
 
-def _cmd_match_da(args) -> int:
-    problem = fileio.load_marriage(args.game)
+def _cmd_match_da(args, problem) -> int:
     result = matching.deferred_acceptance(problem, args.propose)
     lines = [f"proposing side: {args.propose}", f"matching: {_matching_str(result)}"]
     doc = {
@@ -391,8 +351,7 @@ def _cmd_match_da(args) -> int:
     return _emit(args, lines, doc)
 
 
-def _cmd_match_stable(args) -> int:
-    problem = fileio.load_marriage(args.game)
+def _cmd_match_stable(args, problem) -> int:
     m = _parse_matching(problem, args.matching)
     report = matching.is_stable(problem, m)
     if report.stable:
@@ -407,8 +366,7 @@ def _cmd_match_stable(args) -> int:
     return _emit(args, [line], doc)
 
 
-def _cmd_match_optimin(args) -> int:
-    problem = fileio.load_marriage(args.game)
+def _cmd_match_optimin(args, problem) -> int:
     results = matching.optimin_matchings(problem)
     lines = [f"optimin matchings: {len(results)}"]
     out = []
@@ -418,8 +376,7 @@ def _cmd_match_optimin(args) -> int:
     return _emit(args, lines, {"optimin": out})
 
 
-def _cmd_match_value(args) -> int:
-    problem = fileio.load_marriage(args.game)
+def _cmd_match_value(args, problem) -> int:
     m = _parse_matching(problem, args.matching)
     value = matching.matching_value(problem, m)
     lines = ["worst-case outcomes:"]
@@ -431,8 +388,7 @@ def _cmd_match_value(args) -> int:
     return _emit(args, lines, {"value": doc})
 
 
-def _cmd_match_deviations(args) -> int:
-    problem = fileio.load_marriage(args.game)
+def _cmd_match_deviations(args, problem) -> int:
     m = _parse_matching(problem, args.matching)
     devs = matching.profitable_group_deviations(problem, m)
     lines = [f"profitable group deviations: {len(devs)}"]
@@ -448,9 +404,8 @@ def _cmd_match_deviations(args) -> int:
 # -- decision commands ---------------------------------------------------------
 
 
-def _cmd_decide_solve(args) -> int:
-    problem, oc = fileio.load_decision(args.game)
-    result = decisions.optimin_acts(problem, oc)
+def _cmd_decide_solve(args, decision) -> int:
+    result = decisions.optimin_acts(*decision)
     lines = [f"ranking: {result.ranking}", f"optimin agreements: {len(result.profiles)}"]
     entries = []
     for profile, value in zip(result.profiles, result.values):
@@ -466,9 +421,8 @@ def _cmd_decide_solve(args) -> int:
     return _emit(args, lines, {"ranking": result.ranking, "optimin": entries, "acts": result.acts})
 
 
-def _cmd_decide_check(args) -> int:
-    problem, oc = fileio.load_decision(args.game)
-    report = decisions.gilboa_reduction_check(problem, oc)
+def _cmd_decide_check(args, decision) -> int:
+    report = decisions.gilboa_reduction_check(*decision)
     lines = [
         f"constant constraint: {'yes' if report.constant_constraint else 'no'}",
         f"comparison by decision maker alone: {'yes' if report.dm_only_comparison else 'no'}",

@@ -129,12 +129,17 @@ class NormalFormGame:
             )
         idx = 0
         for i, (s, stride) in enumerate(zip(profile, self._strides)):
-            if not isinstance(s, int) or not 0 <= s < self.shape[i]:
+            if type(s) is not int or not 0 <= s < self.shape[i]:  # a bool is no index
                 raise InvalidProfileError(
                     f"strategy index {s!r} out of range for player {self.players[i]!r}"
                 )
             idx += s * stride
         return idx
+
+    def validate_player(self, player: int) -> None:
+        """Refuse `player` unless it is an int index of a player."""
+        if type(player) is not int or not 0 <= player < len(self.shape):
+            raise InvalidProfileError(f"no player with index {player!r}")
 
     def payoff(self, profile: PureProfile) -> ValueVector:
         """The tensor cell for a pure profile."""
@@ -316,8 +321,7 @@ def affine_transform(game: NormalFormGame, player: int, alpha, beta) -> NormalFo
     beta = to_fraction(beta)
     if alpha <= 0:
         raise InvalidScaleError(f"scale factor must be positive, got {alpha}")
-    if not 0 <= player < game.num_players:
-        raise InvalidProfileError(f"no player with index {player}")
+    game.validate_player(player)
     # alpha*u/d + beta over the common denominator d*alpha.den*beta.den.
     d = game._den[player]
     a = alpha.numerator * beta.denominator

@@ -229,19 +229,13 @@ def profitable_group_deviations(
     if problem.size > DEVIATION_MAX_SIZE:
         what = f"group enumeration of {problem.size} per side"
         raise ResourceLimitError.past(what, DEVIATION_MAX_SIZE, "per-side", "DEVIATION_MAX_SIZE")
-    # Each move as its rematching: {p: p} for one person, {a: b, b: a} for a pair.
-    moves = [dict(zip(move, reversed(move))) for move in _moves(problem, matching)]
-    out: list[GroupDeviation] = []
-
-    def extend(start: int, taken: dict[str, str]) -> None:
-        for i in range(start, len(moves)):
-            if taken.keys().isdisjoint(moves[i]):
-                joined = {**taken, **moves[i]}
-                out.append(GroupDeviation(tuple(sorted(joined)), tuple(sorted(joined.items()))))
-                extend(i + 1, joined)
-
-    extend(0, {})
-    del extend  # it refers to itself, which would keep `moves` and `out` alive
+    # Each move, as its rematching ({p: p} for one person, {a: b, b: a} for a
+    # pair), joins every group so far that it does not overlap.
+    groups: list[dict[str, str]] = [{}]
+    for people in _moves(problem, matching):
+        move = dict(zip(people, reversed(people)))
+        groups += [{**group, **move} for group in groups if group.keys().isdisjoint(move)]
+    out = [GroupDeviation(tuple(sorted(group)), tuple(sorted(group.items()))) for group in groups[1:]]
     out.sort(key=lambda d: (len(d.group), d.group, d.rematching))
     return out
 

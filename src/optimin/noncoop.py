@@ -96,6 +96,7 @@ def _steps(game: NormalFormGame, idx: int, profile: PureProfile) -> list[list[in
 
 def better_responses(game: NormalFormGame, profile: PureProfile, player: int) -> BetterResponseSet:
     idx = game.validate_profile(profile)
+    game.validate_player(player)
     profile = tuple(profile)
     step = _steps(game, idx, profile)[player]
     stride = game._strides[player]
@@ -104,6 +105,7 @@ def better_responses(game: NormalFormGame, profile: PureProfile, player: int) ->
 
 def deviation_space(game: NormalFormGame, profile: PureProfile, player: int) -> DeviationSpace:
     idx = game.validate_profile(profile)
+    game.validate_player(player)
     profile = tuple(profile)
     steps = _steps(game, idx, profile)
     options = tuple(

@@ -12,10 +12,13 @@ from optimin import (
     InvalidScaleError,
     NormalFormGame,
     affine_transform,
+    better_responses,
+    deviation_space,
     fictitious_extension,
     gen_named,
     gen_prisoners_dilemma,
     is_constant_sum,
+    value_pure,
 )
 from optimin.games import simplex_grid
 from conftest import random_game
@@ -237,6 +240,33 @@ def test_validate_profile_returns_the_cell_index():
     g = NormalFormGame(("a", "b", "c"), (("x", "y"), ("u", "v", "w"), ("z", "t")), [[[(0, 0, 0)] * 2] * 3] * 2)
     cells = [g.validate_profile(p) for p in g.profiles()]
     assert cells == list(range(12))
+
+
+@pytest.mark.parametrize("profile, message", [
+    ((True, False), "strategy index True out of range for player 'row'"),
+    ((0, False), "strategy index False out of range for player 'column'"),
+], ids=["row", "column"])
+def test_a_bool_is_no_strategy_index(profile, message):
+    # `True == 1`: read as indices, (True, False) would name the (Middle, Left) cell.
+    g = gen_named("figure1")
+    for call in (g.payoff, g.profile_labels, lambda p: value_pure(g, p), lambda p: better_responses(g, p, 0)):
+        with pytest.raises(InvalidProfileError) as info:
+            call(profile)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("player", [2, 5, -1, True, False, 1.0, "1"])
+def test_every_player_argument_names_a_player(player):
+    g = gen_named("figure1")
+    calls = (
+        lambda: better_responses(g, (0, 0), player),
+        lambda: deviation_space(g, (0, 0), player),
+        lambda: affine_transform(g, player, 2, 1),
+    )
+    for call in calls:
+        with pytest.raises(InvalidProfileError) as info:
+            call()
+        assert str(info.value) == f"no player with index {player!r}"
 
 
 @settings(max_examples=200, deadline=None)

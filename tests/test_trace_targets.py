@@ -10,7 +10,8 @@ import types
 from pathlib import Path
 
 import optimin  # noqa: F401  (loads every module the tracer wraps)
-from optimin import cli, generators
+from optimin import cli, fileio, generators
+from optimin.matching import MarriageProblem
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -66,3 +67,28 @@ def test_the_tracer_sees_the_mixed_grid(tmp_path):
     names = [span[1] for span in tracer.spans]
     assert names.count("noncoop.optimin_grid_2p") == 1
     assert names.count("noncoop.pareto_filter") >= 1
+
+
+def test_the_tracer_sees_a_load_through_the_cached_parser(tmp_path):
+    # perfbench runs its warm-up ops untraced and only then installs the
+    # tracer, so traced ops parse with a parser built before the tracer
+    # existed: a loader the parser holds must look up `fileio` when called.
+    path = tmp_path / "problem.json"
+    prefs = {
+        "a1": ("b1", "b2", "a1"), "a2": ("b1", "a2", "b2"),
+        "b1": ("a2", "a1", "b1"), "b2": ("a1", "b2", "a2"),
+    }
+    path.write_text(fileio.dump_marriage(MarriageProblem(("a1", "a2"), ("b1", "b2"), prefs)))
+    argv = ["match", "optimin", "--game", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    tracer = load_tracing().Tracer()
+    tracer.prepare()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("fileio.load") == 1
