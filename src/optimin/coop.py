@@ -107,7 +107,7 @@ class TUGame:
         return best[full] == self._num[full]
 
     def worth(self, mask: int) -> Fraction:
-        if not 0 <= mask < (1 << self.n):
+        if type(mask) is not int or not 0 <= mask < (1 << self.n):  # a bool is no mask
             raise ValueError(f"coalition mask {mask!r} out of range")
         return Fraction(self._num[mask], self._den)
 
@@ -230,7 +230,7 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
     whole domination condition.
     """
     alloc, worth, d = _scaled_feasible(game, x)
-    if not 0 <= excluding < game.n:
+    if type(excluding) is not int or not 0 <= excluding < game.n:  # a bool is no player
         raise DomainError(f"no player {excluding} in a {game.n}-player game")
     sums = _coalition_sums(alloc)
     full = game.grand_coalition

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .coop import TUGame, check_players
 from .decisions import DecisionProblem, OptimismConstraint, check_size
-from .errors import FormatError, ResourceLimitError
+from .errors import FormatError, OptiminError, ResourceLimitError
 from .games import NormalFormGame, scaled_payoffs, tensor_fault
 from .matching import MarriageProblem
 from .rational import json_ratio, literal_ratio
@@ -44,6 +44,12 @@ def _load_json(text: str, source: str) -> object:
         raise FormatError(f"{source}: {str(exc).partition(';')[0]}") from exc
     except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
         raise FormatError(f"{source}: JSON nested too deeply") from None
+
+
+def _check_labels(value, path: str) -> None:
+    """Check that `value` is a list of string labels, naming `path` if not."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise _fail(path, "expected a list of labels")
 
 
 def _rational_at(value, path: str) -> None:
@@ -170,11 +176,10 @@ def parse_marriage(text: str, source: str = "problem") -> MarriageProblem:
     if not isinstance(prefs, dict):
         raise _fail(f"{source}.prefs", "expected an object of preference lists")
     for person, ranking in prefs.items():
-        if not isinstance(ranking, list) or not all(isinstance(x, str) for x in ranking):
-            raise _fail(f"{source}.prefs[{person!r}]", "expected a list of labels")
+        _check_labels(ranking, f"{source}.prefs[{person!r}]")
     try:
         return MarriageProblem(side_a, side_b, prefs)
-    except Exception as exc:
+    except OptiminError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
 
@@ -223,7 +228,7 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
         problem = DecisionProblem(
             acts, states, utility, doc.get("feasible_acts"), doc.get("feasible_states"), antagonist
         )
-    except Exception as exc:
+    except OptiminError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
     def parse_oc(field: str) -> dict:
@@ -238,12 +243,10 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
             parts = key.split(",")
             if len(parts) != 2:
                 raise _fail(f"{source}.{field}[{key!r}]", "keys look like 'act,state' or '*'")
-            if not isinstance(allowed, list):
-                raise _fail(f"{source}.{field}[{key!r}]", "expected a list of labels")
+            _check_labels(allowed, f"{source}.{field}[{key!r}]")
             out[(parts[0], parts[1])] = tuple(allowed)
         if wildcard is not None:
-            if not isinstance(wildcard, list):
-                raise _fail(f"{source}.{field}['*']", "expected a list of labels")
+            _check_labels(wildcard, f"{source}.{field}['*']")
             for profile in problem.feasible_pairs():
                 out.setdefault(profile, tuple(wildcard))
         return out

@@ -14,10 +14,11 @@ profiles and witnesses only for the cells that survive.
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
 is that chain evaluated at the opponent's agreed payoff E, so a profile costs
-one dot product, one `bisect` and one int interpolation.  A mixture is read
-once, by `validate_mixed`.  The grid's points are `games.simplex_grid`'s
-shares of k units, built once its profiles and the weights its points hold
-are counted against their bounds.  The grid search Pareto-filters exact int
+one dot product, one `bisect` and one int interpolation.  Those payoffs are
+the mixture's `reply_payoffs`, which `zerosum` reads guarantees from too.  A
+mixture is read once, by `validate_mixed`.  The grid's points are
+`games.simplex_grid`'s shares of k units, built once its profiles and the
+weights its points hold are counted against their bounds.  The grid search Pareto-filters exact int
 keys (values scaled to the lcm of their denominators over the grid) and
 builds `Fraction` values and witnesses only for the survivors.  A witness is
 found by scanning the deviation vertices for the known value (`_witness`):
@@ -282,20 +283,21 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
     return _entry(game, profile, sides, cores)
 
 
-def _side(game: NormalFormGame, i: int, weights, scale: int) -> tuple[list, list, tuple, int]:
-    """(mine, theirs, weights, scale) for player i playing the mixture weights/scale.
-
-    mine[t] and theirs[t] are i's and j's payoffs, as ints over scale * _den,
-    when j answers with pure strategy t.
-    """
-    j = 1 - i
-    num_i, num_j = game._num[i], game._num[j]
-    stride_j = game._strides[j]
+def reply_payoffs(game: NormalFormGame, i: int, weights, *payers: int) -> list[list[int]]:
+    """Per player in `payers`, their payoff against each pure reply t of the
+    opponent of player i in a two-player game, when i plays the int weights:
+    ints over the weights' scale times that player's ``_den``."""
+    stride_j = game._strides[1 - i]
     support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
-    replies = range(game.shape[j])
-    mine = [sum(w * num_i[o + t * stride_j] for o, w in support) for t in replies]
-    theirs = [sum(w * num_j[o + t * stride_j] for o, w in support) for t in replies]
-    return mine, theirs, weights, scale
+    replies = range(game.shape[1 - i])
+    columns = map(game._num.__getitem__, payers)
+    return [[sum(w * u[o + t * stride_j] for o, w in support) for t in replies] for u in columns]
+
+
+def _side(game: NormalFormGame, i: int, weights, scale: int) -> tuple[list, list, tuple, int]:
+    """(mine, theirs, weights, scale) for player i playing the mixture weights/scale:
+    the `reply_payoffs` of i and of the opponent."""
+    return (*reply_payoffs(game, i, weights, i, 1 - i), weights, scale)
 
 
 def _chain(side, qscale: int) -> tuple[list[int], list[int]]:

@@ -2,7 +2,13 @@
 
 In zero-sum games the worst-case evaluation collapses to the classical
 guarantee of each strategy, so the solution concept coincides with maximin
-play on both sides.  The coin-guessing game ships as a named instance.
+play on both sides.  The coin-guessing game ships as a named instance,
+built from ints over 4 like every generated game.
+
+This module adds only the zero-sum pieces to the normal-form layer: a player
+is refused by `NormalFormGame.validate_player`, and a mixture's guarantee is
+the least of its `noncoop.reply_payoffs`, the per-reply sums the mixed
+deviation values are built from.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Sequence
 from .errors import DomainError, UnsupportedFeatureError
 from .games import MixedProfile, NormalFormGame
 from .lp import LinearProgram, solve_lp
+from .noncoop import reply_payoffs
 
 
 @dataclass(frozen=True)
@@ -40,13 +47,6 @@ class MaximinSolution:
     value: Fraction  # guaranteed expected payoff for this player
 
 
-def _opponent(player) -> int:
-    """The other player of a statistical game; refuses anything but the ints 0 and 1."""
-    if type(player) is not int or player not in (0, 1):
-        raise DomainError(f"player must be 0 or 1, got {player!r}")
-    return 1 - player
-
-
 def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
     """Exact optimal mixture maximizing the player's guaranteed payoff.
 
@@ -56,7 +56,8 @@ def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
     ints: ``sum_s u[s, t]·x_s - d·v >= 0`` and ``d·sum_s x_s = d``.
     """
     game = sg.game
-    other = _opponent(player)
+    game.validate_player(player)
+    other = 1 - player
     k = game.shape[player]
     m = game.shape[other]
     u, d = game._num[player], game._den[player]
@@ -78,20 +79,15 @@ def guarantee(sg: StatisticalGame, player: int, mixture: Sequence[Fraction]) -> 
     The mixture must be a distribution of `Fraction`s over the player's
     strategies, as `NormalFormGame.validate_mixed` requires of each entry.
     """
-    _opponent(player)  # refuses anything but 0 and 1
+    sg.game.validate_player(player)
     return _guarantee(sg.game, player, *sg.game._check_distribution(player, mixture))
 
 
 def _guarantee(game: NormalFormGame, player: int, weights: list[int], scale: int) -> Fraction:
-    """`guarantee` of the mixture weights/scale, as `_check_distribution` reads it."""
-    other = 1 - player
-    u = game._num[player]
-    mine, theirs = game._strides[player], game._strides[other]
-    worst = min(
-        sum(w * u[s * mine + t * theirs] for s, w in enumerate(weights))
-        for t in range(game.shape[other])
-    )
-    return Fraction(worst, scale * game._den[player])
+    """`guarantee` of the mixture weights/scale, as `_check_distribution` reads it:
+    the least of its `reply_payoffs`."""
+    (payoffs,) = reply_payoffs(game, player, weights, player)
+    return Fraction(min(payoffs), scale * game._den[player])
 
 
 def optimin_equals_maximin_check(sg: StatisticalGame, profile: MixedProfile) -> bool:
@@ -131,15 +127,6 @@ def bulmer_game(tosses: int = 1) -> StatisticalGame:
         )
     rows = ("never", "always", "if-heads", "if-tails")
     cols = ("p=1/4", "p=1/2")
-    correct = {
-        "never": (Fraction(0), Fraction(1)),
-        "always": (Fraction(1), Fraction(0)),
-        "if-heads": (Fraction(1, 4), Fraction(1, 2)),
-        "if-tails": (Fraction(3, 4), Fraction(1, 2)),
-    }
-    payoffs = [
-        [(p, -p) for p in correct[rule]]
-        for rule in rows
-    ]
-    game = NormalFormGame(("statistician", "nature"), (rows, cols), payoffs)
-    return StatisticalGame(game)
+    correct = (0, 4, 4, 0, 1, 2, 3, 2)  # in quarters, row by row as in the table above
+    num = (correct, tuple(-c for c in correct))
+    return StatisticalGame(NormalFormGame._from_scaled(("statistician", "nature"), (rows, cols), num, (4, 4)))

@@ -666,6 +666,14 @@ class TestDecideCommands:
             assert err.startswith(f"error: {path}: no (act, state) pair is feasible")
             assert "feasibility table is empty" in err
 
+    def test_optimism_label_that_is_no_string(self, capsys, decision_file):
+        doc = json.loads(Path(decision_file).read_text())
+        Path(decision_file).write_text(json.dumps({**doc, "oc_states": {"*": [{}, "s1"]}}))
+        for command in ("solve", "check"):
+            code, out, err = run(capsys, "decide", command, "--game", decision_file)
+            assert (code, out) == (1, "")
+            assert err == f"error: {decision_file}.oc_states['*']: expected a list of labels\n"
+
 
 class TestGenAndSweep:
     def test_gen_then_solve(self, capsys, tmp_path):

@@ -113,6 +113,13 @@ class TestTUGame:
         with pytest.raises(ValueError, match="coalition mask True out of range"):
             TUGame(2, {True: 1, 0b10: 2, 0b11: 4})
 
+    @pytest.mark.parametrize("mask", [True, False, 1.0, "1", None, -1, 8])
+    def test_worth_refuses_what_is_no_mask(self, mask):
+        g = gen_named("coop_empty_core")
+        with pytest.raises(ValueError) as info:
+            g.worth(mask)
+        assert str(info.value) == f"coalition mask {mask!r} out of range"
+
     def test_empty_core_instance_is_not_cohesive(self):
         # u({1,2}) + u({3}) = 115 > 110: one partition beats the grand coalition.
         assert not gen_named("coop_empty_core").cohesive
@@ -1013,6 +1020,14 @@ def test_a_player_outside_the_game_is_refused_after_the_allocation():
     with pytest.raises(DomainError) as info:
         dominating_coalitions(g, (40, 30, 40), 3)
     assert str(info.value) == "no player 3 in a 3-player game"
+
+
+@pytest.mark.parametrize("player", [True, False, 1.0, "0", None, -1])
+def test_a_player_that_is_no_index_is_refused(player):
+    g = gen_named("coop_empty_core")
+    with pytest.raises(DomainError) as info:
+        dominating_coalitions(g, (40, 30, 40), player)
+    assert str(info.value) == f"no player {player} in a 3-player game"
 
 
 @pytest.mark.parametrize("test", [coop.is_feasible, is_imputation])

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_pareto
@@ -14,7 +14,6 @@ from optimin import (
     DecisionProblem,
     DecisionValue,
     DomainError,
-    EmptyInputError,
     OptimismConstraint,
     ResourceLimitError,
     decision_value,
@@ -370,16 +369,31 @@ def definition_oracle(spec, dm_states, nature_acts):
     return values, possible
 
 
+EMPTY_TABLE = dict(  # each act lists a state that does not list it
+    acts=["a0", "a1"],
+    states=["s0", "s1"],
+    utility={(a, s): F(0) for a in ("a0", "a1") for s in ("s0", "s1")},
+    feasible_acts={"s0": ["a1"], "s1": ["a0"]},
+    feasible_states={"a0": ["s0"], "a1": ["s1"]},
+    antagonist=False,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(decision_problems())
+@example((EMPTY_TABLE, {}, {}))
 def test_decisions_match_the_definition(built):
     check_against_the_definition(*built)
 
 
 def check_against_the_definition(spec, dm_states, nature_acts):
+    values, possible = definition_oracle(spec, dm_states, nature_acts)
+    if not values:  # the two feasibility maps share no pair
+        with pytest.raises(DomainError, match=r"no \(act, state\) pair is feasible"):
+            DecisionProblem(**spec)
+        return
     problem = DecisionProblem(**spec)
     oc = OptimismConstraint(dm_states, nature_acts)
-    values, possible = definition_oracle(spec, dm_states, nature_acts)
     assert problem.feasible_pairs() == list(values)
     for profile, value in values.items():
         if value is None:
@@ -399,11 +413,6 @@ def check_against_the_definition(spec, dm_states, nature_acts):
     assert report.constant_constraint == constant
     assert report.dm_only_comparison == dm_only
     assert report.hypotheses_hold == (constant and dm_only)
-    if not values:
-        with pytest.raises(EmptyInputError):
-            optimin_acts(problem, oc)
-        assert report.verified is None
-        return
 
     vectors = {p: (v.dm, v.nature) if spec["antagonist"] else (v.dm,) for p, v in values.items()}
     front = brute_pareto(list(vectors.values()))

@@ -256,6 +256,15 @@ class TestDecisionFormat:
         problem, _ = parse_decision(json.dumps(dict(self.DOC, **{field: None})))
         assert len(problem.feasible_pairs()) == 4
 
+    @pytest.mark.parametrize("field", ["oc_states", "oc_acts"])
+    @pytest.mark.parametrize("key", ["*", "buy,keep"])
+    def test_optimism_lists_hold_string_labels(self, field, key):
+        for allowed in ([{}, "keep"], ["keep", 1], [None], "keep", {"keep": 1}):
+            doc = dict(self.DOC, **{field: {key: allowed}})
+            with pytest.raises(FormatError) as info:
+                parse_decision(json.dumps(doc), source="d.json")
+            assert str(info.value) == f"d.json.{field}[{key!r}]: expected a list of labels"
+
     def test_cell_bound_before_any_utility_is_read(self):
         # Every utility is malformed, so reading any one would raise FormatError.
         def doc(num_acts, num_states):

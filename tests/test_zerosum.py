@@ -6,6 +6,7 @@ import pytest
 from optimin import (
     DomainError,
     InvalidDistributionError,
+    InvalidProfileError,
     NormalFormGame,
     StatisticalGame,
     UnsupportedFeatureError,
@@ -17,6 +18,7 @@ from optimin import (
     optimin_grid_2p,
     value_mixed_2p,
 )
+from optimin.fileio import dump_game
 
 
 def matching_pennies():
@@ -72,6 +74,16 @@ class TestBulmerGame:
             u = g.payoff(prof)
             assert u[0] + u[1] == 0
 
+    def test_equals_the_game_of_its_fraction_table(self):
+        correct = [[F(0), F(1)], [F(1), F(0)], [F(1, 4), F(1, 2)], [F(3, 4), F(1, 2)]]
+        table = NormalFormGame(
+            ("statistician", "nature"),
+            (("never", "always", "if-heads", "if-tails"), ("p=1/4", "p=1/2")),
+            [[(p, -p) for p in row] for row in correct],
+        )
+        assert bulmer_game().game == table
+        assert dump_game(bulmer_game().game) == dump_game(table)
+
     def test_two_tosses_not_generated(self):
         with pytest.raises(UnsupportedFeatureError):
             bulmer_game(tosses=2)
@@ -100,10 +112,11 @@ class TestMaximinLP:
 
     @pytest.mark.parametrize("player", [True, False, 2, -1, 1.0, "0"])
     def test_refuses_a_player_other_than_0_or_1(self, player):
+        # The same refusal as every normal-form player argument.
         sg = bulmer_game()
-        with pytest.raises(DomainError, match="player must be 0 or 1"):
+        with pytest.raises(InvalidProfileError, match=r"^no player with index "):
             maximin_lp(sg, player)
-        with pytest.raises(DomainError, match="player must be 0 or 1"):
+        with pytest.raises(InvalidProfileError, match=r"^no player with index "):
             guarantee(sg, player, (F(1, 2), F(1, 2)))
 
     @pytest.mark.parametrize(
