@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, get_args
 
 from . import coop, decisions, fileio, generators, matching, noncoop, zerosum
-from .errors import SWEEP_MAX_POINTS, OptiminError, ParameterError, ResourceLimitError
+from .errors import SWEEP_MAX_POINTS, DomainError, OptiminError, ParameterError, ResourceLimitError
 from .games import NormalFormGame, is_constant_sum
 from .generators import COOP_TAGS, GAME_TAGS
 from .rational import format_table, json_number, to_fraction
@@ -322,11 +322,14 @@ def _parse_matching(problem, text: str) -> matching.Matching:
     if text:
         for token in text.split(","):
             if "=" not in token:
-                raise ParameterError(f"matching entries look like a=b, got {token!r}")
+                raise ParameterError(f"--matching entries look like a=b, got {token!r}")
             left, right = (part.strip() for part in token.split("=", 1))
             pairs[left] = right
             pairs[right] = left
-    return matching.Matching(problem, pairs)
+    try:
+        return matching.Matching(problem, pairs)
+    except DomainError as exc:
+        raise ParameterError(f"--matching: {exc}") from None
 
 
 def _matching_str(m: matching.Matching) -> str:
@@ -480,7 +483,7 @@ def _cmd_gen(args) -> int:
 def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
     """start, start + step, ... up to stop, counted before any is built."""
     if step <= 0 or stop < start:
-        raise ParameterError("need from <= to and a positive step")
+        raise ParameterError("need --from <= --to and a positive --step")
     count = (stop - start) // step + 1
     if count > SWEEP_MAX_POINTS:
         what = f"sweep of {count} points"

@@ -434,7 +434,10 @@ def nucleolus(game: TUGame) -> Allocation:
     num, den, full = game._num, game._den, game.grand_coalition
     players = range(n)
     if sum(num[1 << i] for i in players) > num[full]:
-        raise DomainError("imputation set is empty; the nucleolus is undefined")
+        raise DomainError(
+            "imputation set is empty: individual worths exceed the grand coalition; "
+            "the nucleolus is undefined"
+        )
     if n == 1:
         return (Fraction(num[full], den),)
 

@@ -101,15 +101,19 @@ VALUE_TABLE_MAX_PROFILES = 100_000_000
 SHAPLEY_MAX_PLAYERS = 12
 # `imputation_grid` refuses lattices of more points than this, counted
 # before any is built; a coarser --step shrinks the lattice.  `optimin_coop`
-# Pareto-filters the lattice, quadratically in the points kept: with 3
-# players and 4 950 points it takes about 4.3 s when all are kept (every
-# worth 0 but u(N)) and 2.0 s for a convex game (pairwise synergies).
+# Pareto-filters the lattice.  With 3 players the filter's staircase decides
+# alone: at 4 950 points it takes about 0.08 s when all are kept (every worth
+# 0 but u(N)) and 0.06 s for a convex game (pairs 32).  With 4 or more
+# players a vector the staircase covers is checked against the points kept,
+# quadratically in them: 4 players, u(N) = 27, 4 060 points all kept, take
+# about 2-3 s.
 IMPUTATION_GRID_MAX_POINTS = 5_000
 # Each `nucleolus` round solves a dual with n + 1 rows; an 8-player
 # nucleolus takes a fraction of a second.
 NUCLEOLUS_MAX_PLAYERS = 8
-# `core` solves one LP with a row per coalition, 2^n - 1 of them; at 9 players
-# it takes a few seconds, and every further player roughly quadruples that.
+# `core` solves one LP with a row per coalition, 2^n - 1 of them.  On seeded
+# 9-player games it takes 0.8-11.6 s when the core is empty and 11-15 s when
+# it is not, and every further player roughly quadruples that.
 CORE_MAX_PLAYERS = 9
 
 # -- matching (`matching`) --------------------------------------------------

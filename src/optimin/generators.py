@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence, get_args
@@ -113,20 +112,16 @@ def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0
     (e, *menu), den = over_common_denominator([endowment, *levels])
     p, q = literal_ratio(mpcr)
     if n < 2:
-        raise ParameterError(f"need at least 2 players, got {n}")
+        raise ParameterError(f"need at least 2 players, got {n} (--n)")
     if e <= 0:
-        raise ParameterError(f"endowment must be positive, got {json_ratio(e, den)}")
+        raise ParameterError(f"endowment must be positive, got {json_ratio(e, den)} (--endowment)")
     if p <= 0:
         raise ParameterError(f"return rate must be positive, got {json_ratio(p, q)}")
-    if p >= q:
-        warnings.warn(
-            f"return rate {json_ratio(p, q)} >= 1 makes contribution dominant", stacklevel=2
-        )
     menu = sorted(set(menu))
     if len(menu) < 2:
-        raise ParameterError("need at least 2 distinct contribution levels")
+        raise ParameterError("need at least 2 distinct contribution levels (--levels)")
     if menu[0] < 0 or menu[-1] > e:
-        raise ParameterError(f"levels must lie within [0, {json_ratio(e, den)}]")
+        raise ParameterError(f"levels must lie within [0, {json_ratio(e, den)}] (--levels)")
     cells = 1
     for _ in range(n):  # stops within 17 players: each multiplies by at least 2
         cells *= len(menu)
@@ -262,9 +257,7 @@ def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult
         value = to_fraction(raw)
         if integral and value.denominator != 1:
             raise ParameterError("node counts must be integers")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a public goods return rate >= 1
-            game = spec.build(**params, **{parameter: value.numerator if integral else value})
+        game = spec.build(**params, **{parameter: value.numerator if integral else value})
         opt = tuple(game.profile_labels(e.profile) for e in optimin_pure(game))
         nash = tuple(game.profile_labels(p) for p in nash_pure(game))
         rows.append(SweepRow(value, opt, nash))

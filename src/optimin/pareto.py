@@ -9,6 +9,7 @@ see the distinct vectors only, and builtins do the per-vector work.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from operator import ge
 from typing import Callable, Sequence
@@ -31,52 +32,44 @@ def pareto_filter(items: Sequence, key: Callable | None = None) -> list:
 def pareto_positions(vectors: Sequence[tuple]) -> list[int]:
     """Ascending positions of the vectors that no vector dominates.
 
-    The method is chosen by vector width.  Two coordinates use a sort-and-sweep
-    in O(n log n).  Any other width uses a presorted skyline (Kung, Luccio &
-    Preparata 1975; Chomicki et al. 2003) in O(n log n + n·f) comparisons,
-    where f is the size of the Pareto front.  The sweep stays for 2-D because
-    its cost does not grow with the front, which can be the whole input:
-    5 000 anti-diagonal vectors, all kept, take 0.002 s to sweep and 13 s as
-    a skyline.
+    One pass over the distinct vectors in descending lexicographic order
+    (Kung, Luccio & Preparata 1975) keeps a staircase of the survivors'
+    second and third coordinates.  Up to three coordinates the staircase
+    alone decides, in O(n log n) plus list moves whatever the front's size;
+    wider vectors that the staircase covers are checked against the
+    survivors, O(n·f) at worst for a front of f vectors.
     """
     if not vectors:
         raise EmptyInputError("the Pareto filter needs at least one item")
     distinct = set(vectors)
     if len(set(map(len, distinct))) > 1:
         raise ValueError("all value vectors must have the same length")
-    dominated = _dominated_2d(distinct) if len(vectors[0]) == 2 else _dominated_skyline(distinct)
-    front = distinct - dominated
+    front = _front(distinct)
     return list(compress(count(), map(front.__contains__, vectors)))
 
 
-def _dominated_2d(distinct: set[tuple]) -> set:
-    # In descending order a vector's dominators all come before it, and an
-    # earlier vector dominates it exactly when its second coordinate is >=.
-    dominated = set()
-    best_second = None
+def _front(distinct: set[tuple]) -> set:
+    # In descending lexicographic order every dominator of v comes before v
+    # with a first coordinate >= v's, so by transitivity v is dominated
+    # exactly when a kept vector dominates it in the later coordinates.  The
+    # kept (second, third) pairs that no other kept pair covers form a
+    # staircase: seconds ascending, thirds descending but held negated so
+    # that bisect reads both lists.  A missing coordinate reads as 0.  The
+    # pairs with seconds >= v's start at i, and the first has the largest third.
+    seconds: list = []
+    neg_thirds: list = []
+    kept: list[tuple] = []
     for v in sorted(distinct, reverse=True):
-        if best_second is not None and best_second >= v[1]:
-            dominated.add(v)
+        second, third = (v + (0, 0, 0))[1:3]
+        i = bisect_left(seconds, second)
+        if i < len(seconds) and neg_thirds[i] <= -third:
+            if len(v) < 4 or any(all(map(ge, w, v)) for w in reversed(kept)):
+                continue
         else:
-            best_second = v[1]
-    return dominated
-
-
-def _dominated_skyline(distinct: set[tuple]) -> set:
-    # A vector's dominators all have a larger coordinate sum, so in sum
-    # descending order they come before it; by transitivity some vector already
-    # on the front then dominates it too, and each vector is tested against the
-    # front alone.  Float sums can round a dominator's larger sum down to a tie;
-    # a dominator is also lexicographically larger, so the vector as tie-break
-    # keeps the order exact for every number type.
-    keyed = sorted(((sum(v), v) for v in distinct), reverse=True)
-    front: list[tuple] = []
-    dominated = set()
-    for _, v in keyed:
-        for w in front:
-            if all(map(ge, w, v)):
-                dominated.add(v)
-                break
-        else:
-            front.append(v)
-    return dominated
+            # v's pair replaces the staircase pairs it covers, a run ending at j.
+            k = bisect_left(neg_thirds, -third)
+            j = bisect_right(seconds, second)
+            seconds[k:j] = [second]
+            neg_thirds[k:j] = [-third]
+        kept.append(v)
+    return set(kept)

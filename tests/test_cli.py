@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -872,10 +873,12 @@ class TestBytePins:
         code, out, err = run(capsys, "sweep", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_return_rate_warning(self, capsys, tmp_path):
-        with pytest.warns(UserWarning, match=r"^return rate 3/2 >= 1 makes contribution dominant$"):
-            code, _, _ = run(capsys, "gen", "public_goods", "--mpcr", "3/2", "--out", str(tmp_path / "g.json"))
-        assert code == 0
+    def test_return_rate_above_one_writes_quietly(self, capsys, tmp_path):
+        path = str(tmp_path / "g.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, "gen", "public_goods", "--mpcr", "4", "--out", path)
+        assert result == (0, f"wrote {path}\n", "")
 
 
 class TestErrorsAndDeterminism:
@@ -1015,6 +1018,82 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, text):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# Input files for `REFUSALS`, each broken in one place.
+REFUSAL_FILES = {
+    "players": {"players": ["a", "a"], "strategies": [["x"], ["y"]], "payoffs": [[[1, 1]]]},
+    "strategies": {"players": ["a", "b"], "strategies": [["x", "x"], ["y"]], "payoffs": [[[1, 1]], [[0, 0]]]},
+    "tu_key": {"n": 2, "worth": {"1": 0, "2": 0, "1,3": 1}},
+    "tu_overfull": {"n": 2, "worth": {"1": 2, "2": 2, "1,2": 3}},
+    "oc_states": {
+        "acts": ["x", "y"],
+        "states": ["s", "t"],
+        "utility": {"x": {"s": 1, "t": 0}, "y": {"s": 0, "t": 1}},
+        "oc_states": ["s"],
+    },
+    "marriage": {
+        "A": ["a1", "a2"],
+        "B": ["b1", "b2"],
+        "prefs": {
+            "a1": ["b1", "b2", "a1"], "a2": ["b2", "b1", "a2"],
+            "b1": ["a1", "a2", "b1"], "b2": ["a2", "a1", "b2"],
+        },
+    },
+}
+PUBLIC_GOODS = ["gen", "public_goods", "--out", "{dir}/g.json"]
+SWEEP_R = ["sweep", "--family", "travelers", "--param", "r"]
+# Refusals of outside input: the argv, where {dir} holds `REFUSAL_FILES`, and
+# the one error line, which names the file's JSON path or the flag at fault.
+REFUSALS = {
+    "duplicate-player": (
+        ["optimin", "--game", "{dir}/players.json"], "{dir}/players.json: player labels must be unique"),
+    "duplicate-strategy": (
+        ["optimin", "--game", "{dir}/strategies.json"],
+        "{dir}/strategies.json: duplicate strategy label for player 'a'"),
+    "tu-key-outside": (
+        ["coop", "core", "--game", "{dir}/tu_key.json"],
+        "{dir}/tu_key.json.worth['1,3']: player numbers must lie in 1..2"),
+    "oc-states-list": (
+        ["decide", "solve", "--game", "{dir}/oc_states.json"],
+        "{dir}/oc_states.json.oc_states: expected an object keyed by 'act,state'"),
+    "out-in-missing-directory": (
+        ["gen", "figure1", "--out", "{dir}/missing/g.json"], "{dir}/missing/g.json: No such file or directory"),
+    "matching-unknown-person": (
+        ["match", "value", "--game", "{dir}/marriage.json", "--matching", "a1=zz"],
+        "--matching: unknown individual 'zz' in matching"),
+    "matching-same-side": (
+        ["match", "stable", "--game", "{dir}/marriage.json", "--matching", "a1=a2"],
+        "--matching: 'a1' must be matched within the other side or single"),
+    "matching-no-equals": (
+        ["match", "deviations", "--game", "{dir}/marriage.json", "--matching", "a1=b1,a2"],
+        "--matching entries look like a=b, got 'a2'"),
+    "mixed-grid-0": (
+        ["optimin", "--game", "figure1", "--mixed-grid", "0"], "grid resolution must be >= 1, got 0 (--mixed-grid)"),
+    "sweep-step-0": (
+        SWEEP_R + ["--from", "2", "--to", "3", "--step", "0"], "need --from <= --to and a positive --step"),
+    "sweep-from-above-to": (
+        SWEEP_R + ["--from", "3", "--to", "5/2"], "need --from <= --to and a positive --step"),
+    "public-goods-one-player": (PUBLIC_GOODS + ["--n", "1"], "need at least 2 players, got 1 (--n)"),
+    "public-goods-no-endowment": (
+        PUBLIC_GOODS + ["--endowment", "0"], "endowment must be positive, got 0 (--endowment)"),
+    "public-goods-one-level": (
+        PUBLIC_GOODS + ["--levels", "5,5"], "need at least 2 distinct contribution levels (--levels)"),
+    "public-goods-level-above-endowment": (
+        PUBLIC_GOODS + ["--endowment", "5/2", "--levels", "0,3"], "levels must lie within [0, 5/2] (--levels)"),
+    "nucleolus-empty-imputations": (
+        ["coop", "nucleolus", "--game", "{dir}/tu_overfull.json"],
+        "imputation set is empty: individual worths exceed the grand coalition; the nucleolus is undefined"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_of_outside_input(capsys, tmp_path, argv, message):
+    for name, doc in REFUSAL_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (code, out, err) == (1, "", f"error: {message.format(dir=tmp_path)}\n")
+    assert not (tmp_path / "g.json").exists()
 
 
 # Only `cli._emit` encodes a report or writes it to stdout: every command

@@ -86,6 +86,21 @@ class TestDecisionValue:
         with pytest.raises(DomainError):
             decision_value(problem, oc, ("a1", "s2"))
 
+    def test_feasible_lists_are_read_back_as_their_intersection(self):
+        utility = {(a, s): 1 for a in ("a1", "a2", "a3") for s in ("s1", "s2")}
+        problem = DecisionProblem(
+            ("a1", "a2", "a3"),
+            ("s1", "s2"),
+            utility,
+            feasible_acts={"s1": ("a2", "a1"), "s2": ("a2", "a3")},
+            feasible_states={"a1": ("s1",), "a2": ("s2", "s1"), "a3": ("s1", "s2")},
+        )
+        assert problem.feasible_states == {"a1": ("s1",), "a2": ("s1", "s2"), "a3": ("s2",)}
+        assert problem.feasible_acts == {"s1": ("a1", "a2"), "s2": ("a2", "a3")}
+        full = DecisionProblem(("a1", "a2", "a3"), ("s1", "s2"), utility)
+        assert full.feasible_states == dict.fromkeys(full.acts, ("s1", "s2"))
+        assert full.feasible_acts == dict.fromkeys(full.states, ("a1", "a2", "a3"))
+
     def test_empty_constraint_rejected(self):
         problem = two_by_two()
         oc = OptimismConstraint({("act1", "s1"): ()})

@@ -107,10 +107,8 @@ class TestIntGeneratorsMatchOracles:
                 continue
             # The generator reads exact strings; the oracle gets Fractions.
             args = (n, str(e), str(m), [str(c) for c in levels])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert_same_game(gen_public_goods(*args), oracle_public_goods(n, e, m, levels))
-                assert_same_game(gen_public_goods(n, e, m, levels), oracle_public_goods(n, e, m, levels))
+            assert_same_game(gen_public_goods(*args), oracle_public_goods(n, e, m, levels))
+            assert_same_game(gen_public_goods(n, e, m, levels), oracle_public_goods(n, e, m, levels))
 
     def test_prisoners_dilemma(self):
         rng = random.Random(19)
@@ -282,9 +280,7 @@ class TestPrisonersDilemma:
 
 class TestPublicGoods:
     def test_payoffs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = gen_public_goods(2, 10, F(9, 10), (0, 10))
+        g = gen_public_goods(2, 10, F(9, 10), (0, 10))
         full = g.profile_from_labels(("10", "10"))
         assert g.payoff(full) == (F(18), F(18))
         lone = g.profile_from_labels(("10", "0"))
@@ -302,15 +298,16 @@ class TestPublicGoods:
         assert optimin_labels(g) == [("0", "0")]
 
     def test_unit_and_higher_return_cooperates(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for m in (F(1), F(3, 2)):
-                g = gen_public_goods(2, 10, m, (0, 10))
-                assert optimin_labels(g) == [("10", "10")]
+        for m in (F(1), F(3, 2)):
+            g = gen_public_goods(2, 10, m, (0, 10))
+            assert optimin_labels(g) == [("10", "10")]
 
-    def test_warning_above_unit_return(self):
-        with pytest.warns(UserWarning):
-            gen_public_goods(2, 10, F(3, 2), (0, 10))
+    def test_return_rate_above_one_builds_without_a_warning(self):
+        # A return rate >= 1 is a valid game; `sweep` crosses it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gen_public_goods(2, 10, F(3, 2), (0, 10))
+        assert g.payoff(g.profile_from_labels(("10", "0"))) == (F(15), F(25))
 
     def test_three_players(self):
         g = gen_public_goods(3, 6, F(1, 2), (0, 3, 6))
@@ -368,9 +365,7 @@ class TestRoundTrip:
             gen_named("figure1"),
             gen_named("motivating"),
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            games.append(gen_public_goods(2, 10, F(2, 5), (0, 5, 10)))
+        games.append(gen_public_goods(2, 10, F(2, 5), (0, 5, 10)))
         for g in games:
             text = dump_game(g)
             again = parse_game(text)

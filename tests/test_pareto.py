@@ -117,3 +117,84 @@ def test_positions_match_quadratic_definition(vecs):
     positions = pareto_positions(vecs)
     assert positions == [i for i, v in enumerate(vecs) if v in survivors]
     assert [vecs[i] for i in positions] == brute_pareto(vecs)
+
+
+def assert_matches_definition(vecs):
+    """Values and positions both agree with the quadratic definition."""
+    expected = brute_pareto(vecs)
+    survivors = set(expected)
+    positions = pareto_positions(vecs)
+    assert positions == [i for i, v in enumerate(vecs) if v in survivors]
+    assert [vecs[i] for i in positions] == expected
+
+
+@st.composite
+def tied_vector_lists(draw):
+    """Vectors of 3 or 4 coordinates drawn from 2-4 values, so ties are many."""
+    width = draw(st.sampled_from([3, 4]))
+    values = draw(st.lists(COORDINATES, min_size=2, max_size=4, unique=True))
+    vector = st.tuples(*[st.sampled_from(values)] * width)
+    pool = draw(st.lists(vector, min_size=1, max_size=40))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_vector_lists())
+def test_few_values_in_three_and_four_coordinates(vecs):
+    assert_matches_definition(vecs)
+
+
+@st.composite
+def equal_sum_lists(draw):
+    """Vectors on one plane of equal coordinate sum, where none dominates another."""
+    width = draw(st.integers(min_value=2, max_value=5))
+    total = draw(st.integers(min_value=-4, max_value=4))
+    head = st.tuples(*[st.integers(min_value=-3, max_value=3)] * (width - 1))
+    return [(*h, total - sum(h)) for h in draw(st.lists(head, min_size=1, max_size=60))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_sum_lists())
+def test_one_plane_of_equal_sum_is_all_kept(vecs):
+    assert_matches_definition(vecs)
+    assert pareto_positions(vecs) == list(range(len(vecs)))
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        [(1, 2, 3), (3, 2, 1), (1, 2, 3), (0, 0, 0), (3, 2, 1), (0, 0, 0)],
+        [(2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 1), (1, 3, 1, 1), (1, 3, 1, 1)],
+        [(5,), (5,), (4,), (5,)],
+    ],
+    ids=["3-d", "4-d", "1-d"],
+)
+def test_whole_vector_duplicates_are_kept_or_dropped_together(vecs):
+    assert_matches_definition(vecs)
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        [(F(-1, 3), F(-2), F(1, 2)), (F(-1, 3), F(-5, 2), F(1, 2)), (F(-1, 2), F(-1), F(-7, 3))],
+        [(-1, F(1, 2), -3, F(-9, 4)), (-1, F(1, 3), -3, F(-9, 4)), (-2, 1, F(-3, 2), -5), (-2, 1, -2, -5)],
+        [(F(-3, 4), -1), (-1, F(-1, 2)), (F(-3, 4), F(-3, 2))],
+    ],
+    ids=["3-d", "4-d", "2-d"],
+)
+def test_negative_and_fraction_coordinates(vecs):
+    assert_matches_definition(vecs)
+
+
+def test_three_player_lattice_at_the_bound_keeps_all_in_staircase_time():
+    # The int vectors `optimin_coop` filters on the 3-player imputation
+    # lattice of 4 950 points, u(N) = 98 and every other worth 0: every point
+    # is Pareto optimal.  Scanning the front for each vector takes seconds;
+    # the staircase takes about 0.01 s.
+    vecs = [(a, b, 98 - a - b) for a in range(99) for b in range(99 - a)]
+    assert len(vecs) == 4950
+    start = time.perf_counter()
+    kept = pareto_filter(vecs)
+    elapsed = time.perf_counter() - start
+    assert kept == vecs
+    assert elapsed < 0.5
