@@ -134,7 +134,7 @@ MATCHINGS_MAX_SIZE = 7
 TRAVELERS_CELL_LIMIT = 250_000
 # gen_public_goods refuses games above this many cells (2 levels for 16
 # players); each cell holds one payoff per player.  At the bound `gen` takes
-# about 3 s and 220 MB, nearly all of it writing the file.
+# about 1.3 s and 240 MB, most of it writing the file.
 PUBLIC_GOODS_CELL_LIMIT = 65_536
 # gen_centipede refuses games of more nodes than this.  The game has about
 # (nodes / 2)^2 cells of nodes-bit payoffs; at the bound, `gen` takes about

@@ -52,6 +52,15 @@ def _check_labels(value, path: str) -> None:
         raise _fail(path, "expected a list of labels")
 
 
+def _check_unique(labels: list, path: str) -> None:
+    """Refuse the first label that `labels` repeats, naming it and `path`."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise _fail(path, f"repeated label {label!r}")
+        seen.add(label)
+
+
 def _rational_at(value, path: str) -> None:
     """Check that `value` reads as an exact rational, naming `path` if not."""
     try:
@@ -70,11 +79,13 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
     payoffs = _require(doc, "payoffs", source)
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise _fail(f"{source}.players", "expected a list of strings")
+    _check_unique(players, f"{source}.players")
     if not isinstance(strategies, list) or len(strategies) != len(players):
         raise _fail(f"{source}.strategies", f"expected {len(players)} strategy lists")
     for i, strats in enumerate(strategies):
         if not isinstance(strats, list) or not all(isinstance(s, str) for s in strats):
             raise _fail(f"{source}.strategies[{i}]", "expected a list of strings")
+        _check_unique(strats, f"{source}.strategies[{i}]")
     shape = tuple(len(s) for s in strategies)
     n = len(players)
     scaled = scaled_payoffs(payoffs, shape, n)
@@ -90,20 +101,39 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
 
 
 def dump_game(game: NormalFormGame) -> str:
+    """The game's canonical text: the bytes of ``json.dumps(doc, indent=2)``
+    and a newline, built from `str` joins, since `json` encodes through its
+    pure-Python encoder whenever `indent` is set.  Ints go through `str`,
+    ratios are quoted `json_ratio` strings, and labels still go through
+    `json.dumps`, so their escapes stay its own."""
+    n = game.num_players
     columns = [
-        column if d == 1 else [json_ratio(u, d) for u in column]
+        map(str, column) if d == 1 else [_quoted(json_ratio(u, d)) for u in column]
         for column, d in zip(game._num, game._den)
     ]
     # Fold the row-major cells into the nested tensor, innermost axis first.
-    nodes = [list(cell) for cell in zip(*columns)]
-    for size in reversed(game.shape[1:]):
-        nodes = [nodes[k : k + size] for k in range(0, len(nodes), size)]
-    doc = {
-        "players": list(game.players),
-        "strategies": [list(s) for s in game.strategies],
-        "payoffs": nodes,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # The entries along axis a are lists at depth a + 2, so the cells, the
+    # entries along the last axis, are lists at depth n + 1.
+    nodes = _json_lists(zip(*columns), n + 1)
+    for depth in range(n, 1, -1):
+        # One iterator zipped with itself yields consecutive runs of nodes.
+        nodes = _json_lists(zip(*[iter(nodes)] * game.shape[depth - 1]), depth)
+    strategies = _json_lists([map(json.dumps, s) for s in game.strategies], 2)
+    players, strategies, payoffs = _json_lists([map(json.dumps, game.players), strategies, nodes], 1)
+    return f'{{\n  "players": {players},\n  "strategies": {strategies},\n  "payoffs": {payoffs}\n}}\n'
+
+
+def _json_lists(groups, depth: int) -> list[str]:
+    """Each group of encoded items as a non-empty JSON list, laid out as
+    ``json.dumps(..., indent=2)`` lays out a list that opens at nesting depth `depth`."""
+    inner = "\n" + "  " * (depth + 1)
+    head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+    return [head + sep.join(items) + tail for items in groups]
+
+
+def _quoted(value) -> str:
+    """The JSON text of a `json_ratio` value: an int bare, an "a/b" string quoted."""
+    return f'"{value}"' if isinstance(value, str) else str(value)
 
 
 # -- characteristic functions --------------------------------------------

@@ -9,7 +9,10 @@ case in closed form.
 
 Every solver reads each player's payoffs as ints over one denominator.  The
 pure solution set filters the int value vectors by cell position and builds
-profiles and witnesses only for the cells that survive.
+profiles and witnesses only for the cells that survive.  Those vectors reach
+the filter as a one-shot stream (`_scaled_values`), so no table of per-cell
+tuples is held; with two players the stream is a `zip`, which reuses its
+result tuple for every vector the filter has seen before.
 
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
@@ -155,11 +158,13 @@ def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
     return {prof: _rescale(game, vec) for prof, vec in zip(game.profiles(), _scaled_values(game))}
 
 
-def _scaled_values(game: NormalFormGame) -> list[tuple[int, ...]]:
+def _scaled_values(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
     """`value_table`'s vectors over `_num` in row-major cell order, each
-    player's values times their `_den`; no profile is built.  With 3 or more
-    players each cell scans, per player, the product of the opponents' option
-    sets, so the worst-case count of those profiles is checked first."""
+    player's values times their `_den`; no profile is built.  The vectors
+    come as a one-shot stream, so no table of them is held.  With 3 or more
+    players each cell scans, per player, the product of the opponents'
+    option sets, so the worst-case count of those profiles is checked first,
+    when this is called."""
     if game.num_players == 2:
         return _values_2p(game)
     cells = len(game._num[0])
@@ -169,14 +174,13 @@ def _scaled_values(game: NormalFormGame) -> list[tuple[int, ...]]:
         raise ResourceLimitError.past(
             what, VALUE_TABLE_MAX_PROFILES, "profile", "VALUE_TABLE_MAX_PROFILES"
         )
-    table = []
-    for idx, prof in enumerate(game.profiles()):
-        per_player = zip(game._num, _deviation_cells(game, idx, prof))
-        table.append(tuple([min(map(u.__getitem__, cells)) for u, cells in per_player]))
-    return table
+    return (
+        tuple([min(map(u.__getitem__, dev)) for u, dev in zip(game._num, _deviation_cells(game, i, prof))])
+        for i, prof in enumerate(game.profiles())
+    )
 
 
-def _values_2p(game: NormalFormGame) -> list[tuple[int, int]]:
+def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
     # Per row (column), the deviation minimum over the opponent's strictly
     # better cells is a suffix minimum after sorting by the opponent's payoff,
     # which avoids the quadratic per-line scan on big matrices.
@@ -185,7 +189,7 @@ def _values_2p(game: NormalFormGame) -> list[tuple[int, int]]:
     v1 = [_line_minima(u1[a * nc : (a + 1) * nc], u2[a * nc : (a + 1) * nc]) for a in range(nr)]
     v2 = [_line_minima(u2[b::nc], u1[b::nc]) for b in range(nc)]
     # v1 is row by row and v2 column by column; both flatten to row-major.
-    return list(zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2))))
+    return zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2)))
 
 
 def _line_minima(mine: Sequence[int], theirs: Sequence[int]) -> list[int]:

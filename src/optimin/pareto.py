@@ -2,9 +2,11 @@
 
 Each domain evaluates its agreements to worst-case value vectors and keeps
 the agreements whose vectors no other vector dominates.  This module is the
-one place that filter lives.  Its kernel, `pareto_positions`, returns the
-positions of the survivors among plain value tuples; the domination tests
-see the distinct vectors only, and builtins do the per-vector work.
+one place that filter lives.  Its kernel, `pareto_positions`, reads any
+iterable of plain value tuples in one pass, hashing each vector once and
+holding only the distinct ones, and returns the positions of the survivors;
+the domination tests see the distinct vectors only, and builtins do the
+per-vector work.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from operator import ge
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInputError
 
@@ -25,27 +27,31 @@ def pareto_filter(items: Sequence, key: Callable | None = None) -> list:
     Output preserves input order.
     """
     items = list(items)
-    vectors = list(map(tuple, items if key is None else map(key, items)))
+    vectors = map(tuple, items if key is None else map(key, items))
     return list(map(items.__getitem__, pareto_positions(vectors)))
 
 
-def pareto_positions(vectors: Sequence[tuple]) -> list[int]:
+def pareto_positions(vectors: Iterable[tuple]) -> list[int]:
     """Ascending positions of the vectors that no vector dominates.
 
-    One pass over the distinct vectors in descending lexicographic order
-    (Kung, Luccio & Preparata 1975) keeps a staircase of the survivors'
-    second and third coordinates.  Up to three coordinates the staircase
-    alone decides, in O(n log n) plus list moves whatever the front's size;
-    wider vectors that the staircase covers are checked against the
-    survivors, O(n·f) at worst for a front of f vectors.
+    `vectors` is read once, so a generator or `zip` will do.  Each vector
+    is hashed once, into a map from each distinct vector to its first
+    position, and is held from then on as that position only.  One pass
+    over the distinct vectors in descending lexicographic order (Kung,
+    Luccio & Preparata 1975) keeps a staircase of the survivors' second and
+    third coordinates.  Up to three coordinates the staircase alone decides,
+    in O(n log n) plus list moves whatever the front's size; wider vectors
+    that the staircase covers are checked against the survivors, O(n·f) at
+    worst for a front of f vectors.
     """
-    if not vectors:
+    first: dict[tuple, int] = {}
+    ids = list(map(first.setdefault, vectors, count()))
+    if not first:
         raise EmptyInputError("the Pareto filter needs at least one item")
-    distinct = set(vectors)
-    if len(set(map(len, distinct))) > 1:
+    if len(set(map(len, first))) > 1:
         raise ValueError("all value vectors must have the same length")
-    front = _front(distinct)
-    return list(compress(count(), map(front.__contains__, vectors)))
+    kept = set(map(first.__getitem__, _front(first.keys())))
+    return list(compress(count(), map(kept.__contains__, ids)))
 
 
 def _front(distinct: set[tuple]) -> set:

@@ -1047,10 +1047,10 @@ SWEEP_R = ["sweep", "--family", "travelers", "--param", "r"]
 # the one error line, which names the file's JSON path or the flag at fault.
 REFUSALS = {
     "duplicate-player": (
-        ["optimin", "--game", "{dir}/players.json"], "{dir}/players.json: player labels must be unique"),
+        ["optimin", "--game", "{dir}/players.json"], "{dir}/players.json.players: repeated label 'a'"),
     "duplicate-strategy": (
         ["optimin", "--game", "{dir}/strategies.json"],
-        "{dir}/strategies.json: duplicate strategy label for player 'a'"),
+        "{dir}/strategies.json.strategies[0]: repeated label 'x'"),
     "tu-key-outside": (
         ["coop", "core", "--game", "{dir}/tu_key.json"],
         "{dir}/tu_key.json.worth['1,3']: player numbers must lie in 1..2"),

@@ -110,6 +110,61 @@ class TestGameFormat:
         with pytest.raises(FormatError, match="line"):
             parse_game("{\n  broken")
 
+    @pytest.mark.parametrize(
+        "players, strategies, payoffs, message",
+        [
+            (["a", "b", "a"], [["x"], ["y"], ["z"]], [[[[1, 1, 1]]]], "g.json.players: repeated label 'a'"),
+            (["a", "b"], [["x"], ["y", "é", "y"]], [[[1, 1]] * 3], "g.json.strategies[1]: repeated label 'y'"),
+        ],
+        ids=["player", "strategy"],
+    )
+    def test_repeated_label_is_named_at_its_path(self, players, strategies, payoffs, message):
+        doc = {"players": players, "strategies": strategies, "payoffs": payoffs}
+        with pytest.raises(FormatError) as info:
+            parse_game(json.dumps(doc), source="g.json")
+        assert str(info.value) == message
+
+
+# Labels that JSON escapes: quotes, backslashes, control and non-ASCII characters.
+_LABELS = st.text(st.sampled_from('a"\\/\n\t\x00é€✓𝄞'), max_size=4)
+
+
+@st.composite
+def _games(draw):
+    """Games of 1-4 players with 1-3 strategies each, 1-strategy axes
+    included, and payoffs that are ints or ratios per player."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    players = draw(st.lists(_LABELS, min_size=n, max_size=n, unique=True))
+    strategies = [draw(st.lists(_LABELS, min_size=m, max_size=m, unique=True)) for m in shape]
+    dens = draw(st.lists(st.sampled_from([1, 1, 2, 3, 6]), min_size=n, max_size=n))
+    num = draw(st.lists(st.lists(st.integers(-20, 20), min_size=math.prod(shape), max_size=math.prod(shape)),
+                        min_size=n, max_size=n))
+    return NormalFormGame._from_scaled(players, strategies, num, dens)
+
+
+def _indented_json(game: NormalFormGame) -> str:
+    """The game's document through ``json.dumps(..., indent=2)``."""
+
+    def literal(value):
+        return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+    def nested(prefix):
+        if len(prefix) == game.num_players:
+            return [literal(v) for v in game.payoff(prefix)]
+        return [nested(prefix + (k,)) for k in range(game.shape[len(prefix)])]
+
+    doc = {"players": list(game.players), "strategies": [list(s) for s in game.strategies], "payoffs": nested(())}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_games())
+def test_dump_game_writes_the_bytes_of_indented_json(game):
+    text = dump_game(game)
+    assert text == _indented_json(game)
+    assert parse_game(text) == game
+
 
 class TestTUFormat:
     def test_documented_example(self):

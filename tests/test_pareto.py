@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optimin
-from optimin import EmptyInputError, coop, decisions, matching, noncoop, pareto, pareto_filter
+from optimin import EmptyInputError, NormalFormGame, ResourceLimitError
+from optimin import coop, decisions, matching, noncoop, pareto, pareto_filter
 from optimin.pareto import pareto_positions
-from conftest import brute_pareto
+from conftest import brute_pareto, brute_value_pure, zero_game
 
 # Few distinct values, negatives and halves among them, so that ties in single
 # coordinates and in coordinate sums are common.
@@ -198,3 +199,84 @@ def test_three_player_lattice_at_the_bound_keeps_all_in_staircase_time():
     elapsed = time.perf_counter() - start
     assert kept == vecs
     assert elapsed < 0.5
+
+
+# -- the one-pass contract ------------------------------------------------
+#
+# `pareto_positions` reads its input once, so the solvers can hand it a
+# generator or a `zip` and keep no table of value tuples.
+
+INTS = st.integers(min_value=-3, max_value=3)
+FLOATS = st.sampled_from([-1.5, 0.0, 0.5, 1.0, 2.25, 1e16, 1e16 + 2])
+# Equal values of different types among them (1, F(1) and 1.0 are one key).
+MIXED = st.sampled_from([-2, F(-1, 2), -0.5, 0, 0.0, F(1), 1.0, 1, F(7, 3), 3])
+
+
+@st.composite
+def one_pass_inputs(draw):
+    """Up to 80 vectors of width 1-6 over ints, Fractions, floats or a mix,
+    drawn from a pool of at most 12 so that whole vectors repeat often."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    coordinates = draw(st.sampled_from([INTS, COORDINATES, FLOATS, MIXED]))
+    pool = draw(st.lists(st.tuples(*[coordinates] * width), min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_pass_inputs())
+def test_a_one_shot_generator_reads_as_its_list(vecs):
+    positions = pareto_positions(vecs)
+    assert pareto_positions(v for v in vecs) == positions
+    survivors = brute_pareto(vecs)
+    assert positions == [i for i, v in enumerate(vecs) if v in survivors]
+    assert [vecs[i] for i in positions] == survivors
+
+
+def test_float_sums_that_round_to_a_tie_in_a_stream():
+    low, high = (1e16, 0.0, 0.0), (1e16, 1.0, 0.0)
+    assert pareto_positions(iter([low, high, low])) == [1]
+    assert pareto_positions(iter([high, low, high])) == [0, 2]
+
+
+class ReadOnce:
+    """An iterable whose second iteration fails."""
+
+    def __init__(self, vecs):
+        self.vecs = vecs
+        self.read = False
+
+    def __iter__(self):
+        assert not self.read, "read a second time"
+        self.read = True
+        return iter(self.vecs)
+
+
+def test_the_input_is_read_once():
+    vecs = [(1, 0, 2), (0, 0, 1), (1, 0, 2), (2, 0, 0)]
+    assert pareto_positions(ReadOnce(vecs)) == [0, 2, 3]
+    assert pareto_filter(ReadOnce(vecs)) == [(1, 0, 2), (1, 0, 2), (2, 0, 0)]
+
+
+def test_an_empty_or_ragged_stream_is_refused():
+    with pytest.raises(EmptyInputError):
+        pareto_positions(iter([]))
+    with pytest.raises(ValueError, match="same length"):
+        pareto_positions(iter([(1, 2), (1, 2), (0, 1, 2)]))
+
+
+def test_the_streamed_two_player_table_with_many_ties_matches_definition():
+    # 30x30 with payoffs in -2..2: `_values_2p` hands out a `zip`, which
+    # reuses its result tuple whenever the consumer has let the last one go.
+    rng = random.Random(2727)
+    for _ in range(2):
+        payoffs = [[[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(30)] for _ in range(30)]
+        game = NormalFormGame(["a", "b"], [[f"s{k}" for k in range(30)]] * 2, payoffs)
+        brute = {profile: brute_value_pure(game, profile) for profile in game.profiles()}
+        assert noncoop.value_table(game) == brute
+        survivors = set(brute_pareto(list(set(brute.values()))))
+        assert [e.profile for e in noncoop.optimin_pure(game)] == [p for p, v in brute.items() if v in survivors]
+
+
+def test_the_value_bound_is_checked_when_the_stream_is_made():
+    with pytest.raises(ResourceLimitError):
+        noncoop._scaled_values(zero_game((12, 12, 11, 11)))
