@@ -178,7 +178,7 @@ def _emit(args, table_lines, json_doc, out=None) -> int:
     if out is None:
         print(text)
     else:
-        fileio.write_text(out, text + "\n")
+        fileio.write_text(out, (text, "\n"))
         print(f"wrote {out}")
     return 0
 
@@ -472,10 +472,10 @@ def _cmd_gen(args) -> int:
     family = generators.FAMILIES.get(args.family)
     obj = family.build(**_family_params(args, family)) if family else generators.gen_named(args.family)
     if isinstance(obj, NormalFormGame):
-        text = fileio.dump_game(obj)
+        pieces = fileio.game_pieces(obj)
     else:
-        text = fileio.dump_tu_game(obj)
-    fileio.write_text(args.out, text)
+        pieces = [fileio.dump_tu_game(obj)]
+    fileio.write_text(args.out, pieces)
     print(f"wrote {args.out}")
     return 0
 

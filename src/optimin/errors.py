@@ -129,16 +129,20 @@ MATCHINGS_MAX_SIZE = 7
 
 # -- generators (`generators`) ----------------------------------------------
 # gen_travelers refuses claim games above this many cells (500 claims a
-# side); its value table holds one entry per cell.  At the bound the game is
-# built in about 0.06 s and `optimin_pure` takes about 0.3 s and 40 MB.
+# side); its value table holds one entry per cell.  At the bound one `sweep`
+# point (the game, `optimin_pure` and `nash_pure`) takes about 0.15-0.3 s
+# and peaks at 37 MB of RSS, 20 MB over the interpreter's; the sorted payoff
+# lines the game keeps for its value table and `nash_pure` hold 11 MB of it.
 TRAVELERS_CELL_LIMIT = 250_000
 # gen_public_goods refuses games above this many cells (2 levels for 16
 # players); each cell holds one payoff per player.  At the bound `gen` takes
-# about 1.3 s and 240 MB, most of it writing the file.
+# about 0.5-0.75 s and 48 MB to write the 51 MB file, cell by cell, and `nash`
+# on that file about 0.7-1.1 s and 115 MB, most of it reading the file;
+# `nash_pure` itself takes 0.12-0.16 s.
 PUBLIC_GOODS_CELL_LIMIT = 65_536
 # gen_centipede refuses games of more nodes than this.  The game has about
 # (nodes / 2)^2 cells of nodes-bit payoffs; at the bound, `gen` takes about
-# half a second and 80 MB.
+# 0.2-0.3 s and 22 MB.
 CENTIPEDE_MAX_NODES = 500
 
 # -- decisions against Nature (`decisions`) ---------------------------------

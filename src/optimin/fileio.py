@@ -2,18 +2,22 @@
 and decision problems.
 
 Rationals are encoded as plain integers or exact strings "a/b"; writers are
-canonical so a parse/dump round trip is byte-identical.  Game payoffs are
-parsed straight to ints, and TU worths and decision utilities are checked at
-their JSON paths and passed on as literals for their classes to read to
-ints, with no `Fraction` for a plain literal.  Parse errors name the
-offending JSON path, which is built only once a check has failed; JSON
-nested past the recursion limit is a format error too.
+canonical so a parse/dump round trip is byte-identical.  A game's text also
+comes cell by cell (`game_pieces`), so `gen` never holds the whole file.
+Game payoffs are parsed straight to ints, and TU worths and decision
+utilities are checked at their JSON paths and passed on as literals for their
+classes to read to ints, with no `Fraction` for a plain literal.  Parse
+errors name the offending JSON path, which is built only once a check has
+failed; JSON nested past the recursion limit is a format error too.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Mapping
+import operator
+import re
+from typing import Iterable, Iterator, Mapping
 
 from .coop import TUGame, check_players
 from .decisions import DecisionProblem, OptimismConstraint, check_size
@@ -106,28 +110,51 @@ def dump_game(game: NormalFormGame) -> str:
     pure-Python encoder whenever `indent` is set.  Ints go through `str`,
     ratios are quoted `json_ratio` strings, and labels still go through
     `json.dumps`, so their escapes stay its own."""
+    return "".join(game_pieces(game))
+
+
+def game_pieces(game: NormalFormGame) -> Iterator[str]:
+    """The pieces `dump_game` joins, one at a time: each cell with the text
+    before it, then the closing text.  A writer that takes them as they come
+    holds no more than one cell of the document."""
     n = game.num_players
     columns = [
         map(str, column) if d == 1 else [_quoted(json_ratio(u, d)) for u in column]
         for column, d in zip(game._num, game._den)
     ]
-    # Fold the row-major cells into the nested tensor, innermost axis first.
-    # The entries along axis a are lists at depth a + 2, so the cells, the
-    # entries along the last axis, are lists at depth n + 1.
-    nodes = _json_lists(zip(*columns), n + 1)
-    for depth in range(n, 1, -1):
-        # One iterator zipped with itself yields consecutive runs of nodes.
-        nodes = _json_lists(zip(*[iter(nodes)] * game.shape[depth - 1]), depth)
+    # The entries along axis a are lists at depth a + 2 (the payoff tensor
+    # itself is the list at depth 1), so the cells are lists at depth n + 1.
+    heads, seps, tails = zip(*map(_list_marks, range(n + 2)))
     strategies = _json_lists([map(json.dumps, s) for s in game.strategies], 2)
-    players, strategies, payoffs = _json_lists([map(json.dumps, game.players), strategies, nodes], 1)
-    return f'{{\n  "players": {players},\n  "strategies": {strategies},\n  "payoffs": {payoffs}\n}}\n'
+    players, strategies = _json_lists([map(json.dumps, game.players), strategies], 1)
+    # Before a cell that starts k new entries along the last k axes, the
+    # lists at depths n + 1 down to n - k + 1 close, one separator at depth
+    # n - k follows, and the same lists open again.
+    before = ["".join(tails[: n - k : -1]) + seps[n - k] + "".join(heads[n - k + 1 :]) for k in range(n)]
+    # periods[k] cells make one entry along each of the last k axes.
+    periods = list(itertools.accumulate(reversed(game.shape), operator.mul, initial=1))
+    cells = map(seps[n + 1].join, zip(*columns))
+    opening = f'{{\n  "players": {players},\n  "strategies": {strategies},\n  "payoffs": '
+    yield opening + "".join(heads[1:]) + next(cells)
+    for c, cell in enumerate(cells, 1):
+        k = 0
+        while c % periods[k + 1] == 0:
+            k += 1
+        yield before[k] + cell
+    yield "".join(tails[:0:-1]) + "\n}\n"
+
+
+def _list_marks(depth: int) -> tuple[str, str, str]:
+    """The opening, separating and closing text of a non-empty list that
+    ``json.dumps(..., indent=2)`` opens at nesting depth `depth`."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner, "," + inner, "\n" + "  " * depth + "]"
 
 
 def _json_lists(groups, depth: int) -> list[str]:
     """Each group of encoded items as a non-empty JSON list, laid out as
     ``json.dumps(..., indent=2)`` lays out a list that opens at nesting depth `depth`."""
-    inner = "\n" + "  " * (depth + 1)
-    head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+    head, sep, tail = _list_marks(depth)
     return [head + sep.join(items) + tail for items in groups]
 
 
@@ -137,6 +164,11 @@ def _quoted(value) -> str:
 
 
 # -- characteristic functions --------------------------------------------
+
+
+# A coalition key as `_coalition_key` spells it: player numbers in plain
+# decimal digits, without leading zeros, joined by commas.
+_COALITION_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 
 
 def _coalition_key(mask: int, n: int) -> str:
@@ -158,13 +190,17 @@ def parse_tu_game(text: str, source: str = "game") -> TUGame:
     by_mask = {}
     for key, value in worth.items():
         path = f"{source}.worth[{key!r}]"
+        # int() would also read "01,2" and " 1,+2" as {1, 2}; one spelling
+        # per coalition keeps a second entry from overwriting the first.
+        if not _COALITION_KEY.fullmatch(key):
+            raise _fail(path, "coalition keys are comma-joined player numbers in plain digits")
         try:
             members = [int(tok) for tok in key.split(",")]
-        except ValueError:
-            raise _fail(path, "coalition keys are comma-joined player numbers") from None
+        except ValueError:  # a number past the interpreter's int-conversion digit limit
+            raise _fail(path, f"player numbers must lie in 1..{n}") from None
         if members != sorted(members) or len(set(members)) != len(members):
             raise _fail(path, "coalition keys must list players sorted, once each")
-        if not all(1 <= p <= n for p in members):
+        if members[0] < 1 or members[-1] > n:
             raise _fail(path, f"player numbers must lie in 1..{n}")
         _rational_at(value, path)  # checked here for the path; TUGame reads them
         by_mask[sum(1 << (p - 1) for p in members)] = value
@@ -295,10 +331,11 @@ def read_text(path: str) -> str:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces, one after another and as they come, to the file `path`."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
 

@@ -1,13 +1,13 @@
 """Finite normal-form games with exact rational payoffs.
 
-A game is an immutable dense payoff tensor over labelled strategies.  All
-operations here are pure functions.  Payoffs are exact and held in one form:
-each player's payoffs are ints over one common denominator.  The constructor
-and the file parser read a nested payoff tensor in one pass straight to those
-ints (`scaled_payoffs`, one `rational.over_common_denominator` per player),
-and walk it again only to name a fault.  Readers work
-on the ints and build a `Fraction` only for a value they return, so at the API
-every payoff is a `Fraction`.  Results reproduce bit-exactly and comparisons
+A game is a dense payoff tensor over labelled strategies that never changes
+once built.  All operations here are pure functions.  Payoffs are exact and
+held in one form: each player's payoffs are ints over one common denominator.
+The constructor and the file parser read a nested payoff tensor in one pass
+straight to those ints (`scaled_payoffs`, one `rational.over_common_denominator`
+per player), and walk it again only to name a fault.  Readers work on the ints
+and build a `Fraction` only for a value they return, so at the API every payoff
+is a `Fraction`.  Results reproduce bit-exactly and comparisons
 never depend on floating tolerances.
 
 Each check hands back what it read, so no caller reads a profile twice:
@@ -44,17 +44,23 @@ class NormalFormGame:
     """An n-player game: player labels, per-player strategy labels, payoff tensor.
 
     ``payoffs`` is a nested sequence indexed by strategy indices in player
-    order; the innermost sequence holds one payoff per player.  The instance
-    is immutable after construction.
+    order; the innermost sequence holds one payoff per player.  The game
+    never changes after construction; its one piece of derived state, the
+    memo `_line_order` fills, is not part of `==`, `hash` or `repr`.
 
     Payoffs are stored flat in row-major order, one exact integer
     representation per player: player i's payoffs are the ints ``_num[i]``
     over the common denominator ``_den[i]``, the lcm of that player's reduced
     payoff denominators, so equal games have equal representations.  These
     ints are the game's only payoff state; no `Fraction` view is kept.
+
+    A payoff line is the cells along one player's axis with every other
+    strategy held fixed.  `_orders` holds, per player, the `_line_order` of
+    each line a reader has asked for, keyed by the line's first cell, so a
+    line is sorted at most once per game.
     """
 
-    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den")
+    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den", "_orders")
 
     def __init__(self, players: Sequence[str], strategies: Sequence[Sequence[str]], payoffs) -> None:
         self._set_labels(players, strategies)
@@ -64,6 +70,7 @@ class NormalFormGame:
             path, fault = tensor_fault(payoffs, self.shape, n, "payoffs per cell")
             raise fault if isinstance(fault, OptiminError) else ValueError(f"payoffs{path}: {fault}")
         self._num, self._den = scaled
+        self._orders = tuple({} for _ in self.players)
 
     @classmethod
     def _from_scaled(cls, players, strategies, num, den) -> NormalFormGame:
@@ -83,6 +90,7 @@ class NormalFormGame:
             dens.append(d // g)
         game._num = tuple(scaled)
         game._den = tuple(dens)
+        game._orders = tuple({} for _ in game.players)
         return game
 
     def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> None:
@@ -109,6 +117,19 @@ class NormalFormGame:
             strides.append(acc)
             acc *= size
         self._strides = tuple(reversed(strides))
+
+    def _line_order(self, player: int, start: int) -> list[int]:
+        """`player`'s strategies on their payoff line that starts at cell
+        `start`, best payoff first and ties in ascending order (a stable
+        reverse sort).  Sorted on the first call and kept in `_orders`; the
+        list is shared, so callers only read it."""
+        orders = self._orders[player]
+        order = orders.get(start)
+        if order is None:
+            stride = self._strides[player]
+            line = self._num[player][start : start + self.shape[player] * stride : stride]
+            order = orders[start] = sorted(range(len(line)), key=line.__getitem__, reverse=True)
+        return order
 
     # -- basic queries ----------------------------------------------------
 

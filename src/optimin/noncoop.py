@@ -14,6 +14,14 @@ the filter as a one-shot stream (`_scaled_values`), so no table of per-cell
 tuples is held; with two players the stream is a `zip`, which reuses its
 result tuple for every vector the filter has seen before.
 
+The two-player table and `nash_pure` read each payoff line's order from one
+memo on the game (`NormalFormGame._line_order`), so a line is sorted at most
+once per game.  The table takes each deviation minimum as a suffix minimum in
+the opponent's order of the line (`_line_minima`); `nash_pure` keeps the top
+of each of the first player's lines when it ties the top of every other
+player's line through it.  A `generators.sweep` point, which asks for both,
+thus sorts each line once, and its Nash pass costs O(lines).
+
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
 is that chain evaluated at the opponent's agreed payoff E, so a profile costs
@@ -182,23 +190,27 @@ def _scaled_values(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
 
 def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
     # Per row (column), the deviation minimum over the opponent's strictly
-    # better cells is a suffix minimum after sorting by the opponent's payoff,
-    # which avoids the quadratic per-line scan on big matrices.
+    # better cells is a suffix minimum in the opponent's `_line_order` of that
+    # line, which avoids the quadratic per-line scan on big matrices.
     nr, nc = game.shape
     u1, u2 = game._num
-    v1 = [_line_minima(u1[a * nc : (a + 1) * nc], u2[a * nc : (a + 1) * nc]) for a in range(nr)]
-    v2 = [_line_minima(u2[b::nc], u1[b::nc]) for b in range(nc)]
+    v1 = [
+        _line_minima(u1[a * nc : (a + 1) * nc], u2[a * nc : (a + 1) * nc], game._line_order(1, a * nc))
+        for a in range(nr)
+    ]
+    v2 = [_line_minima(u2[b::nc], u1[b::nc], game._line_order(0, b)) for b in range(nc)]
     # v1 is row by row and v2 column by column; both flatten to row-major.
     return zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2)))
 
 
-def _line_minima(mine: Sequence[int], theirs: Sequence[int]) -> list[int]:
-    """For each index k: min of mine over {k} and all j with theirs[j] > theirs[k]."""
+def _line_minima(mine: Sequence[int], theirs: Sequence[int], order: Iterable[int]) -> list[int]:
+    """For each index k: min of mine over {k} and all j with theirs[j] > theirs[k];
+    `order` lists the indices by theirs, best first."""
     out = list(mine)
     lower = None  # min of `mine` over the strictly-greater suffix
     running = None  # min of `mine` over everything visited so far
     prev = None
-    for k in sorted(range(len(mine)), key=theirs.__getitem__, reverse=True):
+    for k in order:
         if theirs[k] != prev:
             lower, prev = running, theirs[k]
         m = mine[k]
@@ -253,20 +265,32 @@ def maximin_profile(game: NormalFormGame) -> list[PlayerMaximin]:
 
 
 def nash_pure(game: NormalFormGame) -> list[PureProfile]:
-    """Cells from which no player has a strictly better unilateral response."""
-    size = len(game._num[0])
-    cells: Iterable[int] = range(size)
-    for u, stride, count in zip(game._num, game._strides, game.shape):
-        # Line k along this player's axis starts at cell k // stride * block
-        # + k % stride; top[k] is the player's best payoff on it.
-        block = stride * count
-        top = [
-            max(u[start : start + block : stride])
-            for first in range(0, size, block)
-            for start in range(first, first + stride)
-        ]
-        cells = [c for c in cells if u[c] == top[c // block * stride + c % stride]]
-    return [_profile_at(game, c) for c in cells]
+    """Cells from which no player has a strictly better unilateral response.
+
+    The candidates are the top group of each of the first player's lines in
+    its `_line_order`; a candidate stays while its payoff ties the top of
+    each other player's line through it, so only the lines through the
+    surviving cells are read.
+    """
+    u, stride = game._num[0], game._strides[0]
+    cells = []
+    for start in range(stride):  # the first player's lines start at cells 0 .. stride - 1
+        order = game._line_order(0, start)
+        top = u[start + order[0] * stride]
+        for s in order:
+            c = start + s * stride
+            if u[c] != top:
+                break
+            cells.append(c)
+    for i in range(1, game.num_players):
+        u, stride, m = game._num[i], game._strides[i], game.shape[i]
+        kept = []
+        for c in cells:
+            start = c - c // stride % m * stride
+            if u[c] == u[start + game._line_order(i, start)[0] * stride]:
+                kept.append(c)
+        cells = kept
+    return [_profile_at(game, c) for c in sorted(cells)]
 
 
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:

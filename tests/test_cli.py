@@ -16,7 +16,7 @@ import pytest
 import optimin
 from optimin import ResourceLimitError
 from optimin.cli import SWEEP_MAX_POINTS, _sweep_values, main
-from optimin.fileio import dump_marriage
+from optimin.fileio import dump_game, dump_marriage, parse_game
 from optimin.matching import MarriageProblem
 
 
@@ -692,6 +692,19 @@ class TestGenAndSweep:
         code, out, _ = run(capsys, "coop", "core", "--game", str(path))
         assert "empty" in out
 
+    @pytest.mark.parametrize("argv", [
+        "public_goods --n 4 --levels 0,5,10 --mpcr 1/3",
+        "centipede --nodes 9",
+        "motivating",
+    ])
+    def test_gen_writes_the_dumped_text(self, capsys, tmp_path, argv):
+        # `gen` writes the game piece by piece; the file is `dump_game`'s
+        # text, which is the layout of json.dumps(..., indent=2).
+        path = tmp_path / "game.json"
+        assert run(capsys, "gen", *argv.split(), "--out", str(path))[0] == 0
+        text = path.read_text(encoding="utf-8")
+        assert text == dump_game(parse_game(text)) == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_sweep_table(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--family", "travelers", "--param", "r",
@@ -1026,6 +1039,9 @@ REFUSAL_FILES = {
     "strategies": {"players": ["a", "b"], "strategies": [["x", "x"], ["y"]], "payoffs": [[[1, 1]], [[0, 0]]]},
     "tu_key": {"n": 2, "worth": {"1": 0, "2": 0, "1,3": 1}},
     "tu_overfull": {"n": 2, "worth": {"1": 2, "2": 2, "1,2": 3}},
+    "tu_leading_zero": {"n": 2, "worth": {"1": 0, "2": 0, "1,2": 1, "01,2": 7}},
+    "tu_signed": {"n": 2, "worth": {"1": 0, "2": 0, " 1,+2": 1}},
+    "tu_long_key": {"n": 2, "worth": {"1": 0, "2": 0, "1" * 5000: 1}},
     "oc_states": {
         "acts": ["x", "y"],
         "states": ["s", "t"],
@@ -1054,6 +1070,15 @@ REFUSALS = {
     "tu-key-outside": (
         ["coop", "core", "--game", "{dir}/tu_key.json"],
         "{dir}/tu_key.json.worth['1,3']: player numbers must lie in 1..2"),
+    "tu-key-leading-zero": (
+        ["coop", "core", "--game", "{dir}/tu_leading_zero.json"],
+        "{dir}/tu_leading_zero.json.worth['01,2']: coalition keys are comma-joined player numbers in plain digits"),
+    "tu-key-sign-and-space": (
+        ["coop", "core", "--game", "{dir}/tu_signed.json"],
+        "{dir}/tu_signed.json.worth[' 1,+2']: coalition keys are comma-joined player numbers in plain digits"),
+    "tu-key-past-the-digit-limit": (
+        ["coop", "core", "--game", "{dir}/tu_long_key.json"],
+        "{dir}/tu_long_key.json.worth['" + "1" * 5000 + "']: player numbers must lie in 1..2"),
     "oc-states-list": (
         ["decide", "solve", "--game", "{dir}/oc_states.json"],
         "{dir}/oc_states.json.oc_states: expected an object keyed by 'act,state'"),

@@ -244,6 +244,35 @@ def test_nash_pure_matches_best_responses(game):
     assert nash_pure(game) == expected
 
 
+@st.composite
+def tied_games(draw):
+    """Games of 1-4 players and up to 3 strategies each, with int payoffs in
+    0..2 so that most lines hold ties, drawn from one `Random`."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = {prof: [rng.randint(0, 2) for _ in shape] for prof in product(*map(range, shape))}
+    players = [f"p{i}" for i in range(len(shape))]
+    strategies = [[f"s{k}" for k in range(m)] for m in shape]
+    return NormalFormGame(players, strategies, nest(cells, shape))
+
+
+LINE_ORDER_READERS = {"nash_pure": nash_pure, "value_table": value_table, "optimin_pure": optimin_pure}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_games(), st.permutations(sorted(LINE_ORDER_READERS)))
+def test_line_order_memo_changes_no_result(game, order):
+    # One game object answers every reader twice, in the drawn order, with
+    # its line orders kept from the earlier calls; a fresh copy has none.
+    for built in (game, parse_game(dump_game(game))):
+        identity = (hash(built), repr(built))
+        for name in order * 2:
+            fresh = parse_game(dump_game(game))
+            assert LINE_ORDER_READERS[name](built) == LINE_ORDER_READERS[name](fresh)
+        assert any(built._orders)  # nash_pure read at least the first player's lines
+        assert built == fresh and (hash(built), repr(built)) == identity == (hash(fresh), repr(fresh))
+
+
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_maximin_profile_matches_the_definition(game):
