@@ -465,12 +465,20 @@ def _family_flags(p, sweeping: bool) -> None:
 
 
 def _family_params(args, family) -> dict:
-    return {name: getattr(args, flag) for name, (flag, _) in family.parameters.items() if hasattr(args, flag)}
+    """The family flags given, keyed by `family`'s parameters (None for a
+    named instance, which takes none); refuse a flag of another family."""
+    own = {flag: name for name, (flag, _) in family.parameters.items()} if family else {}
+    given = [flag for f in generators.FAMILIES.values() for flag, _ in f.parameters.values() if hasattr(args, flag)]
+    for flag in given:
+        if flag not in own:
+            raise ParameterError(f"--{flag} is not a flag of {args.family}")
+    return {own[flag]: getattr(args, flag) for flag in given}
 
 
 def _cmd_gen(args) -> int:
     family = generators.FAMILIES.get(args.family)
-    obj = family.build(**_family_params(args, family)) if family else generators.gen_named(args.family)
+    params = _family_params(args, family)
+    obj = family.build(**params) if family else generators.gen_named(args.family)
     if isinstance(obj, NormalFormGame):
         pieces = fileio.game_pieces(obj)
     else:

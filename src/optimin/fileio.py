@@ -8,7 +8,10 @@ Game payoffs are parsed straight to ints, and TU worths and decision
 utilities are checked at their JSON paths and passed on as literals for their
 classes to read to ints, with no `Fraction` for a plain literal.  Parse
 errors name the offending JSON path, which is built only once a check has
-failed; JSON nested past the recursion limit is a format error too.
+failed; JSON nested past the recursion limit is a format error too.  Nothing
+is dropped without a word: an object that repeats a key, and a key, label or
+field that names nothing, are refused.  A game's labels are checked once, by
+`NormalFormGame`, whose message the reader prefixes with ``<file>.``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 from .coop import TUGame, check_players
 from .decisions import DecisionProblem, OptimismConstraint, check_size
 from .errors import FormatError, OptiminError, ResourceLimitError
-from .games import NormalFormGame, scaled_payoffs, tensor_fault
+from .games import NormalFormGame, first_repeat, scaled_payoffs, tensor_fault
 from .matching import MarriageProblem
 from .rational import json_ratio, literal_ratio
 
@@ -40,8 +43,14 @@ def _require(obj: Mapping, key: str, path: str):
 
 
 def _load_json(text: str, source: str) -> object:
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):  # a dict keeps the last of two equal keys
+            raise FormatError(f"{source}: repeated key {first_repeat(k for k, _ in pairs)!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer past Python's int-conversion digit limit
@@ -56,13 +65,11 @@ def _check_labels(value, path: str) -> None:
         raise _fail(path, "expected a list of labels")
 
 
-def _check_unique(labels: list, path: str) -> None:
-    """Refuse the first label that `labels` repeats, naming it and `path`."""
-    seen = set()
+def _check_known(labels: Iterable[str], known, what: str, path: str) -> None:
+    """Refuse the first of `labels` not in `known`, naming it, its kind `what` and `path`."""
     for label in labels:
-        if label in seen:
-            raise _fail(path, f"repeated label {label!r}")
-        seen.add(label)
+        if label not in known:
+            raise _fail(path, f"unknown {what} {label!r}")
 
 
 def _rational_at(value, path: str) -> None:
@@ -81,15 +88,11 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
     players = _require(doc, "players", source)
     strategies = _require(doc, "strategies", source)
     payoffs = _require(doc, "payoffs", source)
-    if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
-        raise _fail(f"{source}.players", "expected a list of strings")
-    _check_unique(players, f"{source}.players")
+    _check_labels(players, f"{source}.players")
     if not isinstance(strategies, list) or len(strategies) != len(players):
         raise _fail(f"{source}.strategies", f"expected {len(players)} strategy lists")
     for i, strats in enumerate(strategies):
-        if not isinstance(strats, list) or not all(isinstance(s, str) for s in strats):
-            raise _fail(f"{source}.strategies[{i}]", "expected a list of strings")
-        _check_unique(strats, f"{source}.strategies[{i}]")
+        _check_labels(strats, f"{source}.strategies[{i}]")
     shape = tuple(len(s) for s in strategies)
     n = len(players)
     scaled = scaled_payoffs(payoffs, shape, n)
@@ -100,8 +103,8 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
         raise _fail(f"{source}.payoffs{path}", str(fault)) from None
     try:
         return NormalFormGame._from_scaled(players, strategies, *scaled)
-    except ValueError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    except ValueError as exc:  # a label fault, named at its field
+        raise FormatError(f"{source}.{exc}") from exc
 
 
 def dump_game(game: NormalFormGame) -> str:
@@ -236,17 +239,18 @@ def parse_marriage(text: str, source: str = "problem") -> MarriageProblem:
     side_a = _require(doc, "A", source)
     side_b = _require(doc, "B", source)
     prefs = _require(doc, "prefs", source)
-    for name, side in (("A", side_a), ("B", side_b)):
-        if not isinstance(side, list) or not all(isinstance(x, str) for x in side):
-            raise _fail(f"{source}.{name}", "expected a list of strings")
+    _check_labels(side_a, f"{source}.A")
+    _check_labels(side_b, f"{source}.B")
     if not isinstance(prefs, dict):
         raise _fail(f"{source}.prefs", "expected an object of preference lists")
     for person, ranking in prefs.items():
         _check_labels(ranking, f"{source}.prefs[{person!r}]")
     try:
-        return MarriageProblem(side_a, side_b, prefs)
+        problem = MarriageProblem(side_a, side_b, prefs)
     except OptiminError as exc:
         raise FormatError(f"{source}: {exc}") from exc
+    _check_known(prefs, problem.prefs, "individual", f"{source}.prefs")
+    return problem
 
 
 def dump_marriage(problem: MarriageProblem) -> str:
@@ -261,34 +265,45 @@ def dump_marriage(problem: MarriageProblem) -> str:
 # -- decision problems -----------------------------------------------------
 
 
+# A decision file's fields; all but acts, states and utility may be left out.
+_DECISION_FIELDS = (
+    "acts", "states", "utility", "antagonist", "feasible_acts", "feasible_states", "oc_states", "oc_acts"
+)
+
+
 def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem, OptimismConstraint]:
     doc = _load_json(text, source)
     acts = _require(doc, "acts", source)
     states = _require(doc, "states", source)
     utility = _require(doc, "utility", source)
-    if not isinstance(acts, list) or not isinstance(states, list):
-        raise _fail(source, "acts and states must be lists of strings")
+    _check_known(doc, _DECISION_FIELDS, "field", source)
+    _check_labels(acts, f"{source}.acts")
+    _check_labels(states, f"{source}.states")
     check_size(len(acts), len(states), f"{source}: ")
     if not isinstance(utility, dict):
         raise _fail(f"{source}.utility", "expected an object of per-act state tables")
 
+    known = {"act": set(acts), "state": set(states)}
     for act, row in utility.items():
+        path = f"{source}.utility[{act!r}]"
         if not isinstance(row, dict):
-            raise _fail(f"{source}.utility[{act!r}]", "expected an object keyed by state")
+            raise _fail(path, "expected an object keyed by state")
+        _check_known((act,), known["act"], "act", path)
         for state, value in row.items():  # checked here for the path; DecisionProblem reads them
-            _rational_at(value, f"{source}.utility[{act!r}][{state!r}]")
+            _check_known((state,), known["state"], "state", f"{path}[{state!r}]")
+            _rational_at(value, f"{path}[{state!r}]")
     antagonist = doc.get("antagonist", False)
     if not isinstance(antagonist, bool):
         raise _fail(f"{source}.antagonist", "expected a boolean")
-    for field in ("feasible_acts", "feasible_states"):
+    for field, keyed_by in (("feasible_acts", "state"), ("feasible_states", "act")):
         table = doc.get(field)
         if table is None:
             continue
         if not isinstance(table, dict):
             raise _fail(f"{source}.{field}", "expected an object of label lists")
         for key, labels in table.items():
-            if not isinstance(labels, list):
-                raise _fail(f"{source}.{field}[{key!r}]", "expected a list of labels")
+            _check_labels(labels, f"{source}.{field}[{key!r}]")
+            _check_known((key,), known[keyed_by], keyed_by, f"{source}.{field}[{key!r}]")
 
     try:
         problem = DecisionProblem(
@@ -297,27 +312,29 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
     except OptiminError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
-    def parse_oc(field: str) -> dict:
+    def parse_oc(field: str, listed: str) -> dict:
+        """The optimism lists of `field`, each a list of `listed` labels."""
         raw = doc.get(field, {})
         if not isinstance(raw, dict):
             raise _fail(f"{source}.{field}", "expected an object keyed by 'act,state'")
         out = {}
-        wildcard = raw.get("*")
         for key, allowed in raw.items():
-            if key == "*":
-                continue
-            parts = key.split(",")
-            if len(parts) != 2:
-                raise _fail(f"{source}.{field}[{key!r}]", "keys look like 'act,state' or '*'")
-            _check_labels(allowed, f"{source}.{field}[{key!r}]")
-            out[(parts[0], parts[1])] = tuple(allowed)
-        if wildcard is not None:
-            _check_labels(wildcard, f"{source}.{field}['*']")
+            path = f"{source}.{field}[{key!r}]"
+            if key != "*":
+                pair = tuple(key.split(","))
+                if len(pair) != 2:
+                    raise _fail(path, "keys look like 'act,state' or '*'")
+                _check_known(pair[:1], known["act"], "act", path)
+                _check_known(pair[1:], known["state"], "state", path)
+                out[pair] = allowed
+            _check_labels(allowed, path)
+            _check_known(allowed, known[listed], listed, path)
+        if "*" in raw:
             for profile in problem.feasible_pairs():
-                out.setdefault(profile, tuple(wildcard))
+                out.setdefault(profile, raw["*"])
         return out
 
-    return problem, OptimismConstraint(parse_oc("oc_states"), parse_oc("oc_acts"))
+    return problem, OptimismConstraint(parse_oc("oc_states", "state"), parse_oc("oc_acts", "act"))
 
 
 # -- path helpers ----------------------------------------------------------

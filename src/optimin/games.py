@@ -22,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InvalidDistributionError,
@@ -94,22 +94,13 @@ class NormalFormGame:
         return game
 
     def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> None:
-        """Validate and set the labels, shape and strides."""
-        self.players = tuple(str(p) for p in players)
-        if not self.players:
-            raise ValueError("a game needs at least one player")
-        if len(set(self.players)) != len(self.players):
-            raise ValueError("player labels must be unique")
-        self.strategies = tuple(tuple(str(s) for s in strats) for strats in strategies)
-        if len(self.strategies) != len(self.players):
-            raise ValueError(
-                f"{len(self.players)} players but {len(self.strategies)} strategy lists"
-            )
-        for i, strats in enumerate(self.strategies):
-            if not strats:
-                raise ValueError(f"player {self.players[i]!r} has an empty strategy list")
-            if len(set(strats)) != len(strats):
-                raise ValueError(f"duplicate strategy label for player {self.players[i]!r}")
+        """Check and set the labels, shape and strides.  The one check of a
+        game's labels: each refusal names its field, ``players`` or
+        ``strategies[i]``, and for a repeat the label."""
+        self.players = _labels(players, "players")
+        if len(strategies) != len(self.players):
+            raise ValueError(f"strategies: expected {len(self.players)} strategy lists")
+        self.strategies = tuple(_labels(s, f"strategies[{i}]") for i, s in enumerate(strategies))
         self.shape = tuple(len(s) for s in self.strategies)
         strides = []
         acc = 1
@@ -268,6 +259,22 @@ class NormalFormGame:
     def __repr__(self) -> str:
         dims = "x".join(str(k) for k in self.shape)
         return f"NormalFormGame({dims}, players={list(self.players)})"
+
+
+def _labels(labels: Sequence[str], field: str) -> tuple[str, ...]:
+    """`labels` as strings; refuse an empty list or a repeated label, naming `field`."""
+    out = tuple(map(str, labels))
+    if not out:
+        raise ValueError(f"{field}: expected at least one label")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{field}: repeated label {first_repeat(out)!r}")
+    return out
+
+
+def first_repeat(items: Iterable):
+    """The first of `items` equal to an earlier one; one must be."""
+    seen = set()
+    return next(x for x in items if x in seen or seen.add(x))
 
 
 def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):

@@ -859,12 +859,17 @@ class TestBytePins:
             shas.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert tuple(shas) == SWEEP_OUT_PINS[argv]
 
-    def test_flag_of_another_family_is_ignored(self, capsys, tmp_path):
+    def test_flag_of_another_family_is_refused(self, capsys, tmp_path):
+        # The first flag of another family is named, before any value is read.
         path = tmp_path / "game.json"
-        run(capsys, "gen", "travelers", "--nodes", "7", "--mpcr", "x", "--out", str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_PINS["travelers"]
+        code, out, err = run(capsys, "gen", "travelers", "--nodes", "7", "--mpcr", "x", "--out", str(path))
+        assert (code, out, err) == (1, "", "error: --nodes is not a flag of travelers\n")
+        assert not path.exists()
         argv = "--family centipede --param nodes --from 1 --to 6"
-        code, out, _ = run(capsys, "sweep", *argv.split(), "--low", "3", "--levels", "x", "--format", "json")
+        code, out, err = run(capsys, "sweep", *argv.split(), "--low", "3", "--levels", "x", "--format", "json")
+        assert (code, out, err) == (1, "", "error: --low is not a flag of centipede\n")
+        # The family's own flags still reach its generator.
+        code, out, _ = run(capsys, "sweep", *argv.split(), "--variant", "increasing", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_PINS[argv]
 
@@ -1033,7 +1038,16 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, text):
     assert proc.stdout == ""
 
 
-# Input files for `REFUSALS`, each broken in one place.
+# A decision problem that files below break in one place each.  Its one
+# optimin agreement is (rent, fired); were the typo "fird" at (buy, fired)
+# dropped, that pair would be valued at "keep" alone and (buy, fired) would win.
+DECISION = {
+    "acts": ["buy", "rent"],
+    "states": ["keep", "fired"],
+    "utility": {"buy": {"keep": 10, "fired": -10}, "rent": {"keep": 0, "fired": 1}},
+    "oc_states": {"rent,fired": ["fired"], "*": ["keep", "fired"]},
+}
+# Input files for `REFUSALS`, each broken in one place; a string is written as it is.
 REFUSAL_FILES = {
     "players": {"players": ["a", "a"], "strategies": [["x"], ["y"]], "payoffs": [[[1, 1]]]},
     "strategies": {"players": ["a", "b"], "strategies": [["x", "x"], ["y"]], "payoffs": [[[1, 1]], [[0, 0]]]},
@@ -1055,6 +1069,16 @@ REFUSAL_FILES = {
             "a1": ["b1", "b2", "a1"], "a2": ["b2", "b1", "a2"],
             "b1": ["a1", "a2", "b1"], "b2": ["a2", "a1", "b2"],
         },
+    },
+    "tu_repeated_key": '{"n": 2, "worth": {"1": 0, "2": 0, "1,2": 1, "1,2": 7}}',
+    "utility_row": {**DECISION, "utility": {**DECISION["utility"], "lease": {"keep": 5}}},
+    "utility_entry": {**DECISION, "utility": {**DECISION["utility"], "rent": {"keep": 2, "fired": 1, "typo": 9}}},
+    "feasible_key": {**DECISION, "feasible_states": {"buy": ["keep", "fired"], "lease": ["keep"]}},
+    "oc_key": {**DECISION, "oc_states": {**DECISION["oc_states"], "buy,kep": ["keep"]}},
+    "oc_label": {**DECISION, "oc_states": {**DECISION["oc_states"], "buy,fired": ["keep", "fird"]}},
+    "oc_field": {**DECISION, "oc_state": {"buy,keep": ["fired"]}},
+    "marriage_stranger": {
+        "A": ["a1"], "B": ["b1"], "prefs": {"a1": ["b1", "a1"], "b1": ["a1", "b1"], "c1": ["a1", "c1"]},
     },
 }
 PUBLIC_GOODS = ["gen", "public_goods", "--out", "{dir}/g.json"]
@@ -1109,13 +1133,39 @@ REFUSALS = {
     "nucleolus-empty-imputations": (
         ["coop", "nucleolus", "--game", "{dir}/tu_overfull.json"],
         "imputation set is empty: individual worths exceed the grand coalition; the nucleolus is undefined"),
+    "repeated-json-key": (
+        ["coop", "core", "--game", "{dir}/tu_repeated_key.json"], "{dir}/tu_repeated_key.json: repeated key '1,2'"),
+    "utility-row-of-no-act": (
+        ["decide", "solve", "--game", "{dir}/utility_row.json"],
+        "{dir}/utility_row.json.utility['lease']: unknown act 'lease'"),
+    "utility-entry-of-no-state": (
+        ["decide", "solve", "--game", "{dir}/utility_entry.json"],
+        "{dir}/utility_entry.json.utility['rent']['typo']: unknown state 'typo'"),
+    "feasible-states-of-no-act": (
+        ["decide", "solve", "--game", "{dir}/feasible_key.json"],
+        "{dir}/feasible_key.json.feasible_states['lease']: unknown act 'lease'"),
+    "oc-key-of-no-state": (
+        ["decide", "solve", "--game", "{dir}/oc_key.json"], "{dir}/oc_key.json.oc_states['buy,kep']: unknown state 'kep'"),
+    "oc-label-of-no-state": (
+        ["decide", "solve", "--game", "{dir}/oc_label.json"],
+        "{dir}/oc_label.json.oc_states['buy,fired']: unknown state 'fird'"),
+    "misspelled-decision-field": (
+        ["decide", "check", "--game", "{dir}/oc_field.json"], "{dir}/oc_field.json: unknown field 'oc_state'"),
+    "prefs-of-no-side": (
+        ["match", "da", "--game", "{dir}/marriage_stranger.json"],
+        "{dir}/marriage_stranger.json.prefs: unknown individual 'c1'"),
+    "gen-flag-of-another-family": (
+        ["gen", "travelers", "--out", "{dir}/g.json", "--nodes", "7"], "--nodes is not a flag of travelers"),
+    "gen-flag-of-a-named-game": (["gen", "figure1", "--out", "{dir}/g.json", "--high", "5"], "--high is not a flag of figure1"),
+    "sweep-flag-of-another-family": (
+        SWEEP_R + ["--from", "2", "--to", "2", "--variant", "constant"], "--variant is not a flag of travelers"),
 }
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS)
 def test_refusals_of_outside_input(capsys, tmp_path, argv, message):
     for name, doc in REFUSAL_FILES.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{name}.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
     assert (code, out, err) == (1, "", f"error: {message.format(dir=tmp_path)}\n")
     assert not (tmp_path / "g.json").exists()

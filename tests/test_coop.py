@@ -106,6 +106,11 @@ class TestTUGame:
         with pytest.raises(ValueError, match="worth missing for 1 coalitions, e.g. mask 5$"):
             TUGame(3, {m: 1 for m in range(1, 8) if m != 5})
 
+    def test_no_players_refused(self):
+        with pytest.raises(ValueError) as info:
+            TUGame(0, {})
+        assert str(info.value) == "a TU game needs at least one player"
+
     def test_boolean_masks_are_refused(self):
         # True == 1, but a boolean is no coalition, as it is no player count
         with pytest.raises(ValueError, match="coalition mask True out of range"):
@@ -374,6 +379,9 @@ class TestNucleolus:
 
     def test_capped_variant(self):
         assert nucleolus(gen_named("coop_120")) == (F(50), F(40), F(30))
+
+    def test_one_player_keeps_the_worth(self):
+        assert nucleolus(TUGame(1, {1: "5/2"})) == (F(5, 2),)
 
     def test_additive_game_returns_weights(self):
         assert nucleolus(additive_game([3, 1, 4])) == (F(3), F(1), F(4))

@@ -106,6 +106,25 @@ class TestGameFormat:
             parse_game(json.dumps(doc), source="g.json")
         assert str(info.value) == "g.json.payoffs[0][1][0][2]: not a rational number: '1/0'"
 
+    @pytest.mark.parametrize(
+        "players, strategies, payoffs, message",
+        [
+            ([], [], [], "g.json.players: expected at least one label"),
+            (["a", "b"], [["x"], []], [[]], "g.json.strategies[1]: expected at least one label"),
+            (["a", 1], [["x"], ["y"]], [[[1, 1]]], "g.json.players: expected a list of labels"),
+            (["a", "b"], [["x"], "y"], [[[1, 1]]], "g.json.strategies[1]: expected a list of labels"),
+            (["a", "b"], [["x"]], [[[1, 1]]], "g.json.strategies: expected 2 strategy lists"),
+            # The payoff tensor is read before the game checks its labels.
+            (["a", "a"], [["x"], ["y"]], [[[1, "z"]]], "g.json.payoffs[0][0][1]: not a rational number: 'z'"),
+        ],
+        ids=["no-player", "empty-strategies", "player-type", "strategies-type", "list-count", "payoff-first"],
+    )
+    def test_label_faults_are_named_at_their_path(self, players, strategies, payoffs, message):
+        doc = {"players": players, "strategies": strategies, "payoffs": payoffs}
+        with pytest.raises(FormatError) as info:
+            parse_game(json.dumps(doc), source="g.json")
+        assert str(info.value) == message
+
     def test_json_syntax_error_reports_line(self):
         with pytest.raises(FormatError, match="line"):
             parse_game("{\n  broken")
@@ -240,6 +259,18 @@ class TestMarriageFormat:
         with pytest.raises(FormatError, match="equal size"):
             parse_marriage(json.dumps(doc))
 
+    def test_sides_are_lists_of_labels(self):
+        for side in ("A", "B"):
+            with pytest.raises(FormatError) as info:
+                parse_marriage(json.dumps(dict(self.DOC, **{side: ["a1", 2]})), source="p.json")
+            assert str(info.value) == f"p.json.{side}: expected a list of labels"
+
+    def test_pref_list_of_no_individual_refused(self):
+        doc = dict(self.DOC, prefs={**self.DOC["prefs"], "c1": ["a1", "c1"]})
+        with pytest.raises(FormatError) as info:
+            parse_marriage(json.dumps(doc), source="p.json")
+        assert str(info.value) == "p.json.prefs: unknown individual 'c1'"
+
     def test_missing_pref_list_rejected(self):
         doc = dict(self.DOC, prefs={k: v for k, v in self.DOC["prefs"].items() if k != "b2"})
         with pytest.raises(FormatError, match="b2"):
@@ -319,6 +350,42 @@ class TestDecisionFormat:
             with pytest.raises(FormatError) as info:
                 parse_decision(json.dumps(doc), source="d.json")
             assert str(info.value) == f"d.json.{field}[{key!r}]: expected a list of labels"
+
+    @pytest.mark.parametrize("field", ["acts", "states"])
+    def test_acts_and_states_are_string_labels(self, field):
+        for labels in ([1, 2], ["keep", None], "keep", {"keep": 1}):
+            with pytest.raises(FormatError) as info:
+                parse_decision(json.dumps(dict(self.DOC, **{field: labels})), source="d.json")
+            assert str(info.value) == f"d.json.{field}: expected a list of labels"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"utility": {**DOC["utility"], "lease": {"keep": 1}}}, "d.json.utility['lease']: unknown act 'lease'"),
+            ({"utility": {**DOC["utility"], "rent": {"keep": 2, "fired": 1, "typo": 0}}},
+             "d.json.utility['rent']['typo']: unknown state 'typo'"),
+            ({"feasible_states": {"lease": ["keep"]}}, "d.json.feasible_states['lease']: unknown act 'lease'"),
+            ({"feasible_acts": {"kept": ["buy"]}}, "d.json.feasible_acts['kept']: unknown state 'kept'"),
+            ({"oc_states": {"buy,kep": ["keep"]}}, "d.json.oc_states['buy,kep']: unknown state 'kep'"),
+            ({"oc_acts": {"by,keep": ["buy"]}}, "d.json.oc_acts['by,keep']: unknown act 'by'"),
+            ({"oc_states": {"buy,keep": ["keep", "fird"]}}, "d.json.oc_states['buy,keep']: unknown state 'fird'"),
+            ({"oc_acts": {"*": ["buy", "lease"]}}, "d.json.oc_acts['*']: unknown act 'lease'"),
+            ({"oc_state": {"buy,keep": ["keep"]}}, "d.json: unknown field 'oc_state'"),
+        ],
+        ids=["utility-row", "utility-entry", "feasible-states-key", "feasible-acts-key", "oc-key-state",
+             "oc-key-act", "oc-label", "oc-wildcard-label", "field"],
+    )
+    def test_keys_and_labels_that_name_nothing_are_refused(self, change, message):
+        with pytest.raises(FormatError) as info:
+            parse_decision(json.dumps({**self.DOC, **change}), source="d.json")
+        assert str(info.value) == message
+
+    def test_known_infeasible_pair_is_allowed(self):
+        # (buy, fired) is infeasible, yet its utility and optimism list name known labels.
+        doc = dict(self.DOC, feasible_states={"buy": ["keep"], "rent": ["keep", "fired"]})
+        problem, oc = parse_decision(json.dumps(doc))
+        assert not problem.is_feasible(("buy", "fired"))
+        assert oc.dm_states[("buy", "fired")] == ("keep",)
 
     def test_cell_bound_before_any_utility_is_read(self):
         # Every utility is malformed, so reading any one would raise FormatError.
@@ -502,6 +569,22 @@ DEEP_JSON = {"arrays": "[" * 100_000 + "]" * 100_000, "objects": '{"a":' * 100_0
 def test_deeply_nested_json_is_a_format_error(parse, text):
     with pytest.raises(FormatError, match=r"^deep\.json: JSON nested too deeply$"):
         parse(text, source="deep.json")
+
+
+# Two equal keys in one JSON object, at the top and nested, in each format.
+REPEATED_KEYS = [
+    (parse_game, '{"players": ["a"], "players": ["b"], "strategies": [["x"]], "payoffs": [[[1]]]}', "players"),
+    (parse_tu_game, '{"n": 2, "worth": {"1": 0, "2": 0, "1,2": 1, "1,2": 7}}', "1,2"),
+    (parse_marriage, '{"A": ["a"], "B": ["b"], "prefs": {"a": ["b", "a"], "b": ["a", "b"], "a": ["a", "b"]}}', "a"),
+    (parse_decision, '{"acts": ["x"], "states": ["s"], "utility": {"x": {"s": 1, "s": 2}}}', "s"),
+]
+
+
+@pytest.mark.parametrize("parse, text, key", REPEATED_KEYS, ids=["game", "tu", "marriage", "decision"])
+def test_repeated_json_key_is_refused(parse, text, key):
+    with pytest.raises(FormatError) as info:
+        parse(text, source="f.json")
+    assert str(info.value) == f"f.json: repeated key {key!r}"
 
 
 _READABLE = st.integers(-(10**30), 10**30) | st.fractions() | _texts()

@@ -168,6 +168,12 @@ class TestFictitiousExtension:
         assert g.payoff((1, 0, 0))[2] == F(1)
         assert g.payoff((1, 1, 0))[2] == F(2)
 
+    def test_label_of_a_player_already_named_fictitious(self):
+        g = NormalFormGame(("fictitious", "fictitious'"), (("x",), ("y",)), [[(1, 2)]])
+        extended = fictitious_extension(g, 5)
+        assert extended.players == ("fictitious", "fictitious'", "fictitious''")
+        assert extended.payoff((0, 0, 0)) == (F(1), F(2), F(2))
+
     def test_figure1_constant_210(self):
         g = fictitious_extension(gen_named("figure1"), 210)
         assert g.payoff((0, 0, 0))[2] == F(10)
@@ -193,6 +199,31 @@ class TestValidation:
     def test_empty_strategy_list_rejected(self):
         with pytest.raises(ValueError):
             NormalFormGame(("a", "b"), (("x",), ()), [[]])
+
+
+# Every label fault, as both constructors refuse it: the field, and for a
+# repeat the label, which is compared after `str` (so 1 repeats "1").
+LABEL_FAULTS = [
+    ((), (), "players: expected at least one label"),
+    (("a", "b", "a"), (("x",), ("y",), ("z",)), "players: repeated label 'a'"),
+    ((1, "1"), (("x",), ("y",)), "players: repeated label '1'"),
+    (("a", "b"), (("x",),), "strategies: expected 2 strategy lists"),
+    (("a", "b"), (("x",), ("y",), ("z",)), "strategies: expected 2 strategy lists"),
+    (("a", "b"), (("x",), ()), "strategies[1]: expected at least one label"),
+    (("a", "b"), (("x",), ("y", "é", "y")), "strategies[1]: repeated label 'y'"),
+    (("a", "b"), (("x", "x"), ()), "strategies[0]: repeated label 'x'"),
+]
+
+
+@pytest.mark.parametrize("players, strategies, message", LABEL_FAULTS)
+def test_label_faults_are_named(players, strategies, message):
+    for build in (
+        lambda: NormalFormGame(players, strategies, [[(0, 0)]]),
+        lambda: NormalFormGame._from_scaled(players, strategies, [[0]] * len(players), [1] * len(players)),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 # Every refusal of `validate_mixed`, byte for byte, on figure1 (players "row"

@@ -197,6 +197,18 @@ class TestTravelers:
 
 
 class TestCentipede:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nodes": 0}, "node count must be a positive integer, got 0"),
+            ({"variant": "decreasing"}, "variant must be 'increasing' or 'constant', got 'decreasing'"),
+        ],
+    )
+    def test_parameters_refused(self, kwargs, message):
+        with pytest.raises(ParameterError) as info:
+            gen_centipede(**kwargs)
+        assert str(info.value) == message
+
     def test_one_node_game_shape(self):
         g = gen_centipede(1, "increasing")
         assert g.shape == (2, 1)

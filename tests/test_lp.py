@@ -17,6 +17,19 @@ def build(objective, maximize, constraints, bounds=None):
 
 
 class TestBasics:
+    @pytest.mark.parametrize(
+        "objective, bounds, message",
+        [
+            ([], None, "an LP needs at least one variable"),
+            ([1, 1], [(0, None)], "one bound pair per variable required"),
+            ([1], [(0, None), (0, None)], "one bound pair per variable required"),
+        ],
+    )
+    def test_shape_refused(self, objective, bounds, message):
+        with pytest.raises(ValueError) as info:
+            LinearProgram(objective, True, [], bounds)
+        assert str(info.value) == message
+
     def test_bounded_single_variable(self):
         sol = solve_lp(build([1], True, [([1], "<=", 3)]))
         assert sol.status == "optimal"

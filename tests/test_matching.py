@@ -428,6 +428,29 @@ class TestValidation:
                 ("a",), ("b",), {"a": ("b",), "b": ("a", "b")}
             )
 
+    @pytest.mark.parametrize(
+        "side_a, side_b, message",
+        [
+            (("a", "a"), ("b", "c"), "duplicate labels within a side"),
+            (("a", "b"), ("c", "c"), "duplicate labels within a side"),
+            (("a", "b"), ("b", "c"), "the two sides must be disjoint"),
+        ],
+    )
+    def test_side_labels_refused(self, side_a, side_b, message):
+        with pytest.raises(DomainError) as info:
+            MarriageProblem(side_a, side_b, {})
+        assert str(info.value) == message
+
+    def test_two_of_side_b_cannot_pair(self):
+        with pytest.raises(DomainError) as info:
+            Matching(aligned_2x2(), {"b1": "b2", "b2": "b1"})
+        assert str(info.value) == "'b1' must be matched within the other side or single"
+
+    def test_proposing_side_must_be_a_or_b(self):
+        with pytest.raises(DomainError) as info:
+            deferred_acceptance(aligned_2x2(), "C")
+        assert str(info.value) == "proposing side must be 'A' or 'B', got 'C'"
+
     def test_non_mutual_matching_rejected(self):
         problem = aligned_2x2()
         with pytest.raises(DomainError):
