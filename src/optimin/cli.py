@@ -21,7 +21,7 @@ from . import coop, decisions, fileio, generators, matching, noncoop, zerosum
 from .errors import SWEEP_MAX_POINTS, DomainError, OptiminError, ParameterError, ResourceLimitError
 from .games import NormalFormGame, is_constant_sum
 from .generators import COOP_TAGS, GAME_TAGS
-from .rational import format_table, json_number, to_fraction
+from .rational import format_table, json_number, json_ratio, table_ratio, to_fraction
 
 
 def main(argv=None) -> int:
@@ -296,14 +296,23 @@ def _cmd_coop_optimin(args, game) -> int:
     floors = None
     if args.floor is not None:
         floors = [to_fraction(args.floor)] * game.n
-    result = coop.optimin_coop(game, step, floors)
+    p, q = step.numerator, step.denominator
+    kept, scale = coop.optimin_coop_ints(game, p, q, floors)
     mode = f"grid-step {format_table(step)} (grid-approximate)"
-    lines = [f"mode: {mode}", f"optimin allocations: {len(result.entries)}"]
-    entries_json = []
-    for alloc, value in result.entries:
-        lines.append(f"  {_vector(alloc)}  value {_vector(value)}")
-        entries_json.append({"allocation": alloc, "value": value})
-    return _emit(args, lines, {"mode": mode, "optimin": entries_json})
+    # Each report is formatted from the kernel's ints: allocations over q,
+    # values over `scale`.
+    if args.format == "json":
+        entries_json = [
+            {"allocation": [json_ratio(k * p, q) for k in units], "value": [json_ratio(v, scale) for v in values]}
+            for units, values in kept
+        ]
+        return _emit(args, None, {"mode": mode, "optimin": entries_json})
+    lines = [f"mode: {mode}", f"optimin allocations: {len(kept)}"]
+    for units, values in kept:
+        alloc = ", ".join(table_ratio(k * p, q) for k in units)
+        value = ", ".join(table_ratio(v, scale) for v in values)
+        lines.append(f"  ({alloc})  value ({value})")
+    return _emit(args, lines, None)
 
 
 def _cmd_coop_value(args, game) -> int:

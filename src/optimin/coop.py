@@ -12,9 +12,11 @@ Worths are read straight to ints over one common denominator
 search and Shapley value run on ints.  An allocation is read once, by
 `_scaled`, which checks its length and brings it to the worths' denominator;
 the lattice search reads its step, floors and worths to ints and shares the
-free units with `games.simplex_grid`.  A `Fraction` is built only for an
-allocation or value that is returned.  A player count is checked before any
-2^n is built.
+free units with `games.simplex_grid`.  Each call builds one table of the
+proper coalitions (`_coalitions`) that every point's worst case reads.  A
+`Fraction` is built only for an allocation or value that is returned; the
+`coop optimin` report is formatted from `optimin_coop_ints`' ints and builds
+none.  A player count is checked before any 2^n is built.
 """
 
 from __future__ import annotations
@@ -165,26 +167,36 @@ def _coalition_sums(alloc: Sequence[int]) -> list[int]:
     return sums
 
 
-def _worst_case(worth: Sequence[int], alloc: Sequence[int], lcm: int) -> tuple[int, ...]:
+def _coalitions(n: int, lcm: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """One row per proper coalition S, in mask order, for `_worst_case`: S,
+    its complement R, ``lcm // |R|`` and R's members.  Built once per call
+    and read for every allocation."""
+    full = (1 << n) - 1
+    table = []
+    for mask in range(1, full):
+        rest = full ^ mask
+        members = tuple(i for i in range(n) if rest >> i & 1)
+        table.append((mask, rest, lcm // len(members), members))
+    return table
+
+
+def _worst_case(worth: Sequence[int], alloc: Sequence[int], lcm: int, coalitions) -> tuple[int, ...]:
     """`coop_value` in ints: the values times `lcm` = lcm(1..n).
 
-    `alloc` and `worth` are ints over one denominator.  A coalition S with
-    x(S) < u(S) leaves its complement R a shortfall x(R) - u(R), and each
-    member of R loses an equal share, which times `lcm` is the int
-    shortfall · (lcm / |R|).  A player's value is its allocation less the
-    largest such loss over the coalitions without it, or none if no loss is
-    positive.
+    `alloc` and `worth` are ints over one denominator, and `coalitions` is
+    `_coalitions(n, lcm)`.  A coalition S with x(S) < u(S) leaves its
+    complement R a shortfall x(R) - u(R), and each member of R loses an equal
+    share, which times `lcm` is the int shortfall · (lcm / |R|).  A player's
+    value is its allocation less the largest such loss over the coalitions
+    without it, or none if no loss is positive.
     """
     sums = _coalition_sums(alloc)
-    full = len(sums) - 1
-    n = len(alloc)
-    loss = [0] * n
-    for mask in range(1, full):
+    loss = [0] * len(alloc)
+    for mask, rest, share, members in coalitions:
         if sums[mask] < worth[mask]:
-            rest = full ^ mask
-            cut = (sums[rest] - worth[rest]) * (lcm // rest.bit_count())
-            for i in range(n):
-                if rest >> i & 1 and cut > loss[i]:
+            cut = (sums[rest] - worth[rest]) * share
+            for i in members:
+                if cut > loss[i]:
                     loss[i] = cut
     return tuple(xi * lcm - c for xi, c in zip(alloc, loss))
 
@@ -243,7 +255,8 @@ def coop_value(game: TUGame, x: Sequence) -> ValueVector:
     """Worst-case payoffs: deviators leave, the rest split the shortfall equally."""
     alloc, worth, d = _scaled_feasible(game, x)
     lcm = math.lcm(*range(1, game.n + 1))
-    return tuple(Fraction(v, lcm * d) for v in _worst_case(worth, alloc, lcm))
+    values = _worst_case(worth, alloc, lcm, _coalitions(game.n, lcm))
+    return tuple(Fraction(v, lcm * d) for v in values)
 
 
 def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[Allocation]:
@@ -305,31 +318,41 @@ class CoopOptimin:
 
 
 def optimin_coop(game: TUGame, step, floors: Sequence | None = None) -> CoopOptimin:
-    """Pareto-filter the worst-case values over the imputation lattice.
-
-    With step p/q, a lattice point's units u are the allocation u·p·den over
-    the denominator q·den, and the worths are num·q over it.  Every value
-    vector then shares the one positive scale lcm(1..n)·q·den, so the filter
-    compares ints and keeps the same entries it would keep as `Fraction`s.
-    """
+    """Pareto-filter the worst-case values over the imputation lattice:
+    `optimin_coop_ints` with each kept point and value as a `Fraction`."""
     p, q = literal_ratio(step)
-    points = _lattice(game, p, q, floors)
-    step = Fraction(p, q)
-    if not points:
-        return CoopOptimin(step, ())
-    unit = p * game._den
-    worth = [w * q for w in game._num]
-    lcm = math.lcm(*range(1, game.n + 1))
-    entries = [(u, _worst_case(worth, [k * unit for k in u], lcm)) for u in points]
-    kept = pareto_filter(entries, key=itemgetter(1))
-    scale = lcm * q * game._den
+    kept, scale = optimin_coop_ints(game, p, q, floors)
     return CoopOptimin(
-        step,
+        Fraction(p, q),
         tuple(
-            (tuple(Fraction(k * p, q) for k in u), tuple(Fraction(v, scale) for v in values))
-            for u, values in kept
+            (tuple(Fraction(k * p, q) for k in units), tuple(Fraction(v, scale) for v in values))
+            for units, values in kept
         ),
     )
+
+
+def optimin_coop_ints(
+    game: TUGame, p: int, q: int, floors: Sequence | None = None
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """`optimin_coop` in ints, for the step p/q (q > 0): the kept lattice
+    points in lattice order, each as its units u (the allocation u·p/q) and
+    its values as ints over the returned scale.
+
+    A point's units u are the allocation u·p·den over the denominator q·den,
+    and the worths are num·q over it.  Every value vector then shares the one
+    positive scale lcm(1..n)·q·den, so the filter compares ints and keeps the
+    same entries it would keep as `Fraction`s.
+    """
+    points = _lattice(game, p, q, floors)
+    lcm = math.lcm(*range(1, game.n + 1))
+    scale = lcm * q * game._den
+    if not points:
+        return [], scale
+    unit = p * game._den
+    worth = [w * q for w in game._num]
+    coalitions = _coalitions(game.n, lcm)
+    entries = [(u, _worst_case(worth, [k * unit for k in u], lcm, coalitions)) for u in points]
+    return pareto_filter(entries, key=itemgetter(1)), scale
 
 
 def matches_characterization(

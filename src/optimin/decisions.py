@@ -31,14 +31,40 @@ def check_size(num_acts: int, num_states: int, prefix: str = "") -> None:
         raise ResourceLimitError.past(what, DECISION_MAX_CELLS, "cell", "DECISION_MAX_CELLS")
 
 
-def _listed(lists, keys, labels, what: str) -> dict[str, set[str]]:
-    """Each key's listed labels, a nonempty subset of `labels`; all of them by default."""
+def _check_names(utility: Mapping, acts: set[str], states: set[str]) -> None:
+    """Refuse a utility row or entry that names no act or state, at its
+    argument path: ``utility['lease']: unknown act 'lease'``,
+    ``utility['rent']['typo']: unknown state 'typo'``, or
+    ``utility[('rent', 'typo')]: ...`` in a table keyed by (act, state)."""
+    for key, row in utility.items():
+        if isinstance(row, Mapping):
+            act, named = key, row
+        elif isinstance(key, tuple) and len(key) == 2:
+            act, named = key[0], key[1:]
+        else:
+            act, named = key, ()
+        if act not in acts:
+            raise DomainError(f"utility[{key!r}]: unknown act {act!r}")
+        for state in named:
+            if state not in states:
+                path = f"utility[{key!r}][{state!r}]" if named is row else f"utility[{key!r}]"
+                raise DomainError(f"{path}: unknown state {state!r}")
+
+
+def _listed(lists, keys, labels, field: str, kind: str) -> dict[str, set[str]]:
+    """The map `field` from each `kind` in `keys` to its listed labels, a
+    nonempty subset of `labels`; all of them by default.  A key that names
+    no `kind` is refused, as ``<field>['x']: unknown <kind> 'x'``."""
     universe = set(labels)
+    if lists is not None:
+        for key in lists:
+            if key not in keys:
+                raise DomainError(f"{field}[{key!r}]: unknown {kind} {key!r}")
     listed = {}
     for key in keys:
         allowed = listed[key] = universe if lists is None else {str(x) for x in lists.get(key, ())}
         if not allowed or not allowed <= universe:
-            raise DomainError(f"feasible {what} {key!r} must be a nonempty subset")
+            raise DomainError(f"{field.replace('_', ' ')} for {kind} {key!r} must be a nonempty subset")
     return listed
 
 
@@ -66,8 +92,9 @@ class DecisionProblem:
         if len(set(self.acts)) != len(self.acts) or len(set(self.states)) != len(self.states):
             raise DomainError("duplicate act or state labels")
 
-        acts_at = _listed(feasible_acts, self.states, self.acts, "acts for state")
-        states_at = _listed(feasible_states, self.acts, self.states, "states for act")
+        _check_names(utility, set(self.acts), set(self.states))
+        acts_at = _listed(feasible_acts, self.states, self.acts, "feasible_acts", "state")
+        states_at = _listed(feasible_states, self.acts, self.states, "feasible_states", "act")
         cells = {}
         for a in self.acts:
             row = cells[a] = {}
@@ -114,9 +141,19 @@ class DecisionProblem:
         return -self.dm_utility(act, state)
 
 
-def _possible(allowed: Sequence[str] | None, partners: Mapping[str, int], profile) -> tuple[str, ...]:
-    """The allowed labels among the feasible partners; all of them by default."""
-    possible = tuple(partners) if allowed is None else tuple(filter(partners.__contains__, allowed))
+def _possible(
+    allowed: Sequence[str] | None, partners: Mapping[str, int], profile, labels: Sequence[str], kind: str
+) -> tuple[str, ...]:
+    """The allowed labels among the feasible partners; all of them by
+    default.  An allowed label that is none of `labels`, the problem's
+    states or acts (`kind`), is refused."""
+    if allowed is None:
+        possible = tuple(partners)
+    else:
+        for label in allowed:
+            if label not in labels:
+                raise DomainError(f"optimism list at {profile}: unknown {kind} {label!r}")
+        possible = tuple(filter(partners.__contains__, allowed))
     if not possible:
         raise ConstraintError(f"optimism constraint empty at {profile}")
     return possible
@@ -151,10 +188,11 @@ class OptimismConstraint:
         return cls(dict.fromkeys(pairs, states), dict.fromkeys(pairs, acts))
 
     def states_for(self, problem: DecisionProblem, profile: ActProfile) -> tuple[str, ...]:
-        return _possible(self.dm_states.get(profile), problem._num[profile[0]], profile)
+        return _possible(self.dm_states.get(profile), problem._num[profile[0]], profile, problem.states, "state")
 
     def acts_for(self, problem: DecisionProblem, profile: ActProfile) -> tuple[str, ...]:
-        return _possible(self.nature_acts.get(profile), problem._nature_row(profile[1]), profile)
+        row = problem._nature_row(profile[1])
+        return _possible(self.nature_acts.get(profile), row, profile, problem.acts, "act")
 
 
 @dataclass(frozen=True)
@@ -163,9 +201,12 @@ class DecisionValue:
     nature: Fraction | None  # None when Nature has no utility
 
 
-def _minima(allowed_at: Mapping, rows: Mapping[str, Mapping[str, int]], profiles: list, side: int):
+def _minima(
+    allowed_at: Mapping, rows: Mapping[str, Mapping[str, int]], profiles: list, side: int, labels: Sequence[str]
+):
     """Per profile, the minimum of its own side's row over the possible partners:
-    the allowed labels (``allowed_at``, all by default) among the feasible ones.
+    the allowed labels (``allowed_at``, all by default, each one of `labels`)
+    among the feasible ones.
     Each set and its minimum are taken once per distinct (own label, allowed
     list), in profile order, so the first empty set raises at its own profile.
     Also returns the distinct possible sets."""
@@ -177,7 +218,7 @@ def _minima(allowed_at: Mapping, rows: Mapping[str, Mapping[str, int]], profiles
         hit = seen.get((label, allowed))
         if hit is None:
             row = rows[label]
-            possible = _possible(allowed, row, profile)
+            possible = _possible(allowed, row, profile, labels, "act" if side else "state")
             hit = seen[label, allowed] = possible, min(map(row.__getitem__, possible))
         lows.append(hit[1])
     return lows, [possible for possible, _ in seen.values()]
@@ -188,11 +229,11 @@ def _evaluate(problem: DecisionProblem, oc: OptimismConstraint, profiles: list):
     feasible agreements, and both sides' values at each agreement as ints over
     ``_den`` (Nature's None without a utility).  The decision maker's sets are
     all checked before Nature's."""
-    dm, possible = _minima(oc.dm_states, problem._num, profiles, 0)
+    dm, possible = _minima(oc.dm_states, problem._num, profiles, 0, problem.states)
     if not problem.antagonist:
         return possible, dm, None
     rows = {s: problem._nature_row(s) for s in dict.fromkeys(s for _, s in profiles)}
-    return possible, dm, _minima(oc.nature_acts, rows, profiles, 1)[0]
+    return possible, dm, _minima(oc.nature_acts, rows, profiles, 1, problem.acts)[0]
 
 
 def decision_value(

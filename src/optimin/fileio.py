@@ -72,6 +72,14 @@ def _check_known(labels: Iterable[str], known, what: str, path: str) -> None:
             raise _fail(path, f"unknown {what} {label!r}")
 
 
+def _refused(source: str, exc: OptiminError, fields: tuple[str, ...]) -> FormatError:
+    """A class's refusal of what the file `source` gave it.  A message that
+    starts at one of the file's `fields` (``prefs: ...``, ``utility['x']: ...``)
+    names its path, ``<source>.<field>``; any other follows ``<source>: ``."""
+    message = str(exc)
+    return FormatError(f"{source}.{message}" if message.startswith(fields) else f"{source}: {message}")
+
+
 def _rational_at(value, path: str) -> None:
     """Check that `value` reads as an exact rational, naming `path` if not."""
     try:
@@ -246,11 +254,9 @@ def parse_marriage(text: str, source: str = "problem") -> MarriageProblem:
     for person, ranking in prefs.items():
         _check_labels(ranking, f"{source}.prefs[{person!r}]")
     try:
-        problem = MarriageProblem(side_a, side_b, prefs)
+        return MarriageProblem(side_a, side_b, prefs)
     except OptiminError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
-    _check_known(prefs, problem.prefs, "individual", f"{source}.prefs")
-    return problem
+        raise _refused(source, exc, ("prefs:",)) from exc
 
 
 def dump_marriage(problem: MarriageProblem) -> str:
@@ -283,19 +289,16 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
     if not isinstance(utility, dict):
         raise _fail(f"{source}.utility", "expected an object of per-act state tables")
 
-    known = {"act": set(acts), "state": set(states)}
     for act, row in utility.items():
         path = f"{source}.utility[{act!r}]"
         if not isinstance(row, dict):
             raise _fail(path, "expected an object keyed by state")
-        _check_known((act,), known["act"], "act", path)
         for state, value in row.items():  # checked here for the path; DecisionProblem reads them
-            _check_known((state,), known["state"], "state", f"{path}[{state!r}]")
             _rational_at(value, f"{path}[{state!r}]")
     antagonist = doc.get("antagonist", False)
     if not isinstance(antagonist, bool):
         raise _fail(f"{source}.antagonist", "expected a boolean")
-    for field, keyed_by in (("feasible_acts", "state"), ("feasible_states", "act")):
+    for field in ("feasible_acts", "feasible_states"):
         table = doc.get(field)
         if table is None:
             continue
@@ -303,14 +306,14 @@ def parse_decision(text: str, source: str = "problem") -> tuple[DecisionProblem,
             raise _fail(f"{source}.{field}", "expected an object of label lists")
         for key, labels in table.items():
             _check_labels(labels, f"{source}.{field}[{key!r}]")
-            _check_known((key,), known[keyed_by], keyed_by, f"{source}.{field}[{key!r}]")
 
     try:
         problem = DecisionProblem(
             acts, states, utility, doc.get("feasible_acts"), doc.get("feasible_states"), antagonist
         )
     except OptiminError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+        raise _refused(source, exc, ("utility[", "feasible_acts[", "feasible_states[")) from exc
+    known = {"act": set(acts), "state": set(states)}
 
     def parse_oc(field: str, listed: str) -> dict:
         """The optimism lists of `field`, each a list of `listed` labels."""

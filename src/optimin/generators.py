@@ -244,20 +244,23 @@ class SweepResult:
 
 def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult:
     """Run the solution set and the equilibrium set across a parameter range;
-    `fixed` keywords the family's generator does not take are ignored."""
+    `fixed` holds the family generator's other keywords, and one it does not
+    take, or the swept one, is refused."""
     spec = FAMILIES.get(family)
     if spec is None or spec.swept is None:
         raise ParameterError(f"unknown sweep family {family!r}")
     if parameter != spec.swept:
         raise ParameterError(f"{family} sweeps over {spec.swept!r}, not {parameter!r}")
+    for name in fixed:
+        if name not in spec.parameters or name == parameter:
+            raise ParameterError(f"{name!r} is not a fixed parameter of the {family} sweep")
     integral = spec.parameters[parameter][1] is int  # centipede's nodes
-    params = {k: v for k, v in fixed.items() if k in spec.parameters and k != parameter}
     rows = []
     for raw in values:
         value = to_fraction(raw)
         if integral and value.denominator != 1:
             raise ParameterError("node counts must be integers")
-        game = spec.build(**params, **{parameter: value.numerator if integral else value})
+        game = spec.build(**fixed, **{parameter: value.numerator if integral else value})
         opt = tuple(game.profile_labels(e.profile) for e in optimin_pure(game))
         nash = tuple(game.profile_labels(p) for p in nash_pure(game))
         rows.append(SweepRow(value, opt, nash))

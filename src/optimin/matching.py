@@ -33,7 +33,9 @@ from .pareto import pareto_filter
 
 class MarriageProblem:
     """Two equal-size sides; every preference list is a strict ranking of the
-    other side plus self (entries after self are unacceptable)."""
+    other side plus self (entries after self are unacceptable).  A list for
+    someone on neither side is refused as ``prefs: unknown individual 'c'``,
+    after every side and ranking check."""
 
     __slots__ = ("side_a", "side_b", "prefs", "_rank")
 
@@ -64,6 +66,9 @@ class MarriageProblem:
                     f"{person!r} must rank the whole other side plus themselves once"
                 )
             self.prefs[person] = ranking
+        if len(prefs) > len(self.prefs):
+            stranger = next(person for person in prefs if person not in self.prefs)
+            raise DomainError(f"prefs: unknown individual {stranger!r}")
         self._rank = {
             person: {c: k for k, c in enumerate(ranking)}
             for person, ranking in self.prefs.items()

@@ -12,6 +12,7 @@ per-vector work.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import compress, count
 from operator import ge
 from typing import Callable, Iterable, Sequence
@@ -40,9 +41,12 @@ def pareto_positions(vectors: Iterable[tuple]) -> list[int]:
     over the distinct vectors in descending lexicographic order (Kung,
     Luccio & Preparata 1975) keeps a staircase of the survivors' second and
     third coordinates.  Up to three coordinates the staircase alone decides,
-    in O(n log n) plus list moves whatever the front's size; wider vectors
-    that the staircase covers are checked against the survivors, O(n·f) at
-    worst for a front of f vectors.
+    in O(n log n) plus list moves whatever the front's size.  A wider vector
+    that the staircase covers is checked against survivors: with int and
+    `Fraction` values only against those of strictly larger sum, so a front
+    on one plane of equal sum (an imputation lattice whose points are all
+    kept) costs no check at all; with any other type, such as float or
+    `Decimal`, against every survivor, O(n·f) at worst for a front of f.
     """
     first: dict[tuple, int] = {}
     ids = list(map(first.setdefault, vectors, count()))
@@ -62,14 +66,31 @@ def _front(distinct: set[tuple]) -> set:
     # staircase: seconds ascending, thirds descending but held negated so
     # that bisect reads both lists.  A missing coordinate reads as 0.  The
     # pairs with seconds >= v's start at i, and the first has the largest third.
+    #
+    # A wider vector the staircase covers is checked against the kept
+    # vectors.  One that dominates v has a strictly larger exact sum, so
+    # while every sum read is an int or a Fraction the kept vectors are held
+    # by sum, descending (`neg_sums` holds the sums negated), and v is
+    # checked only against those before `end`, the first of sum <= v's.  A
+    # float or Decimal sum can round a dominator's sum down to v's
+    # (1e16 + 1.0 == 1e16), so from the first such sum on, `end` is the end
+    # of `kept` and every kept vector is checked.
     seconds: list = []
     neg_thirds: list = []
     kept: list[tuple] = []
+    neg_sums: list = []
+    exact = True
     for v in sorted(distinct, reverse=True):
+        end = len(kept)
+        if len(v) > 3 and exact:
+            neg_sum = -sum(v)
+            exact = type(neg_sum) is int or type(neg_sum) is Fraction
+            if exact:
+                end = bisect_left(neg_sums, neg_sum)
         second, third = (v + (0, 0, 0))[1:3]
         i = bisect_left(seconds, second)
         if i < len(seconds) and neg_thirds[i] <= -third:
-            if len(v) < 4 or any(all(map(ge, w, v)) for w in reversed(kept)):
+            if len(v) < 4 or any(all(map(ge, w, v)) for w in kept[:end]):
                 continue
         else:
             # v's pair replaces the staircase pairs it covers, a run ending at j.
@@ -77,5 +98,7 @@ def _front(distinct: set[tuple]) -> set:
             j = bisect_right(seconds, second)
             seconds[k:j] = [second]
             neg_thirds[k:j] = [-third]
-        kept.append(v)
+        kept.insert(end, v)
+        if len(v) > 3 and exact:
+            neg_sums.insert(end, neg_sum)
     return set(kept)

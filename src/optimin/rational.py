@@ -5,12 +5,13 @@ lowest terms and a positive denominator.  Inside, the solvers run on ints
 over common denominators and build a `Fraction` only for a value they
 return.  `literal_ratio` reads a literal straight to a reduced ``(num, den)``
 pair, and `over_common_denominator`, the one reader into ints over a common
-denominator, reads values with it; `json_ratio` writes them back.  The other
-helpers cover coercion and the two text encodings used by the file formats
-and the CLI: exact strings like ``"265/6"`` and plain integers.  A string is
-refused before it is parsed when its digits or its decimal exponent pass
-`RATIONAL_MAX_DIGITS` or `RATIONAL_MAX_EXPONENT` (stated in `errors`), because
-``"1e1000000"`` alone would build a 3.3-million-bit integer.
+denominator, reads values with it; `json_ratio` and `table_ratio` write
+them back.  The other helpers cover coercion and the two text encodings used
+by the file formats and the CLI: exact strings like ``"265/6"`` and plain
+integers.  A string is refused before it is parsed when its digits or its
+decimal exponent pass `RATIONAL_MAX_DIGITS` or `RATIONAL_MAX_EXPONENT`
+(stated in `errors`), because ``"1e1000000"`` alone would build a
+3.3-million-bit integer.
 """
 
 from __future__ import annotations
@@ -101,9 +102,18 @@ def format_exact(value: Fraction) -> str:
 
 def format_table(value: Fraction) -> str:
     """Exact string plus a 3-place decimal hint for non-integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{format_exact(value)} (~{float(value):.3f})"
+    return table_ratio(value.numerator, value.denominator)
+
+
+def table_ratio(numerator: int, denominator: int) -> str:
+    """`format_table` of numerator/denominator (denominator > 0), with no
+    `Fraction` built.  The hint reads the int quotient, which CPython rounds
+    correctly, as ``float`` rounds a `Fraction`."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    num, den = numerator // g, denominator // g
+    return f"{num}/{den} (~{num / den:.3f})"
 
 
 def json_number(value: Fraction):

@@ -923,6 +923,61 @@ def test_fractions_per_benchmark_op(kind, count_fractions, tmp_path):
     assert built <= values + FRACTIONS_OVER_VALUES * len(instances), (built, values, len(instances))
 
 
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _random_tu_file(rng, n, path):
+    """A game of small singleton worths, u(N) in 4..8 and other worths that
+    often beat what the lattice points give, written to `path`."""
+    worth = {mask: F(rng.randint(-6, 12), rng.choice((1, 2, 3))) for mask in range(1, 1 << n)}
+    worth.update({1 << i: F(rng.randint(-2, 2), rng.choice((1, 2))) for i in range(n)})
+    worth[(1 << n) - 1] = F(rng.randint(4, 8))
+    path.write_text(dump_tu_game(TUGame(n, worth)))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_coop_optimin_report_builds_only_the_step(fmt, count_fractions, tmp_path):
+    # The report is formatted from `optimin_coop_ints`' ints, "(~x.xxx)"
+    # hints included; reading --step is the one `Fraction`.
+    path = _random_tu_file(random.Random("coop-report-fractions"), 4, tmp_path / "g.json")
+    argv = ["coop", "optimin", "--game", path, "--step", "1/2", "--format", fmt]
+    with count_fractions() as built, contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert "3/2" in out.getvalue()
+    assert len(built) <= 1
+
+
+def _table(x: F) -> str:
+    """A report's table form of `x`, from the `Fraction` itself."""
+    return str(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator} (~{float(x):.3f})"
+
+
+def test_coop_optimin_report_matches_the_fractions_it_stands_for(tmp_path):
+    # Both formats, byte for byte, against `optimin_coop`'s `Fraction`s
+    # written as every other report writes them.
+    def vector(values):
+        return "(" + ", ".join(map(_table, values)) + ")"
+
+    rng = random.Random("coop-report-bytes")
+    for k in range(12):
+        n = rng.choice((2, 3, 4))
+        path = _random_tu_file(rng, n, tmp_path / f"g{k}.json")
+        step, floor = rng.choice(("1", "1/2", "2/3", "3/2")), rng.choice((None, "-1", "1/3"))
+        argv = ["coop", "optimin", "--game", path, "--step", step] + (["--floor", floor] if floor else [])
+        result = optimin_coop(parse_tu_game(Path(path).read_text()), F(step), None if floor is None else [F(floor)] * n)
+        mode = f"grid-step {_table(F(step))} (grid-approximate)"
+        lines = [f"mode: {mode}", f"optimin allocations: {len(result.entries)}"]
+        lines += [f"  {vector(x)}  value {vector(v)}" for x, v in result.entries]
+        assert _run_cli(argv) == "\n".join(lines) + "\n"
+        doc = {"mode": mode, "optimin": [{"allocation": x, "value": v} for x, v in result.entries]}
+        assert _run_cli(argv + ["--format", "json"]) == json.dumps(doc, indent=2, default=json_number) + "\n"
+
+
 def _symmetric_game(n, worth_of_size):
     return TUGame(n, {mask: worth_of_size(mask.bit_count()) for mask in range(1, 1 << n)})
 

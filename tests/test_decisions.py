@@ -574,3 +574,50 @@ class TestUtilityAccessors:
         assert problem.dm_utility("buy", "fired") == F(-10)
         with pytest.raises(DomainError, match="Nature has no utility"):
             problem.nature_utility("buy", "fired")
+
+
+# -- names that match nothing are refused, not dropped ----------------------
+
+NESTED = {"buy": {"keep_job": 10, "fired": -10}, "rent": {"keep_job": 2, "fired": 1}}
+
+
+@pytest.mark.parametrize(
+    "utility, feasible_acts, feasible_states, message",
+    [
+        ({**NESTED, "lease": {"keep_job": 9}}, None, None, "utility['lease']: unknown act 'lease'"),
+        ({**NESTED, "rent": {"keep_job": 2, "fired": 1, "typo": 0}}, None, None,
+         "utility['rent']['typo']: unknown state 'typo'"),
+        ({("buy", "keep_job"): 1, ("buy", "fired"): 1, ("rent", "keep_job"): 1, ("rent", "fired"): 1,
+          ("lease", "fired"): 1}, None, None,
+         "utility[('lease', 'fired')]: unknown act 'lease'"),
+        ({("buy", "keep_job"): 1, ("buy", "fired"): 1, ("rent", "keep_job"): 1, ("rent", "fired"): 1,
+          ("rent", "laid_off"): 1}, None, None, "utility[('rent', 'laid_off')]: unknown state 'laid_off'"),
+        (NESTED, None, {"buy": ["keep_job"], "rent": ["fired"], "lease": ["fired"]},
+         "feasible_states['lease']: unknown act 'lease'"),
+        (NESTED, {"keep_job": ["buy"], "kept": ["buy"]}, None, "feasible_acts['kept']: unknown state 'kept'"),
+    ],
+    ids=["utility-row", "utility-entry", "flat-key-act", "flat-key-state", "feasible-states-key", "feasible-acts-key"],
+)
+def test_problem_names_that_match_nothing_are_refused(utility, feasible_acts, feasible_states, message):
+    with pytest.raises(DomainError) as info:
+        DecisionProblem(("buy", "rent"), ("keep_job", "fired"), utility, feasible_acts, feasible_states)
+    assert str(info.value) == message
+
+
+def test_optimism_labels_that_match_nothing_are_refused():
+    problem, act_dependent = mortgage()
+    typo = OptimismConstraint({**act_dependent.dm_states, ("buy", "fired"): ("keep_job", "fird")})
+    for solve in (optimin_acts, gilboa_reduction_check):
+        with pytest.raises(DomainError) as info:
+            solve(problem, typo)
+        assert str(info.value) == "optimism list at ('buy', 'fired'): unknown state 'fird'"
+    with pytest.raises(DomainError):
+        typo.states_for(problem, ("buy", "fired"))
+    assert typo.states_for(problem, ("buy", "keep_job")) == ("keep_job",)
+    antagonist = DecisionProblem(problem.acts, problem.states, NESTED, antagonist=True)
+    nature_typo = OptimismConstraint(act_dependent.dm_states, {("rent", "fired"): ("rent", "lease")})
+    with pytest.raises(DomainError) as info:
+        decision_value(antagonist, nature_typo, ("rent", "fired"))
+    assert str(info.value) == "optimism list at ('rent', 'fired'): unknown act 'lease'"
+    with pytest.raises(DomainError):
+        nature_typo.acts_for(antagonist, ("rent", "fired"))

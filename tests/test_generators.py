@@ -408,3 +408,11 @@ class TestSweep:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             sweep("nope", "x", [1])
+
+    @pytest.mark.parametrize("fixed", [{"nodes": 7}, {"r": 3}, {"high": 5, "nodes": 7}])
+    def test_a_keyword_the_family_does_not_fix_is_refused(self, fixed):
+        # centipede's nodes is no travelers parameter, and r is the swept one.
+        with pytest.raises(ParameterError) as info:
+            sweep("travelers", "r", [2], **fixed)
+        name = "r" if "r" in fixed else "nodes"
+        assert str(info.value) == f"{name!r} is not a fixed parameter of the travelers sweep"

@@ -455,3 +455,14 @@ class TestValidation:
         problem = aligned_2x2()
         with pytest.raises(DomainError):
             Matching(problem, {"a1": "b1", "b1": "a2", "a2": "b1"})
+
+
+def test_a_preference_list_of_no_individual_is_refused():
+    # Checked after the sides and rankings, whose messages come first.
+    prefs = {"a": ["b", "a"], "b": ["a", "b"], "c": ["a"]}
+    with pytest.raises(DomainError) as info:
+        MarriageProblem(["a"], ["b"], prefs)
+    assert str(info.value) == "prefs: unknown individual 'c'"
+    with pytest.raises(DomainError) as info:
+        MarriageProblem(["a"], ["b"], {**prefs, "b": ["a"]})
+    assert str(info.value) == "'b' must rank the whole other side plus themselves once"

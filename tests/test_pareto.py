@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import optimin
 from optimin import EmptyInputError, NormalFormGame, ResourceLimitError
+from optimin.errors import IMPUTATION_GRID_MAX_POINTS
 from optimin import coop, decisions, matching, noncoop, pareto, pareto_filter
 from optimin.pareto import pareto_positions
 from conftest import brute_pareto, brute_value_pure, zero_game
@@ -199,6 +202,75 @@ def test_three_player_lattice_at_the_bound_keeps_all_in_staircase_time():
     elapsed = time.perf_counter() - start
     assert kept == vecs
     assert elapsed < 0.5
+
+
+def test_four_player_lattice_at_the_bound_keeps_all_in_sum_skip_time():
+    # The int vectors `optimin_coop` filters on the largest 4-player
+    # imputation lattice within the bound, 4 960 points (u(N) = 29 and every
+    # other worth 0): every point is Pareto optimal, and all but the
+    # staircase's are covered by it.  They share one sum, so none is checked
+    # against a kept vector; checking each against all of them takes seconds.
+    free = max(f for f in range(100) if math.comb(f + 3, 3) <= IMPUTATION_GRID_MAX_POINTS)
+    vecs = [
+        (a, b, c, free - a - b - c)
+        for a in range(free + 1) for b in range(free + 1 - a) for c in range(free + 1 - a - b)
+    ]
+    assert len(vecs) == 4960
+    start = time.perf_counter()
+    kept = pareto_filter(vecs)
+    elapsed = time.perf_counter() - start
+    assert kept == vecs
+    assert elapsed < 0.5
+
+
+# -- the equal-sum skip: exact sums only -------------------------------------
+#
+# From 4 coordinates on, a vector the staircase covers is checked only
+# against kept vectors of larger sum, which is sound only when sums are
+# exact.  Each pair below is (dominated, dominator), and their sums are equal
+# once rounded: 1e16 + 1.0 == 1e16 in floats, and a Decimal sum keeps 28
+# digits.  Python 3.12 and later sum floats with compensation, so the second
+# pair ties on 3.10 and 3.11 only; the others tie on every version.
+
+INEXACT_TIES = [
+    ((1e16, 0.0, 0.0, 0.0), (1e16, 0.0, 0.0, 1.0)),
+    ((1e16, 0.0, 1.0, 0.0), (1e16, 1.0, 1.0, 0.0)),
+    ((1e16, 0.0, 0.0, 0.0, 0.0), (1e16, 0.0, 0.0, 0.0, 1.0)),
+    ((1e16, 0.0, 0.0, 0.0, 0.0), (1e16, 0.0, 0.0, 1.0, 1.0)),
+    ((10**16, 0, 0, 0), (1e16, 0.0, 0.0, 1.0)),
+    ((Decimal("1e30"), 0, 0, 0), (Decimal("1e30"), 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "low, high", INEXACT_TIES, ids=["w4", "w4-compensated", "w5", "w5-two", "w4-int-under-float", "decimal"]
+)
+def test_inexact_sums_that_round_to_a_tie(low, high):
+    assert pareto_filter([low, high]) == [high]
+    assert pareto_filter([high, low]) == [high]
+    assert pareto_positions(iter([low, high, low])) == [1]
+    assert pareto_positions(iter([high, low, high])) == [0, 2]
+
+
+DECIMALS = st.sampled_from([Decimal(-2), Decimal("-0.5"), Decimal(0), Decimal(1), Decimal("1e30"), Decimal("1e30") + 2])
+INT_OR_FLOAT = st.sampled_from([-1, 0, 0.0, 0.5, 1, 1.0, 2, 1e16, 10**16 + 1, 1e16 + 2])
+
+
+@st.composite
+def inexact_vector_lists(draw):
+    """Up to 80 vectors of width 4-6 over Decimals or a mix of ints and
+    floats, from a pool of at most 12, so that rounded sums tie often."""
+    width = draw(st.integers(min_value=4, max_value=6))
+    coordinates = draw(st.sampled_from([DECIMALS, INT_OR_FLOAT]))
+    pool = draw(st.lists(st.tuples(*[coordinates] * width), min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inexact_vector_lists())
+def test_decimal_and_mixed_vectors_match_the_definition(vecs):
+    assert_matches_definition(vecs)
+    assert pareto_positions(v for v in vecs) == pareto_positions(vecs)
 
 
 # -- the one-pass contract ------------------------------------------------
