@@ -161,7 +161,8 @@ def _possible(
 
 class OptimismConstraint:
     """Per-profile subsets: states the decision maker deems possible, and
-    (symmetrically) acts Nature deems possible."""
+    (symmetrically) acts Nature deems possible.  Keys are (act, state)
+    pairs; the solvers refuse a key that names no act or state."""
 
     __slots__ = ("dm_states", "nature_acts")
 
@@ -227,8 +228,19 @@ def _minima(
 def _evaluate(problem: DecisionProblem, oc: OptimismConstraint, profiles: list):
     """The distinct sets of states the decision maker deems possible over the
     feasible agreements, and both sides' values at each agreement as ints over
-    ``_den`` (Nature's None without a utility).  The decision maker's sets are
-    all checked before Nature's."""
+    ``_den`` (Nature's None without a utility).  First every key of both maps
+    must name an act and a state, act first, or it is refused as
+    ``dm_states[('buy', 'fird')]: unknown state 'fird'``; then the decision
+    maker's sets are all checked before Nature's."""
+    states = set(problem.states)
+    for field, lists in (("dm_states", oc.dm_states), ("nature_acts", oc.nature_acts)):
+        for key in lists:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise DomainError(f"{field}[{key!r}]: expected an (act, state) pair")
+            if key[0] not in problem._num:
+                raise DomainError(f"{field}[{key!r}]: unknown act {key[0]!r}")
+            if key[1] not in states:
+                raise DomainError(f"{field}[{key!r}]: unknown state {key[1]!r}")
     dm, possible = _minima(oc.dm_states, problem._num, profiles, 0, problem.states)
     if not problem.antagonist:
         return possible, dm, None

@@ -124,10 +124,11 @@ CORE_MAX_PLAYERS = 9
 # per side the all-single matching has 13 326 such groups, listed in 0.17 s.
 DEVIATION_MAX_SIZE = 6
 # `optimin_matchings` scores every matching and Pareto-filters the worst
-# cases; 5 per side has 1 546 matchings, about 0.01 s.
+# cases; 5 per side has 1 546 matchings, about 0.005 s.
 OPTIMIN_MAX_SIZE = 5
 # `all_matchings` builds every matching: 7 per side has 130 922 of them, about
-# 1.3 s and 144 MB; 8 has 1 441 729 and 9 has 17 572 114, which exhausts memory.
+# 1.1-1.6 s and a 90 MB peak RSS; 8 has 1 441 729 and 9 has 17 572 114, which
+# exhausts memory.
 MATCHINGS_MAX_SIZE = 7
 
 # -- generators (`generators`) ----------------------------------------------

@@ -16,19 +16,23 @@ those moves; stability, worst-case values and group deviations all read it.
 which works on person indices rather than labels.  It restates `_moves` with
 int bitmasks, one bit per cross-side pair: each person's held rank selects
 the pairs they would join, and blocking pairs are where both sides' masks
-meet.  A test checks its worst cases against `matching_value` on every
-matching.  `Matching` objects are built only for the matchings returned.
+meet.  It yields two parallel lists in enumeration order, one int `order`
+per matching, which encodes the partners and sorts like `Matching.key()`,
+and one worst-case vector.  `optimin_matchings` hands the vectors straight
+to `pareto_positions`, then sorts and decodes only the survivors' orders;
+`all_matchings` sorts and decodes every order.  A test checks the worst
+cases against `matching_value` on every matching.  `Matching` objects are
+built only for the matchings returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DEVIATION_MAX_SIZE, MATCHINGS_MAX_SIZE, OPTIMIN_MAX_SIZE
 from .errors import DomainError, ResourceLimitError
-from .pareto import pareto_filter
+from .pareto import pareto_positions
 
 
 class MarriageProblem:
@@ -273,11 +277,15 @@ def matching_value(problem: MarriageProblem, matching: Matching) -> MatchOutcome
     ))
 
 
-def _candidates(problem: MarriageProblem) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Every matching as `(order, partners, values)`, sorted by `order`.
+def _candidates(problem: MarriageProblem) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Every matching's `order` and worst-case `values`, as two parallel lists
+    in enumeration order.
 
-    People are indices in `everyone()` order, side A first; `partners[p]` is
-    p's partner (p when single) and `order` sorts like `Matching.key()`.
+    People are indices in `everyone()` order, side A first.  `order` holds
+    each person's partner (themselves when single) as one base-2^w digit,
+    w the bit length of 2n - 1: the partner's position in label order, most
+    significant digit for the first label, so orders sort like
+    `Matching.key()` and `_decoded` reads them back with shifts and masks.
     `values[p]` is minus the rank of p's `matching_value` outcome.
 
     This is `_moves` in bitmask form.  Bit a*n + b is the pair of the a-th
@@ -285,9 +293,13 @@ def _candidates(problem: MarriageProblem) -> list[tuple[int, tuple[int, ...], tu
     partner selects the mask of pairs they would join; `x` sums side A's
     masks, `y` side B's, so `x & y` is the set of blocking pairs.  A partner
     who would rather be single always moves, so only the outcomes of mutually
-    acceptable pairs wait for the blocking set.
+    acceptable pairs wait for the blocking set.  Side A is matched in order
+    and the last member's options each complete a matching in the loop, so
+    the recursion stops one level above the leaves.
     """
     n, people = problem.size, problem.everyone()
+    if n == 0:
+        return [0], [()]  # the empty matching
     rank = [[problem._rank[p].get(q) for q in people] for p in people]  # None within a side
     own = [-rank[p][p] for p in range(2 * n)]
     other = (range(n, 2 * n), range(n))  # indexed by p >= n
@@ -298,60 +310,62 @@ def _candidates(problem: MarriageProblem) -> list[tuple[int, tuple[int, ...], tu
         [sum(bit for q, bit in bits[p].items() if rank[p][q] < r) for r in range(n + 1)]
         for p in range(2 * n)
     ]
-    # `order` is a base-2n number: partners' label positions, people in label order.
-    position = {p: k for k, p in enumerate(sorted(people))}
-    pos = [position[p] for p in people]
-    digit = [(2 * n) ** (2 * n - 1 - k) for k in pos]
-    join = [[None] * n for _ in range(n)]
+    pos = list(map(sorted(people).index, people))  # label order
+    width = (2 * n - 1).bit_length()
+    digit = [1 << width * (2 * n - 1 - k) for k in pos]
+    # join[a]: a's options, each (the pairs side A and side B would join
+    # besides, the change of `order`, a's and the partner's values, the
+    # outcomes to settle once the blocking set is known, the partner, the
+    # partner's bit in `free`).  The first is staying single.
+    join = [[(0, 0, 0, own[a], own[a], (), a, 0)] for a in range(n)]
     for a in range(n):
         for q in range(n, 2 * n):
             takes_a, takes_b = rank[a][q] < rank[a][a], rank[q][a] < rank[q][q]
-            join[a][q - n] = (
+            join[a].append((
                 joins[a][rank[a][q]] - joins[a][rank[a][a]],
                 joins[q][rank[q][a]] - joins[q][rank[q][q]],
                 (pos[q] - pos[a]) * digit[a] + (pos[a] - pos[q]) * digit[q],
                 own[a] if takes_a and not takes_b else -rank[a][q],
                 own[q] if takes_b and not takes_a else -rank[q][a],
-                (every_pair[a], every_pair[q], a, q) if takes_a and takes_b else None,
-            )
-    partners, values, waiting, out = list(range(2 * n)), own.copy(), [], []
+                ((every_pair[a], every_pair[q], a, q),) if takes_a and takes_b else (),
+                q, 1 << q - n,
+            ))
+    values, orders, out = own.copy(), [], []
 
-    def extend(a: int, x: int, y: int, order: int, free: int) -> None:
-        if a == n:
-            blocking = x & y
-            final = values.copy()
-            for pairs_a, pairs_b, p, q in waiting:
-                if blocking & pairs_a:
-                    final[q] = own[q]
-                if blocking & pairs_b:
-                    final[p] = own[p]
-            out.append((order, tuple(partners), tuple(final)))
-            return
-        extend(a + 1, x, y, order, free)  # a stays single
-        for b in range(n):
-            if free >> b & 1:
-                q = n + b
-                dx, dy, do, value_a, value_b, check = join[a][b]
-                partners[a], partners[q], values[a], values[q] = q, a, value_a, value_b
-                if check:
-                    waiting.append(check)
-                extend(a + 1, x + dx, y + dy, order + do, free & ~(1 << b))
-                if check:
-                    waiting.pop()
-                partners[a], partners[q], values[a], values[q] = a, q, own[a], own[q]
+    def extend(a: int, x: int, y: int, order: int, free: int, waiting: tuple) -> None:
+        for dx, dy, do, value_a, value_b, check, q, taken in join[a]:
+            if free & taken != taken:  # the partner is taken
+                continue
+            if a < n - 1:
+                values[a], values[q] = value_a, value_b
+                extend(a + 1, x + dx, y + dy, order + do, free ^ taken, waiting + check)
+                values[a], values[q] = own[a], own[q]
+            else:  # side A's last member: a complete matching
+                blocking, final = (x + dx) & (y + dy), values.copy()
+                final[a], final[q] = value_a, value_b
+                for pairs_a, pairs_b, p, r in waiting + check:
+                    if blocking & pairs_a:
+                        final[r] = own[r]
+                    if blocking & pairs_b:
+                        final[p] = own[p]
+                orders.append(order + do)
+                out.append(tuple(final))
 
     x, y = (sum(joins[p][rank[p][p]] for p in side) for side in (range(n), range(n, 2 * n)))
-    extend(0, x, y, sum(pos[p] * digit[p] for p in range(2 * n)), (1 << n) - 1)
+    extend(0, x, y, sum(pos[p] * digit[p] for p in range(2 * n)), (1 << n) - 1, ())
     # `extend` refers to itself; without this its closure would keep `out`
     # alive until the next cyclic garbage collection.
     del extend
-    out.sort()
-    return out
+    return orders, out
 
 
-def _as_matching(problem: MarriageProblem, partners: tuple[int, ...]) -> Matching:
-    people = problem.everyone()
-    return Matching(problem, {people[p]: people[q] for p, q in enumerate(partners)})
+def _decoded(problem: MarriageProblem, orders: Iterable[int]) -> list[Matching]:
+    """The `Matching` of each `order` from `_candidates`."""
+    labels = sorted(problem.everyone())
+    width = (2 * problem.size - 1).bit_length()
+    shifts, mask = range(width * (len(labels) - 1), -1, -width), (1 << width) - 1
+    pairs = ({label: labels[order >> shift & mask] for label, shift in zip(labels, shifts)} for order in orders)
+    return [Matching(problem, full) for full in pairs]
 
 
 def all_matchings(problem: MarriageProblem) -> list[Matching]:
@@ -359,7 +373,7 @@ def all_matchings(problem: MarriageProblem) -> list[Matching]:
     if problem.size > MATCHINGS_MAX_SIZE:
         what = f"matching list of {problem.size} per side"
         raise ResourceLimitError.past(what, MATCHINGS_MAX_SIZE, "per-side", "MATCHINGS_MAX_SIZE")
-    return [_as_matching(problem, partners) for _, partners, _ in _candidates(problem)]
+    return _decoded(problem, sorted(_candidates(problem)[0]))
 
 
 def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
@@ -373,5 +387,5 @@ def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
     if problem.size > OPTIMIN_MAX_SIZE:
         what = f"matching enumeration of {problem.size} per side"
         raise ResourceLimitError.past(what, OPTIMIN_MAX_SIZE, "per-side", "OPTIMIN_MAX_SIZE")
-    kept = pareto_filter(_candidates(problem), key=itemgetter(2))
-    return [_as_matching(problem, partners) for _, partners, _ in kept]
+    orders, values = _candidates(problem)
+    return _decoded(problem, sorted(map(orders.__getitem__, pareto_positions(values))))

@@ -621,3 +621,17 @@ def test_optimism_labels_that_match_nothing_are_refused():
     assert str(info.value) == "optimism list at ('rent', 'fired'): unknown act 'lease'"
     with pytest.raises(DomainError):
         nature_typo.acts_for(antagonist, ("rent", "fired"))
+    # A key that names no act or state is refused too, act first, though no
+    # solver would read its list.
+    key_typo = OptimismConstraint({**act_dependent.dm_states, ("buy", "fird"): ("keep_job",)})
+    for solve in (optimin_acts, gilboa_reduction_check):
+        with pytest.raises(DomainError) as info:
+            solve(problem, key_typo)
+        assert str(info.value) == "dm_states[('buy', 'fird')]: unknown state 'fird'"
+    nature_key_typo = OptimismConstraint(act_dependent.dm_states, {("lease", "fird"): ("rent",)})
+    with pytest.raises(DomainError) as info:
+        decision_value(antagonist, nature_key_typo, ("rent", "fired"))
+    assert str(info.value) == "nature_acts[('lease', 'fird')]: unknown act 'lease'"
+    with pytest.raises(DomainError) as info:
+        optimin_acts(problem, OptimismConstraint({"buy": ("keep_job",)}))
+    assert str(info.value) == "dm_states['buy']: expected an (act, state) pair"

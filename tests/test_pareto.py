@@ -63,9 +63,16 @@ class TestParetoFilter:
         assert pareto_filter(items, key=lambda it: it[1]) == items[1:]
 
     def test_one_kernel_behind_every_name(self):
-        # The solvers import the filter by name; all must bind the one function.
-        for module in (optimin, noncoop, coop, decisions, matching):
-            assert module.pareto_filter is pareto.pareto_filter
+        # The solvers import the filter or its kernel by name; each name they
+        # bind must be the one function.  Matching streams into the kernel.
+        assert optimin.pareto_filter is pareto.pareto_filter
+        for module in (noncoop, coop, decisions, matching):
+            names = [name for name in ("pareto_filter", "pareto_positions") if hasattr(module, name)]
+            assert names, module.__name__
+            for name in names:
+                assert getattr(module, name) is getattr(pareto, name), (module.__name__, name)
+        assert not hasattr(matching, "pareto_filter")
+        assert matching.pareto_positions is pareto.pareto_positions
 
     def test_float_sums_that_round_to_a_tie(self):
         # 1e16 + 1.0 rounds to 1e16, so both sums are equal; the dominator
