@@ -16,7 +16,7 @@ those moves; stability, worst-case values and group deviations all read it.
 which works on person indices rather than labels.  It restates `_moves` with
 int bitmasks, one bit per cross-side pair: each person's held rank selects
 the pairs they would join, and blocking pairs are where both sides' masks
-meet.  It yields two parallel lists in enumeration order, one int `order`
+meet.  It returns two parallel lists in enumeration order, one int `order`
 per matching, which encodes the partners and sorts like `Matching.key()`,
 and one worst-case vector.  `optimin_matchings` hands the vectors straight
 to `pareto_positions`, then sorts and decodes only the survivors' orders;
@@ -286,7 +286,8 @@ def _candidates(problem: MarriageProblem) -> tuple[list[int], list[tuple[int, ..
     w the bit length of 2n - 1: the partner's position in label order, most
     significant digit for the first label, so orders sort like
     `Matching.key()` and `_decoded` reads them back with shifts and masks.
-    `values[p]` is minus the rank of p's `matching_value` outcome.
+    Entry p of a value vector is minus the rank of p's `matching_value`
+    outcome.
 
     This is `_moves` in bitmask form.  Bit a*n + b is the pair of the a-th
     member of side A and the b-th of side B.  Each person's rank of their
