@@ -88,8 +88,9 @@ GRID_WEIGHT_LIMIT = 1_000_000
 # The n-player (n >= 3) pure value table refuses games whose worst-case count
 # of deviation profiles, cells · sum_i cells / m_i, passes this: each cell
 # scans, per player, the product of the opponents' option sets.  With random
-# payoffs `optimin_pure` takes about 0.4 s on 8^4 (8.4e6 profiles) and 1.9 s
-# on 11^4 (7.8e7); a 6^6 game (2.2e9) would run for many minutes.
+# payoffs `optimin_pure` takes about 0.25-0.4 s on 8^4 (8.4e6 profiles) and
+# 1.7-2.6 s on 11^4 (7.8e7), with a 7.8 MB tracemalloc peak, most of it the
+# per-line table of the kernel; a 6^6 game (2.2e9) would run for many minutes.
 VALUE_TABLE_MAX_PROFILES = 100_000_000
 
 # -- TU cooperative games (`coop`) ------------------------------------------
@@ -127,8 +128,9 @@ DEVIATION_MAX_SIZE = 6
 # cases; 5 per side has 1 546 matchings, about 0.005 s.
 OPTIMIN_MAX_SIZE = 5
 # `all_matchings` builds every matching: 7 per side has 130 922 of them, about
-# 1.1-1.6 s and a 90 MB peak RSS; 8 has 1 441 729 and 9 has 17 572 114, which
-# exhausts memory.
+# 1.3-1.6 s (of which the `Matching` constructor's checks take about 1 s) and
+# a 90 MB peak RSS; 8 has 1 441 729 and 9 has 17 572 114, which exhausts
+# memory.
 MATCHINGS_MAX_SIZE = 7
 
 # -- generators (`generators`) ----------------------------------------------

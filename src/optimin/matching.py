@@ -361,12 +361,21 @@ def _candidates(problem: MarriageProblem) -> tuple[list[int], list[tuple[int, ..
 
 
 def _decoded(problem: MarriageProblem, orders: Iterable[int]) -> list[Matching]:
-    """The `Matching` of each `order` from `_candidates`."""
+    """The `Matching` of each `order` from `_candidates`: only side A's
+    digits are read, each into a copy of the all-single map, and each pair
+    is written both ways."""
     labels = sorted(problem.everyone())
     width = (2 * problem.size - 1).bit_length()
-    shifts, mask = range(width * (len(labels) - 1), -1, -width), (1 << width) - 1
-    pairs = ({label: labels[order >> shift & mask] for label, shift in zip(labels, shifts)} for order in orders)
-    return [Matching(problem, full) for full in pairs]
+    digits = [(a, width * (len(labels) - 1 - labels.index(a))) for a in problem.side_a]
+    single, mask = {p: p for p in problem.everyone()}, (1 << width) - 1
+    out = []
+    for order in orders:
+        pairs = single.copy()
+        for a, shift in digits:
+            b = labels[order >> shift & mask]
+            pairs[a], pairs[b] = b, a
+        out.append(Matching(problem, pairs))
+    return out
 
 
 def all_matchings(problem: MarriageProblem) -> list[Matching]:

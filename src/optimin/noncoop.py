@@ -14,13 +14,19 @@ the filter as a one-shot stream (`_scaled_values`), so no table of per-cell
 tuples is held; with two players the stream is a `zip`, which reuses its
 result tuple for every vector the filter has seen before.
 
-The two-player table and `nash_pure` read each payoff line's order from one
+Both value tables and `nash_pure` read each payoff line's order from one
 memo on the game (`NormalFormGame._line_order`), so a line is sorted at most
-once per game.  The table takes each deviation minimum as a suffix minimum in
-the opponent's order of the line (`_line_minima`); `nash_pure` keeps the top
-of each of the first player's lines when it ties the top of every other
-player's line through it.  A `generators.sweep` point, which asks for both,
-thus sorts each line once, and its Nash pass costs O(lines).
+once per game.  The two-player table takes each deviation minimum as a suffix
+minimum in the opponent's order of the line (`_line_minima`).  The n-player
+table (`_values_nd`) walks each player's lines once: a cell's strictly better
+replies are the run of its line before its tie group, and each player's
+deviation cells are built from those runs by shifts.  `_steps` and
+`_deviation_cells`, which re-slice every line through a cell, serve only the
+witnesses of `value_pure` (for the survivors alone in `optimin_pure`) and
+`is_maximin_equilibrium`.  `nash_pure` keeps the top of each of the first
+player's lines when it ties the top of every other player's line through it.
+A `generators.sweep` point, which asks for a table and Nash cells, thus
+sorts each line once, and its Nash pass costs O(lines).
 
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
@@ -169,10 +175,12 @@ def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
 def _scaled_values(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
     """`value_table`'s vectors over `_num` in row-major cell order, each
     player's values times their `_den`; no profile is built.  The vectors
-    come as a one-shot stream, so no table of them is held.  With 3 or more
-    players each cell scans, per player, the product of the opponents'
-    option sets, so the worst-case count of those profiles is checked first,
-    when this is called."""
+    come as a one-shot stream, so no table of them is held.  Both kernels,
+    `_values_2p` and `_values_nd`, read each line's order from the game's
+    `_line_order` memo.  With 3 or more players each cell scans, per player,
+    the product of the opponents' option sets, so the worst-case count of
+    those profiles is checked first, when this is called, before any line is
+    sorted."""
     if game.num_players == 2:
         return _values_2p(game)
     cells = len(game._num[0])
@@ -182,10 +190,40 @@ def _scaled_values(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
         raise ResourceLimitError.past(
             what, VALUE_TABLE_MAX_PROFILES, "profile", "VALUE_TABLE_MAX_PROFILES"
         )
-    return (
-        tuple([min(map(u.__getitem__, dev)) for u, dev in zip(game._num, _deviation_cells(game, i, prof))])
-        for i, prof in enumerate(game.profiles())
-    )
+    return _values_nd(game)
+
+
+def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
+    # Player j's strictly better replies at cell c are the run of c's line, in
+    # j's `_line_order`, before c's tie group, which starts at position k.
+    # Player i's deviation cells are the first such opponent's run plus c,
+    # times each later one's shifts from c, plus 0; no payoff line is re-read
+    # and no profile is decoded.  Only the per-line table `at` lives as long
+    # as the stream; each cell's deviation cells are dropped with its vector.
+    num, size = game._num, len(game._num[0])
+    at = []  # per player, per cell: (the cells of its line in that order, k)
+    for j, (u, stride, m) in enumerate(zip(num, game._strides, game.shape)):
+        at.append(rows := [None] * size)
+        for start in (s for s in range(size) if not s // stride % m):
+            line = [start + s * stride for s in game._line_order(j, start)]
+            first = {}  # ties are adjacent, so a payoff's first position starts its group
+            for pos, c in enumerate(line):
+                rows[c] = line, first.setdefault(u[c], pos)
+    for c, lines in enumerate(zip(*at)):
+        vec = []
+        for i, u in enumerate(num):
+            cells = None
+            for j, (line, k) in enumerate(lines):
+                if k and j != i:
+                    if cells is None:
+                        cells = line[:k]
+                        cells.append(c)
+                    else:
+                        shifts = [y - c for y in line[:k]]
+                        shifts.append(0)
+                        cells = [x + d for x in cells for d in shifts]
+            vec.append(u[c] if cells is None else min(map(u.__getitem__, cells)))
+        yield tuple(vec)
 
 
 def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:

@@ -165,6 +165,17 @@ def test_values_and_witnesses_on_seeded_four_and_five_player_games():
         check_witnesses(game)
 
 
+@pytest.mark.parametrize("seed, shape", [(801, (8, 8, 8)), (1001, (10, 10, 10)), (401, (4, 1, 5, 4))])
+def test_value_table_on_tied_games_at_larger_sizes(seed, shape):
+    # Payoffs from {0, 1, 2}, so most lines hold ties and the better replies
+    # of a cell stop at the start of its tie group in the line's order.
+    rng = random.Random(seed)
+    cells = {prof: [rng.randint(0, 2) for _ in shape] for prof in product(*map(range, shape))}
+    players = [f"p{i}" for i in range(len(shape))]
+    strategies = [[f"s{k}" for k in range(m)] for m in shape]
+    check_value_table(NormalFormGame(players, strategies, nest(cells, shape)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_optimin_pure_matches_brute_pareto(game):

@@ -558,3 +558,34 @@ class TestValueTableBound:
         # Two players keep the sorted line kernel, which no count bounds.
         monkeypatch.setattr(noncoop, "VALUE_TABLE_MAX_PROFILES", 0)
         assert len(value_table(zero_game((3, 3)))) == 9
+
+
+class TestValueTableWork:
+    """Work counts of the n-player table, which hold on any host."""
+
+    def test_each_line_is_sorted_once_and_only_survivors_are_rescanned(self, monkeypatch):
+        steps = noncoop._steps
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return steps(*args)
+
+        monkeypatch.setattr(noncoop, "_steps", counted)
+        rng = random.Random(3202)
+        shape = (5, 4, 6)
+        cells = math.prod(shape)
+        payoffs = [[rng.randint(-3, 3) for _ in range(cells)] for _ in shape]
+        strategies = [[f"s{k}" for k in range(m)] for m in shape]
+        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], strategies, payoffs, [1] * 3)
+        kept = optimin_pure(g)
+        assert [len(orders) for orders in g._orders] == [cells // m for m in shape]
+        # The witnesses rescan each survivor's lines once, and nothing else does.
+        assert sorted(calls) == sorted(g.validate_profile(e.profile) for e in kept)
+
+    def test_a_refused_table_sorts_no_line(self):
+        g = zero_game((6,) * 6)
+        for solve in (value_table, optimin_pure, noncoop._scaled_values):
+            with pytest.raises(ResourceLimitError):
+                solve(g)
+            assert not any(g._orders)
