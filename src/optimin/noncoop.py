@@ -198,8 +198,9 @@ def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
     # j's `_line_order`, before c's tie group, which starts at position k.
     # Player i's deviation cells are the first such opponent's run plus c,
     # times each later one's shifts from c, plus 0; no payoff line is re-read
-    # and no profile is decoded.  Only the per-line table `at` lives as long
-    # as the stream; each cell's deviation cells are dropped with its vector.
+    # and no profile is decoded.  Each cell's runs and shifts serve all its
+    # players and are dropped with its vector; only the per-line table `at`
+    # lives as long as the stream.
     num, size = game._num, len(game._num[0])
     at = []  # per player, per cell: (the cells of its line in that order, k)
     for j, (u, stride, m) in enumerate(zip(num, game._strides, game.shape)):
@@ -210,18 +211,20 @@ def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
             for pos, c in enumerate(line):
                 rows[c] = line, first.setdefault(u[c], pos)
     for c, lines in enumerate(zip(*at)):
+        runs = []  # per player j with k > 0: (j, the run plus c, its shifts from c plus 0)
+        for j, (line, k) in enumerate(lines):
+            if k:
+                run = line[:k]
+                shifts = [y - c for y in run]
+                shifts.append(0)
+                run.append(c)
+                runs.append((j, run, shifts))
         vec = []
         for i, u in enumerate(num):
             cells = None
-            for j, (line, k) in enumerate(lines):
-                if k and j != i:
-                    if cells is None:
-                        cells = line[:k]
-                        cells.append(c)
-                    else:
-                        shifts = [y - c for y in line[:k]]
-                        shifts.append(0)
-                        cells = [x + d for x in cells for d in shifts]
+            for j, run, shifts in runs:
+                if j != i:
+                    cells = run if cells is None else [x + d for x in cells for d in shifts]
             vec.append(u[c] if cells is None else min(map(u.__getitem__, cells)))
         yield tuple(vec)
 
