@@ -221,11 +221,24 @@ def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
                 runs.append((j, run, shifts))
         vec = []
         for i, u in enumerate(num):
-            cells = None
+            # The last shifts are read with the payoffs, so the full product
+            # of cells is never built.
+            cells = last = None
             for j, run, shifts in runs:
-                if j != i:
-                    cells = run if cells is None else [x + d for x in cells for d in shifts]
-            vec.append(u[c] if cells is None else min(map(u.__getitem__, cells)))
+                if j == i:
+                    continue
+                if cells is None:
+                    cells = run
+                elif last is None:
+                    last = shifts
+                else:
+                    cells, last = [x + d for x in cells for d in last], shifts
+            if last is not None:
+                vec.append(min([u[x + d] for x in cells for d in last]))
+            elif cells is not None:
+                vec.append(min(map(u.__getitem__, cells)))
+            else:
+                vec.append(u[c])
         yield tuple(vec)
 
 

@@ -165,7 +165,9 @@ def test_values_and_witnesses_on_seeded_four_and_five_player_games():
         check_witnesses(game)
 
 
-@pytest.mark.parametrize("seed, shape", [(801, (8, 8, 8)), (1001, (10, 10, 10)), (401, (4, 1, 5, 4))])
+@pytest.mark.parametrize(
+    "seed, shape", [(801, (8, 8, 8)), (1001, (10, 10, 10)), (401, (4, 1, 5, 4)), (402, (4, 3, 4, 3))]
+)
 def test_value_table_on_tied_games_at_larger_sizes(seed, shape):
     # Payoffs from {0, 1, 2}, so most lines hold ties and the better replies
     # of a cell stop at the start of its tie group in the line's order.
