@@ -88,8 +88,8 @@ GRID_WEIGHT_LIMIT = 1_000_000
 # The n-player (n >= 3) pure value table refuses games whose worst-case count
 # of deviation profiles, cells · sum_i cells / m_i, passes this: each cell
 # scans, per player, the product of the opponents' option sets.  With random
-# payoffs `optimin_pure` takes about 0.25-0.4 s on 8^4 (8.4e6 profiles) and
-# 1.7-2.6 s on 11^4 (7.8e7), with a 7.8 MB tracemalloc peak, most of it the
+# payoffs `optimin_pure` takes about 0.13-0.21 s on 8^4 (8.4e6 profiles) and
+# 0.9-1.3 s on 11^4 (7.8e7), with a 7.8 MB tracemalloc peak, most of it the
 # per-line table of the kernel; a 6^6 game (2.2e9) would run for many minutes.
 VALUE_TABLE_MAX_PROFILES = 100_000_000
 
