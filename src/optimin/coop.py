@@ -11,12 +11,14 @@ Worths are read straight to ints over one common denominator
 ``"a/b"`` literal), and the worst-case values, deviation tests, lattice
 search and Shapley value run on ints.  An allocation is read once, by
 `_scaled`, which checks its length and brings it to the worths' denominator;
-the lattice search reads its step, floors and worths to ints and shares the
-free units with `games.simplex_grid`.  Each call builds one table of the
-proper coalitions (`_coalitions`) that every point's worst case reads.  A
-`Fraction` is built only for an allocation or value that is returned; the
-`coop optimin` report is formatted from `optimin_coop_ints`' ints and builds
-none.  A player count is checked before any 2^n is built.
+the lattice search reads its step, floors and worths to ints and builds the
+lattice as one column of units per player.  One kernel, `_worst_cases`,
+evaluates a whole lattice, or one allocation, column by column: it walks
+the proper coalitions depth first, one column of coalition sums each, and
+builds no per-point table.  A `Fraction` is built only for an allocation or
+value that is returned; the `coop optimin` report is formatted from
+`optimin_coop_ints`' ints and builds none.  A player count is checked
+before any 2^n is built.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter
+from itertools import combinations_with_replacement, repeat
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import CORE_MAX_PLAYERS, IMPUTATION_GRID_MAX_POINTS, NUCLEOLUS_MAX_PLAYERS, SHAPLEY_MAX_PLAYERS
 from .errors import DomainError, ResourceLimitError
-from .games import ValueVector, simplex_grid
+from .games import ValueVector
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
-from .pareto import pareto_filter
+from .pareto import pareto_positions
 from .rational import json_ratio, literal_ratio, over_common_denominator
 
 ZERO = Fraction(0)
@@ -133,14 +136,7 @@ class TUGame:
 
 
 def coalition_sum(x: Sequence[Fraction], mask: int) -> Fraction:
-    total = ZERO
-    i = 0
-    while mask:
-        if mask & 1:
-            total += x[i]
-        mask >>= 1
-        i += 1
-    return total
+    return sum((v for i, v in enumerate(x) if mask >> i & 1), ZERO)
 
 
 def _scaled(game: TUGame, x: Sequence) -> tuple[list[int], Sequence[int], int]:
@@ -167,38 +163,64 @@ def _coalition_sums(alloc: Sequence[int]) -> list[int]:
     return sums
 
 
-def _coalitions(n: int, lcm: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """One row per proper coalition S, in mask order, for `_worst_case`: S,
-    its complement R, ``lcm // |R|`` and R's members.  Built once per call
-    and read for every allocation."""
-    full = (1 << n) - 1
-    table = []
-    for mask in range(1, full):
-        rest = full ^ mask
-        members = tuple(i for i in range(n) if rest >> i & 1)
-        table.append((mask, rest, lcm // len(members), members))
-    return table
+# `_worst_cases` folds a player's pending loss columns into one once this
+# many wait, so the columns alive at once stay O(n), not O(2^n).
+_PENDING = 32
 
 
-def _worst_case(worth: Sequence[int], alloc: Sequence[int], lcm: int, coalitions) -> tuple[int, ...]:
-    """`coop_value` in ints: the values times `lcm` = lcm(1..n).
+def _worst_cases(worth: Sequence[int], columns: Sequence[list[int]], total: int, lcm: int) -> list[list[int]]:
+    """`coop_value` in ints for many allocations at once: per player, the
+    column of their values times `lcm` = lcm(1..n).
 
-    `alloc` and `worth` are ints over one denominator, and `coalitions` is
-    `_coalitions(n, lcm)`.  A coalition S with x(S) < u(S) leaves its
-    complement R a shortfall x(R) - u(R), and each member of R loses an equal
-    share, which times `lcm` is the int shortfall · (lcm / |R|).  A player's
-    value is its allocation less the largest such loss over the coalitions
-    without it, or none if no loss is positive.
+    `columns` holds one column per player, and every allocation, a row
+    across them, is ints over the worths' denominator summing to `total`.
+    A coalition S with x(S) < u(S) leaves its complement R the shortfall
+    x(R) - u(R) = total - x(S) - u(R), and each member of R loses an equal
+    share, which times `lcm` is the int shortfall · (lcm / |R|).  A
+    player's value is their allocation less the largest such loss over the
+    coalitions without them, or none if no loss is positive.  The loss is
+    positive exactly when x(S) < min(u(S), total - u(R)) and depends on
+    x(S) alone, so S is skipped when no allocation is below that cap, and
+    otherwise each x(S) reads its loss from a dict over the distinct ones.
+
+    Only the coalitions without the last player are walked, depth first,
+    each one's sum column its parent's plus one player's column, so at most
+    n sum columns are alive; each such S also stands for its complement,
+    whose sums are total - x(S).  A player's loss columns are folded with
+    one `map(max, ...)` once `_PENDING` wait, and the least entry of the
+    fold is a loss they bear at every allocation: a later column whose
+    largest entry is no more is not kept for them.
     """
-    sums = _coalition_sums(alloc)
-    loss = [0] * len(alloc)
-    for mask, rest, share, members in coalitions:
-        if sums[mask] < worth[mask]:
-            cut = (sums[rest] - worth[rest]) * share
-            for i in members:
-                if cut > loss[i]:
-                    loss[i] = cut
-    return tuple(xi * lcm - c for xi, c in zip(alloc, loss))
+    n, full, zeros = len(columns), (1 << len(columns)) - 1, [0] * len(columns[0])
+    pending, floor = [[zeros] for _ in range(n)], [0] * n
+
+    def walk(mask: int, sums: Sequence[int], start: int) -> None:
+        for k in range(start, n - 1):
+            grown = mask | 1 << k
+            column = list(map(add, sums, columns[k])) if mask else columns[k]
+            distinct = set(column)
+            ends = min(distinct), max(distinct)
+            # x(coalition) = off + sign · x(grown), least at one end.
+            for coalition, off, sign in ((grown, 0, 1), (full ^ grown, total, -1)):
+                rest = full ^ coalition
+                base, share = total - worth[rest], lcm // rest.bit_count()
+                cap, low = min(worth[coalition], base), min(off + sign * s for s in ends)
+                top = (base - low) * share if low < cap else 0
+                members = [i for i in range(n) if rest >> i & 1 and top > floor[i]]
+                if members:
+                    table = {s: (base - off - sign * s) * share if off + sign * s < cap else 0 for s in distinct}
+                    loss = list(map(table.__getitem__, column))
+                    for i in members:
+                        losses = pending[i]
+                        losses.append(loss)
+                        if len(losses) == _PENDING:
+                            losses[:] = [list(map(max, *losses))]
+                            floor[i] = min(losses[0])
+            walk(grown, column, k + 1)
+
+    walk(0, (), 0)
+    folded = (map(max, *losses) if losses[1:] else losses[0] for losses in pending)
+    return [list(map(sub, map(mul, column, repeat(lcm)), loss)) for column, loss in zip(columns, folded)]
 
 
 def _scaled_feasible(game: TUGame, x: Sequence) -> tuple[list[int], Sequence[int], int]:
@@ -217,9 +239,7 @@ def is_feasible(game: TUGame, x: Sequence[Fraction]) -> bool:
 
 def is_imputation(game: TUGame, x: Sequence[Fraction]) -> bool:
     alloc, worth, _ = _scaled(game, x)
-    if sum(alloc) != worth[game.grand_coalition]:
-        return False
-    return all(alloc[i] >= worth[1 << i] for i in range(game.n))
+    return sum(alloc) == worth[game.grand_coalition] and all(alloc[i] >= worth[1 << i] for i in range(game.n))
 
 
 @dataclass(frozen=True)
@@ -244,10 +264,8 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
     alloc, worth, d = _scaled_feasible(game, x)
     if type(excluding) is not int or not 0 <= excluding < game.n:  # a bool is no player
         raise DomainError(f"no player {excluding} in a {game.n}-player game")
-    sums = _coalition_sums(alloc)
-    full = game.grand_coalition
-    bit = 1 << excluding
-    found = tuple(m for m in range(1, full) if not m & bit and sums[m] < worth[m])
+    sums, bit = _coalition_sums(alloc), 1 << excluding
+    found = tuple(m for m in range(1, game.grand_coalition) if not m & bit and sums[m] < worth[m])
     return DeviationSet(excluding, tuple(Fraction(v, d) for v in alloc), found)
 
 
@@ -255,8 +273,8 @@ def coop_value(game: TUGame, x: Sequence) -> ValueVector:
     """Worst-case payoffs: deviators leave, the rest split the shortfall equally."""
     alloc, worth, d = _scaled_feasible(game, x)
     lcm = math.lcm(*range(1, game.n + 1))
-    values = _worst_case(worth, alloc, lcm, _coalitions(game.n, lcm))
-    return tuple(Fraction(v, lcm * d) for v in values)
+    values = _worst_cases(worth, [[v] for v in alloc], sum(alloc), lcm)
+    return tuple(Fraction(v, lcm * d) for (v,) in values)
 
 
 def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[Allocation]:
@@ -266,12 +284,13 @@ def imputation_grid(game: TUGame, step, floors: Sequence | None = None) -> list[
     lower floors widens the search domain below individual rationality.
     """
     p, q = literal_ratio(step)
-    return [tuple(Fraction(u * p, q) for u in point) for point in _lattice(game, p, q, floors)]
+    return [tuple(Fraction(u * p, q) for u in point) for point in zip(*_lattice(game, p, q, floors))]
 
 
-def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[tuple[int, ...]]:
-    """`imputation_grid`'s points as int multiples of the step p/q (q > 0), in
-    the same order; the floors are read to ints over one denominator."""
+def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequence[int]]:
+    """`imputation_grid`'s points as int multiples of the step p/q (q > 0),
+    one column per player, in the same order; the floors are read to ints
+    over one denominator."""
     if p <= 0:
         raise DomainError(f"grid step must be positive, got {json_ratio(p, q)}")
     num, den, n = game._num, game._den, game.n
@@ -282,26 +301,27 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[tupl
         if len(lows) != n:
             raise DomainError(f"need one floor per player, got {len(lows)}")
     if sum(lows) * den > num[game.grand_coalition] * low_den:
-        raise DomainError(
-            "imputation set is empty: individual worths exceed the grand coalition"
-        )
+        raise DomainError("imputation set is empty: individual worths exceed the grand coalition")
     # u(N) / step = u(N)·q / (den·p) units, which must be a whole number.
     total_units, rest = divmod(num[game.grand_coalition] * q, den * p)
-    if rest:
-        return []
     # Minimal multiples of the step at or above each floor: ceil(low·q / (low_den·p)).
     min_units = [-(-low * q // (low_den * p)) for low in lows]
     # The lattice holds every way to share the free units among n players.
     free = total_units - sum(min_units)
-    if free < 0:
-        return []
+    if rest or free < 0:
+        return [()] * n
     count = math.comb(free + n - 1, n - 1)
     if count > IMPUTATION_GRID_MAX_POINTS:
         what, hint = f"imputation grid of {count} points", "raise --step"
         raise ResourceLimitError.past(
             what, IMPUTATION_GRID_MAX_POINTS, "point", "IMPUTATION_GRID_MAX_POINTS", hint
         )
-    return [tuple(map(add, min_units, share)) for share in simplex_grid(n, free)]
+    # Each point is a nondecreasing run of n - 1 partial sums of the free
+    # units, in lexicographic order; a player's share is the difference
+    # between consecutive sums, bounded by 0 and `free`.
+    sums = [[0] * count, *zip(*combinations_with_replacement(range(free + 1), n - 1)), [free] * count]
+    shares = (map(sub, high, low) for low, high in zip(sums, sums[1:]))
+    return [list(map(add, share, repeat(low, count))) for share, low in zip(shares, min_units)]
 
 
 @dataclass(frozen=True)
@@ -343,16 +363,17 @@ def optimin_coop_ints(
     positive scale lcm(1..n)·q·den, so the filter compares ints and keeps the
     same entries it would keep as `Fraction`s.
     """
-    points = _lattice(game, p, q, floors)
+    columns = _lattice(game, p, q, floors)
     lcm = math.lcm(*range(1, game.n + 1))
     scale = lcm * q * game._den
-    if not points:
+    if not columns[0]:
         return [], scale
-    unit = p * game._den
     worth = [w * q for w in game._num]
-    coalitions = _coalitions(game.n, lcm)
-    entries = [(u, _worst_case(worth, [k * unit for k in u], lcm, coalitions)) for u in points]
-    return pareto_filter(entries, key=itemgetter(1)), scale
+    allocs = [list(map(mul, column, repeat(p * game._den))) for column in columns]
+    values = _worst_cases(worth, allocs, worth[game.grand_coalition], lcm)
+    kept = pareto_positions(zip(*values))
+    units, vectors = ([list(map(c.__getitem__, kept)) for c in cols] for cols in (columns, values))
+    return list(zip(zip(*units), zip(*vectors))), scale
 
 
 def matches_characterization(

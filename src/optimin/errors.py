@@ -102,15 +102,15 @@ VALUE_TABLE_MAX_PROFILES = 100_000_000
 SHAPLEY_MAX_PLAYERS = 12
 # `imputation_grid` refuses lattices of more points than this, counted
 # before any is built; a coarser --step shrinks the lattice.  `optimin_coop`
-# Pareto-filters the lattice.  With 3 players the filter's staircase decides
-# alone: at 4 950 points it takes about 0.08 s when all are kept (every worth
-# 0 but u(N)) and 0.06 s for a convex game (pairs 32).  With 4 or more
-# players a vector the staircase covers is checked only against kept points
-# of larger value sum: on seeded 4-player games of 4 960 points (u(N) less
-# the singletons' worths = 29, step 1) it takes 0.08-0.14 s when all are kept
-# (every other coalition additive) and 0.05-0.10 s for convex games (pairwise
-# synergies), against 2.7-4.1 s and 0.2-0.5 s when each was checked against
-# every kept point.
+# evaluates the lattice column by column and Pareto-filters it.  With 3
+# players the filter's staircase decides alone: on seeded games of 4 950
+# points (u(N) less the singletons' worths = 98, step 1) it takes about
+# 0.015-0.03 s when all are kept (every other coalition additive) and
+# 0.012-0.027 s for convex games (pair synergies).  With 4 or more players a
+# vector the staircase covers is checked only against kept points of larger
+# value sum: on seeded 4-player games of 4 960 points (29 free units) it
+# takes 0.03-0.055 s all kept and 0.04-0.06 s convex, against 2.7-4.1 s and
+# 0.2-0.5 s when each was checked against every kept point.
 IMPUTATION_GRID_MAX_POINTS = 5_000
 # Each `nucleolus` round solves a dual with n + 1 rows; an 8-player
 # nucleolus takes a fraction of a second.
@@ -127,10 +127,10 @@ DEVIATION_MAX_SIZE = 6
 # `optimin_matchings` scores every matching and Pareto-filters the worst
 # cases; 5 per side has 1 546 matchings, about 0.005 s.
 OPTIMIN_MAX_SIZE = 5
-# `all_matchings` builds every matching: 7 per side has 130 922 of them, about
-# 1.3-1.6 s (of which the `Matching` constructor's checks take about 1 s) and
-# a 90 MB peak RSS; 8 has 1 441 729 and 9 has 17 572 114, which exhausts
-# memory.
+# `all_matchings` builds every matching, without the `Matching` constructor's
+# checks: 7 per side has 130 922 of them, about 0.45-0.7 s and a 90 MB peak
+# RSS on seeded random preferences; 8 has 1 441 729 and 9 has 17 572 114,
+# which exhausts memory.
 MATCHINGS_MAX_SIZE = 7
 
 # -- generators (`generators`) ----------------------------------------------

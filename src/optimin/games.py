@@ -13,7 +13,7 @@ never depend on floating tolerances.
 Each check hands back what it read, so no caller reads a profile twice:
 `validate_profile` returns the cell's row-major index, and `validate_mixed`
 each distribution as int weights over their sum.  `simplex_grid`, every way
-to share k units, enumerates both the mixed grid and the TU lattice.
+to share k units, enumerates the mixed grid's points.
 """
 
 from __future__ import annotations

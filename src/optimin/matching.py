@@ -22,7 +22,8 @@ and one worst-case vector.  `optimin_matchings` hands the vectors straight
 to `pareto_positions`, then sorts and decodes only the survivors' orders;
 `all_matchings` sorts and decodes every order.  A test checks the worst
 cases against `matching_value` on every matching.  `Matching` objects are
-built only for the matchings returned.
+built only for the matchings returned, and without the constructor's
+checks, which a matching the enumerator built always passes.
 """
 
 from __future__ import annotations
@@ -119,6 +120,15 @@ class Matching:
             if partner != person and full[partner] != person:
                 raise DomainError(f"matching is not mutual at {person!r}")
         self.pairs = full
+
+    @classmethod
+    def _trusted(cls, problem: MarriageProblem, pairs: dict[str, str]) -> Matching:
+        """A matching from a partner map already known valid: everyone in
+        `everyone()` order, mutual pairs across the sides.  It is kept
+        as given and not checked again."""
+        matching = cls.__new__(cls)
+        matching.problem, matching.pairs = problem, pairs
+        return matching
 
     def partner(self, person: str) -> str:
         return self.pairs[person]
@@ -363,7 +373,8 @@ def _candidates(problem: MarriageProblem) -> tuple[list[int], list[tuple[int, ..
 def _decoded(problem: MarriageProblem, orders: Iterable[int]) -> list[Matching]:
     """The `Matching` of each `order` from `_candidates`: only side A's
     digits are read, each into a copy of the all-single map, and each pair
-    is written both ways."""
+    is written both ways.  `_candidates` builds only valid matchings, so
+    each map is taken as it stands (`Matching._trusted`)."""
     labels = sorted(problem.everyone())
     width = (2 * problem.size - 1).bit_length()
     digits = [(a, width * (len(labels) - 1 - labels.index(a))) for a in problem.side_a]
@@ -374,7 +385,7 @@ def _decoded(problem: MarriageProblem, orders: Iterable[int]) -> list[Matching]:
         for a, shift in digits:
             b = labels[order >> shift & mask]
             pairs[a], pairs[b] = b, a
-        out.append(Matching(problem, pairs))
+        out.append(Matching._trusted(problem, pairs))
     return out
 
 

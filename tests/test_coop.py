@@ -834,6 +834,81 @@ class TestIntegerKernel:
         assert optimin_coop(off, F(1, 2)).entries == ()
 
 
+def profitable_game(rng, n, free, step=F(1)):
+    """Every worth a multiple of `step`: singletons at -3 to 3 steps, u(N)
+    `free` steps above their sum, and every other coalition its singletons
+    plus 0 to `free` steps, so most coalitions profit somewhere on the
+    lattice and many at once."""
+    full = (1 << n) - 1
+    singles = [rng.randint(-3, 3) for _ in range(n)]
+    worth = {}
+    for mask in range(1, full + 1):
+        base = sum(singles[i] for i in range(n) if mask >> i & 1)
+        extra = free if mask == full else rng.randint(0, free) if mask & (mask - 1) else 0
+        worth[mask] = (base + extra) * step
+    return TUGame(n, worth)
+
+
+# About twice the measured tracemalloc peak of that call (2.65 MB); a column
+# of sums or losses per proper coalition would take over 40 MB.
+PEAK_AT_TWELVE = 5_500_000
+
+
+class TestColumnKernel:
+    """`_worst_cases` reads the lattice column by column and walks only the
+    coalitions without the last player; these games charge most of them."""
+
+    def test_many_profitable_coalitions_match_the_quadratic_scan(self):
+        rng = random.Random(3301)
+        for n, free, step in [(6, 3, F(1)), (6, 2, F(1, 2)), (7, 2, F(1)), (7, 3, F(2, 3)), (8, 2, F(1))]:
+            game = profitable_game(rng, n, free, step)
+            points = imputation_grid(game, step)
+            profitable = {
+                m for m in game.proper_coalitions() for x in points if coalition_sum(x, m) < game.worth(m)
+            }
+            assert len(profitable) > len(game.proper_coalitions()) // 2
+            values = [_direct_value(game, x) for x in points]
+            expected = [
+                (x, v)
+                for x, v in zip(points, values)
+                if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in values)
+            ]
+            kept, scale = coop.optimin_coop_ints(game, step.numerator, step.denominator)
+            got = [(tuple(k * step for k in units), tuple(F(v, scale) for v in vals)) for units, vals in kept]
+            assert got == expected
+            assert any(v != x for x, v in expected)  # some kept point is charged
+
+    def test_value_below_the_grand_coalition_matches_the_definition(self):
+        # x(R) = x(N) - x(S) holds for any allocation, so an inefficient one
+        # is read with its own total.
+        rng = random.Random(3302)
+        charged = 0
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            game = profitable_game(rng, n, 3, F(rng.choice((1, 2)), rng.choice((1, 3))))
+            total = game.worth(game.grand_coalition)
+            x = [F(rng.randint(-4, 8), rng.choice((1, 2, 3))) for _ in range(n)]
+            x[-1] += total - F(rng.randint(1, 12), rng.choice((1, 2, 6))) - sum(x)
+            assert sum(x) < total
+            value = coop_value(game, tuple(x))
+            assert value == _direct_value(game, x)
+            charged += value != tuple(x)
+        assert charged > 50
+
+    def test_the_peak_at_twelve_players_holds_no_table_of_all_coalitions(self):
+        # 1 365 points; a column per proper coalition would hold 4 094 of them.
+        game = profitable_game(random.Random(3303), 12, 4)
+        tracemalloc.start()
+        try:
+            kept, _ = coop.optimin_coop_ints(game, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list(zip(*coop._lattice(game, 1, 1, None)))) == 1365
+        assert 0 < len(kept) < 1365
+        assert peak < PEAK_AT_TWELVE, peak
+
+
 class TestPlayerCount:
     def test_boolean_player_count_refused(self):
         with pytest.raises(ValueError, match="player count must be an int, got True$"):

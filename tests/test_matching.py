@@ -417,6 +417,24 @@ class TestCandidateKernel:
             assert optimin_matchings(problem) == brute_optimin(problem)
 
 
+class TestDecodedMatchings:
+    def test_decoded_matchings_equal_checked_ones(self):
+        # `_decoded` skips the constructor's checks; each matching it builds
+        # must be the one the checked constructor builds from the same map,
+        # down to the order of `pairs`.
+        rng = random.Random(3304)
+        for _ in range(6):
+            problem = mixed_label_problem(rng, 4)
+            matchings = all_matchings(problem)
+            assert len(matchings) == 209
+            for m in matchings:
+                checked = Matching(problem, m.pairs)
+                assert m == checked and hash(m) == hash(checked) and repr(m) == repr(checked)
+                assert list(m.pairs.items()) == list(checked.pairs.items())
+            kept = optimin_matchings(problem)
+            assert kept == [Matching(problem, m.pairs) for m in kept]
+
+
 class TestValidation:
     def test_unequal_sides_rejected(self):
         with pytest.raises(DomainError):
