@@ -14,9 +14,10 @@ search and Shapley value run on ints.  An allocation is read once, by
 the lattice search reads its step, floors and worths to ints and builds the
 lattice as one column of units per player.  One kernel, `_worst_cases`,
 evaluates a whole lattice, or one allocation, column by column: it walks
-the proper coalitions depth first, one column of coalition sums each, and
-builds no per-point table.  A `Fraction` is built only for an allocation or
-value that is returned; the `coop optimin` report is formatted from
+the coalitions without the last player depth first, one column of
+coalition sums each, lets each stand for its complement too, and builds no
+per-point table.  A `Fraction` is built only for an allocation or value
+that is returned; the `coop optimin` report is formatted from
 `optimin_coop_ints`' ints and builds none.  A player count is checked
 before any 2^n is built.
 """
@@ -165,7 +166,7 @@ def _coalition_sums(alloc: Sequence[int]) -> list[int]:
 
 # `_worst_cases` folds a player's pending loss columns into one once this
 # many wait, so the columns alive at once stay O(n), not O(2^n).
-_PENDING = 32
+_PENDING = 16
 
 
 def _worst_cases(worth: Sequence[int], columns: Sequence[list[int]], total: int, lcm: int) -> list[list[int]]:
@@ -191,6 +192,7 @@ def _worst_cases(worth: Sequence[int], columns: Sequence[list[int]], total: int,
     fold is a loss they bear at every allocation: a later column whose
     largest entry is no more is not kept for them.
     """
+    # Every player starts with a column of zero losses.
     n, full, zeros = len(columns), (1 << len(columns)) - 1, [0] * len(columns[0])
     pending, floor = [[zeros] for _ in range(n)], [0] * n
 
@@ -318,7 +320,8 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequ
         )
     # Each point is a nondecreasing run of n - 1 partial sums of the free
     # units, in lexicographic order; a player's share is the difference
-    # between consecutive sums, bounded by 0 and `free`.
+    # between consecutive sums, with 0 before the first and `free` after
+    # the last.
     sums = [[0] * count, *zip(*combinations_with_replacement(range(free + 1), n - 1)), [free] * count]
     shares = (map(sub, high, low) for low, high in zip(sums, sums[1:]))
     return [list(map(add, share, repeat(low, count))) for share, low in zip(shares, min_units)]
@@ -361,7 +364,9 @@ def optimin_coop_ints(
     A point's units u are the allocation u·p·den over the denominator q·den,
     and the worths are num·q over it.  Every value vector then shares the one
     positive scale lcm(1..n)·q·den, so the filter compares ints and keeps the
-    same entries it would keep as `Fraction`s.
+    same entries it would keep as `Fraction`s.  The value columns stream
+    into `pareto_positions` a point at a time, and a (units, values) entry
+    is built for the survivors only.
     """
     columns = _lattice(game, p, q, floors)
     lcm = math.lcm(*range(1, game.n + 1))

@@ -849,9 +849,9 @@ def profitable_game(rng, n, free, step=F(1)):
     return TUGame(n, worth)
 
 
-# About twice the measured tracemalloc peak of that call (2.65 MB); a column
+# About twice the measured tracemalloc peak of that call (1.7 MB); a column
 # of sums or losses per proper coalition would take over 40 MB.
-PEAK_AT_TWELVE = 5_500_000
+PEAK_AT_TWELVE = 3_500_000
 
 
 class TestColumnKernel:
