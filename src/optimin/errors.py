@@ -110,7 +110,11 @@ SHAPLEY_MAX_PLAYERS = 12
 # vector the staircase covers is checked only against kept points of larger
 # value sum: on seeded 4-player games of 4 960 points (29 free units) it
 # takes 0.03-0.055 s all kept and 0.04-0.06 s convex, against 2.7-4.1 s and
-# 0.2-0.5 s when each was checked against every kept point.
+# 0.2-0.5 s when each was checked against every kept point.  No bound covers
+# the player count: each point's value reads 2^n coalitions, and on seeded
+# games where most coalitions profit somewhere the call takes 0.4-0.8 s at
+# 10 players (2 002 points), 0.65-0.9 s at 12 (1 365) and 0.8-1.0 s at 14
+# (560).
 IMPUTATION_GRID_MAX_POINTS = 5_000
 # Each `nucleolus` round solves a dual with n + 1 rows; an 8-player
 # nucleolus takes a fraction of a second.
