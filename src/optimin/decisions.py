@@ -6,7 +6,8 @@ may depend on the act, which lets confidence shrink or grow with the choice.
 With an antagonistic Nature both sides are evaluated and Pareto-compared;
 without a utility for Nature, ranking degenerates to the decision maker's
 value alone.  Utilities are read once, by `rational.over_common_denominator`,
-into int rows over one denominator.
+into int rows over one denominator, and the agreements' int values stream,
+one vector per agreement, into the one Pareto kernel, `pareto.pareto_positions`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DECISION_MAX_CELLS, ConstraintError, DomainError, ResourceLimitError
-from .pareto import pareto_filter
+from .pareto import pareto_positions
 from .rational import over_common_denominator
 
 ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
@@ -85,6 +86,8 @@ class DecisionProblem:
         antagonist: bool = False,
     ) -> None:
         check_size(len(acts), len(states))
+        if type(antagonist) is not bool:  # bool("no") is True: ranking would silently use Nature
+            raise DomainError(f"antagonist: expected a boolean, got {antagonist!r}")
         self.acts = tuple(str(a) for a in acts)
         self.states = tuple(str(s) for s in states)
         if not self.acts or not self.states:
@@ -112,7 +115,7 @@ class DecisionProblem:
         nums, self._den = over_common_denominator(u for row in cells.values() for u in row.values())
         nums = iter(nums)
         self._num = {a: {s: next(nums) for s in row} for a, row in cells.items()}
-        self.antagonist = bool(antagonist)
+        self.antagonist = antagonist
 
     @property
     def feasible_states(self) -> dict[str, tuple[str, ...]]:
@@ -285,8 +288,7 @@ def optimin_acts(problem: DecisionProblem, oc: OptimismConstraint) -> DecisionOp
 
 def _optimin(problem: DecisionProblem, profiles, dm, nature) -> DecisionOptimin:
     # Values come from _evaluate; the Pareto front of dm alone keeps its maximizers.
-    vectors = [(v,) for v in dm] if nature is None else list(zip(dm, nature))
-    kept = pareto_filter(range(len(vectors)), key=vectors.__getitem__)
+    kept = pareto_positions(zip(dm) if nature is None else zip(dm, nature))
     den = problem._den
     return DecisionOptimin(
         "dm-only" if nature is None else "pareto",

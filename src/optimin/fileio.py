@@ -3,7 +3,8 @@ and decision problems.
 
 Rationals are encoded as plain integers or exact strings "a/b"; writers are
 canonical so a parse/dump round trip is byte-identical.  A game's text also
-comes cell by cell (`game_pieces`), so `gen` never holds the whole file.
+comes cell by cell (`game_pieces`), so `gen` never holds the whole file;
+its header, the label lists, comes from `json.dumps` itself.
 Game payoffs are parsed straight to ints, and TU worths and decision
 utilities are checked at their JSON paths and passed on as literals for their
 classes to read to ints, with no `Fraction` for a plain literal.  Parse
@@ -16,9 +17,7 @@ field that names nothing, are refused.  A game's labels are checked once, by
 
 from __future__ import annotations
 
-import itertools
 import json
-import operator
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -117,10 +116,11 @@ def parse_game(text: str, source: str = "game") -> NormalFormGame:
 
 def dump_game(game: NormalFormGame) -> str:
     """The game's canonical text: the bytes of ``json.dumps(doc, indent=2)``
-    and a newline, built from `str` joins, since `json` encodes through its
-    pure-Python encoder whenever `indent` is set.  Ints go through `str`,
-    ratios are quoted `json_ratio` strings, and labels still go through
-    `json.dumps`, so their escapes stay its own."""
+    and a newline.  The header's players and strategies lists are
+    `json.dumps`'s own text, one level deeper, so their layout and escapes
+    stay its own.  The payoff tensor is built from `str` joins, since `json`
+    encodes through its pure-Python encoder whenever `indent` is set: ints go
+    through `str` and ratios are quoted `json_ratio` strings."""
     return "".join(game_pieces(game))
 
 
@@ -136,14 +136,16 @@ def game_pieces(game: NormalFormGame) -> Iterator[str]:
     # The entries along axis a are lists at depth a + 2 (the payoff tensor
     # itself is the list at depth 1), so the cells are lists at depth n + 1.
     heads, seps, tails = zip(*map(_list_marks, range(n + 2)))
-    strategies = _json_lists([map(json.dumps, s) for s in game.strategies], 2)
-    players, strategies = _json_lists([map(json.dumps, game.players), strategies], 1)
+    # The label lists open at depth 1, one level deeper than `json.dumps` puts them.
+    players, strategies = (
+        json.dumps(labels, indent=2).replace("\n", "\n  ") for labels in (game.players, game.strategies)
+    )
     # Before a cell that starts k new entries along the last k axes, the
     # lists at depths n + 1 down to n - k + 1 close, one separator at depth
     # n - k follows, and the same lists open again.
     before = ["".join(tails[: n - k : -1]) + seps[n - k] + "".join(heads[n - k + 1 :]) for k in range(n)]
     # periods[k] cells make one entry along each of the last k axes.
-    periods = list(itertools.accumulate(reversed(game.shape), operator.mul, initial=1))
+    periods = [*reversed(game._strides), len(game._num[0])]
     cells = map(seps[n + 1].join, zip(*columns))
     opening = f'{{\n  "players": {players},\n  "strategies": {strategies},\n  "payoffs": '
     yield opening + "".join(heads[1:]) + next(cells)
@@ -160,13 +162,6 @@ def _list_marks(depth: int) -> tuple[str, str, str]:
     ``json.dumps(..., indent=2)`` opens at nesting depth `depth`."""
     inner = "\n" + "  " * (depth + 1)
     return "[" + inner, "," + inner, "\n" + "  " * depth + "]"
-
-
-def _json_lists(groups, depth: int) -> list[str]:
-    """Each group of encoded items as a non-empty JSON list, laid out as
-    ``json.dumps(..., indent=2)`` lays out a list that opens at nesting depth `depth`."""
-    head, sep, tail = _list_marks(depth)
-    return [head + sep.join(items) + tail for items in groups]
 
 
 def _quoted(value) -> str:

@@ -68,7 +68,7 @@ def gen_centipede(nodes: int = 4, variant: CentipedeVariant = "increasing") -> N
     the total stays fixed while the mover's edge halves each node, so stopping
     sooner is strictly better for the mover.
     """
-    if not isinstance(nodes, int) or nodes < 1:
+    if type(nodes) is not int or nodes < 1:  # a bool is no node count
         raise ParameterError(f"node count must be a positive integer, got {nodes}")
     if variant not in get_args(CentipedeVariant):
         raise ParameterError(f"variant must be 'increasing' or 'constant', got {variant!r}")
@@ -111,7 +111,7 @@ def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0
     # every payoff is an int over den * q.
     (e, *menu), den = over_common_denominator([endowment, *levels])
     p, q = literal_ratio(mpcr)
-    if n < 2:
+    if type(n) is not int or n < 2:  # a bool is no player count
         raise ParameterError(f"need at least 2 players, got {n} (--n)")
     if e <= 0:
         raise ParameterError(f"endowment must be positive, got {json_ratio(e, den)} (--endowment)")

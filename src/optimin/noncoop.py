@@ -513,7 +513,7 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
     profiles, and then the weights its points hold, are counted."""
     if game.num_players != 2:
         raise UnsupportedArityError("probability grids support exactly 2 players")
-    if k < 1:
+    if type(k) is not int or k < 1:  # a bool is no resolution
         raise ParameterError(f"grid resolution must be >= 1, got {k} (--mixed-grid)")
     sizes = [math.comb(m + k - 1, m - 1) for m in game.shape]
     hint = "lower --mixed-grid or use --pure"

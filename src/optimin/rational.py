@@ -6,7 +6,8 @@ over common denominators and build a `Fraction` only for a value they
 return.  `literal_ratio` reads a literal straight to a reduced ``(num, den)``
 pair, and `over_common_denominator`, the one reader into ints over a common
 denominator, reads values with it; `json_ratio` and `table_ratio` write
-them back.  The other helpers cover coercion and the two text encodings used
+them back, and `json_number` and `format_table` write a `Fraction` through
+them.  The other helpers cover coercion and the two text encodings used
 by the file formats and the CLI: exact strings like ``"265/6"`` and plain
 integers.  A string is refused before it is parsed when its digits or its
 decimal exponent pass `RATIONAL_MAX_DIGITS` or `RATIONAL_MAX_EXPONENT`
@@ -93,13 +94,6 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in ratios], d
 
 
-def format_exact(value: Fraction) -> str:
-    """Render a Fraction as "a" or "a/b" with no loss."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def format_table(value: Fraction) -> str:
     """Exact string plus a 3-place decimal hint for non-integers."""
     return table_ratio(value.numerator, value.denominator)
@@ -118,9 +112,7 @@ def table_ratio(numerator: int, denominator: int) -> str:
 
 def json_number(value: Fraction):
     """Encode for JSON: plain int when integral, exact "a/b" string otherwise."""
-    if value.denominator == 1:
-        return value.numerator
-    return format_exact(value)
+    return json_ratio(value.numerator, value.denominator)
 
 
 def json_ratio(numerator: int, denominator: int):

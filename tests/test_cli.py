@@ -1077,6 +1077,8 @@ REFUSAL_FILES = {
     "oc_key": {**DECISION, "oc_states": {**DECISION["oc_states"], "buy,kep": ["keep"]}},
     "oc_label": {**DECISION, "oc_states": {**DECISION["oc_states"], "buy,fired": ["keep", "fird"]}},
     "oc_field": {**DECISION, "oc_state": {"buy,keep": ["fired"]}},
+    "oc_three_parts": {**DECISION, "oc_states": {**DECISION["oc_states"], "buy,kept,x": ["keep"]}},
+    "repeated_act": {**DECISION, "acts": ["buy", "rent", "buy"]},
     "marriage_stranger": {
         "A": ["a1"], "B": ["b1"], "prefs": {"a1": ["b1", "a1"], "b1": ["a1", "b1"], "c1": ["a1", "c1"]},
     },
@@ -1149,6 +1151,11 @@ REFUSALS = {
     "oc-label-of-no-state": (
         ["decide", "solve", "--game", "{dir}/oc_label.json"],
         "{dir}/oc_label.json.oc_states['buy,fired']: unknown state 'fird'"),
+    "oc-key-of-three-parts": (
+        ["decide", "solve", "--game", "{dir}/oc_three_parts.json"],
+        "{dir}/oc_three_parts.json.oc_states['buy,kept,x']: keys look like 'act,state' or '*'"),
+    "repeated-act-label": (
+        ["decide", "solve", "--game", "{dir}/repeated_act.json"], "{dir}/repeated_act.json: duplicate act or state labels"),
     "misspelled-decision-field": (
         ["decide", "check", "--game", "{dir}/oc_field.json"], "{dir}/oc_field.json: unknown field 'oc_state'"),
     "prefs-of-no-side": (

@@ -595,13 +595,34 @@ NESTED = {"buy": {"keep_job": 10, "fired": -10}, "rent": {"keep_job": 2, "fired"
         (NESTED, None, {"buy": ["keep_job"], "rent": ["fired"], "lease": ["fired"]},
          "feasible_states['lease']: unknown act 'lease'"),
         (NESTED, {"keep_job": ["buy"], "kept": ["buy"]}, None, "feasible_acts['kept']: unknown state 'kept'"),
+        ({**NESTED, "lease": 9}, None, None, "utility['lease']: unknown act 'lease'"),
     ],
-    ids=["utility-row", "utility-entry", "flat-key-act", "flat-key-state", "feasible-states-key", "feasible-acts-key"],
+    ids=[
+        "utility-row", "utility-entry", "flat-key-act", "flat-key-state", "feasible-states-key", "feasible-acts-key",
+        "key-of-no-row-or-pair",
+    ],
 )
 def test_problem_names_that_match_nothing_are_refused(utility, feasible_acts, feasible_states, message):
     with pytest.raises(DomainError) as info:
         DecisionProblem(("buy", "rent"), ("keep_job", "fired"), utility, feasible_acts, feasible_states)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "acts, states", [(("buy", "rent", "buy"), ("keep_job", "fired")), (("buy", "rent"), ("fired", "keep_job", "fired"))]
+)
+def test_repeated_labels_are_refused(acts, states):
+    with pytest.raises(DomainError) as info:
+        DecisionProblem(acts, states, NESTED)
+    assert str(info.value) == "duplicate act or state labels"
+
+
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+def test_antagonist_must_be_a_boolean(flag):
+    # The file reader refuses these too; bool("no") would rank with Nature.
+    with pytest.raises(DomainError) as info:
+        DecisionProblem(("buy", "rent"), ("keep_job", "fired"), NESTED, antagonist=flag)
+    assert str(info.value) == f"antagonist: expected a boolean, got {flag!r}"
 
 
 def test_optimism_labels_that_match_nothing_are_refused():

@@ -202,6 +202,8 @@ class TestCentipede:
         [
             ({"nodes": 0}, "node count must be a positive integer, got 0"),
             ({"variant": "decreasing"}, "variant must be 'increasing' or 'constant', got 'decreasing'"),
+            ({"nodes": True}, "node count must be a positive integer, got True"),
+            ({"nodes": 2.0}, "node count must be a positive integer, got 2.0"),
         ],
     )
     def test_parameters_refused(self, kwargs, message):
@@ -291,6 +293,12 @@ class TestPrisonersDilemma:
 
 
 class TestPublicGoods:
+    @pytest.mark.parametrize("n", [1, True, 2.5])
+    def test_player_count_refused(self, n):
+        with pytest.raises(ParameterError) as info:
+            gen_public_goods(n)
+        assert str(info.value) == f"need at least 2 players, got {n} (--n)"
+
     def test_payoffs(self):
         g = gen_public_goods(2, 10, F(9, 10), (0, 10))
         full = g.profile_from_labels(("10", "10"))
@@ -404,6 +412,9 @@ class TestSweep:
         assert result.threshold == F(1)
         assert result.row_for(F(9, 10)).optimin == (("0", "0"),)
         assert result.row_for(F(11, 10)).optimin == (("10", "10"),)
+        with pytest.raises(KeyError) as info:
+            result.row_for("3/4")
+        assert info.value.args == ("no sweep row at 3/4",)
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):

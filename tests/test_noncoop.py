@@ -8,6 +8,7 @@ import pytest
 
 from optimin import (
     NormalFormGame,
+    ParameterError,
     ResourceLimitError,
     UnsupportedArityError,
     affine_transform,
@@ -505,6 +506,13 @@ class TestMaximinEquilibrium:
 
 
 class TestGridBounds:
+    @pytest.mark.parametrize("k", [0, True, 2.0])
+    def test_resolution_refused(self, k):
+        for solve in (noncoop.grid_profiles_2p, optimin_grid_2p):
+            with pytest.raises(ParameterError) as info:
+                solve(gen_named("figure1"), k)
+            assert str(info.value) == f"grid resolution must be >= 1, got {k} (--mixed-grid)"
+
     def test_large_grids_are_refused(self):
         from optimin import gen_travelers
         from optimin.noncoop import GRID_PROFILE_LIMIT, grid_profiles_2p
