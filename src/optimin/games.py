@@ -45,8 +45,9 @@ class NormalFormGame:
 
     ``payoffs`` is a nested sequence indexed by strategy indices in player
     order; the innermost sequence holds one payoff per player.  The game
-    never changes after construction; its one piece of derived state, the
-    memo `_line_order` fills, is not part of `==`, `hash` or `repr`.
+    never changes after construction; its derived state, the memo
+    `_line_order` fills and the flag `_is_symmetric` computes, is not part of
+    `==`, `hash` or `repr`.
 
     Payoffs are stored flat in row-major order, one exact integer
     representation per player: player i's payoffs are the ints ``_num[i]``
@@ -57,10 +58,13 @@ class NormalFormGame:
     A payoff line is the cells along one player's axis with every other
     strategy held fixed.  `_orders` holds, per player, the `_line_order` of
     each line a reader has asked for, keyed by the line's first cell, so a
-    line is sorted at most once per game.
+    line is sorted at most once per game.  In a symmetric two-player game
+    the first player's line along column b holds the same payoffs as the
+    second player's along row b, so the two players share one memo: every
+    line is kept under the second player.
     """
 
-    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den", "_orders")
+    __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den", "_orders", "_symmetric")
 
     def __init__(self, players: Sequence[str], strategies: Sequence[Sequence[str]], payoffs) -> None:
         self._set_labels(players, strategies)
@@ -71,6 +75,7 @@ class NormalFormGame:
             raise fault if isinstance(fault, OptiminError) else ValueError(f"payoffs{path}: {fault}")
         self._num, self._den = scaled
         self._orders = tuple({} for _ in self.players)
+        self._symmetric = None
 
     @classmethod
     def _from_scaled(cls, players, strategies, num, den) -> NormalFormGame:
@@ -91,6 +96,7 @@ class NormalFormGame:
         game._num = tuple(scaled)
         game._den = tuple(dens)
         game._orders = tuple({} for _ in game.players)
+        game._symmetric = None
         return game
 
     def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> None:
@@ -117,14 +123,34 @@ class NormalFormGame:
         two-player and the n-player value tables (`noncoop._values_2p` and
         `noncoop._values_nd`, which sort every line) and `noncoop.nash_pure`
         (the first player's lines and the other players' lines through its
-        candidates)."""
+        candidates).  In a symmetric two-player game the first player's line
+        along column b is the second player's along row b, and its order is
+        read from there."""
         orders = self._orders[player]
         order = orders.get(start)
         if order is None:
+            if not player and self._is_symmetric():
+                return self._line_order(1, start * self.shape[0])
             stride = self._strides[player]
             line = self._num[player][start : start + self.shape[player] * stride : stride]
             order = orders[start] = sorted(range(len(line)), key=line.__getitem__, reverse=True)
         return order
+
+    def _is_symmetric(self) -> bool:
+        """Whether this is a symmetric two-player game, u2(a, b) = u1(b, a):
+        on the canonical ints, a square shape, one denominator, and `_num[1]`
+        the transpose of `_num[0]`.  Compared row by row, so most other games
+        are refused on the first row; computed on the first call and kept in
+        `_symmetric`."""
+        if self._symmetric is None:
+            n = self.shape[0]
+            u1 = self._num[0]
+            self._symmetric = (
+                self.shape == (n, n)
+                and self._den[0] == self._den[1]
+                and all(self._num[1][a * n : (a + 1) * n] == u1[a::n] for a in range(n))
+            )
+        return self._symmetric
 
     # -- basic queries ----------------------------------------------------
 

@@ -235,11 +235,12 @@ class SweepResult:
     threshold: Fraction | None
 
     def row_for(self, value) -> SweepRow:
+        """The row at parameter `value`; a `ParameterError` if none was swept."""
         value = to_fraction(value)
         for row in self.rows:
             if row.parameter == value:
                 return row
-        raise KeyError(f"no sweep row at {value}")
+        raise ParameterError(f"no sweep row at {value}")
 
 
 def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult:

@@ -17,7 +17,10 @@ result tuple for every vector the filter has seen before.
 Both value tables and `nash_pure` read each payoff line's order from one
 memo on the game (`NormalFormGame._line_order`), so a line is sorted at most
 once per game.  The two-player table takes each deviation minimum as a suffix
-minimum in the opponent's order of the line (`_line_minima`).  The n-player
+minimum in the opponent's order of the line (`_line_minima`).  In a symmetric
+two-player game (u2(a, b) = u1(b, a)) the two players share the memo, and the
+table reads the second player's values off the first's, v2(a, b) = v1(b, a),
+so each row is sorted and scanned once for both players.  The n-player
 table (`_values_nd`) walks each player's lines once: a cell's strictly better
 replies are the run of its line before its tie group, and each player's
 deviation cells are built from those runs by shifts.  `_steps` and
@@ -252,7 +255,12 @@ def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
         _line_minima(u1[a * nc : (a + 1) * nc], u2[a * nc : (a + 1) * nc], game._line_order(1, a * nc))
         for a in range(nr)
     ]
-    v2 = [_line_minima(u2[b::nc], u1[b::nc], game._line_order(0, b)) for b in range(nc)]
+    if game._is_symmetric():
+        # Column b of a symmetric game is row b with the players swapped, so
+        # v2(a, b) = v1(b, a): player 1's values serve player 2 as they are.
+        v2 = v1
+    else:
+        v2 = [_line_minima(u2[b::nc], u1[b::nc], game._line_order(0, b)) for b in range(nc)]
     # v1 is row by row and v2 column by column; both flatten to row-major.
     return zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2)))
 

@@ -569,7 +569,7 @@ class TestValueTableBound:
 
 
 class TestValueTableWork:
-    """Work counts of the n-player table, which hold on any host."""
+    """Work counts of the value tables, which hold on any host."""
 
     def test_each_line_is_sorted_once_and_only_survivors_are_rescanned(self, monkeypatch):
         steps = noncoop._steps
@@ -590,6 +590,30 @@ class TestValueTableWork:
         assert [len(orders) for orders in g._orders] == [cells // m for m in shape]
         # The witnesses rescan each survivor's lines once, and nothing else does.
         assert sorted(calls) == sorted(g.validate_profile(e.profile) for e in kept)
+
+    @pytest.mark.parametrize("changed", [None, 3 * 7 + 5])
+    def test_a_symmetric_game_sorts_and_scans_each_row_once_for_both_players(self, monkeypatch, changed):
+        # u2(a, b) = u1(b, a), or not once u2 at (3, 5) is one more.
+        minima = noncoop._line_minima
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return minima(*args)
+
+        monkeypatch.setattr(noncoop, "_line_minima", counted)
+        n = 7
+        rng = random.Random(3502)
+        u1 = [rng.randint(-3, 3) for _ in range(n * n)]
+        u2 = [u1[b * n + a] for a in range(n) for b in range(n)]
+        if changed is not None:
+            u2[changed] += 1
+        g = NormalFormGame._from_scaled(["p0", "p1"], [[f"s{k}" for k in range(n)]] * 2, [u1, u2], [1, 1])
+        optimin_pure(g)
+        nash_pure(g)
+        symmetric = changed is None
+        assert [len(orders) for orders in g._orders] == ([0, n] if symmetric else [n, n])
+        assert len(calls) == (n if symmetric else 2 * n)
 
     def test_a_refused_table_sorts_no_line(self):
         g = zero_game((6,) * 6)
