@@ -331,18 +331,26 @@ def check_against_the_oracles(game):
 @settings(max_examples=150, deadline=None)
 @given(symmetric_games(), st.data())
 def test_symmetric_games_and_their_perturbed_copies_match_the_oracles(drawn, data):
-    # One u2 payoff changed in row 0 fails the first-row compare; one changed
-    # in a later row passes it and fails only the full one.
+    # The copies: u2 one more at a cell of row 0, which fails the first-row
+    # compare; at a cell of a later row, which fails only the full compare;
+    # and u2 over twice the denominator, whose numerators may still be u1's
+    # transposed.  Each copy's flag is checked against the definition.
     n, u1 = drawn
-    rows = [0] if n == 1 else [0, data.draw(st.integers(1, n - 1))]
-    copies = [(None, True)] + [((a, data.draw(st.integers(0, n - 1))), False) for a in rows]
-    for changed, symmetric in copies:
-        game = symmetric_game(n, u1, changed)
-        identity = (hash(game), repr(game))
-        assert game._is_symmetric() is symmetric
-        assert (hash(game), repr(game)) == identity
-        assert game == parse_game(dump_game(game))  # a copy whose flag is not computed
-        check_against_the_oracles(game)
+    game = symmetric_game(n, u1)
+    column = st.integers(0, n - 1)
+    copies = [game, symmetric_game(n, u1, (0, data.draw(column)))]
+    if n > 1:
+        copies.append(symmetric_game(n, u1, (data.draw(st.integers(1, n - 1)), data.draw(column))))
+    den = (game._den[0], 2 * game._den[1])
+    copies.append(NormalFormGame._from_scaled(game.players, game.strategies, game._num, den))
+    for built in copies:
+        identity = (hash(built), repr(built))
+        symmetric = all(built.payoff((a, b))[1] == built.payoff((b, a))[0] for a, b in u1)
+        assert built._is_symmetric() is symmetric
+        assert (hash(built), repr(built)) == identity
+        assert built == parse_game(dump_game(built))  # a copy whose flag is not computed
+        check_against_the_oracles(built)
+    assert game._is_symmetric()
 
 
 @settings(max_examples=150, deadline=None)
