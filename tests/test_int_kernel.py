@@ -242,10 +242,9 @@ def test_two_player_kernel_at_larger_sizes(game):
         assert is_maximin_equilibrium(game, prof) == (own_best or prof in expected)
 
 
-@settings(max_examples=150, deadline=None)
-@given(games())
-def test_nash_pure_matches_best_responses(game):
-    expected = [
+def best_response_cells(game):
+    """The profiles from which no player has a strictly better reply, by scan."""
+    return [
         prof
         for prof in game.profiles()
         if not any(
@@ -254,7 +253,12 @@ def test_nash_pure_matches_best_responses(game):
             for s in range(game.shape[i])
         )
     ]
-    assert nash_pure(game) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_nash_pure_matches_best_responses(game):
+    assert nash_pure(game) == best_response_cells(game)
 
 
 @st.composite
@@ -317,15 +321,7 @@ def check_against_the_oracles(game):
     assert [(e.profile, e.value) for e in optimin_pure(game)] == [
         (prof, vec) for prof, vec in brute.items() if vec in front
     ]
-    assert nash_pure(game) == [
-        prof
-        for prof in game.profiles()
-        if not any(
-            game.payoff(prof[:i] + (s,) + prof[i + 1 :])[i] > game.payoff(prof)[i]
-            for i in (0, 1)
-            for s in range(game.shape[i])
-        )
-    ]
+    assert nash_pure(game) == best_response_cells(game)
 
 
 @settings(max_examples=150, deadline=None)
