@@ -20,16 +20,20 @@ once per game.  The two-player table takes each deviation minimum as a suffix
 minimum in the opponent's order of the line (`_line_minima`).  In a symmetric
 two-player game (u2(a, b) = u1(b, a)) the two players share the memo, and the
 table reads the second player's values off the first's, v2(a, b) = v1(b, a),
-so each row is sorted and scanned once for both players.  The n-player
-table (`_values_nd`) walks each player's lines once: a cell's strictly better
-replies are the run of its line before its tie group, and each player's
-deviation cells are built from those runs by shifts.  `_steps` and
-`_deviation_cells`, which re-slice every line through a cell, serve only the
-witnesses of `value_pure` (for the survivors alone in `optimin_pure`) and
-`is_maximin_equilibrium`.  `nash_pure` keeps the top of each of the first
-player's lines when it ties the top of every other player's line through it.
-A `generators.sweep` point, which asks for a table and Nash cells, thus
-sorts each line once, and its Nash pass costs O(lines).
+so each row is sorted and scanned once for both players.  Such a game's
+solution set (`_pareto_cells`) streams only the n(n+1)/2 cells a <= b, one per
+orbit {(a, b), (b, a)}, and the kernel closes their vectors under the swap;
+each survivor stands for both cells of its orbit, and witnesses are still
+found cell by cell, since the lexicographic tie-break does not commute with
+the swap.  The n-player table (`_values_nd`) walks each player's lines once: a
+cell's strictly better replies are the run of its line before its tie group,
+and each player's deviation cells are built from those runs by shifts.
+`_steps` and `_deviation_cells`, which re-slice every line through a cell,
+serve only the witnesses of `value_pure` (for the survivors alone in
+`optimin_pure`) and `is_maximin_equilibrium`.  `nash_pure` keeps the top of
+each of the first player's lines when it ties the top of every other player's
+line through it.  A `generators.sweep` point, which asks for a table and Nash
+cells, thus sorts each line once, and its Nash pass costs O(lines).
 
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -245,7 +249,9 @@ def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
         yield tuple(vec)
 
 
-def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
+def _rows_2p(game: NormalFormGame) -> tuple[list[list[int]], list[list[int]]]:
+    """(v1, v2): the first player's values row by row and the second's
+    column by column, so v1[a][b] and v2[b][a] are the values at (a, b)."""
     # Per row (column), the deviation minimum over the opponent's strictly
     # better cells is a suffix minimum in the opponent's `_line_order` of that
     # line, which avoids the quadratic per-line scan on big matrices.
@@ -258,11 +264,25 @@ def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
     if game._is_symmetric():
         # Column b of a symmetric game is row b with the players swapped, so
         # v2(a, b) = v1(b, a): player 1's values serve player 2 as they are.
-        v2 = v1
-    else:
-        v2 = [_line_minima(u2[b::nc], u1[b::nc], game._line_order(0, b)) for b in range(nc)]
+        return v1, v1
+    return v1, [_line_minima(u2[b::nc], u1[b::nc], game._line_order(0, b)) for b in range(nc)]
+
+
+def _values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
+    v1, v2 = _rows_2p(game)
     # v1 is row by row and v2 column by column; both flatten to row-major.
     return zip(itertools.chain.from_iterable(v1), itertools.chain.from_iterable(zip(*v2)))
+
+
+def _orbit_values_2p(game: NormalFormGame) -> Iterator[tuple[int, int]]:
+    """The scaled vectors of the cells (a, b) with a <= b of a symmetric
+    two-player game, row by row: (v1(a, b), v1(b, a)), the orbit
+    {(a, b), (b, a)} read at its first cell."""
+    v1, _ = _rows_2p(game)
+    # Row a of v1 holds v1(a, b) and column a holds v1(b, a); both from b = a on.
+    return itertools.chain.from_iterable(
+        zip(row[a:], column[a:]) for a, (row, column) in enumerate(zip(v1, zip(*v1)))
+    )
 
 
 def _line_minima(mine: Sequence[int], theirs: Sequence[int], order: Iterable[int]) -> list[int]:
@@ -290,7 +310,28 @@ def optimin_pure(game: NormalFormGame) -> list[EvaluatedProfile]:
     by their positive `_den` changes no domination.  Only the surviving
     cells are decoded to profiles and evaluated with witnesses.
     """
-    return [value_pure(game, _profile_at(game, idx)) for idx in pareto_positions(_scaled_values(game))]
+    return [value_pure(game, _profile_at(game, idx)) for idx in _pareto_cells(game)]
+
+
+def _pareto_cells(game: NormalFormGame) -> list[int]:
+    """The ascending cells whose scaled value vectors no cell's vector dominates.
+
+    In a symmetric two-player game the vector at (b, a) is the one at (a, b)
+    swapped, and domination commutes with the swap, so a cell survives
+    exactly when its mirror cell does.  The kernel then reads only the
+    n(n+1)/2 cells a <= b, closes their vectors under the swap, and each
+    surviving cell stands for both cells of its orbit.
+    """
+    if not game._is_symmetric():
+        return pareto_positions(_scaled_values(game))
+    n = game.shape[0]
+    starts = [a * n - a * (a - 1) // 2 for a in range(n)]  # row a's first position in the stream
+    cells = set()
+    for k in pareto_positions(_orbit_values_2p(game), swap_closed=True):
+        a = bisect_right(starts, k) - 1
+        b = a + k - starts[a]
+        cells.update((a * n + b, b * n + a))
+    return sorted(cells)
 
 
 def _profile_at(game: NormalFormGame, idx: int) -> PureProfile:
@@ -580,4 +621,4 @@ def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
             break
     else:
         return True
-    return idx in pareto_positions(_scaled_values(game))
+    return idx in _pareto_cells(game)

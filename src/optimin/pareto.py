@@ -6,7 +6,9 @@ one place that filter lives.  Its kernel, `pareto_positions`, reads any
 iterable of plain value tuples in one pass, hashing each vector once and
 holding only the distinct ones, and returns the positions of the survivors;
 the domination tests see the distinct vectors only, and builtins do the
-per-vector work.
+per-vector work.  A symmetric two-player game hands it one cell per orbit
+{(a, b), (b, a)} and asks it to close the distinct 2-D vectors under the swap
+(x, y) -> (y, x) before filtering, which gives the front of every cell.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def pareto_filter(items: Sequence, key: Callable | None = None) -> list:
     return list(map(items.__getitem__, pareto_positions(vectors)))
 
 
-def pareto_positions(vectors: Iterable[tuple]) -> list[int]:
+def pareto_positions(vectors: Iterable[tuple], swap_closed: bool = False) -> list[int]:
     """Ascending positions of the vectors that no vector dominates.
 
     `vectors` is read once, so a generator or `zip` will do.  Each vector
@@ -47,6 +49,11 @@ def pareto_positions(vectors: Iterable[tuple]) -> list[int]:
     on one plane of equal sum (an imputation lattice whose points are all
     kept) costs no check at all; with any other type, such as float or
     `Decimal`, against every survivor, O(n·f) at worst for a front of f.
+
+    With `swap_closed`, the vectors must be 2-D, and each distinct one's
+    swapped image (y, x) joins the vectors filtered, so a position survives
+    when no vector of the stream or image of one dominates its vector.
+    Domination commutes with the swap, so that front is closed under it.
     """
     first: dict[tuple, int] = {}
     ids = list(map(first.setdefault, vectors, count()))
@@ -54,7 +61,12 @@ def pareto_positions(vectors: Iterable[tuple]) -> list[int]:
         raise EmptyInputError("the Pareto filter needs at least one item")
     if len(set(map(len, first))) > 1:
         raise ValueError("all value vectors must have the same length")
-    kept = set(map(first.__getitem__, _front(first.keys())))
+    distinct = first.keys()
+    if swap_closed:
+        if len(next(iter(first))) != 2:
+            raise ValueError("only 2-D value vectors can be closed under the swap")
+        distinct = distinct | {(y, x) for x, y in first}
+    kept = set(map(first.get, _front(distinct)))  # an image not in the stream maps to None
     return list(compress(count(), map(kept.__contains__, ids)))
 
 

@@ -593,15 +593,23 @@ class TestValueTableWork:
 
     @pytest.mark.parametrize("changed", [None, 3 * 7 + 5])
     def test_a_symmetric_game_sorts_and_scans_each_row_once_for_both_players(self, monkeypatch, changed):
-        # u2(a, b) = u1(b, a), or not once u2 at (3, 5) is one more.
-        minima = noncoop._line_minima
-        calls = []
+        # u2(a, b) = u1(b, a), or not once u2 at (3, 5) is one more.  The
+        # Pareto kernel reads one cell per orbit {(a, b), (b, a)} of the
+        # symmetric game and every cell of its perturbed copy.
+        minima, positions = noncoop._line_minima, noncoop.pareto_positions
+        calls, reads = [], []
 
         def counted(*args):
             calls.append(args)
             return minima(*args)
 
+        def read(vectors, **closure):
+            vectors = list(vectors)
+            reads.append(len(vectors))
+            return positions(vectors, **closure)
+
         monkeypatch.setattr(noncoop, "_line_minima", counted)
+        monkeypatch.setattr(noncoop, "pareto_positions", read)
         n = 7
         rng = random.Random(3502)
         u1 = [rng.randint(-3, 3) for _ in range(n * n)]
@@ -614,6 +622,7 @@ class TestValueTableWork:
         symmetric = changed is None
         assert [len(orders) for orders in g._orders] == ([0, n] if symmetric else [n, n])
         assert len(calls) == (n if symmetric else 2 * n)
+        assert reads == [n * (n + 1) // 2 if symmetric else n * n]
 
     def test_a_refused_table_sorts_no_line(self):
         g = zero_game((6,) * 6)

@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optimin
@@ -341,6 +341,41 @@ def test_an_empty_or_ragged_stream_is_refused():
         pareto_positions(iter([]))
     with pytest.raises(ValueError, match="same length"):
         pareto_positions(iter([(1, 2), (1, 2), (0, 1, 2)]))
+
+
+# -- the swap closure -----------------------------------------------------
+#
+# A symmetric two-player game streams one cell per orbit {(a, b), (b, a)},
+# and the kernel filters each distinct vector together with its image (y, x).
+
+# Floats 2 apart, the spacing near 1e16, where a sum can round to a tie.
+NEAR_1E16 = st.sampled_from([1e16 - 2, 1e16, 1e16 + 2, 1e16 + 4])
+
+
+@st.composite
+def swap_streams(draw):
+    """Up to 60 2-D vectors over tied ints, `Fraction`s or floats near 1e16,
+    drawn from a pool of at most 10 so that whole vectors repeat; a pool
+    vector is often its own swap."""
+    coordinates = draw(st.sampled_from([INTS, COORDINATES, NEAR_1E16]))
+    vector = st.tuples(coordinates, coordinates) | coordinates.map(lambda x: (x, x))
+    pool = draw(st.lists(vector, min_size=1, max_size=10))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_streams())
+@example([(3, 1), (1, 2), (3, 1)])  # the image (1, 3) dominates (1, 2)
+def test_the_swap_closure_matches_the_definition(vecs):
+    closed = brute_pareto(vecs + [(y, x) for x, y in vecs])
+    expected = [i for i, v in enumerate(vecs) if v in closed]
+    assert pareto_positions(iter(vecs), swap_closed=True) == expected
+
+
+def test_the_swap_closure_refuses_vectors_that_are_not_2d():
+    for vecs in ([(1,), (0,)], [(1, 2, 3)]):
+        with pytest.raises(ValueError, match="2-D"):
+            pareto_positions(iter(vecs), swap_closed=True)
 
 
 def test_the_streamed_two_player_table_with_many_ties_matches_definition():
