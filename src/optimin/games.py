@@ -58,10 +58,11 @@ class NormalFormGame:
     A payoff line is the cells along one player's axis with every other
     strategy held fixed.  `_orders` holds, per player, the `_line_order` of
     each line a reader has asked for, keyed by the line's first cell, so a
-    line is sorted at most once per game.  In a symmetric two-player game
-    the first player's line along column b holds the same payoffs as the
-    second player's along row b, so the two players share one memo: every
-    line is kept under the second player.
+    line is sorted at most once per game.  In a game that every
+    permutation of the players leaves unchanged (`_is_symmetric`), a
+    player's line holds the same payoffs as the last player's line with the
+    two players' strategies swapped, so all players share one memo: every
+    line is kept under the last player.
     """
 
     __slots__ = ("players", "strategies", "shape", "_strides", "_num", "_den", "_orders", "_symmetric")
@@ -123,32 +124,51 @@ class NormalFormGame:
         two-player and the n-player value tables (`noncoop._values_2p` and
         `noncoop._values_nd`, which sort every line) and `noncoop.nash_pure`
         (the first player's lines and the other players' lines through its
-        candidates).  In a symmetric two-player game the first player's line
-        along column b is the second player's along row b, and its order is
-        read from there."""
+        candidates).  In a symmetric game the line of any other player i is
+        the last player's line through `start` with the strategies of i and
+        the last player swapped, and its order is read from there: the last
+        player's stride is 1, so that line starts at cell
+        ``start + start % m * (stride_i - 1)``.  With two players this is
+        the second player's row b for the first player's column b."""
         orders = self._orders[player]
         order = orders.get(start)
         if order is None:
-            if not player and self._is_symmetric():
-                return self._line_order(1, start * self.shape[0])
+            last = len(self.shape) - 1
+            if player < last and self._is_symmetric():
+                return self._line_order(last, start + start % self.shape[0] * (self._strides[player] - 1))
             stride = self._strides[player]
             line = self._num[player][start : start + self.shape[player] * stride : stride]
             order = orders[start] = sorted(range(len(line)), key=line.__getitem__, reverse=True)
         return order
 
     def _is_symmetric(self) -> bool:
-        """Whether this is a symmetric two-player game, u2(a, b) = u1(b, a):
-        on the canonical ints, a square shape, one denominator, and `_num[1]`
-        the transpose of `_num[0]`.  Compared row by row, so most other games
-        are refused on the first row; computed on the first call and kept in
-        `_symmetric`."""
+        """Whether the game is unchanged under every permutation σ of its
+        players, u_σ(i)(σ·a) = u_i(a), with one strategy count and one
+        denominator for all players, so the canonical ints obey it too.
+
+        Two permutations generate all others: the cycle i -> i + 1 and the
+        swap of the first two players.  Under the cycle, player i + 1's
+        payoffs where the first player plays a, a contiguous block, are
+        player i's where the last player plays a, in order (the last
+        player's condition follows from the others'); under the swap, each
+        block of cells with the first two strategies fixed is compared with
+        its mirror block.  With two players the swap is the cycle, so the
+        check is the transpose test `u2[a*m:(a+1)*m] == u1[a::m]` row by row,
+        and most other games are refused on their first compare.  Computed
+        on the first call and kept in `_symmetric`."""
         if self._symmetric is None:
-            n = self.shape[0]
-            u1 = self._num[0]
+            num, n, m = self._num, len(self.shape), self.shape[0]
+            big = self._strides[0]  # cells per strategy of the first player
+            small, swap = big // m, (1, 0, *range(2, n))  # cells per strategy pair of the first two
             self._symmetric = (
-                self.shape == (n, n)
-                and self._den[0] == self._den[1]
-                and all(self._num[1][a * n : (a + 1) * n] == u1[a::n] for a in range(n))
+                self.shape == (m,) * n
+                and self._den == self._den[:1] * n
+                and all(v[a * big : (a + 1) * big] == u[a::m] for u, v in zip(num, num[1:]) for a in range(m))
+                and (n < 3 or all(
+                    num[swap[i]][b * big + a * small : b * big + (a + 1) * small]
+                    == num[i][a * big + b * small : a * big + (b + 1) * small]
+                    for i in range(n) for a in range(m) for b in range(m)
+                ))
             )
         return self._symmetric
 

@@ -18,14 +18,16 @@ Both value tables and `nash_pure` read each payoff line's order from one
 memo on the game (`NormalFormGame._line_order`), so a line is sorted at most
 once per game.  The two-player table takes each deviation minimum as a suffix
 minimum in the opponent's order of the line (`_line_minima`).  In a symmetric
-two-player game (u2(a, b) = u1(b, a)) the two players share the memo, and the
-table reads the second player's values off the first's, v2(a, b) = v1(b, a),
-so each row is sorted and scanned once for both players.  Such a game's
-solution set (`_pareto_cells`) streams only the n(n+1)/2 cells a <= b, one per
-orbit {(a, b), (b, a)}, and the kernel closes their vectors under the swap;
-each survivor stands for both cells of its orbit, and witnesses are still
-found cell by cell, since the lexicographic tie-break does not commute with
-the swap.  The n-player table (`_values_nd`) walks each player's lines once: a
+game, one that every permutation of its players leaves unchanged
+(`NormalFormGame._is_symmetric`), all players share the memo, so each line is
+sorted once for all of them, whatever the arity.  With two players
+(u2(a, b) = u1(b, a)) the table also reads the second player's values off the
+first's, v2(a, b) = v1(b, a), so each row is scanned once for both players,
+and the solution set (`_pareto_cells`) streams only the n(n+1)/2 cells
+a <= b, one per orbit {(a, b), (b, a)}, and the kernel closes their vectors
+under the swap; each survivor stands for both cells of its orbit, and
+witnesses are still found cell by cell, since the lexicographic tie-break
+does not commute with the swap.  The n-player table (`_values_nd`) walks each player's lines once: a
 cell's strictly better replies are the run of its line before its tie group,
 and each player's deviation cells are built from those runs by shifts.
 `_steps` and `_deviation_cells`, which re-slice every line through a cell,
@@ -140,17 +142,15 @@ def deviation_space(game: NormalFormGame, profile: PureProfile, player: int) -> 
     return DeviationSpace(player, profile, options)
 
 
-def _deviation_cells(game: NormalFormGame, idx: int, profile: PureProfile) -> Iterator[list[int]]:
-    """Per player i in turn, the cells of i's deviation product at cell `idx`
-    in lexicographic profile order: i keeps `profile[i]`, and each opponent
-    stays or plays a strictly better reply."""
-    steps = _steps(game, idx, profile)
-    for i in range(len(steps)):
-        cells = [idx]
-        for j, step in enumerate(steps):
-            if j != i and len(step) > 1:  # a lone step is 0: the opponent stays
-                cells = [c + d for c in cells for d in step]
-        yield cells
+def _deviation_cells(steps: list[list[int]], idx: int, i: int) -> list[int]:
+    """The cells of player i's deviation product at cell `idx`, whose `_steps`
+    are `steps`, in lexicographic profile order: i keeps their strategy, and
+    each opponent stays or plays a strictly better reply."""
+    cells = [idx]
+    for j, step in enumerate(steps):
+        if j != i and len(step) > 1:  # a lone step is 0: the opponent stays
+            cells = [c + d for c in cells for d in step]
+    return cells
 
 
 def _rescale(game: NormalFormGame, values) -> ValueVector:
@@ -165,10 +165,12 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     """
     idx = game.validate_profile(profile)
     profile = tuple(profile)
+    steps = _steps(game, idx, profile)
     values = []
     witnesses = []
-    for u, cells in zip(game._num, _deviation_cells(game, idx, profile)):
-        witness = min(cells, key=u.__getitem__)  # the first, so the lexicographically smallest
+    for i, u in enumerate(game._num):
+        # The first minimizer, so the lexicographically smallest.
+        witness = min(_deviation_cells(steps, idx, i), key=u.__getitem__)
         values.append(u[witness])
         witnesses.append(_profile_at(game, witness))
     return EvaluatedProfile(profile, _rescale(game, values), tuple(witnesses))
@@ -322,7 +324,7 @@ def _pareto_cells(game: NormalFormGame) -> list[int]:
     n(n+1)/2 cells a <= b, closes their vectors under the swap, and each
     surviving cell stands for both cells of its orbit.
     """
-    if not game._is_symmetric():
+    if game.num_players != 2 or not game._is_symmetric():
         return pareto_positions(_scaled_values(game))
     n = game.shape[0]
     starts = [a * n - a * (a - 1) // 2 for a in range(n)]  # row a's first position in the stream
@@ -615,8 +617,9 @@ def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
     for i, (u, p, stride) in enumerate(zip(game._num, profile, game._strides)):
         own_values = []
         for s in range(game.shape[i]):
-            per_player = _deviation_cells(game, idx + (s - p) * stride, profile[:i] + (s,) + profile[i + 1 :])
-            own_values.append(min(map(u.__getitem__, list(per_player)[i])))
+            c = idx + (s - p) * stride
+            steps = _steps(game, c, profile[:i] + (s,) + profile[i + 1 :])
+            own_values.append(min(map(u.__getitem__, _deviation_cells(steps, c, i))))
         if own_values[p] != max(own_values):
             break
     else:

@@ -375,9 +375,10 @@ class TestNamed:
             gen_named("nope")
 
 
-def test_the_symmetric_two_player_games_among_the_generators():
-    # u2(a, b) = u1(b, a): these games share one line-order memo between
-    # the players, and their value table reads player 2's values off player 1's.
+def test_the_symmetric_games_among_the_generators():
+    # Unchanged under every permutation of the players: these games keep
+    # every payoff line's order under the last player alone, and a
+    # two-player one's value table reads player 2's values off player 1's.
     built = {tag: gen_named(tag) for tag in GAME_TAGS}
     built.update(
         travelers=gen_travelers(),
@@ -385,9 +386,12 @@ def test_the_symmetric_two_player_games_among_the_generators():
         centipede=gen_centipede(),
         public_goods_2=gen_public_goods(2),
         public_goods_3=gen_public_goods(3),
+        public_goods_4=gen_public_goods(4),
     )
     symmetric = sorted(name for name, game in built.items() if game._is_symmetric())
-    assert symmetric == ["figure1", "prisoners_dilemma", "public_goods_2", "travelers", "travelers_r5"]
+    assert symmetric == [
+        "figure1", "prisoners_dilemma", "public_goods_2", "public_goods_3", "public_goods_4", "travelers", "travelers_r5"
+    ]
 
 
 class TestRoundTrip:

@@ -12,7 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -325,7 +325,7 @@ def check_against_the_oracles(game):
     for prof, vec in brute.items():
         own_best = all(
             vec[i] == max(brute[prof[:i] + (s,) + prof[i + 1 :]][i] for s in range(game.shape[i]))
-            for i in (0, 1)
+            for i in range(game.num_players)
         )
         assert is_maximin_equilibrium(game, prof) == (own_best or vec in front)
 
@@ -349,6 +349,91 @@ def test_symmetric_games_and_their_perturbed_copies_match_the_oracles(drawn, dat
         identity = (hash(built), repr(built))
         symmetric = all(built.payoff((a, b))[1] == built.payoff((b, a))[0] for a, b in u1)
         assert built._is_symmetric() is symmetric
+        assert (hash(built), repr(built)) == identity
+        assert built == parse_game(dump_game(built))  # a copy whose flag is not computed
+        check_against_the_oracles(built)
+    assert game._is_symmetric()
+
+
+@st.composite
+def symmetric_nplayer_games(draw):
+    """A game of 3 or 4 players with one strategy count, unchanged under every
+    permutation of the players, as a {profile: payoffs} table: u_i(a) =
+    f(a_i, the sorted strategies of the others), with f's values ints from a
+    tied pool or `Fraction`s over a drawn denominator pool, drawn from one
+    `Random`."""
+    n = draw(st.sampled_from((3, 4)))
+    m = draw(st.sampled_from((2, 3, 4, 1) if n == 3 else (2, 3, 1)))  # evenly, one-cell games among them
+    numerators = draw(st.sampled_from([range(3), range(-4, 5)]))
+    pool = draw(st.none() | DENOMINATOR_POOLS)
+    rng = draw(st.randoms(use_true_random=False))
+    f = {}
+    for a in product(range(m), repeat=n):
+        for i in range(n):
+            key = (a[i], tuple(sorted(a[:i] + a[i + 1 :])))
+            if key not in f:
+                f[key] = rng.choice(numerators) if pool is None else F(rng.choice(numerators), rng.choice(pool))
+    return {
+        a: [f[a[i], tuple(sorted(a[:i] + a[i + 1 :]))] for i in range(n)] for a in product(range(m), repeat=n)
+    }
+
+
+def symmetric_by_definition(game):
+    """Whether u_σ(i)(σ·a) = u_i(a) for every permutation σ of the players,
+    every profile a and every player i, read cell by cell; σ·a puts a_i at
+    position σ(i)."""
+    n = game.num_players
+    if len(set(game.shape)) > 1:
+        return False
+    for sigma in permutations(range(n)):
+        for a in game.profiles():
+            moved = [None] * n
+            for i, s in enumerate(a):
+                moved[sigma[i]] = s
+            here, there = game.payoff(a), game.payoff(tuple(moved))
+            if any(there[sigma[i]] != here[i] for i in range(n)):
+                return False
+    return True
+
+
+def one_more(cells, *places):
+    """A copy of the table `cells` whose payoff of player i at profile a is
+    one more for each (i, a) in `places`."""
+    out = {a: list(payoffs) for a, payoffs in cells.items()}
+    for i, a in places:
+        out[a][i] += 1
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_nplayer_games(), st.data())
+def test_symmetric_nplayer_games_and_their_perturbed_copies_match_the_oracles(cells, data):
+    # The copies: one payoff one more; the third player one more at a cell
+    # and its image under the swap of the first two players, which keeps
+    # the swap and breaks the cycle; every player i one more at the i-th
+    # image of a cell under the cycle i -> i + 1, which keeps the cycle and
+    # breaks the swap unless the second and third strategies there are
+    # equal; and one player's payoffs over twice the denominator.  Each
+    # copy's flag is checked against the definition.
+    a = data.draw(st.sampled_from(sorted(cells)))
+    b = data.draw(st.sampled_from([b for b in sorted(cells) if b[1] != b[2]] or [a]))
+    n = len(a)
+    shape = (max(profile[0] for profile in cells) + 1,) * n
+    players, strategies = [f"p{i}" for i in range(n)], [[f"s{k}" for k in range(shape[0])]] * n
+    game = NormalFormGame(players, strategies, nest(cells, shape))
+    cycled = [b[n - i :] + b[: n - i] for i in range(n)]  # the i-th image has b_k at k + i
+    tables = [
+        one_more(cells, (data.draw(st.integers(0, n - 1)), a)),
+        one_more(cells, *{(2, a), (2, (a[1], a[0]) + a[2:])}),
+        one_more(cells, *enumerate(cycled)),
+    ]
+    copies = [game] + [rebuilt(game, table) for table in tables]
+    den = list(game._den)
+    den[data.draw(st.integers(0, n - 1))] *= 2
+    copies.append(NormalFormGame._from_scaled(game.players, game.strategies, game._num, den))
+    for built in copies:
+        identity = (hash(built), repr(built))
+        assert built._is_symmetric() is symmetric_by_definition(built)
         assert (hash(built), repr(built)) == identity
         assert built == parse_game(dump_game(built))  # a copy whose flag is not computed
         check_against_the_oracles(built)

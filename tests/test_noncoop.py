@@ -17,6 +17,7 @@ from optimin import (
     fictitious_extension,
     gen_named,
     gen_prisoners_dilemma,
+    gen_public_goods,
     is_maximin_equilibrium,
     maximin_profile,
     nash_pure,
@@ -623,6 +624,22 @@ class TestValueTableWork:
         assert [len(orders) for orders in g._orders] == ([0, n] if symmetric else [n, n])
         assert len(calls) == (n if symmetric else 2 * n)
         assert reads == [n * (n + 1) // 2 if symmetric else n * n]
+
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_a_symmetric_three_player_game_sorts_each_line_once_for_all_players(self, changed):
+        # Public goods is unchanged under every permutation of its players, so
+        # every line's order is kept under the last player; once one payoff
+        # is one more, each player sorts their own lines.
+        g = gen_public_goods(3, levels=(0, 2, 4, 6, 8))
+        m = g.shape[0]
+        cells = m**3
+        if changed:
+            num = [list(u) for u in g._num]
+            num[1][cells // 2] += 1
+            g = NormalFormGame._from_scaled(g.players, g.strategies, num, g._den)
+        optimin_pure(g)
+        nash_pure(g)
+        assert [len(orders) for orders in g._orders] == ([cells // m] * 3 if changed else [0, 0, cells // m])
 
     def test_a_refused_table_sorts_no_line(self):
         g = zero_game((6,) * 6)
