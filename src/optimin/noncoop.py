@@ -27,9 +27,10 @@ and the solution set (`_pareto_cells`) streams only the n(n+1)/2 cells
 a <= b, one per orbit {(a, b), (b, a)}, and the kernel closes their vectors
 under the swap; each survivor stands for both cells of its orbit, and
 witnesses are still found cell by cell, since the lexicographic tie-break
-does not commute with the swap.  The n-player table (`_values_nd`) walks each player's lines once: a
-cell's strictly better replies are the run of its line before its tie group,
-and each player's deviation cells are built from those runs by shifts.
+does not commute with the swap.  The n-player table (`_values_nd`) walks
+each player's lines once: a cell's strictly better replies are the run of
+its line before its tie group, and each player's deviation cells are built
+from those runs by shifts.
 `_steps` and `_deviation_cells`, which re-slice every line through a cell,
 serve only the witnesses of `value_pure` (for the survivors alone in
 `optimin_pure`) and `is_maximin_equilibrium`.  `nash_pure` keeps the top of
