@@ -221,6 +221,9 @@ def _worst_cases(worth: Sequence[int], columns: Sequence[list[int]], total: int,
             walk(grown, column, k + 1)
 
     walk(0, (), 0)
+    # `walk` refers to itself; without this its closure would keep `pending`,
+    # `columns` and `worth` alive until the next cyclic garbage collection.
+    del walk
     folded = (map(max, *losses) if losses[1:] else losses[0] for losses in pending)
     return [list(map(sub, map(mul, column, repeat(lcm)), loss)) for column, loss in zip(columns, folded)]
 

@@ -126,16 +126,17 @@ class NormalFormGame:
         (the first player's lines and the other players' lines through its
         candidates).  In a symmetric game the line of any other player i is
         the last player's line through `start` with the strategies of i and
-        the last player swapped, and its order is read from there: the last
-        player's stride is 1, so that line starts at cell
-        ``start + start % m * (stride_i - 1)``.  With two players this is
-        the second player's row b for the first player's column b."""
+        the last player swapped, and the key is resolved to that line before
+        the lookup: the last player's stride is 1, so that line starts at
+        cell ``start + start % m * (stride_i - 1)``.  With two players this
+        is the second player's row b for the first player's column b."""
+        # The cached flag is read first: a call per read would cost more than
+        # the lookup.  The last player's own line maps to itself.
+        if self._symmetric or self._symmetric is None and self._is_symmetric():
+            player, start = -1, start + start % self.shape[0] * (self._strides[player] - 1)
         orders = self._orders[player]
         order = orders.get(start)
         if order is None:
-            last = len(self.shape) - 1
-            if player < last and self._is_symmetric():
-                return self._line_order(last, start + start % self.shape[0] * (self._strides[player] - 1))
             stride = self._strides[player]
             line = self._num[player][start : start + self.shape[player] * stride : stride]
             order = orders[start] = sorted(range(len(line)), key=line.__getitem__, reverse=True)

@@ -9,16 +9,18 @@ scale, and each row over its own (`Constraint`).  The builders in `coop`
 and `zerosum` hand over their games' ints.  The tableau then holds ints
 over one common denominator `D > 0` (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 1968): see
-`fraction_free_pivot`.  The returned point is brought over one denominator
-once, and every constraint and bound is checked at it in ints; the duals
-stay ints until they are read.  There is no epsilon anywhere.  Bland's rule
-(always pivot on the lowest eligible index) makes the method cycling-proof,
-and degenerate ratio ties are broken by the lowest basic-variable index, so
-the returned vertex is deterministic.  Problem sizes here are desk scale,
-so the tableau is stored dense, as one list of ints per row.  Most pivots
-of the sparse core and nucleolus tableaus have p = D, and those touch only
-the pivot row's nonzero columns; a pivot with p != D rewrites every row at
-full width.
+`fraction_free_pivot`.  Each tableau row has one own column, its slack or,
+for an equality row, its phase-1 artificial, and the row's dual is read
+from the final cost row at that column.  The returned point is brought
+over one denominator once, and every constraint and bound is checked at it
+in ints; the duals stay ints until they are read.  There is no epsilon
+anywhere.  Bland's rule (always pivot on the lowest eligible index) makes
+the method cycling-proof, and degenerate ratio ties are broken by the lowest
+basic-variable index, so the returned vertex is deterministic.  Problem
+sizes here are desk scale, so the tableau is stored dense, as one list of
+ints per row.  Most pivots of the sparse core and nucleolus tableaus have
+p = D, and those touch only the pivot row's nonzero columns; a pivot with
+p != D rewrites every row at full width.
 """
 
 from __future__ import annotations
@@ -354,55 +356,48 @@ def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
     m = len(rows)
     n = len(cost)
 
-    # Equality form with slacks, rhs made nonnegative.  Slack and artificial
-    # coefficients stay +-1 whatever the row's scale, which only rescales
-    # those variables and changes no sign that Bland's rule reads.  A <= row
-    # that kept its sign provides its slack as a ready-made basic variable;
-    # only the other rows need artificials in phase 1.
+    # Equality form, rhs made nonnegative.  Every row gets one own column,
+    # its slack or, for an equality row, its artificial, with a +-1
+    # coefficient whatever the row's scale: that only rescales the variable
+    # and changes no sign that Bland's rule reads.  The columns are the
+    # variables, the slacks in row order, the equality artificials in row
+    # order and the rhs, and the final cost row reads each row's dual at its
+    # own column.  A row whose slack reads +1 once its rhs is nonnegative
+    # starts with that slack basic.  The others start with an artificial,
+    # which comes after the slacks in Bland's order and never enters; the
+    # k-th of them gets the basis id total + k.  Only an equality row's
+    # artificial is a stored column, so the other ids lie past the columns.
+    total = n + sum(rel != EQUAL for rel in rels)
+    width = n + m
     tableau: list[list[int]] = []
-    n_slack = sum(1 for r in rels if r != EQUAL)
-    total = n + n_slack
     basis: list[int] = []
+    own: list[tuple[int, int]] = []  # (column, its coefficient in the row as given)
     needs_artificial: list[int] = []
-    slack_of: list[int | None] = []
-    flipped: list[bool] = []
-    slack_at = n
-    for r in range(m):
-        row = rows[r] + [0] * n_slack + [rhs[r]]
-        slack_col = None
-        if rels[r] != EQUAL:
-            slack_col = slack_at
-            row[slack_col] = 1 if rels[r] == LESS_EQUAL else -1
-            slack_at += 1
-        slack_of.append(slack_col)
-        flipped.append(rhs[r] < 0)
-        if flipped[r]:
-            row = [-c for c in row]
-        if slack_col is not None and row[slack_col] == 1:
-            basis.append(slack_col)
+    slack_at, artificial_at = n, total
+    for r, (row, rel, b) in enumerate(zip(rows, rels, rhs)):
+        if rel == EQUAL:
+            col, coefficient = artificial_at, -1 if b < 0 else 1
+            artificial_at += 1
         else:
-            basis.append(-1)  # placeholder, resolved below
-            needs_artificial.append(r)
+            col, coefficient = slack_at, 1 if rel == LESS_EQUAL else -1
+            slack_at += 1
+        row = row + [0] * m + [b]
+        row[col] = coefficient
+        if b < 0:
+            row = [-v for v in row]
         tableau.append(row)
+        own.append((col, coefficient))
+        if col < total and row[col] == 1:
+            basis.append(col)
+        else:
+            basis.append(total + len(needs_artificial))
+            needs_artificial.append(r)
 
-    # Artificials come after the slacks in Bland's order, and none ever
-    # enters.  Only an equality row's artificial gets a column, which holds
-    # the row's dual value at the end; the others are never read, so they
-    # are basis ids past the stored columns.  The phase-2 cost row rides
-    # along as one more row from the start, so every pivot keeps it over the
-    # same denominator; the starting basis costs nothing, so it needs no
-    # elimination.
+    # The phase-2 cost row rides along as one more row from the start, so
+    # every pivot keeps it over the same denominator; the starting basis
+    # costs nothing, so it needs no elimination.
     d = 1
-    equalities = [r for r in needs_artificial if rels[r] == EQUAL]
-    art_of = {r: total + k for k, r in enumerate(equalities)}
-    width = total + len(art_of)
-    for r in range(m):
-        tableau[r][-1:-1] = [0] * len(art_of)
-    for k, r in enumerate(needs_artificial):
-        basis[r] = total + k
-        if r in art_of:
-            tableau[r][art_of[r]] = 1
-    tableau.append(cost + [0] * (width - n + 1))
+    tableau.append(cost + [0] * (m + 1))
     if needs_artificial:
         # Reduced costs of min(sum of artificials, each weighed by the
         # inverse of its row's scale); the last entry tracks minus the
@@ -414,7 +409,7 @@ def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
             for k, v in enumerate(tableau[r]):
                 if v:
                     phase1[k] -= weight * v
-        phase1[total:width] = [0] * len(art_of)
+        phase1[total:width] = [0] * (width - total)
         tableau.append(phase1)
 
         d = _pivot_until_optimal(tableau, basis, m + 1, total, d)
@@ -433,7 +428,7 @@ def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
                     tableau[r] = [-v for v in tableau[r]]
                 d = fraction_free_pivot(tableau, r, col, d)
                 basis[r] = col
-        for r in sorted(drop_rows, reverse=True):
+        for r in reversed(drop_rows):
             del tableau[r]
             del basis[r]
 
@@ -444,19 +439,10 @@ def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
     for r, b in enumerate(basis):
         if b < n:
             y[b] = tableau[r][-1]
-    # The cost row is D*(c - pi*A) over the rows as given: a slack column
-    # reads -pi_r times its +-1 coefficient, an equality row's artificial
-    # column -pi_r times the sign that made its rhs nonnegative.
+    # The cost row is D*(c - pi*A) over the rows as given, so a row's own
+    # column reads -pi_r times that column's coefficient in the row as given.
     cost_row = tableau[-1]
-    prices = []
-    for r in range(m):
-        if slack_of[r] is not None:
-            sign = 1 if rels[r] == LESS_EQUAL else -1
-            col = slack_of[r]
-        else:
-            sign = -1 if flipped[r] else 1
-            col = art_of[r]
-        prices.append(-sign * cost_row[col])
+    prices = [-coefficient * cost_row[col] for col, coefficient in own]
     return y, prices, d
 
 

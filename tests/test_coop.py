@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib.util
 import io
 import itertools
@@ -269,6 +270,22 @@ class TestOptiminCoop:
         assert set(result.allocations) == expected
         for _, value in result.entries:
             assert value == (F(40), F(30), F(25))
+
+    def test_optimin_and_value_leave_no_cyclic_garbage(self):
+        # Cyclic garbage waits for the collector, and a coop call makes too
+        # few objects to trigger it often, so a cycle per call piles up.
+        g = gen_named("coop_empty_core")
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            optimin_coop(g, 1)
+            assert gc.collect() == 0
+            coop_value(g, (F(40), F(35), F(35)))
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_empty_core_characterization_check(self):
         g = gen_named("coop_empty_core")

@@ -458,9 +458,20 @@ class TestDifferential:
             ([1], False, [([F(1, 2)], ">=", 3), ([1], "<=", 5)], [(None, None)]),  # infeasible
             ([1, -1], False, [([1, 2], "=", F(5, 3)), ([3, -1], "=", 1)], [(None, None)] * 2),
             ([2, 3], True, [([1, 1], "<=", 4)], [(F(-1, 2), F(5, 2)), (None, F(1, 3))]),
+            # One optimal program per kind of own column that a row can have,
+            # each with a nonzero dual read there; nonnegative variables keep
+            # the rhs signs.  A <= row with a negative rhs needs an artificial,
+            ([1, 2], False, [([-1, -1], "<=", -2)], [(0, None)] * 2),
+            # a >= row with a negative rhs starts with its slack basic,
+            ([1, 3], True, [([1, 1], "<=", 4), ([1, -1], ">=", -2)], [(0, None)] * 2),
+            # a >= row with a nonnegative rhs needs an artificial,
+            ([1, 1], False, [([1, 2], ">=", 3)], [(0, None)] * 2),
+            # and an = row with a negative rhs is flipped, so its artificial reads
+            # its dual with the sign turned.
+            ([1, 1], False, [([1, -1], "=", -1)], [(0, None)] * 2),
         ]
         statuses = [check_against_enumeration(*case).status for case in cases]
-        assert statuses == ["unbounded", "infeasible", "optimal", "optimal"]
+        assert statuses == ["unbounded", "infeasible"] + ["optimal"] * 6
 
     def test_duals_of_a_known_program(self):
         # max 3x + 2y st x + y <= 4, x + 3y <= 9, x <= 3: optimum (3, 1) = 11,
