@@ -10,9 +10,15 @@ case in closed form.
 Every solver reads each player's payoffs as ints over one denominator.  The
 pure solution set filters the int value vectors by cell position and builds
 profiles and witnesses only for the cells that survive.  Those vectors reach
-the filter as a one-shot stream (`_scaled_values`), so no table of per-cell
-tuples is held; with two players the stream is a `zip`, which reuses its
-result tuple for every vector the filter has seen before.
+the filter as a one-shot stream, so no table of per-cell tuples is held;
+with two players the stream is a `zip`, which reuses its result tuple for
+every vector the filter has seen before.  With any other number of players
+a cell's value never exceeds its payoff, v(c) <= u(c), so the payoffs bound
+the values for free: the stream (`_unsettled_values`) visits the cells by
+descending payoff sum and evaluates only those that the best value vector
+found so far does not already dominate through their payoffs, as sort-first
+skyline filters drop points by a strong dominator before the exact scan
+(Chomicki et al., "Skyline with presorting", ICDE 2003).
 
 Both value tables and `nash_pure` read each payoff line's order from one
 memo on the game (`NormalFormGame._line_order`), so a line is sorted at most
@@ -27,10 +33,12 @@ and the solution set (`_pareto_cells`) streams only the n(n+1)/2 cells
 a <= b, one per orbit {(a, b), (b, a)}, and the kernel closes their vectors
 under the swap; each survivor stands for both cells of its orbit, and
 witnesses are still found cell by cell, since the lexicographic tie-break
-does not commute with the swap.  The n-player table (`_values_nd`) walks
-each player's lines once: a cell's strictly better replies are the run of
-its line before its tie group, and each player's deviation cells are built
-from those runs by shifts.
+does not commute with the swap.  The n-player evaluator (`_values_nd`)
+sorts each player's lines once, into one (line, k) per player and cell: a
+cell's strictly better replies are the run of its line before its tie group,
+and each player's deviation cells are built from those runs by shifts.
+`value_table` maps the evaluator over every cell, and the solution set
+calls it on the cells it does not skip.
 `_steps` and `_deviation_cells`, which re-slice every line through a cell,
 serve only the witnesses of `value_pure` (for the survivors alone in
 `optimin_pure`) and `is_maximin_equilibrium`.  `nash_pure` keeps the top of
@@ -60,8 +68,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import ge, getitem, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GRID_PROFILE_LIMIT, GRID_WEIGHT_LIMIT, VALUE_TABLE_MAX_PROFILES
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
@@ -187,31 +195,35 @@ def _scaled_values(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
     player's values times their `_den`; no profile is built.  The vectors
     come as a one-shot stream, so no table of them is held.  Both kernels,
     `_values_2p` and `_values_nd`, read each line's order from the game's
-    `_line_order` memo.  With 3 or more players each cell scans, per player,
-    the product of the opponents' option sets, so the worst-case count of
-    those profiles is checked first, when this is called, before any line is
-    sorted."""
+    `_line_order` memo; with any number of players but two the stream maps
+    `_values_nd`'s evaluator over every cell, and its bound is checked when
+    this is called, before any line is sorted."""
     if game.num_players == 2:
         return _values_2p(game)
-    cells = len(game._num[0])
-    profiles = cells * sum(cells // m for m in game.shape)
+    return map(_values_nd(game), range(len(game._num[0])))
+
+
+def _values_nd(game: NormalFormGame) -> Callable[[int], tuple[int, ...]]:
+    """The evaluator of a game of any arity but two: it maps a cell to its
+    scaled value vector.  Each cell scans, per player, the product of the
+    opponents' option sets, so the worst-case count of those profiles over
+    all cells is checked first, before any line is sorted.  Then every line
+    is sorted once, through `_line_order`, into a per-cell tuple of each
+    player's (line, k); the evaluator reads only that tuple and the payoffs.
+    """
+    num, size = game._num, len(game._num[0])
+    profiles = size * sum(size // m for m in game.shape)
     if profiles > VALUE_TABLE_MAX_PROFILES:
         what = f"value table of {'x'.join(map(str, game.shape))} cells ({profiles} deviation profiles)"
         raise ResourceLimitError.past(
             what, VALUE_TABLE_MAX_PROFILES, "profile", "VALUE_TABLE_MAX_PROFILES"
         )
-    return _values_nd(game)
-
-
-def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
     # Player j's strictly better replies at cell c are the run of c's line, in
     # j's `_line_order`, before c's tie group, which starts at position k.
     # Player i's deviation cells are the first such opponent's run plus c,
     # times each later one's shifts from c, plus 0; no payoff line is re-read
     # and no profile is decoded.  Each cell's runs and shifts serve all its
-    # players and are dropped with its vector; only the per-line table `at`
-    # lives as long as the stream.
-    num, size = game._num, len(game._num[0])
+    # players and are dropped with its vector.
     at = []  # per player, per cell: (the cells of its line in that order, k)
     for j, (u, stride, m) in enumerate(zip(num, game._strides, game.shape)):
         at.append(rows := [None] * size)
@@ -220,9 +232,11 @@ def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
             first = {}  # ties are adjacent, so a payoff's first position starts its group
             for pos, c in enumerate(line):
                 rows[c] = line, first.setdefault(u[c], pos)
-    for c, lines in enumerate(zip(*at)):
+    lines_at = list(zip(*at))
+
+    def value(c: int) -> tuple[int, ...]:
         runs = []  # per player j with k > 0: (j, the run plus c, its shifts from c plus 0)
-        for j, (line, k) in enumerate(lines):
+        for j, (line, k) in enumerate(lines_at[c]):
             if k:
                 run = line[:k]
                 shifts = [y - c for y in run]
@@ -249,7 +263,9 @@ def _values_nd(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
                 vec.append(min(map(u.__getitem__, cells)))
             else:
                 vec.append(u[c])
-        yield tuple(vec)
+        return tuple(vec)
+
+    return value
 
 
 def _rows_2p(game: NormalFormGame) -> tuple[list[list[int]], list[list[int]]]:
@@ -323,10 +339,15 @@ def _pareto_cells(game: NormalFormGame) -> list[int]:
     swapped, and domination commutes with the swap, so a cell survives
     exactly when its mirror cell does.  The kernel then reads only the
     n(n+1)/2 cells a <= b, closes their vectors under the swap, and each
-    surviving cell stands for both cells of its orbit.
+    surviving cell stands for both cells of its orbit.  With any other number
+    of players the kernel reads only the cells that `_unsettled_values`
+    evaluates.
     """
-    if game.num_players != 2 or not game._is_symmetric():
-        return pareto_positions(_scaled_values(game))
+    if game.num_players != 2:
+        cells: list[int] = []
+        return sorted(map(cells.__getitem__, pareto_positions(_unsettled_values(game, cells))))
+    if not game._is_symmetric():
+        return pareto_positions(_values_2p(game))
     n = game.shape[0]
     starts = [a * n - a * (a - 1) // 2 for a in range(n)]  # row a's first position in the stream
     cells = set()
@@ -335,6 +356,37 @@ def _pareto_cells(game: NormalFormGame) -> list[int]:
         b = a + k - starts[a]
         cells.update((a * n + b, b * n + a))
     return sorted(cells)
+
+
+def _unsettled_values(game: NormalFormGame, cells: list[int]) -> Iterator[tuple[int, ...]]:
+    """The scaled value vectors of the cells that the payoffs do not settle,
+    as a one-shot stream, each cell appended to `cells` as its vector comes.
+
+    A cell's value never exceeds its payoff, v(c) <= u(c), since the
+    agreement itself is among the profiles its values are minima over.  The
+    cells are visited in descending order of their payoff sums, and `best`
+    is the evaluated vector of largest sum.  A cell is skipped, unevaluated,
+    when sum(best) > sum(u(c)) and best >= u(c) in every coordinate: then
+    best >= v(c) with a larger sum, so best dominates v(c), and whatever
+    v(c) would dominate, best does too.  The sums mix the players'
+    denominators, which is safe: both tests read the same scaled
+    coordinates, and domination there implies a strictly larger sum.
+    """
+    value = _values_nd(game)
+    num = game._num
+    sums = list(map(sum, zip(*num)))
+    order = iter(sorted(range(len(sums)), key=sums.__getitem__, reverse=True))
+    cells.append(next(order))
+    yield (best := value(cells[0]))
+    top = sum(best)
+    for c in order:
+        # u(c) is read player by player, so no per-cell payoff tuple is held.
+        if top > sums[c] and all(map(ge, best, map(getitem, num, itertools.repeat(c)))):
+            continue
+        cells.append(c)
+        yield (v := value(c))
+        if (total := sum(v)) > top:
+            best, top = v, total
 
 
 def _profile_at(game: NormalFormGame, idx: int) -> PureProfile:

@@ -42,7 +42,7 @@ from optimin import noncoop
 from optimin.fileio import dump_game, parse_game
 from optimin.rational import json_number
 from optimin.zerosum import MaximinSolution, guarantee, maximin_lp
-from conftest import brute_pareto, brute_value_pure
+from conftest import brute_pareto, brute_value_pure, random_constant_sum_game
 
 # Per-player denominator pools: an all-integer player, small mixed ones, and
 # large primes whose lcm runs far past 64 bits.
@@ -449,6 +449,32 @@ def test_a_symmetric_front_cell_need_not_be_an_own_best_reply():
     game = symmetric_game(3, {(a, b): rows[a][b] for a in range(3) for b in range(3)})
     check_against_the_oracles(game)
     assert is_maximin_equilibrium(game, (0, 1)) and is_maximin_equilibrium(game, (1, 0))
+
+
+@st.composite
+def pruned_path_games(draw):
+    """Games whose solution set skips the cells that the best value vector
+    found so far dominates through their payoffs: tied games of 1, 3 or 4
+    players; constant-sum games, where every cell has one payoff sum and so
+    none is skipped; and tied games of 1, 3 or 4 players in which two cells
+    hold every player's largest payoff.  Neither of those two has a
+    profitable deviation, so the second's payoff sum ties the first's value
+    sum and it must still be evaluated."""
+    kind = draw(st.sampled_from(["tied", "constant-sum", "top tie"]))
+    if kind == "constant-sum":
+        return random_constant_sum_game(draw(st.randoms(use_true_random=False)), max_players=4)
+    game = draw(tied_games().filter(lambda g: g.num_players != 2))
+    cells = {prof: list(game.payoff(prof)) for prof in game.profiles()}
+    if kind == "top tie" and len(cells) > 1:
+        a, b = draw(st.lists(st.sampled_from(sorted(cells)), min_size=2, max_size=2, unique=True))
+        cells[a] = cells[b] = [3] * game.num_players  # the tied pool is 0..2
+    return rebuilt(game, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pruned_path_games())
+def test_the_pruned_solution_set_matches_the_oracles(game):
+    check_against_the_oracles(game)
 
 
 @settings(max_examples=150, deadline=None)

@@ -641,6 +641,37 @@ class TestValueTableWork:
         nash_pure(g)
         assert [len(orders) for orders in g._orders] == ([cells // m] * 3 if changed else [0, 0, cells // m])
 
+    @pytest.mark.parametrize("constant_sum", [False, True])
+    def test_the_solution_set_evaluates_only_cells_no_payoff_bound_settles(self, monkeypatch, constant_sum):
+        # A cell's value never exceeds its payoff, so a cell is skipped once
+        # an evaluated vector is >= its payoffs with a larger sum.  In a
+        # constant-sum game every cell has one payoff sum, and none is.
+        evaluator = noncoop._values_nd
+        evaluated = []
+
+        def counted(game):
+            value = evaluator(game)
+
+            def count(c):
+                evaluated.append(c)
+                return value(c)
+
+            return count
+
+        monkeypatch.setattr(noncoop, "_values_nd", counted)
+        rng = random.Random(3901)
+        cells = 6**3
+        payoffs = [[rng.randint(-40, 40) for _ in range(cells)] for _ in range(2)]
+        payoffs.append([5 - a - b for a, b in zip(*payoffs)] if constant_sum else
+                       [rng.randint(-40, 40) for _ in range(cells)])
+        strategies = [[f"s{k}" for k in range(6)]] * 3
+        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], strategies, payoffs, [1] * 3)
+        kept = [e.profile for e in optimin_pure(g)]
+        assert len(set(evaluated)) == len(evaluated) == (cells if constant_sum else 61)
+        table = value_table(g)
+        front = set(brute_pareto(list(table.values())))
+        assert kept == [prof for prof, vec in table.items() if vec in front]
+
     def test_a_refused_table_sorts_no_line(self):
         g = zero_game((6,) * 6)
         for solve in (value_table, optimin_pure, noncoop._scaled_values):

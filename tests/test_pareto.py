@@ -280,6 +280,37 @@ def test_decimal_and_mixed_vectors_match_the_definition(vecs):
     assert pareto_positions(v for v in vecs) == pareto_positions(vecs)
 
 
+# -- the top-sum pass ------------------------------------------------------
+#
+# From 4 coordinates on, `_front` first drops what the distinct vector of
+# largest sum weakly dominates.  A float or Decimal sum may pick that vector
+# wrongly (1e16 + 1.0 == 1e16); the pass must still drop only dominated ones.
+
+KERNEL_POOLS = [
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([-1.0, 0.0, 1.0, 2.0, 1e16, 1e16 + 2]),
+    COORDINATES,
+    st.sampled_from([Decimal(-1), Decimal(0), Decimal(1), Decimal("1e30")]),
+]
+
+
+@st.composite
+def wide_sets(draw):
+    """Up to 60 distinct vectors of width 4-16 over 2-4 values of one type:
+    ints, floats near 1e16, `Fraction`s or Decimals near 1e30."""
+    width = draw(st.integers(min_value=4, max_value=16))
+    values = draw(st.lists(draw(st.sampled_from(KERNEL_POOLS)), min_size=2, max_size=4, unique=True))
+    return set(draw(st.lists(st.tuples(*[st.sampled_from(values)] * width), min_size=1, max_size=60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_sets())
+@example({(1e16, 0.0, 0.0, 0.0), (1e16, 0.0, 0.0, 1.0)})
+@example({(1e16, 1.0, 0.0, 0.0), (1e16, 0.0, 0.0, 1.0), (1e16, 0.0, 0.0, 0.0)})
+def test_the_wide_front_matches_the_quadratic_scan(vecs):
+    assert pareto._front(vecs) == set(brute_pareto(list(vecs)))
+
+
 # -- the one-pass contract ------------------------------------------------
 #
 # `pareto_positions` reads its input once, so the solvers can hand it a
