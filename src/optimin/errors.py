@@ -85,12 +85,14 @@ GRID_PROFILE_LIMIT = 50_000
 # 0.2 s and 8 MB over the interpreter's own.
 GRID_WEIGHT_LIMIT = 1_000_000
 
-# The n-player (n >= 3) pure value table refuses games whose worst-case count
-# of deviation profiles, cells · sum_i cells / m_i, passes this: each cell
-# scans, per player, the product of the opponents' option sets.  With random
-# payoffs `optimin_pure` takes about 0.13-0.21 s on 8^4 (8.4e6 profiles) and
-# 0.9-1.3 s on 11^4 (7.8e7), with a 7.8 MB tracemalloc peak, most of it the
-# per-line table of the kernel; a 6^6 game (2.2e9) would run for many minutes.
+# The pure value table of a game of any arity but two refuses games whose
+# worst-case count of deviation profiles, cells · sum_i cells / m_i, passes
+# this: each cell scans, per player, the product of the opponents' option
+# sets.  On seeded 11^4 games (7.8e7 profiles) `optimin_pure` took 1.6-1.8 s
+# with constant-sum payoffs, whose payoff sums are all equal so that no cell
+# is skipped, and 0.25-1.4 s with random payoffs, where the payoff bound
+# skips most cells; the tracemalloc peak is 9.3 MB, most of it the per-line
+# table of the kernel.  A 6^6 game (2.2e9) would run for many minutes.
 VALUE_TABLE_MAX_PROFILES = 100_000_000
 
 # -- TU cooperative games (`coop`) ------------------------------------------
