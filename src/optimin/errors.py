@@ -142,12 +142,12 @@ MATCHINGS_MAX_SIZE = 7
 # -- generators (`generators`) ----------------------------------------------
 # gen_travelers refuses claim games above this many cells (500 claims a
 # side); its value table holds one entry per cell.  At the bound one `sweep`
-# point (the game, `optimin_pure` and `nash_pure`) takes about 0.09-0.13 s,
-# up to 0.18 s when the host is slow, and peaks at 29 MB of RSS, 12 MB over
-# the interpreter's; the sorted payoff lines the game keeps for its value
-# table and `nash_pure` hold 5.5 MB of it, one line per row, since the game
-# is symmetric and both players read it.  Its Pareto filter reads 125 250
-# cells, one per orbit {(a, b), (b, a)}.
+# point (the game, `optimin_pure` and `nash_pure`) takes about 0.10-0.15 s,
+# of which building the game takes 12-16 ms, and peaks at 30 MB of RSS,
+# 12 MB over the interpreter's; the sorted payoff lines the game keeps for
+# its value table and `nash_pure` hold 5.5 MB of it, one line per row, since
+# the game is symmetric and both players read it.  Its Pareto filter reads
+# 125 250 cells, one per orbit {(a, b), (b, a)}.
 TRAVELERS_CELL_LIMIT = 250_000
 # gen_public_goods refuses games above this many cells (2 levels for 16
 # players); each cell holds one payoff per player.  At the bound `gen` takes

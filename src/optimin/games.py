@@ -84,15 +84,22 @@ class NormalFormGame:
 
         Each player's numerators and denominator are divided by their common
         gcd, which leaves the lcm of the reduced denominators, the same
-        representation ``__init__`` builds.
+        representation ``__init__`` builds.  The gcd reads the column in
+        chunks and stops at the first chunk after which it is 1, which in
+        most games is the first: the rest of the column cannot change it.
         """
         game = cls.__new__(cls)
         game._set_labels(players, strategies)
         scaled = []
         dens = []
         for column, d in zip(num, den):
-            g = math.gcd(d, *column)
-            scaled.append(tuple(column) if g == 1 else tuple(u // g for u in column))
+            column = tuple(column)
+            g = d
+            for k in range(0, len(column), 64):
+                g = math.gcd(g, *column[k : k + 64])
+                if g == 1:
+                    break
+            scaled.append(column if g == 1 else tuple(u // g for u in column))
             dens.append(d // g)
         game._num = tuple(scaled)
         game._den = tuple(dens)

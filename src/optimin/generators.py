@@ -4,9 +4,10 @@ Families: the claim-a-number dilemma with a reward parameter, the sequential
 stop-or-continue game in reduced normal form (increasing-sum and constant-sum
 variants), the 2x2 dilemma, and voluntary-contribution games.  Each builds
 int payoffs through `NormalFormGame._from_scaled`, no `Fraction` per cell;
-`FAMILIES` maps each to its generator, whose signature states its parameters
-and defaults.  Named tags reproduce specific matrices and characteristic
-functions exactly.
+the claim game builds player 1's payoffs only and takes player 2's as their
+transpose.  `FAMILIES` maps each family to its generator, whose signature
+states its parameters and defaults.  Named tags reproduce specific matrices
+and characteristic functions exactly.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:
     labels = tuple(str(c) for c in claims)
     # With r = p/q every payoff is an int over q: a*q for a tie, the lower
     # claim times q, plus p for its owner and minus p for the other.  Row a
-    # is column b's below the diagonal, the tie on it and a constant above.
-    below1 = [b * q - p for b in claims]
-    below2 = [b * q + p for b in claims]
-    u1, u2 = [], []
-    for a in claims:
-        u1 += below1[: a - low] + [a * q] + [a * q + p] * (high - a)
-        u2 += below2[: a - low] + [a * q] + [a * q - p] * (high - a)
+    # of player 1's is column b's below the diagonal, the tie on it and a
+    # constant above.  Player 2's is its transpose, u2(a, b) = u1(b, a).
+    below = [b * q - p for b in claims]
+    u1 = []
+    for i, a in enumerate(claims):
+        u1 += below[:i]
+        u1.append(a * q)
+        u1 += itertools.repeat(a * q + p, high - a)
+    u2 = tuple(itertools.chain.from_iterable(u1[a :: len(claims)] for a in range(len(claims))))
     return NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -307,3 +308,36 @@ def test_simplex_grid_matches_its_definition(size, total):
     # lexicographic order.
     shares = [s for s in itertools.product(range(total + 1), repeat=size) if sum(s) == total]
     assert simplex_grid(size, total) == shares
+
+
+@st.composite
+def scaled_column(draw, length):
+    """`length` int payoffs over a denominator d in 1..60 that share a factor
+    f of d, except, when drawn, one entry that breaks it; the break may come
+    after any number of entries, or never."""
+    f = draw(st.integers(1, 60))
+    d = f * draw(st.integers(1, 60 // f))
+    column = [f * x for x in draw(st.lists(st.integers(-10**9, 10**9), min_size=length, max_size=length))]
+    at = draw(st.none() | st.integers(0, length - 1))
+    if at is not None:
+        column[at] += 1  # f * x + 1 shares no factor with f
+    return column, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda length: st.tuples(scaled_column(length), scaled_column(length))))
+def test_from_scaled_is_the_canonical_form(columns):
+    # A game has a cell, so no column is empty.  Each player's ints and
+    # denominator must be divided by the gcd of all of them, however far
+    # into the column the last factor breaks, and give the game that the
+    # constructor reads from the same payoffs as Fractions.
+    (u1, d1), (u2, d2) = columns
+    strategies = ([f"s{k}" for k in range(len(u1))], ["t"])
+    game = NormalFormGame._from_scaled(("p1", "p2"), strategies, (u1, u2), (d1, d2))
+    for num, den, column, d in zip(game._num, game._den, (u1, u2), (d1, d2)):
+        g = math.gcd(d, *column)
+        assert (num, den) == (tuple(u // g for u in column), d // g)
+    payoffs = [[(F(a, d1), F(b, d2))] for a, b in zip(u1, u2)]
+    built = NormalFormGame(("p1", "p2"), strategies, payoffs)
+    assert (built._num, built._den) == (game._num, game._den)
+    assert built == game

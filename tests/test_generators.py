@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -5,6 +6,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optimin import (
     NormalFormGame,
@@ -157,6 +160,29 @@ class TestTravelers:
             for b in range(a + 1, 19):
                 u = g.payoff((a, b))
                 assert g.payoff((b, a)) == (u[1], u[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 40),
+        st.integers(1, 12).flatmap(lambda q: st.builds(F, st.integers(q + 1, 60 * q), st.just(q))),
+    )
+    def test_every_cell_matches_the_definition(self, low, width, r):
+        # r reaches past the claim range as well as below it, and r = p/q
+        # puts every payoff over q.  Player 2's payoffs are built as the
+        # transpose of player 1's, so each cell is checked for both.
+        claims = range(low, low + width + 1)
+        g = gen_travelers(low, claims[-1], r)
+        assert g.strategies == (tuple(map(str, claims)),) * 2
+        for (a, x), (b, y) in itertools.product(enumerate(claims), repeat=2):
+            if x == y:
+                want = (F(x), F(x))
+            elif x < y:
+                want = (x + r, x - r)
+            else:
+                want = (y - r, y + r)
+            assert g.payoff((a, b)) == want
+        assert g._is_symmetric()
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
