@@ -418,7 +418,7 @@ def core(game: TUGame) -> CoreResult:
     for mask in game.proper_coalitions():
         coeffs = [game._den if mask >> i & 1 else 0 for i in range(n)]
         constraints.append((coeffs, ">=", game._num[mask]))
-    sol = solve_lp(LinearProgram.build([0] * n, False, constraints))
+    sol = solve_lp(LinearProgram([0] * n, False, constraints))
     if sol.status == "infeasible":
         return CoreResult(True, None)
     if not sol.is_optimal:
@@ -513,7 +513,7 @@ def nucleolus(game: TUGame) -> Allocation:
         lam = len(masks) - len(free)  # the first λ column
         constraints.append(([0] * lam + [1] * len(free) + [0] * n, "=", 1))
         bounds = [(None, None)] * lam + [(0, None)] * (len(free) + n)
-        sol = solve_lp(LinearProgram.build(objective, True, constraints, bounds))
+        sol = solve_lp(LinearProgram(objective, True, constraints, bounds))
         if not sol.is_optimal:
             raise AssertionError(f"nucleolus dual LP unexpectedly {sol.status}")
         weights = sol.point[lam : lam + len(free)]

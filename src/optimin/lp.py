@@ -1,6 +1,6 @@
 """Exact linear programming: a fraction-free two-phase simplex with Bland's rule.
 
-The API speaks `Fraction`s; the solver works in ints.  `LinearProgram.build`
+The API speaks `Fraction`s; the solver works in ints.  `LinearProgram(...)`
 reads the objective, the bounds and each constraint's coefficients and
 right-hand side once, straight to ints (through
 `rational.over_common_denominator`, so an int builds no `Fraction`): the
@@ -129,10 +129,6 @@ class LinearProgram:
             (None if lo is None else next(ints), None if hi is None else next(ints))
             for lo, hi in bounds
         ]
-
-    @classmethod
-    def build(cls, objective, maximize, constraints, bounds=None) -> "LinearProgram":
-        return cls(objective, maximize, constraints, bounds)
 
     @property
     def objective(self) -> tuple[Fraction, ...]:

@@ -67,7 +67,7 @@ def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
     ]
     constraints.append(([d] * k + [0], "=", d))
     bounds = [(0, None)] * k + [(None, None)]
-    sol = solve_lp(LinearProgram.build([0] * k + [1], True, constraints, bounds))
+    sol = solve_lp(LinearProgram([0] * k + [1], True, constraints, bounds))
     if not sol.is_optimal:
         raise AssertionError(f"guarantee LP unexpectedly {sol.status}")
     return MaximinSolution(player, tuple(sol.point[:k]), sol.objective_value)

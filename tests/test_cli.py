@@ -80,6 +80,14 @@ HELP_PINS = {
     "sweep": "db16d3ce2b1039560d9bf377947e3a588c3fbb61b46493540ae6ddda98b3ed8b",
     "selftest": "33f6d049e73fa034e0bc3268070687e430446b48e04e3046d06eca169ef48406",
 }
+# 3.10 to 3.12 write the bytes above.  3.13's argparse wraps two usage lines
+# differently: the top level keeps its command list on one line, and `sweep`
+# breaks before `--param` and `[--variant ...]` rather than inside them.
+if sys.version_info >= (3, 13):
+    HELP_PINS |= {
+        "": "260679c05444b4a0c3cbca1afbff897671a8026bcfdc4c2b0388cef5a2cd552e",
+        "sweep": "8cf0b02628c9ef2e7c165f94468a9cde1730f85abafa334fb1570cc80a0dba4c",
+    }
 
 # sha256 of `optimin --game <g> --mixed-grid k` in table and json format,
 # recorded before the grid's deviation values came from one lower hull per

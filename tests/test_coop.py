@@ -527,7 +527,7 @@ def probe_nucleolus(game):
         return tuple(rows[k][-1] for k in range(n))
 
     while free:
-        lp = LinearProgram.build([0] * n + [1], False, base_constraints(True), x_bounds + [(None, None)])
+        lp = LinearProgram([0] * n + [1], False, base_constraints(True), x_bounds + [(None, None)])
         sol = solve_lp(lp)
         eps = sol.objective_value
         at_optimum = sol.point[:n]
@@ -535,7 +535,7 @@ def probe_nucleolus(game):
         for mask in free:
             if game.worth(mask) - coalition_sum(at_optimum, mask) < eps:
                 continue
-            probe = LinearProgram.build(mask_coeffs(mask), True, base_constraints(False, eps), x_bounds)
+            probe = LinearProgram(mask_coeffs(mask), True, base_constraints(False, eps), x_bounds)
             if game.worth(mask) - solve_lp(probe).objective_value == eps:
                 newly.append(mask)
         assert newly
@@ -571,7 +571,7 @@ def primal_nucleolus(game):
             constraints.append((mask_coeffs(mask) + [0], "=", game.worth(mask) - level))
         for mask in free:
             constraints.append((mask_coeffs(mask) + [1], ">=", game.worth(mask)))
-        sol = solve_lp(LinearProgram.build([0] * n + [1], False, constraints, bounds))
+        sol = solve_lp(LinearProgram([0] * n + [1], False, constraints, bounds))
         assert sol.is_optimal
         duals = sol.duals[1 + len(pinned) :]
         newly = [mask for mask, dual in zip(free, duals) if dual > 0]

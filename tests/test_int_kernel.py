@@ -574,7 +574,7 @@ def mixed_value_oracle(cells, shape, profile):
             witnesses.append(profile)
             continue
         sol = solve_lp(
-            LinearProgram.build(
+            LinearProgram(
                 objective=mine,
                 maximize=False,
                 constraints=[(theirs, ">=", expected[j]), ([1] * m, "=", 1)],
@@ -736,7 +736,7 @@ def test_zero_sum_readers_match_the_cells(data):
             sum(q * u for q, u in zip(mixture, col)) for col in columns
         )
         sol = solve_lp(
-            LinearProgram.build(
+            LinearProgram(
                 objective=[0] * k + [1],
                 maximize=True,
                 constraints=[(col + [-1], ">=", 0) for col in columns] + [([1] * k + [0], "=", 1)],

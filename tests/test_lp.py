@@ -13,7 +13,7 @@ from optimin.lp import fraction_free_pivot
 
 
 def build(objective, maximize, constraints, bounds=None):
-    return LinearProgram.build(objective, maximize, constraints, bounds)
+    return LinearProgram(objective, maximize, constraints, bounds)
 
 
 class TestBasics:
@@ -146,16 +146,16 @@ class TestConstraint:
         assert len(set(fractional)) == 1
         assert Constraint([1, 2], "=", 3) != Constraint([1, 2], ">=", 3)
         assert Constraint([1, 2], "=", 3) != Constraint([2, 4], "=", 6)
-        lp = LinearProgram.build([1, 1], True, [(["1/2", 1], "<=", "3/4")])
+        lp = LinearProgram([1, 1], True, [(["1/2", 1], "<=", "3/4")])
         assert lp.constraints == (Constraint([F(1, 2), 1], "<=", F(3, 4)),)
         with pytest.raises(AttributeError):
             lp.constraints[0].rhs = F(1)
 
     def test_build_checks_rows(self):
         with pytest.raises(ValueError, match="unknown relation"):
-            LinearProgram.build([1], True, [([1], "<", 1)])
+            LinearProgram([1], True, [([1], "<", 1)])
         with pytest.raises(ValueError, match="constraint has 2 coefficients, expected 1"):
-            LinearProgram.build([1], True, [([1, 1], "<=", 1)])
+            LinearProgram([1], True, [([1, 1], "<=", 1)])
         with pytest.raises(ValueError, match="point has 1 entries, expected 2"):
             Constraint([1, 1], "<=", 1).holds_at([F(1)])
 
@@ -170,7 +170,7 @@ class TestConstraint:
     )
     def test_verify_refuses_a_bad_point(self, monkeypatch, point, fault):
         rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
-        lp = LinearProgram.build([1, 1], True, rows, bounds=[(None, F(1, 2)), (0, None)])
+        lp = LinearProgram([1, 1], True, rows, bounds=[(None, F(1, 2)), (0, None)])
         # the solver's point comes as ints over one denominator, here 2
         bad = ([2 * x for x in point], 2, ((0, 1), (0, 1)), [1, 1], 1)
         monkeypatch.setattr(lp_module, "_solve", lambda program: bad)
@@ -179,7 +179,7 @@ class TestConstraint:
 
     def test_verify_passes_a_good_point(self, monkeypatch):
         rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
-        lp = LinearProgram.build([1, 1], True, rows, bounds=[(None, 3), (0, None)])
+        lp = LinearProgram([1, 1], True, rows, bounds=[(None, 3), (0, None)])
         monkeypatch.setattr(lp_module, "_solve", lambda program: ([5, 3], 2, ((1, 1), (0, 1)), [1, 1], 1))
         sol = solve_lp(lp)
         assert sol.point == (F(5, 2), F(3, 2))
@@ -517,8 +517,8 @@ class TestVertexChoice:
 
 def test_duals_are_built_on_first_read(count_fractions):
     # The solver keeps each dual as ints; no Fraction is built until `duals` is read.
-    lp = LinearProgram.build([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
-                             bounds=[(0, None), (0, None)])
+    lp = LinearProgram([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
+                       bounds=[(0, None), (0, None)])
     with count_fractions() as built:
         sol = solve_lp(lp)
         solved = len(built)
