@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import CORE_MAX_PLAYERS, IMPUTATION_GRID_MAX_POINTS, NUCLEOLUS_MAX_PLAYERS, SHAPLEY_MAX_PLAYERS
 from .errors import DomainError, ResourceLimitError
@@ -247,8 +246,7 @@ def is_imputation(game: TUGame, x: Sequence[Fraction]) -> bool:
     return sum(alloc) == worth[game.grand_coalition] and all(alloc[i] >= worth[1 << i] for i in range(game.n))
 
 
-@dataclass(frozen=True)
-class DeviationSet:
+class DeviationSet(NamedTuple):
     """Coalitions excluding `player` that profit by breaking away from `allocation`."""
 
     player: int
@@ -330,13 +328,12 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequ
     return [list(map(add, share, repeat(low, count))) for share, low in zip(shares, min_units)]
 
 
-@dataclass(frozen=True)
-class CoopOptimin:
+class CoopOptimin(NamedTuple):
     """Grid search result; `kind` flags that the lattice is an approximation."""
 
     step: Fraction
     entries: tuple[tuple[Allocation, ValueVector], ...]
-    kind: str = field(default="grid-approximate")
+    kind: str = "grid-approximate"
 
     @property
     def allocations(self) -> tuple[Allocation, ...]:
@@ -398,8 +395,7 @@ def matches_characterization(
     return survivors == expected
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(NamedTuple):
     empty: bool
     witness: Allocation | None
 

@@ -12,9 +12,8 @@ one vector per agreement, into the one Pareto kernel, `pareto.pareto_positions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DECISION_MAX_CELLS, ConstraintError, DomainError, ResourceLimitError
 from .pareto import pareto_positions
@@ -199,8 +198,7 @@ class OptimismConstraint:
         return _possible(self.nature_acts.get(profile), row, profile, problem.acts, "act")
 
 
-@dataclass(frozen=True)
-class DecisionValue:
+class DecisionValue(NamedTuple):
     dm: Fraction
     nature: Fraction | None  # None when Nature has no utility
 
@@ -263,8 +261,7 @@ def decision_value(
     return DecisionValue(Fraction(dm, den), None if nature is None else Fraction(nature[0], den))
 
 
-@dataclass(frozen=True)
-class DecisionOptimin:
+class DecisionOptimin(NamedTuple):
     ranking: str  # "pareto" (antagonist) or "dm-only"
     profiles: tuple[ActProfile, ...]
     values: tuple[DecisionValue, ...]
@@ -300,8 +297,7 @@ def _optimin(problem: DecisionProblem, profiles, dm, nature) -> DecisionOptimin:
     )
 
 
-@dataclass(frozen=True)
-class ReductionCheck:
+class ReductionCheck(NamedTuple):
     """Outcome of testing the maxmin-expected-utility reduction hypotheses."""
 
     constant_constraint: bool      # same possible-state set at every profile

@@ -46,8 +46,8 @@ class NormalFormGame:
     ``payoffs`` is a nested sequence indexed by strategy indices in player
     order; the innermost sequence holds one payoff per player.  The game
     never changes after construction; its derived state, the memo
-    `_line_order` fills and the flag `_is_symmetric` computes, is not part of
-    `==`, `hash` or `repr`.
+    `_line_order` fills and the flag `_is_symmetric` computes (or
+    `gen_travelers` sets), is not part of `==`, `hash` or `repr`.
 
     Payoffs are stored flat in row-major order, one exact integer
     representation per player: player i's payoffs are the ints ``_num[i]``
@@ -163,7 +163,8 @@ class NormalFormGame:
         its mirror block.  With two players the swap is the cycle, so the
         check is the transpose test `u2[a*m:(a+1)*m] == u1[a::m]` row by row,
         and most other games are refused on their first compare.  Computed
-        on the first call and kept in `_symmetric`."""
+        on the first call and kept in `_symmetric`, which `gen_travelers`
+        sets itself: it builds player 2's payoffs as the transpose."""
         if self._symmetric is None:
             num, n, m = self._num, len(self.shape), self.shape[0]
             big = self._strides[0]  # cells per strategy of the first player

@@ -12,18 +12,15 @@ and characteristic functions exactly.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence, get_args
+from typing import Literal, NamedTuple, Sequence, get_args
 
 from .coop import TUGame
 from .errors import CENTIPEDE_MAX_NODES, PUBLIC_GOODS_CELL_LIMIT, TRAVELERS_CELL_LIMIT
 from .errors import ParameterError, ResourceLimitError
 from .games import NormalFormGame
-from .noncoop import nash_pure, optimin_pure
+from .noncoop import _pareto_cells, _profile_at, nash_pure
 from .rational import json_ratio, literal_ratio, over_common_denominator, to_fraction
 
 CentipedeVariant = Literal["increasing", "constant"]
@@ -59,7 +56,12 @@ def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:
         u1.append(a * q)
         u1 += itertools.repeat(a * q + p, high - a)
     u2 = tuple(itertools.chain.from_iterable(u1[a :: len(claims)] for a in range(len(claims))))
-    return NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
+    game = NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
+    # One column is a permutation of the other, so `_from_scaled` divides both
+    # by the same gcd: the game is symmetric, and `_is_symmetric` need not
+    # compare the transpose it was built as.
+    game._symmetric = True
+    return game
 
 
 def gen_centipede(nodes: int = 4, variant: CentipedeVariant = "increasing") -> NormalFormGame:
@@ -143,26 +145,32 @@ def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0
     return NormalFormGame._from_scaled(players, (labels,) * n, num, (den * q,) * n)
 
 
-@dataclass(frozen=True)
 class Family:
     """A family's generator, held by name and looked up on this module at each
     call so that a rebinding of the module attribute is seen, and the
     parameter `sweep` varies (None if it sweeps none).  The generator's
-    signature states the parameters and their defaults."""
+    signature states the parameters and their defaults; `parameters` maps
+    each parameter's name to its CLI flag and its annotation (None if it has
+    none), in signature order, read off the generator's code and its
+    annotation strings."""
 
-    generator: str
-    swept: str | None = None
-    renamed: tuple[tuple[str, str], ...] = ()  # (parameter, CLI flag) where they differ
+    __slots__ = ("generator", "swept", "renamed", "parameters")
+
+    def __init__(
+        self, generator: str, swept: str | None = None, renamed: tuple[tuple[str, str], ...] = ()
+    ) -> None:
+        self.generator = generator
+        self.swept = swept
+        self.renamed = renamed  # (parameter, CLI flag) where they differ
+        function = globals()[generator]
+        code, hints, flags = function.__code__, function.__annotations__, dict(renamed)
+        self.parameters = {
+            name: (flags.get(name, name), eval(hints[name], globals()) if name in hints else None)
+            for name in code.co_varnames[: code.co_argcount]
+        }
 
     def build(self, **params):
         return globals()[self.generator](**params)
-
-    @functools.cached_property
-    def parameters(self) -> dict[str, tuple[str, object]]:
-        """Parameter name -> (CLI flag, annotation), in signature order."""
-        flags = dict(self.renamed)
-        signature = inspect.signature(globals()[self.generator], eval_str=True)
-        return {name: (flags.get(name, name), p.annotation) for name, p in signature.parameters.items()}
 
 
 FAMILIES = {
@@ -221,15 +229,13 @@ def _three_player_tu(grand: int) -> TUGame:
     return TUGame(3, worth)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     parameter: Fraction
     optimin: tuple[tuple[str, ...], ...]  # label profiles
     nash: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     family: str
     parameter: str
     rows: tuple[SweepRow, ...]
@@ -265,7 +271,7 @@ def sweep(family: str, parameter: str, values: Sequence, **fixed) -> SweepResult
         if integral and value.denominator != 1:
             raise ParameterError("node counts must be integers")
         game = spec.build(**fixed, **{parameter: value.numerator if integral else value})
-        opt = tuple(game.profile_labels(e.profile) for e in optimin_pure(game))
+        opt = tuple(game.profile_labels(_profile_at(game, idx)) for idx in _pareto_cells(game))
         nash = tuple(game.profile_labels(p) for p in nash_pure(game))
         rows.append(SweepRow(value, opt, nash))
     threshold = None

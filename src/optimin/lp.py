@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .rational import over_common_denominator
@@ -142,7 +140,6 @@ class LinearProgram:
         )
 
 
-@dataclass(frozen=True)
 class LPSolution:
     """Status, and for an optimal LP its point, value and dual values.
 
@@ -154,24 +151,51 @@ class LPSolution:
     down (r[j] > 0 when minimizing, r[j] < 0 when maximizing) and its upper
     bound when r[j] pushes it up; r[j] is 0 for a free variable.
 
-    The solver keeps each dual as an int ``(num, den)`` pair, and `duals`
-    builds the `Fraction`s on its first read.
+    The solver keeps each dual as an int ``(num, den)`` pair, `dual_ratios`,
+    which takes no part in `==`, `hash` or `repr`; `duals` builds the
+    `Fraction`s on its first read.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    point: tuple[Fraction, ...] | None = None
-    objective_value: Fraction | None = None
-    dual_ratios: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("status", "point", "objective_value", "dual_ratios", "_duals")
+
+    def __init__(
+        self,
+        status: str,  # "optimal" | "infeasible" | "unbounded"
+        point: tuple[Fraction, ...] | None = None,
+        objective_value: Fraction | None = None,
+        dual_ratios: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        self.status = status
+        self.point = point
+        self.objective_value = objective_value
+        self.dual_ratios = dual_ratios
+        self._duals = None
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
 
-    @cached_property
+    @property
     def duals(self) -> tuple[Fraction, ...] | None:
-        if self.dual_ratios is None:
-            return None
-        return tuple(Fraction(num, den) for num, den in self.dual_ratios)
+        if self._duals is None and self.dual_ratios is not None:
+            self._duals = tuple(Fraction(num, den) for num, den in self.dual_ratios)
+        return self._duals
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LPSolution):
+            return NotImplemented
+        return (self.status, self.point, self.objective_value) == (
+            other.status, other.point, other.objective_value
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.status, self.point, self.objective_value))
+
+    def __repr__(self) -> str:
+        return (
+            f"LPSolution(status={self.status!r}, point={self.point!r}, "
+            f"objective_value={self.objective_value!r})"
+        )
 
 
 class _Infeasible(Exception):

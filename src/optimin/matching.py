@@ -28,8 +28,7 @@ checks, which a matching the enumerator built always passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DEVIATION_MAX_SIZE, MATCHINGS_MAX_SIZE, OPTIMIN_MAX_SIZE
 from .errors import DomainError, ResourceLimitError
@@ -78,6 +77,9 @@ class MarriageProblem:
             person: {c: k for k, c in enumerate(ranking)}
             for person, ranking in self.prefs.items()
         }
+
+    def __repr__(self) -> str:
+        return f"MarriageProblem({self.side_a!r}, {self.side_b!r}, {self.prefs!r})"
 
     @property
     def size(self) -> int:
@@ -190,8 +192,7 @@ def deferred_acceptance(problem: MarriageProblem, proposing: str = "A") -> Match
     return Matching(problem, pairs)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     stable: bool
     blocking_individual: str | None = None
     blocking_pair: tuple[str, str] | None = None
@@ -230,8 +231,7 @@ def _moves(problem: MarriageProblem, matching: Matching) -> Iterator[tuple[str, 
                 yield (a, b)
 
 
-@dataclass(frozen=True)
-class GroupDeviation:
+class GroupDeviation(NamedTuple):
     group: tuple[str, ...]
     rematching: tuple[tuple[str, str], ...]  # person -> new partner (self if single)
 
@@ -259,8 +259,7 @@ def profitable_group_deviations(
     return out
 
 
-@dataclass(frozen=True)
-class MatchOutcomeValue:
+class MatchOutcomeValue(NamedTuple):
     """Per individual, the worst partner (or self) they may end up with."""
 
     worst: tuple[tuple[str, str], ...]

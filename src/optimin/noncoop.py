@@ -66,10 +66,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge, getitem, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GRID_PROFILE_LIMIT, GRID_WEIGHT_LIMIT, VALUE_TABLE_MAX_PROFILES
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
@@ -77,8 +76,7 @@ from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector, simpl
 from .pareto import pareto_filter, pareto_positions
 
 
-@dataclass(frozen=True)
-class BetterResponseSet:
+class BetterResponseSet(NamedTuple):
     """Strategies strictly improving `player`'s payoff at `profile`."""
 
     player: int
@@ -92,8 +90,7 @@ class BetterResponseSet:
         return bool(self.responses)
 
 
-@dataclass(frozen=True)
-class DeviationSpace:
+class DeviationSpace(NamedTuple):
     """Per-opponent option sets whose product the value of `player` is minimized over.
 
     Each factor is the opponent's better responses plus their agreed strategy,
@@ -109,8 +106,7 @@ class DeviationSpace:
         return itertools.product(*self.options)
 
 
-@dataclass(frozen=True)
-class EvaluatedProfile:
+class EvaluatedProfile(NamedTuple):
     """An agreement, its value vector, and one minimizing deviation per player."""
 
     profile: tuple
@@ -394,8 +390,7 @@ def _profile_at(game: NormalFormGame, idx: int) -> PureProfile:
     return tuple(idx // stride % m for stride, m in zip(game._strides, game.shape))
 
 
-@dataclass(frozen=True)
-class PlayerMaximin:
+class PlayerMaximin(NamedTuple):
     player: int
     strategies: tuple[int, ...]
     security: Fraction
@@ -594,8 +589,7 @@ def _entry(game: NormalFormGame, profile, sides, cores) -> EvaluatedProfile:
     return EvaluatedProfile(tuple(profile), tuple(values), tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class GridOptimin:
+class GridOptimin(NamedTuple):
     """Pareto survivors of the mixed value over a finite probability grid.
 
     The label is a reminder that the grid may miss the exact mixed solution;
@@ -604,7 +598,7 @@ class GridOptimin:
 
     resolution: int
     entries: tuple[EvaluatedProfile, ...]
-    kind: str = field(default="grid-approximate")
+    kind: str = "grid-approximate"
 
 
 def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:

@@ -13,9 +13,8 @@ deviation values are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, UnsupportedFeatureError
 from .games import MixedProfile, NormalFormGame
@@ -23,25 +22,35 @@ from .lp import LinearProgram, solve_lp
 from .noncoop import reply_payoffs
 
 
-@dataclass(frozen=True)
 class StatisticalGame:
     """A two-player game whose payoffs are exactly opposite cell by cell."""
 
-    game: NormalFormGame
+    __slots__ = ("game",)
 
-    def __post_init__(self) -> None:
-        if self.game.num_players != 2:
+    def __init__(self, game: NormalFormGame) -> None:
+        if game.num_players != 2:
             raise DomainError("a statistical game has exactly 2 players")
-        (num0, num1), (den0, den1) = self.game._num, self.game._den
-        for prof, a, b in zip(self.game.profiles(), num0, num1):
+        (num0, num1), (den0, den1) = game._num, game._den
+        for prof, a, b in zip(game.profiles(), num0, num1):
             if a * den1 + b * den0 != 0:
-                u = self.game.payoff(prof)
-                labels = self.game.profile_labels(prof)
+                u = game.payoff(prof)
+                labels = game.profile_labels(prof)
                 raise DomainError(f"not zero-sum at cell {labels}: {u[0]} + {u[1]} != 0")
+        self.game = game
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StatisticalGame):
+            return NotImplemented
+        return self.game == other.game
+
+    def __hash__(self) -> int:
+        return hash((self.game,))
+
+    def __repr__(self) -> str:
+        return f"StatisticalGame(game={self.game!r})"
 
 
-@dataclass(frozen=True)
-class MaximinSolution:
+class MaximinSolution(NamedTuple):
     player: int
     mixture: tuple[Fraction, ...]
     value: Fraction  # guaranteed expected payoff for this player

@@ -184,6 +184,16 @@ class TestTravelers:
             assert g.payoff((a, b)) == want
         assert g._is_symmetric()
 
+    @pytest.mark.parametrize(
+        "low, high, r", [(2, 3, 2), (2, 100, 2), (5, 40, F(5, 2)), (80, 180, F(101, 100)), (2, 12, 7), (9, 30, 40)]
+    )
+    def test_the_set_symmetry_flag_matches_a_fresh_check(self, low, high, r):
+        # gen_travelers sets the flag itself; the transpose test must agree.
+        g = gen_travelers(low, high, r)
+        assert g._symmetric is True
+        g._symmetric = None
+        assert g._is_symmetric() is True
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             gen_travelers(2, 100, 1)
@@ -450,6 +460,23 @@ class TestSweep:
         for row in result.rows:
             if row.parameter >= 4:
                 assert row.optimin == (("continue", "continue"),)
+
+    @pytest.mark.parametrize(
+        "family, parameter, values, fixed, build",
+        [
+            ("travelers", "r", [2, F(5, 2), 7, 30], dict(low=3, high=15), lambda v: gen_travelers(3, 15, v)),
+            ("centipede", "nodes", range(1, 6), dict(variant="constant"), lambda v: gen_centipede(v, "constant")),
+            ("public_goods", "mpcr", [F(1, 2), F(3, 2)], dict(n=3), lambda v: gen_public_goods(3, mpcr=v)),
+        ],
+        ids=["travelers", "centipede", "public_goods"],
+    )
+    def test_rows_hold_the_solution_set(self, family, parameter, values, fixed, build):
+        # `sweep` decodes the surviving cells without building witnesses.
+        result = sweep(family, parameter, values, **fixed)
+        for value, row in zip(values, result.rows, strict=True):
+            game = build(value)
+            assert row.optimin == tuple(optimin_labels(game))
+            assert row.nash == tuple(map(game.profile_labels, nash_pure(game)))
 
     def test_public_goods_flip_at_unit_return(self):
         values = [F(1, 10), F(1, 2), F(9, 10), F(1), F(11, 10)]

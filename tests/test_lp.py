@@ -12,10 +12,6 @@ from optimin import lp as lp_module
 from optimin.lp import fraction_free_pivot
 
 
-def build(objective, maximize, constraints, bounds=None):
-    return LinearProgram(objective, maximize, constraints, bounds)
-
-
 class TestBasics:
     @pytest.mark.parametrize(
         "objective, bounds, message",
@@ -31,35 +27,35 @@ class TestBasics:
         assert str(info.value) == message
 
     def test_bounded_single_variable(self):
-        sol = solve_lp(build([1], True, [([1], "<=", 3)]))
+        sol = solve_lp(LinearProgram([1], True, [([1], "<=", 3)]))
         assert sol.status == "optimal"
         assert sol.point == (F(3),)
         assert sol.objective_value == F(3)
 
     def test_infeasible(self):
-        sol = solve_lp(build([1], True, [([1], ">=", 1), ([1], "<=", 0)]))
+        sol = solve_lp(LinearProgram([1], True, [([1], ">=", 1), ([1], "<=", 0)]))
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
-        sol = solve_lp(build([1], True, [([1], ">=", 1)]))
+        sol = solve_lp(LinearProgram([1], True, [([1], ">=", 1)]))
         assert sol.status == "unbounded"
 
     def test_equality_and_bounds(self):
         sol = solve_lp(
-            build([2, 3], False, [([1, 1], "=", 10)], bounds=[(0, None), (0, 8)])
+            LinearProgram([2, 3], False, [([1, 1], "=", 10)], bounds=[(0, None), (0, 8)])
         )
         assert sol.status == "optimal"
         assert sol.objective_value == F(20)
         assert sol.point == (F(10), F(0))
 
     def test_conflicting_bounds_infeasible(self):
-        sol = solve_lp(build([1], False, [], bounds=[(2, 1)]))
+        sol = solve_lp(LinearProgram([1], False, [], bounds=[(2, 1)]))
         assert sol.status == "infeasible"
 
     def test_exact_fractions_survive(self):
         # max x + y st 3x + 5y <= 1, x,y >= 0 -> vertex (1/3, 0)
         sol = solve_lp(
-            build([1, 1], True, [([3, 5], "<=", 1)], bounds=[(0, None), (0, None)])
+            LinearProgram([1, 1], True, [([3, 5], "<=", 1)], bounds=[(0, None), (0, None)])
         )
         assert sol.objective_value == F(1, 3)
 
@@ -69,7 +65,7 @@ class TestBasics:
         constraints = [(list(col) + [-1], ">=", 0) for col in cols]
         constraints.append(([1, 1, 1, 1, 0], "=", 1))
         sol = solve_lp(
-            build(
+            LinearProgram(
                 [0, 0, 0, 0, 1],
                 True,
                 constraints,
@@ -82,7 +78,7 @@ class TestBasics:
     def test_degenerate_lp_terminates(self):
         # Classic cycling-prone instance; Bland's rule must terminate.
         sol = solve_lp(
-            build(
+            LinearProgram(
                 [F(-3, 4), 150, F(-1, 50), 6],
                 False,
                 [
@@ -254,7 +250,7 @@ class TestAgainstEnumeration:
                 )
                 for _ in range(ncons)
             ]
-            lp = build(objective, maximize, constraints, bounds=[(0, box)] * nvars)
+            lp = LinearProgram(objective, maximize, constraints, bounds=[(0, box)] * nvars)
             sol = solve_lp(lp)
             oracle = enumerate_optimum(objective, maximize, constraints, box)
             if oracle is None:
@@ -283,7 +279,7 @@ class TestAgainstEnumeration:
                 )
                 for _ in range(ncons)
             ]
-            sol = solve_lp(build(objective, maximize, constraints))
+            sol = solve_lp(LinearProgram(objective, maximize, constraints))
             if sol.status != "optimal":
                 continue
             checked += 1
@@ -327,7 +323,7 @@ class TestAgainstEnumeration:
                 )
                 for _ in range(rng.randint(1, 4))
             ]
-            lp = build(
+            lp = LinearProgram(
                 [rng.randint(-5, 5) for _ in range(nvars)],
                 rng.random() < 0.5,
                 constraints,
@@ -422,7 +418,7 @@ def check_duals(lp, sol):
 
 
 def check_against_enumeration(objective, maximize, constraints, bounds):
-    lp = build(objective, maximize, constraints, bounds)
+    lp = LinearProgram(objective, maximize, constraints, bounds)
     sol = solve_lp(lp)
     near = boxed_optimum(objective, maximize, constraints, bounds, BIG)
     far = boxed_optimum(objective, maximize, constraints, bounds, 2 * BIG)
@@ -477,8 +473,8 @@ class TestDifferential:
         # max 3x + 2y st x + y <= 4, x + 3y <= 9, x <= 3: optimum (3, 1) = 11,
         # with shadow prices 2 on the first row and 1 on the last.
         sol = solve_lp(
-            build([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
-                  bounds=[(0, None), (0, None)])
+            LinearProgram([3, 2], True, [([1, 1], "<=", 4), ([1, 3], "<=", 9), ([1, 0], "<=", 3)],
+                          bounds=[(0, None), (0, None)])
         )
         assert sol.point == (F(3), F(1))
         assert sol.duals == (F(2), F(0), F(1))
@@ -620,7 +616,7 @@ class TestFractionFreePivot:
             ]
             objective = [rng.randint(-5, 5) for _ in range(nvars)]
             bounds = [rng.choice([(0, None), (None, None), (-2, 3)]) for _ in range(nvars)]
-            solve_lp(build(objective, rng.random() < 0.5, constraints, bounds))
+            solve_lp(LinearProgram(objective, rng.random() < 0.5, constraints, bounds))
         for n in (3, 4):
             for _ in range(5):
                 singles = [rng.randint(0, 5) for _ in range(n)]

@@ -509,3 +509,16 @@ def test_a_preference_list_of_no_individual_is_refused():
     with pytest.raises(DomainError) as info:
         MarriageProblem(["a"], ["b"], {**prefs, "b": ["a"]})
     assert str(info.value) == "'b' must rank the whole other side plus themselves once"
+
+
+@settings(max_examples=50, deadline=None)
+@given(marriage_arguments())
+def test_a_problem_prints_the_arguments_that_rebuild_it(arguments):
+    problem = MarriageProblem(*arguments)
+    again = eval(repr(problem), {"MarriageProblem": MarriageProblem})
+    assert (again.side_a, again.side_b, again.prefs) == (problem.side_a, problem.side_b, problem.prefs)
+    assert repr(again) == repr(problem)
+
+
+def test_a_problem_repr():
+    assert repr(tiny_mutual()) == "MarriageProblem(('a',), ('b',), {'a': ('b', 'a'), 'b': ('a', 'b')})"
