@@ -182,17 +182,10 @@ class TestTravelers:
             else:
                 want = (y - r, y + r)
             assert g.payoff((a, b)) == want
-        assert g._is_symmetric()
-
-    @pytest.mark.parametrize(
-        "low, high, r", [(2, 3, 2), (2, 100, 2), (5, 40, F(5, 2)), (80, 180, F(101, 100)), (2, 12, 7), (9, 30, 40)]
-    )
-    def test_the_set_symmetry_flag_matches_a_fresh_check(self, low, high, r):
-        # gen_travelers sets the flag itself; the transpose test must agree.
-        g = gen_travelers(low, high, r)
+        # gen_travelers sets the symmetry flag itself; a fresh check must agree.
         assert g._symmetric is True
         g._symmetric = None
-        assert g._is_symmetric() is True
+        assert g._is_symmetric()
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
