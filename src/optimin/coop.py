@@ -449,15 +449,23 @@ def nucleolus(game: TUGame) -> Allocation:
     The sequential-LP scheme, one LP per round.  A round's primal minimizes
     the maximum excess eps over the coalitions not yet pinned, subject to
     efficiency, the pinned coalitions' excesses and individual rationality;
-    each round solves its dual instead, which has one equality row per
-    player and one more, so a pivot updates n + 1 rows rather than 2^n:
+    each round solves its dual instead, which has one row per player and
+    one more, so a pivot updates n + 1 rows rather than 2^n.  Player i's
+    row fixes the multiplier μ_i >= 0 of their individual rationality,
+    μ_i = -(y_N + sum_{pinned S ∋ i} y_S + sum_{free S ∋ i} λ_S), so μ_i is
+    substituted out: the row becomes a ``<=`` row whose slack is μ_i, and
+    each column's objective coefficient loses u({i}) for every player i in
+    its coalition:
 
-        max  u(N)·y_N + sum_pinned (u(S) - level_S)·y_S + sum_free u(S)·λ_S
-             + sum_i u({i})·μ_i
-        s.t. y_N + sum_{pinned S ∋ i} y_S + sum_{free S ∋ i} λ_S + μ_i = 0
+        max  (u(N) - u_1(N))·y_N + sum_pinned (u(S) - u_1(S) - level_S)·y_S
+             + sum_free (u(S) - u_1(S))·λ_S
+        s.t. y_N + sum_{pinned S ∋ i} y_S + sum_{free S ∋ i} λ_S <= 0
                  for every player i,
              sum_free λ_S = 1,
-             y free, λ >= 0, μ >= 0.
+             y free, λ >= 0,
+
+    where u_1(S) = sum_{i ∈ S} u({i}).  So the simplex starts the n player
+    rows on their slacks, and only the row sum λ = 1 needs phase 1.
 
     By strong duality its value is the round's eps, and by complementary
     slackness every free coalition with λ_S > 0 is tight at every primal
@@ -469,11 +477,12 @@ def nucleolus(game: TUGame) -> Allocation:
     have λ_S = 0; it is pinned in a later round at the same level, and the
     point is unique either way.
 
-    The LP gets ints: its objective is the worths' ints ``_num`` (a pinned
-    coalition's less ``_den`` times its level), all times the lcm of the
-    levels' denominators, so eps is the LP value divided by ``_den`` and by
-    that lcm.  The empty-imputation test and the pinned system are in ints
-    too; a `Fraction` is built only for an LP point, a level and the result.
+    The LP gets ints: its objective is the worths' ints ``_num`` less their
+    members' singletons (a pinned coalition's also less ``_den`` times its
+    level), all times the lcm of the levels' denominators, so eps is the LP
+    value divided by ``_den`` and by that lcm.  The empty-imputation test
+    and the pinned system are in ints too; a `Fraction` is built only for an
+    LP point, a level and the result.
     """
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
@@ -491,24 +500,22 @@ def nucleolus(game: TUGame) -> Allocation:
 
     free = game.proper_coalitions()
     pinned: list[tuple[int, Fraction]] = []  # (mask, excess held at)
+    singles = _coalition_sums([num[1 << i] for i in players])  # per mask, sum of u({i}) over i in it
 
     # Each round pins at least one coalition, and once every singleton is
     # pinned the system is determined, so the loop always returns.
     while True:
-        # Columns: y_N, y_S per pinned S, λ_S per free S, μ_i per player.
+        # Columns: y_N, y_S per pinned S, λ_S per free S.
         # The objective is times den·scale; `scale` clears the levels' denominators.
         scale = math.lcm(*(level.denominator for _, level in pinned))
         masks = [full, *(mask for mask, _ in pinned), *free]
-        objective = [num[mask] * scale for mask in masks] + [num[1 << i] * scale for i in players]
+        objective = [(num[mask] - singles[mask]) * scale for mask in masks]
         for k, (_, level) in enumerate(pinned, 1):
             objective[k] -= level.numerator * den * scale // level.denominator
-        constraints = [
-            ([mask >> i & 1 for mask in masks] + [0] * i + [1] + [0] * (n - 1 - i), "=", 0)
-            for i in players
-        ]
+        constraints = [([mask >> i & 1 for mask in masks], "<=", 0) for i in players]
         lam = len(masks) - len(free)  # the first λ column
-        constraints.append(([0] * lam + [1] * len(free) + [0] * n, "=", 1))
-        bounds = [(None, None)] * lam + [(0, None)] * (len(free) + n)
+        constraints.append(([0] * lam + [1] * len(free), "=", 1))
+        bounds = [(None, None)] * lam + [(0, None)] * len(free)
         sol = solve_lp(LinearProgram(objective, True, constraints, bounds))
         if not sol.is_optimal:
             raise AssertionError(f"nucleolus dual LP unexpectedly {sol.status}")

@@ -516,22 +516,28 @@ def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
 def _hull_value(chain, side, other) -> tuple[int, int]:
     """(num, den): the value of `side`'s player against `other`'s agreed
     weights is num / (den * scale * _den) in `side`'s units; `chain` is
-    `side`'s `_chain` at `other`'s scale.
+    `side`'s `_chain` at `other`'s scale.  This is `_hull_at` of the two
+    agreed payoffs, each read as one dot product of `other`'s weights."""
+    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
+    return _hull_at(chain, sum(map(mul, agreed, theirs)), sum(map(mul, agreed, mine)), qscale)
 
-    The opponent's agreed payoff is E = agreed·theirs (over qscale).  When no
-    pure reply beats it, no mixture does either, since a mixture's payoff is
-    a convex combination of the pure ones, and the agreement's own payoff
-    stands.  Otherwise the deviation set {q : gain·q > 0} is open but
+
+def _hull_at(chain, expected: int, own: int, qscale: int) -> tuple[int, int]:
+    """`_hull_value` from the agreed payoffs: `expected` is the opponent's,
+    E = agreed·theirs, in the units of the `chain`'s x axis, and `own` the
+    player's, agreed·mine, over `qscale` times the units of its y axis.
+
+    When no pure reply beats E, no mixture does either, since a mixture's
+    payoff is a convex combination of the pure ones, and the agreement's own
+    payoff stands.  Otherwise the deviation set {q : gain·q > 0} is open but
     nonempty, so every point of {q : gain·q >= 0} is a limit of points inside
     it (slide toward any strictly better q), and the infimum of mine·q is its
     minimum over that closure, which holds the agreed mixture too: `chain`
-    evaluated at E.
+    evaluated at E.  So the value never exceeds `own`.
     """
     xs, ys = chain
-    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
-    expected = sum(map(mul, agreed, theirs))
     if expected >= xs[-1]:
-        return sum(map(mul, agreed, mine)), qscale
+        return own, qscale
     b = bisect_left(xs, expected)
     if not b:
         return ys[0], 1
@@ -629,9 +635,23 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     """The `value_mixed_2p` entries of the Pareto-optimal 1/k grid profiles, in grid order.
 
     Every grid point has scale k, so each point's `_chain` is built once and
-    serves every profile it is part of; `_hull_value` reads player i's value
-    from it as num / den, and the filter takes the int key num * (L_i // den),
-    L_i being the lcm of i's dens over the grid.  Only the survivors get
+    serves every profile it is part of.  A profile's two agreed payoffs are
+    int dot products over k² · `_den[i]`, read once, and `_hull_at` reads
+    player i's value from i's chain and those payoffs as num / den, which is
+    num · k / den in the payoffs' units.
+
+    The payoffs bound the values: v <= u, since the agreed mixture lies in
+    the closure of the deviations that `_hull_at` minimizes over.  So the
+    profiles are visited by descending payoff sum, and `best` is the
+    evaluated vector of largest sum; a profile is skipped, unevaluated, when
+    sum(best) > sum(u) and best >= u in both coordinates, as
+    `_unsettled_values` skips a cell: then best dominates its value.  Any
+    positive weights of the two coordinates keep that proof; the sums read
+    both payoffs over k² · lcm(`_den`), which on the benchmark's 80 mixed3
+    games at k = 4 leaves 5 650 of 18 000 profiles to evaluate, against
+    6 563 in the payoffs' own units.  The evaluated profiles, in grid
+    order, go through the filter with the int keys num * (L_i // den), L_i
+    being the lcm of i's dens over them.  Only the survivors get
     `Fraction`s and `_witness` scans.
     """
     g0, g1 = _grids_2p(game, k)
@@ -640,14 +660,33 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     sides1 = [_side(game, 1, w, k) for w in g1]
     chains0 = [_chain(side, k) for side in sides0]
     chains1 = [_chain(side, k) for side in sides1]
-    cores = [
-        (_hull_value(c0, s0, s1), _hull_value(c1, s1, s0))
-        for c0, s0 in zip(chains0, sides0)
-        for c1, s1 in zip(chains1, sides1)
-    ]
-    l0, l1 = (math.lcm(*{c[i][1] for c in cores}) for i in (0, 1))
-    keys = [(n0 * (l0 // d0), n1 * (l1 // d1)) for (n0, d0), (n1, d1) in cores]
-    kept = [divmod(n, len(g1)) for n in pareto_filter(range(len(cores)), key=keys.__getitem__)]
+    # Per profile, row-major: each player's agreed payoff, and their sum
+    # with both over k² · lcm(`_den`).
+    own0 = [sum(map(mul, w, mine)) for mine, _, _, _ in sides0 for w in g1]
+    own1 = [sum(map(mul, w, theirs)) for _, theirs, _, _ in sides0 for w in g1]
+    w0, w1 = (math.lcm(*game._den) // d for d in game._den)
+    sums = [u0 * w0 + u1 * w1 for u0, u1 in zip(own0, own1)]
+    cores = {}  # per evaluated profile, each player's (num, den)
+    # best is (best0 / den0, best1 / den1) in the payoffs' units, and its
+    # sum over k² · lcm(`_den`) is top / scale; top = -1 over scale = 0 is
+    # no sum, below every sum.
+    best0 = den0 = best1 = den1 = scale = 0
+    top = -1
+    for c in sorted(range(len(sums)), key=sums.__getitem__, reverse=True):
+        u0, u1 = own0[c], own1[c]
+        if top > sums[c] * scale and best0 >= u0 * den0 and best1 >= u1 * den1:
+            continue
+        a, b = divmod(c, len(g1))
+        cores[c] = core = _hull_at(chains0[a], u1, u0, k), _hull_at(chains1[b], u0, u1, k)
+        (m0, d0), (m1, d1) = core
+        m0 *= k
+        m1 *= k
+        if (total := m0 * w0 * d1 + m1 * w1 * d0) * scale > top * d0 * d1:
+            best0, den0, best1, den1, top, scale = m0, d0, m1, d1, total, d0 * d1
+    evaluated = sorted(cores)
+    l0, l1 = (math.lcm(*{cores[c][i][1] for c in evaluated}) for i in (0, 1))
+    keys = {c: (n0 * (l0 // d0), n1 * (l1 // d1)) for c, ((n0, d0), (n1, d1)) in cores.items()}
+    kept = [divmod(c, len(g1)) for c in pareto_filter(evaluated, key=keys.__getitem__)]
     # Each surviving grid point's mixture is built once and shared by its entries.
     p = {a: tuple(Fraction(w, k) for w in g0[a]) for a, _ in kept}
     q = {b: tuple(Fraction(w, k) for w in g1[b]) for _, b in kept}

@@ -26,6 +26,9 @@ from .errors import RATIONAL_MAX_DIGITS, RATIONAL_MAX_EXPONENT, FormatError, Res
 # "a" and "a/b" in ASCII digits: the literals `json_ratio` writes.
 _PLAIN_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+# The one type whose values `over_common_denominator` passes through as they are.
+_INT = frozenset((int,))
+
 
 def to_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or exact string ("a/b", "0.4") to a Fraction."""
@@ -85,7 +88,15 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     tuple in a free list that it never takes from, up to 2000 of them, and a
     4-player nucleolus round builds LP rows of exactly 20 values.  So the lcm
     is taken pairwise, not over an argument tuple, and the ints are a list.
+
+    Values that are all exactly `int`, as every LP row `coop` builds and
+    every TU worth read from JSON are, come back as they are over 1, with no
+    `literal_ratio` call; a bool is no int here and reaches `to_fraction`,
+    which refuses it.
     """
+    values = list(values)
+    if _INT.issuperset(map(type, values)):
+        return values, 1
     ratios = list(map(literal_ratio, values))
     d = 1
     for _, e in ratios:

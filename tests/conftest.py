@@ -7,6 +7,7 @@ same instances.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import math
 import os
 import random
@@ -16,12 +17,32 @@ from pathlib import Path
 
 import pytest
 
+import optimin
 from optimin import NormalFormGame
 
 # Tests that start `python -m optimin.cli` import the package from this
 # checkout, whether or not it is installed.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_workloads():
+    """perfbench/workloads.py, loaded by path and only read from."""
+    spec = importlib.util.spec_from_file_location("optimin_bench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_pool(workloads, kind, workdir):
+    """Every instance of the benchmark's `kind`, its input files written to `workdir`."""
+    if kind == "claim":
+        return [workloads.claim_instance(reward) for reward in workloads.CLAIM_REWARDS]
+    instances = [workloads.pool_instance(kind, i) for i in range(workloads.POOL_SIZE[kind])]
+    workloads.write_inputs(optimin, instances, workdir)
+    return instances
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import importlib.util
 import io
 import itertools
 import json
@@ -44,6 +43,7 @@ from optimin.coop import (
 )
 from optimin.fileio import dump_tu_game, parse_tu_game
 from optimin.rational import json_number
+from conftest import bench_pool, bench_workloads
 
 
 def additive_game(weights):
@@ -584,15 +584,6 @@ def primal_nucleolus(game):
             return point
 
 
-def _bench_workloads():
-    """perfbench/workloads.py, loaded by path and only read from."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("optimin_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @st.composite
 def tu_games(draw, max_players=5):
     """3 to `max_players` players, worths with denominators up to 6; a
@@ -638,7 +629,7 @@ class TestDualPinnedNucleolus:
     def test_matches_the_primal_scheme_on_the_benchmark_pool(self):
         # The 80 4-player games of the benchmark's nucleolus4 pool, each drawn
         # by workloads.nucleolus4_data from its own seeded generator.
-        workloads = _bench_workloads()
+        workloads = bench_workloads()
         for index in range(workloads.POOL_SIZE["nucleolus4"]):
             data = workloads.pool_instance("nucleolus4", index).data
             game = TUGame(data["n"], data["worth"])
@@ -666,21 +657,30 @@ class TestDualPinnedNucleolus:
             coop.solve_lp, coop._pinned_solution = solve, pinned_solution
         assert len(lps) == len(rounds) >= 1
         # every LP is a round's dual, with no probes: a maximum over one
-        # equality row per player and the row sum(λ) = 1, with a free column
+        # `<=` row per player with a zero right-hand side, whose slack is the
+        # player's substituted μ, and the row sum(λ) = 1, with a free column
         # for the grand and each pinned coalition, then a λ column per free
-        # coalition and a μ column per player
+        # coalition and no column per player
         n = game.n
         for lp, pinned_before in zip(lps, [0] + rounds):
             free_columns = 1 + pinned_before
-            lam = len(lp.objective) - free_columns - n
+            lam = len(lp.objective) - free_columns
             assert lp.maximize
             assert lam == (1 << n) - 2 - pinned_before
-            assert lp.bounds == ((None, None),) * free_columns + ((0, None),) * (lam + n)
+            assert lp.bounds == ((None, None),) * free_columns + ((0, None),) * lam
             assert len(lp.constraints) == n + 1
-            assert all(row.relation == "=" for row in lp.constraints)
+            assert all(row.relation == "<=" for row in lp.constraints[:n])
             assert all(row.rhs == 0 for row in lp.constraints[:n])
+            # player i's row reads i's membership: N's column, then one
+            # column per proper coalition, pinned or free
+            assert all(a in (0, 1) for row in lp.constraints[:n] for a in row.coefficients)
+            columns = zip(*(row.coefficients for row in lp.constraints[:n]))
+            masks = [sum(1 << i for i, bit in enumerate(column) if bit) for column in columns]
+            assert masks[0] == (1 << n) - 1
+            assert sorted(masks[1:]) == list(range(1, (1 << n) - 1))
             last = lp.constraints[-1]
-            assert last.coefficients == (0,) * free_columns + (1,) * lam + (0,) * n
+            assert last.relation == "="
+            assert last.coefficients == (0,) * free_columns + (1,) * lam
             assert last.rhs == 1
         # and every round pins at least one more coalition
         assert all(a < b for a, b in zip([0] + rounds, rounds))
@@ -988,22 +988,13 @@ _DECIMAL_HINT = re.compile(r" \(~[^)]*\)")
 _EXACT_NUMBER = re.compile(r"(?<![\w@./=-])-?\d+(?:/\d+)?(?![\w./])")
 
 
-def _pool(workloads, kind, workdir):
-    """Every instance of the benchmark's `kind`, its input files written to `workdir`."""
-    if kind == "claim":
-        return [workloads.claim_instance(reward) for reward in workloads.CLAIM_REWARDS]
-    instances = [workloads.pool_instance(kind, i) for i in range(workloads.POOL_SIZE[kind])]
-    workloads.write_inputs(optimin, instances, workdir)
-    return instances
-
-
 @pytest.mark.parametrize("kind", BENCH_OP_KINDS)
 def test_fractions_per_benchmark_op(kind, count_fractions, tmp_path):
     # Over the whole pool of each benchmark op kind, run as the benchmark runs
     # it (`cli.main` on the op's argv), the `Fraction`s built per op are at most
     # the exact values its report prints plus FRACTIONS_OVER_VALUES.
     workdir = str(tmp_path)
-    instances = _pool(_bench_workloads(), kind, workdir)
+    instances = bench_pool(bench_workloads(), kind, workdir)
     built = values = 0
     for instance in instances:
         out = io.StringIO()

@@ -607,6 +607,15 @@ def test_over_common_denominator_matches_its_definition(values):
     assert over_common_denominator(iter(values)) == over_common_denominator(values)
 
 
+def test_over_common_denominator_passes_ints_through_and_refuses_a_bool():
+    row = [3, -1, 0, 10**30]
+    assert over_common_denominator(row) == (row, 1)
+    assert over_common_denominator(iter(row)) == (row, 1)
+    assert over_common_denominator([]) == ([], 1)
+    with pytest.raises(FormatError, match="boolean True"):
+        over_common_denominator([1, 2, True])
+
+
 def test_readers_build_no_fraction_for_int_or_plain_literals(count_fractions):
     game = json.dumps(GAME_DOC)
     tu = json.dumps({"n": 2, "worth": {"1": 1, "2": "-1/2", "1,2": "7/3"}})

@@ -706,6 +706,61 @@ def test_grid_values_match_the_vertex_scan_on_tied_games():
                     assert hull_core(side, other) == (F(num, den), choice)
 
 
+@st.composite
+def tied_grid_games(draw):
+    """A 2x2 to 3x3 game with payoffs in {-1, 0, 1} over a per-player
+    denominator of 1 to 3, the second player's payoffs drawn or, for a
+    constant-sum game, the constant less the first's; and a resolution k."""
+    shape = tuple(draw(st.integers(min_value=2, max_value=3)) for _ in range(2))
+    dens = [draw(st.integers(min_value=1, max_value=3)) for _ in range(2)]
+    tied = st.integers(min_value=-1, max_value=1)
+    constant = draw(st.none() | tied)
+    cells = {}
+    for prof in product(*map(range, shape)):
+        u1 = F(draw(tied), dens[0])
+        u2 = F(draw(tied), dens[1]) if constant is None else constant - u1
+        cells[prof] = [u1, u2]
+    game = NormalFormGame(["a", "b"], [[f"s{k}" for k in range(m)] for m in shape], nest(cells, shape))
+    return game, draw(st.integers(min_value=1, max_value=4))
+
+
+def full_grid_optimin(game, k):
+    """`value_mixed_2p` of every grid profile, kept in grid order when the
+    quadratic scan finds no value vector that dominates it."""
+    evaluated = [value_mixed_2p(game, profile) for profile in noncoop.grid_profiles_2p(game, k)]
+    front = set(brute_pareto([entry.value for entry in evaluated]))
+    return tuple(entry for entry in evaluated if entry.value in front)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_grid_games())
+def test_pruned_grid_matches_every_profile_evaluated(case):
+    # Tied payoffs and constant-sum games make equal payoff sums and equal
+    # vectors common, the edge of the skip test.
+    game, k = case
+    assert optimin_grid_2p(game, k).entries == full_grid_optimin(game, k)
+
+
+def test_the_grid_skips_profiles_its_payoffs_settle(monkeypatch):
+    hull_at = noncoop._hull_at
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hull_at(*args)
+
+    monkeypatch.setattr(noncoop, "_hull_at", counted)
+    rng = random.Random(4301)
+    cells = {prof: [F(rng.randint(-20, 20), 6), F(rng.randint(-20, 20), 4)] for prof in product(range(3), repeat=2)}
+    game = NormalFormGame(["a", "b"], [["T", "M", "B"], ["L", "C", "R"]], nest(cells, (3, 3)))
+    result = optimin_grid_2p(game, 4)
+    # Two calls, one per player, for each of 156 of the 225 grid profiles.
+    assert len(noncoop.grid_profiles_2p(game, 4)) == 225
+    assert len(calls) == 2 * 156
+    monkeypatch.setattr(noncoop, "_hull_at", hull_at)
+    assert result.entries == full_grid_optimin(game, 4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.fractions(min_value=-3, max_value=3, max_denominator=12))
 def test_is_constant_sum_matches_the_cells(data, constant):
