@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CORE_MAX_PLAYERS, IMPUTATION_GRID_MAX_POINTS, NUCLEOLUS_MAX_PLAYERS, SHAPLEY_MAX_PLAYERS
 from .errors import DomainError, ResourceLimitError
-from .games import ValueVector
+from .games import ValueVector, simplex_columns
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
 from .pareto import pareto_positions
 from .rational import json_ratio, literal_ratio, over_common_denominator
@@ -319,12 +319,7 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequ
         raise ResourceLimitError.past(
             what, IMPUTATION_GRID_MAX_POINTS, "point", "IMPUTATION_GRID_MAX_POINTS", hint
         )
-    # Each point is a nondecreasing run of n - 1 partial sums of the free
-    # units, in lexicographic order; a player's share is the difference
-    # between consecutive sums, with 0 before the first and `free` after
-    # the last.
-    sums = [[0] * count, *zip(*combinations_with_replacement(range(free + 1), n - 1)), [free] * count]
-    shares = (map(sub, high, low) for low, high in zip(sums, sums[1:]))
+    shares = simplex_columns(n, free)
     return [list(map(add, share, repeat(low, count))) for share, low in zip(shares, min_units)]
 
 

@@ -12,8 +12,8 @@ never depend on floating tolerances.
 
 Each check hands back what it read, so no caller reads a profile twice:
 `validate_profile` returns the cell's row-major index, and `validate_mixed`
-each distribution as int weights over their sum.  `simplex_grid`, every way
-to share k units, enumerates the mixed grid's points.
+each distribution as int weights over their sum.  `simplex_columns`, every
+way to share k units, enumerates the mixed grid's points and the TU lattice.
 """
 
 from __future__ import annotations
@@ -375,15 +375,15 @@ def tensor_fault(payoffs, shape: tuple[int, ...], n: int, cell: str) -> tuple[st
             stack.extend(reversed([(f"{path}[{k}]", child, depth + 1) for k, child in enumerate(node)]))
 
 
-def simplex_grid(size: int, total: int) -> list[tuple[int, ...]]:
-    """Every way to share `total` units among `size` holders, as int tuples in
-    lexicographic order: each nondecreasing run of size - 1 partial sums, and
-    the differences between consecutive ones."""
-    ends = (total,)
-    return [
-        tuple(map(sub, sums + ends, (0,) + sums))
-        for sums in itertools.combinations_with_replacement(range(total + 1), size - 1)
-    ]
+def simplex_columns(size: int, total: int) -> list[list[int]]:
+    """Every way to share `total` units among `size` holders, in lexicographic
+    order, as one column of shares per holder.  Each way is a nondecreasing
+    run of size - 1 partial sums; a holder's share is the difference between
+    consecutive ones, with 0 before the first and `total` after the last."""
+    count = math.comb(total + size - 1, size - 1)
+    runs = zip(*itertools.combinations_with_replacement(range(total + 1), size - 1))
+    sums = [[0] * count, *runs, [total] * count]
+    return [list(map(sub, high, low)) for low, high in zip(sums, sums[1:])]
 
 
 class ConstantSumCheck(NamedTuple):

@@ -6,15 +6,19 @@ right-hand side once, straight to ints (through
 `rational.over_common_denominator`, so an int builds no `Fraction`): the
 objective over one positive denominator, the bounds over one positive
 scale, and each row over its own (`Constraint`).  The builders in `coop`
-and `zerosum` hand over their games' ints.  The tableau then holds ints
-over one common denominator `D > 0` (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 1968): see
-`fraction_free_pivot`.  Each tableau row has one own column, its slack or,
-for an equality row, its phase-1 artificial, and the row's dual is read
-from the final cost row at that column.  The returned point is brought
-over one denominator once, and every constraint and bound is checked at it
-in ints; the duals stay ints until they are read.  There is no epsilon
-anywhere.  Bland's rule (always pivot on the lowest eligible index) makes
+and `zerosum` hand over their games' ints.  Every tableau row is its row
+as given times one multiple per program, M = the lcm of the rows'
+denominators times the bounds' scale, and no row is reduced further: rows
+rescaled by one positive factor take the same pivots, so phase 1 is the
+plain sum of the artificials and a dual is M times its int row's.  The
+tableau then holds ints over one common denominator `D > 0` (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968): see `fraction_free_pivot`.  Each tableau
+row has one own column, its slack or, for an equality row, its phase-1
+artificial, and the row's dual is read from the final cost row at that
+column.  The returned point is brought over one denominator once, and
+every constraint and bound is checked at it in ints; the duals stay ints
+until they are read.  There is no epsilon anywhere.  Bland's rule (always pivot on the lowest eligible index) makes
 the method cycling-proof, and degenerate ratio ties are broken by the lowest
 basic-variable index, so the returned vertex is deterministic.  Problem
 sizes here are desk scale, so the tableau is stored dense, as one list of
@@ -209,13 +213,13 @@ class _Unbounded(Exception):
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly; the returned point is re-verified against every constraint."""
     try:
-        point, scale, duals, obj, den = _solve(lp)
+        point, scale, duals = _solve(lp)
     except _Infeasible:
         return LPSolution("infeasible")
     except _Unbounded:
         return LPSolution("unbounded")
     _verify(lp, point, scale)
-    value = Fraction(sum(map(operator.mul, obj, point)), den * scale)
+    value = Fraction(sum(map(operator.mul, lp._obj_num, point)), lp._obj_den * scale)
     exact = tuple(Fraction(x, scale) if x else ZERO for x in point)
     return LPSolution("optimal", exact, value, duals)
 
@@ -233,12 +237,9 @@ def _verify(lp: LinearProgram, point: Sequence[int], scale: int) -> None:
             raise AssertionError(f"solver bug: upper bound of variable {j} violated")
 
 
-def _solve(
-    lp: LinearProgram,
-) -> tuple[list[int], int, tuple[tuple[int, int], ...], list[int], int]:
+def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
     """The optimal point as ints over one positive denominator, that
-    denominator, each dual as an int ``(num, den)`` pair, and the objective
-    as ints over its own positive denominator."""
+    denominator, and each dual as an int ``(num, den)`` pair."""
     # Rewrite onto nonnegative internal variables:
     #   lb only      x = lb + y
     #   ub only      x = ub - y
@@ -265,38 +266,33 @@ def _solve(
             columns.append((1, 0, n_internal, n_internal + 1))
             n_internal += 2
 
+    # Every row is the row as given times one multiple M, the lcm of the
+    # rows' denominators times the bounds' scale, so all rows are ints.
+    lcm = math.lcm(*(con._den for con in lp.constraints))
+    multiple = lcm * scale
     rows: list[list[int]] = []
     rels: list[str] = []
     rhs: list[int] = []
-    # Each int row is a positive multiple num/den of the row it came from.
-    scales: list[tuple[int, int]] = []
-
-    def add_row(row: list[int], rel: str, b: int, num: int) -> None:
-        g = math.gcd(b, *row) or 1
-        if g > 1:
-            row = [v // g for v in row]
-            b //= g
-        g2 = math.gcd(num, g)
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
-        scales.append((num // g2, g // g2))
-
     for con in lp.constraints:
-        ints, den = con._num, con._den
+        ints, m = con._num, lcm // con._den
         row = [0] * n_internal
-        b = ints[-1] * scale
+        b = ints[-1] * m * scale
         for a, (sign, offset, col, neg) in zip(ints, columns):
             if a:
+                a *= m
                 row[col] += a * sign * scale
                 if neg is not None:
                     row[neg] -= a * scale
                 b -= a * offset
-        add_row(row, con.relation, b, den * scale)
+        rows.append(row)
+        rels.append(con.relation)
+        rhs.append(b)
     for col, width in widths:
         row = [0] * n_internal
-        row[col] = scale
-        add_row(row, LESS_EQUAL, width, scale)
+        row[col] = multiple
+        rows.append(row)
+        rels.append(LESS_EQUAL)
+        rhs.append(width * lcm)
 
     obj, obj_den = lp._obj_num, lp._obj_den
     cost = [0] * n_internal
@@ -307,21 +303,18 @@ def _solve(
     if lp.maximize:
         cost = [-c for c in cost]
 
-    y, prices, d = _simplex(rows, rels, rhs, scales, cost)
+    y, prices, d = _simplex(rows, rels, rhs, cost)
 
     # x_j = sign * y/d + offset/scale, over the one denominator d * scale.
     point = []
     for sign, offset, col, neg in columns:
         val = y[col] if neg is None else y[col] - y[neg]
         point.append(sign * val * scale + offset * d)
-    # prices/d are the duals of the int rows for the int cost row; undo both
-    # scalings, and the sign flip of a maximum.
-    sense = -1 if lp.maximize else 1
-    duals = tuple(
-        (sense * num * price, den_k * obj_den * d)
-        for price, (num, den_k) in zip(prices, scales[: len(lp.constraints)])
-    )
-    return point, d * scale, duals, obj, obj_den
+    # prices/d are the duals of the int rows for the int cost row; undo the
+    # multiple, the objective's denominator and the sign flip of a maximum.
+    sense = -multiple if lp.maximize else multiple
+    duals = tuple((sense * price, obj_den * d) for price in prices[: len(lp.constraints)])
+    return point, d * scale, duals
 
 
 def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
@@ -363,15 +356,15 @@ def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
+def _simplex(rows, rels, rhs, cost) -> tuple[list[int], list[int], int]:
     """Two-phase tableau simplex over y >= 0 on int data.
 
     Returns an optimal y and each row's dual value (for the int rows and the
     int cost), both as ints over the returned common denominator, and that
-    denominator; or raises.  `scales[k] = (num, den)` says row k is num/den
-    times the row the caller started from; phase 1 weighs each artificial
-    by den/num, so it minimizes the sum of the unscaled artificials and
-    takes the same pivots as on the unscaled rows.
+    denominator; or raises.  The caller hands over every row as the row it
+    started from times one positive multiple: then phase 1, the plain sum of
+    the artificials, is a positive multiple of the sum over the rows as
+    given, and the pivots are theirs.
     """
     m = len(rows)
     n = len(cost)
@@ -419,16 +412,9 @@ def _simplex(rows, rels, rhs, scales, cost) -> tuple[list[int], list[int], int]:
     d = 1
     tableau.append(cost + [0] * (m + 1))
     if needs_artificial:
-        # Reduced costs of min(sum of artificials, each weighed by the
-        # inverse of its row's scale); the last entry tracks minus the
-        # current objective value.
-        lcm = math.lcm(*(scales[r][0] for r in needs_artificial))
-        phase1 = [0] * (width + 1)
-        for r in needs_artificial:
-            weight = lcm // scales[r][0] * scales[r][1]
-            for k, v in enumerate(tableau[r]):
-                if v:
-                    phase1[k] -= weight * v
+        # Reduced costs of min(sum of artificials); the last entry tracks
+        # minus the current objective value.
+        phase1 = [-sum(column) for column in zip(*map(tableau.__getitem__, needs_artificial))]
         phase1[total:width] = [0] * (width - total)
         tableau.append(phase1)
 

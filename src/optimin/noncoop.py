@@ -51,9 +51,9 @@ each opponent reply t is the point (their payoff, my payoff), and the value
 is that chain evaluated at the opponent's agreed payoff E, so a profile costs
 one dot product, one `bisect` and one int interpolation.  Those payoffs are
 the mixture's `reply_payoffs`, which `zerosum` reads guarantees from too.  A
-mixture is read once, by `validate_mixed`.  The grid's points are
-`games.simplex_grid`'s shares of k units, built once its profiles and the
-weights its points hold are counted against their bounds.  The grid search Pareto-filters exact int
+mixture is read once, by `validate_mixed`.  The grid's points are the rows
+of `games.simplex_columns`' shares of k units, built once its profiles and
+the weights its points hold are counted against their bounds.  The grid search Pareto-filters exact int
 keys (values scaled to the lcm of their denominators over the grid) and
 builds `Fraction` values and witnesses only for the survivors.  A witness is
 found by scanning the deviation vertices for the known value (`_witness`):
@@ -72,7 +72,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GRID_PROFILE_LIMIT, GRID_WEIGHT_LIMIT, VALUE_TABLE_MAX_PROFILES
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
-from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector, simplex_grid
+from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector, simplex_columns
 from .pareto import pareto_filter, pareto_positions
 
 
@@ -628,7 +628,7 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
     if weights > GRID_WEIGHT_LIMIT:
         what = f"grid of {weights} weights"
         raise ResourceLimitError.past(what, GRID_WEIGHT_LIMIT, "weight", "GRID_WEIGHT_LIMIT", hint)
-    return simplex_grid(game.shape[0], k), simplex_grid(game.shape[1], k)
+    return tuple(list(zip(*simplex_columns(m, k))) for m in game.shape)
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:

@@ -87,3 +87,18 @@ class TestBenchmarkPoolWork:
         for inst in bench_pool(workloads, "nucleolus4", str(tmp_path)):
             _report(inst.argv(str(tmp_path), 1))
         assert calls == 2_786
+
+    def test_the_core_pivots(self, workloads, tmp_path, monkeypatch):
+        # The simplex's pivots over the 80 5-player core5 games.
+        pivot = lp.fraction_free_pivot
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return pivot(*args)
+
+        monkeypatch.setattr(lp, "fraction_free_pivot", counted)
+        for inst in bench_pool(workloads, "core5", str(tmp_path)):
+            _report(inst.argv(str(tmp_path), 1))
+        assert calls == 2_684

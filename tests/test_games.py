@@ -21,7 +21,7 @@ from optimin import (
     is_constant_sum,
     value_pure,
 )
-from optimin.games import simplex_grid
+from optimin.games import simplex_columns
 from conftest import random_game
 
 
@@ -303,11 +303,11 @@ def test_every_player_argument_names_a_player(player):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 7))
-def test_simplex_grid_matches_its_definition(size, total):
+def test_simplex_columns_match_their_definition(size, total):
     # Every int tuple of `size` nonnegative shares summing to `total`, in
-    # lexicographic order.
+    # lexicographic order, one column per share.
     shares = [s for s in itertools.product(range(total + 1), repeat=size) if sum(s) == total]
-    assert simplex_grid(size, total) == shares
+    assert simplex_columns(size, total) == [list(column) for column in zip(*shares)]
 
 
 @st.composite

@@ -1,9 +1,10 @@
-"""Every import in each `optimin` module is used.
+"""Every import in each `optimin` module is used, and no module has an `assert`.
 
 No linter ships with the project, so this walks each module's syntax tree: a
 name an import binds counts as used when the module reads it.  The names that
 `__init__.py` imports from the package's own modules are its public API, so
-there a relative import counts as used.
+there a relative import counts as used.  `python -O` strips `assert`
+statements, and every check must hold under it, so each one raises.
 """
 
 import ast
@@ -40,3 +41,16 @@ def test_the_check_sees_an_unused_import():
     source = "import math\nfrom fractions import Fraction\nfrom .x import y as z\nprint(Fraction)\n"
     assert unused_imports(source) == ["line 1: math", "line 3: z"]
     assert unused_imports(source, reexports=True) == ["line 1: math"]
+
+
+def assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_check_is_an_assert(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'x'\nraise AssertionError(x)\n") == [3]

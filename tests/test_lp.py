@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 import pytest
 
-from optimin import Constraint, LinearProgram, solve_lp
+from optimin import Constraint, LinearProgram, NormalFormGame, TUGame, solve_lp
+from optimin import coop, zerosum
 from optimin import lp as lp_module
 from optimin.lp import fraction_free_pivot
+from optimin.zerosum import StatisticalGame
 
 
 class TestBasics:
@@ -168,7 +172,7 @@ class TestConstraint:
         rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
         lp = LinearProgram([1, 1], True, rows, bounds=[(None, F(1, 2)), (0, None)])
         # the solver's point comes as ints over one denominator, here 2
-        bad = ([2 * x for x in point], 2, ((0, 1), (0, 1)), [1, 1], 1)
+        bad = ([2 * x for x in point], 2, ((0, 1), (0, 1)))
         monkeypatch.setattr(lp_module, "_solve", lambda program: bad)
         with pytest.raises(AssertionError, match=f"solver bug: {fault}"):
             solve_lp(lp)
@@ -176,7 +180,7 @@ class TestConstraint:
     def test_verify_passes_a_good_point(self, monkeypatch):
         rows = [([1, 1], "<=", 4), ([1, -1], "=", 1)]
         lp = LinearProgram([1, 1], True, rows, bounds=[(None, 3), (0, None)])
-        monkeypatch.setattr(lp_module, "_solve", lambda program: ([5, 3], 2, ((1, 1), (0, 1)), [1, 1], 1))
+        monkeypatch.setattr(lp_module, "_solve", lambda program: ([5, 3], 2, ((1, 1), (0, 1))))
         sol = solve_lp(lp)
         assert sol.point == (F(5, 2), F(3, 2))
         assert sol.objective_value == 4
@@ -628,3 +632,114 @@ class TestFractionFreePivot:
                 core(TUGame(n, worth))
                 nucleolus(TUGame(n, worth))
         assert min(kinds) > 50
+
+
+# -- a golden digest over programs whose rows carry factors ------------------------
+
+
+def solve_counted(program):
+    """`solve_lp` and the number of pivots it took."""
+    pivot = lp_module.fraction_free_pivot
+    pivots = 0
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    lp_module.fraction_free_pivot = counted
+    try:
+        sol = solve_lp(program)
+    finally:
+        lp_module.fraction_free_pivot = pivot
+    return sol, pivots
+
+
+def golden_program(rng):
+    """A program with rational rows over different denominators, some of
+    them a common factor times a smaller row, and every kind of bound."""
+    nvars = rng.randint(1, 4)
+    constraints = []
+    for _ in range(rng.randint(1, 4)):
+        coefficients = [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(nvars)]
+        rhs = F(rng.randint(-4, 12), rng.choice((1, 2, 3, 5)))
+        factor = rng.choice((1, 1, 2, 6, F(3, 4), F(5, 2)))
+        relation = rng.choice(("<=", "<=", ">=", "="))
+        constraints.append(([factor * c for c in coefficients], relation, factor * rhs))
+    bounds = []
+    for _ in range(nvars):
+        lo = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        hi = lo + F(rng.randint(0, 8), rng.choice((1, 2, 4)))
+        bounds.append(rng.choice(((0, None), (None, None), (lo, None), (None, hi), (lo, hi))))
+    objective = [F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(nvars)]
+    return LinearProgram(objective, rng.random() < 0.5, constraints, bounds)
+
+
+def golden_tu_game(rng, n):
+    """A TU game over a denominator of 2 to 6 whose imputation set is not empty."""
+    den = rng.randint(2, 6)
+    worth = {mask: F(rng.randint(-4, 8 * bin(mask).count("1")), den) for mask in range(1, 1 << n)}
+    full = (1 << n) - 1
+    worth[full] = max(worth[full], sum(worth[1 << i] for i in range(n)) + F(rng.randint(0, 6), den))
+    return TUGame(n, worth)
+
+
+def golden_zero_sum_game(rng):
+    """A zero-sum game over 12 whose columns' payoffs share a factor of 12."""
+    shape = (rng.randint(2, 3), rng.randint(2, 4))
+    factors = [rng.choice((1, 2, 3, 4, 6)) for _ in range(shape[1])]
+    rows = [[F(factors[t] * rng.randint(-5, 5), 12) for t in range(shape[1])] for _ in range(shape[0])]
+    payoffs = [[(u, -u) for u in row] for row in rows]
+    strategies = tuple(tuple(f"s{k}" for k in range(m)) for m in shape)
+    return NormalFormGame(("row", "column"), strategies, payoffs)
+
+
+def test_golden_solves_of_rows_with_factors(monkeypatch):
+    # Each solve's status, point, value, duals and pivot count, over seeded
+    # programs, core and nucleolus rounds of TU games over a denominator,
+    # and the maximin LPs of zero-sum games whose payoffs share a factor.
+    # The rows that reach the solver differ in their denominators and share
+    # factors, so a change to how rows are scaled inside the tableau must
+    # leave every record, and so this digest, as it is.
+    records, rows, dens = [], [], set()
+
+    def recorded(program):
+        sol, pivots = solve_counted(program)
+        records.append((sol.status, sol.point, sol.objective_value, sol.duals, pivots))
+        rows.extend(row._num for row in program.constraints)
+        dens.update(row._den for row in program.constraints)
+        return sol
+
+    monkeypatch.setattr(coop, "solve_lp", recorded)
+    monkeypatch.setattr(zerosum, "solve_lp", recorded)
+    rng = random.Random(44)
+    for _ in range(150):
+        recorded(golden_program(rng))
+    for n in (2, 3, 3, 4, 4):
+        game = golden_tu_game(rng, n)
+        records.append(("core", coop.core(game)))
+        records.append(("nucleolus", coop.nucleolus(game)))
+    for _ in range(12):
+        sg = StatisticalGame(golden_zero_sum_game(rng))
+        records.append(("maximin", zerosum.maximin_lp(sg, 0), zerosum.maximin_lp(sg, 1)))
+    statuses = [record[0] for record in records]
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+    assert sum(math.gcd(*row) > 1 for row in rows) > 100 and len(dens) > 10
+    digest = hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
+    assert digest == "39574dbca2ce2bb5070b8dcb13e88a2721f9b20fbe29145753f25966604d4c61"
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs(), st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12))
+def test_rescaled_rows_take_the_same_pivots(program, c):
+    # One positive factor c on every row, right-hand sides included, moves
+    # no pivot and no vertex; each row's dual, its rate per unit of rhs,
+    # is divided by c.
+    objective, maximize, constraints, bounds = program
+    scaled = [([c * a for a in coefficients], rel, c * rhs) for coefficients, rel, rhs in constraints]
+    sol, pivots = solve_counted(LinearProgram(objective, maximize, constraints, bounds))
+    other, other_pivots = solve_counted(LinearProgram(objective, maximize, scaled, bounds))
+    assert (other.status, other.point, other.objective_value, other_pivots) == (
+        sol.status, sol.point, sol.objective_value, pivots
+    )
+    assert other.duals == (None if sol.duals is None else tuple(dual / c for dual in sol.duals))
