@@ -475,9 +475,10 @@ def nucleolus(game: TUGame) -> Allocation:
     The LP gets ints: its objective is the worths' ints ``_num`` less their
     members' singletons (a pinned coalition's also less ``_den`` times its
     level), all times the lcm of the levels' denominators, so eps is the LP
-    value divided by ``_den`` and by that lcm.  The empty-imputation test
-    and the pinned system are in ints too; a `Fraction` is built only for an
-    LP point, a level and the result.
+    value divided by ``_den`` and by that lcm.  The λ signs and eps are read
+    from the solution's ints (`LPSolution.point_ints` and `value_int`), and
+    the empty-imputation test and the pinned system are in ints too; a
+    `Fraction` is built only for a level and the result.
     """
     n = game.n
     if n > NUCLEOLUS_MAX_PLAYERS:
@@ -514,11 +515,12 @@ def nucleolus(game: TUGame) -> Allocation:
         sol = solve_lp(LinearProgram(objective, True, constraints, bounds))
         if not sol.is_optimal:
             raise AssertionError(f"nucleolus dual LP unexpectedly {sol.status}")
-        weights = sol.point[lam : lam + len(free)]
+        # λ and the value are ints over sol.scale > 0, which keeps their signs.
+        weights = sol.point_ints[lam : lam + len(free)]
         newly = {mask for mask, weight in zip(free, weights) if weight > 0}
         if not newly:
             raise AssertionError("no coalition has a positive dual weight; solver bug")
-        eps = sol.objective_value / (den * scale)
+        eps = Fraction(sol.value_int, sol.scale * den * scale)
         pinned += [(mask, eps) for mask in free if mask in newly]
         free = [mask for mask in free if mask not in newly]
 

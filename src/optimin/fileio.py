@@ -5,8 +5,10 @@ Rationals are encoded as plain integers or exact strings "a/b"; writers are
 canonical so a parse/dump round trip is byte-identical.  A game's text also
 comes cell by cell (`game_pieces`), so `gen` never holds the whole file;
 its header, the label lists, comes from `json.dumps` itself.
-Game payoffs are parsed straight to ints, and TU worths and decision
-utilities are checked at their JSON paths and passed on as literals for their
+Game payoffs are parsed straight to ints.  TU worths keyed by exactly the
+canonical coalition keys go to `TUGame` through one key table, and are
+checked key by key only to name the field of a refusal; decision utilities
+are checked at their JSON paths.  Both are passed on as literals for their
 classes to read to ints, with no `Fraction` for a plain literal.  Parse
 errors name the offending JSON path, which is built only once a check has
 failed; JSON nested past the recursion limit is a format error too.  Nothing
@@ -181,7 +183,26 @@ def _coalition_key(mask: int, n: int) -> str:
     return ",".join(str(i + 1) for i in range(n) if mask >> i & 1)
 
 
+def _coalition_keys(n: int) -> dict[str, int]:
+    """Each nonempty coalition's `_coalition_key`, mapped to its mask.
+
+    Each player doubles the list, as `coop._coalition_sums` does: the masks
+    holding player i are the masks below 1 << i with i added, and their keys
+    are those masks' keys with i's number appended.
+    """
+    keys = [""]
+    for i in range(n):
+        player = f",{i + 1}"
+        keys += [key + player for key in keys]
+    return {key[1:]: mask for mask, key in enumerate(keys) if mask}
+
+
 def parse_tu_game(text: str, source: str = "game") -> TUGame:
+    """Read a TU game file.  A `worth` object keyed by exactly the canonical
+    coalition keys of n, in any order, is mapped to masks through one key
+    table (`_coalition_keys`); any other object, or a worth that does not
+    read, goes through `_worths_by_mask`, which checks key by key and names
+    the first field at fault."""
     doc = _load_json(text, source)
     n = _require(doc, "n", source)
     worth = _require(doc, "worth", source)
@@ -193,6 +214,21 @@ def parse_tu_game(text: str, source: str = "game") -> TUGame:
         check_players(n, len(worth))
     except ValueError as exc:
         raise _fail(f"{source}.n", str(exc)) from None
+    # The table has 2^n - 1 keys, so it is built only for an object that size.
+    if len(worth) == (1 << n) - 1:
+        table = _coalition_keys(n)
+        if worth.keys() == table.keys():
+            try:
+                return TUGame(n, {table[key]: value for key, value in worth.items()})
+            except (FormatError, ResourceLimitError):
+                pass  # a worth that does not read; the per-key checks name its field
+    return TUGame(n, _worths_by_mask(worth, n, source))
+
+
+def _worths_by_mask(worth: dict, n: int, source: str) -> dict[int, object]:
+    """`worth` keyed by mask, checked key by key in file order; the first
+    key or value at fault, or the first missing coalition, is refused with
+    its path."""
     by_mask = {}
     for key, value in worth.items():
         path = f"{source}.worth[{key!r}]"
@@ -222,7 +258,7 @@ def parse_tu_game(text: str, source: str = "game") -> TUGame:
             f"{_coalition_key(first, n)!r}"
             + (f" and {missing - 1} more" if missing > 1 else ""),
         )
-    return TUGame(n, by_mask)
+    return by_mask
 
 
 def dump_tu_game(game: TUGame) -> str:

@@ -17,14 +17,18 @@ elimination", Math. Comp. 1968): see `fraction_free_pivot`.  Each tableau
 row has one own column, its slack or, for an equality row, its phase-1
 artificial, and the row's dual is read from the final cost row at that
 column.  The returned point is brought over one denominator once, and
-every constraint and bound is checked at it in ints; the duals stay ints
-until they are read.  There is no epsilon anywhere.  Bland's rule (always pivot on the lowest eligible index) makes
-the method cycling-proof, and degenerate ratio ties are broken by the lowest
-basic-variable index, so the returned vertex is deterministic.  Problem
-sizes here are desk scale, so the tableau is stored dense, as one list of
-ints per row.  Most pivots of the sparse core and nucleolus tableaus have
-p = D, and those touch only the pivot row's nonzero columns; a pivot with
-p != D rewrites every row at full width.
+every constraint and bound is checked at it in ints.  The point and the
+optimal value stay ints over one scale, and the duals int pairs, until they
+are read: `LPSolution` builds their `Fraction`s on first read, so a caller
+that needs only signs or one ratio, as `coop.nucleolus` does, reads the ints
+and builds none.  There is no epsilon anywhere.  Bland's rule (always
+pivot on the lowest eligible index) makes the method cycling-proof, and
+degenerate ratio ties are broken by the lowest basic-variable index, so the
+returned vertex is deterministic.  Problem sizes here are desk scale, so
+the tableau is stored dense, as one list of ints per row.  Most pivots of
+the sparse core and nucleolus tableaus have p = D, and those touch only the
+pivot row's nonzero columns; a pivot with p != D rewrites every row at full
+width.
 """
 
 from __future__ import annotations
@@ -155,12 +159,15 @@ class LPSolution:
     down (r[j] > 0 when minimizing, r[j] < 0 when maximizing) and its upper
     bound when r[j] pushes it up; r[j] is 0 for a free variable.
 
-    The solver keeps each dual as an int ``(num, den)`` pair, `dual_ratios`,
-    which takes no part in `==`, `hash` or `repr`; `duals` builds the
-    `Fraction`s on its first read.
+    `solve_lp` keeps the point and the value as ints over one positive
+    scale, ``point[j] = point_ints[j] / scale`` and ``objective_value =
+    value_int / scale``, and each dual as an int ``(num, den)`` pair,
+    `dual_ratios`.  None of these takes part in `==`, `hash` or `repr`;
+    `point`, `objective_value` and `duals` build their `Fraction`s on first
+    read.  A solution built from `Fraction`s has no ints.
     """
 
-    __slots__ = ("status", "point", "objective_value", "dual_ratios", "_duals")
+    __slots__ = ("status", "point_ints", "value_int", "scale", "dual_ratios", "_point", "_value", "_duals")
 
     def __init__(
         self,
@@ -170,14 +177,35 @@ class LPSolution:
         dual_ratios: tuple[tuple[int, int], ...] | None = None,
     ) -> None:
         self.status = status
-        self.point = point
-        self.objective_value = objective_value
+        self._point = point
+        self._value = objective_value
         self.dual_ratios = dual_ratios
         self._duals = None
+        self.point_ints = self.value_int = self.scale = None
+
+    @classmethod
+    def _optimal(cls, point_ints, value_int: int, scale: int, dual_ratios) -> LPSolution:
+        """An optimal solution held as `solve_lp` holds it, in ints."""
+        sol = cls("optimal", dual_ratios=dual_ratios)
+        sol.point_ints, sol.value_int, sol.scale = point_ints, value_int, scale
+        return sol
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def point(self) -> tuple[Fraction, ...] | None:
+        if self._point is None and self.point_ints is not None:
+            scale = self.scale
+            self._point = tuple(Fraction(x, scale) if x else ZERO for x in self.point_ints)
+        return self._point
+
+    @property
+    def objective_value(self) -> Fraction | None:
+        if self._value is None and self.value_int is not None:
+            self._value = Fraction(self.value_int, self.scale)
+        return self._value
 
     @property
     def duals(self) -> tuple[Fraction, ...] | None:
@@ -219,9 +247,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     except _Unbounded:
         return LPSolution("unbounded")
     _verify(lp, point, scale)
-    value = Fraction(sum(map(operator.mul, lp._obj_num, point)), lp._obj_den * scale)
-    exact = tuple(Fraction(x, scale) if x else ZERO for x in point)
-    return LPSolution("optimal", exact, value, duals)
+    value = sum(map(operator.mul, lp._obj_num, point))
+    if lp._obj_den != 1:  # the value is over obj_den * scale; bring the point there too
+        point = [x * lp._obj_den for x in point]
+        scale *= lp._obj_den
+    return LPSolution._optimal(tuple(point), value, scale, duals)
 
 
 def _verify(lp: LinearProgram, point: Sequence[int], scale: int) -> None:

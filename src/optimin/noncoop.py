@@ -49,11 +49,15 @@ cells, thus sorts each line once, and its Nash pass costs O(lines).
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
 is that chain evaluated at the opponent's agreed payoff E, so a profile costs
-one dot product, one `bisect` and one int interpolation.  Those payoffs are
-the mixture's `reply_payoffs`, which `zerosum` reads guarantees from too.  A
-mixture is read once, by `validate_mixed`.  The grid's points are the rows
-of `games.simplex_columns`' shares of k units, built once its profiles and
-the weights its points hold are counted against their bounds.  The grid search Pareto-filters exact int
+one `bisect` and one int interpolation.  The points are the mixture's
+`reply_payoffs`, which works on columns: each strategy's weights over many
+mixtures, one mixture per row.  One mixture, as `value_mixed_2p` and
+`zerosum`'s guarantees read it, is one-point columns.  A mixture is read
+once, by `validate_mixed`.  The grid's points are the rows of
+`games.simplex_columns`' shares of k units, built once its profiles and the
+weights its points hold are counted against their bounds; every grid point's
+reply payoffs, and every profile's agreed payoffs, are sums of products of
+whole columns.  The grid search Pareto-filters exact int
 keys (values scaled to the lcm of their denominators over the grid) and
 builds `Fraction` values and witnesses only for the survivors.  A witness is
 found by scanning the deviation vertices for the known value (`_witness`):
@@ -67,7 +71,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import ge, getitem, mul
+from operator import add, ge, getitem, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GRID_PROFILE_LIMIT, GRID_WEIGHT_LIMIT, VALUE_TABLE_MAX_PROFILES
@@ -464,21 +468,53 @@ def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProf
     return _entry(game, profile, sides, cores)
 
 
-def reply_payoffs(game: NormalFormGame, i: int, weights, *payers: int) -> list[list[int]]:
-    """Per player in `payers`, their payoff against each pure reply t of the
-    opponent of player i in a two-player game, when i plays the int weights:
-    ints over the weights' scale times that player's ``_den``."""
-    stride_j = game._strides[1 - i]
-    support = [(s * game._strides[i], w) for s, w in enumerate(weights) if w]
-    replies = range(game.shape[1 - i])
-    columns = map(game._num.__getitem__, payers)
-    return [[sum(w * u[o + t * stride_j] for o, w in support) for t in replies] for u in columns]
+def reply_payoffs(
+    game: NormalFormGame, i: int, columns: Sequence[Sequence[int]], *payers: int
+) -> list[list[list[int]]]:
+    """Per player in `payers` and per pure reply t of the opponent of player
+    i in a two-player game, that player's payoffs when i plays each of many
+    mixtures: `columns` holds one column of int weights per strategy of i,
+    one mixture per row, and each result is a column with one entry per
+    mixture, ints over the weights' scale times that player's ``_den``.  One
+    mixture is one-point columns, ``[[w] for w in weights]``."""
+    stride_i, stride_j = game._strides[i], game._strides[1 - i]
+    end = len(columns) * stride_i
+    replies = range(0, game.shape[1 - i] * stride_j, stride_j)
+    return [
+        [_dot_columns(map(itertools.repeat, u[t : t + end : stride_i]), columns) for t in replies]
+        for u in map(game._num.__getitem__, payers)
+    ]
+
+
+def _dot_columns(lefts: Iterable[Iterable[int]], rights: Iterable[Iterable[int]]) -> list[int]:
+    """The column sum_s lefts[s] * rights[s], entry by entry, over at least
+    one pair; of each pair, one may be endless."""
+    total = None
+    for left, right in zip(lefts, rights):
+        product = map(mul, left, right)
+        total = product if total is None else map(add, total, product)
+    return list(total)
+
+
+def _agreed_payoffs(replies: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> list[int]:
+    """Per profile (a, b), row-major, the payoff q·mine that a player's reply
+    payoffs at a, mine[t] = replies[t][a], give against the opponent's grid
+    point q[t] = columns[t][b]: the sum over t of the two columns' products,
+    with each reply column spread over the b and each weight column tiled
+    over the a."""
+    width, height = len(columns[0]), len(replies[0])
+    spread = (
+        itertools.chain.from_iterable(map(itertools.repeat, reply, itertools.repeat(width))) for reply in replies
+    )
+    return _dot_columns(spread, [column * height for column in columns])
 
 
 def _side(game: NormalFormGame, i: int, weights, scale: int) -> tuple[list, list, tuple, int]:
     """(mine, theirs, weights, scale) for player i playing the mixture weights/scale:
     the `reply_payoffs` of i and of the opponent."""
-    return (*reply_payoffs(game, i, weights, i, 1 - i), weights, scale)
+    payoffs = reply_payoffs(game, i, [[w] for w in weights], i, 1 - i)
+    mine, theirs = ([v for (v,) in columns] for columns in payoffs)
+    return mine, theirs, weights, scale
 
 
 def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
@@ -608,12 +644,13 @@ class GridOptimin(NamedTuple):
 
 
 def grid_profiles_2p(game: NormalFormGame, k: int) -> list[MixedProfile]:
-    g0, g1 = ([tuple(Fraction(w, k) for w in ws) for ws in g] for g in _grids_2p(game, k))
+    g0, g1 = ([tuple(Fraction(w, k) for w in ws) for ws in zip(*g)] for g in _grids_2p(game, k))
     return [(p, q) for p in g0 for q in g1]
 
 
 def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
-    """Each player's int weights over k on the 1/k grid, once the grid's
+    """Each player's int weights over k on the 1/k grid, as `simplex_columns`'
+    columns, one per strategy, with one grid point per row, once the grid's
     profiles, and then the weights its points hold, are counted."""
     if game.num_players != 2:
         raise UnsupportedArityError("probability grids support exactly 2 players")
@@ -628,17 +665,19 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
     if weights > GRID_WEIGHT_LIMIT:
         what = f"grid of {weights} weights"
         raise ResourceLimitError.past(what, GRID_WEIGHT_LIMIT, "weight", "GRID_WEIGHT_LIMIT", hint)
-    return tuple(list(zip(*simplex_columns(m, k))) for m in game.shape)
+    return tuple(simplex_columns(m, k) for m in game.shape)
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     """The `value_mixed_2p` entries of the Pareto-optimal 1/k grid profiles, in grid order.
 
     Every grid point has scale k, so each point's `_chain` is built once and
-    serves every profile it is part of.  A profile's two agreed payoffs are
-    int dot products over k² · `_den[i]`, read once, and `_hull_at` reads
-    player i's value from i's chain and those payoffs as num / den, which is
-    num · k / den in the payoffs' units.
+    serves every profile it is part of.  The grid points' reply payoffs are
+    `reply_payoffs` of the grid's weight columns, and the profiles' two
+    agreed payoffs, ints over k² · `_den[i]`, are one `_agreed_payoffs`
+    column each over every profile.  `_hull_at` reads player i's value from
+    i's chain and those payoffs as num / den, which is num · k / den in the
+    payoffs' units.
 
     The payoffs bound the values: v <= u, since the agreed mixture lies in
     the closure of the deviations that `_hull_at` minimizes over.  So the
@@ -654,16 +693,21 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     being the lcm of i's dens over them.  Only the survivors get
     `Fraction`s and `_witness` scans.
     """
-    g0, g1 = _grids_2p(game, k)
-    # Each grid point's payoff vectors and chain serve every profile it is part of.
-    sides0 = [_side(game, 0, w, k) for w in g0]
-    sides1 = [_side(game, 1, w, k) for w in g1]
+    grids = _grids_2p(game, k)
+    # Per player, per reply of the opponent, the column of both players'
+    # payoffs over the player's grid points.
+    replies = [reply_payoffs(game, i, columns, i, 1 - i) for i, columns in enumerate(grids)]
+    # Each grid point's side and chain serve every profile it is part of.
+    sides0, sides1 = (
+        list(zip(zip(*mine), zip(*theirs), zip(*columns), itertools.repeat(k)))
+        for (mine, theirs), columns in zip(replies, grids)
+    )
     chains0 = [_chain(side, k) for side in sides0]
     chains1 = [_chain(side, k) for side in sides1]
     # Per profile, row-major: each player's agreed payoff, and their sum
     # with both over k² · lcm(`_den`).
-    own0 = [sum(map(mul, w, mine)) for mine, _, _, _ in sides0 for w in g1]
-    own1 = [sum(map(mul, w, theirs)) for _, theirs, _, _ in sides0 for w in g1]
+    own0, own1 = (_agreed_payoffs(payoffs, grids[1]) for payoffs in replies[0])
+    width = len(sides1)
     w0, w1 = (math.lcm(*game._den) // d for d in game._den)
     sums = [u0 * w0 + u1 * w1 for u0, u1 in zip(own0, own1)]
     cores = {}  # per evaluated profile, each player's (num, den)
@@ -676,7 +720,7 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
         u0, u1 = own0[c], own1[c]
         if top > sums[c] * scale and best0 >= u0 * den0 and best1 >= u1 * den1:
             continue
-        a, b = divmod(c, len(g1))
+        a, b = divmod(c, width)
         cores[c] = core = _hull_at(chains0[a], u1, u0, k), _hull_at(chains1[b], u0, u1, k)
         (m0, d0), (m1, d1) = core
         m0 *= k
@@ -686,12 +730,12 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
     evaluated = sorted(cores)
     l0, l1 = (math.lcm(*{cores[c][i][1] for c in evaluated}) for i in (0, 1))
     keys = {c: (n0 * (l0 // d0), n1 * (l1 // d1)) for c, ((n0, d0), (n1, d1)) in cores.items()}
-    kept = [divmod(c, len(g1)) for c in pareto_filter(evaluated, key=keys.__getitem__)]
+    kept = [divmod(c, width) for c in pareto_filter(evaluated, key=keys.__getitem__)]
     # Each surviving grid point's mixture is built once and shared by its entries.
-    p = {a: tuple(Fraction(w, k) for w in g0[a]) for a, _ in kept}
-    q = {b: tuple(Fraction(w, k) for w in g1[b]) for _, b in kept}
+    p = {a: tuple(Fraction(w, k) for w in sides0[a][2]) for a, _ in kept}
+    q = {b: tuple(Fraction(w, k) for w in sides1[b][2]) for _, b in kept}
     entries = tuple(
-        _entry(game, (p[a], q[b]), (sides0[a], sides1[b]), cores[a * len(g1) + b]) for a, b in kept
+        _entry(game, (p[a], q[b]), (sides0[a], sides1[b]), cores[a * width + b]) for a, b in kept
     )
     return GridOptimin(resolution=k, entries=entries)
 

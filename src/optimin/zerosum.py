@@ -95,8 +95,8 @@ def guarantee(sg: StatisticalGame, player: int, mixture: Sequence[Fraction]) -> 
 def _guarantee(game: NormalFormGame, player: int, weights: list[int], scale: int) -> Fraction:
     """`guarantee` of the mixture weights/scale, as `_check_distribution` reads it:
     the least of its `reply_payoffs`."""
-    (payoffs,) = reply_payoffs(game, player, weights, player)
-    return Fraction(min(payoffs), scale * game._den[player])
+    (payoffs,) = reply_payoffs(game, player, [[w] for w in weights], player)
+    return Fraction(min(v for (v,) in payoffs), scale * game._den[player])
 
 
 def optimin_equals_maximin_check(sg: StatisticalGame, profile: MixedProfile) -> bool:

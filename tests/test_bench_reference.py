@@ -88,6 +88,15 @@ class TestBenchmarkPoolWork:
             _report(inst.argv(str(tmp_path), 1))
         assert calls == 2_786
 
+    def test_the_nucleolus_fractions(self, workloads, tmp_path, count_fractions):
+        # The `Fraction`s built over the 80 nucleolus4 games: a level per
+        # round and the reported values; each round reads its LP's ints.
+        instances = bench_pool(workloads, "nucleolus4", str(tmp_path))
+        with count_fractions() as built:
+            for inst in instances:
+                _report(inst.argv(str(tmp_path), 1))
+        assert len(built) == 533
+
     def test_the_core_pivots(self, workloads, tmp_path, monkeypatch):
         # The simplex's pivots over the 80 5-player core5 games.
         pivot = lp.fraction_free_pivot

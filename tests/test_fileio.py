@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optimin import Constraint, FormatError, NormalFormGame, OptiminError, ResourceLimitError, gen_named
+from optimin import Constraint, FormatError, NormalFormGame, OptiminError, ResourceLimitError, TUGame, gen_named
+from optimin import fileio
 from optimin.decisions import DECISION_MAX_CELLS
 from optimin.rational import (
     RATIONAL_MAX_DIGITS,
@@ -235,6 +236,148 @@ class TestTUFormat:
             parse_tu_game(json.dumps(doc))
         doc["worth"]["1,3"] = 1
         assert parse_tu_game(json.dumps(doc)).worth(0b101) == 1
+
+
+@st.composite
+def tu_worth_objects(draw):
+    """A player count of 1 to 4 and a worth object with every canonical key
+    once, in a drawn order, each worth an int or an "a/b" string."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    keys = draw(st.permutations([fileio._coalition_key(mask, n) for mask in range(1, 1 << n)]))
+    literal = st.integers(min_value=-20, max_value=20) | st.builds(
+        "{}/{}".format, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=6)
+    )
+    return n, {key: draw(literal) for key in keys}
+
+
+# A three-player worth object in file order; each refusal below edits it.
+TU_WORTH = {"1": 35, "2": "30", "3": "25/2", "1,2": 90, "1,3": 80, "2,3": 70, "1,2,3": 110}
+
+
+def _tu_edited(drop=(), add=(), first=()):
+    """`TU_WORTH` less the keys `drop`, with the (key, value) pairs `first`
+    before it and `add` after it."""
+    worth = dict(first)
+    worth.update((key, value) for key, value in TU_WORTH.items() if key not in drop)
+    worth.update(add)
+    return worth
+
+
+# Each refusal's message as the key-by-key reader has always given it, for
+# objects of the canonical size and of other sizes, with the fault first or last.
+TU_REFUSALS = [
+    pytest.param(
+        _tu_edited(drop=["1,2"], add=[("2,1", 1)]),
+        "g.json.worth['2,1']: coalition keys must list players sorted, once each",
+        id="unsorted-last",
+    ),
+    pytest.param(
+        _tu_edited(drop=["1,2"], first=[("2,1", 1)]),
+        "g.json.worth['2,1']: coalition keys must list players sorted, once each",
+        id="unsorted-first",
+    ),
+    pytest.param(
+        _tu_edited(drop=["1"], add=[("01", 1)]),
+        "g.json.worth['01']: coalition keys are comma-joined player numbers in plain digits",
+        id="leading-zero-last",
+    ),
+    pytest.param(
+        _tu_edited(drop=["1"], first=[("01", 1)]),
+        "g.json.worth['01']: coalition keys are comma-joined player numbers in plain digits",
+        id="leading-zero-first",
+    ),
+    pytest.param(
+        _tu_edited(drop=["1,2"], add=[("1,1", 1)]),
+        "g.json.worth['1,1']: coalition keys must list players sorted, once each",
+        id="repeated-player",
+    ),
+    pytest.param(
+        _tu_edited(drop=["3"], first=[("0", 1)]),
+        "g.json.worth['0']: player numbers must lie in 1..3",
+        id="player-zero-first",
+    ),
+    pytest.param(
+        _tu_edited(add=[("0", 1)]),
+        "g.json.worth['0']: player numbers must lie in 1..3",
+        id="player-zero-extra",
+    ),
+    pytest.param(
+        _tu_edited(drop=["2,3"]),
+        "g.json.worth: all 7 coalitions are mandatory; missing '2,3'",
+        id="missing",
+    ),
+    pytest.param(
+        _tu_edited(drop=["1", "2,3"]),
+        "g.json.worth: all 7 coalitions are mandatory; missing '1' and 1 more",
+        id="missing-two",
+    ),
+    pytest.param(
+        _tu_edited(add=[("4", 1)]),
+        "g.json.worth['4']: player numbers must lie in 1..3",
+        id="extra-player",
+    ),
+    pytest.param(
+        _tu_edited(first=[("1,4", 1)]),
+        "g.json.worth['1,4']: player numbers must lie in 1..3",
+        id="out-of-range-first",
+    ),
+    pytest.param(
+        _tu_edited(add=[("2,3", True)]),
+        "g.json.worth['2,3']: expected a rational number, got boolean True",
+        id="bool",
+    ),
+    pytest.param(
+        _tu_edited(add=[("1", 1.5)]),
+        "g.json.worth['1']: expected a rational number, got float",
+        id="float",
+    ),
+    pytest.param(
+        _tu_edited(add=[("1,2,3", "1/0")]),
+        "g.json.worth['1,2,3']: not a rational number: '1/0'",
+        id="zero-denominator",
+    ),
+    # the first fault in file order is named, not the first in mask order
+    pytest.param(
+        _tu_edited(drop=["1,3"], add=[("1", "x"), ("2,3", 0.5)], first=[("1,3", "1/0")]),
+        "g.json.worth['1,3']: not a rational number: '1/0'",
+        id="file-order",
+    ),
+]
+
+
+class TestTUKeyTable:
+    @settings(max_examples=200, deadline=None)
+    @given(tu_worth_objects())
+    def test_canonical_keys_read_as_key_by_key(self, case):
+        n, worth = case
+        text = json.dumps({"n": n, "worth": worth})
+        assert parse_tu_game(text) == TUGame(n, fileio._worths_by_mask(worth, n, "game"))
+
+    def test_canonical_keys_skip_the_key_by_key_checks(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the key-by-key reader ran on a canonical file")
+
+        monkeypatch.setattr(fileio, "_worths_by_mask", refused)
+        keys = fileio._coalition_keys(5)
+        assert len(keys) == 31 and all(fileio._coalition_key(mask, 5) == key for key, mask in keys.items())
+        game = parse_tu_game(json.dumps({"n": 3, "worth": dict(reversed(TU_WORTH.items()))}))
+        assert game.worth(0b100) == F(25, 2) and game.worth(0b111) == 110
+
+    @pytest.mark.parametrize("worth, message", TU_REFUSALS)
+    def test_refusals_name_the_field(self, worth, message):
+        with pytest.raises(FormatError) as info:
+            parse_tu_game(json.dumps({"n": 3, "worth": worth}), source="g.json")
+        assert str(info.value) == message
+
+    def test_an_overlong_literal_is_refused_by_its_bound(self):
+        # As the key-by-key reader has always done, the bound's own error, unprefixed.
+        worth = _tu_edited(add=[("2,3", "1" * (RATIONAL_MAX_DIGITS + 1))])
+        with pytest.raises(ResourceLimitError) as info:
+            parse_tu_game(json.dumps({"n": 3, "worth": worth}), source="g.json")
+        assert str(info.value) == (
+            f"rational literal of {RATIONAL_MAX_DIGITS + 1} digits exceeds the "
+            f"{RATIONAL_MAX_DIGITS}-digit bound (RATIONAL_MAX_DIGITS)"
+        )
 
 
 class TestMarriageFormat:

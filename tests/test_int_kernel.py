@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -699,7 +700,7 @@ def test_grid_values_match_the_vertex_scan_on_tied_games():
         game = NormalFormGame(["a", "b"], [[f"s{k}" for k in range(m)] for m in shape], nest(cells, shape))
         for k in (1, 2, 3, 4):
             grids = noncoop._grids_2p(game, k)
-            sides = [[noncoop._side(game, i, w, k) for w in grids[i]] for i in (0, 1)]
+            sides = [[noncoop._side(game, i, w, k) for w in zip(*grids[i])] for i in (0, 1)]
             for s0, s1 in product(*sides):
                 for side, other in ((s0, s1), (s1, s0)):
                     num, den, choice = deviation_minimum(side, other)
@@ -759,6 +760,46 @@ def test_the_grid_skips_profiles_its_payoffs_settle(monkeypatch):
     assert len(calls) == 2 * 156
     monkeypatch.setattr(noncoop, "_hull_at", hull_at)
     assert result.entries == full_grid_optimin(game, 4)
+
+
+@st.composite
+def column_grid_games(draw):
+    """A 1x1 to 4x4 game with tied int payoffs in -2..2, or `Fraction`s
+    whose denominators 1 to 6 differ from cell to cell; and a resolution k."""
+    shape = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in range(2))
+    tied = st.integers(min_value=-2, max_value=2)
+    payoff = tied if draw(st.booleans()) else st.builds(F, tied, st.integers(min_value=1, max_value=6))
+    cells = {prof: [draw(payoff), draw(payoff)] for prof in product(*map(range, shape))}
+    game = NormalFormGame(["a", "b"], [[f"s{k}" for k in range(m)] for m in shape], nest(cells, shape))
+    return game, cells, draw(st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_grid_games())
+def test_grid_payoffs_by_columns_match_each_point(case):
+    # Each grid point's reply payoffs, read off whole weight columns, are
+    # sum_s w_s * u(s, t), and each profile's agreed payoffs are q·mine.
+    game, cells, k = case
+    grids = noncoop._grids_2p(game, k)
+    for i, columns in enumerate(grids):
+        j = 1 - i
+        points, opponents = list(zip(*columns)), list(zip(*grids[j]))
+        replies = noncoop.reply_payoffs(game, i, columns, 0, 1)
+        for payer, payoffs in enumerate(replies):
+            assert len(payoffs) == game.shape[j] and all(len(c) == len(points) for c in payoffs)
+            payoff = {
+                (s, t): cells[(s, t) if i == 0 else (t, s)][payer]
+                for s in range(game.shape[i])
+                for t in range(game.shape[j])
+            }
+            expected = [
+                [sum(w * payoff[s, t] for s, w in enumerate(point)) for t in range(game.shape[j])] for point in points
+            ]
+            den = game._den[payer]
+            assert [[F(c[a], den) for c in payoffs] for a in range(len(points))] == expected
+            agreed = noncoop._agreed_payoffs(payoffs, grids[j])
+            assert agreed == [sum(map(mul, q, mine)) for mine in zip(*payoffs) for q in opponents]
+            assert [F(u, den) for u in agreed] == [sum(map(mul, q, mine)) for mine in expected for q in opponents]
 
 
 @settings(max_examples=150, deadline=None)

@@ -487,9 +487,10 @@ class TestDifferential:
 class TestVertexChoice:
     """Where several vertices are optimal, pivoting picks one deterministically,
     and reports print it (core witnesses, maximin mixtures).  These pin the
-    vertex on two such programs: one decided by how phase 1 weighs the
-    artificials of rows with fractional data, one by the ratio-test tie-break
-    on the lowest basic index."""
+    vertex on two such programs: one whose rows have fractional data, where
+    phase 1 is the plain sum of the artificial rows at the program's one row
+    multiple, one decided by the ratio-test tie-break on the lowest basic
+    index."""
 
     def test_core_witness_with_fractional_worths(self):
         from optimin import TUGame, core
