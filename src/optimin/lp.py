@@ -6,11 +6,13 @@ right-hand side once, straight to ints (through
 `rational.over_common_denominator`, so an int builds no `Fraction`): the
 objective over one positive denominator, the bounds over one positive
 scale, and each row over its own (`Constraint`).  The builders in `coop`
-and `zerosum` hand over their games' ints.  Every tableau row is its row
-as given times one multiple per program, M = the lcm of the rows'
-denominators times the bounds' scale, and no row is reduced further: rows
-rescaled by one positive factor take the same pivots, so phase 1 is the
-plain sum of the artificials and a dual is M times its int row's.  The
+and `zerosum` hand over their games' ints.  Every constraint's tableau row
+is its row as given times one multiple per program, M = the lcm of the
+rows' denominators times the bounds' scale, and no row is reduced further:
+rows rescaled by one positive factor take the same pivots, so phase 1 is
+the plain sum of the artificials and a dual is M times its int row's.  A
+two-sided bound adds the row scale * y <= width at the bounds' scale alone;
+it starts on its slack, needs no artificial and reports no dual.  The
 tableau then holds ints over one common denominator `D > 0` (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968): see `fraction_free_pivot`.  Each tableau
@@ -296,8 +298,8 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
             columns.append((1, 0, n_internal, n_internal + 1))
             n_internal += 2
 
-    # Every row is the row as given times one multiple M, the lcm of the
-    # rows' denominators times the bounds' scale, so all rows are ints.
+    # Every constraint row is the row as given times one multiple M, the lcm
+    # of the rows' denominators times the bounds' scale, so all rows are ints.
     lcm = math.lcm(*(con._den for con in lp.constraints))
     multiple = lcm * scale
     rows: list[list[int]] = []
@@ -317,12 +319,14 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
         rows.append(row)
         rels.append(con.relation)
         rhs.append(b)
+    # A two-sided bound's row scale * y <= width stays at the bounds' scale:
+    # it starts on its slack, never enters phase 1 and reports no dual.
     for col, width in widths:
         row = [0] * n_internal
-        row[col] = multiple
+        row[col] = scale
         rows.append(row)
         rels.append(LESS_EQUAL)
-        rhs.append(width * lcm)
+        rhs.append(width)
 
     obj, obj_den = lp._obj_num, lp._obj_den
     cost = [0] * n_internal
@@ -391,10 +395,10 @@ def _simplex(rows, rels, rhs, cost) -> tuple[list[int], list[int], int]:
 
     Returns an optimal y and each row's dual value (for the int rows and the
     int cost), both as ints over the returned common denominator, and that
-    denominator; or raises.  The caller hands over every row as the row it
-    started from times one positive multiple: then phase 1, the plain sum of
-    the artificials, is a positive multiple of the sum over the rows as
-    given, and the pivots are theirs.
+    denominator; or raises.  The caller hands over every row that may need
+    an artificial as the row it started from times one positive multiple:
+    then phase 1, the plain sum of the artificials, is a positive multiple
+    of the sum over the rows as given, and the pivots are theirs.
     """
     m = len(rows)
     n = len(cost)

@@ -49,20 +49,22 @@ cells, thus sorts each line once, and its Nash pass costs O(lines).
 A mixed value comes from one lower convex chain per grid point (`_chain`):
 each opponent reply t is the point (their payoff, my payoff), and the value
 is that chain evaluated at the opponent's agreed payoff E, so a profile costs
-one `bisect` and one int interpolation.  The points are the mixture's
-`reply_payoffs`, which works on columns: each strategy's weights over many
-mixtures, one mixture per row.  One mixture, as `value_mixed_2p` and
-`zerosum`'s guarantees read it, is one-point columns.  A mixture is read
-once, by `validate_mixed`.  The grid's points are the rows of
-`games.simplex_columns`' shares of k units, built once its profiles and the
-weights its points hold are counted against their bounds; every grid point's
-reply payoffs, and every profile's agreed payoffs, are sums of products of
-whole columns.  The grid search Pareto-filters exact int
-keys (values scaled to the lcm of their denominators over the grid) and
-builds `Fraction` values and witnesses only for the survivors.  A witness is
-found by scanning the deviation vertices for the known value (`_witness`):
-the opponent's lowest-index optimal pure reply, else the first optimal
-mixture of two replies in (s, t) order.
+one `bisect` and one int interpolation.  One evaluator, `_evaluate_grid`,
+serves both mixed solvers: it takes each player's weight columns (one column
+per strategy, one mixture per row) over that player's own scale, and builds
+every entry, its mixtures, values and witnesses, from them.
+`optimin_grid_2p` hands it the rows of `games.simplex_columns`' shares of
+k units, built once its profiles and the weights its points hold are
+counted against their bounds, both at scale k.  `value_mixed_2p` hands it
+one profile as one-point columns, each mixture over the scale that
+`validate_mixed` reads it at; `zerosum`'s guarantees read one mixture's
+`reply_payoffs` the same way.  Every grid point's reply payoffs, and every
+profile's agreed payoffs, are sums of products of whole columns.  The
+evaluator Pareto-filters exact int keys (values scaled to the lcm of their
+denominators over the grid) and builds `Fraction` values and witnesses only
+for the survivors.  A witness is found by scanning the deviation vertices
+for the known value (`_witness`): the opponent's lowest-index optimal pure
+reply, else the first optimal mixture of two replies in (s, t) order.
 """
 
 from __future__ import annotations
@@ -453,19 +455,21 @@ def nash_pure(game: NormalFormGame) -> list[PureProfile]:
 def value_mixed_2p(game: NormalFormGame, profile: MixedProfile) -> EvaluatedProfile:
     """Worst-case payoffs under mixed deviations, two-player games only.
 
-    Each value is the `_chain` of the player's `_side` evaluated at the
-    opponent's agreed payoff (`_hull_value`), as in the grid search.  Each
-    witness swaps in a minimizing deviation for the opponent, found by
-    `_witness`: the lowest-index optimal pure reply, else the first optimal
-    mixture of a losing s and a gaining t in lexicographic (s, t) order.
+    The profile is a grid of one profile: each mixture, read by
+    `validate_mixed` as int weights over its own scale, is one-point
+    columns, and `_evaluate_grid` evaluates it as it evaluates the grid of
+    `optimin_grid_2p`; a lone profile survives the filter.  Each witness
+    swaps in a minimizing deviation for the opponent, found by `_witness`:
+    the lowest-index optimal pure reply, else the first optimal mixture of a
+    losing s and a gaining t in lexicographic (s, t) order.
     """
     if game.num_players != 2:
         raise UnsupportedArityError(
             f"mixed values support exactly 2 players, game has {game.num_players}"
         )
-    sides = [_side(game, i, *read) for i, read in enumerate(game.validate_mixed(profile))]
-    cores = [_hull_value(_chain(side, other[3]), side, other) for side, other in (sides, sides[::-1])]
-    return _entry(game, profile, sides, cores)
+    grids, scales = zip(*[([[w] for w in weights], scale) for weights, scale in game.validate_mixed(profile)])
+    (entry,) = _evaluate_grid(game, grids, scales)
+    return entry
 
 
 def reply_payoffs(
@@ -509,15 +513,7 @@ def _agreed_payoffs(replies: Sequence[Sequence[int]], columns: Sequence[Sequence
     return _dot_columns(spread, [column * height for column in columns])
 
 
-def _side(game: NormalFormGame, i: int, weights, scale: int) -> tuple[list, list, tuple, int]:
-    """(mine, theirs, weights, scale) for player i playing the mixture weights/scale:
-    the `reply_payoffs` of i and of the opponent."""
-    payoffs = reply_payoffs(game, i, [[w] for w in weights], i, 1 - i)
-    mine, theirs = ([v for (v,) in columns] for columns in payoffs)
-    return mine, theirs, weights, scale
-
-
-def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
+def _chain(mine: Sequence[int], theirs: Sequence[int], qscale: int) -> tuple[list[int], list[int]]:
     """(xs, ys): the lower convex chain of the points (theirs[t] * qscale, mine[t])
     from the lowest point (the rightmost among ties) to the rightmost point
     (the lowest among ties), with xs strictly increasing.
@@ -528,7 +524,6 @@ def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
     cut to the part where it rises (Andrew's monotone chain, collinear points
     dropped).
     """
-    mine, theirs, _, _ = side
     lowest = {}  # per x, only the lowest point can be on the chain
     for x, y in zip(theirs, mine):
         x *= qscale
@@ -549,19 +544,12 @@ def _chain(side, qscale: int) -> tuple[list[int], list[int]]:
     return [x for x, _ in hull[start:]], [y for _, y in hull[start:]]
 
 
-def _hull_value(chain, side, other) -> tuple[int, int]:
-    """(num, den): the value of `side`'s player against `other`'s agreed
-    weights is num / (den * scale * _den) in `side`'s units; `chain` is
-    `side`'s `_chain` at `other`'s scale.  This is `_hull_at` of the two
-    agreed payoffs, each read as one dot product of `other`'s weights."""
-    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
-    return _hull_at(chain, sum(map(mul, agreed, theirs)), sum(map(mul, agreed, mine)), qscale)
-
-
 def _hull_at(chain, expected: int, own: int, qscale: int) -> tuple[int, int]:
-    """`_hull_value` from the agreed payoffs: `expected` is the opponent's,
-    E = agreed·theirs, in the units of the `chain`'s x axis, and `own` the
-    player's, agreed·mine, over `qscale` times the units of its y axis.
+    """(num, den): the value of a player at a profile is num / den in the
+    units of the y axis of their `chain`, the `_chain` of their mixture at
+    the opponent's scale `qscale`.  `expected` is the opponent's agreed
+    payoff, E = agreed·theirs, in the units of the chain's x axis, and `own`
+    the player's, agreed·mine, over `qscale` times the units of its y axis.
 
     When no pure reply beats E, no mixture does either, since a mixture's
     payoff is a convex combination of the pure ones, and the agreement's own
@@ -581,18 +569,18 @@ def _hull_at(chain, expected: int, own: int, qscale: int) -> tuple[int, int]:
     return ys[b - 1] * (xb - expected) + ys[b] * (expected - xa), xb - xa
 
 
-def _witness(side, other, num: int, den: int):
-    """The deviation that attains the value num / den (in `side`'s units over
-    its scale * _den): None when the opponent has no profitable deviation, else
-    the lowest-index pure reply t with gain >= 0 worth exactly that, else the
+def _witness(mine: Sequence[int], theirs: Sequence[int], expected: int, qscale: int, num: int, den: int):
+    """The deviation that attains the value num / den (in the units of
+    `mine`): None when the opponent has no profitable deviation, else the
+    lowest-index pure reply t with gain >= 0 worth exactly that, else the
     first edge (s, t) in lexicographic order, gain[s] < 0 < gain[t], whose
     point with gain·q = 0 is worth exactly that, as (s, t, gain[t], width)
-    with width = gain[t] - gain[s].  The value's minimum sits at one of these
-    vertices, since {q : gain·q >= 0} is the simplex cut by one halfspace.
+    with width = gain[t] - gain[s].  `expected` is the opponent's agreed
+    payoff over `qscale` times the units of `theirs`, as `_hull_at` reads
+    it.  The value's minimum sits at one of these vertices, since
+    {q : gain·q >= 0} is the simplex cut by one halfspace.
     """
-    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
     # The opponent's gain from answering t instead of its agreed mixture, times qscale.
-    expected = sum(map(mul, agreed, theirs))
     gain = [u * qscale - expected for u in theirs]
     if max(gain) <= 0:
         return None
@@ -607,16 +595,16 @@ def _witness(side, other, num: int, den: int):
     raise AssertionError(f"hull bug: no deviation vertex is worth {num}/{den}")
 
 
-def _entry(game: NormalFormGame, profile, sides, cores) -> EvaluatedProfile:
-    """`profile` evaluated from its `_side`s and their `_hull_value`s, with one
-    `_witness` per player."""
+def _entry(game: NormalFormGame, profile, points, agreed, scales, cores) -> EvaluatedProfile:
+    """`profile` evaluated from each player's grid point (mine, theirs), the
+    two agreed payoffs, the two scales and each player's `_hull_at`
+    (num, den), with one `_witness` per player."""
     values = []
     witnesses = []
-    for i, (num, den) in enumerate(cores):
+    for i, ((mine, theirs), (num, den)) in enumerate(zip(points, cores)):
         j = 1 - i
-        mine, _, _, scale = sides[i]
-        values.append(Fraction(num, den * scale * game._den[i]))
-        choice = _witness(sides[i], sides[j], num, den)
+        values.append(Fraction(num, den * scales[i] * game._den[i]))
+        choice = _witness(mine, theirs, agreed[j], scales[j], num, den)
         if choice is None:
             witnesses.append(profile)
             continue
@@ -628,7 +616,7 @@ def _entry(game: NormalFormGame, profile, sides, cores) -> EvaluatedProfile:
             s, t, gain_t, width = choice
             dev[s], dev[t] = Fraction(gain_t, width), Fraction(width - gain_t, width)
         witnesses.append((profile[0], tuple(dev)) if j == 1 else (tuple(dev), profile[1]))
-    return EvaluatedProfile(tuple(profile), tuple(values), tuple(witnesses))
+    return EvaluatedProfile(profile, tuple(values), tuple(witnesses))
 
 
 class GridOptimin(NamedTuple):
@@ -669,51 +657,59 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
 
 
 def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
-    """The `value_mixed_2p` entries of the Pareto-optimal 1/k grid profiles, in grid order.
+    """The `value_mixed_2p` entries of the Pareto-optimal 1/k grid profiles,
+    in grid order: `_evaluate_grid` of the grid's weight columns, both
+    players at scale k."""
+    return GridOptimin(resolution=k, entries=_evaluate_grid(game, _grids_2p(game, k), (k, k)))
 
-    Every grid point has scale k, so each point's `_chain` is built once and
-    serves every profile it is part of.  The grid points' reply payoffs are
-    `reply_payoffs` of the grid's weight columns, and the profiles' two
-    agreed payoffs, ints over k² · `_den[i]`, are one `_agreed_payoffs`
-    column each over every profile.  `_hull_at` reads player i's value from
-    i's chain and those payoffs as num / den, which is num · k / den in the
-    payoffs' units.
+
+def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfile, ...]:
+    """The entries of the Pareto-optimal profiles of a two-player grid, in
+    grid order (row-major, the first player's points outermost).  `grids`
+    holds each player's int weight columns, one per strategy with one grid
+    point per row, over that player's scale in `scales` = (s0, s1).
+
+    Each point's `_chain`, at the opponent's scale, is built once and serves
+    every profile it is part of.  The grid points' reply payoffs are
+    `reply_payoffs` of the weight columns, and the profiles' two agreed
+    payoffs, ints over s0 · s1 · `_den[i]`, are one `_agreed_payoffs` column
+    each over every profile.  `_hull_at` reads player i's value from i's
+    chain and those payoffs as num / den over s_i · `_den[i]`, which is
+    num · s_j / den in the payoffs' units, j being the opponent.
 
     The payoffs bound the values: v <= u, since the agreed mixture lies in
     the closure of the deviations that `_hull_at` minimizes over.  So the
     profiles are visited by descending payoff sum, and `best` is the
     evaluated vector of largest sum; a profile is skipped, unevaluated, when
     sum(best) > sum(u) and best >= u in both coordinates, as
-    `_unsettled_values` skips a cell: then best dominates its value.  Any
-    positive weights of the two coordinates keep that proof; the sums read
-    both payoffs over k² · lcm(`_den`), which on the benchmark's 80 mixed3
-    games at k = 4 leaves 5 650 of 18 000 profiles to evaluate, against
-    6 563 in the payoffs' own units.  The evaluated profiles, in grid
-    order, go through the filter with the int keys num * (L_i // den), L_i
-    being the lcm of i's dens over them.  Only the survivors get
-    `Fraction`s and `_witness` scans.
+    `_unsettled_values` skips a cell: then best dominates its value.  The
+    first profile visited is always evaluated, so a grid of one profile
+    keeps it.  Any positive weights of the two coordinates keep that proof;
+    the sums read both payoffs over s0 · s1 · lcm(`_den`), which on the
+    benchmark's 80 mixed3 games at k = 4 leaves 5 650 of 18 000 profiles to
+    evaluate, against 6 563 in the payoffs' own units.  The evaluated
+    profiles, in grid order, go through the filter with the int keys
+    num * (L_i // den), L_i being the lcm of i's dens over them.  Only the
+    survivors get `Fraction`s and `_witness` scans.
     """
-    grids = _grids_2p(game, k)
+    s0, s1 = scales
     # Per player, per reply of the opponent, the column of both players'
     # payoffs over the player's grid points.
     replies = [reply_payoffs(game, i, columns, i, 1 - i) for i, columns in enumerate(grids)]
-    # Each grid point's side and chain serve every profile it is part of.
-    sides0, sides1 = (
-        list(zip(zip(*mine), zip(*theirs), zip(*columns), itertools.repeat(k)))
-        for (mine, theirs), columns in zip(replies, grids)
-    )
-    chains0 = [_chain(side, k) for side in sides0]
-    chains1 = [_chain(side, k) for side in sides1]
+    # Per player, per grid point: (mine, theirs), its reply payoffs.
+    points0, points1 = (list(zip(zip(*mine), zip(*theirs))) for mine, theirs in replies)
+    chains0 = [_chain(mine, theirs, s1) for mine, theirs in points0]
+    chains1 = [_chain(mine, theirs, s0) for mine, theirs in points1]
     # Per profile, row-major: each player's agreed payoff, and their sum
-    # with both over k² · lcm(`_den`).
+    # with both over s0 · s1 · lcm(`_den`).
     own0, own1 = (_agreed_payoffs(payoffs, grids[1]) for payoffs in replies[0])
-    width = len(sides1)
+    width = len(points1)
     w0, w1 = (math.lcm(*game._den) // d for d in game._den)
     sums = [u0 * w0 + u1 * w1 for u0, u1 in zip(own0, own1)]
     cores = {}  # per evaluated profile, each player's (num, den)
     # best is (best0 / den0, best1 / den1) in the payoffs' units, and its
-    # sum over k² · lcm(`_den`) is top / scale; top = -1 over scale = 0 is
-    # no sum, below every sum.
+    # sum over s0 · s1 · lcm(`_den`) is top / scale; top = -1 over scale = 0
+    # is no sum, below every sum.
     best0 = den0 = best1 = den1 = scale = 0
     top = -1
     for c in sorted(range(len(sums)), key=sums.__getitem__, reverse=True):
@@ -721,23 +717,21 @@ def optimin_grid_2p(game: NormalFormGame, k: int) -> GridOptimin:
         if top > sums[c] * scale and best0 >= u0 * den0 and best1 >= u1 * den1:
             continue
         a, b = divmod(c, width)
-        cores[c] = core = _hull_at(chains0[a], u1, u0, k), _hull_at(chains1[b], u0, u1, k)
+        cores[c] = core = _hull_at(chains0[a], u1, u0, s1), _hull_at(chains1[b], u0, u1, s0)
         (m0, d0), (m1, d1) = core
-        m0 *= k
-        m1 *= k
+        m0 *= s1
+        m1 *= s0
         if (total := m0 * w0 * d1 + m1 * w1 * d0) * scale > top * d0 * d1:
             best0, den0, best1, den1, top, scale = m0, d0, m1, d1, total, d0 * d1
     evaluated = sorted(cores)
     l0, l1 = (math.lcm(*{cores[c][i][1] for c in evaluated}) for i in (0, 1))
     keys = {c: (n0 * (l0 // d0), n1 * (l1 // d1)) for c, ((n0, d0), (n1, d1)) in cores.items()}
-    kept = [divmod(c, width) for c in pareto_filter(evaluated, key=keys.__getitem__)]
-    # Each surviving grid point's mixture is built once and shared by its entries.
-    p = {a: tuple(Fraction(w, k) for w in sides0[a][2]) for a, _ in kept}
-    q = {b: tuple(Fraction(w, k) for w in sides1[b][2]) for _, b in kept}
-    entries = tuple(
-        _entry(game, (p[a], q[b]), (sides0[a], sides1[b]), cores[a * width + b]) for a, b in kept
-    )
-    return GridOptimin(resolution=k, entries=entries)
+    entries = []
+    for c in pareto_filter(evaluated, key=keys.__getitem__):
+        a, b = divmod(c, width)
+        profile = tuple(Fraction(w[a], s0) for w in grids[0]), tuple(Fraction(w[b], s1) for w in grids[1])
+        entries.append(_entry(game, profile, (points0[a], points1[b]), (own0[c], own1[c]), scales, cores[c]))
+    return tuple(entries)
 
 
 def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:

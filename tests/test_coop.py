@@ -1212,3 +1212,7 @@ def test_the_lattice_builds_no_fraction(count_fractions, monkeypatch):
         assert imputation_grid(g, step, floors)
         assert optimin_coop(g, step, floors).entries
     assert inner == [0] * 8
+
+
+def test_a_tu_game_repr():
+    assert repr(TUGame(2, {1: 1, 2: 0, 3: F(5, 2)})) == "TUGame(n=2, u(N)=5/2)"

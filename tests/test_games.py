@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimin import (
+    Constraint,
     InvalidDistributionError,
     InvalidProfileError,
     InvalidScaleError,
+    MarriageProblem,
+    Matching,
     NormalFormGame,
+    StatisticalGame,
+    TUGame,
     affine_transform,
     better_responses,
     deviation_space,
@@ -344,3 +349,21 @@ def test_from_scaled_is_the_canonical_form(columns):
     built = NormalFormGame(("p1", "p2"), strategies, payoffs)
     assert (built._num, built._den) == (game._num, game._den)
     assert built == game
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TUGame(1, {1: 1}),
+        matching_pennies,
+        lambda: Constraint([1], "<=", 1),
+        lambda: Matching(MarriageProblem(("a",), ("b",), {"a": ("b", "a"), "b": ("a", "b")}), {}),
+        lambda: StatisticalGame(matching_pennies()),
+    ],
+    ids=["TUGame", "NormalFormGame", "Constraint", "Matching", "StatisticalGame"],
+)
+def test_eq_leaves_a_foreign_object_to_python(build):
+    # `__eq__` answers NotImplemented, so Python falls back to identity.
+    value, foreign = build(), object()
+    assert value.__eq__(foreign) is NotImplemented
+    assert not value == foreign and value != foreign

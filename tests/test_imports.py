@@ -1,10 +1,14 @@
-"""Every import in each `optimin` module is used, and no module has an `assert`.
+"""Every import in each `optimin` module is used, no module has an `assert`,
+and every private helper is read by the package.
 
 No linter ships with the project, so this walks each module's syntax tree: a
 name an import binds counts as used when the module reads it.  The names that
 `__init__.py` imports from the package's own modules are its public API, so
 there a relative import counts as used.  `python -O` strips `assert`
-statements, and every check must hold under it, so each one raises.
+statements, and every check must hold under it, so each one raises.  A
+function or method named with one leading underscore is the package's own
+helper, so some module of the package must read it; one that only tests
+read is dead code.
 """
 
 import ast
@@ -54,3 +58,38 @@ def test_no_check_is_an_assert(path):
 
 def test_the_check_sees_an_assert():
     assert assert_lines("x = 1\nif x:\n    assert x, 'x'\nraise AssertionError(x)\n") == [3]
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and methods named with one leading
+    underscore that no source reads, by name or as an attribute, as
+    "module: name"."""
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__"):
+                    defined.append(f"{module}: {fn.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [entry for entry in defined if entry.partition(": ")[2] not in read]
+
+
+def test_every_private_helper_is_read():
+    assert orphaned_helpers({path.name: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def test_the_check_sees_an_orphaned_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _orphan():\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "b.py": (
+            "from .a import _used\n\nclass C:\n    def _method(self):\n        pass\n\n"
+            "    def _idle(self):\n        pass\n\n    def __eq__(self, other):\n        pass\n\n"
+            "_used()\nC()._method()\n"
+        ),
+    }
+    assert orphaned_helpers(sources) == ["a.py: _orphan", "b.py: _idle"]

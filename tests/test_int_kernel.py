@@ -651,9 +651,12 @@ def deviation_minimum(side, other):
 
 def hull_core(side, other):
     """`noncoop`'s value of `side` against `other` as a `Fraction`, and its witness
-    choice in `deviation_minimum`'s form."""
-    num, den = noncoop._hull_value(noncoop._chain(side, other[3]), side, other)
-    choice = noncoop._witness(side, other, num, den)
+    choice in `deviation_minimum`'s form: `_hull_at` of `side`'s `_chain` at the
+    opponent's scale and of the two agreed payoffs, and `_witness` at that value."""
+    (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
+    expected, own = sum(map(mul, agreed, theirs)), sum(map(mul, agreed, mine))
+    num, den = noncoop._hull_at(noncoop._chain(mine, theirs, qscale), expected, own, qscale)
+    choice = noncoop._witness(mine, theirs, expected, qscale, num, den)
     return F(num, den), choice if choice is None or isinstance(choice, int) else choice[:2]
 
 
@@ -686,7 +689,7 @@ def test_witness_refuses_a_value_no_vertex_attains():
     side, other = ([0, 2], [0, 2], None, 1), (None, None, (1, 1), 2)
     assert hull_core(side, other) == (F(1), (0, 1))
     with pytest.raises(AssertionError, match="no deviation vertex is worth 3/1"):
-        noncoop._witness(side, other, 3, 1)
+        noncoop._witness([0, 2], [0, 2], 2, 2, 3, 1)
 
 
 def test_grid_values_match_the_vertex_scan_on_tied_games():
@@ -700,7 +703,11 @@ def test_grid_values_match_the_vertex_scan_on_tied_games():
         game = NormalFormGame(["a", "b"], [[f"s{k}" for k in range(m)] for m in shape], nest(cells, shape))
         for k in (1, 2, 3, 4):
             grids = noncoop._grids_2p(game, k)
-            sides = [[noncoop._side(game, i, w, k) for w in zip(*grids[i])] for i in (0, 1)]
+            sides = []
+            for i in (0, 1):
+                # Per grid point of player i: (mine, theirs, weights, k).
+                mine, theirs = noncoop.reply_payoffs(game, i, grids[i], i, 1 - i)
+                sides.append([(m, t, w, k) for m, t, w in zip(zip(*mine), zip(*theirs), zip(*grids[i]))])
             for s0, s1 in product(*sides):
                 for side, other in ((s0, s1), (s1, s0)):
                     num, den, choice = deviation_minimum(side, other)

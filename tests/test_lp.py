@@ -151,6 +151,10 @@ class TestConstraint:
         with pytest.raises(AttributeError):
             lp.constraints[0].rhs = F(1)
 
+    def test_repr(self):
+        row = Constraint(["1/2", 2], ">=", 3)
+        assert repr(row) == "Constraint((Fraction(1, 2), Fraction(2, 1)), '>=', Fraction(3, 1))"
+
     def test_build_checks_rows(self):
         with pytest.raises(ValueError, match="unknown relation"):
             LinearProgram([1], True, [([1], "<", 1)])
