@@ -304,7 +304,10 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequ
         if len(lows) != n:
             raise DomainError(f"need one floor per player, got {len(lows)}")
     if sum(lows) * den > num[game.grand_coalition] * low_den:
-        raise DomainError("imputation set is empty: individual worths exceed the grand coalition")
+        if floors is None:
+            raise DomainError("imputation set is empty: individual worths exceed the grand coalition")
+        total, grand = json_ratio(sum(lows), low_den), json_ratio(num[game.grand_coalition], den)
+        raise DomainError(f"floors sum to {total}, past the grand coalition's worth {grand} (--floor)")
     # u(N) / step = u(N)·q / (den·p) units, which must be a whole number.
     total_units, rest = divmod(num[game.grand_coalition] * q, den * p)
     # Minimal multiples of the step at or above each floor: ceil(low·q / (low_den·p)).

@@ -130,11 +130,8 @@ def game_pieces(game: NormalFormGame) -> Iterator[str]:
     """The pieces `dump_game` joins, one at a time: each cell with the text
     before it, then the closing text.  A writer that takes them as they come
     holds no more than one cell of the document."""
-    n = game.num_players
-    columns = [
-        map(str, column) if d == 1 else [_quoted(json_ratio(u, d)) for u in column]
-        for column, d in zip(game._num, game._den)
-    ]
+    n, d = game.num_players, game._den
+    columns = [map(str, column) if d == 1 else [_quoted(json_ratio(u, d)) for u in column] for column in game._num]
     # The entries along axis a are lists at depth a + 2 (the payoff tensor
     # itself is the list at depth 1), so the cells are lists at depth n + 1.
     heads, seps, tails = zip(*map(_list_marks, range(n + 2)))

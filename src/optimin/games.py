@@ -2,13 +2,14 @@
 
 A game is a dense payoff tensor over labelled strategies that never changes
 once built.  All operations here are pure functions.  Payoffs are exact and
-held in one form: each player's payoffs are ints over one common denominator.
-The constructor and the file parser read a nested payoff tensor in one pass
-straight to those ints (`scaled_payoffs`, one `rational.over_common_denominator`
-per player), and walk it again only to name a fault.  Readers work on the ints
-and build a `Fraction` only for a value they return, so at the API every payoff
-is a `Fraction`.  Results reproduce bit-exactly and comparisons
-never depend on floating tolerances.
+held in one form: every player's payoffs are ints over one denominator per
+game, so payoffs of different players add and compare as they are.  The
+constructor and the file parser read a nested payoff tensor in one pass
+straight to those ints (`scaled_payoffs`, one call of
+`rational.over_common_denominator` over all literals), and walk it again only
+to name a fault.  Readers work on the ints and build a `Fraction` only for a
+value they return, so at the API every payoff is a `Fraction`.  Results
+reproduce bit-exactly and comparisons never depend on floating tolerances.
 
 Each check hands back what it read, so no caller reads a profile twice:
 `validate_profile` returns the cell's row-major index, and `validate_mixed`
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -49,11 +50,12 @@ class NormalFormGame:
     `_line_order` fills and the flag `_is_symmetric` computes (or
     `gen_travelers` sets), is not part of `==`, `hash` or `repr`.
 
-    Payoffs are stored flat in row-major order, one exact integer
-    representation per player: player i's payoffs are the ints ``_num[i]``
-    over the common denominator ``_den[i]``, the lcm of that player's reduced
-    payoff denominators, so equal games have equal representations.  These
-    ints are the game's only payoff state; no `Fraction` view is kept.
+    Payoffs are stored flat in row-major order, in one exact integer
+    representation: player i's payoffs are the ints ``_num[i]`` over the one
+    denominator ``_den``, the lcm of every payoff's reduced denominator over
+    all players, so that gcd(``_den``, every int) = 1 and equal games have
+    equal representations.  These ints are the game's only payoff state; no
+    `Fraction` view is kept.
 
     A payoff line is the cells along one player's axis with every other
     strategy held fixed.  `_orders` holds, per player, the `_line_order` of
@@ -75,41 +77,33 @@ class NormalFormGame:
             path, fault = tensor_fault(payoffs, self.shape, n, "payoffs per cell")
             raise fault if isinstance(fault, OptiminError) else ValueError(f"payoffs{path}: {fault}")
         self._num, self._den = scaled
-        self._orders = tuple({} for _ in self.players)
-        self._symmetric = None
 
     @classmethod
-    def _from_scaled(cls, players, strategies, num, den) -> NormalFormGame:
-        """Build from per-player int payoffs ``num[i]`` over positive ``den[i]``.
+    def _from_scaled(cls, players, strategies, num, den: int) -> NormalFormGame:
+        """Build from per-player int payoffs ``num[i]`` over one positive ``den``.
 
-        Each player's numerators and denominator are divided by their common
-        gcd, which leaves the lcm of the reduced denominators, the same
-        representation ``__init__`` builds.  The gcd reads the column in
+        Every numerator and the denominator are divided by their common gcd,
+        which leaves the lcm of the reduced denominators, the same
+        representation ``__init__`` builds.  The gcd reads the columns in
         chunks and stops at the first chunk after which it is 1, which in
-        most games is the first: the rest of the column cannot change it.
+        most games is the first: the rest of the columns cannot change it.
         """
         game = cls.__new__(cls)
         game._set_labels(players, strategies)
-        scaled = []
-        dens = []
-        for column, d in zip(num, den):
-            column = tuple(column)
-            g = d
-            for k in range(0, len(column), 64):
-                g = math.gcd(g, *column[k : k + 64])
-                if g == 1:
-                    break
-            scaled.append(column if g == 1 else tuple(u // g for u in column))
-            dens.append(d // g)
-        game._num = tuple(scaled)
-        game._den = tuple(dens)
-        game._orders = tuple({} for _ in game.players)
-        game._symmetric = None
+        columns = tuple(map(tuple, num))
+        g = den
+        for chunk in (column[k : k + 64] for column in columns for k in range(0, len(column), 64)):
+            g = math.gcd(g, *chunk)
+            if g == 1:
+                break
+        game._num = columns if g == 1 else tuple(tuple(u // g for u in column) for column in columns)
+        game._den = den // g
         return game
 
     def _set_labels(self, players: Sequence[str], strategies: Sequence[Sequence[str]]) -> None:
-        """Check and set the labels, shape and strides.  The one check of a
-        game's labels: each refusal names its field, ``players`` or
+        """Check and set the labels, shape and strides, and start the empty
+        `_orders` memo and `_symmetric` flag.  The one check of a game's
+        labels: each refusal names its field, ``players`` or
         ``strategies[i]``, and for a repeat the label."""
         self.players = _labels(players, "players")
         if len(strategies) != len(self.players):
@@ -122,6 +116,8 @@ class NormalFormGame:
             strides.append(acc)
             acc *= size
         self._strides = tuple(reversed(strides))
+        self._orders = tuple({} for _ in self.players)
+        self._symmetric = None
 
     def _line_order(self, player: int, start: int) -> list[int]:
         """`player`'s strategies on their payoff line that starts at cell
@@ -151,8 +147,9 @@ class NormalFormGame:
 
     def _is_symmetric(self) -> bool:
         """Whether the game is unchanged under every permutation σ of its
-        players, u_σ(i)(σ·a) = u_i(a), with one strategy count and one
-        denominator for all players, so the canonical ints obey it too.
+        players, u_σ(i)(σ·a) = u_i(a), with one strategy count for all
+        players.  All players' ints share the game's one denominator, so the
+        ints obey it exactly when the payoffs do.
 
         Two permutations generate all others: the cycle i -> i + 1 and the
         swap of the first two players.  Under the cycle, player i + 1's
@@ -171,7 +168,6 @@ class NormalFormGame:
             small, swap = big // m, (1, 0, *range(2, n))  # cells per strategy pair of the first two
             self._symmetric = (
                 self.shape == (m,) * n
-                and self._den == self._den[:1] * n
                 and all(v[a * big : (a + 1) * big] == u[a::m] for u, v in zip(num, num[1:]) for a in range(m))
                 and (n < 3 or all(
                     num[swap[i]][b * big + a * small : b * big + (a + 1) * small]
@@ -215,7 +211,7 @@ class NormalFormGame:
     def payoff(self, profile: PureProfile) -> ValueVector:
         """The tensor cell for a pure profile."""
         c = self.validate_profile(profile)
-        return tuple(Fraction(u[c], d) for u, d in zip(self._num, self._den))
+        return tuple(Fraction(u[c], self._den) for u in self._num)
 
     def validate_mixed(self, profile: MixedProfile) -> list[tuple[list[int], int]]:
         """Refuse `profile` unless it holds one distribution per player; return
@@ -271,7 +267,8 @@ class NormalFormGame:
             weight = math.prod(w for _, w in combo)
             for i, u in enumerate(self._num):
                 totals[i] += weight * u[c]
-        return tuple(Fraction(t, scale * d) for t, d in zip(totals, self._den))
+        scale *= self._den
+        return tuple(Fraction(t, scale) for t in totals)
 
     # -- label helpers -----------------------------------------------------
 
@@ -340,8 +337,8 @@ def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):
     """A nested payoff tensor of `shape` whose cells hold `n` literals each, as
     `NormalFormGame`'s ``(_num, _den)``, or None if it is malformed.
 
-    Each level is checked for type and length, then each player's literals
-    are read by `over_common_denominator`.
+    Each level is checked for type and length, then all literals are read
+    by one `over_common_denominator` call and dealt out to the players.
     """
     level = [payoffs]
     for size in shape + (n,):
@@ -349,10 +346,10 @@ def scaled_payoffs(payoffs, shape: tuple[int, ...], n: int):
             return None
         level = list(itertools.chain.from_iterable(level))
     try:
-        columns = [over_common_denominator(level[i::n]) for i in range(n)]
+        num, den = over_common_denominator(level)
     except OptiminError:
         return None
-    return tuple(tuple(num) for num, _ in columns), tuple(d for _, d in columns)
+    return tuple(tuple(num[i::n]) for i in range(n)), den
 
 
 def tensor_fault(payoffs, shape: tuple[int, ...], n: int, cell: str) -> tuple[str, str | OptiminError]:
@@ -393,13 +390,11 @@ class ConstantSumCheck(NamedTuple):
 
 def is_constant_sum(game: NormalFormGame) -> ConstantSumCheck:
     """Whether every cell's payoffs sum to one and the same constant."""
-    common = math.lcm(*game._den)
-    factors = [common // d for d in game._den]
-    sums = iter(sum(map(mul, cell, factors)) for cell in zip(*game._num))
+    sums = map(sum, zip(*game._num))
     constant = next(sums)
     if any(total != constant for total in sums):
         return ConstantSumCheck(False, None)
-    return ConstantSumCheck(True, Fraction(constant, common))
+    return ConstantSumCheck(True, Fraction(constant, game._den))
 
 
 def affine_transform(game: NormalFormGame, player: int, alpha, beta) -> NormalFormGame:
@@ -409,15 +404,14 @@ def affine_transform(game: NormalFormGame, player: int, alpha, beta) -> NormalFo
     if alpha <= 0:
         raise InvalidScaleError(f"scale factor must be positive, got {alpha}")
     game.validate_player(player)
-    # alpha*u/d + beta over the common denominator d*alpha.den*beta.den.
-    d = game._den[player]
+    # alpha*u/d + beta over the denominator d*k, k = alpha.den*beta.den, which
+    # the other players' ints reach times k.
+    d, k = game._den, alpha.denominator * beta.denominator
     a = alpha.numerator * beta.denominator
     b = beta.numerator * alpha.denominator * d
-    num = list(game._num)
-    den = list(game._den)
-    num[player] = [a * u + b for u in num[player]]
-    den[player] = d * alpha.denominator * beta.denominator
-    return NormalFormGame._from_scaled(game.players, game.strategies, num, den)
+    num = [[u * k for u in column] for column in game._num]
+    num[player] = [a * u + b for u in game._num[player]]
+    return NormalFormGame._from_scaled(game.players, game.strategies, num, d * k)
 
 
 def fictitious_extension(game: NormalFormGame, constant) -> NormalFormGame:
@@ -430,13 +424,9 @@ def fictitious_extension(game: NormalFormGame, constant) -> NormalFormGame:
     label = "fictitious"
     while label in game.players:
         label += "'"
-    common = math.lcm(constant.denominator, *game._den)
-    factors = [common // d for d in game._den]
+    common = math.lcm(constant.denominator, game._den)
+    k = common // game._den
     target = constant.numerator * (common // constant.denominator)
-    residual = [target - sum(map(mul, cell, factors)) for cell in zip(*game._num)]
-    return NormalFormGame._from_scaled(
-        game.players + (label,),
-        game.strategies + (("only",),),
-        game._num + (residual,),
-        game._den + (common,),
-    )
+    num = [[u * k for u in column] for column in game._num]
+    num.append([target - sum(cell) for cell in zip(*num)])
+    return NormalFormGame._from_scaled(game.players + (label,), game.strategies + (("only",),), num, common)

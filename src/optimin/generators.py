@@ -56,10 +56,10 @@ def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:
         u1.append(a * q)
         u1 += itertools.repeat(a * q + p, high - a)
     u2 = tuple(itertools.chain.from_iterable(u1[a :: len(claims)] for a in range(len(claims))))
-    game = NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), (q, q))
-    # One column is a permutation of the other, so `_from_scaled` divides both
-    # by the same gcd: the game is symmetric, and `_is_symmetric` need not
-    # compare the transpose it was built as.
+    game = NormalFormGame._from_scaled(("traveler1", "traveler2"), (labels, labels), (u1, u2), q)
+    # `_from_scaled` divides every int by one gcd, so player 2's payoffs stay
+    # the transpose of player 1's: the game is symmetric, and `_is_symmetric`
+    # need not compare the transpose it was built as.
     game._symmetric = True
     return game
 
@@ -95,7 +95,7 @@ def gen_centipede(nodes: int = 4, variant: CentipedeVariant = "increasing") -> N
     s1 = tuple(f"stop@{k}" for k in own1) + ("continue",)
     s2 = tuple(f"stop@{k}" for k in own2) + ("continue",)
     u1, u2 = zip(*[stop[min(k1, k2)] for k1 in (*own1, nodes + 1) for k2 in (*own2, nodes + 1)])
-    return NormalFormGame._from_scaled(("player1", "player2"), (s1, s2), (u1, u2), (1, 1))
+    return NormalFormGame._from_scaled(("player1", "player2"), (s1, s2), (u1, u2), 1)
 
 
 def gen_prisoners_dilemma(t=5, r=3, p=1, s=0) -> NormalFormGame:
@@ -107,7 +107,7 @@ def gen_prisoners_dilemma(t=5, r=3, p=1, s=0) -> NormalFormGame:
         )
     strategies = ("Cooperate", "Defect")
     payoffs = ((r, s, t, p), (r, t, s, p))  # row's, then column's, cells in row-major order
-    return NormalFormGame._from_scaled(("row", "column"), (strategies, strategies), payoffs, (d, d))
+    return NormalFormGame._from_scaled(("row", "column"), (strategies, strategies), payoffs, d)
 
 
 def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0, 10)) -> NormalFormGame:
@@ -142,7 +142,7 @@ def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0
     profiles = list(itertools.product(menu, repeat=n))
     pooled = [p * sum(profile) for profile in profiles]
     num = [[(e - c) * q + pool for c, pool in zip(own, pooled)] for own in zip(*profiles)]
-    return NormalFormGame._from_scaled(players, (labels,) * n, num, (den * q,) * n)
+    return NormalFormGame._from_scaled(players, (labels,) * n, num, den * q)
 
 
 class Family:

@@ -7,7 +7,8 @@ form the solution set.  Pure mode restricts deviations to pure strategies;
 mixed mode (two players only) admits mixed deviations and takes their worst
 case in closed form.
 
-Every solver reads each player's payoffs as ints over one denominator.  The
+Every solver reads the payoffs as ints over the game's one denominator, so
+payoffs of different players add and compare as they are.  The
 pure solution set filters the int value vectors by cell position and builds
 profiles and witnesses only for the cells that survive.  Those vectors reach
 the filter as a one-shot stream, so no table of per-cell tuples is held;
@@ -165,7 +166,7 @@ def _deviation_cells(steps: list[list[int]], idx: int, i: int) -> list[int]:
 
 
 def _rescale(game: NormalFormGame, values) -> ValueVector:
-    return tuple(Fraction(v, d) for v, d in zip(values, game._den))
+    return tuple(Fraction(v, game._den) for v in values)
 
 
 def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
@@ -193,8 +194,8 @@ def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
 
 
 def _scaled_values(game: NormalFormGame) -> Iterator[tuple[int, ...]]:
-    """`value_table`'s vectors over `_num` in row-major cell order, each
-    player's values times their `_den`; no profile is built.  The vectors
+    """`value_table`'s vectors over `_num` in row-major cell order, the
+    values times the game's `_den`; no profile is built.  The vectors
     come as a one-shot stream, so no table of them is held.  Both kernels,
     `_values_2p` and `_values_nd`, read each line's order from the game's
     `_line_order` memo; with any number of players but two the stream maps
@@ -327,8 +328,8 @@ def _line_minima(mine: Sequence[int], theirs: Sequence[int], order: Iterable[int
 def optimin_pure(game: NormalFormGame) -> list[EvaluatedProfile]:
     """Pareto-optimal agreements of the pure value table (never empty).
 
-    The filter runs on the scaled values: multiplying each player's values
-    by their positive `_den` changes no domination.  Only the surviving
+    The filter runs on the scaled values: multiplying every value by the
+    game's positive `_den` changes no domination.  Only the surviving
     cells are decoded to profiles and evaluated with witnesses.
     """
     return [value_pure(game, _profile_at(game, idx)) for idx in _pareto_cells(game)]
@@ -370,9 +371,7 @@ def _unsettled_values(game: NormalFormGame, cells: list[int]) -> Iterator[tuple[
     is the evaluated vector of largest sum.  A cell is skipped, unevaluated,
     when sum(best) > sum(u(c)) and best >= u(c) in every coordinate: then
     best >= v(c) with a larger sum, so best dominates v(c), and whatever
-    v(c) would dominate, best does too.  The sums mix the players'
-    denominators, which is safe: both tests read the same scaled
-    coordinates, and domination there implies a strictly larger sum.
+    v(c) would dominate, best does too.
     """
     value = _values_nd(game)
     num = game._num
@@ -407,7 +406,7 @@ def maximin_profile(game: NormalFormGame) -> list[PlayerMaximin]:
     """Pure maximin strategies: worst case taken over all opponent cells."""
     results = []
     size = len(game._num[0])
-    for i, (u, stride, d) in enumerate(zip(game._num, game._strides, game._den)):
+    for i, (u, stride) in enumerate(zip(game._num, game._strides)):
         # With strategy s, player i's cells are the stride-long runs starting
         # at s * stride within each block of shape[i] * stride cells.
         block = stride * game.shape[i]
@@ -418,7 +417,7 @@ def maximin_profile(game: NormalFormGame) -> list[PlayerMaximin]:
         security = max(guarantees)
         best = tuple(s for s, g in enumerate(guarantees) if g == security)
         results.append(
-            PlayerMaximin(i, best, Fraction(security, d), tuple(Fraction(g, d) for g in guarantees))
+            PlayerMaximin(i, best, Fraction(security, game._den), tuple(Fraction(g, game._den) for g in guarantees))
         )
     return results
 
@@ -479,7 +478,7 @@ def reply_payoffs(
     i in a two-player game, that player's payoffs when i plays each of many
     mixtures: `columns` holds one column of int weights per strategy of i,
     one mixture per row, and each result is a column with one entry per
-    mixture, ints over the weights' scale times that player's ``_den``.  One
+    mixture, ints over the weights' scale times the game's ``_den``.  One
     mixture is one-point columns, ``[[w] for w in weights]``."""
     stride_i, stride_j = game._strides[i], game._strides[1 - i]
     end = len(columns) * stride_i
@@ -603,7 +602,7 @@ def _entry(game: NormalFormGame, profile, points, agreed, scales, cores) -> Eval
     witnesses = []
     for i, ((mine, theirs), (num, den)) in enumerate(zip(points, cores)):
         j = 1 - i
-        values.append(Fraction(num, den * scales[i] * game._den[i]))
+        values.append(Fraction(num, den * scales[i] * game._den))
         choice = _witness(mine, theirs, agreed[j], scales[j], num, den)
         if choice is None:
             witnesses.append(profile)
@@ -672,9 +671,9 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
     Each point's `_chain`, at the opponent's scale, is built once and serves
     every profile it is part of.  The grid points' reply payoffs are
     `reply_payoffs` of the weight columns, and the profiles' two agreed
-    payoffs, ints over s0 · s1 · `_den[i]`, are one `_agreed_payoffs` column
+    payoffs, ints over s0 · s1 · `_den`, are one `_agreed_payoffs` column
     each over every profile.  `_hull_at` reads player i's value from i's
-    chain and those payoffs as num / den over s_i · `_den[i]`, which is
+    chain and those payoffs as num / den over s_i · `_den`, which is
     num · s_j / den in the payoffs' units, j being the opponent.
 
     The payoffs bound the values: v <= u, since the agreed mixture lies in
@@ -684,10 +683,9 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
     sum(best) > sum(u) and best >= u in both coordinates, as
     `_unsettled_values` skips a cell: then best dominates its value.  The
     first profile visited is always evaluated, so a grid of one profile
-    keeps it.  Any positive weights of the two coordinates keep that proof;
-    the sums read both payoffs over s0 · s1 · lcm(`_den`), which on the
-    benchmark's 80 mixed3 games at k = 4 leaves 5 650 of 18 000 profiles to
-    evaluate, against 6 563 in the payoffs' own units.  The evaluated
+    keeps it.  Both payoffs are over s0 · s1 · `_den`, so their sum is the
+    plain sum, which on the benchmark's 80 mixed3 games at k = 4 leaves
+    5 650 of 18 000 profiles to evaluate.  The evaluated
     profiles, in grid order, go through the filter with the int keys
     num * (L_i // den), L_i being the lcm of i's dens over them.  Only the
     survivors get `Fraction`s and `_witness` scans.
@@ -700,16 +698,13 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
     points0, points1 = (list(zip(zip(*mine), zip(*theirs))) for mine, theirs in replies)
     chains0 = [_chain(mine, theirs, s1) for mine, theirs in points0]
     chains1 = [_chain(mine, theirs, s0) for mine, theirs in points1]
-    # Per profile, row-major: each player's agreed payoff, and their sum
-    # with both over s0 · s1 · lcm(`_den`).
+    # Per profile, row-major: each player's agreed payoff, and their sum.
     own0, own1 = (_agreed_payoffs(payoffs, grids[1]) for payoffs in replies[0])
     width = len(points1)
-    w0, w1 = (math.lcm(*game._den) // d for d in game._den)
-    sums = [u0 * w0 + u1 * w1 for u0, u1 in zip(own0, own1)]
+    sums = list(map(add, own0, own1))
     cores = {}  # per evaluated profile, each player's (num, den)
     # best is (best0 / den0, best1 / den1) in the payoffs' units, and its
-    # sum over s0 · s1 · lcm(`_den`) is top / scale; top = -1 over scale = 0
-    # is no sum, below every sum.
+    # sum is top / scale; top = -1 over scale = 0 is no sum, below every sum.
     best0 = den0 = best1 = den1 = scale = 0
     top = -1
     for c in sorted(range(len(sums)), key=sums.__getitem__, reverse=True):
@@ -721,7 +716,7 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
         (m0, d0), (m1, d1) = core
         m0 *= s1
         m1 *= s0
-        if (total := m0 * w0 * d1 + m1 * w1 * d0) * scale > top * d0 * d1:
+        if (total := m0 * d1 + m1 * d0) * scale > top * d0 * d1:
             best0, den0, best1, den1, top, scale = m0, d0, m1, d1, total, d0 * d1
     evaluated = sorted(cores)
     l0, l1 = (math.lcm(*{cores[c][i][1] for c in evaluated}) for i in (0, 1))

@@ -30,9 +30,8 @@ class StatisticalGame:
     def __init__(self, game: NormalFormGame) -> None:
         if game.num_players != 2:
             raise DomainError("a statistical game has exactly 2 players")
-        (num0, num1), (den0, den1) = game._num, game._den
-        for prof, a, b in zip(game.profiles(), num0, num1):
-            if a * den1 + b * den0 != 0:
+        for prof, a, b in zip(game.profiles(), *game._num):
+            if a + b:
                 u = game.payoff(prof)
                 labels = game.profile_labels(prof)
                 raise DomainError(f"not zero-sum at cell {labels}: {u[0]} + {u[1]} != 0")
@@ -61,7 +60,7 @@ def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
 
     Standard guarantee-maximization LP: maximize v subject to the mixture
     earning at least v against every opposing pure strategy.  Every row is
-    handed over times the player's payoff denominator d, as the payoffs'
+    handed over times the game's payoff denominator d, as the payoffs'
     ints: ``sum_s u[s, t]·x_s - d·v >= 0`` and ``d·sum_s x_s = d``.
     """
     game = sg.game
@@ -69,7 +68,7 @@ def maximin_lp(sg: StatisticalGame, player: int) -> MaximinSolution:
     other = 1 - player
     k = game.shape[player]
     m = game.shape[other]
-    u, d = game._num[player], game._den[player]
+    u, d = game._num[player], game._den
     mine, theirs = game._strides[player], game._strides[other]
     constraints = [
         ([u[s * mine + t * theirs] for s in range(k)] + [-d], ">=", 0) for t in range(m)
@@ -96,7 +95,7 @@ def _guarantee(game: NormalFormGame, player: int, weights: list[int], scale: int
     """`guarantee` of the mixture weights/scale, as `_check_distribution` reads it:
     the least of its `reply_payoffs`."""
     (payoffs,) = reply_payoffs(game, player, [[w] for w in weights], player)
-    return Fraction(min(v for (v,) in payoffs), scale * game._den[player])
+    return Fraction(min(v for (v,) in payoffs), scale * game._den)
 
 
 def optimin_equals_maximin_check(sg: StatisticalGame, profile: MixedProfile) -> bool:
@@ -130,7 +129,7 @@ def bulmer_game(tosses: int = 1) -> StatisticalGame:
     the true bias.  The antagonist's payoff is the negation, making the
     interaction zero-sum.
     """
-    if tosses != 1:
+    if type(tosses) is not int or tosses != 1:  # a bool or a float is no toss count
         raise UnsupportedFeatureError(
             f"only the single-toss game is generated, got tosses={tosses}"
         )
@@ -138,4 +137,4 @@ def bulmer_game(tosses: int = 1) -> StatisticalGame:
     cols = ("p=1/4", "p=1/2")
     correct = (0, 4, 4, 0, 1, 2, 3, 2)  # in quarters, row by row as in the table above
     num = (correct, tuple(-c for c in correct))
-    return StatisticalGame(NormalFormGame._from_scaled(("statistician", "nature"), (rows, cols), num, (4, 4)))
+    return StatisticalGame(NormalFormGame._from_scaled(("statistician", "nature"), (rows, cols), num, 4))

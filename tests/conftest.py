@@ -89,7 +89,7 @@ def zero_game(shape) -> NormalFormGame:
     n = len(shape)
     strategies = tuple(tuple(f"s{k}" for k in range(m)) for m in shape)
     payoffs = [[0] * math.prod(shape)] * n
-    return NormalFormGame._from_scaled(tuple(f"p{i}" for i in range(n)), strategies, payoffs, (1,) * n)
+    return NormalFormGame._from_scaled(tuple(f"p{i}" for i in range(n)), strategies, payoffs, 1)
 
 
 def random_constant_sum_game(rng: random.Random, constant: int | None = None,

@@ -1140,6 +1140,9 @@ REFUSALS = {
         PUBLIC_GOODS + ["--levels", "5,5"], "need at least 2 distinct contribution levels (--levels)"),
     "public-goods-level-above-endowment": (
         PUBLIC_GOODS + ["--endowment", "5/2", "--levels", "0,3"], "levels must lie within [0, 5/2] (--levels)"),
+    "coop-optimin-floors-past-the-grand-coalition": (
+        ["coop", "optimin", "--game", "coop_empty_core", "--floor", "50"],
+        "floors sum to 150, past the grand coalition's worth 110 (--floor)"),
     "nucleolus-empty-imputations": (
         ["coop", "nucleolus", "--game", "{dir}/tu_overfull.json"],
         "imputation set is empty: individual worths exceed the grand coalition; the nucleolus is undefined"),

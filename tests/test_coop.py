@@ -1111,8 +1111,7 @@ LATTICE_REFUSALS = [
     (1, [0, 0], DomainError, "need one floor per player, got 2"),
     (1, [], DomainError, "need one floor per player, got 0"),
     (-1, [0, 0], DomainError, "grid step must be positive, got -1"),
-    (1, [50, "30", F(61, 2)], DomainError,
-     "imputation set is empty: individual worths exceed the grand coalition"),
+    (1, [50, "30", F(61, 2)], DomainError, "floors sum to 221/2, past the grand coalition's worth 110 (--floor)"),
     ("1/100", [0, 0], DomainError, "need one floor per player, got 2"),
     ("1/100", None, ResourceLimitError,
      "imputation grid of 2003001 points exceeds the 5000-point bound (IMPUTATION_GRID_MAX_POINTS); raise --step"),

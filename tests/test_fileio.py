@@ -152,7 +152,8 @@ _LABELS = st.text(st.sampled_from('a"\\/\n\t\x00é€✓𝄞'), max_size=4)
 @st.composite
 def _games(draw):
     """Games of 1-4 players with 1-3 strategies each, 1-strategy axes
-    included, and payoffs that are ints or ratios per player."""
+    included, and payoffs that are ints or ratios per player, over the lcm
+    of the players' denominators."""
     n = draw(st.integers(min_value=1, max_value=4))
     shape = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
     players = draw(st.lists(_LABELS, min_size=n, max_size=n, unique=True))
@@ -160,7 +161,9 @@ def _games(draw):
     dens = draw(st.lists(st.sampled_from([1, 1, 2, 3, 6]), min_size=n, max_size=n))
     num = draw(st.lists(st.lists(st.integers(-20, 20), min_size=math.prod(shape), max_size=math.prod(shape)),
                         min_size=n, max_size=n))
-    return NormalFormGame._from_scaled(players, strategies, num, dens)
+    den = math.lcm(*dens)
+    num = [[u * (den // d) for u in column] for column, d in zip(num, dens)]
+    return NormalFormGame._from_scaled(players, strategies, num, den)
 
 
 def _indented_json(game: NormalFormGame) -> str:

@@ -225,7 +225,7 @@ LABEL_FAULTS = [
 def test_label_faults_are_named(players, strategies, message):
     for build in (
         lambda: NormalFormGame(players, strategies, [[(0, 0)]]),
-        lambda: NormalFormGame._from_scaled(players, strategies, [[0]] * len(players), [1] * len(players)),
+        lambda: NormalFormGame._from_scaled(players, strategies, [[0]] * len(players), 1),
     ):
         with pytest.raises(ValueError) as info:
             build()
@@ -335,16 +335,19 @@ def scaled_column(draw, length):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 300).flatmap(lambda length: st.tuples(scaled_column(length), scaled_column(length))))
 def test_from_scaled_is_the_canonical_form(columns):
-    # A game has a cell, so no column is empty.  Each player's ints and
-    # denominator must be divided by the gcd of all of them, however far
-    # into the column the last factor breaks, and give the game that the
-    # constructor reads from the same payoffs as Fractions.
+    # A game has a cell, so no column is empty.  Both players' columns are
+    # handed over at the lcm d of their denominators.  Every int and d must
+    # be divided by the gcd of all of them, however far into either column
+    # the last factor breaks, and give the game that the constructor reads
+    # from the same payoffs as Fractions.
     (u1, d1), (u2, d2) = columns
+    d = math.lcm(d1, d2)
+    scaled = [u * (d // d1) for u in u1], [u * (d // d2) for u in u2]
     strategies = ([f"s{k}" for k in range(len(u1))], ["t"])
-    game = NormalFormGame._from_scaled(("p1", "p2"), strategies, (u1, u2), (d1, d2))
-    for num, den, column, d in zip(game._num, game._den, (u1, u2), (d1, d2)):
-        g = math.gcd(d, *column)
-        assert (num, den) == (tuple(u // g for u in column), d // g)
+    game = NormalFormGame._from_scaled(("p1", "p2"), strategies, scaled, d)
+    g = math.gcd(d, *scaled[0], *scaled[1])
+    assert game._num == tuple(tuple(u // g for u in column) for column in scaled)
+    assert game._den == d // g
     payoffs = [[(F(a, d1), F(b, d2))] for a, b in zip(u1, u2)]
     built = NormalFormGame(("p1", "p2"), strategies, payoffs)
     assert (built._num, built._den) == (game._num, game._den)

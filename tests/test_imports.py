@@ -6,9 +6,9 @@ name an import binds counts as used when the module reads it.  The names that
 `__init__.py` imports from the package's own modules are its public API, so
 there a relative import counts as used.  `python -O` strips `assert`
 statements, and every check must hold under it, so each one raises.  A
-function or method named with one leading underscore is the package's own
-helper, so some module of the package must read it; one that only tests
-read is dead code.
+function, method, class or module-level name bound by an assignment, named
+with one leading underscore, is the package's own, so some module of the
+package must read it; one that only tests read is dead code.
 """
 
 import ast
@@ -60,19 +60,31 @@ def test_the_check_sees_an_assert():
     assert assert_lines("x = 1\nif x:\n    assert x, 'x'\nraise AssertionError(x)\n") == [3]
 
 
+def private_names(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and assigned names, and the
+    methods, of `tree` named with one leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.append(node.name)
+            names += [fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
 def orphaned_helpers(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and methods named with one leading
-    underscore that no source reads, by name or as an attribute, as
-    "module: name"."""
+    """The `private_names` that no source reads, by name or as an
+    attribute, as "module: name"; binding a name is no read of it."""
     defined, read = [], set()
     for module, source in sorted(sources.items()):
         tree = ast.parse(source)
-        for node in tree.body:
-            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
-                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__"):
-                    defined.append(f"{module}: {fn.name}")
+        defined += [f"{module}: {name}" for name in private_names(tree)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
@@ -93,3 +105,16 @@ def test_the_check_sees_an_orphaned_helper():
         ),
     }
     assert orphaned_helpers(sources) == ["a.py: _orphan", "b.py: _idle"]
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    sources = {
+        "a.py": (
+            "_READ = 1\n_UNREAD = 2\n_PAIR, _TWIN = 3, 4\n_TYPED: int = 5\n__version__ = '1'\n"
+            "class _Error(Exception):\n    pass\n\nclass _Idle:\n    pass\n"
+        ),
+        "b.py": "from .a import _READ, _Error\n\n_TWIN = _READ\nraise _Error(_TWIN)\n",
+    }
+    assert orphaned_helpers(sources) == [
+        "a.py: _UNREAD", "a.py: _PAIR", "a.py: _TYPED", "a.py: _Idle",
+    ]

@@ -336,16 +336,17 @@ def check_against_the_oracles(game):
 def test_symmetric_games_and_their_perturbed_copies_match_the_oracles(drawn, data):
     # The copies: u2 one more at a cell of row 0, which fails the first-row
     # compare; at a cell of a later row, which fails only the full compare;
-    # and u2 over twice the denominator, whose numerators may still be u1's
-    # transposed.  Each copy's flag is checked against the definition.
+    # and u2 halved, by doubling u1's ints and the denominator, so that u2's
+    # ints stay the transpose of u1's old ones.  Each copy's flag is checked
+    # against the definition.
     n, u1 = drawn
     game = symmetric_game(n, u1)
     column = st.integers(0, n - 1)
     copies = [game, symmetric_game(n, u1, (0, data.draw(column)))]
     if n > 1:
         copies.append(symmetric_game(n, u1, (data.draw(st.integers(1, n - 1)), data.draw(column))))
-    den = (game._den[0], 2 * game._den[1])
-    copies.append(NormalFormGame._from_scaled(game.players, game.strategies, game._num, den))
+    halved = ([2 * u for u in game._num[0]], game._num[1])
+    copies.append(NormalFormGame._from_scaled(game.players, game.strategies, halved, 2 * game._den))
     for built in copies:
         identity = (hash(built), repr(built))
         symmetric = all(built.payoff((a, b))[1] == built.payoff((b, a))[0] for a, b in u1)
@@ -414,8 +415,9 @@ def test_symmetric_nplayer_games_and_their_perturbed_copies_match_the_oracles(ce
     # the swap and breaks the cycle; every player i one more at the i-th
     # image of a cell under the cycle i -> i + 1, which keeps the cycle and
     # breaks the swap unless the second and third strategies there are
-    # equal; and one player's payoffs over twice the denominator.  Each
-    # copy's flag is checked against the definition.
+    # equal; and one player's payoffs halved, by doubling the others' ints
+    # and the denominator.  Each copy's flag is checked against the
+    # definition.
     a = data.draw(st.sampled_from(sorted(cells)))
     b = data.draw(st.sampled_from([b for b in sorted(cells) if b[1] != b[2]] or [a]))
     n = len(a)
@@ -429,9 +431,9 @@ def test_symmetric_nplayer_games_and_their_perturbed_copies_match_the_oracles(ce
         one_more(cells, *enumerate(cycled)),
     ]
     copies = [game] + [rebuilt(game, table) for table in tables]
-    den = list(game._den)
-    den[data.draw(st.integers(0, n - 1))] *= 2
-    copies.append(NormalFormGame._from_scaled(game.players, game.strategies, game._num, den))
+    halved = data.draw(st.integers(0, n - 1))
+    num = [u if i == halved else [2 * v for v in u] for i, u in enumerate(game._num)]
+    copies.append(NormalFormGame._from_scaled(game.players, game.strategies, num, 2 * game._den))
     for built in copies:
         identity = (hash(built), repr(built))
         assert built._is_symmetric() is symmetric_by_definition(built)
@@ -499,22 +501,36 @@ def test_value_pure_witnesses_are_lexicographically_smallest(game):
     check_witnesses(game)
 
 
+def check_canonical(game, cells):
+    """`game` is the game read from its `Fraction` table `cells`, survives a
+    dump and parse, and its `_den` is the lcm of every payoff's
+    denominator, over all players."""
+    assert game == NormalFormGame(game.players, game.strategies, nest(cells, game.shape))
+    assert parse_game(dump_game(game)) == game
+    assert game._den == math.lcm(*(u.denominator for payoffs in cells.values() for u in payoffs))
+
+
 @settings(max_examples=100, deadline=None)
-@given(games(), st.fractions(min_value=F(1, 7), max_value=5, max_denominator=13),
+@given(built_games(), st.fractions(min_value=F(1, 7), max_value=5, max_denominator=13),
        st.fractions(min_value=-3, max_value=3, max_denominator=11))
-def test_game_helpers_match_fraction_arithmetic(game, alpha, beta):
-    cells = [game.payoff(prof) for prof in game.profiles()]
+def test_game_helpers_match_fraction_arithmetic(built, alpha, beta):
+    # The players' payoffs are drawn from different denominator pools, so
+    # the builders must bring the other players' ints to the new denominator.
+    game, cells = built
+    check_canonical(game, cells)
     scaled = affine_transform(game, 1, alpha, beta)
+    scaled_cells = {prof: [u[0], alpha * u[1] + beta, *u[2:]] for prof, u in cells.items()}
     assert [scaled.payoff(prof) for prof in game.profiles()] == [
-        (u[0], alpha * u[1] + beta) + u[2:] for u in cells
+        tuple(scaled_cells[prof]) for prof in game.profiles()
     ]
+    check_canonical(scaled, scaled_cells)
     extended = fictitious_extension(game, beta)
+    extended_cells = {prof + (0,): [*u, beta - sum(u)] for prof, u in cells.items()}
     assert [extended.payoff(prof + (0,))[-1] for prof in game.profiles()] == [
-        beta - sum(u) for u in cells
+        beta - sum(cells[prof]) for prof in game.profiles()
     ]
-    sums = {sum(u) for u in cells}
-    expected = (True, sums.pop()) if len(sums) == 1 else (False, None)
-    assert tuple(is_constant_sum(game)) == expected
+    check_canonical(extended, extended_cells)
+    assert tuple(is_constant_sum(game)) == constant_sum_check(cells)
 
 
 def mixed_expectation(cells, profile):
@@ -802,7 +818,7 @@ def test_grid_payoffs_by_columns_match_each_point(case):
             expected = [
                 [sum(w * payoff[s, t] for s, w in enumerate(point)) for t in range(game.shape[j])] for point in points
             ]
-            den = game._den[payer]
+            den = game._den
             assert [[F(c[a], den) for c in payoffs] for a in range(len(points))] == expected
             agreed = noncoop._agreed_payoffs(payoffs, grids[j])
             assert agreed == [sum(map(mul, q, mine)) for mine in zip(*payoffs) for q in opponents]
@@ -931,11 +947,11 @@ class TestRepresentation:
                 assert direct == built and hash(direct) == hash(built)
 
     def test_denominators_are_the_lcm(self):
-        assert gen_travelers(2, 10, F(5, 2))._den == (2, 2)
-        assert gen_travelers(2, 10, 3)._den == (1, 1)
+        assert gen_travelers(2, 10, F(5, 2))._den == 2
+        assert gen_travelers(2, 10, 3)._den == 1
         g = NormalFormGame(("a", "b"), (("x", "y"), ("z",)), [[(F(1, 2), 4)], [(F(1, 3), "6/3")]])
-        assert g._den == (6, 1)
-        assert g._num == ((3, 2), (4, 2))
+        assert g._den == 6
+        assert g._num == ((3, 2), (24, 12))
 
     def test_equal_payoffs_give_equal_games(self):
         one = NormalFormGame(("a",), (("x", "y"),), [("4/2",), ("1/2",)])

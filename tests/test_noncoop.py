@@ -561,7 +561,7 @@ class TestValueTableBound:
         # Player 0 earns their own strategy's index, so (0, 0, 0) is not their
         # maximin and the test falls through to the bounded table.
         u0 = [idx // 9 for idx in range(27)]
-        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], [["a", "b", "c"]] * 3, [u0, u0, u0], [1] * 3)
+        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], [["a", "b", "c"]] * 3, [u0, u0, u0], 1)
         with pytest.raises(ResourceLimitError):
             is_maximin_equilibrium(g, (0, 0, 0))
         # Two players keep the sorted line kernel, which no count bounds.
@@ -586,7 +586,7 @@ class TestValueTableWork:
         cells = math.prod(shape)
         payoffs = [[rng.randint(-3, 3) for _ in range(cells)] for _ in shape]
         strategies = [[f"s{k}" for k in range(m)] for m in shape]
-        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], strategies, payoffs, [1] * 3)
+        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], strategies, payoffs, 1)
         kept = optimin_pure(g)
         assert [len(orders) for orders in g._orders] == [cells // m for m in shape]
         # The witnesses rescan each survivor's lines once, and nothing else does.
@@ -617,7 +617,7 @@ class TestValueTableWork:
         u2 = [u1[b * n + a] for a in range(n) for b in range(n)]
         if changed is not None:
             u2[changed] += 1
-        g = NormalFormGame._from_scaled(["p0", "p1"], [[f"s{k}" for k in range(n)]] * 2, [u1, u2], [1, 1])
+        g = NormalFormGame._from_scaled(["p0", "p1"], [[f"s{k}" for k in range(n)]] * 2, [u1, u2], 1)
         optimin_pure(g)
         nash_pure(g)
         symmetric = changed is None
@@ -665,7 +665,7 @@ class TestValueTableWork:
         payoffs.append([5 - a - b for a, b in zip(*payoffs)] if constant_sum else
                        [rng.randint(-40, 40) for _ in range(cells)])
         strategies = [[f"s{k}" for k in range(6)]] * 3
-        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], strategies, payoffs, [1] * 3)
+        g = NormalFormGame._from_scaled(["p0", "p1", "p2"], strategies, payoffs, 1)
         kept = [e.profile for e in optimin_pure(g)]
         assert len(set(evaluated)) == len(evaluated) == (cells if constant_sum else 61)
         table = value_table(g)

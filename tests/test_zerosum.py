@@ -88,6 +88,12 @@ class TestBulmerGame:
         with pytest.raises(UnsupportedFeatureError):
             bulmer_game(tosses=2)
 
+    @pytest.mark.parametrize("tosses", [True, 1.0])
+    def test_a_toss_count_that_is_not_an_int_is_refused(self, tosses):
+        with pytest.raises(UnsupportedFeatureError) as info:
+            bulmer_game(tosses=tosses)
+        assert str(info.value) == f"only the single-toss game is generated, got tosses={tosses}"
+
 
 class TestMaximinLP:
     def test_bulmer_statistician(self):
