@@ -4,8 +4,8 @@ Reports are deterministic byte-for-byte for identical inputs.  `--threads`
 is accepted, but the solvers run serially, so it changes neither content
 nor order.  Table mode prints exact
 rationals with a 3-place decimal hint for non-integers; JSON mode carries
-exact strings only.  Exit codes: 0 success, 1 domain/resource/format errors,
-2 usage errors.
+exact strings only.  Exit codes: 0 success, 1 domain/resource/format errors
+or a report whose reader closed the pipe (no traceback), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence, get_args
@@ -31,11 +32,18 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) == "":
             raise ParameterError("--out needs a file path, got an empty string")
         load = getattr(args, "load", None)
-        if load is None:
-            return args.handler(args)
-        return args.handler(args, load(args.game))
+        code = args.handler(args) if load is None else args.handler(args, load(args.game))
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
     except OptiminError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader is gone: stdout goes to devnull, so the flush at
+        # shutdown writes nowhere instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -154,14 +154,13 @@ class Family:
     none), in signature order, read off the generator's code and its
     annotation strings."""
 
-    __slots__ = ("generator", "swept", "renamed", "parameters")
+    __slots__ = ("generator", "swept", "parameters")
 
     def __init__(
         self, generator: str, swept: str | None = None, renamed: tuple[tuple[str, str], ...] = ()
     ) -> None:
         self.generator = generator
         self.swept = swept
-        self.renamed = renamed  # (parameter, CLI flag) where they differ
         function = globals()[generator]
         code, hints, flags = function.__code__, function.__annotations__, dict(renamed)
         self.parameters = {

@@ -63,9 +63,12 @@ one profile as one-point columns, each mixture over the scale that
 profile's agreed payoffs, are sums of products of whole columns.  The
 evaluator Pareto-filters exact int keys (values scaled to the lcm of their
 denominators over the grid) and builds `Fraction` values and witnesses only
-for the survivors.  A witness is found by scanning the deviation vertices
-for the known value (`_witness`): the opponent's lowest-index optimal pure
-reply, else the first optimal mixture of two replies in (s, t) order.
+for the survivors.  A witness swaps in the deviation mixture that
+`_witness` finds by scanning the deviation vertices for the known value:
+the opponent's lowest-index optimal pure reply, else the first optimal
+mixture of two replies in (s, t) order.  Its zeros and a pure reply's 1 are
+the shared `games.ZERO` and `games.ONE`, so only an edge point builds
+`Fraction`s, two of them.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GRID_PROFILE_LIMIT, GRID_WEIGHT_LIMIT, VALUE_TABLE_MAX_PROFILES
 from .errors import ParameterError, ResourceLimitError, UnsupportedArityError
-from .games import MixedProfile, NormalFormGame, PureProfile, ValueVector, simplex_columns
+from .games import ONE, ZERO, MixedProfile, NormalFormGame, PureProfile, ValueVector, simplex_columns
 from .pareto import pareto_filter, pareto_positions
 
 
@@ -569,53 +572,33 @@ def _hull_at(chain, expected: int, own: int, qscale: int) -> tuple[int, int]:
 
 
 def _witness(mine: Sequence[int], theirs: Sequence[int], expected: int, qscale: int, num: int, den: int):
-    """The deviation that attains the value num / den (in the units of
-    `mine`): None when the opponent has no profitable deviation, else the
-    lowest-index pure reply t with gain >= 0 worth exactly that, else the
-    first edge (s, t) in lexicographic order, gain[s] < 0 < gain[t], whose
-    point with gain·q = 0 is worth exactly that, as (s, t, gain[t], width)
-    with width = gain[t] - gain[s].  `expected` is the opponent's agreed
-    payoff over `qscale` times the units of `theirs`, as `_hull_at` reads
-    it.  The value's minimum sits at one of these vertices, since
-    {q : gain·q >= 0} is the simplex cut by one halfspace.
+    """The deviation mixture that attains the value num / den (in the units
+    of `mine`), as a tuple of `Fraction`s: None when the opponent has no
+    profitable deviation, else the lowest-index pure reply t with gain >= 0
+    worth exactly that, else the point with gain·q = 0 of the first edge
+    (s, t) in lexicographic order, gain[s] < 0 < gain[t], worth exactly that.
+    `expected` is the opponent's agreed payoff over `qscale` times the units
+    of `theirs`, as `_hull_at` reads it.  The value's minimum sits at one of
+    these vertices, since {q : gain·q >= 0} is the simplex cut by one
+    halfspace.  Zeros and a pure reply's 1 are the shared `ZERO` and `ONE`.
     """
     # The opponent's gain from answering t instead of its agreed mixture, times qscale.
     gain = [u * qscale - expected for u in theirs]
     if max(gain) <= 0:
         return None
+    dev = [ZERO] * len(mine)
     for t, (g, mt) in enumerate(zip(gain, mine)):
         if g >= 0 and mt * den == num:
-            return t
+            dev[t] = ONE
+            return tuple(dev)
     for s, (loss, ms) in enumerate(zip(gain, mine)):
         if loss < 0:
             for t, (g, mt) in enumerate(zip(gain, mine)):
                 if g > 0 and (ms * g - mt * loss) * den == num * (g - loss):
-                    return s, t, g, g - loss
+                    # The edge point weighs s by gain[t] / width and t by -gain[s] / width.
+                    dev[s], dev[t] = Fraction(g, g - loss), Fraction(-loss, g - loss)
+                    return tuple(dev)
     raise AssertionError(f"hull bug: no deviation vertex is worth {num}/{den}")
-
-
-def _entry(game: NormalFormGame, profile, points, agreed, scales, cores) -> EvaluatedProfile:
-    """`profile` evaluated from each player's grid point (mine, theirs), the
-    two agreed payoffs, the two scales and each player's `_hull_at`
-    (num, den), with one `_witness` per player."""
-    values = []
-    witnesses = []
-    for i, ((mine, theirs), (num, den)) in enumerate(zip(points, cores)):
-        j = 1 - i
-        values.append(Fraction(num, den * scales[i] * game._den))
-        choice = _witness(mine, theirs, agreed[j], scales[j], num, den)
-        if choice is None:
-            witnesses.append(profile)
-            continue
-        dev = [Fraction(0)] * len(mine)
-        if isinstance(choice, int):
-            dev[choice] = Fraction(1)
-        else:
-            # The edge point weighs s by gain[t] / width and t by -gain[s] / width.
-            s, t, gain_t, width = choice
-            dev[s], dev[t] = Fraction(gain_t, width), Fraction(width - gain_t, width)
-        witnesses.append((profile[0], tuple(dev)) if j == 1 else (tuple(dev), profile[1]))
-    return EvaluatedProfile(profile, tuple(values), tuple(witnesses))
 
 
 class GridOptimin(NamedTuple):
@@ -688,7 +671,10 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
     5 650 of 18 000 profiles to evaluate.  The evaluated
     profiles, in grid order, go through the filter with the int keys
     num * (L_i // den), L_i being the lcm of i's dens over them.  Only the
-    survivors get `Fraction`s and `_witness` scans.
+    survivors get `Fraction`s: each `EvaluatedProfile` is built here, from its
+    (num, den) pair per player and one `_witness` mixture per player, player
+    0's witness being (p, dev0) and player 1's (dev1, q), or (p, q) where
+    the opponent has no profitable deviation.
     """
     s0, s1 = scales
     # Per player, per reply of the opponent, the column of both players'
@@ -724,8 +710,11 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
     entries = []
     for c in pareto_filter(evaluated, key=keys.__getitem__):
         a, b = divmod(c, width)
-        profile = tuple(Fraction(w[a], s0) for w in grids[0]), tuple(Fraction(w[b], s1) for w in grids[1])
-        entries.append(_entry(game, profile, (points0[a], points1[b]), (own0[c], own1[c]), scales, cores[c]))
+        p, q = tuple(Fraction(w[a], s0) for w in grids[0]), tuple(Fraction(w[b], s1) for w in grids[1])
+        (n0, d0), (n1, d1) = cores[c]
+        values = Fraction(n0, d0 * s0 * game._den), Fraction(n1, d1 * s1 * game._den)
+        dev0, dev1 = _witness(*points0[a], own1[c], s1, n0, d0), _witness(*points1[b], own0[c], s0, n1, d1)
+        entries.append(EvaluatedProfile((p, q), values, ((p, dev0 or q), (dev1 or p, q))))
     return tuple(entries)
 
 

@@ -97,6 +97,15 @@ class TestBenchmarkPoolWork:
                 _report(inst.argv(str(tmp_path), 1))
         assert len(built) == 533
 
+    def test_the_mixed_grid_fractions(self, workloads, tmp_path, count_fractions):
+        # The `Fraction`s built over the 80 mixed3 games: the survivors'
+        # mixtures, values and witnesses, whose zeros and pure 1s are shared.
+        instances = bench_pool(workloads, "mixed3", str(tmp_path))
+        with count_fractions() as built:
+            for inst in instances:
+                _report(inst.argv(str(tmp_path), 1))
+        assert len(built) == 1_866
+
     def test_the_core_pivots(self, workloads, tmp_path, monkeypatch):
         # The simplex's pivots over the 80 5-player core5 games.
         pivot = lp.fraction_free_pivot

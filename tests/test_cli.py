@@ -1022,6 +1022,32 @@ def test_overlong_json_integer_exits_1_without_a_traceback(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["coop", "optimin", "--game", "coop_empty_core", "--floor", "20"], ["coop", "core", "--game", "coop_120"]],
+    ids=["coop-optimin", "coop-core"],
+)
+def test_a_closed_pipe_exits_1_without_a_traceback(argv, unbuffered):
+    # The pipe's read end is closed before the process starts, so the
+    # report's first write fails, whenever stdout flushes.
+    src = str(Path(optimin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "optimin.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

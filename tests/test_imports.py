@@ -8,7 +8,9 @@ there a relative import counts as used.  `python -O` strips `assert`
 statements, and every check must hold under it, so each one raises.  A
 function, method, class or module-level name bound by an assignment, named
 with one leading underscore, is the package's own, so some module of the
-package must read it; one that only tests read is dead code.
+package must read it; one that only tests read is dead code.  Likewise
+each `__slots__` entry of a class must be read as an attribute somewhere in
+the package; a slot that is only assigned holds nothing anyone uses.
 """
 
 import ast
@@ -118,3 +120,40 @@ def test_the_check_sees_an_orphaned_private_name():
     assert orphaned_helpers(sources) == [
         "a.py: _UNREAD", "a.py: _PAIR", "a.py: _TYPED", "a.py: _Idle",
     ]
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """The `__slots__` entries of the classes in `sources` that no source
+    loads as an attribute, as "module: Class.slot"; storing one is no read."""
+    declared, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                    ):
+                        value = stmt.value
+                        entries = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+                        declared += [(module, node.name, entry.value) for entry in entries]
+    return [f"{module}: {cls}.{slot}" for module, cls, slot in declared if slot not in read]
+
+
+def test_every_slot_is_read():
+    assert unread_slots({path.name: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def test_the_check_sees_an_unread_slot():
+    sources = {
+        "a.py": (
+            "class A:\n    __slots__ = ('kept', 'stored')\n\n    def __init__(self):\n"
+            "        self.kept = 1\n        self.stored = 2\n\n"
+            "class B:\n    __slots__ = 'lone'\n\n"
+            "class C:\n    __slots__ = ['used']\n"
+        ),
+        "b.py": "from .a import A, C\n\nprint(A().kept, C().used)\n",
+    }
+    assert unread_slots(sources) == ["a.py: A.stored", "a.py: B.lone"]

@@ -668,12 +668,20 @@ def deviation_minimum(side, other):
 def hull_core(side, other):
     """`noncoop`'s value of `side` against `other` as a `Fraction`, and its witness
     choice in `deviation_minimum`'s form: `_hull_at` of `side`'s `_chain` at the
-    opponent's scale and of the two agreed payoffs, and `_witness` at that value."""
+    opponent's scale and of the two agreed payoffs, and `_witness` at that value,
+    its mixture mapped back to a pure reply's index or an edge's (loser, gainer)
+    by the opponent's gain."""
     (mine, theirs, _, _), (_, _, agreed, qscale) = side, other
     expected, own = sum(map(mul, agreed, theirs)), sum(map(mul, agreed, mine))
     num, den = noncoop._hull_at(noncoop._chain(mine, theirs, qscale), expected, own, qscale)
-    choice = noncoop._witness(mine, theirs, expected, qscale, num, den)
-    return F(num, den), choice if choice is None or isinstance(choice, int) else choice[:2]
+    dev = noncoop._witness(mine, theirs, expected, qscale, num, den)
+    if dev is None:
+        return F(num, den), None
+    support = [t for t, w in enumerate(dev) if w]
+    if len(support) == 1:
+        assert dev[support[0]] == 1
+        return F(num, den), support[0]
+    return F(num, den), tuple(sorted(support, key=lambda t: theirs[t] * qscale > expected))
 
 
 @st.composite
