@@ -5,7 +5,8 @@ is accepted, but the solvers run serially, so it changes neither content
 nor order.  Table mode prints exact
 rationals with a 3-place decimal hint for non-integers; JSON mode carries
 exact strings only.  Exit codes: 0 success, 1 domain/resource/format errors
-or a report whose reader closed the pipe (no traceback), 2 usage errors.
+or a report whose reader closed the pipe (no traceback), 2 usage errors;
+`--help` exits 0 whether or not its reader closed the pipe.
 """
 
 from __future__ import annotations
@@ -27,8 +28,17 @@ from .rational import format_table, json_number, json_ratio, table_ratio, to_fra
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    pipe_closed_exit = 1  # the exit code when the reader has closed the pipe
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # --help exits 0 here with its text still buffered: the flush
+            # brings a closed pipe to the handler below, which keeps the 0,
+            # as argparse does when it writes the text unbuffered.
+            pipe_closed_exit = exc.code
+            sys.stdout.flush()
+            raise
         if getattr(args, "out", None) == "":
             raise ParameterError("--out needs a file path, got an empty string")
         load = getattr(args, "load", None)
@@ -44,7 +54,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 1
+        return pipe_closed_exit
 
 
 @functools.cache

@@ -495,14 +495,13 @@ def _pivot_until_optimal(tableau, basis, cost, limit, d) -> int:
         if enter is None:
             return d
         # Leaving row: least rhs/a over a > 0, compared by cross-multiplying.
-        leave = None
+        # The ratio starts at 1/0, an infinite one: rhs * 0 < 1 * a for every
+        # a > 0, so the first candidate always replaces it, never by a tie.
+        leave, top, bottom = None, 1, 0
         for r, b in enumerate(basis):
             row = tableau[r]
             a = row[enter]
             if a > 0:
-                if leave is None:
-                    leave, top, bottom = r, row[-1], a
-                    continue
                 new, best = row[-1] * bottom, top * a
                 if new < best or (new == best and b < basis[leave]):
                     leave, top, bottom = r, row[-1], a

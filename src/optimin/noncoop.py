@@ -77,6 +77,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial, reduce
 from operator import add, ge, getitem, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -314,16 +315,17 @@ def _line_minima(mine: Sequence[int], theirs: Sequence[int], order: Iterable[int
     """For each index k: min of mine over {k} and all j with theirs[j] > theirs[k];
     `order` lists the indices by theirs, best first."""
     out = list(mine)
-    lower = None  # min of `mine` over the strictly-greater suffix
-    running = None  # min of `mine` over everything visited so far
+    # Both minima start at inf, the min over no indices, which no int beats.
+    lower = math.inf  # min of `mine` over the strictly-greater suffix
+    running = math.inf  # min of `mine` over everything visited so far
     prev = None
     for k in order:
         if theirs[k] != prev:
             lower, prev = running, theirs[k]
         m = mine[k]
-        if lower is not None and lower < m:
+        if lower < m:
             out[k] = lower
-        if running is None or m < running:
+        if m < running:
             running = m
     return out
 
@@ -379,11 +381,10 @@ def _unsettled_values(game: NormalFormGame, cells: list[int]) -> Iterator[tuple[
     value = _values_nd(game)
     num = game._num
     sums = list(map(sum, zip(*num)))
-    order = iter(sorted(range(len(sums)), key=sums.__getitem__, reverse=True))
-    cells.append(next(order))
-    yield (best := value(cells[0]))
-    top = sum(best)
-    for c in order:
+    # No vector yet: a top sum of -inf skips no cell, and the first vector
+    # evaluated beats it.
+    best, top = (), -math.inf
+    for c in sorted(range(len(sums)), key=sums.__getitem__, reverse=True):
         # u(c) is read player by player, so no per-cell payoff tuple is held.
         if top > sums[c] and all(map(ge, best, map(getitem, num, itertools.repeat(c)))):
             continue
@@ -495,11 +496,8 @@ def reply_payoffs(
 def _dot_columns(lefts: Iterable[Iterable[int]], rights: Iterable[Iterable[int]]) -> list[int]:
     """The column sum_s lefts[s] * rights[s], entry by entry, over at least
     one pair; of each pair, one may be endless."""
-    total = None
-    for left, right in zip(lefts, rights):
-        product = map(mul, left, right)
-        total = product if total is None else map(add, total, product)
-    return list(total)
+    products = map(map, itertools.repeat(mul), lefts, rights)  # one lazy column per pair
+    return list(reduce(partial(map, add), products))  # the sum starts at the first product
 
 
 def _agreed_payoffs(replies: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> list[int]:

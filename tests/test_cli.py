@@ -1029,23 +1029,36 @@ def test_overlong_json_integer_exits_1_without_a_traceback(tmp_path):
     ids=["coop-optimin", "coop-core"],
 )
 def test_a_closed_pipe_exits_1_without_a_traceback(argv, unbuffered):
-    # The pipe's read end is closed before the process starts, so the
-    # report's first write fails, whenever stdout flushes.
+    proc = _run_into_a_closed_pipe(argv, unbuffered)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["", "nash", "sweep"], ids=["top-level", "nash", "sweep"])
+def test_help_into_a_closed_pipe_exits_0_quietly(command, unbuffered):
+    # argparse ignores a failed unbuffered write of the help text; a buffered
+    # one fails at the flush, which must not turn into exit 120 at shutdown.
+    proc = _run_into_a_closed_pipe([*command.split(), "--help"], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _run_into_a_closed_pipe(argv, unbuffered):
+    """Run `optimin argv` with stdout a pipe whose read end is closed before
+    the process starts, so the first write fails, whenever stdout flushes."""
     src = str(Path(optimin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env["PYTHONUNBUFFERED"] = unbuffered
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "optimin.cli", *argv], stdout=write, stderr=subprocess.PIPE,
             text=True, env=env, timeout=300,
         )
     finally:
         os.close(write)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import mul
 
 import pytest
@@ -61,6 +61,13 @@ def nest(cells, shape):
         return [build(prefix + (k,)) for k in range(shape[len(prefix)])]
 
     return build(())
+
+
+def labelled(cells, shape):
+    """The game of a {profile: payoffs} table, its players p0, p1, ... and
+    their strategies s0, s1, ...."""
+    strategies = [[f"s{k}" for k in range(m)] for m in shape]
+    return NormalFormGame([f"p{i}" for i in range(len(shape))], strategies, nest(cells, shape))
 
 
 def rebuilt(game, cells):
@@ -478,6 +485,64 @@ def pruned_path_games(draw):
 @given(pruned_path_games())
 def test_the_pruned_solution_set_matches_the_oracles(game):
     check_against_the_oracles(game)
+
+
+# Multiples of 10**400, far past float range, whole and in thirds; few of
+# them, so that lines hold ties.
+HUGE_PAYOFFS = [F(k * 10**400, d) for k in (-2, -1, 0, 1, 3) for d in (1, 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("offset", [0, -(10**401)], ids=["mixed-signs", "all-negative"])
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (3, 3, 3)], ids=["symmetric-5x5", "4x6", "3x3x3"])
+def test_payoffs_past_float_range_match_the_oracles(shape, offset, seed):
+    # The line minima start at inf and the pruned stream's top sum at -inf;
+    # Python compares those with ints of any size exactly.  With the offset
+    # every payoff sum lies below -1e308, so no finite float would do.
+    rng = random.Random(seed)
+    profiles = list(product(*map(range, shape)))
+    if shape == (5, 5):
+        game = symmetric_game(5, {prof: rng.choice(HUGE_PAYOFFS) + offset for prof in profiles})
+    else:
+        cells = {prof: [rng.choice(HUGE_PAYOFFS) + offset for _ in shape] for prof in profiles}
+        game = labelled(cells, shape)
+    assert game._is_symmetric() == (shape == (5, 5))
+    assert max(map(abs, chain.from_iterable(game._num))) > 2**1024
+    check_against_the_oracles(game)
+
+
+@st.composite
+def constant_sum_games(draw):
+    """Constant-sum games of 3 or 4 players and up to 3 strategies each: the
+    payoffs of all players but the last come from the tied pool 0..2, and the
+    last player's payoffs bring every cell to one drawn sum."""
+    n = draw(st.integers(min_value=3, max_value=4))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    total = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = {}
+    for prof in product(*map(range, shape)):
+        head = [rng.randint(0, 2) for _ in range(n - 1)]
+        cells[prof] = [*head, total - sum(head)]
+    return labelled(cells, shape)
+
+
+# Every cell of the games below has one payoff sum, so the pruned solution
+# set evaluates every cell; a skip test that fires on a tied sum drops
+# Nash cells that these properties require.
+@settings(max_examples=100, deadline=None)
+@given(constant_sum_games())
+def test_nash_cells_of_a_constant_sum_game_are_optimin(game):
+    assert is_constant_sum(game)
+    solutions = {e.profile for e in optimin_pure(game)}
+    assert set(nash_pure(game)) <= solutions
+
+
+@settings(max_examples=100, deadline=None)
+@given(games(), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+def test_nash_cells_are_optimin_in_the_fictitious_extension(game, constant):
+    solutions = {e.profile for e in optimin_pure(fictitious_extension(game, constant))}
+    assert {prof + (0,) for prof in nash_pure(game)} <= solutions
 
 
 @settings(max_examples=150, deadline=None)
