@@ -298,16 +298,17 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
             columns.append((1, 0, n_internal, n_internal + 1))
             n_internal += 2
 
+    # Each tableau row is written once, at full width: the internal
+    # variables, one own column per row (which `_simplex` sets) and the rhs.
     # Every constraint row is the row as given times one multiple M, the lcm
     # of the rows' denominators times the bounds' scale, so all rows are ints.
+    size = n_internal + len(lp.constraints) + len(widths) + 1
     lcm = math.lcm(*(con._den for con in lp.constraints))
-    multiple = lcm * scale
     rows: list[list[int]] = []
     rels: list[str] = []
-    rhs: list[int] = []
     for con in lp.constraints:
         ints, m = con._num, lcm // con._den
-        row = [0] * n_internal
+        row = [0] * size
         b = ints[-1] * m * scale
         for a, (sign, offset, col, neg) in zip(ints, columns):
             if a:
@@ -316,20 +317,19 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
                 if neg is not None:
                     row[neg] -= a * scale
                 b -= a * offset
+        row[-1] = b
         rows.append(row)
         rels.append(con.relation)
-        rhs.append(b)
     # A two-sided bound's row scale * y <= width stays at the bounds' scale:
     # it starts on its slack, never enters phase 1 and reports no dual.
     for col, width in widths:
-        row = [0] * n_internal
-        row[col] = scale
+        row = [0] * size
+        row[col], row[-1] = scale, width
         rows.append(row)
         rels.append(LESS_EQUAL)
-        rhs.append(width)
 
     obj, obj_den = lp._obj_num, lp._obj_den
-    cost = [0] * n_internal
+    cost = [0] * size
     for a, (sign, _, col, neg) in zip(obj, columns):
         cost[col] += a * sign
         if neg is not None:
@@ -337,7 +337,7 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
     if lp.maximize:
         cost = [-c for c in cost]
 
-    y, prices, d = _simplex(rows, rels, rhs, cost)
+    y, prices, d = _simplex(rows, rels, cost)
 
     # x_j = sign * y/d + offset/scale, over the one denominator d * scale.
     point = []
@@ -346,7 +346,7 @@ def _solve(lp: LinearProgram) -> tuple[list[int], int, tuple[tuple[int, int], ..
         point.append(sign * val * scale + offset * d)
     # prices/d are the duals of the int rows for the int cost row; undo the
     # multiple, the objective's denominator and the sign flip of a maximum.
-    sense = -multiple if lp.maximize else multiple
+    sense = (-lcm if lp.maximize else lcm) * scale
     duals = tuple((sense * price, obj_den * d) for price in prices[: len(lp.constraints)])
     return point, d * scale, duals
 
@@ -390,18 +390,23 @@ def fraction_free_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def _simplex(rows, rels, rhs, cost) -> tuple[list[int], list[int], int]:
+def _simplex(rows, rels, cost) -> tuple[list[int], list[int], int]:
     """Two-phase tableau simplex over y >= 0 on int data.
 
-    Returns an optimal y and each row's dual value (for the int rows and the
-    int cost), both as ints over the returned common denominator, and that
-    denominator; or raises.  The caller hands over every row that may need
-    an artificial as the row it started from times one positive multiple:
-    then phase 1, the plain sum of the artificials, is a positive multiple
-    of the sum over the rows as given, and the pivots are theirs.
+    Each row and the cost come at the tableau's full width: the n
+    variables, one zero column per row and the rhs last.  `rows` becomes the
+    tableau: each row's own column is set in place, and a row whose rhs is
+    negative is replaced by its negation.  Returns an optimal y and each
+    row's dual value (for the int rows and the int cost), both as ints over
+    the returned common denominator, and that denominator; or raises.  The
+    caller hands over every row that may need an artificial as the row it
+    started from times one positive multiple: then phase 1, the plain sum of
+    the artificials, is a positive multiple of the sum over the rows as
+    given, and the pivots are theirs.
     """
     m = len(rows)
-    n = len(cost)
+    width = len(cost) - 1
+    n = width - m
 
     # Equality form, rhs made nonnegative.  Every row gets one own column,
     # its slack or, for an equality row, its artificial, with a +-1
@@ -415,24 +420,21 @@ def _simplex(rows, rels, rhs, cost) -> tuple[list[int], list[int], int]:
     # k-th of them gets the basis id total + k.  Only an equality row's
     # artificial is a stored column, so the other ids lie past the columns.
     total = n + sum(rel != EQUAL for rel in rels)
-    width = n + m
-    tableau: list[list[int]] = []
     basis: list[int] = []
     own: list[tuple[int, int]] = []  # (column, its coefficient in the row as given)
     needs_artificial: list[int] = []
     slack_at, artificial_at = n, total
-    for r, (row, rel, b) in enumerate(zip(rows, rels, rhs)):
+    for r, (row, rel) in enumerate(zip(rows, rels)):
+        negative = row[-1] < 0
         if rel == EQUAL:
-            col, coefficient = artificial_at, -1 if b < 0 else 1
+            col, coefficient = artificial_at, -1 if negative else 1
             artificial_at += 1
         else:
             col, coefficient = slack_at, 1 if rel == LESS_EQUAL else -1
             slack_at += 1
-        row = row + [0] * m + [b]
         row[col] = coefficient
-        if b < 0:
-            row = [-v for v in row]
-        tableau.append(row)
+        if negative:
+            rows[r] = row = [-v for v in row]
         own.append((col, coefficient))
         if col < total and row[col] == 1:
             basis.append(col)
@@ -444,44 +446,44 @@ def _simplex(rows, rels, rhs, cost) -> tuple[list[int], list[int], int]:
     # every pivot keeps it over the same denominator; the starting basis
     # costs nothing, so it needs no elimination.
     d = 1
-    tableau.append(cost + [0] * (m + 1))
+    rows.append(cost)
     if needs_artificial:
         # Reduced costs of min(sum of artificials); the last entry tracks
         # minus the current objective value.
-        phase1 = [-sum(column) for column in zip(*map(tableau.__getitem__, needs_artificial))]
+        phase1 = [-sum(column) for column in zip(*map(rows.__getitem__, needs_artificial))]
         phase1[total:width] = [0] * (width - total)
-        tableau.append(phase1)
+        rows.append(phase1)
 
-        d = _pivot_until_optimal(tableau, basis, m + 1, total, d)
-        if tableau.pop()[-1] != 0:
+        d = _pivot_until_optimal(rows, basis, m + 1, total, d)
+        if rows.pop()[-1] != 0:
             raise _Infeasible
 
         # Drive leftover artificials out of the basis; a zero row is redundant.
         drop_rows = []
         for r in range(m):
             if basis[r] >= total:
-                col = next((k for k in range(total) if tableau[r][k] != 0), None)
+                col = next((k for k in range(total) if rows[r][k] != 0), None)
                 if col is None:
                     drop_rows.append(r)
                     continue
-                if tableau[r][col] < 0:
-                    tableau[r] = [-v for v in tableau[r]]
-                d = fraction_free_pivot(tableau, r, col, d)
+                if rows[r][col] < 0:
+                    rows[r] = [-v for v in rows[r]]
+                d = fraction_free_pivot(rows, r, col, d)
                 basis[r] = col
         for r in reversed(drop_rows):
-            del tableau[r]
+            del rows[r]
             del basis[r]
 
     # Phase 2 on the original cost.
-    d = _pivot_until_optimal(tableau, basis, len(basis), total, d)
+    d = _pivot_until_optimal(rows, basis, len(basis), total, d)
 
     y = [0] * n
     for r, b in enumerate(basis):
         if b < n:
-            y[b] = tableau[r][-1]
+            y[b] = rows[r][-1]
     # The cost row is D*(c - pi*A) over the rows as given, so a row's own
     # column reads -pi_r times that column's coefficient in the row as given.
-    cost_row = tableau[-1]
+    cost_row = rows[-1]
     prices = [-coefficient * cost_row[col] for col, coefficient in own]
     return y, prices, d
 

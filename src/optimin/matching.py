@@ -109,8 +109,9 @@ class Matching:
         full = {}
         for person in problem.everyone():
             full[person] = pairs.get(person, person)
-        for extra in set(pairs) - set(full):
-            raise DomainError(f"unknown individual {extra!r} in matching")
+        for person in pairs:  # in the order given, so the refusal names the first stranger
+            if person not in full:
+                raise DomainError(f"unknown individual {person!r} in matching")
         a_set, b_set = set(problem.side_a), set(problem.side_b)
         for a in problem.side_a:
             if full[a] != a and full[a] not in b_set:

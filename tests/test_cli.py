@@ -385,6 +385,25 @@ REPORT_PINS = {
         "1d12a6bc3c00ad3dbaaba48c8ff1d78cdb3ec5fa1cd1b21e869cb97144ba9218",
     ),
 }
+# The one stderr line of each refusing call, which exits 1 and prints nothing
+# on stdout; "{name}" is as in `REPORT_PINS`, in the argv and in the line.
+REFUSAL_PINS = {
+    "optimin --game {nf} --mixed-grid 0": "error: grid resolution must be >= 1, got 0 (--mixed-grid)",
+    "optimin --game no_such_tag": "error: no_such_tag: No such file or directory",
+    "value --game {nf} --profile r1,c9": "error: player 'column' has no strategy 'c9'",
+    "value --game {zs} --profile r0": "error: expected 2 strategy labels, got 1",
+    "zerosum solve --game figure1": "error: not zero-sum at cell ('Top', 'Left'): 100 + 100 != 0",
+    "coop core --game {nf}": "error: {nf}: missing required field 'n'",
+    "coop value --game {tu} --alloc 1,2": "error: allocation has 2 entries for 3 players",
+    "coop value --game coop_120 --alloc 1,x,2": "error: not a rational number: 'x'",
+    # Two unknown labels: the first one given is named, whatever the hash seed.
+    "match value --game {mp} --matching x=y,z=w": "error: --matching: unknown individual 'x' in matching",
+    "match deviations --game {mp} --matching a1=b1,a2=b1": "error: --matching: matching is not mutual at 'a1'",
+    "decide check --game {mp}": "error: {mp}: missing required field 'acts'",
+    "sweep --family travelers --param r --from 4 --to 2 --step 1/2 --low 3 --high 12": (
+        "error: need --from <= --to and a positive --step"
+    ),
+}
 # sha256 of the file `sweep --out` writes, in table and json format, recorded
 # with `REPORT_PINS`.
 SWEEP_OUT_PINS = {
@@ -856,6 +875,12 @@ class TestBytePins:
             assert (code, err) == (0, "")
             shas.append(hashlib.sha256(out.encode()).hexdigest())
         assert tuple(shas) == REPORT_PINS[argv]
+
+    @pytest.mark.parametrize("argv", list(REFUSAL_PINS))
+    def test_refusal(self, capsys, tmp_path, argv):
+        files = write_report_inputs(tmp_path)
+        code, out, err = run(capsys, *(tok.format(**files) for tok in argv.split()))
+        assert (code, out, err) == (1, "", REFUSAL_PINS[argv].format(**files) + "\n")
 
     @pytest.mark.parametrize("argv", list(SWEEP_OUT_PINS))
     def test_sweep_out_file(self, capsys, tmp_path, argv):

@@ -43,7 +43,7 @@ from optimin.coop import (
 )
 from optimin.fileio import dump_tu_game, parse_tu_game
 from optimin.rational import json_number
-from conftest import bench_pool, bench_workloads
+from conftest import bench_pool, bench_workloads, brute_pareto
 
 
 def additive_game(weights):
@@ -473,6 +473,63 @@ class TestCoreEquivalences:
 
             kept = pareto_filter(entries, key=lambda e: e[1])
             assert any(x == nuc for x, _ in kept)
+
+
+@st.composite
+def convex_games(draw):
+    """3 or 4 players; u(S) is the sum of c_T over the drawn coalitions T
+    within S, each c_T an int in 1..3: a nonnegative sum of unanimity games,
+    so the game is convex.  At most four terms keep every lattice small."""
+    n = draw(st.integers(3, 4))
+    terms = draw(st.dictionaries(st.integers(1, (1 << n) - 1), st.integers(1, 3), max_size=4))
+    worth = {mask: sum(c for t, c in terms.items() if t & mask == t) for mask in range(1, 1 << n)}
+    return TUGame(n, worth)
+
+
+def in_core(game, x):
+    return sum(x) == game.worth(game.grand_coalition) and all(
+        coalition_sum(x, m) >= game.worth(m) for m in game.proper_coalitions()
+    )
+
+
+# A convex 4-player game, the unanimity sum 3·u{1,2} + 2·u{3} + u{4} + 3·u{3,4},
+# whose grid optimin keeps lattice points outside the core: the core point
+# (1, 2, 5/2, 7/2) dominates the value (0, 2, 5/2, 7/2) of the lattice point
+# (0, 2, 3, 4), but no lattice point of the core does.
+CONVEX_WITH_NON_CORE_SURVIVORS = {
+    1: 0, 2: 0, 3: 3, 4: 2, 5: 2, 6: 2, 7: 5, 8: 1,
+    9: 1, 10: 1, 11: 4, 12: 6, 13: 6, 14: 6, 15: 9,
+}
+
+
+class TestConvexGames:
+    """Shapley (1971): a convex game's core is nonempty and holds its
+    Shapley value; the nucleolus lies in any nonempty core; and no lattice
+    point of the core is dominated, so each survives the grid optimin.  The
+    converse, that every survivor is in the core, fails at 4 players (see
+    `test_survivors_outside_the_core_are_undominated`), so it is not drawn."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(convex_games())
+    def test_core_solutions_and_lattice(self, game):
+        witness = core(game).witness
+        assert witness is not None and in_core(game, witness)
+        assert in_core(game, nucleolus(game))
+        assert in_core(game, shapley(game))
+        survivors = set(optimin_coop(game, 1).allocations)
+        assert {x for x in imputation_grid(game, 1) if in_core(game, x)} <= survivors
+
+    def test_survivors_outside_the_core_are_undominated(self):
+        game = TUGame(4, CONVEX_WITH_NON_CORE_SURVIVORS)
+        points = imputation_grid(game, 1)
+        values = {x: _direct_value(game, x) for x in points}
+        frontier = set(brute_pareto(list(values.values())))
+        survivors = set(optimin_coop(game, 1).allocations)
+        assert survivors == {x for x in points if values[x] in frontier}
+        grid_core = {x for x in points if in_core(game, x)}
+        assert grid_core < survivors
+        assert (len(points), len(survivors), len(grid_core)) == (84, 34, 16)
+        assert (F(0), F(2), F(3), F(4)) in survivors - grid_core
 
 
 # -- the dual-pinned nucleolus against the probe-LP scheme -------------------------

@@ -61,11 +61,12 @@ def random_problem(rng, n):
 
 
 @st.composite
-def marriage_arguments(draw):
-    """`MarriageProblem` arguments, 0-4 per side; each list is a strict
-    ranking of the other side plus self, so a partner ranked after self is
-    unacceptable.  Arguments, not the problem, so a failure prints them."""
-    n = draw(st.integers(0, 4))
+def marriage_arguments(draw, min_size=0, max_size=4):
+    """`MarriageProblem` arguments, `min_size` to `max_size` per side; each
+    list is a strict ranking of the other side plus self, so a partner
+    ranked after self is unacceptable.  Arguments, not the problem, so a
+    failure prints them."""
+    n = draw(st.integers(min_size, max_size))
     side_a = tuple(f"a{i}" for i in range(n))
     side_b = tuple(f"b{i}" for i in range(n))
     prefs = {a: draw(st.permutations(side_b + (a,))) for a in side_a}
@@ -370,6 +371,21 @@ class TestOptiminMatchings:
         problem = MarriageProblem(*arguments)
         solutions = optimin_matchings(problem)
         assert solutions == brute_optimin(problem)
+        for side in ("A", "B"):
+            assert deferred_acceptance(problem, side) in solutions
+
+    # At 5 per side, the benchmark's size, brute_optimin would take seconds
+    # per problem, so the enumerator is checked against matching_value.
+    @settings(max_examples=80, deadline=None)
+    @given(marriage_arguments(5, 5))
+    def test_five_per_side_holds_both_da_matchings(self, arguments):
+        problem = MarriageProblem(*arguments)
+        orders, values = _candidates(problem)
+        matchings = _decoded(problem, orders)
+        assert len(matchings) == 1546
+        for vector, m in zip(values, matchings):
+            assert vector == tuple(-problem.rank(p, w) for p, w in matching_value(problem, m).worst)
+        solutions = optimin_matchings(problem)
         for side in ("A", "B"):
             assert deferred_acceptance(problem, side) in solutions
 
