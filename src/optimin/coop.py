@@ -273,7 +273,17 @@ def dominating_coalitions(game: TUGame, x: Sequence, excluding: int) -> Deviatio
 
 
 def coop_value(game: TUGame, x: Sequence) -> ValueVector:
-    """Worst-case payoffs: deviators leave, the rest split the shortfall equally."""
+    """Worst-case payoffs: deviators leave, the rest split the shortfall equally.
+
+    Under this model the paper's result (ii), that optimin is the core when
+    the core is nonempty, holds on convex games up to the lattice: every
+    survivor of `optimin_coop` outside the core has a value that some core
+    point off the lattice dominates.  It fails for two 4-player games with a
+    nonempty core (tests/test_coop.py, `MARKETS_WITH_NON_CORE_OPTIMIN`): the
+    values of their non-core points (1, 0, 1, 0) and (1, 2, 3, 0) survive,
+    and no core point's value, nor any value on the step-1/4 lattice,
+    dominates them.
+    """
     alloc, worth, d = _scaled_feasible(game, x)
     lcm = math.lcm(*range(1, game.n + 1))
     values = _worst_cases(worth, [[v] for v in alloc], sum(alloc), lcm)

@@ -124,7 +124,7 @@ class NormalFormGame:
         `start`, best payoff first and ties in ascending order (a stable
         reverse sort).  Sorted on the first call and kept in `_orders`; the
         list is shared, so callers only read it.  Its readers are the
-        two-player and the n-player value tables (`noncoop._values_2p` and
+        two-player and the n-player value tables (`noncoop._rows_2p` and
         `noncoop._values_nd`, which sort every line) and `noncoop.nash_pure`
         (the first player's lines and the other players' lines through its
         candidates).  In a symmetric game the line of any other player i is

@@ -40,9 +40,12 @@ cell's strictly better replies are the run of its line before its tie group,
 and each player's deviation cells are built from those runs by shifts.
 `value_table` maps the evaluator over every cell, and the solution set
 calls it on the cells it does not skip.
-`_steps` and `_deviation_cells`, which re-slice every line through a cell,
-serve only the witnesses of `value_pure` (for the survivors alone in
-`optimin_pure`) and `is_maximin_equilibrium`.  `nash_pure` keeps the top of
+`_steps` reads the definition off directly: it takes a cell alone, reads
+each player's agreed strategy off it by strides and re-slices every line
+through it.  Its users are `better_responses`, `deviation_space`, and, through
+`_deviation_cells`, the witnesses of `value_pure` (for the survivors alone
+in `optimin_pure`) and `is_maximin_equilibrium`, which walks each player's
+line through the agreement cell by cell.  `nash_pure` keeps the top of
 each of the first player's lines when it ties the top of every other player's
 line through it.  A `generators.sweep` point, which asks for a table and Nash
 cells, thus sorts each line once, and its Nash pass costs O(lines).
@@ -125,15 +128,14 @@ class EvaluatedProfile(NamedTuple):
     witnesses: tuple
 
 
-def _steps(game: NormalFormGame, idx: int, profile: PureProfile) -> list[list[int]]:
-    """Per player, the cell index steps from `idx` (the cell of `profile`) to
-    their agreed strategy and to each strictly better reply, ascending."""
+def _steps(game: NormalFormGame, idx: int) -> list[list[int]]:
+    """Per player, the cell index steps from cell `idx` to their agreed
+    strategy there and to each strictly better reply, ascending."""
     steps = []
-    for u, p, stride, m in zip(game._num, profile, game._strides, game.shape):
+    for u, stride, m in zip(game._num, game._strides, game.shape):
         base = u[idx]
-        start = idx - p * stride
-        line = u[start : start + m * stride : stride]
-        steps.append([(s - p) * stride for s, v in enumerate(line) if v > base or s == p])
+        start = idx - idx // stride % m * stride  # the line's first cell
+        steps.append([c - idx for c in range(start, start + m * stride, stride) if u[c] > base or c == idx])
     return steps
 
 
@@ -141,7 +143,7 @@ def better_responses(game: NormalFormGame, profile: PureProfile, player: int) ->
     idx = game.validate_profile(profile)
     game.validate_player(player)
     profile = tuple(profile)
-    step = _steps(game, idx, profile)[player]
+    step = _steps(game, idx)[player]
     stride = game._strides[player]
     return BetterResponseSet(player, profile, tuple(profile[player] + d // stride for d in step if d))
 
@@ -150,10 +152,9 @@ def deviation_space(game: NormalFormGame, profile: PureProfile, player: int) -> 
     idx = game.validate_profile(profile)
     game.validate_player(player)
     profile = tuple(profile)
-    steps = _steps(game, idx, profile)
     options = tuple(
         (p,) if j == player else tuple(p + d // stride for d in step)
-        for j, (p, stride, step) in enumerate(zip(profile, game._strides, steps))
+        for j, (p, stride, step) in enumerate(zip(profile, game._strides, _steps(game, idx)))
     )
     return DeviationSpace(player, profile, options)
 
@@ -180,16 +181,11 @@ def value_pure(game: NormalFormGame, profile: PureProfile) -> EvaluatedProfile:
     reproducible no matter how cells are scheduled.
     """
     idx = game.validate_profile(profile)
-    profile = tuple(profile)
-    steps = _steps(game, idx, profile)
-    values = []
-    witnesses = []
-    for i, u in enumerate(game._num):
-        # The first minimizer, so the lexicographically smallest.
-        witness = min(_deviation_cells(steps, idx, i), key=u.__getitem__)
-        values.append(u[witness])
-        witnesses.append(_profile_at(game, witness))
-    return EvaluatedProfile(profile, _rescale(game, values), tuple(witnesses))
+    steps = _steps(game, idx)
+    # Each player's first minimizer, so the lexicographically smallest.
+    cells = [min(_deviation_cells(steps, idx, i), key=u.__getitem__) for i, u in enumerate(game._num)]
+    values = _rescale(game, map(getitem, game._num, cells))
+    return EvaluatedProfile(tuple(profile), values, tuple(_profile_at(game, c) for c in cells))
 
 
 def value_table(game: NormalFormGame) -> dict[PureProfile, ValueVector]:
@@ -719,14 +715,12 @@ def _evaluate_grid(game: NormalFormGame, grids, scales) -> tuple[EvaluatedProfil
 def is_maximin_equilibrium(game: NormalFormGame, profile: PureProfile) -> bool:
     """Agreement is optimin, or each strategy maximizes its own-deviation value."""
     idx = game.validate_profile(profile)
-    profile = tuple(profile)
-    for i, (u, p, stride) in enumerate(zip(game._num, profile, game._strides)):
-        own_values = []
-        for s in range(game.shape[i]):
-            c = idx + (s - p) * stride
-            steps = _steps(game, c, profile[:i] + (s,) + profile[i + 1 :])
-            own_values.append(min(map(u.__getitem__, _deviation_cells(steps, c, i))))
-        if own_values[p] != max(own_values):
+    for i, (u, stride, m) in enumerate(zip(game._num, game._strides, game.shape)):
+        p = idx // stride % m
+        # Player i's line through the agreement: one cell per own strategy.
+        line = range(idx - p * stride, idx + (m - p) * stride, stride)
+        own = [min(map(u.__getitem__, _deviation_cells(_steps(game, c), c, i))) for c in line]
+        if own[p] != max(own):
             break
     else:
         return True

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -476,14 +477,18 @@ class TestCoreEquivalences:
 
 
 @st.composite
-def convex_games(draw):
-    """3 or 4 players; u(S) is the sum of c_T over the drawn coalitions T
-    within S, each c_T an int in 1..3: a nonnegative sum of unanimity games,
-    so the game is convex.  At most four terms keep every lattice small."""
-    n = draw(st.integers(3, 4))
-    terms = draw(st.dictionaries(st.integers(1, (1 << n) - 1), st.integers(1, 3), max_size=4))
-    worth = {mask: sum(c for t, c in terms.items() if t & mask == t) for mask in range(1, 1 << n)}
-    return TUGame(n, worth)
+def convex_games(draw, max_players=4):
+    """3 to `max_players` players; u(S) is the sum of c_T over the drawn
+    coalitions T within S, each c_T an int in 1..3: a nonnegative sum of
+    unanimity games, so the game is convex.  At most four terms keep every
+    lattice small."""
+    n = draw(st.integers(3, max_players))
+    return unanimity_sum(n, draw(st.dictionaries(st.integers(1, (1 << n) - 1), st.integers(1, 3), max_size=4)))
+
+
+def unanimity_sum(n, terms):
+    """The n-player game sum of c_T·u_T over the coalition masks T of `terms`."""
+    return TUGame(n, {mask: sum(c for t, c in terms.items() if t & mask == t) for mask in range(1, 1 << n)})
 
 
 def in_core(game, x):
@@ -530,6 +535,118 @@ class TestConvexGames:
         assert grid_core < survivors
         assert (len(points), len(survivors), len(grid_core)) == (84, 34, 16)
         assert (F(0), F(2), F(3), F(4)) in survivors - grid_core
+
+    @settings(max_examples=120, deadline=None)
+    @given(convex_games(max_players=5))
+    def test_survivors_outside_the_core_are_beaten_off_the_lattice(self, game):
+        # Together with the inclusion above, this is result (ii) on the
+        # lattice: the survivors are the core cut plus points that some core
+        # point off the lattice beats.  A core point is never beaten.
+        for x, value in optimin_coop(game, 1).entries:
+            assert beaten_by_the_core(game, value) is not in_core(game, x)
+
+    # Draws seldom keep a non-core point, so two games that do are named.
+    @pytest.mark.parametrize(
+        "game, kept, outside",
+        [
+            (TUGame(4, CONVEX_WITH_NON_CORE_SURVIVORS), 34, 18),
+            (unanimity_sum(5, {0b11: 2, 0b1100: 2, 0b10000: 3}), 17, 8),  # 2·u{1,2} + 2·u{3,4} + 3·u{5}
+        ],
+        ids=["4-players", "5-players"],
+    )
+    def test_named_survivors_outside_the_core_are_beaten_off_the_lattice(self, game, kept, outside):
+        entries = optimin_coop(game, 1).entries
+        values = [value for x, value in entries if not in_core(game, x)]
+        assert (len(entries), len(values)) == (kept, outside)
+        assert all(beaten_by_the_core(game, value) for value in values)
+
+
+def core_reaches(game, floor):
+    """Whether some core point is at least `floor` in every coordinate: the
+    LP {x(N) = u(N), x(S) >= u(S) for every S, x >= floor} is feasible."""
+    n = game.n
+    constraints = [([1] * n, "=", game.worth(game.grand_coalition))]
+    for mask in game.proper_coalitions():
+        constraints.append(([mask >> i & 1 for i in range(n)], ">=", game.worth(mask)))
+    lp = LinearProgram([0] * n, False, constraints, [(v, None) for v in floor])
+    return solve_lp(lp).status != "infeasible"
+
+
+def beaten_by_the_core(game, value):
+    """The certificate that some core point dominates the value vector
+    `value`.  A core point's value is the point itself, since no coalition
+    profits, and every value vector sums to at most u(N); so a core point
+    x >= value differs from it exactly when sum(value) < u(N)."""
+    return sum(value) < game.worth(game.grand_coalition) and core_reaches(game, value)
+
+
+# Two 4-player glove markets, each with a nonempty core, whose optimin under
+# `coop_value`'s worst case keeps the named point outside the core: no core
+# point's value dominates its value, nor does any value on the step-1/4
+# lattice.  Whether a value off that lattice does is not checked here.
+MARKETS_WITH_NON_CORE_OPTIMIN = [
+    pytest.param(  # u(S) = min(a(S), b(S)) with a = (0, 1, 0, 1), b = (1, 0, 2, 0)
+        {1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 1, 7: 1, 8: 0, 9: 1, 10: 0, 11: 1, 12: 1, 13: 1, 14: 2, 15: 2},
+        (1, 0, 1, 0),
+        (0, 0, 1, 0),
+        id="point-(1,0,1,0)",
+    ),
+    pytest.param(  # a = (1, 3, 3, 0), b = (2, 1, 2, 1)
+        {1: 1, 2: 1, 3: 3, 4: 2, 5: 4, 6: 3, 7: 5, 8: 0, 9: 1, 10: 2, 11: 4, 12: 3, 13: 4, 14: 4, 15: 6},
+        (1, 2, 3, 0),
+        (1, 2, 2, 0),
+        id="point-(1,2,3,0)",
+    ),
+]
+
+
+class TestResultTwoOffTheLattice:
+    """Result (ii), optimin is the core when the core is nonempty, under
+    `coop_value`'s worst case: these games keep non-core points that no core
+    point beats, on the lattice or off it."""
+
+    @pytest.mark.parametrize("worth, point, value", MARKETS_WITH_NON_CORE_OPTIMIN)
+    def test_a_non_core_point_survives_unbeaten(self, worth, point, value):
+        game = TUGame(4, worth)
+        point, value = tuple(map(F, point)), tuple(map(F, value))
+        points = imputation_grid(game, 1)
+        values = {x: _direct_value(game, x) for x in points}
+        frontier = set(brute_pareto(list(values.values())))
+        entries = dict(optimin_coop(game, 1).entries)
+        assert set(entries) == {x for x in points if values[x] in frontier}
+        assert (len(points), len(entries)) == (10, 4)
+        assert [in_core(game, x) for x in entries].count(True) == 1
+        assert entries[point] == value and not in_core(game, point)
+        for x, v in entries.items():
+            assert not beaten_by_the_core(game, v)
+            assert core_reaches(game, v) is in_core(game, x)
+        finer = [coop_value(game, x) for x in imputation_grid(game, F(1, 4))]
+        assert len(finer) == 165
+        assert not any(w != value and all(map(operator.ge, w, value)) for w in finer)
+
+
+class TestResultFiveOnGloveMarkets:
+    def test_competitive_payoffs_are_optimin(self):
+        # In a glove market u(S) = min(a(S), b(S)) whose left gloves are
+        # scarce, a(N) < b(N), the competitive payoff gives each player the
+        # left gloves they hold, x = a (Shapley & Shubik, "On market games",
+        # J. Econ. Theory 1969): a core point, which the grid optimin keeps.
+        rng = random.Random(2601)
+        markets = 0
+        while markets < 200:
+            n = rng.randint(3, 4)
+            a = [rng.randint(0, 3) for _ in range(n)]
+            b = [rng.randint(0, 3) for _ in range(n)]
+            if sum(a) >= sum(b):
+                continue
+            markets += 1
+            worth = {
+                mask: min(coalition_sum(a, mask), coalition_sum(b, mask)) for mask in range(1, 1 << n)
+            }
+            game = TUGame(n, worth)
+            x = tuple(map(F, a))
+            assert in_core(game, x)
+            assert x in optimin_coop(game, 1).allocations
 
 
 # -- the dual-pinned nucleolus against the probe-LP scheme -------------------------

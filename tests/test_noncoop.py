@@ -5,6 +5,8 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optimin import (
     NormalFormGame,
@@ -45,6 +47,18 @@ FIGURE1_VALUES = {
 }
 
 
+@st.composite
+def tied_games(draw):
+    """Games of 2 to 4 players and 1 to 3 strategies each, whose payoffs come
+    from a pool of at most three ints, so ties are common."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    pool = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+    cells = math.prod(shape)
+    payoffs = [draw(st.lists(st.sampled_from(pool), min_size=cells, max_size=cells)) for _ in shape]
+    strategies = [[f"s{k}" for k in range(m)] for m in shape]
+    return NormalFormGame._from_scaled([f"p{i}" for i in range(len(shape))], strategies, payoffs, 1)
+
+
 def matching_pennies():
     return NormalFormGame(
         ("row", "column"),
@@ -77,6 +91,21 @@ class TestBetterResponses:
                     assert profile in set(space.profiles())
                     for j, opts in enumerate(space.options):
                         assert profile[j] in opts
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_games())
+    def test_deviation_sets_match_the_definition(self, g):
+        n = g.num_players
+        for p in g.profiles():
+            # Per player j, the s != p_j with u_j(s, p_-j) > u_j(p), ascending.
+            replies = [
+                tuple(s for s in range(g.shape[j]) if g.payoff(p[:j] + (s,) + p[j + 1 :])[j] > g.payoff(p)[j])
+                for j in range(n)
+            ]
+            for i in range(n):
+                assert better_responses(g, p, i) == (i, p, replies[i])
+                options = tuple((p[i],) if j == i else tuple(sorted(replies[j] + (p[j],))) for j in range(n))
+                assert deviation_space(g, p, i) == (i, p, options)
 
 
 class TestValuePure:
