@@ -520,9 +520,8 @@ def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fract
     if step <= 0 or stop < start:
         raise ParameterError("need --from <= --to and a positive --step")
     count = (stop - start) // step + 1
-    if count > SWEEP_MAX_POINTS:
-        what = f"sweep of {count} points"
-        raise ResourceLimitError.past(what, SWEEP_MAX_POINTS, "point", "SWEEP_MAX_POINTS", "raise --step")
+    what = f"sweep of {count} points"
+    ResourceLimitError.check(count, SWEEP_MAX_POINTS, what, "point", "SWEEP_MAX_POINTS", "raise --step")
     return [start + k * step for k in range(count)]
 
 

@@ -327,11 +327,8 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequ
     if rest or free < 0:
         return [()] * n
     count = math.comb(free + n - 1, n - 1)
-    if count > IMPUTATION_GRID_MAX_POINTS:
-        what, hint = f"imputation grid of {count} points", "raise --step"
-        raise ResourceLimitError.past(
-            what, IMPUTATION_GRID_MAX_POINTS, "point", "IMPUTATION_GRID_MAX_POINTS", hint
-        )
+    what, hint = f"imputation grid of {count} points", "raise --step"
+    ResourceLimitError.check(count, IMPUTATION_GRID_MAX_POINTS, what, "point", "IMPUTATION_GRID_MAX_POINTS", hint)
     shares = simplex_columns(n, free)
     return [list(map(add, share, repeat(low, count))) for share, low in zip(shares, min_units)]
 
@@ -414,9 +411,7 @@ class CoreResult(NamedTuple):
 def core(game: TUGame) -> CoreResult:
     """LP feasibility of efficiency plus every coalition constraint."""
     n = game.n
-    if n > CORE_MAX_PLAYERS:
-        what = f"core of {n} players"
-        raise ResourceLimitError.past(what, CORE_MAX_PLAYERS, "player", "CORE_MAX_PLAYERS")
+    ResourceLimitError.check(n, CORE_MAX_PLAYERS, f"core of {n} players", "player", "CORE_MAX_PLAYERS")
     # Every row times the worths' denominator: den·x(S) >= u(S)·den, in the game's ints.
     constraints = [([game._den] * n, "=", game._num[game.grand_coalition])]
     for mask in game.proper_coalitions():
@@ -437,9 +432,7 @@ def shapley(game: TUGame) -> Allocation:
     same average without walking all n! orders.
     """
     n = game.n
-    if n > SHAPLEY_MAX_PLAYERS:
-        what = f"shapley of {n} players"
-        raise ResourceLimitError.past(what, SHAPLEY_MAX_PLAYERS, "player", "SHAPLEY_MAX_PLAYERS")
+    ResourceLimitError.check(n, SHAPLEY_MAX_PLAYERS, f"shapley of {n} players", "player", "SHAPLEY_MAX_PLAYERS")
     fact = [math.factorial(k) for k in range(n + 1)]
     worth = game._num
     out = [0] * n  # each value as an int over n! · _den
@@ -494,9 +487,8 @@ def nucleolus(game: TUGame) -> Allocation:
     `Fraction` is built only for a level and the result.
     """
     n = game.n
-    if n > NUCLEOLUS_MAX_PLAYERS:
-        what = f"nucleolus of {n} players"
-        raise ResourceLimitError.past(what, NUCLEOLUS_MAX_PLAYERS, "player", "NUCLEOLUS_MAX_PLAYERS")
+    what = f"nucleolus of {n} players"
+    ResourceLimitError.check(n, NUCLEOLUS_MAX_PLAYERS, what, "player", "NUCLEOLUS_MAX_PLAYERS")
     num, den, full = game._num, game._den, game.grand_coalition
     players = range(n)
     if sum(num[1 << i] for i in players) > num[full]:

@@ -25,10 +25,9 @@ ActProfile = tuple[str, str]  # (decision maker's act, Nature's state)
 def check_size(num_acts: int, num_states: int, prefix: str = "") -> None:
     """Refuse a problem of more than DECISION_MAX_CELLS (act, state) cells,
     with `prefix` (a file's ``"<source>: "``) before the message."""
-    if num_acts * num_states > DECISION_MAX_CELLS:
-        cells = num_acts * num_states
-        what = f"{prefix}decision problem of {num_acts} acts x {num_states} states ({cells} cells)"
-        raise ResourceLimitError.past(what, DECISION_MAX_CELLS, "cell", "DECISION_MAX_CELLS")
+    cells = num_acts * num_states
+    what = f"{prefix}decision problem of {num_acts} acts x {num_states} states ({cells} cells)"
+    ResourceLimitError.check(cells, DECISION_MAX_CELLS, what, "cell", "DECISION_MAX_CELLS")
 
 
 def _check_names(utility: Mapping, acts: set[str], states: set[str]) -> None:

@@ -4,10 +4,13 @@ bounds those modules check.
 Every bound on the size of an enumeration is stated here, once, with its
 reason and its measured cost at the bound; each module imports the bounds it
 checks from here, so ``from optimin.coop import CORE_MAX_PLAYERS`` and the
-like keep working.  A module checks its own binding before it enumerates
-anything and refuses with `ResourceLimitError.past`, which builds the one
-message form: what was asked for, the bound, the constant and, where a
-command-line flag governs the bound, that flag.
+like keep working.  A module counts what it is asked for before it
+enumerates anything and passes the count and its own binding of the bound
+to `ResourceLimitError.check`.  That one call holds the policy: a request
+of at most the bound, exactly the bound included, is accepted, and one unit
+past it is refused in the one message form, which names what was asked
+for, the bound, the constant and, where a command-line flag governs the
+bound, that flag.
 """
 
 
@@ -59,11 +62,14 @@ class ResourceLimitError(OptiminError):
     """The instance exceeds the documented enumeration bounds."""
 
     @classmethod
-    def past(cls, what: str, bound: int, unit: str, name: str, hint: str = "") -> "ResourceLimitError":
-        """The refusal of `what`: "<what> exceeds the <bound>-<unit> bound
-        (<name>)", then "; <hint>" when a flag governs the bound."""
-        message = f"{what} exceeds the {bound}-{unit} bound ({name})"
-        return cls(f"{message}; {hint}" if hint else message)
+    def check(cls, requested: int, bound: int, what: str, unit: str, name: str, hint: str = "") -> None:
+        """Return when `requested` is at most `bound`, so a request of exactly
+        the bound is accepted; otherwise refuse `what` with "<what> exceeds
+        the <bound>-<unit> bound (<name>)", then "; <hint>" when a flag
+        governs the bound.  `name` is the constant that `bound` binds."""
+        if requested > bound:
+            message = f"{what} exceeds the {bound}-{unit} bound ({name})"
+            raise cls(f"{message}; {hint}" if hint else message)
 
 
 # -- rational literals (`rational`) -----------------------------------------

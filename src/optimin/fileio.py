@@ -174,6 +174,9 @@ def _quoted(value) -> str:
 # A coalition key as `_coalition_key` spells it: player numbers in plain
 # decimal digits, without leading zeros, joined by commas.
 _COALITION_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+# A refusal echoes a worth key of up to this many characters whole, and a
+# longer one by that many of its first characters and its length.
+_ECHOED_KEY_CHARS = 40
 
 
 def _coalition_key(mask: int, n: int) -> str:
@@ -228,7 +231,9 @@ def _worths_by_mask(worth: dict, n: int, source: str) -> dict[int, object]:
     its path."""
     by_mask = {}
     for key, value in worth.items():
-        path = f"{source}.worth[{key!r}]"
+        head = key[:_ECHOED_KEY_CHARS]
+        shown = repr(key) if head == key else f"{head!r}... ({len(key)} characters)"
+        path = f"{source}.worth[{shown}]"
         # int() would also read "01,2" and " 1,+2" as {1, 2}; one spelling
         # per coalition keeps a second entry from overwriting the first.
         if not _COALITION_KEY.fullmatch(key):

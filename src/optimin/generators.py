@@ -40,9 +40,8 @@ def gen_travelers(low: int = 2, high: int = 100, r=2) -> NormalFormGame:
     if p <= q:
         raise ParameterError(f"reward must exceed 1, got {json_ratio(p, q)}")
     cells = (high - low + 1) ** 2
-    if cells > TRAVELERS_CELL_LIMIT:
-        what, hint = f"claim game of {cells} cells", "lower --high"
-        raise ResourceLimitError.past(what, TRAVELERS_CELL_LIMIT, "cell", "TRAVELERS_CELL_LIMIT", hint)
+    what, hint = f"claim game of {cells} cells", "lower --high"
+    ResourceLimitError.check(cells, TRAVELERS_CELL_LIMIT, what, "cell", "TRAVELERS_CELL_LIMIT", hint)
     claims = range(low, high + 1)
     labels = tuple(str(c) for c in claims)
     # With r = p/q every payoff is an int over q: a*q for a tie, the lower
@@ -77,9 +76,8 @@ def gen_centipede(nodes: int = 4, variant: CentipedeVariant = "increasing") -> N
         raise ParameterError(f"node count must be a positive integer, got {nodes}")
     if variant not in get_args(CentipedeVariant):
         raise ParameterError(f"variant must be 'increasing' or 'constant', got {variant!r}")
-    if nodes > CENTIPEDE_MAX_NODES:
-        what, hint = f"centipede of {nodes} nodes", "lower --nodes"
-        raise ResourceLimitError.past(what, CENTIPEDE_MAX_NODES, "node", "CENTIPEDE_MAX_NODES", hint)
+    what, hint = f"centipede of {nodes} nodes", "lower --nodes"
+    ResourceLimitError.check(nodes, CENTIPEDE_MAX_NODES, what, "node", "CENTIPEDE_MAX_NODES", hint)
     # The payoffs when the game stops at node k = 1 .. nodes + 1; "continue"
     # is node nodes + 1, where the next mover's split stands.
     half = 2 ** (nodes + 1)
@@ -127,15 +125,12 @@ def gen_public_goods(n: int = 2, endowment=10, mpcr="1/2", levels: Sequence = (0
         raise ParameterError("need at least 2 distinct contribution levels (--levels)")
     if menu[0] < 0 or menu[-1] > e:
         raise ParameterError(f"levels must lie within [0, {json_ratio(e, den)}] (--levels)")
+    what = f"public goods game of {n} players with {len(menu)} levels each"
+    hint = "lower --n or the number of --levels"
     cells = 1
     for _ in range(n):  # stops within 17 players: each multiplies by at least 2
         cells *= len(menu)
-        if cells > PUBLIC_GOODS_CELL_LIMIT:
-            what = f"public goods game of {n} players with {len(menu)} levels each"
-            hint = "lower --n or the number of --levels"
-            raise ResourceLimitError.past(
-                what, PUBLIC_GOODS_CELL_LIMIT, "cell", "PUBLIC_GOODS_CELL_LIMIT", hint
-            )
+        ResourceLimitError.check(cells, PUBLIC_GOODS_CELL_LIMIT, what, "cell", "PUBLIC_GOODS_CELL_LIMIT", hint)
 
     labels = tuple(str(json_ratio(c, den)) for c in menu)
     players = tuple(f"player{i + 1}" for i in range(n))

@@ -246,9 +246,8 @@ def profitable_group_deviations(
     themselves or a member who gains too, so the profitable groups are exactly
     the unions of nonempty sets of pairwise-disjoint moves (`_moves`).
     """
-    if problem.size > DEVIATION_MAX_SIZE:
-        what = f"group enumeration of {problem.size} per side"
-        raise ResourceLimitError.past(what, DEVIATION_MAX_SIZE, "per-side", "DEVIATION_MAX_SIZE")
+    what = f"group enumeration of {problem.size} per side"
+    ResourceLimitError.check(problem.size, DEVIATION_MAX_SIZE, what, "per-side", "DEVIATION_MAX_SIZE")
     # Each move, as its rematching ({p: p} for one person, {a: b, b: a} for a
     # pair), joins every group so far that it does not overlap.
     groups: list[dict[str, str]] = [{}]
@@ -391,9 +390,8 @@ def _decoded(problem: MarriageProblem, orders: Iterable[int]) -> list[Matching]:
 
 def all_matchings(problem: MarriageProblem) -> list[Matching]:
     """Every matching, in `Matching.key()` order."""
-    if problem.size > MATCHINGS_MAX_SIZE:
-        what = f"matching list of {problem.size} per side"
-        raise ResourceLimitError.past(what, MATCHINGS_MAX_SIZE, "per-side", "MATCHINGS_MAX_SIZE")
+    what = f"matching list of {problem.size} per side"
+    ResourceLimitError.check(problem.size, MATCHINGS_MAX_SIZE, what, "per-side", "MATCHINGS_MAX_SIZE")
     return _decoded(problem, sorted(_candidates(problem)[0]))
 
 
@@ -405,8 +403,7 @@ def optimin_matchings(problem: MarriageProblem) -> list[Matching]:
     outcome moves up their own preference list.  The set is never empty.
     Only the matchings kept are built as `Matching` objects.
     """
-    if problem.size > OPTIMIN_MAX_SIZE:
-        what = f"matching enumeration of {problem.size} per side"
-        raise ResourceLimitError.past(what, OPTIMIN_MAX_SIZE, "per-side", "OPTIMIN_MAX_SIZE")
+    what = f"matching enumeration of {problem.size} per side"
+    ResourceLimitError.check(problem.size, OPTIMIN_MAX_SIZE, what, "per-side", "OPTIMIN_MAX_SIZE")
     orders, values = _candidates(problem)
     return _decoded(problem, sorted(map(orders.__getitem__, pareto_positions(values))))

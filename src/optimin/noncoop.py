@@ -216,11 +216,8 @@ def _values_nd(game: NormalFormGame) -> Callable[[int], tuple[int, ...]]:
     """
     num, size = game._num, len(game._num[0])
     profiles = size * sum(size // m for m in game.shape)
-    if profiles > VALUE_TABLE_MAX_PROFILES:
-        what = f"value table of {'x'.join(map(str, game.shape))} cells ({profiles} deviation profiles)"
-        raise ResourceLimitError.past(
-            what, VALUE_TABLE_MAX_PROFILES, "profile", "VALUE_TABLE_MAX_PROFILES"
-        )
+    what = f"value table of {'x'.join(map(str, game.shape))} cells ({profiles} deviation profiles)"
+    ResourceLimitError.check(profiles, VALUE_TABLE_MAX_PROFILES, what, "profile", "VALUE_TABLE_MAX_PROFILES")
     # Player j's strictly better replies at cell c are the run of c's line, in
     # j's `_line_order`, before c's tie group, which starts at position k.
     # Player i's deviation cells are the first such opponent's run plus c,
@@ -622,13 +619,12 @@ def _grids_2p(game: NormalFormGame, k: int) -> tuple[list, list]:
         raise ParameterError(f"grid resolution must be >= 1, got {k} (--mixed-grid)")
     sizes = [math.comb(m + k - 1, m - 1) for m in game.shape]
     hint = "lower --mixed-grid or use --pure"
-    if sizes[0] * sizes[1] > GRID_PROFILE_LIMIT:
-        what = f"grid of {sizes[0] * sizes[1]} profiles"
-        raise ResourceLimitError.past(what, GRID_PROFILE_LIMIT, "profile", "GRID_PROFILE_LIMIT", hint)
+    profiles = sizes[0] * sizes[1]
+    what = f"grid of {profiles} profiles"
+    ResourceLimitError.check(profiles, GRID_PROFILE_LIMIT, what, "profile", "GRID_PROFILE_LIMIT", hint)
     weights = sum(map(mul, sizes, game.shape))
-    if weights > GRID_WEIGHT_LIMIT:
-        what = f"grid of {weights} weights"
-        raise ResourceLimitError.past(what, GRID_WEIGHT_LIMIT, "weight", "GRID_WEIGHT_LIMIT", hint)
+    what = f"grid of {weights} weights"
+    ResourceLimitError.check(weights, GRID_WEIGHT_LIMIT, what, "weight", "GRID_WEIGHT_LIMIT", hint)
     return tuple(simplex_columns(m, k) for m in game.shape)
 
 

@@ -66,18 +66,16 @@ def _check_literal_size(text: str) -> None:
     # "e" or "E" marks an exponent; both tests run at C speed.
     if len(text) > RATIONAL_MAX_DIGITS:
         digits = sum(map(str.isdigit, text))
-        if digits > RATIONAL_MAX_DIGITS:
-            what = f"rational literal of {digits} digits"
-            raise ResourceLimitError.past(what, RATIONAL_MAX_DIGITS, "digit", "RATIONAL_MAX_DIGITS")
+        what = f"rational literal of {digits} digits"
+        ResourceLimitError.check(digits, RATIONAL_MAX_DIGITS, what, "digit", "RATIONAL_MAX_DIGITS")
     if "e" not in text and "E" not in text:
         return
     try:
         power = int(text.lower().partition("e")[2])  # at most RATIONAL_MAX_DIGITS digits
     except ValueError:
         return  # not a literal Fraction accepts; it reports the format error
-    if abs(power) > RATIONAL_MAX_EXPONENT:
-        what = f"rational literal with exponent {power}"
-        raise ResourceLimitError.past(what, RATIONAL_MAX_EXPONENT, "exponent", "RATIONAL_MAX_EXPONENT")
+    what = f"rational literal with exponent {power}"
+    ResourceLimitError.check(abs(power), RATIONAL_MAX_EXPONENT, what, "exponent", "RATIONAL_MAX_EXPONENT")
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

@@ -1,11 +1,13 @@
 """Every enumeration bound is stated once, in `optimin.errors`, and refused
-through `ResourceLimitError.past`.
+through `ResourceLimitError.check`.
 
-The table-driven test asks each bound for one unit past it, in the unit its
-input is given in, and checks the one message form, the requested size, the
-bound and the constant, with the refusal made before anything is built.  The
-syntax-tree guard, in the style of `test_imports.py`, keeps the bounds and
-their message form in `errors.py`.
+The table-driven tests ask each bound for one unit past it, in the unit its
+input is given in, and check the one message form, the requested size, the
+bound and the constant, with the refusal made before anything is built; the
+cheap bounds are also asked for exactly their limit, which is accepted.  The
+syntax-tree guards, in the style of `test_imports.py`, keep the bounds and
+their message form in `errors.py`, and have every bound checked by a
+`ResourceLimitError.check` call that names that bound's own constant.
 """
 
 import ast
@@ -113,6 +115,26 @@ BOUNDS = [
 ]
 
 
+# (constant, set-up building the input, the call on it that is accepted).
+# Each input asks for exactly the bound; the bounds whose limit takes seconds
+# to reach are left out.
+AT_LIMIT = [
+    ("RATIONAL_MAX_DIGITS", lambda: "9" * D, to_fraction),
+    ("RATIONAL_MAX_EXPONENT", lambda: f"1e{E}", to_fraction),
+    ("SWEEP_MAX_POINTS", lambda: F(errors.SWEEP_MAX_POINTS), lambda stop: cli._sweep_values(F(1), stop, F(1))),
+    ("DECISION_MAX_CELLS", lambda: [f"a{k}" for k in range(errors.DECISION_MAX_CELLS)],
+     lambda acts: DecisionProblem(acts, ["s"], {act: {"s": 0} for act in acts})),
+    # 500 claims a side fill the bound.
+    ("TRAVELERS_CELL_LIMIT", lambda: 501, lambda high: gen_travelers(2, high)),
+    ("CENTIPEDE_MAX_NODES", lambda: errors.CENTIPEDE_MAX_NODES, gen_centipede),
+    ("SHAPLEY_MAX_PLAYERS", lambda: zero_tu_game(errors.SHAPLEY_MAX_PLAYERS), shapley),
+    ("NUCLEOLUS_MAX_PLAYERS", lambda: zero_tu_game(errors.NUCLEOLUS_MAX_PLAYERS), nucleolus),
+    ("IMPUTATION_GRID_MAX_POINTS",
+     lambda: TUGame(2, {1: 0, 2: 0, 3: errors.IMPUTATION_GRID_MAX_POINTS - 1}), lambda g: imputation_grid(g, 1)),
+    ("OPTIMIN_MAX_SIZE", lambda: marriage(errors.OPTIMIN_MAX_SIZE), optimin_matchings),
+]
+
+
 @pytest.mark.parametrize("name, module, unit, setup, call, requested", BOUNDS, ids=[b[0] for b in BOUNDS])
 def test_one_past_every_bound_is_refused_in_the_one_form(name, module, unit, setup, call, requested):
     bound = getattr(errors, name)
@@ -130,6 +152,21 @@ def test_one_past_every_bound_is_refused_in_the_one_form(name, module, unit, set
     assert found, str(info.value)
     assert (found["bound"], found["unit"], found["name"]) == (str(bound), unit, name)
     assert requested in found["what"]
+
+
+@pytest.mark.parametrize("name, setup, call", AT_LIMIT, ids=[b[0] for b in AT_LIMIT])
+def test_exactly_the_limit_is_accepted(name, setup, call):
+    call(setup())
+
+
+def test_check_accepts_the_bound_and_refuses_one_past_it():
+    assert ResourceLimitError.check(7, 7, "box of 7 cells", "cell", "BOX_LIMIT") is None
+    with pytest.raises(ResourceLimitError) as info:
+        ResourceLimitError.check(8, 7, "box of 8 cells", "cell", "BOX_LIMIT")
+    assert str(info.value) == "box of 8 cells exceeds the 7-cell bound (BOX_LIMIT)"
+    with pytest.raises(ResourceLimitError) as info:
+        ResourceLimitError.check(8, 7, "box of 8 cells", "cell", "BOX_LIMIT", "lower --box")
+    assert str(info.value) == "box of 8 cells exceeds the 7-cell bound (BOX_LIMIT); lower --box"
 
 
 def test_every_bound_is_in_the_table():
@@ -166,4 +203,47 @@ def test_the_guard_sees_a_stray_bound():
     )
     assert stray_bounds(source) == [
         "line 1: assigns X_LIMIT", "line 2: assigns Y_MAX_SIZE", "line 5: formats a bound message",
+    ]
+
+
+CHECK_PARAMETERS = ("requested", "bound", "what", "unit", "name", "hint")
+
+
+def bound_checks(source: str) -> list[tuple[int, str, str]]:
+    """Each `ResourceLimitError.check` call's line, its bound argument as
+    written and its name argument, the string's value if it is one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "check"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "ResourceLimitError"
+        ):
+            args = dict(zip(CHECK_PARAMETERS, node.args))
+            args.update((keyword.arg, keyword.value) for keyword in node.keywords)
+            name = args["name"]
+            shown = name.value if isinstance(name, ast.Constant) else ast.unparse(name)
+            found.append((node.lineno, ast.unparse(args["bound"]), shown))
+    return found
+
+
+def test_every_bound_is_checked_under_its_own_name():
+    calls = [(path.name, *call) for path in MODULES for call in bound_checks(path.read_text(encoding="utf-8"))]
+    assert [call for call in calls if call[2] != call[3]] == []
+    stated = {name for name in vars(errors) if name.endswith("_LIMIT") or "_MAX_" in name}
+    assert {call[2] for call in calls} == stated
+
+
+def test_the_guard_sees_a_bound_checked_under_another_name():
+    source = (
+        "def f(n):\n"
+        "    ResourceLimitError.check(n, X_LIMIT, 'x', 'cell', 'X_LIMIT')\n"
+        "    ResourceLimitError.check(n, Y_LIMIT, 'y', 'cell', 'X_LIMIT', 'lower --y')\n"
+        "    ResourceLimitError.check(n, bound=Z_MAX_SIZE, what='z', unit='cell', name=NAME)\n"
+        "    other.check(n, W_LIMIT, 'w', 'cell', 'X_LIMIT')\n"
+    )
+    assert bound_checks(source) == [
+        (2, "X_LIMIT", "X_LIMIT"), (3, "Y_LIMIT", "X_LIMIT"), (4, "Z_MAX_SIZE", "NAME"),
     ]

@@ -1128,6 +1128,7 @@ REFUSAL_FILES = {
     "tu_leading_zero": {"n": 2, "worth": {"1": 0, "2": 0, "1,2": 1, "01,2": 7}},
     "tu_signed": {"n": 2, "worth": {"1": 0, "2": 0, " 1,+2": 1}},
     "tu_long_key": {"n": 2, "worth": {"1": 0, "2": 0, "1" * 5000: 1}},
+    "tu_key_of_40": {"n": 2, "worth": {"1": 0, "2": 0, "1" * 40: 1}},
     "oc_states": {
         "acts": ["x", "y"],
         "states": ["s", "t"],
@@ -1176,7 +1177,11 @@ REFUSALS = {
         "{dir}/tu_signed.json.worth[' 1,+2']: coalition keys are comma-joined player numbers in plain digits"),
     "tu-key-past-the-digit-limit": (
         ["coop", "core", "--game", "{dir}/tu_long_key.json"],
-        "{dir}/tu_long_key.json.worth['" + "1" * 5000 + "']: player numbers must lie in 1..2"),
+        "{dir}/tu_long_key.json.worth['" + "1" * 40 + "'... (5000 characters)]: player numbers must lie in 1..2"),
+    # A key of up to 40 characters is echoed whole, a longer one by its first 40 and its length.
+    "tu-key-of-40-characters": (
+        ["coop", "core", "--game", "{dir}/tu_key_of_40.json"],
+        "{dir}/tu_key_of_40.json.worth['" + "1" * 40 + "']: player numbers must lie in 1..2"),
     "oc-states-list": (
         ["decide", "solve", "--game", "{dir}/oc_states.json"],
         "{dir}/oc_states.json.oc_states: expected an object keyed by 'act,state'"),

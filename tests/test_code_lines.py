@@ -1,4 +1,4 @@
-"""`tools/code_lines.py`, the code-line count that CI prints, loaded by path."""
+"""`tools/code_lines.py`, the code-line and branch counts that CI prints, loaded by path."""
 
 import importlib.util
 from pathlib import Path
@@ -42,6 +42,34 @@ def test_code_lines_counts_code_only():
     assert tool.code_lines(SOURCE) == 6
     assert tool.docstring_lines(SOURCE) == {1, 2, 10, 18, 19}
     assert tool.code_lines("") == 0
+
+
+# Branches: the `if` and its `or` and `and` operands (3), the comprehension's
+# two `if`s (its `for` is not one), the `elif`, the `while`, the conditional
+# expression, the `for` and the two `except` clauses.
+BRANCHY = '''
+def f(xs, y):
+    if y and xs or not y:
+        return [x for x in xs if x if x > 1]
+    elif y:
+        pass
+    while y:
+        y = y - 1 if y > 1 else 0
+    for x in xs:
+        try:
+            pass
+        except ValueError:
+            pass
+        except KeyError:
+            pass
+'''
+
+
+def test_branches_counts_decision_points():
+    tool = load_tool()
+    assert tool.branches(BRANCHY) == 11
+    assert tool.branches(SOURCE) == 0
+    assert tool.branches("") == 0
 
 
 def test_main_prints_one_line_per_module_and_a_total(capsys):

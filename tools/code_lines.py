@@ -1,10 +1,14 @@
-"""Print the code lines of each module under src/optimin and their total.
+"""Print the code lines and the branches of each module under src/optimin,
+and their totals.
 
 A code line is a source line that holds at least one token other than a
 comment: blank lines, comment-only lines and docstrings do not count.  A
 docstring is the string that opens a module, class or function body; a
 token that spans lines, such as a multi-line string, counts every line it
-spans.  Standard library only; run from anywhere:
+spans.  A branch is a decision point: an `if` or `elif`, a conditional
+expression, a `for` or `while` loop, an `except` clause, an `if` of a
+comprehension, or an `and`/`or` operand past the first.  Standard library
+only; run from anywhere:
 
     python tools/code_lines.py
 """
@@ -25,6 +29,8 @@ SKIPPED = {
     tokenize.ENDMARKER,
 }
 BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+# An `elif` is an `ast.If` nested in its parent's `orelse`.
+DECISIONS = (ast.If, ast.IfExp, ast.For, ast.AsyncFor, ast.While, ast.ExceptHandler)
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "optimin"
 
 
@@ -53,13 +59,28 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def branches(source: str) -> int:
+    """The number of branches in `source`."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DECISIONS):
+            count += 1
+        elif isinstance(node, ast.comprehension):
+            count += len(node.ifs)
+        elif isinstance(node, ast.BoolOp):
+            count += len(node.values) - 1
+    return count
+
+
 def main() -> None:
-    total = 0
+    total = total_branches = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        count, branch_count = code_lines(source), branches(source)
         total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        total_branches += branch_count
+        print(f"{count:6d}  {path.name}  {branch_count} branches")
+    print(f"{total:6d}  total  {total_branches} branches")
 
 
 if __name__ == "__main__":
