@@ -154,9 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # parser is cached, and a tracer that rebinds `fileio.load_*` after it is
 # built must still see every load.
 def _load_normal_form(spec: str) -> NormalFormGame:
-    # A named instance needs no file; "bulmer" lives in the zero-sum module.
-    if spec == "bulmer":
-        return zerosum.bulmer_game().game
+    # A named instance needs no file.
     if spec in GAME_TAGS:
         return generators.gen_named(spec)
     return fileio.load_game(spec)
@@ -190,7 +188,10 @@ def _emit(args, table_lines, json_doc, out=None) -> int:
     arrays, or the table lines.  It goes to stdout, or to the file `out`
     followed by `wrote <out>` on stdout."""
     if args.format == "json":
-        text = json.dumps(json_doc, indent=2, default=json_number)
+        try:
+            text = json.dumps(json_doc, indent=2, default=json_number)
+        except ValueError:  # an int past the interpreter's int-to-text limit
+            raise ResourceLimitError.text_limit() from None
     else:
         text = "\n".join(table_lines)
     if out is None:
@@ -311,9 +312,7 @@ def _cmd_coop_nucleolus(args, game) -> int:
 
 def _cmd_coop_optimin(args, game) -> int:
     step = to_fraction(args.step)
-    floors = None
-    if args.floor is not None:
-        floors = [to_fraction(args.floor)] * game.n
+    floors = None if args.floor is None else [to_fraction(args.floor)] * game.n
     p, q = step.numerator, step.denominator
     kept, scale = coop.optimin_coop_ints(game, p, q, floors)
     mode = f"grid-step {format_table(step)} (grid-approximate)"
@@ -363,10 +362,7 @@ def _matching_str(m: matching.Matching) -> str:
     pairs = m.matched_pairs()
     singles = [p for p in m.problem.everyone() if m.is_single(p)]
     inside = ", ".join(f"{a}={b}" for a, b in pairs)
-    if singles:
-        extra = f" singles: {', '.join(singles)}"
-    else:
-        extra = ""
+    extra = f" singles: {', '.join(singles)}" if singles else ""
     return (inside or "(all single)") + extra
 
 
@@ -412,8 +408,7 @@ def _cmd_match_value(args, problem) -> int:
     lines = ["worst-case outcomes:"]
     doc = {}
     for person, outcome in value.worst:
-        shown = outcome if outcome != person else "single"
-        lines.append(f"  {person}: {shown}")
+        lines.append(f"  {person}: {outcome if outcome != person else 'single'}")
         doc[person] = outcome
     return _emit(args, lines, {"value": doc})
 
@@ -424,10 +419,9 @@ def _cmd_match_deviations(args, problem) -> int:
     lines = [f"profitable group deviations: {len(devs)}"]
     out = []
     for dev in devs:
-        pairs = {a: b for a, b in dev.rematching}
         shown = ", ".join(f"{a}->{b}" for a, b in dev.rematching)
         lines.append(f"  group {{{', '.join(dev.group)}}}: {shown}")
-        out.append({"group": dev.group, "rematching": pairs})
+        out.append({"group": dev.group, "rematching": dict(dev.rematching)})
     return _emit(args, lines, {"deviations": out})
 
 
@@ -458,12 +452,9 @@ def _cmd_decide_check(args, decision) -> int:
         f"comparison by decision maker alone: {'yes' if report.dm_only_comparison else 'no'}",
         f"hypotheses hold: {'yes' if report.hypotheses_hold else 'no'}",
     ]
-    if report.verified is None:
-        lines.append("reduction: not asserted")
-    else:
-        lines.append(f"reduction to security maximization: {'confirmed' if report.verified else 'FAILED'}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    shown = f"reduction to security maximization: {'confirmed' if report.verified else 'FAILED'}"
+    lines.append("reduction: not asserted" if report.verified is None else shown)
+    lines += [f"note: {note}" for note in report.notes]
     doc = {
         "constant_constraint": report.constant_constraint,
         "dm_only": report.dm_only_comparison,
@@ -506,10 +497,7 @@ def _cmd_gen(args) -> int:
     family = generators.FAMILIES.get(args.family)
     params = _family_params(args, family)
     obj = family.build(**params) if family else generators.gen_named(args.family)
-    if isinstance(obj, NormalFormGame):
-        pieces = fileio.game_pieces(obj)
-    else:
-        pieces = [fileio.dump_tu_game(obj)]
+    pieces = fileio.game_pieces(obj) if isinstance(obj, NormalFormGame) else [fileio.dump_tu_game(obj)]
     fileio.write_text(args.out, pieces)
     print(f"wrote {args.out}")
     return 0

@@ -36,7 +36,7 @@ from .errors import DomainError, ResourceLimitError
 from .games import ValueVector, simplex_columns
 from .lp import LinearProgram, fraction_free_pivot, solve_lp
 from .pareto import pareto_positions
-from .rational import json_ratio, literal_ratio, over_common_denominator
+from .rational import Record, json_ratio, literal_ratio, over_common_denominator
 
 ZERO = Fraction(0)
 
@@ -53,7 +53,7 @@ def check_players(n: int, worths: int) -> None:
         )
 
 
-class TUGame:
+class TUGame(Record):
     """Characteristic function on all nonempty coalitions of n players.
 
     `worth[mask]` is the coalition's transferable worth; the empty coalition
@@ -64,7 +64,8 @@ class TUGame:
     The worths are stored as the ints ``_num[mask]`` over the common
     denominator ``_den``, the lcm of their reduced denominators, so equal
     games have equal representations; ``_num[0]`` is the empty coalition's 0.
-    These ints are the game's only worth state.  Readers scale an allocation
+    These ints are the game's only worth state, and with ``n`` its `_key`;
+    as ``_num`` is a list, a game is unhashable.  Readers scale an allocation
     to the same denominator; `coop_value` further multiplies every value by
     ``L = lcm(1..n)``, so that a shortfall shared equally among the |R|
     members of any remaining coalition R is the int multiple ``L/|R|``.
@@ -126,10 +127,8 @@ class TUGame:
     def proper_coalitions(self) -> list[int]:
         return list(range(1, self.grand_coalition))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TUGame):
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._num == other._num
+    def _key(self) -> tuple:
+        return self.n, self._den, self._num
 
     def __repr__(self) -> str:
         return f"TUGame(n={self.n}, u(N)={self.worth(self.grand_coalition)})"
@@ -327,7 +326,10 @@ def _lattice(game: TUGame, p: int, q: int, floors: Sequence | None) -> list[Sequ
     if rest or free < 0:
         return [()] * n
     count = math.comb(free + n - 1, n - 1)
-    what, hint = f"imputation grid of {count} points", "raise --step"
+    # A count past 10^100, whose text could pass the interpreter's int-to-text
+    # limit (640 digits at the least), is named by its power of ten.
+    shown = count if count < 10**100 else f"about 10^{math.log10(count):.0f}"
+    what, hint = f"imputation grid of {shown} points", "raise --step"
     ResourceLimitError.check(count, IMPUTATION_GRID_MAX_POINTS, what, "point", "IMPUTATION_GRID_MAX_POINTS", hint)
     shares = simplex_columns(n, free)
     return [list(map(add, share, repeat(low, count))) for share, low in zip(shares, min_units)]

@@ -13,6 +13,8 @@ for, the bound, the constant and, where a command-line flag governs the
 bound, that flag.
 """
 
+import sys
+
 
 class OptiminError(Exception):
     """Base class for all errors raised by this library."""
@@ -70,6 +72,14 @@ class ResourceLimitError(OptiminError):
         if requested > bound:
             message = f"{what} exceeds the {bound}-{unit} bound ({name})"
             raise cls(f"{message}; {hint}" if hint else message)
+
+    @classmethod
+    def text_limit(cls) -> "ResourceLimitError":
+        """The refusal, in the same form, of a value to write whose decimal
+        text would pass the interpreter's int-to-text limit: `str` refuses
+        such an int with a `ValueError`, which its writer turns into this."""
+        limit = sys.get_int_max_str_digits()
+        return cls(f"a value's decimal text exceeds the {limit}-digit bound (sys.get_int_max_str_digits())")
 
 
 # -- rational literals (`rational`) -----------------------------------------

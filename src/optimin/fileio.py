@@ -14,14 +14,18 @@ errors name the offending JSON path, which is built only once a check has
 failed; JSON nested past the recursion limit is a format error too.  Nothing
 is dropped without a word: an object that repeats a key, and a key, label or
 field that names nothing, are refused.  A game's labels are checked once, by
-`NormalFormGame`, whose message the reader prefixes with ``<file>.``.
+`NormalFormGame`, whose message the reader prefixes with ``<file>.``.  The
+text readers `parse_*` take any string as a label, so every object
+round-trips through its `dump_*`; the file readers `load_*`, which the CLI
+reads through, also refuse a label that is not printable, since it would
+split a report line.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coop import TUGame, check_players
 from .decisions import DecisionProblem, OptimismConstraint, check_size
@@ -64,6 +68,16 @@ def _check_labels(value, path: str) -> None:
     """Check that `value` is a list of string labels, naming `path` if not."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise _fail(path, "expected a list of labels")
+
+
+def _check_printable(source: str, fields: Iterable[tuple[str, Sequence[str]]]) -> None:
+    """Refuse the first label of the `(field, labels)` pairs that is not
+    printable (a newline, a tab, a NUL), naming ``<source>.<field>`` and the
+    label by its repr: a report line could not hold it whole."""
+    for field, labels in fields:
+        for label in labels:
+            if not label.isprintable():
+                raise _fail(f"{source}.{field}", f"label {label!r} is not printable")
 
 
 def _check_known(labels: Iterable[str], known, what: str, path: str) -> None:
@@ -394,7 +408,10 @@ def write_text(path: str, pieces: Iterable[str]) -> None:
 
 
 def load_game(path: str) -> NormalFormGame:
-    return parse_game(read_text(path), source=path)
+    game = parse_game(read_text(path), source=path)
+    strategies = ((f"strategies[{i}]", s) for i, s in enumerate(game.strategies))
+    _check_printable(path, [("players", game.players), *strategies])
+    return game
 
 
 def load_tu_game(path: str) -> TUGame:
@@ -402,8 +419,12 @@ def load_tu_game(path: str) -> TUGame:
 
 
 def load_marriage(path: str) -> MarriageProblem:
-    return parse_marriage(read_text(path), source=path)
+    problem = parse_marriage(read_text(path), source=path)
+    _check_printable(path, [("A", problem.side_a), ("B", problem.side_b)])
+    return problem
 
 
 def load_decision(path: str) -> tuple[DecisionProblem, OptimismConstraint]:
-    return parse_decision(read_text(path), source=path)
+    problem, constraint = parse_decision(read_text(path), source=path)
+    _check_printable(path, [("acts", problem.acts), ("states", problem.states)])
+    return problem, constraint

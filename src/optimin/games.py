@@ -31,7 +31,7 @@ from .errors import (
     InvalidScaleError,
     OptiminError,
 )
-from .rational import literal_ratio, over_common_denominator, to_fraction
+from .rational import Record, literal_ratio, over_common_denominator, to_fraction
 
 PureProfile = tuple[int, ...]
 MixedProfile = tuple[tuple[Fraction, ...], ...]
@@ -41,7 +41,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class NormalFormGame:
+class NormalFormGame(Record):
     """An n-player game: player labels, per-player strategy labels, payoff tensor.
 
     ``payoffs`` is a nested sequence indexed by strategy indices in player
@@ -299,18 +299,8 @@ class NormalFormGame:
             for i in range(len(self.shape))
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalFormGame):
-            return NotImplemented
-        return (
-            self.players == other.players
-            and self.strategies == other.strategies
-            and self._den == other._den
-            and self._num == other._num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.players, self.strategies, self._den, self._num))
+    def _key(self) -> tuple:
+        return self.players, self.strategies, self._den, self._num
 
     def __repr__(self) -> str:
         dims = "x".join(str(k) for k in self.shape)

@@ -22,11 +22,12 @@ from .errors import ParameterError, ResourceLimitError
 from .games import NormalFormGame
 from .noncoop import _pareto_cells, _profile_at, nash_pure
 from .rational import json_ratio, literal_ratio, over_common_denominator, to_fraction
+from .zerosum import bulmer_game
 
 CentipedeVariant = Literal["increasing", "constant"]
 
 # The parameterless instances `gen_named` builds: normal-form games, then TU games.
-GAME_TAGS = ("figure1", "motivating", "battle_of_sexes", "prisoners_dilemma")
+GAME_TAGS = ("figure1", "motivating", "battle_of_sexes", "prisoners_dilemma", "bulmer")
 COOP_TAGS = ("coop_empty_core", "coop_120")
 NAMED_TAGS = GAME_TAGS + COOP_TAGS
 
@@ -203,6 +204,8 @@ def gen_named(tag: str):
         return NormalFormGame(("row", "column"), (strategies, strategies), payoffs)
     if tag == "prisoners_dilemma":
         return gen_prisoners_dilemma()
+    if tag == "bulmer":
+        return bulmer_game().game
     if tag == "coop_empty_core":
         return _three_player_tu(grand=110)
     if tag == "coop_120":

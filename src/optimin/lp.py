@@ -40,7 +40,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import over_common_denominator
+from .rational import Record, over_common_denominator
 
 ZERO = Fraction(0)
 
@@ -50,7 +50,7 @@ GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 
-class Constraint:
+class Constraint(Record):
     """One row ``coefficients · x (relation) rhs``, held as ints.
 
     ``_num`` holds the coefficients and then the right-hand side as ints over
@@ -91,13 +91,8 @@ class Constraint:
             return lhs >= rhs
         return lhs == rhs
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Constraint):
-            return NotImplemented
-        return (self.relation, self._den, self._num) == (other.relation, other._den, other._num)
-
-    def __hash__(self) -> int:
-        return hash((self.relation, self._den, tuple(self._num)))
+    def _key(self) -> tuple:
+        return self.relation, self._den, tuple(self._num)
 
     def __repr__(self) -> str:
         return f"Constraint({self.coefficients!r}, {self.relation!r}, {self.rhs!r})"
@@ -150,7 +145,7 @@ class LinearProgram:
         )
 
 
-class LPSolution:
+class LPSolution(Record):
     """Status, and for an optimal LP its point, value and dual values.
 
     `duals[k]` belongs to `constraints[k]`: the rate at which the optimal
@@ -215,15 +210,8 @@ class LPSolution:
             self._duals = tuple(Fraction(num, den) for num, den in self.dual_ratios)
         return self._duals
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LPSolution):
-            return NotImplemented
-        return (self.status, self.point, self.objective_value) == (
-            other.status, other.point, other.objective_value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.status, self.point, self.objective_value))
+    def _key(self) -> tuple:
+        return self.status, self.point, self.objective_value
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,15 @@ by the file formats and the CLI: exact strings like ``"265/6"`` and plain
 integers.  A string is refused before it is parsed when its digits or its
 decimal exponent pass `RATIONAL_MAX_DIGITS` or `RATIONAL_MAX_EXPONENT`
 (stated in `errors`), because ``"1e1000000"`` alone would build a
-3.3-million-bit integer.
+3.3-million-bit integer.  A value whose decimal text would pass the
+interpreter's int-to-text limit is refused as it is written
+(`ResourceLimitError.text_limit`), and a table hint that a float cannot
+hold is left out.
+
+`Record` is the base of the exact `__slots__` records (`NormalFormGame`,
+`TUGame`, `Constraint`, `LPSolution`, `StatisticalGame`): each states the
+tuple it is compared and hashed by as its `_key()`, and `Record` holds the
+one `__eq__` and `__hash__` over it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,20 @@ _PLAIN_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 # The one type whose values `over_common_denominator` passes through as they are.
 _INT = frozenset((int,))
+
+
+class Record:
+    """Equality and hash read off one `_key()` tuple.  Records of different
+    types never compare equal, and a record whose key holds a list is
+    unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def to_fraction(value) -> Fraction:
@@ -111,12 +133,18 @@ def format_table(value: Fraction) -> str:
 def table_ratio(numerator: int, denominator: int) -> str:
     """`format_table` of numerator/denominator (denominator > 0), with no
     `Fraction` built.  The hint reads the int quotient, which CPython rounds
-    correctly, as ``float`` rounds a `Fraction`."""
+    correctly, as ``float`` rounds a `Fraction`; a quotient past float range
+    gets none."""
     g = math.gcd(numerator, denominator)
-    if g == denominator:
-        return str(numerator // g)
-    num, den = numerator // g, denominator // g
-    return f"{num}/{den} (~{num / den:.3f})"
+    try:
+        if g == denominator:
+            return str(numerator // g)
+        num, den = numerator // g, denominator // g
+        return f"{num}/{den} (~{num / den:.3f})"
+    except OverflowError:  # from the hint alone: both ints were written
+        return f"{num}/{den}"
+    except ValueError:  # an int past the interpreter's int-to-text limit
+        raise ResourceLimitError.text_limit() from None
 
 
 def json_number(value: Fraction):
@@ -129,4 +157,7 @@ def json_ratio(numerator: int, denominator: int):
     g = math.gcd(numerator, denominator)
     if g == denominator:
         return numerator // g
-    return f"{numerator // g}/{denominator // g}"
+    try:
+        return f"{numerator // g}/{denominator // g}"
+    except ValueError:  # an int past the interpreter's int-to-text limit
+        raise ResourceLimitError.text_limit() from None

@@ -20,9 +20,10 @@ from .errors import DomainError, UnsupportedFeatureError
 from .games import MixedProfile, NormalFormGame
 from .lp import LinearProgram, solve_lp
 from .noncoop import reply_payoffs
+from .rational import Record
 
 
-class StatisticalGame:
+class StatisticalGame(Record):
     """A two-player game whose payoffs are exactly opposite cell by cell."""
 
     __slots__ = ("game",)
@@ -37,13 +38,8 @@ class StatisticalGame:
                 raise DomainError(f"not zero-sum at cell {labels}: {u[0]} + {u[1]} != 0")
         self.game = game
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StatisticalGame):
-            return NotImplemented
-        return self.game == other.game
-
-    def __hash__(self) -> int:
-        return hash((self.game,))
+    def _key(self) -> tuple:
+        return (self.game,)
 
     def __repr__(self) -> str:
         return f"StatisticalGame(game={self.game!r})"

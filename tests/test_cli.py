@@ -17,6 +17,7 @@ import optimin
 from optimin import ResourceLimitError
 from optimin.cli import SWEEP_MAX_POINTS, _sweep_values, main
 from optimin.fileio import dump_game, dump_marriage, parse_game
+from optimin.generators import COOP_TAGS, NAMED_TAGS
 from optimin.matching import MarriageProblem
 
 
@@ -51,6 +52,10 @@ SWEEP_PINS = {
     "--family public_goods --param mpcr --from 1/2 --to 3/2 --step 1/4 --n 3 --endowment 7/2 --levels 0,1/3,3":
         "1d12a6bc3c00ad3dbaaba48c8ff1d78cdb3ec5fa1cd1b21e869cb97144ba9218",
 }
+# The named instances README lists, each of which `--game` reads without a file.
+NAMED_INSTANCES = (
+    "figure1", "motivating", "battle_of_sexes", "prisoners_dilemma", "bulmer", "coop_empty_core", "coop_120"
+)
 # sha256 of `--help` at COLUMNS=80 for every parser: the top level (""),
 # each command group and each command.
 HELP_PINS = {
@@ -76,7 +81,7 @@ HELP_PINS = {
     "decide": "9533d267c7c2313498cec55d4fded34fae3636a7e8ef63824b9cc86d5abf1ebe",
     "decide solve": "2782e8ac356dd8b7f85676ca6792db3ef2348b915c369bde3fadd90de8c3696a",
     "decide check": "ed41ac5b48b501a84a84f7a17c7dfd4f520448fb6a8b7da22096b47d1d1c6665",
-    "gen": "d4e0f71045793f392b55f92598caf0ae15bddbaf397d7bbe12d892c590528e92",
+    "gen": "e922716b5f3b4fbc82cf39f804c478f51c5e41cb65b53fbecc9f8d0caca1a044",
     "sweep": "db16d3ce2b1039560d9bf377947e3a588c3fbb61b46493540ae6ddda98b3ed8b",
     "selftest": "33f6d049e73fa034e0bc3268070687e430446b48e04e3046d06eca169ef48406",
 }
@@ -400,6 +405,8 @@ REFUSAL_PINS = {
     "match value --game {mp} --matching x=y,z=w": "error: --matching: unknown individual 'x' in matching",
     "match deviations --game {mp} --matching a1=b1,a2=b1": "error: --matching: matching is not mutual at 'a1'",
     "decide check --game {mp}": "error: {mp}: missing required field 'acts'",
+    # A label a report line could not hold whole is named by its repr.
+    "value --game {ctl}": "error: {ctl}.strategies[0]: label 'Def\\nect' is not printable",
     "sweep --family travelers --param r --from 4 --to 2 --step 1/2 --low 3 --high 12": (
         "error: need --from <= --to and a positive --step"
     ),
@@ -438,7 +445,7 @@ def write_seeded_game(path, shape, seed, zero_sum=False):
 
 def write_report_inputs(directory) -> dict:
     """The input files `REPORT_PINS` names, written under `directory`."""
-    files = {name: directory / f"{name}.json" for name in ("nf", "zs", "tu", "mp", "dm", "dmoc", "ant")}
+    files = {name: directory / f"{name}.json" for name in ("nf", "zs", "tu", "mp", "dm", "dmoc", "ant", "ctl")}
     write_seeded_game(files["nf"], (3, 4), 5)
     write_seeded_game(files["zs"], (3, 2), 6, zero_sum=True)
     rng = random.Random(7)
@@ -469,6 +476,9 @@ def write_report_inputs(directory) -> dict:
     files["dmoc"].write_text(json.dumps({**decision, "oc_states": oc}))
     antagonist = {"oc_states": {"*": ["s1", "s3"]}, "oc_acts": {"act2,s2": ["act2"]}, "antagonist": True}
     files["ant"].write_text(json.dumps({**decision, **antagonist}))
+    strategies = [["Cooperate", "Def\nect"], ["Cooperate", "Defect"]]
+    payoffs = [[[3, 3], [0, 5]], [[5, 0], [1, 1]]]
+    files["ctl"].write_text(json.dumps({"players": ["row", "column"], "strategies": strategies, "payoffs": payoffs}))
     return {name: str(path) for name, path in files.items()}
 
 
@@ -718,6 +728,20 @@ class TestGenAndSweep:
         assert code == 0
         code, out, _ = run(capsys, "coop", "core", "--game", str(path))
         assert "empty" in out
+
+    def test_the_named_tags_are_the_named_instances(self):
+        assert NAMED_TAGS == NAMED_INSTANCES
+
+    @pytest.mark.parametrize("tag", NAMED_INSTANCES)
+    def test_gen_writes_every_named_tag(self, capsys, tmp_path, tag):
+        # One report on the written file prints the bytes it prints on the tag.
+        if tag == "bulmer":
+            report = ["zerosum", "solve"]
+        else:
+            report = ["coop", "core"] if tag in COOP_TAGS else ["optimin", "--pure"]
+        path = tmp_path / f"{tag}.json"
+        assert run(capsys, "gen", tag, "--out", str(path)) == (0, f"wrote {path}\n", "")
+        assert run(capsys, *report, "--game", str(path)) == run(capsys, *report, "--game", tag)
 
     @pytest.mark.parametrize("argv", [
         "public_goods --n 4 --levels 0,5,10 --mpcr 1/3",

@@ -11,6 +11,9 @@ with one leading underscore, is the package's own, so some module of the
 package must read it; one that only tests read is dead code.  Likewise
 each `__slots__` entry of a class must be read as an attribute somewhere in
 the package; a slot that is only assigned holds nothing anyone uses.
+Equality has one home: `rational.Record` compares and hashes each record's
+`_key()`, and only `Record` and `Matching` (whose equality needs the same
+problem object) define `__eq__` or `__hash__`.
 """
 
 import ast
@@ -157,3 +160,42 @@ def test_the_check_sees_an_unread_slot():
         "b.py": "from .a import A, C\n\nprint(A().kept, C().used)\n",
     }
     assert unread_slots(sources) == ["a.py: A.stored", "a.py: B.lone"]
+
+
+# The classes that may define `__eq__` or `__hash__`.
+EQUALITY_OWNERS = ("Record", "Matching")
+
+
+def equality_definers(source: str) -> list[str]:
+    """The classes of `source`, other than `EQUALITY_OWNERS`, that define
+    `__eq__` or `__hash__` by a method or an assignment, as "line n: Class.name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name not in EQUALITY_OWNERS:
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names = [stmt.name]
+                else:
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                found += [f"line {stmt.lineno}: {node.name}.{name}" for name in names if name in ("__eq__", "__hash__")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_record_and_matching_define_equality(path):
+    assert equality_definers(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_hand_written_equality():
+    source = (
+        "class Record:\n    def __eq__(self, other):\n        pass\n\n    def __hash__(self):\n        pass\n\n"
+        "class Game(Record):\n    def _key(self):\n        return ()\n\n"
+        "class Pair:\n    def __eq__(self, other):\n        pass\n\n"
+        "class Open:\n    __hash__ = None\n\n"
+        "class Typed:\n    __hash__: None = None\n\n"
+        "def outer():\n    class Inner:\n        def __hash__(self):\n            pass\n"
+    )
+    assert equality_definers(source) == [
+        "line 13: Pair.__eq__", "line 17: Open.__hash__", "line 20: Typed.__hash__", "line 24: Inner.__hash__",
+    ]

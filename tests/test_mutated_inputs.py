@@ -3,7 +3,12 @@
 For each input kind (normal-form game, TU game, marriage problem, decision
 problem) the fuzz test mutates valid documents (a node swapped for another
 JSON value, a key dropped or added, an entry appended) and runs `cli.main` in
-process on the result with every command that reads that kind.
+process on the result with every command that reads that kind.  The values
+include edge values: labels holding control or separator characters, ints
+of 4 299 to 4 301 digits (the interpreter reads and writes at most 4 300 by
+default) and literal strings of `RATIONAL_MAX_DIGITS` ± 1 digits.  A second
+test puts them at the documents' leaves, so they land in label, payoff and
+worth positions.
 Each run must end one of two ways: a report on stdout with exit 0, or exit 1
 with exactly one ``error:`` line on stderr and nothing on stdout.  Any other
 exception fails the test.  A last test feeds arbitrary strings to the flags
@@ -22,8 +27,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from optimin.cli import main
+from optimin.errors import RATIONAL_MAX_DIGITS
 
 LABELS = ("a1", "a2", "b1", "b2", "s1", "s2", "act1", "act2", "*", "1", "1,2", "act1,s1", "x")
+# Labels that a report line could not hold whole.
+CONTROL_LABELS = ("Def\nect", "a\t1", "s\x001", "x\u2028y")
+# Literals too long for `json.dumps` to write, or long enough to slow every
+# run: each is drawn as its placeholder string, and `dump` writes the literal
+# in the placeholder's place.
+HUGE = {
+    **{f"@int{d}": "9" * d for d in (4299, 4300, 4301)},
+    **{f"@-int{d}": "-" + "9" * d for d in (4299, 4300, 4301)},
+    **{f"@str{d}": f'"{"7" * d}"' for d in (RATIONAL_MAX_DIGITS - 1, RATIONAL_MAX_DIGITS + 1)},
+    **{f"@ratio{d}": f'"-{"7" * (d - 1)}/2"' for d in (RATIONAL_MAX_DIGITS, RATIONAL_MAX_DIGITS + 1)},
+}
+EDGES = st.sampled_from(CONTROL_LABELS + tuple(HUGE))
 LEAVES = (
     st.none()
     | st.booleans()
@@ -31,8 +49,9 @@ LEAVES = (
     | st.sampled_from([0.5, -1e300, float("inf"), float("nan")])
     | st.sampled_from(LABELS + ("1/2", "-3/4", "0.25", "1e3", "1/0", ""))
     | st.text(max_size=4)
+    | EDGES
 )
-KEYS = st.sampled_from(LABELS + ("n", "worth", "prefs", "oc_states", "oc_acts")) | st.text(max_size=3)
+KEYS = st.sampled_from(LABELS + CONTROL_LABELS + ("n", "worth", "prefs", "oc_states", "oc_acts")) | st.text(max_size=3)
 VALUES = st.recursive(
     LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3), max_leaves=6
 )
@@ -149,6 +168,25 @@ def mutated(draw, docs):
     return doc
 
 
+@st.composite
+def edged(draw, docs):
+    """A document with one to three of its leaves, each a label or a
+    literal, replaced by an edge value."""
+    doc = draw(st.sampled_from(docs))
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = [path for path, node in nodes(doc) if not isinstance(node, (dict, list))]
+        doc = replaced(doc, draw(st.sampled_from(leaves)), draw(EDGES))
+    return doc
+
+
+def dump(doc) -> str:
+    """`doc` as JSON text, with each `HUGE` placeholder replaced by its literal."""
+    text = json.dumps(doc)
+    for placeholder, literal in HUGE.items():
+        text = text.replace(f'"{placeholder}"', literal)
+    return text
+
+
 def check_outcome(argv):
     """Run the CLI on `argv`: a report and exit 0, or one error line and exit 1."""
     out, err = io.StringIO(), io.StringIO()
@@ -194,7 +232,17 @@ def test_the_first_document_gives_every_report(doc_path, kind):
 @given(data=st.data())
 def test_mutated_documents(doc_path, kind, data):
     docs, commands = KINDS[kind]
-    doc_path.write_text(json.dumps(data.draw(mutated(docs))))
+    doc_path.write_text(dump(data.draw(mutated(docs))))
+    for command in commands:
+        check_outcome([*command, "--game", str(doc_path)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@FUZZ
+@given(data=st.data())
+def test_edge_values_at_the_leaves(doc_path, kind, data):
+    docs, commands = KINDS[kind]
+    doc_path.write_text(dump(data.draw(edged(docs))))
     for command in commands:
         check_outcome([*command, "--game", str(doc_path)])
 
@@ -216,3 +264,57 @@ FLAG_TEXT = st.text(alphabet="0123456789-+/.,=e abUDLCR", max_size=8) | st.text(
 )
 def test_flag_strings(command, text):
     check_outcome([*command[:-1], f"{command[-1]}={text}"])
+
+
+# Regression tests for the failures the edge values found: each run crashed.
+
+
+def run_on(doc_path, doc, command):
+    doc_path.write_text(dump(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--game", str(doc_path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_quotient_past_float_range_is_written_without_a_hint(doc_path):
+    game = json.loads(json.dumps(GAMES[0]))
+    game["payoffs"][0][1] = ["@ratio1000", 0]
+    code, out, err = run_on(doc_path, game, ["value"])
+    assert (code, err) == (0, "")
+    assert f"  (U, C)  (-{'7' * 999}/2, -3)\n" in out
+
+
+def test_a_value_past_the_int_to_text_limit_is_refused(doc_path):
+    tu = json.loads(json.dumps(TU_GAMES[0]))
+    tu["worth"]["1"] = "@int4300"  # player 1's Shapley value sums it with more
+    for fmt in ("table", "json"):
+        code, out, err = run_on(doc_path, tu, ["coop", "shapley", "--format", fmt])
+        assert (code, out, err) == (
+            1, "", "error: a value's decimal text exceeds the 4300-digit bound (sys.get_int_max_str_digits())\n"
+        )
+
+
+@pytest.mark.parametrize("player1, command", [
+    ("@int4300", ["coop", "optimin", "--step", "1/2", "--floor", "-1"]),  # a ratio `json_ratio` writes
+    ("@-int4300", ["coop", "optimin"]),  # an int `json.dumps` writes
+])
+def test_a_json_value_past_the_int_to_text_limit_is_refused(doc_path, player1, command):
+    # `coop optimin --format json` writes its values without table lines.
+    tu = json.loads(json.dumps(TU_GAMES[0]))
+    tu["worth"]["1"], tu["worth"]["2"], tu["worth"]["1,3"] = player1, "@int4300", "@-int4300"
+    code, out, err = run_on(doc_path, tu, [*command, "--format", "json"])
+    assert (code, out, err) == (
+        1, "", "error: a value's decimal text exceeds the 4300-digit bound (sys.get_int_max_str_digits())\n"
+    )
+
+
+def test_a_lattice_count_past_the_int_to_text_limit_is_named_by_its_power_of_ten(doc_path):
+    tu = json.loads(json.dumps(TU_GAMES[0]))
+    tu["worth"]["1"] = "@-int4299"
+    code, out, err = run_on(doc_path, tu, ["coop", "optimin"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: imputation grid of about 10^8598 points exceeds the 5000-point bound"
+        " (IMPUTATION_GRID_MAX_POINTS); raise --step\n"
+    )
